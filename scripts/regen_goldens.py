@@ -26,7 +26,6 @@ def run() -> None:
         code = main(["sample", str(cfg), "--out", str(dst)])
         if code != 0:
             raise SystemExit(f"sample failed for {cfg.name} (exit {code})")
-        print(f"wrote {dst.relative_to(ROOT)}")
 
 
 if __name__ == "__main__":

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .douglas import douglas_verdict, fit_q
+from .douglas import douglas_verdict
 from .errors import (
     AdmissibilityError,
     ConfigError,
@@ -48,7 +48,6 @@ from .geometry import (
     BerwaldFamilyProfile,
     MetricSpec,
     embed_point,
-    family_data,
     general_phi_spec,
     metric_determinant,
     phi_jet,
@@ -57,7 +56,7 @@ from .geometry import (
     s_fractions,
     spray_values,
 )
-from .oracle import finsler_norm, s_by_distortion
+from .oracle import s_by_distortion
 from .quadrature import QuadratureRule
 from .randers import covariant_b_coefficients
 from .scurvature import isotropy_profile, reduced_s, reduced_s_given_f
@@ -371,11 +370,7 @@ def _verify_douglas(cfg, spec, args, rule) -> tuple[bool, dict, list]:
     r_values, fracs = _grids(cfg)
     tol = args.tol if args.tol is not None else cfg.tolerances.get("douglas")
     fit = douglas_verdict(spec, r_values, fracs, tolerance=tol)
-    dev = np.empty((r_values.size, fracs.size))
-    for i, r in enumerate(r_values):
-        s_row = float(r) * fracs
-        q = np.broadcast_to(np.asarray(spray_values(spec, float(r), s_row).Q), s_row.shape)
-        dev[i] = np.abs(q - fit.c1[i] - fit.c2[i] * s_row * s_row)
+    dev = np.abs(fit.residuals)
     ns = fracs.size
     block = _residual_block(
         dev,
@@ -421,12 +416,13 @@ def _verify_family(cfg, spec, args, rule) -> tuple[bool, dict, list]:
         lambda i: float(r_values[i // ns] * fracs[i % ns]),
     )
     tol = args.tol if args.tol is not None else 1e-8
-    passed = bool(block["max"] <= tol and built.douglas.passed and built.regularity.passed)
+    fit = douglas_verdict(spec, r_values, fracs)
+    passed = bool(block["max"] <= tol and fit.passed and built.regularity.passed)
     per_radius = [
         {
             "r": float(r),
-            "c1": float(built.douglas.c1[i]) if i < built.douglas.r_grid.size else None,
-            "c2": float(built.douglas.c2[i]) if i < built.douglas.r_grid.size else None,
+            "c1": float(fit.c1[i]),
+            "c2": float(fit.c2[i]),
             "pde_residual": float(np.max(dev[i])),
         }
         for i, r in enumerate(r_values)
@@ -565,14 +561,6 @@ def _construct_berwald(cfg: RunConfig, args) -> dict:
     lo, hi = float(p["domain"][0]), float(p["domain"][1])
     built = build_berwald_family(p["c2"], p["chi"], float(p["r0"]), (lo, hi), cfg.n)
     prof = built.spec.profile
-    data = family_data(prof)
-    nodes = np.linspace(lo, hi, int(p.get("table_points", 101)))
-    tables = {"r_nodes": nodes.tolist(), "g": [], "J": [], "I2": []}
-    for r in nodes:
-        g_jet, j_jet, i2_jet = data.rdata(float(r))
-        tables["g"].append(float(g_jet.d(0, 0)))
-        tables["J"].append(float(j_jet.d(0, 0)))
-        tables["I2"].append(float(i2_jet.d(0, 0)))
     pad = 0.05 * (hi - lo)
     return {
         "n": cfg.n,
@@ -585,7 +573,6 @@ def _construct_berwald(cfg: RunConfig, args) -> dict:
         },
         "volume": "bh",
         "grid": {"r_min": lo + pad, "r_max": hi - pad, "r_count": 11, "s_count": 11},
-        "tables": tables,
         "diagnostics": {
             "pde_max_residual": built.pde_max_residual,
             "douglas_passed": built.douglas.passed,

@@ -22,6 +22,7 @@ class RadiusFit:
     c2: float
     max_residual: float
     odd_residual: float
+    residuals: np.ndarray  # Q - c1 - c2 s^2 at each s
 
 
 def fit_q(spec: MetricSpec, r: float, s_values) -> RadiusFit:
@@ -42,9 +43,15 @@ def fit_q(spec: MetricSpec, r: float, s_values) -> RadiusFit:
     det_odd = m2 * m6 - m4 * m4
     d1 = (m6 * bo1 - m4 * bo3) / det_odd
     d3 = (m2 * bo3 - m4 * bo1) / det_odd
-    max_residual = float(np.max(np.abs(q - c1 - c2 * s2)))
+    residuals = q - c1 - c2 * s2
     odd_residual = float(np.max(np.abs(d1 * s + d3 * s * s2)))
-    return RadiusFit(c1=c1, c2=c2, max_residual=max_residual, odd_residual=odd_residual)
+    return RadiusFit(
+        c1=c1,
+        c2=c2,
+        max_residual=float(np.max(np.abs(residuals))),
+        odd_residual=odd_residual,
+        residuals=residuals,
+    )
 
 
 @dataclass
@@ -54,6 +61,7 @@ class DouglasFit:
     c2: np.ndarray
     max_residual: np.ndarray
     odd_residual: np.ndarray
+    residuals: np.ndarray  # (r, s): Q - c1 - c2 s^2 on the fitted grid
     tolerance: np.ndarray
     passed: bool
 
@@ -87,6 +95,7 @@ def douglas_verdict(
         c2=c2,
         max_residual=max_residual,
         odd_residual=odd_residual,
+        residuals=np.array([f.residuals for f in fits]),
         tolerance=tol,
         passed=passed,
     )

@@ -407,10 +407,12 @@ class ScalarFunction:
     def constant(cls, value: float) -> "ScalarFunction":
         return cls(ExpressionTree(Const(float(value)), frozenset()))
 
-    def value(self, r) -> float:
-        if hasattr(r, "__len__"):
-            return np.array([eval_value(self.tree, {"r": float(x)}) for x in r])
-        return eval_value(self.tree, {"r": float(r)})
+    def value(self, r):
+        """Value at a scalar r (a float) or at every element of an array of radii."""
+        if np.ndim(r) == 0:
+            return eval_value(self.tree, {"r": float(r)})
+        r = np.asarray(r, dtype=float)
+        return np.broadcast_to(self.jet(r).value, r.shape).copy()
 
     def jet(self, r) -> Jet3:
         """Univariate jet in r (all s-partials are zero)."""

@@ -235,7 +235,7 @@ def family_pde_residual(spec: MetricSpec, c2, r, s):
     r_a = np.asarray(r, dtype=float)
     s_a = np.asarray(s, dtype=float)
     jet = phi_jet_unchecked(spec, r, s)
-    c2v = np.asarray(c2.value(r_a) if r_a.shape else c2.value(float(r_a)))
+    c2v = np.asarray(c2.value(r_a))
     phi, phi_r, phi_s = jet.d(0, 0), jet.d(1, 0), jet.d(0, 1)
     res = (
         phi_r
@@ -263,11 +263,7 @@ def spray_system_residual(spec: MetricSpec, c1, c2, b, c, r, s):
     phi = jet.d(0, 0)
     phi_r, phi_s = jet.d(1, 0), jet.d(0, 1)
     phi_rs, phi_ss = jet.d(1, 1), jet.d(0, 2)
-    scalar_r = not r_a.shape
-    c1v, c2v, bv, cv = (
-        np.asarray(fn.value(r_a) if not scalar_r else fn.value(float(r_a)))
-        for fn in (c1, c2, b, c)
-    )
+    c1v, c2v, bv, cv = (np.asarray(fn.value(r_a)) for fn in (c1, c2, b, c))
     q = c1v + c2v * s_a * s_a
     lead = r_a * (2.0 * (r_a * r_a - s_a * s_a) * q - 1.0)
     res1 = (
@@ -467,8 +463,9 @@ def ht_solve_h(c_const: float, g, h_at_r0: float, r_range, steps: int = 400, r0=
     """Solve 2h'(c/r^2 + r^2 g) = h (r^2 g' - 4c/r^3) for h.
 
     The equation is linear homogeneous, so h(r) = h(r0) exp K(r) with K a
-    cumulative quadrature of the coefficient; nodes accumulate segment by
-    segment.  Admissibility g - h^2 > -c/r^4 is reported, not enforced.
+    cumulative quadrature of the coefficient: one integral per grid step,
+    summed outwards from r0.  Admissibility g - h^2 > -c/r^4 is reported,
+    not enforced.
     """
     c_const = float(c_const)
     if c_const <= 0.0:
@@ -494,11 +491,11 @@ def ht_solve_h(c_const: float, g, h_at_r0: float, r_range, steps: int = 400, r0=
             "the h equation is singular"
         )
 
+    # K over each step; a step taken backwards is exactly the negated integral
+    steps_k = segment_integral(kappa, nodes[:-1], nodes[1:])
     log_scale = np.zeros(m)
-    for i in range(i0, m - 1):
-        log_scale[i + 1] = log_scale[i] + segment_integral(kappa, nodes[i], nodes[i + 1])
-    for i in range(i0, 0, -1):
-        log_scale[i - 1] = log_scale[i] + segment_integral(kappa, nodes[i], nodes[i - 1])
+    log_scale[i0 + 1 :] = np.cumsum(steps_k[i0:])
+    log_scale[:i0] = np.cumsum(-steps_k[:i0][::-1])[::-1]
     values = float(h_at_r0) * np.exp(log_scale)
 
     rj = Jet3.seed(nodes, dr=1.0)

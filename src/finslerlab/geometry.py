@@ -9,8 +9,10 @@ order-3 jets for three profile kinds:
 * ``RandersProfile``  -- phi = sqrt(f + g s^2) + h s from radial coefficients
   a_ij = f delta_ij + g x_i x_j and b_i = h x_i;
 * ``BerwaldFamilyProfile`` -- phi = chi(w) sqrt(g(r) + J(r) s^2) e^{-I2(r)}
-  with w = s^2/(g + J s^2), where g, J, I2 are antiderivatives built from a
-  radial coefficient c2 (see :mod:`finslerlab.families`).
+  with w = s^2/(g + J s^2), where g = e^{I1}, J and I2 are antiderivatives
+  from r0 built from a radial coefficient c2 (see
+  :mod:`finslerlab.families`).  Each is one quadrature from r0 to r, so a
+  value depends on r alone, never on which radii were queried before.
 
 Regularity means three pointwise positivity conditions::
 
@@ -22,14 +24,15 @@ The last quantity is also the denominator of the spray coefficient Q.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Union
 
 import numpy as np
 
 from .errors import DomainError, RegularityError
-from .expr import ExpressionTree, ScalarFunction, eval_tree, eval_value, parse_expression
-from .jets import Jet3, ipow, slot, stack
-from .quadrature import CumulativeIntegral
+from .expr import ExpressionTree, ScalarFunction, eval_tree, parse_expression
+from .jets import Jet3, ipow, slot
+from .quadrature import segment_integral
 
 #: relative inset used when building s-grids that must avoid |s| = r
 S_MARGIN = 1e-6
@@ -170,61 +173,40 @@ def regularity_margins(jet: Jet3, r, s):
 # -- Berwald-type family profiles -------------------------------------------
 
 
-class _FamilyData:
-    """Cached antiderivatives for one BerwaldFamilyProfile.
+def _family_radial_jets(profile: BerwaldFamilyProfile, r) -> tuple[Jet3, Jet3, Jet3]:
+    """r-jets of g = e^{I1}, J and I2 at radii r of any shape.
 
-    Values come from cumulative adaptive quadrature anchored at r0; the r-jet
-    of each antiderivative combines the cached value with exact derivatives of
-    the integrand (fundamental theorem of calculus), so every evaluation is an
-    exact family member up to a point-dependent shift of the anchoring
-    constants, which only reparameterizes chi's argument.
+    Each antiderivative is one quadrature from r0 to r (integration constant
+    zero at r0); J's integrand evaluates the I1 quadrature on its own node
+    array.  The r-derivatives come from the exact integrand (fundamental
+    theorem of calculus), so the transport-PDE residual is exact to roundoff.
     """
+    c2, r0 = profile.c2, profile.r0
 
-    def __init__(self, profile: BerwaldFamilyProfile):
-        self.profile = profile
-        c2tree = profile.c2.tree
+    def w1(rho):
+        return 2.0 / rho - 4.0 * ipow(rho, 3) * c2.value(rho)
 
-        def c2_vals(rho):
-            return np.array([eval_value(c2tree, {"r": float(x)}) for x in np.atleast_1d(rho)])
+    def w2(rho):
+        return 4.0 * rho * c2.value(rho) * np.exp(segment_integral(w1, r0, rho))
 
-        self.I1 = CumulativeIntegral(
-            lambda rho: 2.0 / rho - 4.0 * ipow(rho, 3) * c2_vals(rho), profile.r0
-        )
-        self.I2 = CumulativeIntegral(
-            lambda rho: 2.0 / rho - 2.0 * ipow(rho, 3) * c2_vals(rho), profile.r0
-        )
-        self.J = CumulativeIntegral(
-            lambda rho: np.array(
-                [
-                    4.0 * float(x) * eval_value(c2tree, {"r": float(x)}) * np.exp(self.I1.value(float(x)))
-                    for x in np.atleast_1d(rho)
-                ]
-            ),
-            profile.r0,
-        )
-        self._rjets: dict[float, tuple[Jet3, Jet3, Jet3]] = {}
+    def w3(rho):
+        return 2.0 / rho - 2.0 * ipow(rho, 3) * c2.value(rho)
 
-    def rdata(self, r: float) -> tuple[Jet3, Jet3, Jet3]:
-        r = float(r)
-        got = self._rjets.get(r)
-        if got is not None:
-            return got
-        rj = Jet3.seed(r, dr=1.0)
-        c2j = self.profile.c2.jet(r)
-        r3c2 = rj.powi(3) * c2j
-        w1 = 2.0 / rj - 4.0 * r3c2
-        w3 = 2.0 / rj - 2.0 * r3c2
-        g_jet = _antiderivative_jet(self.I1.value(r), w1).exp()
-        w2 = 4.0 * rj * c2j * g_jet
-        J_jet = _antiderivative_jet(self.J.value(r), w2)
-        I2_jet = _antiderivative_jet(self.I2.value(r), w3)
-        got = (g_jet, J_jet, I2_jet)
-        self._rjets[r] = got
-        return got
+    rj = Jet3.seed(r, dr=1.0)
+    c2j = c2.jet(r)
+    r3c2 = rj.powi(3) * c2j
+    g_jet = _antiderivative_jet(segment_integral(w1, r0, r), 2.0 / rj - 4.0 * r3c2).exp()
+    J_jet = _antiderivative_jet(segment_integral(w2, r0, r), 4.0 * rj * c2j * g_jet)
+    I2_jet = _antiderivative_jet(segment_integral(w3, r0, r), 2.0 / rj - 2.0 * r3c2)
+    return g_jet, J_jet, I2_jet
 
 
-def _antiderivative_jet(value: float, integrand: Jet3) -> Jet3:
-    """Jet of an antiderivative: cached value + integrand derivatives."""
+#: scalar radii recur across grids and solver stages; arrays bypass the cache
+_family_radial_point = lru_cache(maxsize=512)(_family_radial_jets)
+
+
+def _antiderivative_jet(value, integrand: Jet3) -> Jet3:
+    """Jet of an antiderivative: its value + integrand derivatives."""
     j = Jet3.seed(value, dr=integrand.d(0, 0))
     c = list(j.c)
     c[slot(2, 0)] = integrand.d(1, 0)
@@ -232,40 +214,25 @@ def _antiderivative_jet(value: float, integrand: Jet3) -> Jet3:
     return Jet3(c)
 
 
-_FAMILY_CACHE: dict[BerwaldFamilyProfile, _FamilyData] = {}
-
-
-def family_data(profile: BerwaldFamilyProfile) -> _FamilyData:
-    data = _FAMILY_CACHE.get(profile)
-    if data is None:
-        data = _FamilyData(profile)
-        _FAMILY_CACHE[profile] = data
-    return data
-
-
-def _family_phi_point(profile: BerwaldFamilyProfile, r: float, s) -> Jet3:
-    g_jet, J_jet, I2_jet = family_data(profile).rdata(r)
+def _family_phi_jet(profile: BerwaldFamilyProfile, r, s) -> Jet3:
+    r = np.asarray(r, dtype=float)
+    if r.ndim == 0:
+        g_jet, J_jet, I2_jet = _family_radial_point(profile, float(r))
+    else:
+        g_jet, J_jet, I2_jet = _family_radial_jets(profile, r)
     sj = Jet3.seed(s, ds=1.0)
     radicand = g_jet + J_jet * sj * sj
-    if np.any(np.asarray(radicand.value) <= 0.0):
+    bad = np.asarray(radicand.value) <= 0.0
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        rr, vv = np.broadcast_arrays(r, radicand.value)
         raise DomainError(
-            f"family radical g + J*s^2 is non-positive at r={r!r} (value {radicand.value!r})"
+            f"family radical g + J*s^2 is non-positive at r={float(rr.flat[i])!r} "
+            f"(value {float(vv.flat[i])!r})"
         )
     w_jet = sj * sj / radicand
     chi_jet = eval_tree(profile.chi, {"w": w_jet})
     return chi_jet * radicand.sqrt() * (-I2_jet).exp()
-
-
-def _family_phi_jet(profile: BerwaldFamilyProfile, r, s) -> Jet3:
-    r_arr = np.asarray(r, dtype=float)
-    if r_arr.ndim == 0:
-        return _family_phi_point(profile, float(r_arr), s)
-    s_arr = np.broadcast_to(np.asarray(s, dtype=float), r_arr.shape)
-    jets = [
-        _family_phi_point(profile, float(ri), float(si))
-        for ri, si in zip(r_arr.ravel(), s_arr.ravel())
-    ]
-    return stack(jets)
 
 
 # -- spray coefficients ------------------------------------------------------

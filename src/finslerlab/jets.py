@@ -248,11 +248,6 @@ def is_finite(jet: Jet3) -> bool:
     return all(bool(np.all(np.isfinite(c))) for c in jet.c)
 
 
-def stack(jets) -> Jet3:
-    """Combine scalar-coefficient jets into one array-coefficient jet."""
-    return Jet3(tuple(np.array([j.c[k] for j in jets]) for k in range(_NC)))
-
-
 def _fmt(v) -> str:
     a = np.asarray(v)
     if a.ndim == 0:

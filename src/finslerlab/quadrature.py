@@ -1,9 +1,9 @@
 """Gauss-Legendre quadrature utilities.
 
 Two consumers: the angular integrals behind the volume densities (fixed
-interval [0, pi], doubling refinement) and the radial antiderivatives behind
-the Berwald-type family construction (cumulative integrals from an anchor
-radius, cached at every queried point).
+interval [0, pi], doubling refinement) and the radial integrals behind the
+Berwald-type family construction and the Holmes-Thompson solver
+(``segment_integral``, elementwise over arrays of interval endpoints).
 
 Nodes, weights and segment sums use only IEEE basic operations (no LAPACK
 eigensolver, no libm, no numpy reduction whose blocking numpy chooses), so
@@ -13,7 +13,6 @@ they are the same bit patterns on every platform.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, insort
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,22 +107,6 @@ class QuadratureRule:
         x, w = gl_nodes(n or self.n)
         return 0.5 * np.pi * (x + 1.0), 0.5 * np.pi * w
 
-    @property
-    def nodes(self) -> np.ndarray:
-        return self.points()[0]
-
-    @property
-    def weights(self) -> np.ndarray:
-        return self.points()[1]
-
-    def integrate(self, f) -> float:
-        """Integral of f over [0, pi]; f takes an array of nodes."""
-        return refine(lambda n: self._fixed(f, n), self)
-
-    def _fixed(self, f, n: int) -> float:
-        t, w = self.points(n)
-        return float(np.sum(w * np.asarray(f(t))))
-
 
 def refine(eval_at_n, rule: QuadratureRule) -> float:
     """Run eval_at_n(N) with doubling N until successive values agree.
@@ -150,52 +133,39 @@ def _close(a, b) -> bool:
     return bool(np.all(np.abs(np.asarray(a) - np.asarray(b)) <= REFINE_ATOL))
 
 
-def segment_integral(f, a: float, b: float, tol: float = 1e-13) -> float:
-    """Adaptive GL integral of f over [a, b] (sign-aware, smooth integrands)."""
-    if a == b:
-        return 0.0
-    n = 16
-    prev = _segment_fixed(f, a, b, n)
-    while n <= 256:
-        n *= 2
-        cur = _segment_fixed(f, a, b, n)
-        if abs(cur - prev) <= tol * (1.0 + abs(cur)):
-            return cur
-        prev = cur
-    raise QuadratureError(f"segment integral over [{a}, {b}] did not converge")
+def segment_integral(f, a, b, tol: float = 1e-13):
+    """Adaptive GL integrals of f over [a, b], elementwise over broadcast endpoints.
 
-
-def _segment_fixed(f, a: float, b: float, n: int) -> float:
-    x, w = gl_nodes(n)
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    pts = mid + half * x
-    return float(half * exact_sum(w * np.asarray(f(pts))))
-
-
-class CumulativeIntegral:
-    """Antiderivative F(r) = integral from r0 to r of fn, cached at queried radii.
-
-    Queries anchor on the nearest previously computed radius, so a sweep
-    through a grid costs one short segment per new point.  fn receives an
-    array of radii and returns the integrand values.
+    f receives the nodes with a trailing axis of length N appended to the
+    pending intervals (shape (k, N)) and must act elementwise.  N doubles
+    from 16 up to 512; each interval keeps the first value that agrees with
+    the one before it to ``tol`` relative, so its result does not depend on
+    the other intervals in the call.  Each value is ``half * fsum(w * f)``.
+    Scalar endpoints give a float, array endpoints an array of their shape.
     """
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    lo, hi = a.ravel(), b.ravel()
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    out = np.zeros(lo.size)
+    pending = np.flatnonzero(lo != hi)
+    n, prev = 16, None
+    while pending.size:
+        if n > 512:
+            i = int(pending[0])
+            raise QuadratureError(f"segment integral over [{lo[i]}, {hi[i]}] did not converge")
+        cur = _segment_fixed(f, mid[pending], half[pending], n)
+        if prev is not None:
+            done = np.abs(cur - prev) <= tol * (1.0 + np.abs(cur))
+            out[pending[done]] = cur[done]
+            pending, cur = pending[~done], cur[~done]
+        prev = cur
+        n *= 2
+    return float(out[0]) if a.ndim == 0 else out.reshape(a.shape)
 
-    def __init__(self, fn, r0: float, tol: float = 1e-13):
-        self.fn = fn
-        self.r0 = float(r0)
-        self.tol = tol
-        self._keys: list[float] = [self.r0]
-        self._vals: dict[float, float] = {self.r0: 0.0}
 
-    def value(self, r: float) -> float:
-        r = float(r)
-        got = self._vals.get(r)
-        if got is not None:
-            return got
-        i = bisect_left(self._keys, r)
-        cands = [k for k in (self._keys[i - 1 : i] + self._keys[i : i + 1])]
-        anchor = min(cands, key=lambda k: abs(k - r))
-        v = self._vals[anchor] + segment_integral(self.fn, anchor, r, self.tol)
-        insort(self._keys, r)
-        self._vals[r] = v
-        return v
+def _segment_fixed(f, mid: np.ndarray, half: np.ndarray, n: int) -> np.ndarray:
+    """n-point GL values of the integrals centred at mid with half-widths half."""
+    x, w = gl_nodes(n)
+    pts = mid[:, None] + half[:, None] * x
+    vals = w * np.broadcast_to(np.asarray(f(pts)), pts.shape)
+    return np.array([h * exact_sum(row) for h, row in zip(half, vals)])

@@ -269,15 +269,36 @@ def test_construct_berwald_round_trip(tmp_path, capsys):
         {"n": 2, "metric": {"kind": "berwald-family", "c2": "0.1", "chi": "1 + w/4",
                             "r0": 1.0, "r_domain": [0.85, 1.15]},
          "construct": {"c2": "0.1", "chi": "1 + w/4", "r0": 1.0,
-                       "domain": [0.85, 1.15], "table_points": 41}},
+                       "domain": [0.85, 1.15]}},
     )
     out = tmp_path / "built.json"
     assert main(["construct", "--family", "berwald", cfg, "--out", str(out)]) == 0
     built = json.loads(out.read_text())
+    assert "tables" not in built
     assert built["diagnostics"]["pde_max_residual"] <= 1e-8
     assert built["diagnostics"]["douglas_passed"] is True
     assert main(["verify", "--check", "berwald-family", str(out)]) == 0
     assert main(["verify", "--check", "douglas", str(out)]) == 0
+    capsys.readouterr()
+
+
+def test_verify_family_reports_fit_at_each_config_radius(tmp_path, capsys):
+    cfg = write_cfg(
+        tmp_path,
+        "fam11.json",
+        {"n": 2, "metric": {"kind": "berwald-family", "c2": 0.1, "chi": "1 + w/4",
+                            "r0": 1.0, "r_domain": [0.8, 1.2]},
+         "volume": "bh",
+         "grid": {"r_min": 0.85, "r_max": 1.15, "r_count": 11, "s_count": 13}},
+    )
+    out = tmp_path / "report.json"
+    assert main(["verify", "--check", "berwald-family", cfg, "--out", str(out)]) == 0
+    per_radius = json.loads(out.read_text())["per_radius"]
+    assert len(per_radius) == 11
+    for entry in per_radius:
+        # Q = 1/(2 r^2) + c2 s^2 on every family member
+        assert abs(entry["c1"] - 0.5 / entry["r"] ** 2) <= 1e-8, entry
+        assert abs(entry["c2"] - 0.1) <= 1e-8, entry
     capsys.readouterr()
 
 

@@ -81,3 +81,14 @@ def test_verdict_report_shape(funk2):
     assert fit.passed == bool(
         np.all(fit.max_residual <= fit.tolerance) and np.all(fit.odd_residual <= fit.tolerance)
     )
+
+
+def test_verdict_residuals_are_the_per_point_fit_defects(funk2):
+    grid = interior_grid(funk2, 5)
+    fracs = s_fractions(11)
+    fit = douglas_verdict(funk2, grid, fracs)
+    assert fit.residuals.shape == (grid.size, fracs.size)
+    np.testing.assert_array_equal(np.max(np.abs(fit.residuals), axis=1), fit.max_residual)
+    for i, r in enumerate(grid):
+        s = r * fracs
+        np.testing.assert_array_equal(fit.residuals[i], fit_q(funk2, float(r), s).residuals)

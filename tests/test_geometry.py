@@ -6,8 +6,11 @@ import pytest
 from _support import random_orthogonal, random_xy, randers_metric_tensor
 from conftest import RANDERS111, interior_grid, make_randers
 from finslerlab.errors import DomainError, RegularityError
-from finslerlab.expr import ScalarFunction
+from finslerlab.expr import ScalarFunction, parse_expression
 from finslerlab.geometry import (
+    BerwaldFamilyProfile,
+    MetricSpec,
+    _family_radial_jets,
     assemble_metric_matrix,
     embed_point,
     general_phi_spec,
@@ -39,6 +42,48 @@ def test_phi_jet_family_is_one_over_r(family_riemann):
         assert jet.d(0, 0) == pytest.approx(1.0 / r, rel=1e-10)
         assert jet.d(1, 0) == pytest.approx(-1.0 / r**2, rel=1e-9)
         assert jet.d(0, 1) == pytest.approx(0.0, abs=1e-10)
+
+
+def _family_spec(c2: ScalarFunction) -> MetricSpec:
+    chi = parse_expression("1 + w/4", {"w"})
+    return MetricSpec(BerwaldFamilyProfile(c2=c2, chi=chi, r0=1.0), 2, (0.8, 1.2))
+
+
+def test_family_jets_independent_of_query_history():
+    # equal profiles held apart: one answers other radii first, one is fresh
+    seen = _family_spec(ScalarFunction.constant(0.1))
+    fresh = _family_spec(ScalarFunction.from_text("0.1"))
+    for r in (0.9, 1.05, 1.12):
+        phi_jet(seen, r, 0.2 * r)
+    assert phi_jet(seen, 1.13, 0.339).c == phi_jet(fresh, 1.13, 0.339).c
+
+
+@pytest.mark.parametrize("c2", [0.1, -0.3])
+def test_family_antiderivatives_match_constant_c2_closed_forms(c2):
+    profile = _family_spec(ScalarFunction.constant(c2)).profile
+    r = np.array([0.8, 0.87, 0.96, 1.0, 1.04, 1.13, 1.2])
+    quartic = c2 * (r**4 - 1.0)
+    i1 = 2.0 * np.log(r) - quartic
+    i2 = 2.0 * np.log(r) - 0.5 * quartic
+    j = 1.0 - np.exp(-quartic)
+    vector = _family_radial_jets(profile, r)
+    scalar = [_family_radial_jets(profile, float(x)) for x in r]
+    for k, want in enumerate((np.exp(i1), j, i2)):
+        np.testing.assert_allclose(vector[k].value, want, rtol=1e-12, atol=1e-12)
+        got = [jets[k].value for jets in scalar]
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+def test_family_phi_jet_on_array_equals_scalar_calls(family_k):
+    spec = family_k.spec
+    r = np.linspace(0.8, 1.2, 9)
+    s = r * np.linspace(-0.9, 0.9, 9)
+    batch = phi_jet(spec, r, s)
+    for i in range(r.size):
+        one = phi_jet(spec, float(r[i]), float(s[i]))
+        for k, want in enumerate(one.c):
+            got = np.broadcast_to(batch.c[k], r.shape)[i]
+            assert got == pytest.approx(want, rel=1e-14, abs=1e-300), (i, k)
 
 
 def test_phi_jet_domain_checks(funk2):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finslerlab.errors import DomainError
-from finslerlab.jets import INDICES, Jet3, is_finite, slot, stack
+from finslerlab.jets import INDICES, Jet3, is_finite, slot
 
 coef = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
 jet_coeffs = st.lists(coef, min_size=len(INDICES), max_size=len(INDICES))
@@ -201,13 +201,6 @@ def test_array_domain_error_reports_offending_value():
     r = np.array([1.0, -1.0])
     with pytest.raises(DomainError):
         Jet3.seed(r, dr=1.0).sqrt()
-
-
-def test_stack_combines_scalar_jets():
-    jets = [Jet3.seed(float(v), dr=1.0) for v in (1.0, 2.0, 3.0)]
-    s = stack(jets)
-    np.testing.assert_allclose(s.d(0, 0), [1.0, 2.0, 3.0])
-    np.testing.assert_allclose(s.d(1, 0), [1.0, 1.0, 1.0])
 
 
 def test_is_finite_flags_bad_values():
