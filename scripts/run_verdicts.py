@@ -1,8 +1,9 @@
 """Run every verification check that applies to each bundled example config.
 
 Reports land in --out-dir (default: verdicts/ under the repository root), one
-JSON file per (config, check) pair, and a one-line verdict per pair goes to
-stdout.  Exit status is the number of failing checks.
+JSON file per (config, check) pair.  Each pair's verdict line and report path
+go to stderr; stdout gets the failing pairs and the pass count.  Exit status is
+the number of failing checks.
 
     python3 scripts/run_verdicts.py
     python3 scripts/run_verdicts.py --configs configs/funk_n2.json --out-dir /tmp/v

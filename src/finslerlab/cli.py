@@ -256,7 +256,7 @@ def _write_text(args, cfg: RunConfig, text: str) -> None:
     if path:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
-        print(f"wrote {path}")
+        print(f"wrote {path}", file=sys.stderr)
     else:
         sys.stdout.write(text)
 
@@ -550,7 +550,8 @@ def cmd_verify(cfg: RunConfig, args) -> int:
         "per_radius": per_radius,
     }
     _dump_report(args, cfg, report)
-    print(f"{args.check}: {'PASS' if passed else 'FAIL'} (max residual {block['max']:.3e})")
+    print(f"{args.check}: {'PASS' if passed else 'FAIL'} (max residual {block['max']:.3e})",
+          file=sys.stderr)
     return 0 if passed else 1
 
 
@@ -668,6 +669,13 @@ def cmd_construct(cfg: RunConfig, args) -> int:
 # -- entry point -------------------------------------------------------------
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for counts: a decimal integer >= 1."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
 def _parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="finslerlab",
@@ -688,7 +696,7 @@ def _parser() -> argparse.ArgumentParser:
             p.add_argument("--family", required=True, choices=FAMILIES)
         p.add_argument("--out", default=None, help="output file path")
         p.add_argument("--tol", type=float, default=None, help="tolerance override")
-        p.add_argument("--quad", type=int, default=None, help="quadrature node count")
+        p.add_argument("--quad", type=_positive_int, default=None, help="quadrature node count")
         p.add_argument("--seed", type=int, default=None, help="seed override")
     return ap
 

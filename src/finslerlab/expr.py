@@ -365,7 +365,7 @@ def _eval_value_node(node: Node, env: Mapping[str, float]) -> float:
             return ipow(a, k)
         if a <= 0.0:
             raise DomainError(f"power {q} of non-positive value {a!r}")
-        return a ** q
+        return ipow(math.sqrt(a), int(2.0 * q))
     left = _eval_value_node(node.left, env)
     right = _eval_value_node(node.right, env)
     if node.op == "+":

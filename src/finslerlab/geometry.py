@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import DomainError, RegularityError
 from .expr import ExpressionTree, ScalarFunction, eval_tree, parse_expression
-from .jets import Jet3, ipow, slot
+from .jets import Jet3, any_true, ipow, slot
 from .quadrature import segment_integral
 
 #: relative inset used when building s-grids that must avoid |s| = r
@@ -102,11 +102,11 @@ def _check_domain(spec: MetricSpec, r, s):
     s = np.asarray(s, dtype=float)
     rmin, rmax = spec.r_domain
     slack = 1e-12 * (1.0 + rmax)
-    if np.any(r < rmin - slack) or np.any(r > rmax + slack):
+    if any_true(r < rmin - slack) or any_true(r > rmax + slack):
         bad = float(np.asarray(r).flat[int(np.argmax((r < rmin - slack) | (r > rmax + slack)))])
         raise DomainError(f"radius {bad!r} outside declared domain [{rmin}, {rmax}]")
-    if np.any(np.abs(s) > r * (1.0 + 1e-12) + 1e-15):
-        mask = np.abs(s) > r * (1.0 + 1e-12) + 1e-15
+    mask = abs(s) > r * (1.0 + 1e-12) + 1e-15
+    if any_true(mask):
         i = int(np.argmax(np.broadcast_to(mask, np.broadcast_shapes(r.shape, s.shape))))
         raise DomainError(
             f"|s| > r at point index {i}: the slope variable must satisfy |s| <= |x|"
@@ -147,7 +147,7 @@ def phi_jet(spec: MetricSpec, r, s) -> Jet3:
         (2, m2, "phi - s*phi_s > 0"),
         (3, m3, "phi - s*phi_s + (r^2-s^2)*phi_ss > 0"),
     ):
-        if np.any(np.asarray(m) <= 0.0):
+        if any_true(m <= 0.0):
             rr, ss, mm = np.broadcast_arrays(np.asarray(r, float), np.asarray(s, float), m)
             i = int(np.argmin(mm))
             raise RegularityError(
@@ -223,7 +223,7 @@ def _family_phi_jet(profile: BerwaldFamilyProfile, r, s) -> Jet3:
     sj = Jet3.seed(s, ds=1.0)
     radicand = g_jet + J_jet * sj * sj
     bad = np.asarray(radicand.value) <= 0.0
-    if np.any(bad):
+    if any_true(bad):
         i = int(np.argmax(bad))
         rr, vv = np.broadcast_arrays(r, radicand.value)
         raise DomainError(

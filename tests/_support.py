@@ -255,3 +255,12 @@ def random_randers_texts(rng, r_range=(0.15, 1.0)):
         if np.min(f) > 0.05 and np.min(margin) > 0.05:
             fmt = lambda u, v: f"{format(u, '.4f')} + {format(v, '.4f')}*r^2"
             return fmt(a0, a1), fmt(b0, b1), fmt(c0, c1)
+
+
+def dispatched_simd_targets() -> list:
+    """numpy's runtime-dispatched SIMD targets that this CPU supports."""
+    try:
+        info = np.show_config(mode="dicts")
+    except TypeError:  # numpy < 1.25 has no dict form and reports nothing here
+        return []
+    return info["SIMD Extensions"].get("found", [])

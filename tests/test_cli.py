@@ -7,9 +7,9 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
+from _support import dispatched_simd_targets
 from finslerlab.cli import CSV_HEADER, main
 
 HERE = Path(__file__).resolve().parent
@@ -63,16 +63,7 @@ def test_sample_matches_golden(tmp_path, stem):
     assert out.read_bytes() == (GOLDENS / f"{stem}.csv").read_bytes()
 
 
-def _dispatched_simd_targets() -> list:
-    """numpy's runtime-dispatched SIMD targets that this CPU supports."""
-    try:
-        info = np.show_config(mode="dicts")
-    except TypeError:  # numpy < 1.25 has no dict form and reports nothing here
-        return []
-    return info["SIMD Extensions"].get("found", [])
-
-
-DISPATCHED = _dispatched_simd_targets()
+DISPATCHED = dispatched_simd_targets()
 
 # samples each (config, out) argument pair, then prints the dispatch targets in use
 SAMPLE_SCRIPT = """
@@ -113,7 +104,7 @@ def test_verify_isotropy_funk(tmp_path, capsys):
     out = tmp_path / "rep.json"
     code = main(["verify", "--check", "isotropy", FUNK_CFG, "--out", str(out)])
     assert code == 0
-    assert "isotropy: PASS" in capsys.readouterr().out
+    assert "isotropy: PASS" in capsys.readouterr().err
     rep = json.loads(out.read_text())
     assert rep["check"] == "isotropy"
     assert rep["verdict"] == "pass"
@@ -131,7 +122,7 @@ def test_verify_failure_sets_exit_one(tmp_path, capsys):
     out = tmp_path / "rep.json"
     code = main(["verify", "--check", "isotropy", cfg, "--out", str(out)])
     assert code == 1
-    assert "isotropy: FAIL" in capsys.readouterr().out
+    assert "isotropy: FAIL" in capsys.readouterr().err
     rep = json.loads(out.read_text())
     assert rep["verdict"] == "fail"
     assert rep["residuals"]["max"] > 1e-3
@@ -150,7 +141,7 @@ def test_tol_flag_relaxes_verdict(tmp_path, capsys):
 
 def test_verify_douglas(capsys):
     assert main(["verify", "--check", "douglas", FUNK_CFG]) == 0
-    assert "douglas: PASS" in capsys.readouterr().out
+    assert "douglas: PASS" in capsys.readouterr().err
 
 
 def test_verify_bh_classification(tmp_path, capsys):
@@ -165,7 +156,7 @@ def test_verify_bh_classification(tmp_path, capsys):
 
 def test_verify_ht_parallel(capsys):
     assert main(["verify", "--check", "ht-parallel", PARALLEL_CFG]) == 0
-    assert "ht-parallel: PASS" in capsys.readouterr().out
+    assert "ht-parallel: PASS" in capsys.readouterr().err
 
 
 def test_verify_oracle_seeded(tmp_path, capsys):
@@ -190,6 +181,29 @@ def test_unknown_check_rejected(capsys):
     with pytest.raises(SystemExit):
         main(["verify", "--check", "bogus", FUNK_CFG])
     capsys.readouterr()
+
+
+def test_verify_stdout_is_the_json_report(capsys):
+    assert main(["verify", "--check", "isotropy", FUNK_CFG]) == 0
+    out, err = capsys.readouterr()
+    assert json.loads(out)["verdict"] == "pass"
+    assert "isotropy: PASS" in err
+
+
+def test_out_path_is_reported_on_stderr(tmp_path, capsys):
+    out = tmp_path / "grid.csv"
+    assert main(["sample", FUNK_CFG, "--out", str(out)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"wrote {out}" in captured.err
+
+
+@pytest.mark.parametrize("quad", ["-4", "0"])
+def test_quad_must_be_a_positive_int(capsys, quad):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--check", "isotropy", FUNK_CFG, "--quad", quad])
+    assert exc.value.code == 2
+    assert "--quad" in capsys.readouterr().err
 
 
 # -- exit codes --------------------------------------------------------------
@@ -350,4 +364,5 @@ def test_module_entry_point_subprocess():
         cwd=str(HERE.parent),
     )
     assert proc.returncode == 0, proc.stderr
-    assert "isotropy: PASS" in proc.stdout
+    assert "isotropy: PASS" in proc.stderr
+    assert json.loads(proc.stdout)["verdict"] == "pass"

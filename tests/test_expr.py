@@ -156,6 +156,27 @@ def test_domain_error_names_subexpression():
     assert "r - s" in str(exc.value)
 
 
+@pytest.mark.parametrize(
+    "text, subexpr, scalar_msg, array_msg",
+    [
+        ("sqrt(r - 2) + 1", "sqrt(r - 2)",
+         "sqrt of non-positive value -1.0", "sqrt of non-positive value (array, e.g. -1.5)"),
+        ("log(-r)", "log(-r)",
+         "log of non-positive value -1.0", "log of non-positive value (array, e.g. -0.5)"),
+        ("1/(r - r)", "1 / (r - r)",
+         "division by (near-)zero value 0.0", "division by (near-)zero value (array, e.g. 0.0)"),
+        ("exp(1000*r) + s", "exp(1000 * r)", "non-finite result", "non-finite result"),
+    ],
+)
+def test_domain_error_text_and_subexpression(text, subexpr, scalar_msg, array_msg):
+    tree = parse_expression(text, {"r", "s"})
+    for r, msg in ((1.0, scalar_msg), (np.array([0.5, 1.0, 1.5]), array_msg)):
+        with pytest.raises(DomainError) as exc, np.errstate(all="ignore"):
+            eval_jet(tree, r, 0.25)
+        assert exc.value.subexpr == subexpr
+        assert str(exc.value) == f"{msg} in '{subexpr}'"
+
+
 def test_eval_value_matches_jet_value():
     rng = np.random.default_rng(7)
     for _ in range(25):

@@ -1,12 +1,18 @@
 """Ring axioms, composition rules and array semantics of the jet type."""
 
 import math
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _support import dispatched_simd_targets
 from finslerlab.errors import DomainError
 from finslerlab.jets import INDICES, Jet3, is_finite, slot
 
@@ -25,6 +31,33 @@ def direct_product(x: Jet3, y: Jet3) -> Jet3:
                 acc += w * x.d(i, j) * y.d(a - i, b - j)
         out.append(acc)
     return Jet3(out)
+
+
+# Leibniz convolution as a table: for each output slot, the (slot_x, slot_y,
+# binomial weight) triples in the order the product sums them.
+_POS = {ab: k for k, ab in enumerate(INDICES)}
+MUL_TERMS = tuple(
+    tuple(
+        (_POS[(i, j)], _POS[(a - i, b - j)], float(math.comb(a, i) * math.comb(b, j)))
+        for i in range(a + 1)
+        for j in range(b + 1)
+    )
+    for (a, b) in INDICES
+)
+
+
+def table_product(x: Jet3, y: Jet3) -> list:
+    """Each slot as x*y, then *w when w != 1, summed left to right over MUL_TERMS."""
+    out = []
+    for terms in MUL_TERMS:
+        acc = None
+        for px, py, w in terms:
+            t = x.c[px] * y.c[py]
+            if w != 1.0:
+                t = t * w
+            acc = t if acc is None else acc + t
+        out.append(acc)
+    return out
 
 
 def test_constant_has_zero_derivatives():
@@ -207,3 +240,80 @@ def test_is_finite_flags_bad_values():
     assert is_finite(Jet3.seed(1.0, dr=2.0))
     assert not is_finite(Jet3.seed(float("inf")))
     assert not is_finite(Jet3.seed(np.array([1.0, float("nan")])))
+
+
+@pytest.mark.parametrize("shape", [(), (21,), (41, 128)])
+def test_product_equals_table_convolution_bit_for_bit(shape):
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        cx, cy = (
+            [float(v) if shape == () else v for v in rng.standard_normal((len(INDICES), *shape))]
+            for _ in range(2)
+        )
+        x, y = Jet3(cx), Jet3(cy)
+        got, want = (x * y).c, table_product(x, y)
+        for k in range(len(INDICES)):
+            assert np.asarray(got[k]).tobytes() == np.asarray(want[k]).tobytes(), (shape, k)
+
+
+def _coefficientwise_finite(jet: Jet3) -> bool:
+    return all(bool(np.all(np.isfinite(c))) for c in jet.c)
+
+
+_planted = st.lists(
+    st.tuples(st.integers(0, len(INDICES) - 1), st.sampled_from([math.inf, -math.inf, math.nan])),
+    max_size=3,
+)
+
+
+@given(jet_coeffs, _planted, st.booleans(), st.booleans())
+@settings(max_examples=300)
+def test_is_finite_equals_coefficientwise_predicate(cx, planted, as_array, overflow):
+    cx = list(cx)
+    if overflow:  # finite terms whose sum overflows
+        cx[1] = cx[4] = 1e308
+    if as_array:
+        cx = [np.full(5, v) for v in cx]
+    for k, bad in planted:
+        if as_array:
+            cx[k] = cx[k].copy()
+            cx[k][k % 5] = bad
+        else:
+            cx[k] = bad
+    jet = Jet3(cx)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert is_finite(jet) == _coefficientwise_finite(jet)
+
+
+@pytest.mark.parametrize("wrap", [float, np.float64, lambda v: np.full((3, 4), v)])
+def test_is_finite_on_overflowing_sum_is_true_and_silent(wrap):
+    jet = Jet3([wrap(1e308), wrap(1.0), wrap(1e308)] + [wrap(0.5)] * (len(INDICES) - 3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert is_finite(jet)
+
+
+# prints the bytes of every coefficient of x^1.5 for an array x, as hex
+POWR_SCRIPT = """
+import numpy as np
+from finslerlab.jets import Jet3
+x = Jet3.seed(np.linspace(0.05, 7.0, 4001), dr=1.0, ds=0.5)
+print("".join(np.asarray(c).tobytes().hex() for c in x.powr(1.5).c))
+"""
+
+
+@pytest.mark.skipif(not dispatched_simd_targets(), reason="numpy reports no dispatched SIMD target")
+def test_powr_bytes_independent_of_simd_dispatch():
+    root = Path(__file__).resolve().parents[1]
+    env = {k: v for k, v in os.environ.items() if k != "NPY_DISABLE_CPU_FEATURES"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    outputs = []
+    for disabled in ("", " ".join(dispatched_simd_targets())):
+        proc = subprocess.run(
+            [sys.executable, "-c", POWR_SCRIPT], capture_output=True, text=True,
+            env={**env, "NPY_DISABLE_CPU_FEATURES": disabled} if disabled else env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
