@@ -47,6 +47,7 @@ from .families import (
 from .geometry import (
     BerwaldFamilyProfile,
     MetricSpec,
+    batch_radii,
     embed_point,
     general_phi_spec,
     metric_determinant,
@@ -86,9 +87,21 @@ class RunConfig:
     c_const: float | None = None
 
 
+#: largest grid.r_count and grid.s_count: every radius is evaluated in one batch
+GRID_COUNT_CAP = 401
+
+
 def _expect(cond: bool, message: str, key: str) -> None:
     if not cond:
         raise ConfigError(message, key=key)
+
+
+def _grid_count(grid: dict, key: str, least: int) -> int:
+    v = grid.get(key, 21)
+    _expect(type(v) is int and least <= v <= GRID_COUNT_CAP,
+            f"grid.{key} must be an integer from {least} to {GRID_COUNT_CAP}, got {v!r}",
+            f"grid.{key}")
+    return v
 
 
 def _radial_fn(obj, key: str):
@@ -140,10 +153,15 @@ def load_config(path: str) -> RunConfig:
         grid = {
             "r_min": float(grid["r_min"]),
             "r_max": float(grid["r_max"]),
-            "r_count": int(grid.get("r_count", 21)),
-            "s_count": int(grid.get("s_count", 21)),
+            "r_count": _grid_count(grid, "r_count", 2),
+            "s_count": _grid_count(grid, "s_count", 5),
         }
-        _expect(grid["r_count"] >= 2 and grid["s_count"] >= 5, "grid counts too small", "grid")
+    tolerances = raw.get("tolerances", {}) or {}
+    _expect(isinstance(tolerances, dict), "'tolerances' must be an object", "tolerances")
+    for key in ("isotropy", "douglas"):
+        v = tolerances.get(key)
+        _expect(v is None or type(v) in (int, float) and 0.0 < v < float("inf"),
+                f"tolerances.{key} must be a positive number, got {v!r}", f"tolerances.{key}")
     seed = raw.get("seed", 0)
     _expect(isinstance(seed, int), "'seed' must be an integer", "seed")
     c_const = raw.get("c_const")
@@ -156,7 +174,7 @@ def load_config(path: str) -> RunConfig:
         metric=metric,
         volume=volume,
         grid=grid,
-        tolerances=raw.get("tolerances", {}) or {},
+        tolerances=tolerances,
         output=raw.get("output", {}) or {},
         seed=seed,
         construct=raw.get("construct", {}) or {},
@@ -251,6 +269,13 @@ def _residual_block(res: np.ndarray, r_of, s_of) -> dict:
     }
 
 
+def _grid_block(dev: np.ndarray, r_values: np.ndarray, fracs: np.ndarray) -> dict:
+    """_residual_block of an (r, s) grid array."""
+    ns = fracs.size
+    return _residual_block(dev, lambda i: float(r_values[i // ns]),
+                           lambda i: float(r_values[i // ns] * fracs[i % ns]))
+
+
 def _write_text(args, cfg: RunConfig, text: str) -> None:
     path = args.out or cfg.output.get("path")
     if path:
@@ -270,46 +295,31 @@ def _dump_report(args, cfg: RunConfig, report: dict) -> None:
 
 def _grid_rows(cfg: RunConfig, spec: MetricSpec, rule) -> tuple[list[dict], list[dict]]:
     r_values, fracs = _grids(cfg)
-    rows, per_radius = [], []
-    for r in r_values:
-        r = float(r)
-        s_row = r * fracs
-        sigma = density(cfg.volume, spec, r, rule)
-        f_r = f_coefficient(cfg.volume, spec, r, rule)
-        sv = spray_values(spec, r, s_row)
-        jet = phi_jet(spec, r, s_row)
-        phi = np.broadcast_to(np.asarray(jet.d(0, 0)), s_row.shape)
-        detg = np.broadcast_to(np.asarray(metric_determinant(spec, r, s_row)), s_row.shape)
-        red = np.broadcast_to(
-            np.asarray(reduced_s_given_f(spec, r, s_row, f_r)), s_row.shape
-        )
-        c_row = red / ((spec.n + 1) * phi)
-        for j, s in enumerate(s_row):
-            rows.append(
-                {
-                    "r": r,
-                    "s": float(s),
-                    "phi": float(phi[j]),
-                    "P": float(np.broadcast_to(np.asarray(sv.P), s_row.shape)[j]),
-                    "Q": float(np.broadcast_to(np.asarray(sv.Q), s_row.shape)[j]),
-                    "Q_s": float(np.broadcast_to(np.asarray(sv.Q_s), s_row.shape)[j]),
-                    "detg": float(detg[j]),
-                    "sigma": float(sigma),
-                    "f_r": float(f_r),
-                    "S_over_u": float(red[j]),
-                    "c": float(c_row[j]),
-                }
-            )
-        per_radius.append(
-            {
-                "r": r,
-                "sigma": float(sigma),
-                "f_r": float(f_r),
-                "c_mean": float(np.mean(c_row)),
-                "c_spread": float(np.max(c_row) - np.min(c_row)),
-            }
-        )
-    return rows, per_radius
+
+    def columns(radii):
+        rc = radii[:, None]
+        s = rc * fracs
+        sigma = density(cfg.volume, spec, radii, rule)
+        f_r = f_coefficient(cfg.volume, spec, radii, rule)
+        sv = spray_values(spec, rc, s)
+        phi = phi_jet(spec, rc, s).d(0, 0)
+        detg = metric_determinant(spec, rc, s)
+        red = reduced_s_given_f(spec, rc, s, f_r[:, None])
+        cols = {"r": rc, "s": s, "phi": phi, "P": sv.P, "Q": sv.Q, "Q_s": sv.Q_s, "detg": detg,
+                "sigma": sigma[:, None], "f_r": f_r[:, None], "S_over_u": red,
+                "c": red / ((spec.n + 1) * phi)}
+        return {k: np.broadcast_to(np.asarray(v, dtype=float), s.shape) for k, v in cols.items()}
+
+    cols = batch_radii(columns, r_values)
+    c = cols["c"]
+    per_radius = {"r": r_values, "sigma": cols["sigma"][:, 0], "f_r": cols["f_r"][:, 0],
+                  "c_mean": np.mean(c, axis=1), "c_spread": np.max(c, axis=1) - np.min(c, axis=1)}
+    return _records(cols), _records(per_radius)
+
+
+def _records(cols: dict) -> list[dict]:
+    """One dict of Python floats per element of equally shaped arrays, in C order."""
+    return [dict(zip(cols, vals)) for vals in zip(*(np.ravel(v).tolist() for v in cols.values()))]
 
 
 def cmd_analyze(cfg: RunConfig, args) -> int:
@@ -347,22 +357,10 @@ def _verify_isotropy(cfg, spec, args, rule) -> tuple[bool, dict, list]:
     tol = args.tol if args.tol is not None else cfg.tolerances.get("isotropy")
     prof = isotropy_profile(spec, cfg.volume, r_values, s_fracs=fracs, tolerance=tol, rule=rule)
     dev = np.abs(prof.c_values - prof.c_mean[:, None])
-    ns = fracs.size
-    block = _residual_block(
-        dev,
-        lambda i: float(r_values[i // ns]),
-        lambda i: float(r_values[i // ns] * fracs[i % ns]),
-    )
-    per_radius = [
-        {
-            "r": float(r),
-            "c": float(prof.c_mean[i]),
-            "f_r": float(prof.f_values[i]),
-            "spread": float(prof.c_spread[i]),
-            "tolerance": prof.tolerance,
-        }
-        for i, r in enumerate(r_values)
-    ]
+    block = _grid_block(dev, r_values, fracs)
+    per_radius = _records({"r": r_values, "c": prof.c_mean, "f_r": prof.f_values,
+                           "spread": prof.c_spread,
+                           "tolerance": np.full(r_values.size, prof.tolerance)})
     return prof.passed, block, per_radius
 
 
@@ -371,23 +369,10 @@ def _verify_douglas(cfg, spec, args, rule) -> tuple[bool, dict, list]:
     tol = args.tol if args.tol is not None else cfg.tolerances.get("douglas")
     fit = douglas_verdict(spec, r_values, fracs, tolerance=tol)
     dev = np.abs(fit.residuals)
-    ns = fracs.size
-    block = _residual_block(
-        dev,
-        lambda i: float(r_values[i // ns]),
-        lambda i: float(r_values[i // ns] * fracs[i % ns]),
-    )
-    per_radius = [
-        {
-            "r": float(r),
-            "c1": float(fit.c1[i]),
-            "c2": float(fit.c2[i]),
-            "max_residual": float(fit.max_residual[i]),
-            "odd_residual": float(fit.odd_residual[i]),
-            "tolerance": float(fit.tolerance[i]),
-        }
-        for i, r in enumerate(r_values)
-    ]
+    block = _grid_block(dev, r_values, fracs)
+    per_radius = _records({"r": r_values, "c1": fit.c1, "c2": fit.c2,
+                           "max_residual": fit.max_residual, "odd_residual": fit.odd_residual,
+                           "tolerance": fit.tolerance})
     return fit.passed, block, per_radius
 
 
@@ -401,32 +386,15 @@ def _verify_family(cfg, spec, args, rule) -> tuple[bool, dict, list]:
         spec.profile.c2, spec.profile.chi, spec.profile.r0, spec.r_domain, cfg.n
     )
     r_values, fracs = _grids(cfg)
-    dev = np.empty((r_values.size, fracs.size))
-    for i, r in enumerate(r_values):
-        dev[i] = np.abs(
-            np.broadcast_to(
-                np.asarray(family_pde_residual(spec, spec.profile.c2, float(r), float(r) * fracs)),
-                fracs.shape,
-            )
-        )
-    ns = fracs.size
-    block = _residual_block(
-        dev,
-        lambda i: float(r_values[i // ns]),
-        lambda i: float(r_values[i // ns] * fracs[i % ns]),
-    )
+    rc = r_values[:, None]
+    dev = np.abs(np.broadcast_to(family_pde_residual(spec, spec.profile.c2, rc, rc * fracs),
+                                 (r_values.size, fracs.size)))
+    block = _grid_block(dev, r_values, fracs)
     tol = args.tol if args.tol is not None else 1e-8
     fit = douglas_verdict(spec, r_values, fracs)
     passed = bool(block["max"] <= tol and fit.passed and built.regularity.passed)
-    per_radius = [
-        {
-            "r": float(r),
-            "c1": float(fit.c1[i]),
-            "c2": float(fit.c2[i]),
-            "pde_residual": float(np.max(dev[i])),
-        }
-        for i, r in enumerate(r_values)
-    ]
+    per_radius = _records({"r": r_values, "c1": fit.c1, "c2": fit.c2,
+                           "pde_residual": np.max(dev, axis=1)})
     return passed, block, per_radius
 
 

@@ -10,10 +10,11 @@ residual; the fit residual is additionally projected onto the odd basis
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .geometry import MetricSpec, s_fractions, spray_values
+from .geometry import MetricSpec, batch_radii, s_fractions, spray_values
 
 
 @dataclass(frozen=True)
@@ -25,33 +26,33 @@ class RadiusFit:
     residuals: np.ndarray  # Q - c1 - c2 s^2 at each s
 
 
-def fit_q(spec: MetricSpec, r: float, s_values) -> RadiusFit:
-    """Fit Q(r, .) = c1 + c2 s^2 on a symmetric s-grid (>= 5 points)."""
+def fit_q(spec: MetricSpec, r, s_values) -> RadiusFit:
+    """Fit Q(r, .) = c1 + c2 s^2 on a symmetric s-grid (>= 5 points).
+
+    r may also be a column of radii with one s-row each (shape (R, S)): one
+    spray call for all rows, a fit per row, and fields that are arrays.
+    """
     s = np.asarray(s_values, dtype=float)
-    if s.size < 5:
+    if s.shape[-1] < 5:
         raise ValueError("need at least 5 s points for the Douglas fit")
-    if not np.allclose(np.sort(s), -np.sort(s)[::-1], atol=1e-12):
+    if not np.allclose(np.sort(s), -np.sort(s)[..., ::-1], atol=1e-12):
         raise ValueError("s grid must be symmetric about 0")
-    q = np.broadcast_to(np.asarray(spray_values(spec, float(r), s).Q, dtype=float), s.shape)
+    q = np.broadcast_to(np.asarray(spray_values(spec, r, s).Q, dtype=float), s.shape)
+    rows = partial(np.sum, axis=-1, keepdims=True)
     s2 = s * s
-    m0, m2, m4, m6 = s.size, float(np.sum(s2)), float(np.sum(s2 * s2)), float(np.sum(s2 * s2 * s2))
-    b0, b2 = float(np.sum(q)), float(np.sum(q * s2))
+    m0, m2, m4, m6 = s.shape[-1], rows(s2), rows(s2 * s2), rows(s2 * s2 * s2)
+    b0, b2 = rows(q), rows(q * s2)
     det = m0 * m4 - m2 * m2
     c1 = (m4 * b0 - m2 * b2) / det
     c2 = (m0 * b2 - m2 * b0) / det
-    bo1, bo3 = float(np.sum(q * s)), float(np.sum(q * s * s2))
+    bo1, bo3 = rows(q * s), rows(q * s * s2)
     det_odd = m2 * m6 - m4 * m4
     d1 = (m6 * bo1 - m4 * bo3) / det_odd
     d3 = (m2 * bo3 - m4 * bo1) / det_odd
     residuals = q - c1 - c2 * s2
-    odd_residual = float(np.max(np.abs(d1 * s + d3 * s * s2)))
-    return RadiusFit(
-        c1=c1,
-        c2=c2,
-        max_residual=float(np.max(np.abs(residuals))),
-        odd_residual=odd_residual,
-        residuals=residuals,
-    )
+    odd_residual = np.max(np.abs(d1 * s + d3 * s * s2), axis=-1)
+    max_residual = np.max(np.abs(residuals), axis=-1)
+    return RadiusFit(c1[..., 0][()], c2[..., 0][()], max_residual, odd_residual, residuals)
 
 
 @dataclass
@@ -72,30 +73,26 @@ def douglas_verdict(
     s_fracs=None,
     tolerance: float | None = None,
 ) -> DouglasFit:
-    """Per-radius Douglas fits and a global verdict.
+    """Per-radius Douglas fits and a global verdict (one batched ``fit_q`` call).
 
     The default per-radius tolerance is 1e-8 * (1 + |c1| + |c2| r^2); a fixed
     ``tolerance`` overrides it uniformly.
     """
     r_grid = np.asarray(r_grid, dtype=float)
     fracs = s_fractions(21) if s_fracs is None else np.asarray(s_fracs, dtype=float)
-    fits = [fit_q(spec, float(r), r * fracs) for r in r_grid]
-    c1 = np.array([f.c1 for f in fits])
-    c2 = np.array([f.c2 for f in fits])
-    max_residual = np.array([f.max_residual for f in fits])
-    odd_residual = np.array([f.odd_residual for f in fits])
+    fit = batch_radii(lambda radii: fit_q(spec, radii[:, None], radii[:, None] * fracs), r_grid)
     if tolerance is None:
-        tol = 1e-8 * (1.0 + np.abs(c1) + np.abs(c2) * r_grid**2)
+        tol = 1e-8 * (1.0 + np.abs(fit.c1) + np.abs(fit.c2) * r_grid**2)
     else:
         tol = np.full_like(r_grid, float(tolerance))
-    passed = bool(np.all(max_residual <= tol) and np.all(odd_residual <= tol))
+    passed = bool(np.all(fit.max_residual <= tol) and np.all(fit.odd_residual <= tol))
     return DouglasFit(
         r_grid=r_grid,
-        c1=c1,
-        c2=c2,
-        max_residual=max_residual,
-        odd_residual=odd_residual,
-        residuals=np.array([f.residuals for f in fits]),
+        c1=fit.c1,
+        c2=fit.c2,
+        max_residual=fit.max_residual,
+        odd_residual=fit.odd_residual,
+        residuals=fit.residuals,
         tolerance=tol,
         passed=passed,
     )

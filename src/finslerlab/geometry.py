@@ -29,7 +29,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import DomainError, RegularityError
+from .errors import DomainError, FinslerError, RegularityError
 from .expr import ExpressionTree, ScalarFunction, eval_tree, parse_expression
 from .jets import Jet3, any_true, ipow, slot
 from .quadrature import segment_integral
@@ -92,6 +92,20 @@ def s_fractions(count: int, margin: float = S_MARGIN) -> np.ndarray:
     if count < 2:
         raise ValueError("need at least two s points")
     return np.linspace(-(1.0 - margin), 1.0 - margin, count)
+
+
+def batch_radii(batch, r_grid):
+    """batch(r_grid), or on a FinslerError what the first failing radius raises alone.
+
+    A batch may meet a later radius's error first; replaying one radius at a
+    time in grid order reports the error a loop over the radii would.
+    """
+    try:
+        return batch(r_grid)
+    except FinslerError:
+        for i in range(len(r_grid)):
+            batch(r_grid[i:i + 1])
+        raise
 
 
 # -- profile jets ------------------------------------------------------------
@@ -351,24 +365,25 @@ def regularity_scan(spec: MetricSpec, r_count: int = 25, s_count: int = 25) -> R
     margins = np.full((r_count, s_count, 3), np.nan)
     valid = np.zeros((r_count, s_count), dtype=bool)
     notes: list[str] = []
-    for i, r in enumerate(r_grid):
-        s_row = r * fracs
-        try:
-            jet = _phi_jet_raw(spec, r, s_row)
-            m1, m2, m3 = regularity_margins(jet, r, s_row)
-            margins[i, :, 0] = np.broadcast_to(m1, s_row.shape)
-            margins[i, :, 1] = np.broadcast_to(m2, s_row.shape)
-            margins[i, :, 2] = np.broadcast_to(m3, s_row.shape)
-            valid[i, :] = True
-        except DomainError:
-            for j, s in enumerate(s_row):
-                try:
-                    jet = _phi_jet_raw(spec, r, float(s))
-                    m1, m2, m3 = regularity_margins(jet, r, float(s))
-                    margins[i, j] = (m1, m2, m3)
-                    valid[i, j] = True
-                except DomainError as err:
-                    notes.append(f"r={float(r)!r}, s={float(s)!r}: {err}")
+
+    def fill(idx, r, s):
+        for k, m in enumerate(regularity_margins(_phi_jet_raw(spec, r, s), r, s)):
+            margins[idx + (k,)] = m
+        valid[idx] = True
+
+    try:  # the whole grid at once; on a DomainError, rows and then points
+        fill((slice(None), slice(None)), r_grid[:, None], r_grid[:, None] * fracs)
+    except DomainError:
+        for i, r in enumerate(r_grid):
+            s_row = r * fracs
+            try:
+                fill((i, slice(None)), r, s_row)
+            except DomainError:
+                for j, s in enumerate(s_row):
+                    try:
+                        fill((i, j), r, float(s))
+                    except DomainError as err:
+                        notes.append(f"r={float(r)!r}, s={float(s)!r}: {err}")
     ok = np.where(np.isnan(margins), False, margins > 0.0)
     passed = bool(valid.all() and ok.all())
     worst_margin = np.inf

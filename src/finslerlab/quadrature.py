@@ -1,9 +1,10 @@
 """Gauss-Legendre quadrature utilities.
 
 Two consumers: the angular integrals behind the volume densities (fixed
-interval [0, pi], doubling refinement) and the radial integrals behind the
-Berwald-type family construction and the Holmes-Thompson solver
-(``segment_integral``, elementwise over arrays of interval endpoints).
+interval [0, pi], doubling refinement, elementwise over a batch of radii)
+and the radial integrals behind the Berwald-type family construction and the
+Holmes-Thompson solver (``segment_integral``, elementwise over arrays of
+interval endpoints).  An element's value never depends on the others.
 
 Nodes, weights and segment sums use only IEEE basic operations (no LAPACK
 eigensolver, no libm, no numpy reduction whose blocking numpy chooses), so
@@ -90,9 +91,15 @@ def _legendre_ratio(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return p / dp, dp
 
 
-def exact_sum(values) -> float:
-    """Correctly rounded sum of an array (math.fsum), independent of numpy's blocking."""
-    return math.fsum(np.ravel(values).tolist())
+def exact_sum(values):
+    """Correctly rounded sum (math.fsum), independent of numpy's blocking.
+
+    A 1-D array gives a float, a 2-D array the array of its row sums.
+    """
+    v = np.asarray(values, dtype=float)
+    if v.ndim == 2:
+        return np.array([math.fsum(row) for row in v.tolist()])
+    return math.fsum(v.ravel().tolist())
 
 
 @dataclass(frozen=True)
@@ -108,29 +115,31 @@ class QuadratureRule:
         return 0.5 * np.pi * (x + 1.0), 0.5 * np.pi * w
 
 
-def refine(eval_at_n, rule: QuadratureRule) -> float:
-    """Run eval_at_n(N) with doubling N until successive values agree.
+def refine(eval_at_n, rule: QuadratureRule):
+    """Run eval_at_n(N) with doubling N until successive values agree, elementwise.
 
+    eval_at_n returns a float or an array (one value per radius).  Each element
+    keeps the first value within ``REFINE_ATOL`` of the one before it, as a
+    scalar run would; QuadratureError when one reaches the node cap unsettled.
     With ``rule.adaptive`` unset this is a single evaluation at ``rule.n``.
-    Raises QuadratureError when the node cap is hit without convergence.
     """
     if not rule.adaptive:
         return eval_at_n(rule.n)
     n = rule.n
     prev = eval_at_n(n)
+    out, settled = np.array(prev, dtype=float), np.zeros(np.shape(prev), dtype=bool)
     while n < REFINE_CAP:
         n *= 2
         cur = eval_at_n(n)
-        if _close(cur, prev):
-            return cur
+        new = ~settled & (np.abs(np.subtract(cur, prev)) <= REFINE_ATOL)
+        out[new] = np.asarray(cur)[new]
+        settled |= new
+        if settled.all():
+            return out if out.ndim else float(out)
         prev = cur
     raise QuadratureError(
         f"refinement did not reach {REFINE_ATOL:g} below {REFINE_CAP} nodes"
     )
-
-
-def _close(a, b) -> bool:
-    return bool(np.all(np.abs(np.asarray(a) - np.asarray(b)) <= REFINE_ATOL))
 
 
 def segment_integral(f, a, b, tol: float = 1e-13):
@@ -168,4 +177,4 @@ def _segment_fixed(f, mid: np.ndarray, half: np.ndarray, n: int) -> np.ndarray:
     x, w = gl_nodes(n)
     pts = mid[:, None] + half[:, None] * x
     vals = w * np.broadcast_to(np.asarray(f(pts)), pts.shape)
-    return np.array([h * exact_sum(row) for h, row in zip(half, vals)])
+    return half * exact_sum(vals)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import MetricSpec, phi_jet, s_fractions, spray_values
+from .geometry import MetricSpec, batch_radii, phi_jet, s_fractions, spray_values
 from .quadrature import QuadratureRule
 from .volume import VolumeSpec, f_coefficient
 
@@ -66,6 +66,8 @@ def isotropy_profile(
 ) -> IsotropyReport:
     """Sample c(r, s) on a grid and judge s-independence per radius.
 
+    All radii are evaluated in one batch (see ``batch_radii`` for errors).
+
     ``s_fracs`` are s/r fractions strictly inside (-1, 1); the default is a
     symmetric 21-point grid inset by the relative margin 1e-6.  The default
     tolerance on the per-radius spread is 1e-7 * (1 + max |c|).
@@ -74,15 +76,16 @@ def isotropy_profile(
     fracs = s_fractions(21) if s_fracs is None else np.asarray(s_fracs, dtype=float)
     if np.any(np.abs(fracs) >= 1.0):
         raise ValueError("s fractions must lie strictly inside (-1, 1)")
-    c_values = np.empty((r_grid.size, fracs.size))
-    f_values = np.empty(r_grid.size)
-    for i, r in enumerate(r_grid):
-        s_row = r * fracs
-        f_r = f_coefficient(vol, spec, float(r), rule)
-        red = reduced_s_given_f(spec, float(r), s_row, f_r)
-        phi = phi_jet(spec, float(r), s_row).d(0, 0)
-        c_values[i] = np.broadcast_to(red / ((spec.n + 1) * phi), s_row.shape)
-        f_values[i] = f_r
+
+    def c_grid(radii):
+        rc = radii[:, None]
+        s = rc * fracs
+        f_r = f_coefficient(vol, spec, radii, rule)
+        red = reduced_s_given_f(spec, rc, s, f_r[:, None])
+        phi = phi_jet(spec, rc, s).d(0, 0)
+        return red / ((spec.n + 1) * phi), f_r
+
+    c_values, f_values = batch_radii(c_grid, r_grid)
     c_mean = c_values.mean(axis=1)
     c_spread = c_values.max(axis=1) - c_values.min(axis=1)
     if tolerance is None:

@@ -14,6 +14,10 @@ computed by differentiating under the integral sign (the integrand jets carry
 the r cos t argument chain exactly); a central-difference cross-check of
 log sigma guards the analytic path and raises CrossCheckError on disagreement.
 
+The functions take one radius (kept a Python float) or a 1-D batch of radii,
+evaluated at once as (R, N) node jets with r a column; ``refine`` settles and
+math.fsum reduces each radius on its own, so it gets the bits it gets alone.
+
 The angular sums are reduced with math.fsum and integer powers are repeated
 products, so sigma and f(r) do not depend on numpy's reduction blocking or
 its SIMD-dispatched pow.
@@ -30,7 +34,7 @@ import numpy as np
 from .errors import CrossCheckError, DomainError
 from .expr import ScalarFunction
 from .geometry import MetricSpec, phi_jet
-from .jets import Jet3, ipow
+from .jets import Jet3, any_true, ipow
 from .quadrature import QuadratureRule, exact_sum, refine
 
 
@@ -74,145 +78,165 @@ def sin_power_integral(n: int) -> float:
     return val
 
 
-@lru_cache(maxsize=512)
-def _node_jets(spec: MetricSpec, r: float, n_nodes: int):
-    """Nodes t, weights times sin^{n-2} t, cos t, and the profile jets at (r, r cos t).
+def _radii(r):
+    """Cache key for one radius (a float) or a 1-D batch of radii (a tuple of floats)."""
+    return float(r) if np.ndim(r) == 0 else tuple(np.asarray(r, dtype=float).tolist())
+
+
+#: whole-grid entries are (R, N) jets, so the cache stays small; isotropy,
+#: douglas and sample on one grid still share their entries
+@lru_cache(maxsize=16)
+def _node_jets(spec: MetricSpec, r, n_nodes: int):
+    """Radius (float or column), s = r cos t, cos t, weights times sin^{n-2} t,
+    and the profile jets at (r, s) for a key from ``_radii``.
 
     Regularity is enforced by phi_jet.
     """
     t, w = _DEFAULT_RULE.points(n_nodes)
     cos_t = np.cos(t)
-    jet = phi_jet(spec, r, r * cos_t)
-    return t, w * ipow(np.sin(t), spec.n - 2), cos_t, jet
+    rc = r if isinstance(r, float) else np.array(r)[:, None]
+    s = rc * cos_t
+    return rc, s, cos_t, w * ipow(np.sin(t), spec.n - 2), phi_jet(spec, rc, s)
 
 
 def _arr(v, shape):
     return np.broadcast_to(np.asarray(v, dtype=float), shape)
 
 
-def _sigma_bh_at(spec: MetricSpec, r: float, n_nodes: int) -> float:
-    t, ws, _, jet = _node_jets(spec, r, n_nodes)
-    phi = _arr(jet.d(0, 0), t.shape)
+def _sigma_bh_at(spec: MetricSpec, r, n_nodes: int):
+    _, s, _, ws, jet = _node_jets(spec, r, n_nodes)
+    phi = _arr(jet.d(0, 0), s.shape)
     return sin_power_integral(spec.n) / exact_sum(ws * ipow(phi, -spec.n))
 
 
-def _ht_integrand_values(spec: MetricSpec, r: float, n_nodes: int) -> np.ndarray:
-    t, _, cos_t, jet = _node_jets(spec, r, n_nodes)
-    s = r * cos_t
-    phi = _arr(jet.d(0, 0), t.shape)
-    phi_s = _arr(jet.d(0, 1), t.shape)
-    phi_ss = _arr(jet.d(0, 2), t.shape)
+def _sigma_ht_at(spec: MetricSpec, r, n_nodes: int):
+    rc, s, _, ws, jet = _node_jets(spec, r, n_nodes)
+    phi = _arr(jet.d(0, 0), s.shape)
+    phi_s = _arr(jet.d(0, 1), s.shape)
+    phi_ss = _arr(jet.d(0, 2), s.shape)
     m2 = phi - s * phi_s
-    m3 = m2 + (r * r - s * s) * phi_ss
-    return phi * ipow(m2, spec.n - 2) * m3
+    m3 = m2 + (rc * rc - s * s) * phi_ss
+    integrand = phi * ipow(m2, spec.n - 2) * m3
+    return exact_sum(ws * integrand) / sin_power_integral(spec.n)
 
 
-def _sigma_ht_at(spec: MetricSpec, r: float, n_nodes: int) -> float:
-    ws = _node_jets(spec, r, n_nodes)[1]
-    return exact_sum(ws * _ht_integrand_values(spec, r, n_nodes)) / sin_power_integral(spec.n)
-
-
-def sigma_bh(spec: MetricSpec, r: float, rule: QuadratureRule | None = None) -> float:
+def sigma_bh(spec: MetricSpec, r, rule: QuadratureRule | None = None):
     """Busemann-Hausdorff density at radius r (normalized to 1 for phi = 1)."""
-    rule = rule or _DEFAULT_RULE
-    return refine(lambda n: _sigma_bh_at(spec, float(r), n), rule)
+    key = _radii(r)
+    return refine(lambda n: _sigma_bh_at(spec, key, n), rule or _DEFAULT_RULE)
 
 
-def sigma_ht(spec: MetricSpec, r: float, rule: QuadratureRule | None = None) -> float:
+def sigma_ht(spec: MetricSpec, r, rule: QuadratureRule | None = None):
     """Holmes-Thompson density at radius r (normalized to 1 for phi = 1)."""
-    rule = rule or _DEFAULT_RULE
-    return refine(lambda n: _sigma_ht_at(spec, float(r), n), rule)
+    key = _radii(r)
+    return refine(lambda n: _sigma_ht_at(spec, key, n), rule or _DEFAULT_RULE)
 
 
-def density(vol: VolumeSpec, spec: MetricSpec, r: float, rule: QuadratureRule | None = None) -> float:
+def _at_first(bad, *values):
+    """The values (as floats) at the first True element of the mask bad."""
+    i = int(np.argmax(bad))
+    return (float(np.ravel(v)[i]) for v in values)
+
+
+def _check_positive(v, r) -> None:
+    bad = np.asarray(v) <= 0.0
+    if any_true(bad):
+        v_i, r_i = _at_first(bad, v, r)
+        raise DomainError(f"custom density must be positive, got {v_i!r} at r={r_i!r}")
+
+
+def density(vol: VolumeSpec, spec: MetricSpec, r, rule: QuadratureRule | None = None):
     """sigma(r) for any volume specification."""
     if isinstance(vol, BusemannHausdorff):
         return sigma_bh(spec, r, rule)
     if isinstance(vol, HolmesThompson):
         return sigma_ht(spec, r, rule)
     if isinstance(vol, CustomDensity):
-        v = float(vol.sigma.value(float(r)))
-        if v <= 0.0:
-            raise DomainError(f"custom density must be positive, got {v!r} at r={r!r}")
-        return v
+        # ScalarFunction.value radius by radius: its scalar path has other bits than its jet path
+        v = np.vectorize(vol.sigma.value, otypes=[float])(r)
+        _check_positive(v, r)
+        return v if v.ndim else float(v)
     if isinstance(vol, ConstantDensity):
-        return 1.0
+        return np.ones(np.shape(r)) if np.ndim(r) else 1.0
     raise TypeError(f"unknown volume spec {vol!r}")
 
 
 # -- derivative under the integral sign --------------------------------------
 
 
-def _log_deriv_bh_at(spec: MetricSpec, r: float, n_nodes: int) -> float:
+def _log_deriv_bh_at(spec: MetricSpec, r, n_nodes: int):
     """(log sigma_bh)'(r) via integrand jets."""
-    t, ws, cos_t, jet = _node_jets(spec, r, n_nodes)
+    _, s, cos_t, ws, jet = _node_jets(spec, r, n_nodes)
     integrand = jet.powi(-spec.n)
-    ddr = _arr(integrand.d(1, 0), t.shape) + cos_t * _arr(integrand.d(0, 1), t.shape)
-    j_val = exact_sum(ws * _arr(integrand.d(0, 0), t.shape))
+    ddr = _arr(integrand.d(1, 0), s.shape) + cos_t * _arr(integrand.d(0, 1), s.shape)
+    j_val = exact_sum(ws * _arr(integrand.d(0, 0), s.shape))
     j_der = exact_sum(ws * ddr)
     return -j_der / j_val
 
 
-def _log_deriv_ht_at(spec: MetricSpec, r: float, n_nodes: int) -> float:
+def _log_deriv_ht_at(spec: MetricSpec, r, n_nodes: int):
     """(log sigma_ht)'(r) via integrand jets (order-3 profile jets feed T_r, T_s)."""
-    t, ws, cos_t, jet = _node_jets(spec, r, n_nodes)
-    s_vals = r * cos_t
-    rj = Jet3.seed(float(r), dr=1.0)
-    sj = Jet3.seed(s_vals, ds=1.0)
+    rc, s, cos_t, ws, jet = _node_jets(spec, r, n_nodes)
+    rj = Jet3.seed(rc, dr=1.0)
+    sj = Jet3.seed(s, ds=1.0)
     m2j = jet - sj * jet.deriv(0, 1)
     m3j = m2j + (rj * rj - sj * sj) * jet.deriv(0, 2)
     t_jet = jet * m2j.powi(spec.n - 2) * m3j
-    ddr = _arr(t_jet.d(1, 0), t.shape) + cos_t * _arr(t_jet.d(0, 1), t.shape)
-    k_val = exact_sum(ws * _arr(t_jet.d(0, 0), t.shape))
+    ddr = _arr(t_jet.d(1, 0), s.shape) + cos_t * _arr(t_jet.d(0, 1), s.shape)
+    k_val = exact_sum(ws * _arr(t_jet.d(0, 0), s.shape))
     k_der = exact_sum(ws * ddr)
     return k_der / k_val
-
-
-def _log_sigma_derivative(vol: VolumeSpec, spec: MetricSpec, r: float, rule: QuadratureRule) -> float:
-    if isinstance(vol, BusemannHausdorff):
-        return refine(lambda n: _log_deriv_bh_at(spec, float(r), n), rule)
-    return refine(lambda n: _log_deriv_ht_at(spec, float(r), n), rule)
 
 
 def f_coefficient(
     vol: VolumeSpec,
     spec: MetricSpec,
-    r: float,
+    r,
     rule: QuadratureRule | None = None,
-) -> float:
+):
     """f(r) = -sigma'(r) / (r sigma(r)) for the given volume.
 
     The quadrature volumes differentiate under the integral sign and always
     cross-check against a central difference of log sigma; CrossCheckError
     flags disagreement beyond 1e-6 relative.
     """
-    r = float(r)
+    r = float(r) if np.ndim(r) == 0 else np.asarray(r, dtype=float)
     rule = rule or _DEFAULT_RULE
     if isinstance(vol, ConstantDensity):
-        return 0.0
+        return np.zeros(r.shape) if np.ndim(r) else 0.0
     if isinstance(vol, CustomDensity):
         j = vol.sigma.jet(r)
-        v = float(j.d(0, 0))
-        if v <= 0.0:
-            raise DomainError(f"custom density must be positive, got {v!r} at r={r!r}")
-        return -float(j.d(1, 0)) / (r * v)
-    dlog = _log_sigma_derivative(vol, spec, r, rule)
+        v = _arr(j.d(0, 0), np.shape(r))
+        _check_positive(v, r)
+        f = -_arr(j.d(1, 0), np.shape(r)) / (r * v)
+        return f if f.ndim else float(f)
+    key = _radii(r)
+    at_n = _log_deriv_bh_at if isinstance(vol, BusemannHausdorff) else _log_deriv_ht_at
+    dlog = refine(lambda n: at_n(spec, key, n), rule)
     _cross_check_log_derivative(vol, spec, r, rule, dlog)
     return -dlog / r
 
 
+def _math_log(v):
+    """math.log (libm, as for a single radius) of a float or of each element of an array."""
+    return math.log(v) if np.ndim(v) == 0 else np.array([math.log(x) for x in v.tolist()])
+
+
 def _cross_check_log_derivative(vol, spec, r, rule, dlog) -> None:
     rmin, rmax = spec.r_domain
-    h = min(1e-4 * max(1.0, r), 0.45 * (r - rmin), 0.45 * (rmax - r))
-    if h < 1e-8:
+    h = np.minimum(np.minimum(1e-4 * np.maximum(1.0, r), 0.45 * (r - rmin)), 0.45 * (rmax - r))
+    if any_true(h < 1e-8):
+        (r_i,) = _at_first(h < 1e-8, r)
         raise DomainError(
-            f"radius {r!r} too close to the domain boundary for the sigma' cross-check"
+            f"radius {r_i!r} too close to the domain boundary for the sigma' cross-check"
         )
-    lo = math.log(density(vol, spec, r - h, rule))
-    hi = math.log(density(vol, spec, r + h, rule))
+    lo = _math_log(density(vol, spec, r - h, rule))
+    hi = _math_log(density(vol, spec, r + h, rule))
     fd = (hi - lo) / (2.0 * h)
-    if abs(fd - dlog) > 1e-6 * max(1.0, abs(dlog)):
+    off = abs(fd - dlog) > 1e-6 * np.maximum(1.0, abs(dlog))
+    if any_true(off):
+        r_i, dlog_i, fd_i = _at_first(off, r, dlog, fd)
         raise CrossCheckError(
-            f"sigma' under the integral ({dlog!r}) and central difference ({fd!r}) "
-            f"disagree at r={r!r}"
+            f"sigma' under the integral ({dlog_i!r}) and central difference ({fd_i!r}) "
+            f"disagree at r={r_i!r}"
         )

@@ -273,6 +273,60 @@ def test_bad_density_quadrature_is_numeric_error(tmp_path, capsys):
     assert "numeric failure" in capsys.readouterr().err
 
 
+IRREGULAR_BH = {"n": 2,
+                "metric": {"kind": "general", "phi": "1 + 2*s", "r_domain": [0.1, 1.0]},
+                "volume": "bh",
+                "grid": {"r_min": 0.3, "r_max": 0.9, "r_count": 4, "s_count": 7}}
+
+
+@pytest.mark.parametrize("argv, code, line", [
+    (["sample"], 3, "numeric failure: refinement did not reach 1e-10 below 1024 nodes"),
+    (["verify", "--check", "isotropy"], 3,
+     "numeric failure: refinement did not reach 1e-10 below 1024 nodes"),
+    (["verify", "--check", "douglas"], 4,
+     "regularity failure: regularity condition 1 (phi > 0) fails at r=0.7000000000000001, "
+     "s=-0.6999993 (margin -0.3999986)"),
+], ids=["sample", "isotropy", "douglas"])
+def test_batched_grid_reports_the_first_failing_radius(tmp_path, capsys, argv, code, line):
+    # r = 0.5 fails its density refinement, r = 0.7 and 0.9 are irregular: the
+    # error is the one a loop over the radii in grid order meets first
+    cfg = write_cfg(tmp_path, "irregular_bh.json", IRREGULAR_BH)
+    assert main(argv + [cfg]) == code
+    assert capsys.readouterr().err.strip() == line
+
+
+@pytest.mark.parametrize("key, value", [
+    ("r_count", "x"), ("r_count", 2.7), ("r_count", 1e9), ("r_count", 10**9), ("r_count", True),
+    ("r_count", 1), ("s_count", "x"), ("s_count", 7.5), ("s_count", 1e9), ("s_count", 4),
+])
+def test_grid_counts_must_be_integers_in_range(tmp_path, capsys, key, value):
+    body = json.loads(json.dumps(IRREGULAR_BH))
+    body["grid"][key] = value
+    assert main(["sample", write_cfg(tmp_path, "counts.json", body)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and f"grid.{key}" in err
+
+
+def test_grid_count_cap_is_accepted(tmp_path):
+    from finslerlab.cli import GRID_COUNT_CAP, load_config
+
+    body = json.loads(json.dumps(IRREGULAR_BH))
+    body["grid"]["s_count"] = GRID_COUNT_CAP
+    assert load_config(write_cfg(tmp_path, "cap.json", body)).grid["s_count"] == GRID_COUNT_CAP
+
+
+@pytest.mark.parametrize("check, value", [
+    ("isotropy", "abc"), ("isotropy", 0), ("isotropy", True),
+    ("douglas", -1), ("douglas", float("inf")), ("douglas", [1e-8]),
+])
+def test_tolerances_must_be_positive_numbers(tmp_path, capsys, check, value):
+    cfg = json.loads(Path(FUNK_CFG).read_text())
+    cfg["tolerances"] = {check: value}
+    assert main(["verify", "--check", check, write_cfg(tmp_path, "tol.json", cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and f"tolerances.{check}" in err
+
+
 # -- construct round trips ---------------------------------------------------
 
 
