@@ -21,7 +21,7 @@ PLAN = {
     "funk_n2.json": ("isotropy", "douglas", "oracle"),
     "funk_randers_n3.json": ("isotropy", "douglas", "bh-classification"),
     "parallel_ht.json": ("isotropy", "ht-parallel"),
-    "family_k.json": ("berwald-family", "douglas", "isotropy"),
+    "family_k.json": ("berwald-family", "douglas", "isotropy", "oracle"),
 }
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 
@@ -89,6 +90,8 @@ class RunConfig:
 
 #: largest grid.r_count and grid.s_count: every radius is evaluated in one batch
 GRID_COUNT_CAP = 401
+#: largest oracle.points: each point integrates two geodesics
+ORACLE_POINTS_CAP = 1000
 
 
 def _expect(cond: bool, message: str, key: str) -> None:
@@ -168,6 +171,12 @@ def load_config(path: str) -> RunConfig:
     if c_const is not None:
         _expect(isinstance(c_const, (int, float)) and c_const > 0, "'c_const' must be positive", "c_const")
         c_const = float(c_const)
+    oracle = raw.get("oracle", {}) or {}
+    _expect(isinstance(oracle, dict), "'oracle' must be an object", "oracle")
+    points = oracle.get("points", 10)
+    _expect(type(points) is int and 1 <= points <= ORACLE_POINTS_CAP,
+            f"oracle.points must be an integer from 1 to {ORACLE_POINTS_CAP}, got {points!r}",
+            "oracle.points")
     return RunConfig(
         raw=raw,
         n=n,
@@ -178,7 +187,7 @@ def load_config(path: str) -> RunConfig:
         output=raw.get("output", {}) or {},
         seed=seed,
         construct=raw.get("construct", {}) or {},
-        oracle=raw.get("oracle", {}) or {},
+        oracle=oracle,
         c_const=c_const,
     )
 
@@ -462,7 +471,7 @@ def _verify_oracle(cfg, spec, args, rule) -> tuple[bool, dict, list]:
     r_values, _ = _grids(cfg)
     lo, hi = float(r_values[0]), float(r_values[-1])
     span = hi - lo
-    points = int(cfg.oracle.get("points", 10))
+    points = cfg.oracle.get("points", 10)
     seed = args.seed if args.seed is not None else cfg.seed
     rng = np.random.default_rng(seed)
     tol = args.tol if args.tol is not None else 1e-4
@@ -644,6 +653,17 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
+def _positive_float(text: str) -> float:
+    """argparse type for tolerances: a finite number > 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"expected a positive finite number, got {text!r}")
+    return value
+
+
 def _parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="finslerlab",
@@ -663,7 +683,7 @@ def _parser() -> argparse.ArgumentParser:
         if "family" in needs:
             p.add_argument("--family", required=True, choices=FAMILIES)
         p.add_argument("--out", default=None, help="output file path")
-        p.add_argument("--tol", type=float, default=None, help="tolerance override")
+        p.add_argument("--tol", type=_positive_float, default=None, help="tolerance override")
         p.add_argument("--quad", type=_positive_int, default=None, help="quadrature node count")
         p.add_argument("--seed", type=int, default=None, help="seed override")
     return ap

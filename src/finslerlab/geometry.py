@@ -11,8 +11,11 @@ order-3 jets for three profile kinds:
 * ``BerwaldFamilyProfile`` -- phi = chi(w) sqrt(g(r) + J(r) s^2) e^{-I2(r)}
   with w = s^2/(g + J s^2), where g = e^{I1}, J and I2 are antiderivatives
   from r0 built from a radial coefficient c2 (see
-  :mod:`finslerlab.families`).  Each is one quadrature from r0 to r, so a
-  value depends on r alone, never on which radii were queried before.
+  :mod:`finslerlab.families`).  Their values come from a table built once per
+  spec: Chebyshev-Lobatto panels over the domain, split at r0, each node value
+  one quadrature from r0, read off by barycentric interpolation.  A value
+  therefore depends on r and the spec alone, never on which radii were
+  queried before.
 
 Regularity means three pointwise positivity conditions::
 
@@ -23,16 +26,17 @@ The last quantity is also the denominator of the spray coefficient Q.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Union
 
 import numpy as np
 
-from .errors import DomainError, FinslerError, RegularityError
+from .errors import DomainError, FinslerError, QuadratureError, RegularityError
 from .expr import ExpressionTree, ScalarFunction, eval_tree, parse_expression
 from .jets import Jet3, any_true, ipow, slot
-from .quadrature import segment_integral
+from .quadrature import exact_sum, segment_integral
 
 #: relative inset used when building s-grids that must avoid |s| = r
 S_MARGIN = 1e-6
@@ -116,8 +120,9 @@ def _check_domain(spec: MetricSpec, r, s):
     s = np.asarray(s, dtype=float)
     rmin, rmax = spec.r_domain
     slack = 1e-12 * (1.0 + rmax)
-    if any_true(r < rmin - slack) or any_true(r > rmax + slack):
-        bad = float(np.asarray(r).flat[int(np.argmax((r < rmin - slack) | (r > rmax + slack)))])
+    outside = ~((r >= rmin - slack) & (r <= rmax + slack))  # NaN radii too
+    if any_true(outside):
+        bad = float(r.flat[int(np.argmax(outside))])
         raise DomainError(f"radius {bad!r} outside declared domain [{rmin}, {rmax}]")
     mask = abs(s) > r * (1.0 + 1e-12) + 1e-15
     if any_true(mask):
@@ -137,7 +142,7 @@ def _phi_jet_raw(spec: MetricSpec, r, s) -> Jet3:
         sj = Jet3.seed(s, ds=1.0)
         fj, gj, hj = p.f.jet(r), p.g.jet(r), p.h.jet(r)
         return (fj + gj * sj * sj).sqrt() + hj * sj
-    return _family_phi_jet(p, r, s)
+    return _family_phi_jet(spec, r, s)
 
 
 def phi_jet_unchecked(spec: MetricSpec, r, s) -> Jet3:
@@ -186,37 +191,138 @@ def regularity_margins(jet: Jet3, r, s):
 
 # -- Berwald-type family profiles -------------------------------------------
 
+#: Chebyshev-Lobatto degree of each family table panel
+TABLE_DEGREE = 16
+#: a panel is kept when its two trailing Chebyshev coefficients are at most
+#: this times the largest node value, for each of I1, J and I2
+TABLE_TOL = 1e-14
+#: bisections of a starting panel before QuadratureError
+TABLE_SPLIT_CAP = 12
 
-def _family_radial_jets(profile: BerwaldFamilyProfile, r) -> tuple[Jet3, Jet3, Jet3]:
-    """r-jets of g = e^{I1}, J and I2 at radii r of any shape.
+#: Lobatto points cos(j pi / N), j = 0..N, on [-1, 1] (descending, exactly symmetric)
+_LOBATTO = np.array([math.sin(math.pi * (TABLE_DEGREE - 2 * j) / (2 * TABLE_DEGREE))
+                     for j in range(TABLE_DEGREE + 1)])
+#: barycentric weights of the Lobatto points: (-1)^j, halved at both ends
+_BARY = np.array([(-1.0) ** j * (0.5 if j in (0, TABLE_DEGREE) else 1.0)
+                  for j in range(TABLE_DEGREE + 1)])
 
-    Each antiderivative is one quadrature from r0 to r (integration constant
-    zero at r0); J's integrand evaluates the I1 quadrature on its own node
-    array.  The r-derivatives come from the exact integrand (fundamental
-    theorem of calculus), so the transport-PDE residual is exact to roundoff.
+
+@dataclass(frozen=True)
+class _FamilyTable:
+    """I1, J and I2 at the Chebyshev-Lobatto nodes of panels split at r0."""
+
+    edges: np.ndarray    # (P + 1,) ascending panel ends
+    nodes: np.ndarray    # (P, N + 1) nodes per panel, panel ends exact
+    values: np.ndarray   # (k, P, N + 1) node values of each tabulated function
+
+
+def _panel_nodes(edges: np.ndarray) -> np.ndarray:
+    a, b = edges[:-1, None], edges[1:, None]
+    nodes = 0.5 * (a + b) + 0.5 * (b - a) * _LOBATTO
+    nodes[:, 0], nodes[:, -1] = edges[1:], edges[:-1]
+    return nodes
+
+
+def _barycentric(table: _FamilyTable, r):
+    """Interpolated values of every tabulated function at radii r of any shape.
+
+    Each radius uses the panel that holds it (the end panels for radii just
+    outside the table); the barycentric sums are exact sums, and a radius on
+    a node gets the node value.
     """
-    c2, r0 = profile.c2, profile.r0
+    r_arr = np.asarray(r, dtype=float)
+    flat = r_arr.reshape(-1)
+    panel = np.searchsorted(table.edges[1:-1], flat, side="right")
+    diff = flat[:, None] - table.nodes[panel]
+    hit = diff == 0.0
+    on_node = any_true(hit)
+    q = _BARY / (np.where(hit, 1.0, diff) if on_node else diff)
+    vals = table.values[:, panel]
+    sums = exact_sum(np.concatenate([q[None], q * vals]).reshape(-1, q.shape[1]))
+    out = sums.reshape(-1, flat.size)
+    out = out[1:] / out[0]
+    if on_node:
+        rows, cols = np.nonzero(hit)
+        out[:, rows] = vals[:, rows, cols]
+    if r_arr.ndim == 0:
+        return out[:, 0].tolist()
+    return list(out.reshape((-1,) + r_arr.shape))
+
+
+def _unresolved(values: np.ndarray) -> np.ndarray:
+    """Per panel: do the trailing Chebyshev coefficients exceed TABLE_TOL?
+
+    From the Lobatto values f_j, c_N = sum w_j f_j / N and
+    c_{N-1} = 2 sum w_j x_j f_j / N, with w the barycentric weights.
+    """
+    n = TABLE_DEGREE
+    tail = np.maximum(np.abs(exact_sum(_BARY * values)) / n,
+                      2.0 * np.abs(exact_sum(_BARY * _LOBATTO * values)) / n)
+    return tail > TABLE_TOL * np.max(np.abs(values), axis=1)
+
+
+@lru_cache(maxsize=16)
+def _family_table(spec: MetricSpec) -> _FamilyTable:
+    """Tables of I1, J and I2 over spec.r_domain (and r0), built once per spec.
+
+    Each node value is one ``segment_integral`` from r0, so every value at r0
+    is exactly 0; J's integrand reads I1 from I1's table.  Panels start split
+    at r0 and are bisected until every function passes the trailing
+    coefficient test.
+    """
+    c2, r0 = spec.profile.c2, spec.profile.r0
+    lo, hi = min(spec.r_domain[0], r0), max(spec.r_domain[1], r0)
+    edges = np.array(sorted({lo, r0, hi}))
+    splits = np.zeros(edges.size - 1, dtype=int)
 
     def w1(rho):
         return 2.0 / rho - 4.0 * ipow(rho, 3) * c2.value(rho)
 
-    def w2(rho):
-        return 4.0 * rho * c2.value(rho) * np.exp(segment_integral(w1, r0, rho))
-
     def w3(rho):
         return 2.0 / rho - 2.0 * ipow(rho, 3) * c2.value(rho)
 
+    while True:
+        nodes = _panel_nodes(edges)
+        i1 = _FamilyTable(edges, nodes, segment_integral(w1, r0, nodes)[None])
+        bad = _unresolved(i1.values[0])
+        if not bad.any():  # J's integrand needs a resolved I1
+
+            def w2(rho):
+                return 4.0 * rho * c2.value(rho) * np.exp(_barycentric(i1, rho)[0])
+
+            values = np.stack([i1.values[0], segment_integral(w2, r0, nodes),
+                               segment_integral(w3, r0, nodes)])
+            bad = _unresolved(values[1]) | _unresolved(values[2])
+            if not bad.any():
+                return _FamilyTable(edges, nodes, values)
+        capped = bad & (splits >= TABLE_SPLIT_CAP)
+        if capped.any():
+            a, b = edges[int(np.argmax(capped)):][:2].tolist()
+            raise QuadratureError(f"family table panel [{a!r}, {b!r}] not resolved to "
+                                  f"{TABLE_TOL:g} after {TABLE_SPLIT_CAP} bisections")
+        mids = 0.5 * (edges[:-1] + edges[1:])[bad]
+        edges = np.sort(np.concatenate([edges, mids]))
+        splits = np.repeat(splits + bad, np.where(bad, 2, 1))
+
+
+def _family_radial_jets(spec: MetricSpec, r) -> tuple[Jet3, Jet3, Jet3]:
+    """r-jets of g = e^{I1}, J and I2 at radii r of any shape.
+
+    The values are read off the spec's family table (barycentric
+    interpolation on Chebyshev panels, integration constant zero at r0).  The
+    r-derivatives come from the exact integrand (fundamental theorem of
+    calculus), so the transport-PDE residual is exact to roundoff.
+    """
+    c2 = spec.profile.c2
+    i1, j, i2 = _barycentric(_family_table(spec), r)
     rj = Jet3.seed(r, dr=1.0)
     c2j = c2.jet(r)
     r3c2 = rj.powi(3) * c2j
-    g_jet = _antiderivative_jet(segment_integral(w1, r0, r), 2.0 / rj - 4.0 * r3c2).exp()
-    J_jet = _antiderivative_jet(segment_integral(w2, r0, r), 4.0 * rj * c2j * g_jet)
-    I2_jet = _antiderivative_jet(segment_integral(w3, r0, r), 2.0 / rj - 2.0 * r3c2)
+    two_over_r = 2.0 / rj
+    g_jet = _antiderivative_jet(i1, two_over_r - 4.0 * r3c2).exp()
+    J_jet = _antiderivative_jet(j, 4.0 * rj * c2j * g_jet)
+    I2_jet = _antiderivative_jet(i2, two_over_r - 2.0 * r3c2)
     return g_jet, J_jet, I2_jet
-
-
-#: scalar radii recur across grids and solver stages; arrays bypass the cache
-_family_radial_point = lru_cache(maxsize=512)(_family_radial_jets)
 
 
 def _antiderivative_jet(value, integrand: Jet3) -> Jet3:
@@ -228,14 +334,13 @@ def _antiderivative_jet(value, integrand: Jet3) -> Jet3:
     return Jet3(c)
 
 
-def _family_phi_jet(profile: BerwaldFamilyProfile, r, s) -> Jet3:
+def _family_phi_jet(spec: MetricSpec, r, s) -> Jet3:
     r = np.asarray(r, dtype=float)
-    if r.ndim == 0:
-        g_jet, J_jet, I2_jet = _family_radial_point(profile, float(r))
-    else:
-        g_jet, J_jet, I2_jet = _family_radial_jets(profile, r)
+    g_jet, J_jet, I2_jet = _family_radial_jets(spec, float(r) if r.ndim == 0 else r)
+    profile = spec.profile
     sj = Jet3.seed(s, ds=1.0)
-    radicand = g_jet + J_jet * sj * sj
+    s2 = sj * sj
+    radicand = g_jet + J_jet * s2
     bad = np.asarray(radicand.value) <= 0.0
     if any_true(bad):
         i = int(np.argmax(bad))
@@ -244,9 +349,9 @@ def _family_phi_jet(profile: BerwaldFamilyProfile, r, s) -> Jet3:
             f"family radical g + J*s^2 is non-positive at r={float(rr.flat[i])!r} "
             f"(value {float(vv.flat[i])!r})"
         )
-    w_jet = sj * sj / radicand
-    chi_jet = eval_tree(profile.chi, {"w": w_jet})
-    return chi_jet * radicand.sqrt() * (-I2_jet).exp()
+    rsqrt = radicand.powr(-0.5)  # one composition gives both w and the square root
+    chi_jet = eval_tree(profile.chi, {"w": s2 * (rsqrt * rsqrt)})
+    return chi_jet * (radicand * rsqrt) * (-I2_jet).exp()
 
 
 # -- spray coefficients ------------------------------------------------------
@@ -262,16 +367,18 @@ class SprayValues:
     denom: object
 
 
-def spray_values(spec: MetricSpec, r, s) -> SprayValues:
+def spray_values(spec: MetricSpec, r, s, jet: Jet3 | None = None) -> SprayValues:
     """P, Q and the exact s-derivative of Q at (r, s).
 
     Q = (-phi_r + s phi_rs + r phi_ss) / (2 r (phi - s phi_s + (r^2-s^2) phi_ss))
     P = -(s phi + (r^2-s^2) phi_s) Q / phi + (s phi_r + r phi_s) / (2 r phi)
 
     Q_s comes from differentiating the quotient symbolically with the order-3
-    jet components (no finite differences).
+    jet components (no finite differences).  ``jet``, if given, is
+    ``phi_jet(spec, r, s)`` already evaluated.
     """
-    jet = phi_jet(spec, r, s)
+    if jet is None:
+        jet = phi_jet(spec, r, s)
     r = np.asarray(r, dtype=float)
     s = np.asarray(s, dtype=float)
     phi = jet.d(0, 0)
@@ -292,9 +399,13 @@ def spray_values(spec: MetricSpec, r, s) -> SprayValues:
     return SprayValues(P=p, Q=q, Q_s=q_s, denom=den)
 
 
-def metric_determinant(spec: MetricSpec, r, s):
-    """det(g_ij) = phi^{n+1} (phi - s phi_s)^{n-2} (phi - s phi_s + (r^2-s^2) phi_ss)."""
-    jet = phi_jet(spec, r, s)
+def metric_determinant(spec: MetricSpec, r, s, jet: Jet3 | None = None):
+    """det(g_ij) = phi^{n+1} (phi - s phi_s)^{n-2} (phi - s phi_s + (r^2-s^2) phi_ss).
+
+    ``jet``, if given, is ``phi_jet(spec, r, s)`` already evaluated.
+    """
+    if jet is None:
+        jet = phi_jet(spec, r, s)
     m1, m2, m3 = regularity_margins(jet, r, s)
     n = spec.n
     return ipow(m1, n + 1) * ipow(m2, n - 2) * m3

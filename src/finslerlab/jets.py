@@ -172,8 +172,13 @@ class Jet3:
 
         Exact through total order 3: with the constant part stripped the
         remainder is nilpotent, so a cubic Taylor polynomial of f suffices.
+        A scalar jet keeps Python-float coefficients: the numpy float64
+        scalars that np.exp, np.sqrt and friends return would make every later
+        product about three times slower, and converting them changes no bit.
         """
         c = list(self.c)
+        if type(c[0]) is float:
+            f0, f1, f2, f3 = float(f0), float(f1), float(f2), float(f3)
         c[0] = _like_zero(c[0])
         gh = Jet3(c)
         return ((gh * (f3 / 6.0) + f2 * 0.5) * gh + f1) * gh + f0

@@ -10,21 +10,26 @@ reduced S-curvature formula all at once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import CrossCheckError, DomainError, DomainExitError
 from .geometry import MetricSpec, metric_determinant, phi_jet, spray_values
+from .jets import Jet3
 from .quadrature import QuadratureRule
 from .volume import density
 
 
 @dataclass(frozen=True)
 class GeodesicState:
+    """A stored state; ``jet`` is the profile jet at its (r, s), shared by the
+    drift check, the next RK4 step's first stage and the distortion."""
+
     x: np.ndarray
     y: np.ndarray
     t: float
+    jet: Jet3 | None = field(default=None, repr=False, compare=False)
 
 
 def _split(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
@@ -36,15 +41,22 @@ def _split(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
     return u, r, s
 
 
+def _norm_and_jet(spec: MetricSpec, x, y, jet: Jet3 | None = None) -> tuple[float, Jet3]:
+    """F(x, y) and the profile jet at (|x|, <x,y>/|y|), evaluated unless given."""
+    u, r, s = _split(x, y)
+    if jet is None:
+        jet = phi_jet(spec, r, s)
+    return u * float(jet.d(0, 0)), jet
+
+
 def finsler_norm(spec: MetricSpec, x, y) -> float:
     """F(x, y) = |y| phi(|x|, <x,y>/|y|)."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    u, r, s = _split(x, y)
-    return u * float(phi_jet(spec, r, s).d(0, 0))
+    return _norm_and_jet(spec, np.asarray(x, dtype=float), np.asarray(y, dtype=float))[0]
 
 
-def _spray_rhs(spec: MetricSpec, t: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+def _spray_rhs(
+    spec: MetricSpec, t: float, x: np.ndarray, y: np.ndarray, jet: Jet3 | None = None
+) -> np.ndarray:
     u, r, s = _split(x, y)
     rmin, rmax = spec.r_domain
     if not rmin <= r <= rmax:
@@ -53,17 +65,21 @@ def _spray_rhs(spec: MetricSpec, t: float, x: np.ndarray, y: np.ndarray) -> np.n
             t=t,
             point=tuple(x),
         )
-    sv = spray_values(spec, r, s)
+    sv = spray_values(spec, r, s, jet)
     # geodesic equation: x'' = -2G, G^i = u P y^i + u^2 Q x^i
     return -2.0 * (u * sv.P * y + u * u * sv.Q * x)
 
 
-def integrate_geodesic(spec: MetricSpec, x0, y0, t_end: float, steps: int = 64):
+def integrate_geodesic(
+    spec: MetricSpec, x0, y0, t_end: float, steps: int = 64, jet0: Jet3 | None = None
+):
     """RK4 trajectory of the geodesic flow; returns a list of GeodesicState.
 
     Negative t_end integrates backwards.  The Finsler norm of the velocity
     is recomputed at every stored state and must stay within 1e-8 relative
-    of its initial value, otherwise the run aborts.
+    of its initial value, otherwise the run aborts.  One profile jet is
+    evaluated per stored state (``jet0``, the jet at (x0, y0), may be given)
+    and reused by the next step's first stage.
     """
     steps = int(steps)
     if steps < 16:
@@ -73,11 +89,11 @@ def integrate_geodesic(spec: MetricSpec, x0, y0, t_end: float, steps: int = 64):
     if x.shape != y.shape or x.ndim != 1 or x.size < 2:
         raise ValueError("x0 and y0 must be 1-d vectors of equal dimension >= 2")
     dt = float(t_end) / steps
-    states = [GeodesicState(x=x.copy(), y=y.copy(), t=0.0)]
-    f0 = finsler_norm(spec, x, y)
+    f0, jet = _norm_and_jet(spec, x, y, jet0)
+    states = [GeodesicState(x=x.copy(), y=y.copy(), t=0.0, jet=jet)]
     for k in range(steps):
         t = k * dt
-        k1x, k1y = y, _spray_rhs(spec, t, x, y)
+        k1x, k1y = y, _spray_rhs(spec, t, x, y, jet)
         k2x = y + 0.5 * dt * k1y
         k2y = _spray_rhs(spec, t + 0.5 * dt, x + 0.5 * dt * k1x, k2x)
         k3x = y + 0.5 * dt * k2y
@@ -86,8 +102,9 @@ def integrate_geodesic(spec: MetricSpec, x0, y0, t_end: float, steps: int = 64):
         k4y = _spray_rhs(spec, t + dt, x + dt * k3x, k4x)
         x = x + dt / 6.0 * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
         y = y + dt / 6.0 * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
-        states.append(GeodesicState(x=x.copy(), y=y.copy(), t=(k + 1) * dt))
-        drift = abs(finsler_norm(spec, x, y) - f0) / (1.0 + abs(f0))
+        f, jet = _norm_and_jet(spec, x, y)
+        states.append(GeodesicState(x=x.copy(), y=y.copy(), t=(k + 1) * dt, jet=jet))
+        drift = abs(f - f0) / (1.0 + abs(f0))
         if drift > 1e-8:
             raise CrossCheckError(
                 f"geodesic integrator drift {drift:.3e} exceeds 1e-8 at t = {(k + 1) * dt:.6g}"
@@ -96,13 +113,14 @@ def integrate_geodesic(spec: MetricSpec, x0, y0, t_end: float, steps: int = 64):
 
 
 def distortion(
-    spec: MetricSpec, vol, x, y, rule: QuadratureRule | None = None
+    spec: MetricSpec, vol, x, y, rule: QuadratureRule | None = None, jet: Jet3 | None = None
 ) -> float:
-    """tau(x, y) = ln( sqrt(det g at (r, s)) / sigma(r) )."""
+    """tau(x, y) = ln( sqrt(det g at (r, s)) / sigma(r) ); jet, if given, is the
+    profile jet at (r, s)."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     _, r, s = _split(x, y)
-    det = float(metric_determinant(spec, r, s))
+    det = float(metric_determinant(spec, r, s, jet))
     if det <= 0.0:
         raise DomainError(f"det g = {det:.6g} not positive at r={r:.6g}, s={s:.6g}")
     return 0.5 * float(np.log(det)) - float(np.log(density(vol, spec, r, rule)))
@@ -124,15 +142,18 @@ def s_by_distortion(
     """
     x0 = np.asarray(x0, dtype=float)
     y0 = np.asarray(y0, dtype=float)
+    jet0 = None
     if dt is None:
-        dt = 1e-3 / finsler_norm(spec, x0, y0)
+        f0, jet0 = _norm_and_jet(spec, x0, y0)
+        dt = 1e-3 / f0
     dt = float(dt)
     if dt <= 0.0:
         raise ValueError("dt must be positive")
 
     taus = {}
     for direction in (1.0, -1.0):
-        states = integrate_geodesic(spec, x0, y0, direction * 2.0 * dt, steps=16)
+        states = integrate_geodesic(spec, x0, y0, direction * 2.0 * dt, steps=16, jet0=jet0)
+        jet0 = states[0].jet
         for st in states[8::8]:
-            taus[round(st.t / dt)] = distortion(spec, vol, st.x, st.y, rule)
+            taus[round(st.t / dt)] = distortion(spec, vol, st.x, st.y, rule, st.jet)
     return (taus[-2] - 8.0 * taus[-1] + 8.0 * taus[1] - taus[2]) / (12.0 * dt)

@@ -2,9 +2,10 @@
 
 Two consumers: the angular integrals behind the volume densities (fixed
 interval [0, pi], doubling refinement, elementwise over a batch of radii)
-and the radial integrals behind the Berwald-type family construction and the
-Holmes-Thompson solver (``segment_integral``, elementwise over arrays of
-interval endpoints).  An element's value never depends on the others.
+and the radial integrals (``segment_integral``, elementwise over arrays of
+interval endpoints) behind the Holmes-Thompson solver's steps and the node
+values of the Berwald-type family tables in :mod:`finslerlab.geometry`.  An
+element's value never depends on the others.
 
 Nodes, weights and segment sums use only IEEE basic operations (no LAPACK
 eigensolver, no libm, no numpy reduction whose blocking numpy chooses), so

@@ -206,6 +206,14 @@ def test_quad_must_be_a_positive_int(capsys, quad):
     assert "--quad" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf", "abc"])
+def test_tol_must_be_a_positive_finite_number(capsys, tol):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--check", "isotropy", FUNK_CFG, "--tol", tol])
+    assert exc.value.code == 2
+    assert "--tol" in capsys.readouterr().err
+
+
 # -- exit codes --------------------------------------------------------------
 
 
@@ -325,6 +333,36 @@ def test_tolerances_must_be_positive_numbers(tmp_path, capsys, check, value):
     assert main(["verify", "--check", check, write_cfg(tmp_path, "tol.json", cfg)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and f"tolerances.{check}" in err
+
+
+@pytest.mark.parametrize("points", [0, -3, "x", 2.5, True, 1001, None])
+def test_oracle_points_must_be_an_integer_in_range(tmp_path, capsys, points):
+    cfg = json.loads(Path(FUNK_CFG).read_text())
+    cfg["oracle"] = {"points": points}
+    assert main(["verify", "--check", "oracle", write_cfg(tmp_path, "pts.json", cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "oracle.points" in err
+
+
+def test_oracle_must_be_an_object(tmp_path, capsys):
+    cfg = json.loads(Path(FUNK_CFG).read_text())
+    cfg["oracle"] = [3]
+    assert main(["verify", "--check", "oracle", write_cfg(tmp_path, "pts.json", cfg)]) == 2
+    assert "config error: 'oracle' must be an object" in capsys.readouterr().err
+
+
+def test_oracle_points_range_ends_are_accepted(tmp_path, capsys):
+    from finslerlab.cli import ORACLE_POINTS_CAP, load_config
+
+    cfg = json.loads(Path(FUNK_CFG).read_text())
+    cfg["oracle"] = {"points": ORACLE_POINTS_CAP}
+    assert load_config(write_cfg(tmp_path, "cap.json", cfg)).oracle["points"] == ORACLE_POINTS_CAP
+    cfg["oracle"] = {"points": 1}
+    out = tmp_path / "one.json"
+    assert main(["verify", "--check", "oracle", write_cfg(tmp_path, "one_cfg.json", cfg),
+                 "--out", str(out)]) == 0
+    assert len(json.loads(out.read_text())["per_radius"]) == 1
+    capsys.readouterr()
 
 
 # -- construct round trips ---------------------------------------------------

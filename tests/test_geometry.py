@@ -5,12 +5,14 @@ import pytest
 
 from _support import random_orthogonal, random_xy, randers_metric_tensor
 from conftest import RANDERS111, interior_grid, make_randers
-from finslerlab.errors import DomainError, RegularityError
+from finslerlab import geometry
+from finslerlab.errors import DomainError, QuadratureError, RegularityError
 from finslerlab.expr import ScalarFunction, parse_expression
 from finslerlab.geometry import (
     BerwaldFamilyProfile,
     MetricSpec,
     _family_radial_jets,
+    _family_table,
     assemble_metric_matrix,
     embed_point,
     general_phi_spec,
@@ -22,6 +24,7 @@ from finslerlab.geometry import (
     s_fractions,
     spray_values,
 )
+from finslerlab.quadrature import segment_integral
 
 
 def test_phi_jet_constant_profile(euclid):
@@ -60,18 +63,81 @@ def test_family_jets_independent_of_query_history():
 
 @pytest.mark.parametrize("c2", [0.1, -0.3])
 def test_family_antiderivatives_match_constant_c2_closed_forms(c2):
-    profile = _family_spec(ScalarFunction.constant(c2)).profile
+    spec = _family_spec(ScalarFunction.constant(c2))
     r = np.array([0.8, 0.87, 0.96, 1.0, 1.04, 1.13, 1.2])
     quartic = c2 * (r**4 - 1.0)
     i1 = 2.0 * np.log(r) - quartic
     i2 = 2.0 * np.log(r) - 0.5 * quartic
     j = 1.0 - np.exp(-quartic)
-    vector = _family_radial_jets(profile, r)
-    scalar = [_family_radial_jets(profile, float(x)) for x in r]
+    vector = _family_radial_jets(spec, r)
+    scalar = [_family_radial_jets(spec, float(x)) for x in r]
     for k, want in enumerate((np.exp(i1), j, i2)):
         np.testing.assert_allclose(vector[k].value, want, rtol=1e-12, atol=1e-12)
         got = [jets[k].value for jets in scalar]
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+def _nested_family_values(c2, r0, r):
+    """I1, J and I2 from r0 to r by direct quadrature, J's integrand nesting I1's."""
+
+    def w1(rho):
+        return 2.0 / rho - 4.0 * rho**3 * c2.value(rho)
+
+    def w2(rho):
+        return 4.0 * rho * c2.value(rho) * np.exp(segment_integral(w1, r0, rho))
+
+    def w3(rho):
+        return 2.0 / rho - 2.0 * rho**3 * c2.value(rho)
+
+    return [segment_integral(w, r0, r) for w in (w1, w2, w3)]
+
+
+@pytest.mark.parametrize("domain, r0, bisected", [((0.8, 1.2), 1.0, False),
+                                                  ((0.05, 0.95), 0.5, True)],
+                         ids=["two-panels", "bisected"])
+@pytest.mark.parametrize("c2", ["0.1", "0.1 + 0.05/r"])
+def test_family_tables_match_nested_quadrature(c2, domain, r0, bisected):
+    chi = parse_expression("1 + w/4", {"w"})
+    spec = MetricSpec(BerwaldFamilyProfile(ScalarFunction.from_text(c2), chi, r0), 2, domain)
+    lo, hi = domain
+    slack = 1e-12 * (1.0 + hi)  # what the domain check lets through
+    r = np.concatenate([[lo - slack, lo], np.linspace(lo, hi, 9)[1:-1], [r0, hi, hi + slack]])
+    want = _nested_family_values(spec.profile.c2, r0, r)
+    vector = _family_radial_jets(spec, r)
+    scalar = [_family_radial_jets(spec, float(x)) for x in r]
+    for k, got in enumerate((np.log(vector[0].value), vector[1].value, vector[2].value)):
+        np.testing.assert_allclose(got, want[k], rtol=1e-12, atol=1e-12)
+        np.testing.assert_array_equal([float(jets[k].value) for jets in scalar],
+                                      [float(v) for v in vector[k].value])
+    # r0 is a node: g = e^0, J and I2 are exactly zero there
+    assert [jet.value for jet in _family_radial_jets(spec, r0)] == [1.0, 0.0, 0.0]
+    for r_edge in (lo - slack, hi + slack):
+        assert phi_jet(spec, r_edge, 0.5 * r_edge).d(0, 0) > 0.0
+    assert (_family_table(spec).nodes.shape[0] > 2) is bisected
+
+
+def test_family_table_split_cap_raises_naming_the_panel(monkeypatch):
+    monkeypatch.setattr(geometry, "TABLE_SPLIT_CAP", 1)
+    chi = parse_expression("1 + w/4", {"w"})
+    spec = MetricSpec(BerwaldFamilyProfile(ScalarFunction.constant(0.1), chi, 0.5), 2, (0.04, 0.9))
+    with pytest.raises(QuadratureError, match=r"family table panel \[0\.04, .* after 1 bisections"):
+        _family_table(spec)
+
+
+def test_family_table_is_per_spec():
+    wide = _family_spec(ScalarFunction.constant(0.1))
+    narrow = MetricSpec(wide.profile, wide.n, (0.9, 1.1))
+    table = _family_table(wide)
+    assert _family_table(wide) is table
+    other = _family_table(narrow)
+    assert other is not table
+    assert (table.edges[0], table.edges[-1]) == (0.8, 1.2)
+    assert (other.edges[0], other.edges[-1]) == (0.9, 1.1)
+    assert 1.0 in table.edges and 1.0 in other.edges
+    for r in (0.95, 1.05):
+        one, two = _family_radial_jets(wide, r), _family_radial_jets(narrow, r)
+        for a, b in zip(one, two):
+            assert a.value == pytest.approx(b.value, rel=1e-14, abs=1e-15)
 
 
 def test_family_phi_jet_on_array_equals_scalar_calls(family_k):
@@ -86,9 +152,12 @@ def test_family_phi_jet_on_array_equals_scalar_calls(family_k):
             assert got == pytest.approx(want, rel=1e-14, abs=1e-300), (i, k)
 
 
-def test_phi_jet_domain_checks(funk2):
+def test_phi_jet_domain_checks(funk2, family_k):
     with pytest.raises(DomainError):
         phi_jet(funk2, 0.99, 0.0)  # outside declared r-domain
+    for spec in (funk2, family_k.spec):
+        with pytest.raises(DomainError, match="radius nan outside declared domain"):
+            phi_jet(spec, np.array([0.9, np.nan]), 0.0)
     with pytest.raises(DomainError):
         phi_jet(funk2, 0.5, 0.6)  # |s| > r
 

@@ -230,6 +230,22 @@ def test_array_coefficients_broadcast():
     np.testing.assert_allclose(sq.d(2, 0), [2.0, 2.0, 2.0])
 
 
+@pytest.mark.parametrize("op", ["sqrt", "exp", "log", "sin", "cos", "atan", "powr", "recip"])
+def test_scalar_compositions_keep_python_floats_with_unchanged_bits(op):
+    def apply(j):
+        if op == "powr":
+            return j.powr(-0.5)
+        return 1.0 / j if op == "recip" else getattr(j, op)()
+
+    base = Jet3.seed(0.7, dr=1.0) * Jet3.seed(0.3, ds=1.0) + 0.4
+    floats = apply(base * base)
+    # numpy float64 scalars take the unconverted path
+    np_base = Jet3([np.float64(c) for c in base.c])
+    numpy_scalars = apply(np_base * np_base)
+    assert all(type(c) is float for c in floats.c)
+    assert floats.c == numpy_scalars.c
+
+
 def test_array_domain_error_reports_offending_value():
     r = np.array([1.0, -1.0])
     with pytest.raises(DomainError):

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from _support import randers_metric_tensor, random_orthogonal, random_xy
-from finslerlab.errors import DomainError, DomainExitError
+from finslerlab import geometry, oracle
+from finslerlab.errors import CrossCheckError, DomainError, DomainExitError
 from finslerlab.expr import ScalarFunction
 from finslerlab.geometry import general_phi_spec
 from finslerlab.oracle import (
@@ -130,3 +131,54 @@ def test_backward_integration_consistency(randers111):
     back = integrate_geodesic(randers111, xe, ye, -0.4, steps=64)
     np.testing.assert_allclose(back[-1].x, x0, atol=1e-9)
     np.testing.assert_allclose(back[-1].y, y0, atol=1e-9)
+
+
+def _counting(monkeypatch, name, modules):
+    """Wrap the function each module binds as name; return the call list."""
+    calls = []
+    real = getattr(modules[0], name)
+
+    def counted(*a, **k):
+        calls.append(a[1:3])
+        return real(*a, **k)
+
+    for module in modules:
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("dt", [None, 2e-4])
+def test_one_profile_jet_per_geodesic_state(funk2, monkeypatch, dt):
+    jets = _counting(monkeypatch, "phi_jet", (geometry, oracle))
+    sprays = _counting(monkeypatch, "spray_values", (geometry, oracle))
+    x, y = np.array([0.3, 0.2]), np.array([0.5, -0.4])
+    unshared = s_by_distortion(funk2, BH, x, y, dt=dt)
+    # 2 trajectories x 16 steps x 4 stages, each state's jet evaluated once:
+    # the start state, then three stages and the stored state per step
+    assert len(sprays) == 128
+    assert len(jets) == 1 + 2 * 16 * 4 <= 135
+    monkeypatch.undo()
+    assert s_by_distortion(funk2, BH, x, y, dt=dt) == unshared
+
+
+def test_shared_jet_gives_the_same_spray_and_distortion(funk2):
+    x, y = np.array([0.3, 0.2]), np.array([0.5, -0.4])
+    u = float(np.linalg.norm(y))
+    r, s = float(np.linalg.norm(x)), float(np.dot(x, y) / u)
+    jet = geometry.phi_jet(funk2, r, s)
+    assert geometry.spray_values(funk2, r, s, jet) == geometry.spray_values(funk2, r, s)
+    assert distortion(funk2, BH, x, y, jet=jet) == distortion(funk2, BH, x, y)
+    states = integrate_geodesic(funk2, x, y, 0.1, steps=16)
+    for st in states:
+        u_st = float(np.linalg.norm(st.y))
+        r_st, s_st = float(np.linalg.norm(st.x)), float(np.dot(st.x, st.y) / u_st)
+        want = geometry.phi_jet(funk2, r_st, s_st)
+        assert st.jet.c == want.c
+
+
+def test_drift_above_bound_raises():
+    # a Riemannian metric on a wide domain: 16 RK4 steps over t = 2 drift by ~5e-8
+    spec = general_phi_spec("sqrt(1+s^2)", 2, (0.01, 50.0))
+    with pytest.raises(CrossCheckError, match=r"drift .* exceeds 1e-8 at t = 0\.125"):
+        integrate_geodesic(spec, [0.5, 0.0], [0.0, 1.0], 2.0, steps=16)
+    integrate_geodesic(spec, [0.5, 0.0], [0.0, 1.0], 2.0, steps=256)
