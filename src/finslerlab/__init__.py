@@ -8,7 +8,6 @@ cross-checked against independent brute-force oracles.
 
 from .douglas import DouglasFit, douglas_verdict, fit_q
 from .errors import (
-    AdmissibilityError,
     ConfigError,
     CrossCheckError,
     DegenerateInputError,
@@ -62,7 +61,6 @@ from .volume import BH, CONSTANT, HT, CustomDensity, density, f_coefficient, sig
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdmissibilityError",
     "BH",
     "BerwaldFamilyProfile",
     "CONSTANT",

@@ -19,12 +19,12 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .douglas import douglas_verdict
 from .errors import (
-    AdmissibilityError,
     ConfigError,
     CrossCheckError,
     DegenerateInputError,
@@ -169,7 +169,8 @@ def load_config(path: str) -> RunConfig:
     _expect(isinstance(seed, int), "'seed' must be an integer", "seed")
     c_const = raw.get("c_const")
     if c_const is not None:
-        _expect(isinstance(c_const, (int, float)) and c_const > 0, "'c_const' must be positive", "c_const")
+        _expect(type(c_const) in (int, float) and 0.0 < c_const < math.inf,
+                f"'c_const' must be a positive finite number, got {c_const!r}", "c_const")
         c_const = float(c_const)
     oracle = raw.get("oracle", {}) or {}
     _expect(isinstance(oracle, dict), "'oracle' must be an object", "oracle")
@@ -267,22 +268,13 @@ def _fmt17(x: float) -> str:
     return "%.17g" % float(x)
 
 
-def _residual_block(res: np.ndarray, r_of, s_of) -> dict:
-    """Summary statistics for a residual array with point lookups."""
+def _residual_block(res, r, s) -> dict:
+    """max, mean and argmax point of |res|; r and s (or None) broadcast against res."""
     flat = np.abs(np.asarray(res, dtype=float)).ravel()
     i = int(np.argmax(flat))
-    return {
-        "max": float(flat[i]),
-        "mean": float(np.mean(flat)),
-        "argmax": {"r": r_of(i), "s": s_of(i)},
-    }
-
-
-def _grid_block(dev: np.ndarray, r_values: np.ndarray, fracs: np.ndarray) -> dict:
-    """_residual_block of an (r, s) grid array."""
-    ns = fracs.size
-    return _residual_block(dev, lambda i: float(r_values[i // ns]),
-                           lambda i: float(r_values[i // ns] * fracs[i % ns]))
+    at = {k: None if v is None else float(np.broadcast_to(v, np.shape(res)).flat[i])
+          for k, v in (("r", r), ("s", s))}
+    return {"max": float(flat[i]), "mean": float(np.mean(flat)), "argmax": at}
 
 
 def _write_text(args, cfg: RunConfig, text: str) -> None:
@@ -361,31 +353,37 @@ def cmd_sample(cfg: RunConfig, args) -> int:
     return 0
 
 
-def _verify_isotropy(cfg, spec, args, rule) -> tuple[bool, dict, list]:
+class Verdict(NamedTuple):
+    """What every verifier returns; cmd_verify turns it into the report."""
+
+    passed: bool
+    residual: np.ndarray  #: summarised by _residual_block
+    r: np.ndarray  #: radius of each residual entry, broadcast against it
+    s: np.ndarray | None  #: slope of each residual entry; None if the check has none
+    per_radius: dict  #: equal-length columns, one row per radius (per point: oracle)
+
+
+def _verify_isotropy(cfg, spec, args, rule) -> Verdict:
     r_values, fracs = _grids(cfg)
     tol = args.tol if args.tol is not None else cfg.tolerances.get("isotropy")
     prof = isotropy_profile(spec, cfg.volume, r_values, s_fracs=fracs, tolerance=tol, rule=rule)
-    dev = np.abs(prof.c_values - prof.c_mean[:, None])
-    block = _grid_block(dev, r_values, fracs)
-    per_radius = _records({"r": r_values, "c": prof.c_mean, "f_r": prof.f_values,
-                           "spread": prof.c_spread,
-                           "tolerance": np.full(r_values.size, prof.tolerance)})
-    return prof.passed, block, per_radius
+    rc = r_values[:, None]
+    return Verdict(prof.passed, prof.c_values - prof.c_mean[:, None], rc, rc * fracs,
+                   {"r": r_values, "c": prof.c_mean, "f_r": prof.f_values,
+                    "spread": prof.c_spread, "tolerance": np.full(r_values.size, prof.tolerance)})
 
 
-def _verify_douglas(cfg, spec, args, rule) -> tuple[bool, dict, list]:
+def _verify_douglas(cfg, spec, args, rule) -> Verdict:
     r_values, fracs = _grids(cfg)
     tol = args.tol if args.tol is not None else cfg.tolerances.get("douglas")
     fit = douglas_verdict(spec, r_values, fracs, tolerance=tol)
-    dev = np.abs(fit.residuals)
-    block = _grid_block(dev, r_values, fracs)
-    per_radius = _records({"r": r_values, "c1": fit.c1, "c2": fit.c2,
-                           "max_residual": fit.max_residual, "odd_residual": fit.odd_residual,
-                           "tolerance": fit.tolerance})
-    return fit.passed, block, per_radius
+    rc = r_values[:, None]
+    return Verdict(fit.passed, fit.residuals, rc, rc * fracs,
+                   {"r": r_values, "c1": fit.c1, "c2": fit.c2, "max_residual": fit.max_residual,
+                    "odd_residual": fit.odd_residual, "tolerance": fit.tolerance})
 
 
-def _verify_family(cfg, spec, args, rule) -> tuple[bool, dict, list]:
+def _verify_family(cfg, spec, args, rule) -> Verdict:
     _expect(
         cfg.metric["kind"] == "berwald-family",
         "--check berwald-family needs a berwald-family metric",
@@ -398,13 +396,11 @@ def _verify_family(cfg, spec, args, rule) -> tuple[bool, dict, list]:
     rc = r_values[:, None]
     dev = np.abs(np.broadcast_to(family_pde_residual(spec, spec.profile.c2, rc, rc * fracs),
                                  (r_values.size, fracs.size)))
-    block = _grid_block(dev, r_values, fracs)
     tol = args.tol if args.tol is not None else 1e-8
     fit = douglas_verdict(spec, r_values, fracs)
-    passed = bool(block["max"] <= tol and fit.passed and built.regularity.passed)
-    per_radius = _records({"r": r_values, "c1": fit.c1, "c2": fit.c2,
-                           "pde_residual": np.max(dev, axis=1)})
-    return passed, block, per_radius
+    passed = bool(np.max(dev) <= tol and fit.passed and built.regularity.passed)
+    return Verdict(passed, dev, rc, rc * fracs,
+                   {"r": r_values, "c1": fit.c1, "c2": fit.c2, "pde_residual": np.max(dev, axis=1)})
 
 
 def _randers_profiles(cfg):
@@ -412,30 +408,17 @@ def _randers_profiles(cfg):
     return tuple(_radial_fn(cfg.metric[k], f"metric.{k}") for k in ("f", "g", "h"))
 
 
-def _verify_bh_classification(cfg, spec, args, rule) -> tuple[bool, dict, list]:
+def _verify_bh_classification(cfg, spec, args, rule) -> Verdict:
     f, g, h = _randers_profiles(cfg)
     r_values, _ = _grids(cfg)
-    per_radius, res2 = [], []
-    for r in r_values:
-        bc = bh_classification_residuals(f, g, h, float(r))
-        res2.append(bc.res2)
-        per_radius.append(
-            {
-                "r": float(r),
-                "c": float(bc.c),
-                "res1": float(bc.res1),
-                "res2": float(bc.res2),
-                "printed_ode_residual": float(bc.printed_ode_residual),
-            }
-        )
-    res2 = np.asarray(res2)
-    block = _residual_block(res2, lambda i: float(r_values[i]), lambda i: None)
-    cmax = max(abs(p["c"]) for p in per_radius)
-    tol = args.tol if args.tol is not None else 1e-8 * (1.0 + cmax)
-    return bool(block["max"] <= tol), block, per_radius
+    bc = batch_radii(lambda radii: bh_classification_residuals(f, g, h, radii), r_values)
+    tol = args.tol if args.tol is not None else 1e-8 * (1.0 + float(np.max(np.abs(bc.c))))
+    return Verdict(bool(np.max(np.abs(bc.res2)) <= tol), bc.res2, r_values, None,
+                   {"r": r_values, "c": bc.c, "res1": bc.res1, "res2": bc.res2,
+                    "printed_ode_residual": bc.printed_ode_residual})
 
 
-def _verify_ht_parallel(cfg, spec, args, rule) -> tuple[bool, dict, list]:
+def _verify_ht_parallel(cfg, spec, args, rule) -> Verdict:
     f, g, h = _randers_profiles(cfg)
     r_values, _ = _grids(cfg)
     if cfg.c_const is not None:
@@ -448,26 +431,19 @@ def _verify_ht_parallel(cfg, spec, args, rule) -> tuple[bool, dict, list]:
             "c_const",
         )
         c_const = float(np.mean(cs))
-    per_radius, worst = [], []
-    for r in r_values:
-        u1, u2 = covariant_b_coefficients(f, g, h, float(r))
-        ht_res = ht_condition_residual(c_const, g, h, float(r))
-        worst.append(max(abs(u1), abs(u2), abs(ht_res)))
-        per_radius.append(
-            {
-                "r": float(r),
-                "u1": float(u1),
-                "u2": float(u2),
-                "ht_residual": float(ht_res),
-            }
-        )
-    worst = np.asarray(worst)
-    block = _residual_block(worst, lambda i: float(r_values[i]), lambda i: None)
+
+    def batch(radii):
+        u1, u2 = covariant_b_coefficients(f, g, h, radii)
+        return {"r": radii, "u1": u1, "u2": u2,
+                "ht_residual": ht_condition_residual(c_const, g, h, radii)}
+
+    cols = batch_radii(batch, r_values)
+    worst = np.max(np.abs([cols["u1"], cols["u2"], cols["ht_residual"]]), axis=0)
     tol = args.tol if args.tol is not None else 1e-8
-    return bool(block["max"] <= tol), block, per_radius
+    return Verdict(bool(np.max(worst) <= tol), worst, r_values, None, cols)
 
 
-def _verify_oracle(cfg, spec, args, rule) -> tuple[bool, dict, list]:
+def _verify_oracle(cfg, spec, args, rule) -> Verdict:
     r_values, _ = _grids(cfg)
     lo, hi = float(r_values[0]), float(r_values[-1])
     span = hi - lo
@@ -475,7 +451,7 @@ def _verify_oracle(cfg, spec, args, rule) -> tuple[bool, dict, list]:
     seed = args.seed if args.seed is not None else cfg.seed
     rng = np.random.default_rng(seed)
     tol = args.tol if args.tol is not None else 1e-4
-    per_radius, diffs, states = [], [], []
+    cols = {"r": [], "s": [], "oracle": [], "analytic": []}
     for _ in range(points):
         r = float(rng.uniform(lo + 0.05 * span, hi - 0.05 * span))
         frac = float(rng.uniform(-0.9, 0.9))
@@ -483,27 +459,15 @@ def _verify_oracle(cfg, spec, args, rule) -> tuple[bool, dict, list]:
         y = y * float(rng.uniform(0.5, 2.0))
         u = float(np.linalg.norm(y))
         s = float(np.dot(x, y) / u)
-        s_num = s_by_distortion(spec, cfg.volume, x, y, rule=rule)
-        s_ana = u * float(reduced_s(spec, cfg.volume, r, s, rule))
-        diff = abs(s_num - s_ana)
-        diffs.append(diff)
-        states.append((r, s))
-        per_radius.append(
-            {
-                "r": r,
-                "s": s,
-                "oracle": float(s_num),
-                "analytic": float(s_ana),
-                "diff": float(diff),
-                "band": float(tol * (1.0 + abs(s_ana))),
-            }
-        )
-    diffs = np.asarray(diffs)
-    block = _residual_block(
-        diffs, lambda i: states[i][0], lambda i: states[i][1]
-    )
-    passed = all(p["diff"] <= p["band"] for p in per_radius)
-    return passed, block, per_radius
+        cols["r"].append(r)
+        cols["s"].append(s)
+        cols["oracle"].append(s_by_distortion(spec, cfg.volume, x, y, rule=rule))
+        cols["analytic"].append(u * float(reduced_s(spec, cfg.volume, r, s, rule)))
+    cols = {k: np.asarray(v, dtype=float) for k, v in cols.items()}
+    cols["diff"] = np.abs(cols["oracle"] - cols["analytic"])
+    cols["band"] = tol * (1.0 + np.abs(cols["analytic"]))
+    return Verdict(bool(np.all(cols["diff"] <= cols["band"])), cols["diff"], cols["r"],
+                   cols["s"], cols)
 
 
 _VERIFIERS = {
@@ -518,18 +482,19 @@ _VERIFIERS = {
 
 def cmd_verify(cfg: RunConfig, args) -> int:
     spec = build_spec(cfg)
-    passed, block, per_radius = _VERIFIERS[args.check](cfg, spec, args, _rule(args))
+    verdict = _VERIFIERS[args.check](cfg, spec, args, _rule(args))
+    block = _residual_block(verdict.residual, verdict.r, verdict.s)
     report = {
         "config_echo": cfg.raw,
         "check": args.check,
-        "verdict": "pass" if passed else "fail",
+        "verdict": "pass" if verdict.passed else "fail",
         "residuals": block,
-        "per_radius": per_radius,
+        "per_radius": _records(verdict.per_radius),
     }
     _dump_report(args, cfg, report)
-    print(f"{args.check}: {'PASS' if passed else 'FAIL'} (max residual {block['max']:.3e})",
-          file=sys.stderr)
-    return 0 if passed else 1
+    print(f"{args.check}: {'PASS' if verdict.passed else 'FAIL'} "
+          f"(max residual {block['max']:.3e})", file=sys.stderr)
+    return 0 if verdict.passed else 1
 
 
 def _construct_berwald(cfg: RunConfig, args) -> dict:
@@ -713,7 +678,6 @@ def main(argv=None) -> int:
         CrossCheckError,
         DomainError,
         DomainExitError,
-        AdmissibilityError,
         OverflowError,
         ZeroDivisionError,
     ) as exc:

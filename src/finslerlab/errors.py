@@ -32,7 +32,8 @@ class DomainError(FinslerError):
 
     Raised for division by a (near-)zero value, log/sqrt of a non-positive
     value, fractional powers of non-positive bases, non-finite intermediate
-    results, and points outside a declared (r, s) domain.
+    results, points outside a declared (r, s) domain, and Randers data
+    f, g, h that stops defining a positive metric.
     """
 
     def __init__(self, message: str):
@@ -55,10 +56,6 @@ class QuadratureError(FinslerError):
 
 class CrossCheckError(FinslerError):
     """Two independent evaluations of the same quantity disagree."""
-
-
-class AdmissibilityError(FinslerError):
-    """A Randers coefficient triple stops defining a positive metric."""
 
 
 class DegenerateInputError(FinslerError):

@@ -22,13 +22,13 @@ both are always reported so the discrepancy stays visible.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .douglas import DouglasFit, douglas_verdict
 from .errors import (
-    AdmissibilityError,
     CrossCheckError,
     DegenerateInputError,
     DomainError,
@@ -39,7 +39,6 @@ from .geometry import (
     BerwaldFamilyProfile,
     MetricSpec,
     RegularityReport,
-    phi_jet,
     phi_jet_unchecked,
     regularity_scan,
     s_fractions,
@@ -47,6 +46,7 @@ from .geometry import (
 )
 from .jets import Jet3, ipow, slot
 from .quadrature import segment_integral
+from .randers import admissibility_margin, radial_data
 
 #: enforced bound on the independent node audit of bh_solve_g solutions
 BH_NODE_TOL = 1e-8
@@ -280,12 +280,13 @@ def spray_system_residual(spec: MetricSpec, c1, c2, b, c, r, s):
 
 @dataclass(frozen=True)
 class BhClassification:
-    """Residuals of the Randers/BH isotropy conditions at one radius.
+    """Residuals of the Randers/BH isotropy conditions at r, a float or a 1-D array.
 
-    ``c`` solves the first condition exactly (so res1 vanishes to roundoff);
-    res2 is the second condition's defect under that c.  The re-derived
-    eliminated ODE for g is equivalent to res2; printed_ode_residual is the
-    -2rfh^2 variant form, reported alongside and not used for any verdict.
+    Every field has the shape of r.  ``c`` solves the first condition exactly
+    (so res1 vanishes to roundoff); res2 is the second condition's defect under
+    that c.  The re-derived eliminated ODE for g is equivalent to res2;
+    printed_ode_residual is the -2rfh^2 variant form, reported alongside and
+    not used for any verdict.
     """
 
     r: float
@@ -295,52 +296,37 @@ class BhClassification:
     printed_ode_residual: float
 
 
-def bh_classification_residuals(f, g, h, r: float) -> BhClassification:
-    f, g, h = (_as_radial_fn(v) for v in (f, g, h))
-    r = float(r)
-    fj, gj, hj = f.jet(r), g.jet(r), h.jet(r)
-    f_v, fp = fj.d(0, 0), fj.d(1, 0)
-    g_v, gp = gj.d(0, 0), gj.d(1, 0)
-    h_v, hp = hj.d(0, 0), hj.d(1, 0)
-    if f_v <= 0.0:
-        raise DomainError(f"profile f = {f_v:.6g} is not positive at r = {r:.6g}")
-    if f_v + r * r * (g_v - h_v * h_v) <= 0.0:
-        raise DomainError(
-            f"f + r^2 (g - h^2) <= 0 at r = {r:.6g}: outside the admissible region"
-        )
-    q = f_v + r * r * g_v
-    u1 = 0.5 * h_v * (r * fp + 2.0 * f_v) / q
-    u2 = hp / r - 0.5 * h_v * (r * r * gp + 2.0 * fp) / (r * q)
-    c = u1 / (2.0 * f_v)
-    res1 = u1 - 2.0 * c * f_v
-    res2 = u2 - 2.0 * c * (g_v - h_v * h_v)
+def bh_classification_residuals(f, g, h, r) -> BhClassification:
+    d = radial_data(*(_as_radial_fn(v) for v in (f, g, h)), r)
+    r, f_v, fp, g_v, gp, h_v, hp = d.r, d.f, d.f_d1, d.g, d.g_d1, d.h, d.h_d1
+    c = d.u1 / (2.0 * f_v)
+    res1 = d.u1 - 2.0 * c * f_v
+    res2 = d.u2 - 2.0 * c * (g_v - h_v * h_v)
     printed = (
         r * r * f_v * h_v * gp
         + (2.0 * r * f_v * h_v + r * r * fp * h_v - 2.0 * r * r * f_v * hp) * g_v
         + 2.0 * f_v * fp * h_v
         - 2.0 * f_v * f_v * hp
         - 2.0 * r * f_v * h_v * h_v
-        - r * r * fp * h_v**3
+        - r * r * fp * ipow(h_v, 3)
     )
     return BhClassification(r=r, res1=res1, res2=res2, c=c, printed_ode_residual=printed)
 
 
-def ht_condition_residual(c_const: float, g, h, r: float) -> float:
-    """Residual 2 h'(c/r^2 + r^2 g) - h (r^2 g' - 4c/r^3) of the HT parallel condition."""
+def ht_condition_residual(c_const: float, g, h, r):
+    """Residual 2 h'(c/r^2 + r^2 g) - h (r^2 g' - 4c/r^3) of the HT parallel condition.
+
+    r is a float or a 1-D array; f = c/r^2 completes the Randers data whose
+    admissibility is checked.
+    """
     c_const = float(c_const)
-    if c_const <= 0.0:
-        raise DomainError(f"c must be a positive constant, got {c_const!r}")
-    g, h = _as_radial_fn(g), _as_radial_fn(h)
-    r = float(r)
-    gj, hj = g.jet(r), h.jet(r)
-    g_v, gp = gj.d(0, 0), gj.d(1, 0)
-    h_v, hp = hj.d(0, 0), hj.d(1, 0)
-    if g_v - h_v * h_v + c_const / r**4 <= 0.0:
-        raise DomainError(
-            f"g - h^2 + c/r^4 <= 0 at r = {r:.6g}: outside the admissible region"
-        )
-    return 2.0 * hp * (c_const / (r * r) + r * r * g_v) - h_v * (
-        r * r * gp - 4.0 * c_const / r**3
+    if not 0.0 < c_const < math.inf:
+        raise DomainError(f"c must be a positive finite constant, got {c_const!r}")
+    d = radial_data(ScalarFunction.from_text(f"{c_const!r}/r^2"), _as_radial_fn(g),
+                    _as_radial_fn(h), r)
+    r = d.r
+    return 2.0 * d.h_d1 * (c_const / (r * r) + r * r * d.g) - d.h * (
+        r * r * d.g_d1 - 4.0 * c_const / ipow(r, 3)
     )
 
 
@@ -362,18 +348,6 @@ def _bh_alpha_beta_jets(f, h, r) -> tuple[Jet3, Jet3]:
         + rj * rj * fpj * hj.powi(3)
     ) / den
     return alpha, beta
-
-
-def _check_bh_admissible(f, h, r: float, g_value: float) -> float:
-    f_v = f.jet(r).d(0, 0)
-    h_v = h.jet(r).d(0, 0)
-    margin = min(f_v, f_v + r * r * (g_value - h_v * h_v))
-    if margin <= 0.0:
-        raise AdmissibilityError(
-            f"solution exits the admissible region at r = {r:.6g} "
-            f"(min(f, f + r^2(g - h^2)) = {margin:.6g})"
-        )
-    return margin
 
 
 def bh_solve_g(f, h, g_at_r0: float, r_range, steps: int = 400, r0=None) -> OdeSolution:
@@ -407,7 +381,6 @@ def bh_solve_g(f, h, g_at_r0: float, r_range, steps: int = 400, r0=None) -> OdeS
 
     values = np.empty(m)
     values[i0] = float(g_at_r0)
-    margin = _check_bh_admissible(f, h, float(nodes[i0]), values[i0])
 
     def rk4(i_from: int, i_to: int, dt: float, i_mid: int) -> float:
         gv = values[i_from]
@@ -417,16 +390,25 @@ def bh_solve_g(f, h, g_at_r0: float, r_range, steps: int = 400, r0=None) -> OdeS
         k4 = a_nodes[i_to] * (gv + dt * k3) + b_nodes[i_to]
         return gv + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
+    def settle(i: int) -> float:
+        # admissibility margin of node i, once its value is finite and admissible
+        if not np.isfinite(values[i]):
+            raise DomainError(f"g blew up near r = {nodes[i]:.6g}")
+        margin = admissibility_margin(nodes[i], f_nodes[i], values[i], h_nodes[i])
+        if margin <= 0.0:
+            raise DomainError(
+                f"solution exits the admissible region at r = {nodes[i]:.6g} "
+                f"(min(f, f + r^2(g - h^2)) = {margin:.6g})"
+            )
+        return margin
+
+    margin = settle(i0)
     for i in range(i0, m - 1):
         values[i + 1] = rk4(i, i + 1, step, i)
-        if not np.isfinite(values[i + 1]):
-            raise DomainError(f"g blew up near r = {nodes[i + 1]:.6g}")
-        margin = min(margin, _check_bh_admissible(f, h, float(nodes[i + 1]), values[i + 1]))
+        margin = min(margin, settle(i + 1))
     for i in range(i0, 0, -1):
         values[i - 1] = rk4(i, i - 1, -step, i - 1)
-        if not np.isfinite(values[i - 1]):
-            raise DomainError(f"g blew up near r = {nodes[i - 1]:.6g}")
-        margin = min(margin, _check_bh_admissible(f, h, float(nodes[i - 1]), values[i - 1]))
+        margin = min(margin, settle(i - 1))
 
     derivs = a_nodes * values + b_nodes
     second = a_d1 * values + a_nodes * derivs + b_d1
@@ -573,11 +555,8 @@ def build_berwald_family(c2, chi, r0: float, domain, n: int) -> FamilyBuildResul
         )
 
     r_grid = np.linspace(lo, hi, 9)
-    fracs = s_fractions(11)
-    worst = 0.0
-    for r in r_grid:
-        res = family_pde_residual(spec, c2, float(r), r * fracs)
-        worst = max(worst, float(np.max(np.abs(res))))
+    rc = r_grid[:, None]
+    worst = float(np.max(np.abs(family_pde_residual(spec, c2, rc, rc * s_fractions(11)))))
     if worst > 1e-8:
         raise CrossCheckError(
             f"constructed family member violates its own PDE: residual {worst:.3e}"
@@ -604,21 +583,3 @@ def p_over_s_spread(spec: MetricSpec, r: float, s_values=None) -> tuple[float, f
     ratio = p / s_arr
     return float(np.mean(ratio)), float(np.max(ratio) - np.min(ratio))
 
-
-def fit_p_decomposition(spec: MetricSpec, r: float, s_values) -> tuple[float, float, float]:
-    """Least-squares split P = c phi + b s at fixed r; returns (c, b, max residual)."""
-    r = float(r)
-    s_arr = np.asarray(s_values, dtype=float)
-    jet = phi_jet(spec, r, s_arr)
-    phi = np.broadcast_to(np.asarray(jet.d(0, 0)), s_arr.shape)
-    p = np.broadcast_to(np.asarray(spray_values(spec, r, s_arr).P), s_arr.shape)
-    m00 = float(np.sum(phi * phi))
-    m01 = float(np.sum(phi * s_arr))
-    m11 = float(np.sum(s_arr * s_arr))
-    b0 = float(np.sum(p * phi))
-    b1 = float(np.sum(p * s_arr))
-    det = m00 * m11 - m01 * m01
-    c = (m11 * b0 - m01 * b1) / det
-    b = (m00 * b1 - m01 * b0) / det
-    residual = float(np.max(np.abs(p - c * phi - b * s_arr)))
-    return c, b, residual

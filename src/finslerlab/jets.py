@@ -267,7 +267,7 @@ def is_finite(jet: Jet3) -> bool:
 
 def _fmt(v) -> str:
     a = np.asarray(v)
-    if a.ndim == 0:
-        return repr(float(a))
+    if a.size == 1:  # a scalar, or one radius replayed by batch_radii
+        return repr(float(a.flat[0]))
     bad = a[~np.isfinite(a)] if not np.all(np.isfinite(a)) else a
     return f"(array, e.g. {float(bad.flat[0])!r})"

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .jets import Jet3
+from .expr import ScalarFunction
+from .jets import Jet3, any_true, ipow
 from .volume import BusemannHausdorff, HolmesThompson
 
 
@@ -35,22 +36,71 @@ def _volume_kind(which) -> str:
     raise ValueError(f"unknown volume kind {which!r}")
 
 
-def _profile_jets(f, g, h, r: float):
-    # Univariate order-3 jets in r of the three profiles plus the seed of r.
-    rj = Jet3.seed(float(r), dr=1.0)
-    return rj, f.jet(r), g.jet(r), h.jet(r)
+def admissibility_margin(r, f, g, h):
+    """min(f, f + r^2 (g - h^2)) elementwise: the Randers data is admissible where it is > 0.
+
+    f > 0 and f + r^2 (g - h^2) > 0 together give f + r^2 g > 0 and
+    ||beta||_alpha < 1, i.e. a positive-definite alpha dominating beta.
+    """
+    return np.minimum(f, f + r * r * (g - h * h))
 
 
-def _admissibility(f_v: float, g_v: float, h_v: float, r: float) -> None:
-    # f > 0 and f + r^2 (g - h^2) > 0 together give f + r^2 g > 0 and
-    # ||beta||_alpha < 1, i.e. a positive-definite alpha dominating beta.
-    if f_v <= 0.0:
-        raise DomainError(f"profile f = {f_v:.6g} is not positive at r = {r:.6g}")
-    if f_v + r * r * (g_v - h_v * h_v) <= 0.0:
+_ZERO = ScalarFunction.constant(0.0)
+
+
+@dataclass(frozen=True)
+class RadialData:
+    """Values and first r-derivatives of f, g and h at r, a float or a 1-D array.
+
+    q = f + r^2 g, and b_{i;j} = u1 d_ij + u2 x_i x_j.  ``jets`` keeps the
+    order-3 jets of (f, g, h) for quantities that need more derivatives.
+    """
+
+    r: object
+    f: object
+    f_d1: object
+    g: object
+    g_d1: object
+    h: object
+    h_d1: object
+    q: object
+    u1: object
+    u2: object
+    jets: tuple
+
+    def christoffel(self) -> tuple:
+        """(A, B, C) with Gamma^k_ij = A x_i x_j x_k + B x_k d_ij + C (x_i d_kj + x_j d_ki)."""
+        r, f, fp, g, gp, q = self.r, self.f, self.f_d1, self.g, self.g_d1, self.q
+        a = (f * gp - 2.0 * fp * g) / (2.0 * r * f * q)
+        b = (2.0 * r * g - fp) / (2.0 * r * q)
+        c = fp / (2.0 * r * f)
+        return a, b, c
+
+
+def radial_data(f, g, h, r) -> RadialData:
+    """The radial Randers data of the profiles f, g, h at r, a float or a 1-D array.
+
+    Raises DomainError naming the first radius where the data is not
+    admissible (see admissibility_margin).
+    """
+    r = float(r) if np.ndim(r) == 0 else np.asarray(r, dtype=float)
+    fj, gj, hj = f.jet(r), g.jet(r), h.jet(r)
+    f_v, fp = fj.d(0, 0), fj.d(1, 0)
+    g_v, gp = gj.d(0, 0), gj.d(1, 0)
+    h_v, hp = hj.d(0, 0), hj.d(1, 0)
+    margin = admissibility_margin(r, f_v, g_v, h_v)
+    bad = margin <= 0.0
+    if any_true(bad):
+        i = int(np.argmax(bad))
         raise DomainError(
-            f"f + r^2 (g - h^2) = {f_v + r * r * (g_v - h_v * h_v):.6g} <= 0 "
-            f"at r = {r:.6g}: the 1-form is not dominated by the Riemannian part"
+            f"min(f, f + r^2 (g - h^2)) = {float(np.ravel(margin)[i]):.6g} <= 0 at "
+            f"r = {float(np.ravel(r)[i]):.6g}: alpha is not positive definite or "
+            "does not dominate beta"
         )
+    q = f_v + r * r * g_v
+    u1 = 0.5 * h_v * (r * fp + 2.0 * f_v) / q
+    u2 = hp / r - 0.5 * h_v * (r * r * gp + 2.0 * fp) / (r * q)
+    return RadialData(r, f_v, fp, g_v, gp, h_v, hp, q, u1, u2, (fj, gj, hj))
 
 
 @dataclass(frozen=True)
@@ -84,75 +134,45 @@ class RandersCoefficients:
     christoffel_C: float
 
 
-def christoffel_coefficients(f, g, r: float) -> tuple[float, float, float]:
+def christoffel_coefficients(f, g, r) -> tuple[float, float, float]:
     """Coefficients (A, B, C) of Gamma^k_ij for a_ij = f d_ij + g x_i x_j."""
-    r = float(r)
-    fj, gj = f.jet(r), g.jet(r)
-    f_v, fp = fj.d(0, 0), fj.d(1, 0)
-    g_v, gp = gj.d(0, 0), gj.d(1, 0)
-    if f_v <= 0.0 or f_v + r * r * g_v <= 0.0:
-        raise DomainError(f"Riemannian part not positive definite at r = {r:.6g}")
-    q = f_v + r * r * g_v
-    a = (f_v * gp - 2.0 * fp * g_v) / (2.0 * r * f_v * q)
-    b = (2.0 * r * g_v - fp) / (2.0 * r * q)
-    c = fp / (2.0 * r * f_v)
-    return a, b, c
+    return radial_data(f, g, _ZERO, r).christoffel()
 
 
-def covariant_b_coefficients(f, g, h, r: float) -> tuple[float, float]:
+def covariant_b_coefficients(f, g, h, r) -> tuple[float, float]:
     """(u1, u2) with b_{i;j} = u1 d_ij + u2 x_i x_j; both vanish iff beta is parallel."""
-    r = float(r)
-    fj, gj, hj = f.jet(r), g.jet(r), h.jet(r)
-    f_v, fp = fj.d(0, 0), fj.d(1, 0)
-    g_v, gp = gj.d(0, 0), gj.d(1, 0)
-    h_v, hp = hj.d(0, 0), hj.d(1, 0)
-    _admissibility(f_v, g_v, h_v, r)
-    q = f_v + r * r * g_v
-    u1 = 0.5 * h_v * (r * fp + 2.0 * f_v) / q
-    u2 = hp / r - 0.5 * h_v * (r * r * gp + 2.0 * fp) / (r * q)
-    return u1, u2
+    d = radial_data(f, g, h, r)
+    return d.u1, d.u2
 
 
-def randers_coefficients(f, g, h, n: int, r: float) -> RandersCoefficients:
+def randers_coefficients(f, g, h, n: int, r) -> RandersCoefficients:
     """Bundle every pointwise quantity the S-curvature formulas consume."""
-    r = float(r)
     if not isinstance(n, int) or n < 2:
         raise ValueError(f"dimension n must be an integer >= 2, got {n!r}")
-    rj, fj, gj, hj = _profile_jets(f, g, h, r)
-    f_v, fp = fj.d(0, 0), fj.d(1, 0)
-    g_v, gp = gj.d(0, 0), gj.d(1, 0)
-    h_v, hp = hj.d(0, 0), hj.d(1, 0)
-    _admissibility(f_v, g_v, h_v, r)
-    q = f_v + r * r * g_v
-    det_a = q * f_v ** (n - 1)
-    inv_diag = 1.0 / f_v
-    inv_xx = -g_v / (f_v * q)
+    d = radial_data(f, g, h, r)
+    fj, gj, hj = d.jets
+    rj = Jet3.seed(d.r, dr=1.0)
     # ||beta||^2 and rho as jets in r; rho' comes out exactly, no differencing.
     b2_jet = (rj * rj * hj * hj) / (fj + rj * rj * gj)
-    one_minus = 1.0 - b2_jet
-    if one_minus.d(0, 0) <= 0.0:
-        raise DomainError(f"||beta||^2 = {b2_jet.d(0, 0):.6g} >= 1 at r = {r:.6g}")
-    rho_jet = one_minus.log() * 0.5
-    a, b, c = christoffel_coefficients(f, g, r)
-    u1 = 0.5 * h_v * (r * fp + 2.0 * f_v) / q
-    u2 = hp / r - 0.5 * h_v * (r * r * gp + 2.0 * fp) / (r * q)
+    rho_jet = (1.0 - b2_jet).log() * 0.5
+    a, b, c = d.christoffel()
     return RandersCoefficients(
-        r=r,
+        r=d.r,
         n=n,
-        f=f_v,
-        f_d1=fp,
-        g=g_v,
-        g_d1=gp,
-        h=h_v,
-        h_d1=hp,
-        det_a=det_a,
-        inv_diag=inv_diag,
-        inv_xx=inv_xx,
+        f=d.f,
+        f_d1=d.f_d1,
+        g=d.g,
+        g_d1=d.g_d1,
+        h=d.h,
+        h_d1=d.h_d1,
+        det_a=d.q * ipow(d.f, n - 1),
+        inv_diag=1.0 / d.f,
+        inv_xx=-d.g / (d.f * d.q),
         beta_norm2=b2_jet.d(0, 0),
         rho=rho_jet.d(0, 0),
         rho_d1=rho_jet.d(1, 0),
-        u1=u1,
-        u2=u2,
+        u1=d.u1,
+        u2=d.u2,
         christoffel_A=a,
         christoffel_B=b,
         christoffel_C=c,
@@ -214,9 +234,9 @@ def isotropy_condition_check(
     s_arr = np.asarray(s_grid, dtype=float)
     if s_arr.size < 3:
         raise ValueError("need at least 3 s points for the isotropy condition fit")
-    coef = randers_coefficients(f, g, h, 2, r)
-    lhs = coef.u1 + coef.u2 * s_arr * s_arr
-    basis = coef.f + (coef.g - coef.h * coef.h) * s_arr * s_arr
+    d = radial_data(f, g, h, r)
+    lhs = d.u1 + d.u2 * s_arr * s_arr
+    basis = d.f + (d.g - d.h * d.h) * s_arr * s_arr
     denom = 2.0 * float(np.sum(basis * basis))
     c = float(np.sum(lhs * basis)) / denom
     residual = float(np.max(np.abs(lhs - 2.0 * c * basis)))

@@ -33,7 +33,7 @@ from conftest import (
 )
 from finslerlab.cli import main as cli_main
 from finslerlab.douglas import douglas_verdict
-from finslerlab.errors import AdmissibilityError, CrossCheckError, DomainError
+from finslerlab.errors import CrossCheckError, DomainError
 from finslerlab.expr import ScalarFunction, eval_jet, parse_expression
 from finslerlab.families import (
     bh_classification_residuals,
@@ -230,7 +230,7 @@ def test_criterion_08_solved_bh_profiles_are_isotropic():
         g0 = h_r0 * h_r0 + rng.uniform(0.2, 1.0)
         try:
             sol = bh_solve_g(f, h, g0, (0.3, 0.9), steps=400, r0=0.6)
-        except (AdmissibilityError, CrossCheckError, DomainError):
+        except (CrossCheckError, DomainError):
             continue
         solved += 1
         g_fn = sol.as_function()

@@ -4,14 +4,18 @@ The references are the per-radius computations the verdict loops make for a
 single scalar radius; every comparison is on bytes, not to a tolerance.
 """
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from conftest import interior_grid
+from conftest import FUNK_RANDERS, PARALLEL_HT, RANDERS_H05, interior_grid
+from finslerlab.cli import main
 from finslerlab.douglas import douglas_verdict, fit_q
 from finslerlab.errors import DomainError
 from finslerlab.expr import ScalarFunction
-from finslerlab.families import bh_solve_g
+from finslerlab.families import bh_classification_residuals, bh_solve_g, ht_condition_residual
 from finslerlab.geometry import (
     _phi_jet_raw,
     general_phi_spec,
@@ -21,6 +25,7 @@ from finslerlab.geometry import (
     regularity_scan,
     s_fractions,
 )
+from finslerlab.randers import christoffel_coefficients, covariant_b_coefficients
 from finslerlab.scurvature import isotropy_profile, reduced_s_given_f
 from finslerlab.volume import BH, CONSTANT, HT, CustomDensity, density, f_coefficient
 
@@ -109,3 +114,66 @@ def test_regularity_scan_equals_row_and_point_evaluation():
         assert _same(rep.margins, want)
         assert rep.notes == notes
         assert rep.point_valid.tolist() == (~np.isnan(want[..., 0])).tolist()
+
+
+RANDERS = {"funk_randers_n3": FUNK_RANDERS, "parallel_ht": PARALLEL_HT, "h05": RANDERS_H05}
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+def _randers_fns(name):
+    return tuple(ScalarFunction.from_text(t) for t in RANDERS[name][:3])
+
+
+def _per_radius(fn, f, g, h, r):
+    # the per-radius loop the batched verdicts replace, one scalar radius at a time
+    return [fn(f, g, h, float(x)) for x in r]
+
+
+@pytest.mark.parametrize("name", sorted(RANDERS))
+def test_randers_conditions_of_a_batch_equal_scalar_calls(name):
+    f, g, h = _randers_fns(name)
+    lo, hi = RANDERS[name][3]
+    r = np.linspace(lo + 0.1 * (hi - lo), hi - 0.1 * (hi - lo), 13)
+    batch = bh_classification_residuals(f, g, h, r)
+    loop = _per_radius(bh_classification_residuals, f, g, h, r)
+    for field in ("c", "res1", "res2", "printed_ode_residual"):
+        assert _same(getattr(batch, field), [getattr(b, field) for b in loop]), field
+    u1, u2 = covariant_b_coefficients(f, g, h, r)
+    loop = _per_radius(covariant_b_coefficients, f, g, h, r)
+    assert _same(u1, [u[0] for u in loop]) and _same(u2, [u[1] for u in loop])
+    assert _same(ht_condition_residual(1.0, g, h, r),
+                 [ht_condition_residual(1.0, g, h, float(x)) for x in r])
+    gamma = christoffel_coefficients(f, g, r)
+    loop = [christoffel_coefficients(f, g, float(x)) for x in r]
+    for k in range(3):
+        assert _same(gamma[k], [c[k] for c in loop]), k
+
+
+@pytest.mark.parametrize("name, check", [
+    ("funk_randers_n3", "bh-classification"), ("h05", "bh-classification"),
+    ("parallel_ht", "ht-parallel"), ("h05", "ht-parallel"),
+])
+def test_randers_verdict_rows_equal_scalar_calls(tmp_path, capsys, name, check):
+    f, g, h = _randers_fns(name)
+    if name == "h05":
+        cfg = {"n": 2, "c_const": 1.0, "volume": "bh",
+               "metric": {"kind": "randers", "f": "1", "g": "1", "h": "0.5",
+                          "r_domain": [0.1, 1.2]},
+               "grid": {"r_min": 0.2, "r_max": 1.1, "r_count": 19, "s_count": 5}}
+        path = tmp_path / "h05.json"
+        path.write_text(json.dumps(cfg))
+    else:
+        path = CONFIGS / f"{name}.json"
+    out = tmp_path / "report.json"
+    main(["verify", "--check", check, str(path), "--out", str(out)])
+    capsys.readouterr()
+    rows = json.loads(out.read_text())["per_radius"]
+    r = [row["r"] for row in rows]
+    if check == "bh-classification":
+        for row, bc in zip(rows, _per_radius(bh_classification_residuals, f, g, h, r)):
+            assert [row[k] for k in ("c", "res1", "res2", "printed_ode_residual")] == \
+                [bc.c, bc.res1, bc.res2, bc.printed_ode_residual]
+    else:
+        for row, (u1, u2), ht in zip(rows, _per_radius(covariant_b_coefficients, f, g, h, r),
+                                     [ht_condition_residual(1.0, g, h, x) for x in r]):
+            assert [row["u1"], row["u2"], row["ht_residual"]] == [u1, u2, ht]

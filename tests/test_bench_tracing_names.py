@@ -1,0 +1,38 @@
+"""`bench/run.py --trace 1` wraps package functions by name: every name must exist.
+
+The tracer's tables are read from bench/tracing.py itself, so deleting or
+renaming a traced function fails here instead of in a traced benchmark run.
+"""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from finslerlab import expr
+from finslerlab.jets import Jet3
+
+TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_span_exists(tracing):
+    for mod, names in tracing.SPANS.items():
+        module = importlib.import_module(f"finslerlab.{mod}")
+        for name in names:
+            assert callable(getattr(module, name, None)), f"finslerlab.{mod}.{name}"
+
+
+def test_every_traced_leaf_exists(tracing):
+    for name in tracing.JET_OPS:
+        assert callable(Jet3.__dict__.get(name)), f"Jet3.{name}"
+    for name in tracing.EXPR_LEAVES:
+        assert callable(getattr(expr, name, None)), f"finslerlab.expr.{name}"

@@ -7,10 +7,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from _support import dispatched_simd_targets
-from finslerlab.cli import CSV_HEADER, main
+from finslerlab.cli import CHECKS, CSV_HEADER, main
+from finslerlab.errors import DomainError
+from finslerlab.expr import ScalarFunction
+from finslerlab.families import bh_classification_residuals, ht_condition_residual
+from finslerlab.randers import covariant_b_coefficients
 
 HERE = Path(__file__).resolve().parent
 CONFIGS = HERE / "configs"
@@ -303,6 +308,68 @@ def test_batched_grid_reports_the_first_failing_radius(tmp_path, capsys, argv, c
     assert capsys.readouterr().err.strip() == line
 
 
+# each fails admissibility at one radius and its expression domain at a later one,
+# which a batch over every radius meets first
+INADMISSIBLE = {
+    "dominance": {"f": "1", "g": "0", "h": "2*sqrt(1.3 - r)"},
+    "f": {"f": "0.9 - r", "g": "0", "h": "0.1*log(1.25 - r)"},
+}
+
+
+def _first_loop_error(check, metric, r_values):
+    """The stderr line of the per-radius loop the batched Randers checks replace."""
+    f, g, h = (ScalarFunction.from_text(metric[k]) for k in ("f", "g", "h"))
+    try:
+        for r in r_values.tolist():
+            if check == "bh-classification":
+                bh_classification_residuals(f, g, h, r)
+            else:
+                covariant_b_coefficients(f, g, h, r)
+                ht_condition_residual(1.0, g, h, r)
+    except DomainError as exc:
+        return f"numeric failure: {exc}"
+    return None
+
+
+@pytest.mark.parametrize("check", ["bh-classification", "ht-parallel"])
+@pytest.mark.parametrize("name", sorted(INADMISSIBLE))
+def test_batched_randers_checks_report_the_first_failing_radius(tmp_path, capsys, check, name):
+    grid = {"r_min": 0.2, "r_max": 1.4, "r_count": 25, "s_count": 5}
+    metric = dict(INADMISSIBLE[name], kind="randers", r_domain=[0.1, 1.5])
+    cfg = write_cfg(tmp_path, "bad.json", {"n": 2, "c_const": 1.0, "volume": "bh",
+                                          "metric": metric, "grid": grid})
+    line = _first_loop_error(check, metric, np.linspace(0.2, 1.4, 25))
+    assert "min(f, f + r^2 (g - h^2))" in line
+    assert main(["verify", "--check", check, cfg]) == 3
+    assert capsys.readouterr().err.strip() == line
+
+
+def _report(tmp_path, capsys, check, cfg):
+    out = tmp_path / f"{check}.json"
+    main(["verify", "--check", check, cfg, "--out", str(out)])
+    capsys.readouterr()
+    return json.loads(out.read_text())
+
+
+def test_every_check_reports_one_shape(tmp_path, capsys):
+    bundled = HERE.parent / "configs"
+    funk = json.loads((bundled / "funk_n2.json").read_text())
+    funk["oracle"] = {"points": 2}
+    cfgs = {"isotropy": FUNK_CFG, "douglas": FUNK_CFG,
+            "berwald-family": str(bundled / "family_k.json"),
+            "bh-classification": RANDERS_CFG, "ht-parallel": PARALLEL_CFG,
+            "oracle": write_cfg(tmp_path, "funk_oracle.json", funk)}
+    assert sorted(cfgs) == sorted(CHECKS)
+    for check in CHECKS:
+        rep = _report(tmp_path, capsys, check, cfgs[check])
+        assert sorted(rep) == ["check", "config_echo", "per_radius", "residuals", "verdict"]
+        assert sorted(rep["residuals"]) == ["argmax", "max", "mean"], check
+        assert sorted(rep["residuals"]["argmax"]) == ["r", "s"], check
+        rows = rep["per_radius"]
+        assert rows and "r" in rows[0], check
+        assert all(row.keys() == rows[0].keys() for row in rows), check
+
+
 @pytest.mark.parametrize("key, value", [
     ("r_count", "x"), ("r_count", 2.7), ("r_count", 1e9), ("r_count", 10**9), ("r_count", True),
     ("r_count", 1), ("s_count", "x"), ("s_count", 7.5), ("s_count", 1e9), ("s_count", 4),
@@ -342,6 +409,14 @@ def test_oracle_points_must_be_an_integer_in_range(tmp_path, capsys, points):
     assert main(["verify", "--check", "oracle", write_cfg(tmp_path, "pts.json", cfg)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "oracle.points" in err
+
+
+@pytest.mark.parametrize("c_const", [0, -1.0, float("inf"), "1", True])
+def test_c_const_must_be_a_positive_finite_number(tmp_path, capsys, c_const):
+    cfg = json.loads(Path(PARALLEL_CFG).read_text())
+    cfg["c_const"] = c_const
+    assert main(["verify", "--check", "ht-parallel", write_cfg(tmp_path, "c.json", cfg)]) == 2
+    assert "'c_const' must be a positive finite number" in capsys.readouterr().err
 
 
 def test_oracle_must_be_an_object(tmp_path, capsys):

@@ -170,7 +170,9 @@ def test_domain_error_names_subexpression():
 )
 def test_domain_error_text_and_subexpression(text, subexpr, scalar_msg, array_msg):
     tree = parse_expression(text, {"r", "s"})
-    for r, msg in ((1.0, scalar_msg), (np.array([0.5, 1.0, 1.5]), array_msg)):
+    # a one-element array (one radius replayed from a batch) reads like the scalar
+    for r, msg in ((1.0, scalar_msg), (np.array([1.0]), scalar_msg),
+                   (np.array([0.5, 1.0, 1.5]), array_msg)):
         with pytest.raises(DomainError) as exc, np.errstate(all="ignore"):
             eval_jet(tree, r, 0.25)
         assert exc.value.subexpr == subexpr

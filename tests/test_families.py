@@ -6,7 +6,6 @@ import pytest
 
 from conftest import FUNK_RANDERS, interior_grid
 from finslerlab.errors import (
-    AdmissibilityError,
     CrossCheckError,
     DegenerateInputError,
     DomainError,
@@ -19,9 +18,9 @@ from finslerlab.families import (
     bh_solve_g,
     build_berwald_family,
     family_pde_residual,
-    fit_p_decomposition,
     ht_condition_residual,
     ht_solve_h,
+    p_over_s_spread,
     spray_system_residual,
 )
 from finslerlab.geometry import general_phi_spec, phi_jet, randers_spec
@@ -183,7 +182,7 @@ def test_bh_solve_rejects_zero_h():
 def test_bh_solve_flags_admissibility_exit():
     # f + r^2(g - h^2) < 0 at the anchor itself
     h = ScalarFunction.from_text("2")
-    with pytest.raises(AdmissibilityError):
+    with pytest.raises(DomainError, match=r"exits the admissible region at r = 0\.9 "):
         bh_solve_g(ONE, h, 0.0, (0.9, 1.4))
 
 
@@ -217,8 +216,9 @@ def test_ht_condition_nonzero_for_wrong_decay():
 
 
 def test_ht_condition_validates_inputs():
-    with pytest.raises(DomainError):
-        ht_condition_residual(-1.0, ZERO, ONE, 1.0)
+    for c in (-1.0, np.inf, np.nan):
+        with pytest.raises(DomainError, match="c must be a positive finite constant"):
+            ht_condition_residual(c, ZERO, ONE, 1.0)
     # g - h^2 + c/r^4 <= 0 trips the admissibility guard
     h = ScalarFunction.from_text("3")
     with pytest.raises(DomainError):
@@ -273,14 +273,12 @@ def test_build_family_k_properties(family_k):
 
 
 def test_build_family_p_decomposition(family_k):
-    # Berwald members decompose P = c*phi + b*s with c = 0
+    # Berwald members have P = c*phi + b*s with c = 0: P/s is b = -1/r^2 at every s
     spec = family_k.spec
     for r in interior_grid(spec, 4):
-        s_vals = float(r) * np.linspace(-0.8, 0.8, 9)
-        c, b, res = fit_p_decomposition(spec, float(r), s_vals)
-        assert abs(c) < 1e-8
-        assert res < 1e-8
-        assert b == pytest.approx(-1.0 / float(r) ** 2, rel=1e-6)
+        mean, spread = p_over_s_spread(spec, float(r))
+        assert spread < 1e-8
+        assert mean == pytest.approx(-1.0 / float(r) ** 2, rel=1e-6)
 
 
 def test_build_family_rejects_bad_chi():
