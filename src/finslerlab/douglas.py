@@ -14,7 +14,7 @@ from functools import partial
 
 import numpy as np
 
-from .geometry import MetricSpec, batch_radii, s_fractions, spray_values
+from .geometry import MetricSpec, batch_radii, phi_jet, s_fractions, spray_values
 
 
 @dataclass(frozen=True)
@@ -37,7 +37,8 @@ def fit_q(spec: MetricSpec, r, s_values) -> RadiusFit:
         raise ValueError("need at least 5 s points for the Douglas fit")
     if not np.allclose(np.sort(s), -np.sort(s)[..., ::-1], atol=1e-12):
         raise ValueError("s grid must be symmetric about 0")
-    q = np.broadcast_to(np.asarray(spray_values(spec, r, s).Q, dtype=float), s.shape)
+    jet = phi_jet(spec, r, s, order=2)  # Q reads no third partial
+    q = np.broadcast_to(np.asarray(spray_values(spec, r, s, jet).Q, dtype=float), s.shape)
     rows = partial(np.sum, axis=-1, keepdims=True)
     s2 = s * s
     m0, m2, m4, m6 = s.shape[-1], rows(s2), rows(s2 * s2), rows(s2 * s2 * s2)

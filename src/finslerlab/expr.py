@@ -19,6 +19,7 @@ Trees evaluate either to floats (``eval_value``) or to :class:`~finslerlab.jets.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from typing import Mapping, Union
@@ -272,19 +273,21 @@ def _check_exponent(q: float):
         raise DomainError(f"unsupported exponent {q}")
 
 
+#: jet arithmetic of each binary operator
+_JET_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
 def _eval_jet_node(node: Node, env: Mapping[str, Jet3]) -> Jet3:
-    try:
-        if isinstance(node, Const):
-            return Jet3.constant(node.value)
-        if isinstance(node, Var):
+    try:  # node kinds in order of frequency in a typical profile tree
+        kind = type(node)
+        if kind is Binary:
+            out = _JET_BINARY[node.op](_eval_jet_node(node.left, env),
+                                       _eval_jet_node(node.right, env))
+        elif kind is Var:
             return env[node.name]
-        if isinstance(node, Unary):
-            a = _eval_jet_node(node.arg, env)
-            if node.op == "neg":
-                out = -a
-            else:
-                out = getattr(a, node.op)()
-        elif isinstance(node, Pow):
+        elif kind is Const:
+            return Jet3.constant(node.value)
+        elif kind is Pow:
             a = _eval_jet_node(node.base, env)
             _check_exponent(node.exponent)
             if node.exponent == int(node.exponent):
@@ -292,16 +295,8 @@ def _eval_jet_node(node: Node, env: Mapping[str, Jet3]) -> Jet3:
             else:
                 out = a.powr(node.exponent)
         else:
-            left = _eval_jet_node(node.left, env)
-            right = _eval_jet_node(node.right, env)
-            if node.op == "+":
-                out = left + right
-            elif node.op == "-":
-                out = left - right
-            elif node.op == "*":
-                out = left * right
-            else:
-                out = left / right
+            a = _eval_jet_node(node.arg, env)
+            out = -a if node.op == "neg" else getattr(a, node.op)()
         if not is_finite(out):
             raise DomainError("non-finite result")
         return out
@@ -414,9 +409,9 @@ class ScalarFunction:
         r = np.asarray(r, dtype=float)
         return np.broadcast_to(self.jet(r).value, r.shape).copy()
 
-    def jet(self, r) -> Jet3:
-        """Univariate jet in r (all s-partials are zero)."""
-        return eval_tree(self.tree, {"r": Jet3.seed(r, dr=1.0)})
+    def jet(self, r, order: int = 3) -> Jet3:
+        """Univariate jet in r (all s-partials are zero), truncated at order."""
+        return eval_tree(self.tree, {"r": Jet3.seed(r, dr=1.0, order=order)})
 
     def __str__(self) -> str:
         return to_string(self.tree)

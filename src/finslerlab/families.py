@@ -39,12 +39,13 @@ from .geometry import (
     BerwaldFamilyProfile,
     MetricSpec,
     RegularityReport,
+    phi_jet,
     phi_jet_unchecked,
     regularity_scan,
     s_fractions,
     spray_values,
 )
-from .jets import Jet3, ipow, slot
+from .jets import Jet3, ipow
 from .quadrature import segment_integral
 from .randers import admissibility_margin, radial_data
 
@@ -127,8 +128,8 @@ class SampledFunction:
             out = out * t + c[..., k]
         return out if r_arr.shape else float(out)
 
-    def jet(self, r) -> Jet3:
-        """Univariate jet in r; derivative orders 0..3 of the local quintic."""
+    def jet(self, r, order: int = 3) -> Jet3:
+        """Univariate jet in r: derivative orders 0..order (2 or 3) of the local quintic."""
         r_arr = np.asarray(r, dtype=float)
         idx, t = self._locate(r_arr)
         c = self._coef[idx]
@@ -141,16 +142,15 @@ class SampledFunction:
         d2 = 20.0 * c[..., 5]
         for k, m in ((4, 12.0), (3, 6.0), (2, 2.0)):
             d2 = d2 * t + m * c[..., k]
-        d3 = 60.0 * c[..., 5]
-        for k, m in ((4, 24.0), (3, 6.0)):
-            d3 = d3 * t + m * c[..., k]
+        derivs = [p, d1, d2]
+        if order == 3:
+            d3 = 60.0 * c[..., 5]
+            for k, m in ((4, 24.0), (3, 6.0)):
+                d3 = d3 * t + m * c[..., k]
+            derivs.append(d3)
         if not r_arr.shape:
-            p, d1, d2, d3 = float(p), float(d1), float(d2), float(d3)
-        jet = Jet3.seed(p, dr=d1)
-        out = list(jet.c)
-        out[slot(2, 0)] = d2
-        out[slot(3, 0)] = d3
-        return Jet3(out)
+            derivs = [float(v) for v in derivs]
+        return Jet3.radial(derivs, order)
 
     def __repr__(self) -> str:
         lo, hi = self.r_nodes[0], self.r_nodes[-1]
@@ -579,7 +579,8 @@ def p_over_s_spread(spec: MetricSpec, r: float, s_values=None) -> tuple[float, f
     s_arr = np.asarray(s_values, dtype=float)
     if np.any(np.abs(s_arr) < 1e-9 * r):
         raise ValueError("s grid for P/s must avoid s = 0")
-    p = np.broadcast_to(np.asarray(spray_values(spec, r, s_arr).P), s_arr.shape)
+    jet = phi_jet(spec, r, s_arr, order=2)  # P reads no third partial
+    p = np.broadcast_to(np.asarray(spray_values(spec, r, s_arr, jet).P), s_arr.shape)
     ratio = p / s_arr
     return float(np.mean(ratio)), float(np.max(ratio) - np.min(ratio))
 

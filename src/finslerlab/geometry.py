@@ -3,7 +3,8 @@
 A spherically symmetric Finsler metric on a ball or shell is F = u * phi(r, s)
 with r = |x|, u = |y|, s = <x, y>/u (so |s| <= r).  Everything downstream is a
 function of the profile phi and its partials, which this module provides as
-order-3 jets for three profile kinds:
+jets of order 3, or of order 2 where only phi, its first partials, phi_rs and
+phi_ss are read, for three profile kinds:
 
 * ``GeneralPhi``      -- phi given as a closed-form expression in (r, s);
 * ``RandersProfile``  -- phi = sqrt(f + g s^2) + h s from radial coefficients
@@ -22,6 +23,11 @@ Regularity means three pointwise positivity conditions::
     phi > 0,   phi - s phi_s > 0,   phi - s phi_s + (r^2 - s^2) phi_ss > 0
 
 The last quantity is also the denominator of the spray coefficient Q.
+
+Order-2 jets (``phi_jet(..., order=2)``) serve the consumers that read no
+third partial: the geodesic oracle (norm, spray stages, determinant), the
+Douglas fit of Q and the P/s spread.  The S-curvature, the sampled CSV (Q_s)
+and the volume densities use order 3.
 """
 
 from __future__ import annotations
@@ -35,7 +41,7 @@ import numpy as np
 
 from .errors import DomainError, FinslerError, QuadratureError, RegularityError
 from .expr import ExpressionTree, ScalarFunction, eval_tree, parse_expression
-from .jets import Jet3, any_true, ipow, slot
+from .jets import Jet3, any_true, ipow
 from .quadrature import exact_sum, segment_integral
 
 #: relative inset used when building s-grids that must avoid |s| = r
@@ -49,7 +55,7 @@ class GeneralPhi:
 
 @dataclass(frozen=True)
 class RandersProfile:
-    """Radial Randers data; f, g, h expose value(r) and jet(r)."""
+    """Radial Randers data; f, g, h expose value(r) and jet(r, order)."""
 
     f: object
     g: object
@@ -116,33 +122,33 @@ def batch_radii(batch, r_grid):
 
 
 def _check_domain(spec: MetricSpec, r, s):
-    r = np.asarray(r, dtype=float)
-    s = np.asarray(s, dtype=float)
+    """Raise DomainError unless every radius is in the domain and |s| <= r (floats or arrays)."""
     rmin, rmax = spec.r_domain
     slack = 1e-12 * (1.0 + rmax)
-    outside = ~((r >= rmin - slack) & (r <= rmax + slack))  # NaN radii too
+    outside = (r < rmin - slack) | (r > rmax + slack) | (r != r)  # NaN radii too
     if any_true(outside):
-        bad = float(r.flat[int(np.argmax(outside))])
+        bad = float(np.asarray(r, dtype=float).flat[int(np.argmax(outside))])
         raise DomainError(f"radius {bad!r} outside declared domain [{rmin}, {rmax}]")
     mask = abs(s) > r * (1.0 + 1e-12) + 1e-15
     if any_true(mask):
-        i = int(np.argmax(np.broadcast_to(mask, np.broadcast_shapes(r.shape, s.shape))))
+        i = int(np.argmax(np.broadcast_to(mask, np.broadcast_shapes(np.shape(r), np.shape(s)))))
         raise DomainError(
             f"|s| > r at point index {i}: the slope variable must satisfy |s| <= |x|"
         )
 
 
-def _phi_jet_raw(spec: MetricSpec, r, s) -> Jet3:
-    """Profile jet with domain checks but no regularity enforcement."""
+def _phi_jet_raw(spec: MetricSpec, r, s, order: int = 3) -> Jet3:
+    """Profile jet of the given order with domain checks but no regularity enforcement."""
     _check_domain(spec, r, s)
     p = spec.profile
     if isinstance(p, GeneralPhi):
-        return eval_tree(p.phi, {"r": Jet3.seed(r, dr=1.0), "s": Jet3.seed(s, ds=1.0)})
+        return eval_tree(p.phi, {"r": Jet3.seed(r, dr=1.0, order=order),
+                                 "s": Jet3.seed(s, ds=1.0, order=order)})
     if isinstance(p, RandersProfile):
-        sj = Jet3.seed(s, ds=1.0)
-        fj, gj, hj = p.f.jet(r), p.g.jet(r), p.h.jet(r)
+        sj = Jet3.seed(s, ds=1.0, order=order)
+        fj, gj, hj = p.f.jet(r, order), p.g.jet(r, order), p.h.jet(r, order)
         return (fj + gj * sj * sj).sqrt() + hj * sj
-    return _family_phi_jet(spec, r, s)
+    return _family_phi_jet(spec, r, s, order)
 
 
 def phi_jet_unchecked(spec: MetricSpec, r, s) -> Jet3:
@@ -154,12 +160,12 @@ def phi_jet_unchecked(spec: MetricSpec, r, s) -> Jet3:
     return _phi_jet_raw(spec, r, s)
 
 
-def phi_jet(spec: MetricSpec, r, s) -> Jet3:
-    """Order-3 jet of phi at (r, s); raises RegularityError when positivity fails.
+def phi_jet(spec: MetricSpec, r, s, order: int = 3) -> Jet3:
+    """Jet of phi at (r, s), of order 3 or 2; raises RegularityError when positivity fails.
 
     Accepts scalars or broadcastable arrays for r and s.
     """
-    jet = _phi_jet_raw(spec, r, s)
+    jet = _phi_jet_raw(spec, r, s, order)
     m1, m2, m3 = regularity_margins(jet, r, s)
     for cond, m, label in (
         (1, m1, "phi > 0"),
@@ -181,8 +187,6 @@ def phi_jet(spec: MetricSpec, r, s) -> Jet3:
 
 def regularity_margins(jet: Jet3, r, s):
     """The three positivity margins from an already computed profile jet."""
-    r = np.asarray(r, dtype=float)
-    s = np.asarray(s, dtype=float)
     m1 = jet.d(0, 0)
     m2 = m1 - s * jet.d(0, 1)
     m3 = m2 + (r * r - s * s) * jet.d(0, 2)
@@ -305,8 +309,8 @@ def _family_table(spec: MetricSpec) -> _FamilyTable:
         splits = np.repeat(splits + bad, np.where(bad, 2, 1))
 
 
-def _family_radial_jets(spec: MetricSpec, r) -> tuple[Jet3, Jet3, Jet3]:
-    """r-jets of g = e^{I1}, J and I2 at radii r of any shape.
+def _family_radial_jets(spec: MetricSpec, r, order: int = 3) -> tuple[Jet3, Jet3, Jet3]:
+    """r-jets of g = e^{I1}, J and I2 of the given order at radii r of any shape.
 
     The values are read off the spec's family table (barycentric
     interpolation on Chebyshev panels, integration constant zero at r0).  The
@@ -315,33 +319,29 @@ def _family_radial_jets(spec: MetricSpec, r) -> tuple[Jet3, Jet3, Jet3]:
     """
     c2 = spec.profile.c2
     i1, j, i2 = _barycentric(_family_table(spec), r)
-    rj = Jet3.seed(r, dr=1.0)
-    c2j = c2.jet(r)
+    rj = Jet3.seed(r, dr=1.0, order=order)
+    c2j = c2.jet(r, order)
     r3c2 = rj.powi(3) * c2j
     two_over_r = 2.0 / rj
-    g_jet = _antiderivative_jet(i1, two_over_r - 4.0 * r3c2).exp()
-    J_jet = _antiderivative_jet(j, 4.0 * rj * c2j * g_jet)
-    I2_jet = _antiderivative_jet(i2, two_over_r - 2.0 * r3c2)
+    g_jet = _antiderivative_jet(i1, two_over_r - 4.0 * r3c2, order).exp()
+    J_jet = _antiderivative_jet(j, 4.0 * rj * c2j * g_jet, order)
+    I2_jet = _antiderivative_jet(i2, two_over_r - 2.0 * r3c2, order)
     return g_jet, J_jet, I2_jet
 
 
-def _antiderivative_jet(value, integrand: Jet3) -> Jet3:
-    """Jet of an antiderivative: its value + integrand derivatives."""
-    j = Jet3.seed(value, dr=integrand.d(0, 0))
-    c = list(j.c)
-    c[slot(2, 0)] = integrand.d(1, 0)
-    c[slot(3, 0)] = integrand.d(2, 0)
-    return Jet3(c)
+def _antiderivative_jet(value, integrand: Jet3, order: int) -> Jet3:
+    """Order-``order`` jet of an antiderivative: its value + integrand derivatives."""
+    return Jet3.radial([value] + [integrand.d(a, 0) for a in range(order)], order)
 
 
-def _family_phi_jet(spec: MetricSpec, r, s) -> Jet3:
+def _family_phi_jet(spec: MetricSpec, r, s, order: int) -> Jet3:
     r = np.asarray(r, dtype=float)
-    g_jet, J_jet, I2_jet = _family_radial_jets(spec, float(r) if r.ndim == 0 else r)
+    g_jet, J_jet, I2_jet = _family_radial_jets(spec, float(r) if r.ndim == 0 else r, order)
     profile = spec.profile
-    sj = Jet3.seed(s, ds=1.0)
+    sj = Jet3.seed(s, ds=1.0, order=order)
     s2 = sj * sj
     radicand = g_jet + J_jet * s2
-    bad = np.asarray(radicand.value) <= 0.0
+    bad = radicand.value <= 0.0
     if any_true(bad):
         i = int(np.argmax(bad))
         rr, vv = np.broadcast_arrays(r, radicand.value)
@@ -359,44 +359,58 @@ def _family_phi_jet(spec: MetricSpec, r, s) -> Jet3:
 
 @dataclass(frozen=True)
 class SprayValues:
-    """Projective (P) and radial (Q) spray data: G^i = u P y^i + u^2 Q x^i."""
+    """Projective (P) and radial (Q) spray data: G^i = u P y^i + u^2 Q x^i.
+
+    ``Q_s`` exists only for spray values computed from an order-3 jet; reading
+    it from order-2 ones raises ValueError.
+    """
 
     P: object
     Q: object
-    Q_s: object
     denom: object
+    _q_s: object = field(default=None, repr=False)
+
+    @property
+    def Q_s(self):
+        if self._q_s is None:
+            raise ValueError("Q_s needs the third partials of an order-3 profile jet; "
+                             "these spray values come from an order-2 jet")
+        return self._q_s
 
 
 def spray_values(spec: MetricSpec, r, s, jet: Jet3 | None = None) -> SprayValues:
-    """P, Q and the exact s-derivative of Q at (r, s).
+    """P, Q and, from an order-3 jet, the exact s-derivative of Q at (r, s).
 
     Q = (-phi_r + s phi_rs + r phi_ss) / (2 r (phi - s phi_s + (r^2-s^2) phi_ss))
     P = -(s phi + (r^2-s^2) phi_s) Q / phi + (s phi_r + r phi_s) / (2 r phi)
 
-    Q_s comes from differentiating the quotient symbolically with the order-3
-    jet components (no finite differences).  ``jet``, if given, is
-    ``phi_jet(spec, r, s)`` already evaluated.
+    P and Q read partials of order <= 2 only, so the geodesic oracle, the
+    Douglas fit (Q) and the P/s spread pass an order-2 jet.  Q_s comes from
+    differentiating the quotient symbolically with the third partials (no
+    finite differences); the S-curvature and the sampled CSV read it.
+    ``jet``, if given, is ``phi_jet(spec, r, s, order)`` already evaluated;
+    by default an order-3 jet is evaluated.
     """
     if jet is None:
         jet = phi_jet(spec, r, s)
-    r = np.asarray(r, dtype=float)
-    s = np.asarray(s, dtype=float)
     phi = jet.d(0, 0)
     phi_r = jet.d(1, 0)
     phi_s = jet.d(0, 1)
     phi_rs = jet.d(1, 1)
     phi_ss = jet.d(0, 2)
-    phi_rss = jet.d(1, 2)
-    phi_sss = jet.d(0, 3)
     rr_ss = r * r - s * s
     num = -phi_r + s * phi_rs + r * phi_ss
     den = phi - s * phi_s + rr_ss * phi_ss
     q = num / (2.0 * r * den)
+    p = -(s * phi + rr_ss * phi_s) * q / phi + (s * phi_r + r * phi_s) / (2.0 * r * phi)
+    if jet.order < 3:
+        return SprayValues(P=p, Q=q, denom=den)
+    phi_rss = jet.d(1, 2)
+    phi_sss = jet.d(0, 3)
     num_s = s * phi_rss + r * phi_sss
     den_s = -3.0 * s * phi_ss + rr_ss * phi_sss
     q_s = (num_s * den - num * den_s) / (2.0 * r * den * den)
-    p = -(s * phi + rr_ss * phi_s) * q / phi + (s * phi_r + r * phi_s) / (2.0 * r * phi)
-    return SprayValues(P=p, Q=q, Q_s=q_s, denom=den)
+    return SprayValues(P=p, Q=q, denom=den, _q_s=q_s)
 
 
 def metric_determinant(spec: MetricSpec, r, s, jet: Jet3 | None = None):

@@ -1,10 +1,18 @@
 """Truncated bivariate Taylor jets.
 
-A ``Jet3`` stores the value of a function of (r, s) together with every
-partial derivative d^a_r d^b_s up to total order a + b <= 3, i.e. 10 raw
-coefficients.  Arithmetic propagates derivatives exactly (Leibniz rule for
-products, truncated Taylor composition for elementary functions), so jets act
-as forward-mode AD with no truncation error below order 4.
+A ``Jet3`` stores the value of a function of (r, s) together with its partial
+derivatives d^a_r d^b_s up to total order a + b <= k, for a truncation order
+k of 2 or 3.  The raw coefficients are stored by total degree::
+
+    (0,0), (1,0), (0,1), (2,0), (1,1), (0,2), (3,0), (2,1), (1,2), (0,3)
+
+so an order-k jet is a prefix of this list: 6 coefficients for order 2, 10 for
+order 3.  Arithmetic propagates derivatives exactly (Leibniz rule for products,
+truncated Taylor composition for elementary functions), so jets act as
+forward-mode AD with no truncation error up to their order.  A coefficient
+depends only on coefficients of no higher degree, so an order-2 jet carries
+the first 6 coefficients of the order-3 jet bit for bit; where jets of two
+orders meet, the result takes the lower order.
 
 Coefficients may be python floats or numpy arrays of a common broadcastable
 shape; all operations vectorize over the array case.  The product is the
@@ -15,16 +23,19 @@ a scalar jet operation costs about what its arithmetic costs.
 from __future__ import annotations
 
 import math
+from itertools import repeat
+from operator import add, mul, neg, sub
 
 import numpy as np
 
 from .errors import DomainError
 
 ORDER = 3
-#: (a, b) index pairs in a fixed order; position in this tuple is the storage slot.
-INDICES = tuple((a, b) for a in range(ORDER + 1) for b in range(ORDER + 1 - a))
+#: (a, b) index pairs by total degree; position in this tuple is the storage slot.
+INDICES = tuple((d - b, b) for d in range(ORDER + 1) for b in range(d + 1))
 _POS = {ab: k for k, ab in enumerate(INDICES)}
-_NC = len(INDICES)
+#: number of coefficients of a jet of each truncation order
+SIZE = {2: 6, 3: 10}
 
 #: magnitude below which a divisor counts as zero
 DIV_EPS = 1e-300
@@ -62,29 +73,41 @@ def ipow(x, k: int):
 
 
 class Jet3:
-    """Value plus all (r, s) partials of total order <= 3."""
+    """Value plus all (r, s) partials of total order <= 2 or <= 3."""
 
     __slots__ = ("c",)
 
     def __init__(self, coefficients):
         self.c = tuple(coefficients)
 
-    @classmethod
-    def constant(cls, value) -> "Jet3":
-        c = [_like_zero(value)] * (_NC - 1)
-        return cls((value, *c))
+    @property
+    def order(self) -> int:
+        return 2 if len(self.c) == SIZE[2] else 3
 
     @classmethod
-    def seed(cls, value, dr=0.0, ds=0.0) -> "Jet3":
-        c = [0.0] * _NC
-        c[_POS[(0, 0)]] = value
-        c[_POS[(1, 0)]] = dr
-        c[_POS[(0, 1)]] = ds
+    def constant(cls, value, order: int = ORDER) -> "Jet3":
+        return cls((value, *[_like_zero(value)] * (SIZE[order] - 1)))
+
+    @classmethod
+    def seed(cls, value, dr=0.0, ds=0.0, order: int = ORDER) -> "Jet3":
+        """Jet of value + dr (r - r0) + ds (s - s0), truncated at the given order."""
+        return cls((value, dr, ds, *[0.0] * (SIZE[order] - 3)))
+
+    @classmethod
+    def radial(cls, derivs, order: int = ORDER) -> "Jet3":
+        """Jet of a function of r alone; derivs[a] is its a-th r-derivative, a = 0..order."""
+        c = [0.0] * SIZE[order]
+        for a in range(order + 1):
+            c[_POS[(a, 0)]] = derivs[a]
         return cls(c)
 
     def d(self, a: int, b: int):
-        """Raw partial derivative d^a_r d^b_s."""
-        return self.c[_POS[(a, b)]]
+        """Raw partial derivative d^a_r d^b_s; raises ValueError beyond the jet's order."""
+        try:
+            return self.c[_POS[(a, b)]]
+        except (KeyError, IndexError):
+            raise ValueError(
+                f"an order-{self.order} jet carries no d^{a}_r d^{b}_s coefficient") from None
 
     @property
     def value(self):
@@ -93,14 +116,16 @@ class Jet3:
     def deriv(self, dr: int = 0, ds: int = 0) -> "Jet3":
         """Jet of the partial derivative d^dr_r d^ds_s of this function.
 
-        Only coefficients of total order <= 3 - dr - ds are meaningful; the
-        rest are zero-filled.  Truncated arithmetic never feeds high-order
-        coefficients into low-order results, so this is safe whenever the
-        consumer needs the shifted jet to reduced order only.
+        It keeps this jet's order, but only coefficients of total order
+        <= order - dr - ds are meaningful; the rest are zero-filled.  Truncated
+        arithmetic never feeds high-order coefficients into low-order results,
+        so this is safe whenever the consumer needs the shifted jet to reduced
+        order only.
         """
-        out = [0.0] * _NC
-        for (a, b), k in _POS.items():
-            if a + dr + b + ds <= ORDER:
+        order = self.order
+        out = [0.0] * len(self.c)
+        for k, (a, b) in enumerate(INDICES[:len(self.c)]):
+            if a + dr + b + ds <= order:
                 out[k] = self.c[_POS[(a + dr, b + ds)]]
         return Jet3(out)
 
@@ -108,43 +133,48 @@ class Jet3:
 
     def __add__(self, other):
         if isinstance(other, Jet3):
-            return Jet3(tuple(x + y for x, y in zip(self.c, other.c)))
-        c = list(self.c)
-        c[0] = c[0] + other
-        return Jet3(c)
+            return Jet3(map(add, self.c, other.c))
+        return Jet3((self.c[0] + other, *self.c[1:]))
 
     __radd__ = __add__
 
     def __sub__(self, other):
         if isinstance(other, Jet3):
-            return Jet3(tuple(x - y for x, y in zip(self.c, other.c)))
-        c = list(self.c)
-        c[0] = c[0] - other
-        return Jet3(c)
+            return Jet3(map(sub, self.c, other.c))
+        return Jet3((self.c[0] - other, *self.c[1:]))
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __neg__(self):
-        return Jet3(tuple(-x for x in self.c))
+        return Jet3(map(neg, self.c))
 
     def __mul__(self, other):
         if not isinstance(other, Jet3):
-            return Jet3(tuple(x * other for x in self.c))
-        # slots in INDICES order; products times weights != 1, summed left to right
-        x0, x1, x2, x3, x4, x5, x6, x7, x8, x9 = self.c
-        y0, y1, y2, y3, y4, y5, y6, y7, y8, y9 = other.c
-        return Jet3((
+            return Jet3(map(mul, self.c, repeat(other)))
+        # slots in INDICES order; products times weights != 1, summed left to
+        # right; the first 6 lines are the order-2 product
+        x, y = self.c, other.c
+        x0, x1, x2, x3, x4, x5 = x[:6]
+        y0, y1, y2, y3, y4, y5 = y[:6]
+        low = (
             x0 * y0,
             x0 * y1 + x1 * y0,
-            x0 * y2 + x1 * y1 * 2.0 + x2 * y0,
-            x0 * y3 + x1 * y2 * 3.0 + x2 * y1 * 3.0 + x3 * y0,
-            x0 * y4 + x4 * y0,
-            x0 * y5 + x1 * y4 + x4 * y1 + x5 * y0,
-            x0 * y6 + x1 * y5 * 2.0 + x2 * y4 + x4 * y2 + x5 * y1 * 2.0 + x6 * y0,
-            x0 * y7 + x4 * y4 * 2.0 + x7 * y0,
-            x0 * y8 + x1 * y7 + x4 * y5 * 2.0 + x5 * y4 * 2.0 + x7 * y1 + x8 * y0,
-            x0 * y9 + x4 * y7 * 3.0 + x7 * y4 * 3.0 + x9 * y0,
+            x0 * y2 + x2 * y0,
+            x0 * y3 + x1 * y1 * 2.0 + x3 * y0,
+            x0 * y4 + x2 * y1 + x1 * y2 + x4 * y0,
+            x0 * y5 + x2 * y2 * 2.0 + x5 * y0,
+        )
+        if len(x) == 6 or len(y) == 6:
+            return Jet3(low)
+        x6, x7, x8, x9 = x[6:]
+        y6, y7, y8, y9 = y[6:]
+        return Jet3((
+            *low,
+            x0 * y6 + x1 * y3 * 3.0 + x3 * y1 * 3.0 + x6 * y0,
+            x0 * y7 + x2 * y3 + x1 * y4 * 2.0 + x4 * y1 * 2.0 + x3 * y2 + x7 * y0,
+            x0 * y8 + x2 * y4 * 2.0 + x5 * y1 + x1 * y5 + x4 * y2 * 2.0 + x8 * y0,
+            x0 * y9 + x2 * y5 * 3.0 + x5 * y2 * 3.0 + x9 * y0,
         ))
 
     __rmul__ = __mul__
@@ -159,8 +189,9 @@ class Jet3:
 
     def _reciprocal(self) -> "Jet3":
         v = self.value
-        if any_true(abs(v) < DIV_EPS):
-            raise DomainError(f"division by (near-)zero value {_fmt(v)}")
+        bad = abs(v) < DIV_EPS
+        if any_true(bad):
+            raise DomainError(f"division by (near-)zero value {_fmt(v, bad)}")
         iv = 1.0 / v
         iv2 = iv * iv
         return self.compose(iv, -iv2, 2.0 * (iv2 * iv), -6.0 * (iv2 * iv2))
@@ -170,25 +201,25 @@ class Jet3:
     def compose(self, f0, f1, f2, f3) -> "Jet3":
         """Jet of f(self) given derivatives f0..f3 of f at self.value.
 
-        Exact through total order 3: with the constant part stripped the
+        Exact through the jet's order: with the constant part stripped the
         remainder is nilpotent, so a cubic Taylor polynomial of f suffices.
         A scalar jet keeps Python-float coefficients: the numpy float64
         scalars that np.exp, np.sqrt and friends return would make every later
         product about three times slower, and converting them changes no bit.
         """
-        c = list(self.c)
+        c = self.c
         if type(c[0]) is float:
             f0, f1, f2, f3 = float(f0), float(f1), float(f2), float(f3)
-        c[0] = _like_zero(c[0])
-        gh = Jet3(c)
+        gh = Jet3((_like_zero(c[0]), *c[1:]))
         return ((gh * (f3 / 6.0) + f2 * 0.5) * gh + f1) * gh + f0
 
     # -- elementary functions ----------------------------------------------
 
     def sqrt(self) -> "Jet3":
         v = self.value
-        if any_true(v <= 0.0):
-            raise DomainError(f"sqrt of non-positive value {_fmt(v)}")
+        bad = v <= 0.0
+        if any_true(bad):
+            raise DomainError(f"sqrt of non-positive value {_fmt(v, bad)}")
         sv = np.sqrt(v)
         return self.compose(sv, 0.5 / sv, -0.25 / (sv * v), 0.375 / (sv * v * v))
 
@@ -198,8 +229,9 @@ class Jet3:
 
     def log(self) -> "Jet3":
         v = self.value
-        if any_true(v <= 0.0):
-            raise DomainError(f"log of non-positive value {_fmt(v)}")
+        bad = v <= 0.0
+        if any_true(bad):
+            raise DomainError(f"log of non-positive value {_fmt(v, bad)}")
         iv = 1.0 / v
         iv2 = iv * iv
         return self.compose(np.log(v), iv, -iv2, 2.0 * (iv2 * iv))
@@ -222,24 +254,20 @@ class Jet3:
         if k < 0:
             return self._reciprocal().powi(-k)
         if k == 0:
-            return Jet3.constant(_like_zero(self.value) + 1.0)
+            return Jet3.constant(_like_zero(self.value) + 1.0, self.order)
         return _pow_pos(self, k)
 
     def powr(self, q: float) -> "Jet3":
         """Half-integer power q of a positive base: sqrt(v) to the integer 2q."""
         v = self.value
-        if any_true(v <= 0.0):
-            raise DomainError(f"power {q} of non-positive value {_fmt(v)}")
+        bad = v <= 0.0
+        if any_true(bad):
+            raise DomainError(f"power {q} of non-positive value {_fmt(v, bad)}")
         f0 = ipow(np.sqrt(v), int(2.0 * q))
         f1 = q * f0 / v
         f2 = (q - 1.0) * f1 / v
         f3 = (q - 2.0) * f2 / v
         return self.compose(f0, f1, f2, f3)
-
-
-def slot(a: int, b: int) -> int:
-    """Storage index of the (a, b) partial inside Jet3.c."""
-    return _POS[(a, b)]
 
 
 def any_true(mask) -> bool:
@@ -265,9 +293,9 @@ def is_finite(jet: Jet3) -> bool:
     return all(bool(np.all(np.isfinite(x))) for x in c)
 
 
-def _fmt(v) -> str:
+def _fmt(v, bad) -> str:
+    """v as a float, or for an array its first element where the mask bad is set."""
     a = np.asarray(v)
     if a.size == 1:  # a scalar, or one radius replayed by batch_radii
         return repr(float(a.flat[0]))
-    bad = a[~np.isfinite(a)] if not np.all(np.isfinite(a)) else a
-    return f"(array, e.g. {float(bad.flat[0])!r})"
+    return f"(array, e.g. {float(a[np.broadcast_to(bad, a.shape)].flat[0])!r})"

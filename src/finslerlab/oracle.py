@@ -6,10 +6,14 @@ pointwise, and S is recovered as the time derivative of tau along the
 trajectory.  Agreement with the analytic pipeline validates the spray
 coefficients, the determinant identity, the volume densities, and the
 reduced S-curvature formula all at once.
+
+The norm, the spray and the determinant read no third partial of the
+profile, so every profile jet here is of order 2.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,8 +27,8 @@ from .volume import density
 
 @dataclass(frozen=True)
 class GeodesicState:
-    """A stored state; ``jet`` is the profile jet at its (r, s), shared by the
-    drift check, the next RK4 step's first stage and the distortion."""
+    """A stored state; ``jet`` is the order-2 profile jet at its (r, s), shared
+    by the drift check, the next RK4 step's first stage and the distortion."""
 
     x: np.ndarray
     y: np.ndarray
@@ -33,19 +37,20 @@ class GeodesicState:
 
 
 def _split(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
-    u = float(np.linalg.norm(y))
+    """(|y|, |x|, <x,y>/|y|); the norms are np.linalg.norm's arithmetic without its dispatch."""
+    u = math.sqrt(y.dot(y))
     if u <= 0.0:
         raise DomainError("geodesic velocity must be nonzero")
-    r = float(np.linalg.norm(x))
-    s = float(np.dot(x, y) / u)
+    r = math.sqrt(x.dot(x))
+    s = float(x.dot(y)) / u
     return u, r, s
 
 
 def _norm_and_jet(spec: MetricSpec, x, y, jet: Jet3 | None = None) -> tuple[float, Jet3]:
-    """F(x, y) and the profile jet at (|x|, <x,y>/|y|), evaluated unless given."""
+    """F(x, y) and the order-2 profile jet at (|x|, <x,y>/|y|), evaluated unless given."""
     u, r, s = _split(x, y)
     if jet is None:
-        jet = phi_jet(spec, r, s)
+        jet = phi_jet(spec, r, s, order=2)
     return u * float(jet.d(0, 0)), jet
 
 
@@ -65,6 +70,8 @@ def _spray_rhs(
             t=t,
             point=tuple(x),
         )
+    if jet is None:
+        jet = phi_jet(spec, r, s, order=2)
     sv = spray_values(spec, r, s, jet)
     # geodesic equation: x'' = -2G, G^i = u P y^i + u^2 Q x^i
     return -2.0 * (u * sv.P * y + u * u * sv.Q * x)

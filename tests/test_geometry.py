@@ -1,13 +1,18 @@
 """Profile jets, spray coefficients, metric tensor, regularity and embeddings."""
 
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from _support import random_orthogonal, random_xy, randers_metric_tensor
 from conftest import RANDERS111, interior_grid, make_randers
 from finslerlab import geometry
+from finslerlab.cli import build_spec, load_config
 from finslerlab.errors import DomainError, QuadratureError, RegularityError
 from finslerlab.expr import ScalarFunction, parse_expression
+from finslerlab.families import bh_solve_g
 from finslerlab.geometry import (
     BerwaldFamilyProfile,
     MetricSpec,
@@ -24,6 +29,7 @@ from finslerlab.geometry import (
     s_fractions,
     spray_values,
 )
+from finslerlab.oracle import _split, finsler_norm
 from finslerlab.quadrature import segment_integral
 
 
@@ -317,3 +323,79 @@ def test_spec_validation():
         general_phi_spec("1", 1, (0.1, 1.0))
     with pytest.raises(ValueError):
         general_phi_spec("1", 3, (0.5, 0.2))
+
+
+# -- order-2 profile jets --------------------------------------------------------
+
+BUNDLED = Path(__file__).resolve().parents[1] / "configs"
+
+
+def _bits(*values) -> list:
+    return [np.asarray(v, dtype=float).tobytes() for v in values]
+
+
+@pytest.fixture(scope="module")
+def sampled_randers():
+    """Randers profile whose g is the solver's Hermite table (SampledFunction)."""
+    f = ScalarFunction.from_text("1/(1 - r^2)")
+    sol = bh_solve_g(f, f, 1.0 / (1.0 - 0.25) ** 2, (0.3, 0.7), steps=400, r0=0.5)
+    return randers_spec(f, sol.as_function(), f, 2, (0.3, 0.7))
+
+
+@pytest.mark.parametrize("name", ["funk2", "funk_randers", "sampled_randers", "family_k"])
+def test_order2_profile_jet_is_the_prefix_of_the_order3_jet(request, name):
+    spec = request.getfixturevalue(name)
+    spec = getattr(spec, "spec", spec)
+    rng = np.random.default_rng(17)
+    r = rng.uniform(*interior_grid(spec, 2), size=7)
+    s = r * rng.uniform(-0.9, 0.9, size=7)
+    for rr, ss in [(r, s), (r[:, None], r[:, None] * np.linspace(-0.8, 0.8, 5))] + [
+            (float(a), float(b)) for a, b in zip(r, s)]:
+        two, three = phi_jet(spec, rr, ss, order=2), phi_jet(spec, rr, ss)
+        assert two.order == 2
+        assert _bits(*two.c) == _bits(*three.c[:6])
+
+
+def _bundled_points(name: str, count: int = 12):
+    cfg = load_config(str(BUNDLED / f"{name}.json"))
+    spec = build_spec(cfg)
+    rng = np.random.default_rng(23)
+    lo, hi = interior_grid(spec, 2)
+    return spec, [random_xy(rng, spec.n, (lo, hi)) for _ in range(count)]
+
+
+@pytest.mark.parametrize("name", ["funk_n2", "funk_randers_n3", "parallel_ht", "family_k"])
+def test_order2_spray_determinant_and_norm_equal_the_order3_bits(name):
+    spec, points = _bundled_points(name)
+    for x, y in points:
+        u, r, s = _split(x, y)
+        two, three = phi_jet(spec, r, s, order=2), phi_jet(spec, r, s)
+        sv2, sv3 = spray_values(spec, r, s, two), spray_values(spec, r, s, three)
+        assert _bits(sv2.P, sv2.Q, sv2.denom) == _bits(sv3.P, sv3.Q, sv3.denom)
+        assert _bits(metric_determinant(spec, r, s, two)) == _bits(
+            metric_determinant(spec, r, s, three))
+        assert _bits(finsler_norm(spec, x, y)) == _bits(u * float(three.d(0, 0)))
+    r = np.array([_split(x, y)[1] for x, y in points])
+    s = np.array([_split(x, y)[2] for x, y in points])
+    sv2 = spray_values(spec, r, s, phi_jet(spec, r, s, order=2))
+    sv3 = spray_values(spec, r, s)
+    assert _bits(sv2.P, sv2.Q, sv2.denom) == _bits(sv3.P, sv3.Q, sv3.denom)
+
+
+def test_q_s_from_an_order2_jet_raises(funk2):
+    sv = spray_values(funk2, 0.5, 0.2, phi_jet(funk2, 0.5, 0.2, order=2))
+    with pytest.raises(ValueError, match="Q_s needs the third partials of an order-3"):
+        sv.Q_s
+    assert spray_values(funk2, 0.5, 0.2).Q_s == pytest.approx(
+        spray_values(funk2, 0.5, 0.2, phi_jet(funk2, 0.5, 0.2)).Q_s)
+
+
+def test_non_finite_coefficient_raises_on_the_order2_path():
+    # exp(10^6 r) near r = 6.9e-4: phi and phi_r are finite, phi_rr overflows
+    spec = general_phi_spec("exp(1000000*r)", 2, (1e-4, 1e-3))
+    with pytest.raises(DomainError, match=r"non-finite result in 'exp\(1000000 \* r\)'"):
+        phi_jet(spec, 6.9e-4, 0.0, order=2)
+    # near r = 6.72e-4 only phi_rrr overflows: the order-2 jet never computes it
+    assert phi_jet(spec, 6.72e-4, 0.0, order=2).d(2, 0) < math.inf
+    with pytest.raises(DomainError, match="non-finite result"):
+        phi_jet(spec, 6.72e-4, 0.0)

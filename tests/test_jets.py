@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from _support import dispatched_simd_targets
 from finslerlab.errors import DomainError
-from finslerlab.jets import INDICES, Jet3, is_finite, slot
+from finslerlab.jets import INDICES, Jet3, is_finite
 
 coef = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
 jet_coeffs = st.lists(coef, min_size=len(INDICES), max_size=len(INDICES))
@@ -76,8 +76,8 @@ def test_seed_slots():
 
 def test_slot_indexes_coefficients():
     j = Jet3(list(range(len(INDICES))))
-    for a, b in INDICES:
-        assert j.c[slot(a, b)] == j.d(a, b)
+    for k, (a, b) in enumerate(INDICES):
+        assert j.c[k] == j.d(a, b)
 
 
 @given(jet_coeffs, jet_coeffs)
@@ -247,9 +247,13 @@ def test_scalar_compositions_keep_python_floats_with_unchanged_bits(op):
 
 
 def test_array_domain_error_reports_offending_value():
-    r = np.array([1.0, -1.0])
-    with pytest.raises(DomainError):
-        Jet3.seed(r, dr=1.0).sqrt()
+    v = np.array([1.1, 0.7, 0.0, -0.3, 2.0])
+    for op, text in ((Jet3.sqrt, "sqrt of non-positive value"),
+                     (Jet3.log, "log of non-positive value"),
+                     (lambda j: j.powr(1.5), "power 1.5 of non-positive value"),
+                     (lambda j: 1.0 / j, "division by \\(near-\\)zero value")):
+        with pytest.raises(DomainError, match=rf"{text} \(array, e.g. 0.0\)"):
+            op(Jet3.seed(v, dr=1.0))
 
 
 def test_is_finite_flags_bad_values():
@@ -333,3 +337,89 @@ def test_powr_bytes_independent_of_simd_dispatch():
         assert proc.returncode == 0, proc.stderr
         outputs.append(proc.stdout)
     assert outputs[0] == outputs[1]
+
+
+# -- order-2 truncation ---------------------------------------------------------
+
+_UNARY = {
+    "neg": lambda j: -j,
+    "sqrt": Jet3.sqrt,
+    "exp": Jet3.exp,
+    "log": Jet3.log,
+    "sin": Jet3.sin,
+    "cos": Jet3.cos,
+    "atan": Jet3.atan,
+    "recip": lambda j: 1.0 / j,
+    "powi3": lambda j: j.powi(3),
+    "powi0": lambda j: j.powi(0),
+    "powi-2": lambda j: j.powi(-2),
+    "powr1.5": lambda j: j.powr(1.5),
+    "powr-0.5": lambda j: j.powr(-0.5),
+    "compose": lambda j: j.compose(0.3, -1.7, 2.9, -0.6),
+    "scalar": lambda j: (2.5 - j * 0.75 + 1.25) / 3.0,
+}
+_BINARY = {"+": lambda x, y: x + y, "-": lambda x, y: x - y,
+           "*": lambda x, y: x * y, "/": lambda x, y: x / y}
+
+
+def _order2(jet: Jet3) -> Jet3:
+    return Jet3(jet.c[:6])
+
+
+def _same_bits(got: Jet3, want: Jet3) -> bool:
+    return len(got.c) == len(want.c) and all(
+        np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
+        for a, b in zip(got.c, want.c))
+
+
+def _positive_value(cx, as_array):
+    cx = list(cx)
+    cx[0] = abs(cx[0]) + 0.25  # inside every elementary function's domain
+    return [np.full(4, v) * np.linspace(1.0, 2.0, 4) for v in cx] if as_array else cx
+
+
+@given(jet_coeffs, jet_coeffs, st.booleans())
+@settings(max_examples=150)
+def test_order2_jet_is_the_prefix_of_the_order3_jet(cx, cy, as_array):
+    x3, y3 = Jet3(_positive_value(cx, as_array)), Jet3(_positive_value(cy, as_array))
+    x2, y2 = _order2(x3), _order2(y3)
+    assert (x2.order, x3.order) == (2, 3)
+    for name, op in _UNARY.items():
+        got = op(x2)
+        assert got.order == 2, name
+        assert _same_bits(got, _order2(op(x3))), name
+    for name, op in _BINARY.items():
+        want = _order2(op(x3, y3))
+        # mixed orders give the lower order, with the same bits
+        for left, right in ((x2, y2), (x2, y3), (x3, y2)):
+            assert _same_bits(op(left, right), want), name
+
+
+def test_order2_seed_constant_and_radial_are_prefixes():
+    for make in (lambda o: Jet3.seed(0.7, dr=1.0, ds=-0.5, order=o),
+                 lambda o: Jet3.constant(np.linspace(1.0, 2.0, 3), o),
+                 lambda o: Jet3.radial([1.5, -0.5, 0.25, 4.0], o)):
+        assert _same_bits(make(2), _order2(make(3)))
+
+
+def test_coefficients_are_stored_by_total_degree():
+    assert INDICES == ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2),
+                       (3, 0), (2, 1), (1, 2), (0, 3))
+
+
+def test_reading_beyond_the_order_raises():
+    j = Jet3.seed(0.7, dr=1.0, ds=0.2, order=2)
+    assert j.d(0, 2) == 0.0
+    for a, b in ((0, 3), (1, 2), (2, 1), (3, 0)):
+        with pytest.raises(ValueError, match=rf"order-2 jet carries no d\^{a}_r d\^{b}_s"):
+            j.d(a, b)
+    with pytest.raises(ValueError, match="order-3 jet"):
+        Jet3.seed(0.7).d(4, 0)
+
+
+def test_deriv_keeps_the_order_and_zero_fills():
+    x = Jet3(list(range(1, 7)))
+    dx = x.deriv(ds=1)
+    assert dx.order == 2
+    assert (dx.d(0, 0), dx.d(1, 0), dx.d(0, 1)) == (x.d(0, 1), x.d(1, 1), x.d(0, 2))
+    assert (dx.d(2, 0), dx.d(1, 1), dx.d(0, 2)) == (0.0, 0.0, 0.0)

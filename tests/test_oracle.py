@@ -173,7 +173,10 @@ def test_shared_jet_gives_the_same_spray_and_distortion(funk2):
         u_st = float(np.linalg.norm(st.y))
         r_st, s_st = float(np.linalg.norm(st.x)), float(np.dot(st.x, st.y) / u_st)
         want = geometry.phi_jet(funk2, r_st, s_st)
-        assert st.jet.c == want.c
+        assert st.jet.c == want.c[:6]
+        got_sv = geometry.spray_values(funk2, r_st, s_st, st.jet)
+        want_sv = geometry.spray_values(funk2, r_st, s_st, want)
+        assert [v.hex() for v in (got_sv.P, got_sv.Q)] == [v.hex() for v in (want_sv.P, want_sv.Q)]
 
 
 def test_drift_above_bound_raises():

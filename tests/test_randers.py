@@ -1,6 +1,8 @@
 """Radial Randers data: Christoffel symbols, covariant derivative of beta,
 closed-form densities and the direct isotropy-condition check."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from finslerlab.randers import (
     covariant_b_coefficients,
     isotropy_condition_check,
     randers_coefficients,
+    radial_data,
     randers_reduced_s,
     sigma_closed_form,
 )
@@ -161,3 +164,13 @@ def test_condition_check_agrees_with_isotropy_profile(randers_h05):
         ]
         assert prof.passed == expect
         assert all(c.passed for c in conds) == expect
+
+
+def test_domain_error_on_radii_quotes_an_offending_value():
+    # sqrt(1.3 - r) fails from r = 1.3 on; the message must quote one of those
+    one = ScalarFunction.from_text("1")
+    h = ScalarFunction.from_text("2*sqrt(1.3 - r)")
+    with pytest.raises(DomainError, match=r"sqrt of non-positive value \(array, e\.g\. ") as exc:
+        radial_data(one, one, h, np.linspace(0.2, 1.4, 13))
+    quoted = float(re.search(r"e\.g\. ([^)]+)\)", str(exc.value)).group(1))
+    assert quoted <= 0.0
