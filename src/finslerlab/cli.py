@@ -99,6 +99,11 @@ def _expect(cond: bool, message: str, key: str) -> None:
         raise ConfigError(message, key=key)
 
 
+def _is_number(v) -> bool:
+    """A finite JSON number (not a string, bool or null)."""
+    return type(v) in (int, float) and math.isfinite(v)
+
+
 def _grid_count(grid: dict, key: str, least: int) -> int:
     v = grid.get(key, 21)
     _expect(type(v) is int and least <= v <= GRID_COUNT_CAP,
@@ -152,6 +157,8 @@ def load_config(path: str) -> RunConfig:
         _expect(isinstance(grid, dict), "'grid' must be an object", "grid")
         for want in ("r_min", "r_max"):
             _expect(want in grid, f"grid lacks '{want}'", f"grid.{want}")
+            _expect(_is_number(grid[want]),
+                    f"grid.{want} must be a finite number, got {grid[want]!r}", f"grid.{want}")
         _expect(0.0 < grid["r_min"] < grid["r_max"], "grid range must satisfy 0 < r_min < r_max", "grid")
         grid = {
             "r_min": float(grid["r_min"]),
@@ -213,11 +220,17 @@ def _default_domain(cfg: RunConfig) -> tuple[float, float]:
     dom = cfg.metric.get("r_domain")
     if dom is not None:
         _expect(
-            isinstance(dom, (list, tuple)) and len(dom) == 2 and 0.0 < dom[0] < dom[1],
+            isinstance(dom, (list, tuple)) and len(dom) == 2 and all(map(_is_number, dom))
+            and 0.0 < dom[0] < dom[1],
             "metric.r_domain must be [r_min, r_max] with 0 < r_min < r_max",
             "metric.r_domain",
         )
-        return float(dom[0]), float(dom[1])
+        lo, hi = float(dom[0]), float(dom[1])
+        if cfg.grid is not None:
+            for key, r in (("r_min", cfg.grid["r_min"]), ("r_max", cfg.grid["r_max"])):
+                _expect(lo <= r <= hi, f"grid.{key} = {r!r} lies outside metric.r_domain "
+                        f"[{lo!r}, {hi!r}]", f"grid.{key}")
+        return lo, hi
     _expect(cfg.grid is not None, "need metric.r_domain or a grid to fix the domain", "metric.r_domain")
     # pad so boundary radii keep room for the density cross-check stencil
     return 0.9 * cfg.grid["r_min"], 1.1 * cfg.grid["r_max"]
@@ -228,6 +241,8 @@ def build_spec(cfg: RunConfig) -> MetricSpec:
     domain = _default_domain(cfg)
     if kind == "general":
         _expect("phi" in cfg.metric, "general metric lacks 'phi'", "metric.phi")
+        _expect(isinstance(cfg.metric["phi"], str),
+                f"metric.phi must be an expression string, got {cfg.metric['phi']!r}", "metric.phi")
         try:
             return general_phi_spec(cfg.metric["phi"], cfg.n, domain)
         except (ParseError, UnknownIdentifierError) as exc:
@@ -245,8 +260,10 @@ def build_spec(cfg: RunConfig) -> MetricSpec:
         chi = parse_expression(str(cfg.metric["chi"]), {"w"})
     except (ParseError, UnknownIdentifierError) as exc:
         raise ConfigError(f"bad expression for metric.chi: {exc}", key="metric.chi") from exc
-    r0 = float(cfg.metric["r0"])
-    _expect(domain[0] <= r0 <= domain[1], "family anchor r0 outside r_domain", "metric.r0")
+    r0 = cfg.metric["r0"]
+    _expect(_is_number(r0) and domain[0] <= r0 <= domain[1],
+            f"family anchor metric.r0 must be a number inside r_domain, got {r0!r}", "metric.r0")
+    r0 = float(r0)
     return MetricSpec(BerwaldFamilyProfile(c2=c2, chi=chi, r0=r0), cfg.n, domain)
 
 
@@ -262,10 +279,6 @@ def _rule(args) -> QuadratureRule | None:
 
 
 # -- report plumbing ---------------------------------------------------------
-
-
-def _fmt17(x: float) -> str:
-    return "%.17g" % float(x)
 
 
 def _residual_block(res, r, s) -> dict:
@@ -294,7 +307,8 @@ def _dump_report(args, cfg: RunConfig, report: dict) -> None:
 # -- commands ----------------------------------------------------------------
 
 
-def _grid_rows(cfg: RunConfig, spec: MetricSpec, rule) -> tuple[list[dict], list[dict]]:
+def _grid_columns(cfg: RunConfig, spec: MetricSpec, rule) -> tuple[dict, dict]:
+    """The grid's columns, each (r_count, s_count), and the per-radius columns."""
     r_values, fracs = _grids(cfg)
 
     def columns(radii):
@@ -315,7 +329,7 @@ def _grid_rows(cfg: RunConfig, spec: MetricSpec, rule) -> tuple[list[dict], list
     c = cols["c"]
     per_radius = {"r": r_values, "sigma": cols["sigma"][:, 0], "f_r": cols["f_r"][:, 0],
                   "c_mean": np.mean(c, axis=1), "c_spread": np.max(c, axis=1) - np.min(c, axis=1)}
-    return _records(cols), _records(per_radius)
+    return cols, per_radius
 
 
 def _records(cols: dict) -> list[dict]:
@@ -327,7 +341,7 @@ def cmd_analyze(cfg: RunConfig, args) -> int:
     spec = build_spec(cfg)
     rule = _rule(args)
     scan = regularity_scan(spec)
-    rows, per_radius = _grid_rows(cfg, spec, rule)
+    cols, per_radius = _grid_columns(cfg, spec, rule)
     report = {
         "config_echo": cfg.raw,
         "regularity": {
@@ -336,8 +350,8 @@ def cmd_analyze(cfg: RunConfig, args) -> int:
             "worst_point": {"r": scan.worst_point[0], "s": scan.worst_point[1]},
             "worst_condition": int(scan.worst_condition),
         },
-        "per_radius": per_radius,
-        "grid": rows,
+        "per_radius": _records(per_radius),
+        "grid": _records(cols),
     }
     _dump_report(args, cfg, report)
     return 0
@@ -345,10 +359,10 @@ def cmd_analyze(cfg: RunConfig, args) -> int:
 
 def cmd_sample(cfg: RunConfig, args) -> int:
     spec = build_spec(cfg)
-    rows, _ = _grid_rows(cfg, spec, _rule(args))
-    lines = [CSV_HEADER]
-    for row in rows:
-        lines.append(",".join(_fmt17(row[k]) for k in CSV_HEADER.split(",")))
+    cols, _ = _grid_columns(cfg, spec, _rule(args))
+    names = CSV_HEADER.split(",")
+    row = ",".join(["%.17g"] * len(names))  # 17 significant digits round-trip every float
+    lines = [CSV_HEADER, *(row % vals for vals in zip(*(cols[k].ravel().tolist() for k in names)))]
     _write_text(args, cfg, "\n".join(lines) + "\n")
     return 0
 
@@ -581,7 +595,7 @@ def _construct_randers_ht(cfg: RunConfig, args) -> dict:
         "c_const": c_const,
         "metric": {
             "kind": "randers",
-            "f": f"{_fmt17(c_const)}/r^2",
+            "f": "%.17g/r^2" % c_const,
             "g": p["g"],
             "h": _table_dict(sol),
             "r_domain": [lo, hi],

@@ -26,8 +26,8 @@ The last quantity is also the denominator of the spray coefficient Q.
 
 Order-2 jets (``phi_jet(..., order=2)``) serve the consumers that read no
 third partial: the geodesic oracle (norm, spray stages, determinant), the
-Douglas fit of Q and the P/s spread.  The S-curvature, the sampled CSV (Q_s)
-and the volume densities use order 3.
+Douglas fit of Q, the P/s spread and the Busemann-Hausdorff density.  The
+S-curvature, the sampled CSV (Q_s) and the Holmes-Thompson density use order 3.
 """
 
 from __future__ import annotations

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CrossCheckError, DomainError, DomainExitError
+from .errors import CrossCheckError, DomainError, DomainExitError, FinslerError
 from .geometry import MetricSpec, metric_determinant, phi_jet, spray_values
 from .jets import Jet3
 from .quadrature import QuadratureRule
@@ -119,18 +119,29 @@ def integrate_geodesic(
     return states
 
 
+def _taus(spec: MetricSpec, vol, states, rule: QuadratureRule | None) -> list[float]:
+    """tau at each GeodesicState: one determinant per state (from its profile
+    jet, if it has one), then one density call for all their radii."""
+    radii, half_log_det = [], []
+    for st in states:
+        _, r, s = _split(st.x, st.y)
+        det = float(metric_determinant(spec, r, s, st.jet))
+        if det <= 0.0:
+            raise DomainError(f"det g = {det:.6g} not positive at r={r:.6g}, s={s:.6g}")
+        radii.append(r)
+        half_log_det.append(0.5 * float(np.log(det)))
+    sigma = density(vol, spec, radii[0] if len(radii) == 1 else np.array(radii), rule)
+    # a scalar log per value, as for one state
+    return [v - float(np.log(sg)) for v, sg in zip(half_log_det, np.ravel(sigma).tolist())]
+
+
 def distortion(
     spec: MetricSpec, vol, x, y, rule: QuadratureRule | None = None, jet: Jet3 | None = None
 ) -> float:
     """tau(x, y) = ln( sqrt(det g at (r, s)) / sigma(r) ); jet, if given, is the
     profile jet at (r, s)."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    _, r, s = _split(x, y)
-    det = float(metric_determinant(spec, r, s, jet))
-    if det <= 0.0:
-        raise DomainError(f"det g = {det:.6g} not positive at r={r:.6g}, s={s:.6g}")
-    return 0.5 * float(np.log(det)) - float(np.log(density(vol, spec, r, rule)))
+    state = GeodesicState(np.asarray(x, dtype=float), np.asarray(y, dtype=float), 0.0, jet)
+    return _taus(spec, vol, [state], rule)[0]
 
 
 def s_by_distortion(
@@ -145,7 +156,8 @@ def s_by_distortion(
 
     Five-point fourth-order stencil at t = 0 with one RK4 step per sample;
     the default dt is 1e-3 scaled by 1/F(x0, y0) so the stencil width is
-    metrically uniform across specs.
+    metrically uniform across specs.  Both directions are integrated first,
+    then the four stored states' densities are one ``density`` call.
     """
     x0 = np.asarray(x0, dtype=float)
     y0 = np.asarray(y0, dtype=float)
@@ -157,10 +169,21 @@ def s_by_distortion(
     if dt <= 0.0:
         raise ValueError("dt must be positive")
 
-    taus = {}
-    for direction in (1.0, -1.0):
-        states = integrate_geodesic(spec, x0, y0, direction * 2.0 * dt, steps=16, jet0=jet0)
-        jet0 = states[0].jet
-        for st in states[8::8]:
-            taus[round(st.t / dt)] = distortion(spec, vol, st.x, st.y, rule, st.jet)
+    trajectories = []
+    try:
+        for direction in (1.0, -1.0):
+            trajectories.append(
+                integrate_geodesic(spec, x0, y0, direction * 2.0 * dt, steps=16, jet0=jet0))
+            jet0 = trajectories[0][0].jet
+        stored = [st for states in trajectories for st in states[8::8]]
+        values = _taus(spec, vol, stored, rule)
+    except FinslerError:
+        # one state at a time in trajectory order: the forward states are valued
+        # before a backward-trajectory error, and each state raises what it
+        # raises alone
+        stored = [st for states in trajectories for st in states[8::8]]
+        values = [_taus(spec, vol, [st], rule)[0] for st in stored]
+        if len(trajectories) < 2:
+            raise
+    taus = {round(st.t / dt): v for st, v in zip(stored, values)}
     return (taus[-2] - 8.0 * taus[-1] + 8.0 * taus[1] - taus[2]) / (12.0 * dt)

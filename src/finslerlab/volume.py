@@ -18,6 +18,11 @@ The functions take one radius (kept a Python float) or a 1-D batch of radii,
 evaluated at once as (R, N) node jets with r a column; ``refine`` settles and
 math.fsum reduces each radius on its own, so it gets the bits it gets alone.
 
+Node jets are of the order each volume reads: 2 under BH (sigma_bh reads phi,
+(log sigma_bh)' the first partials of phi^-n, and phi_jet's regularity guard
+phi_ss), 3 under HT (T_r and T_s read third partials).  An order-2 jet is the
+bit-exact prefix of the order-3 one, so the order changes no value.
+
 The angular sums are reduced with math.fsum and integer powers are repeated
 products, so sigma and f(r) do not depend on numpy's reduction blocking or
 its SIMD-dispatched pow.
@@ -31,7 +36,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import CrossCheckError, DomainError
+from .errors import CrossCheckError, DomainError, FinslerError
 from .expr import ScalarFunction
 from .geometry import MetricSpec, phi_jet
 from .jets import Jet3, any_true, ipow
@@ -83,12 +88,17 @@ def _radii(r):
     return float(r) if np.ndim(r) == 0 else tuple(np.asarray(r, dtype=float).tolist())
 
 
+#: profile-jet order of the node jets under each volume (see the module docstring)
+_BH_ORDER = 2
+_HT_ORDER = 3
+
+
 #: whole-grid entries are (R, N) jets, so the cache stays small; isotropy,
 #: douglas and sample on one grid still share their entries
 @lru_cache(maxsize=16)
-def _node_jets(spec: MetricSpec, r, n_nodes: int):
+def _node_jets(spec: MetricSpec, r, n_nodes: int, order: int):
     """Radius (float or column), s = r cos t, cos t, weights times sin^{n-2} t,
-    and the profile jets at (r, s) for a key from ``_radii``.
+    and the profile jets of the given order at (r, s) for a key from ``_radii``.
 
     Regularity is enforced by phi_jet.
     """
@@ -96,7 +106,7 @@ def _node_jets(spec: MetricSpec, r, n_nodes: int):
     cos_t = np.cos(t)
     rc = r if isinstance(r, float) else np.array(r)[:, None]
     s = rc * cos_t
-    return rc, s, cos_t, w * ipow(np.sin(t), spec.n - 2), phi_jet(spec, rc, s)
+    return rc, s, cos_t, w * ipow(np.sin(t), spec.n - 2), phi_jet(spec, rc, s, order)
 
 
 def _arr(v, shape):
@@ -104,13 +114,13 @@ def _arr(v, shape):
 
 
 def _sigma_bh_at(spec: MetricSpec, r, n_nodes: int):
-    _, s, _, ws, jet = _node_jets(spec, r, n_nodes)
+    _, s, _, ws, jet = _node_jets(spec, r, n_nodes, _BH_ORDER)
     phi = _arr(jet.d(0, 0), s.shape)
     return sin_power_integral(spec.n) / exact_sum(ws * ipow(phi, -spec.n))
 
 
 def _sigma_ht_at(spec: MetricSpec, r, n_nodes: int):
-    rc, s, _, ws, jet = _node_jets(spec, r, n_nodes)
+    rc, s, _, ws, jet = _node_jets(spec, r, n_nodes, _HT_ORDER)
     phi = _arr(jet.d(0, 0), s.shape)
     phi_s = _arr(jet.d(0, 1), s.shape)
     phi_ss = _arr(jet.d(0, 2), s.shape)
@@ -166,7 +176,7 @@ def density(vol: VolumeSpec, spec: MetricSpec, r, rule: QuadratureRule | None = 
 
 def _log_deriv_bh_at(spec: MetricSpec, r, n_nodes: int):
     """(log sigma_bh)'(r) via integrand jets."""
-    _, s, cos_t, ws, jet = _node_jets(spec, r, n_nodes)
+    _, s, cos_t, ws, jet = _node_jets(spec, r, n_nodes, _BH_ORDER)
     integrand = jet.powi(-spec.n)
     ddr = _arr(integrand.d(1, 0), s.shape) + cos_t * _arr(integrand.d(0, 1), s.shape)
     j_val = exact_sum(ws * _arr(integrand.d(0, 0), s.shape))
@@ -176,7 +186,7 @@ def _log_deriv_bh_at(spec: MetricSpec, r, n_nodes: int):
 
 def _log_deriv_ht_at(spec: MetricSpec, r, n_nodes: int):
     """(log sigma_ht)'(r) via integrand jets (order-3 profile jets feed T_r, T_s)."""
-    rc, s, cos_t, ws, jet = _node_jets(spec, r, n_nodes)
+    rc, s, cos_t, ws, jet = _node_jets(spec, r, n_nodes, _HT_ORDER)
     rj = Jet3.seed(rc, dr=1.0)
     sj = Jet3.seed(s, ds=1.0)
     m2j = jet - sj * jet.deriv(0, 1)
@@ -217,11 +227,6 @@ def f_coefficient(
     return -dlog / r
 
 
-def _math_log(v):
-    """math.log (libm, as for a single radius) of a float or of each element of an array."""
-    return math.log(v) if np.ndim(v) == 0 else np.array([math.log(x) for x in v.tolist()])
-
-
 def _cross_check_log_derivative(vol, spec, r, rule, dlog) -> None:
     rmin, rmax = spec.r_domain
     h = np.minimum(np.minimum(1e-4 * np.maximum(1.0, r), 0.45 * (r - rmin)), 0.45 * (rmax - r))
@@ -230,8 +235,15 @@ def _cross_check_log_derivative(vol, spec, r, rule, dlog) -> None:
         raise DomainError(
             f"radius {r_i!r} too close to the domain boundary for the sigma' cross-check"
         )
-    lo = _math_log(density(vol, spec, r - h, rule))
-    hi = _math_log(density(vol, spec, r + h, rule))
+    sides = (r - h, r + h)
+    try:
+        sigma = density(vol, spec, np.concatenate([np.ravel(side) for side in sides]), rule)
+    except FinslerError:
+        # one call per side, lo before hi: the error (or value) each gives alone
+        sigma = np.concatenate([np.ravel(density(vol, spec, side, rule)) for side in sides])
+    # math.log (libm) of each value, as for a single radius
+    logs = np.array([math.log(v) for v in sigma.tolist()])
+    lo, hi = np.split(logs, 2)
     fd = (hi - lo) / (2.0 * h)
     off = abs(fd - dlog) > 1e-6 * np.maximum(1.0, abs(dlog))
     if any_true(off):

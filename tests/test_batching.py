@@ -13,7 +13,8 @@ import pytest
 from conftest import FUNK_RANDERS, PARALLEL_HT, RANDERS_H05, interior_grid
 from finslerlab.cli import main
 from finslerlab.douglas import douglas_verdict, fit_q
-from finslerlab.errors import DomainError
+from finslerlab import volume
+from finslerlab.errors import DomainError, RegularityError
 from finslerlab.expr import ScalarFunction
 from finslerlab.families import bh_classification_residuals, bh_solve_g, ht_condition_residual
 from finslerlab.geometry import (
@@ -59,6 +60,44 @@ def test_density_and_f_of_a_batch_equal_scalar_calls(request, name, vol):
     r = interior_grid(spec, 5)
     for fn in (density, f_coefficient):
         assert _same(fn(vol, spec, r), [fn(vol, spec, float(x)) for x in r]), fn.__name__
+
+
+@pytest.mark.parametrize("name", PROFILES)
+def test_bh_from_order_2_node_jets_equals_an_order_3_reference(request, monkeypatch, name):
+    spec = _spec(request, name)
+    r = interior_grid(spec, 5)
+
+    def values():
+        return [fn(BH, spec, x) for fn in (density, f_coefficient) for x in (float(r[2]), r)]
+
+    got = values()
+    monkeypatch.setattr(volume, "_BH_ORDER", 3)
+    want = values()
+    assert all(_same(g, w) for g, w in zip(got, want))
+
+
+def _first_density_error(spec, *sides) -> str:
+    """The message of the first side whose BH density raises alone."""
+    for side in sides:
+        try:
+            density(BH, spec, side)
+        except RegularityError as exc:
+            return str(exc)
+    raise AssertionError("no side fails")
+
+
+def test_a_failing_cross_check_side_raises_what_it_raises_alone():
+    # condition 1 fails where (r - 0.5)(0.9 - r) < 0; with h = 1e-4, r - h of
+    # the first radius and r + h of the second are irregular, and the second
+    # has the lower margin, so one density call over both sides would name it
+    spec = general_phi_spec("(r - 0.5)*(0.9 - r)*sqrt(1 + s^2)", 2, (0.1, 1.0))
+    r = np.array([0.50005, 0.89999])
+    lo_msg = _first_density_error(spec, r - 1e-4)
+    assert _first_density_error(spec, np.concatenate([r - 1e-4, r + 1e-4])) != lo_msg
+    for radii in (r, float(r[0]), float(r[1])):
+        with pytest.raises(RegularityError) as got:
+            f_coefficient(BH, spec, radii)
+        assert str(got.value) == _first_density_error(spec, radii - 1e-4, radii + 1e-4)
 
 
 def test_closed_form_volumes_of_a_batch_equal_scalar_calls(funk2):

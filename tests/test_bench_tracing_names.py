@@ -36,3 +36,11 @@ def test_every_traced_leaf_exists(tracing):
         assert callable(Jet3.__dict__.get(name)), f"Jet3.{name}"
     for name in tracing.EXPR_LEAVES:
         assert callable(getattr(expr, name, None)), f"finslerlab.expr.{name}"
+
+
+def test_node_jet_cache_counters_exist():
+    # bench/run.py reads volume.node_jets_hit_ratio from _node_jets.cache_info()
+    from finslerlab import volume
+
+    info = volume._node_jets.cache_info()
+    assert info.maxsize == 16 and info.hits >= 0 and info.misses >= 0

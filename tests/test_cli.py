@@ -419,6 +419,37 @@ def test_c_const_must_be_a_positive_finite_number(tmp_path, capsys, c_const):
     assert "'c_const' must be a positive finite number" in capsys.readouterr().err
 
 
+ROOT_CONFIGS = HERE.parent / "configs"
+
+
+@pytest.mark.parametrize("stem, section, key, value", [
+    ("funk_n2", "metric", "phi", 3),
+    ("funk_n2", "metric", "phi", None),
+    ("funk_n2", "grid", "r_min", "abc"),
+    ("funk_n2", "grid", "r_max", True),
+    ("funk_n2", "grid", "r_max", float("nan")),
+    ("funk_n2", "grid", "r_min", 0.01),
+    ("funk_n2", "grid", "r_max", 0.99),
+    ("funk_n2", "metric", "r_domain", ["a", 1.0]),
+    ("family_k", "metric", "r0", "abc"),
+])
+def test_bad_config_value_is_config_error_naming_its_key(tmp_path, capsys, stem, section, key,
+                                                         value):
+    cfg = json.loads((ROOT_CONFIGS / f"{stem}.json").read_text())
+    cfg[section][key] = value
+    assert main(["verify", "--check", "isotropy", write_cfg(tmp_path, "bad.json", cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and f"{section}.{key}" in err, err
+
+
+def test_grid_on_the_domain_ends_is_accepted(tmp_path):
+    from finslerlab.cli import build_spec, load_config
+
+    cfg = json.loads((ROOT_CONFIGS / "funk_n2.json").read_text())
+    cfg["grid"]["r_min"], cfg["grid"]["r_max"] = cfg["metric"]["r_domain"]
+    assert build_spec(load_config(write_cfg(tmp_path, "ends.json", cfg))).r_domain == (0.05, 0.95)
+
+
 def test_oracle_must_be_an_object(tmp_path, capsys):
     cfg = json.loads(Path(FUNK_CFG).read_text())
     cfg["oracle"] = [3]

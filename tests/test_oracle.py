@@ -185,3 +185,43 @@ def test_drift_above_bound_raises():
     with pytest.raises(CrossCheckError, match=r"drift .* exceeds 1e-8 at t = 0\.125"):
         integrate_geodesic(spec, [0.5, 0.0], [0.0, 1.0], 2.0, steps=16)
     integrate_geodesic(spec, [0.5, 0.0], [0.0, 1.0], 2.0, steps=256)
+
+
+def _stencil_of_distortions(spec, vol, x, y):
+    """The five-point stencil of four one-state distortion calls."""
+    dt = 1e-3 / finsler_norm(spec, x, y)
+    taus = {}
+    for direction in (1.0, -1.0):
+        for st in integrate_geodesic(spec, x, y, direction * 2.0 * dt, steps=16)[8::8]:
+            taus[round(st.t / dt)] = distortion(spec, vol, st.x, st.y)
+    return (taus[-2] - 8.0 * taus[-1] + 8.0 * taus[1] - taus[2]) / (12.0 * dt)
+
+
+@pytest.mark.parametrize("vol", [BH, HT, CustomDensity(ScalarFunction.from_text("1 + r^2"))],
+                         ids=["bh", "ht", "custom"])
+@pytest.mark.parametrize("name", ["funk3", "funk_randers", "family_k"])
+def test_s_by_distortion_is_the_stencil_of_four_distortions(request, monkeypatch, name, vol):
+    spec = request.getfixturevalue(name)
+    spec = getattr(spec, "spec", spec)
+    r = 0.5 * sum(spec.r_domain)
+    x, y = geometry.embed_point(r, 0.3 * r, spec.n)
+    want = _stencil_of_distortions(spec, vol, x, y)
+    radii = _counting(monkeypatch, "density", (oracle,))
+    assert s_by_distortion(spec, vol, x, y).hex() == want.hex()
+    assert len(radii) == 1 and np.shape(radii[0][1]) == (4,)
+
+
+def test_forward_density_error_comes_before_a_backward_exit(euclid):
+    # the backward geodesic leaves [0.05, 1.2] through r = 1.2; the forward one
+    # stays inside, and its first stored state's density is negative
+    vol = CustomDensity(ScalarFunction.from_text("r - 1.19989"))
+    x, y = np.array([1.19995, 0.0]), np.array([-1.0, 0.0])
+    fwd = integrate_geodesic(euclid, x, y, 2e-3, steps=16)
+    with pytest.raises(DomainExitError):
+        integrate_geodesic(euclid, x, y, -2e-3, steps=16)
+    with pytest.raises(DomainError) as alone:
+        distortion(euclid, vol, fwd[8].x, fwd[8].y)
+    assert "custom density must be positive" in str(alone.value)
+    with pytest.raises(DomainError) as got:
+        s_by_distortion(euclid, vol, x, y)
+    assert type(got.value) is DomainError and str(got.value) == str(alone.value)
