@@ -18,8 +18,9 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
-from typing import NamedTuple
+from dataclasses import dataclass
+from functools import partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -67,7 +68,214 @@ from .volume import BH, CONSTANT, HT, CustomDensity, density, f_coefficient
 CSV_HEADER = "r,s,phi,P,Q,Q_s,detg,sigma,f_r,S_over_u"
 
 CHECKS = ("isotropy", "douglas", "berwald-family", "bh-classification", "ht-parallel", "oracle")
-FAMILIES = ("berwald", "randers-bh", "randers-ht")
+
+
+# -- config schema -------------------------------------------------------------
+
+#: largest n: the regularity scan and the oracle work with n-vectors
+DIMENSION_CAP = 100
+#: largest grid.r_count and grid.s_count: every radius is evaluated in one batch
+GRID_COUNT_CAP = 401
+#: largest oracle.points: each point integrates two geodesics
+ORACLE_POINTS_CAP = 1000
+#: largest construct.steps: the emitted config holds four numbers per node
+SOLVER_STEPS_CAP = 10_000
+#: the columns of a sampled radial function, as construct writes them
+_TABLE_KEYS = ("r_nodes", "values", "derivs", "second_derivs")
+_VOLUMES = {"bh": BH, "ht": HT, "constant": CONSTANT}
+
+
+class _Wrong(Exception):
+    """A value is not of its row's kind; the text, if any, says why."""
+
+
+class Kind(NamedTuple):
+    what: str  #: completes "'<path>' must be <what>"
+    read: Callable  #: JSON value -> typed value; raises _Wrong
+
+
+REQUIRED = object()  #: the default of a key that must be given
+
+
+def _fail(path: str, what: str, value, why: str = ""):
+    shown = "nothing" if value is REQUIRED else repr(value)
+    shown = shown if len(shown) <= 80 else shown[:77] + "..."
+    raise ConfigError(f"'{path}' must be {what}, got {shown}" + (f" ({why})" if why else ""),
+                      key=path)
+
+
+def _ok(value, holds: bool, why: str = ""):
+    """value, if holds; else _Wrong(why)."""
+    if not holds:
+        raise _Wrong(why)
+    return value
+
+
+def _where(what: str, test) -> Kind:
+    """The kind of the values that pass test, read as given."""
+    return Kind(what, lambda v: _ok(v, test(v)))
+
+
+def _integer(lo: int, hi: int) -> Kind:
+    return _where(f"an integer from {lo} to {hi}", lambda v: type(v) is int and lo <= v <= hi)
+
+
+def _finite(v) -> float:
+    return float(_ok(v, type(v) is float and math.isfinite(v)
+                     or type(v) is int and abs(v) <= sys.float_info.max))
+
+
+def _range(v) -> tuple[float, float]:
+    lo, hi = map(_finite, _ok(v, isinstance(v, list) and len(v) == 2))
+    return _ok((lo, hi), 0.0 < lo < hi)
+
+
+def _expression(*names: str) -> Kind:
+    def read(v):
+        try:
+            return parse_expression(_ok(v, isinstance(v, str)), set(names))
+        except (ParseError, UnknownIdentifierError) as exc:
+            raise _Wrong(str(exc)) from exc
+
+    return Kind("an expression string in " + ", ".join(names), read)
+
+
+def _closed(v) -> ScalarFunction:
+    if isinstance(v, str):
+        return ScalarFunction(_expression("r").read(v))
+    return ScalarFunction.constant(_finite(v))
+
+
+def _radial(v):
+    if not isinstance(v, dict):
+        return _closed(v)
+    table = _ok(v.get("table"), isinstance(v.get("table"), dict))
+    cols = [_ok(table.get(k), isinstance(table.get(k), list), f"table.{k} is not a list")
+            for k in _TABLE_KEYS]
+    try:
+        return SampledFunction(*([_finite(x) for x in col] for col in cols))
+    except ValueError as exc:
+        raise _Wrong(f"table: {exc}") from exc
+
+
+def _volume(v):
+    if isinstance(v, dict):
+        return CustomDensity(_section("volume[custom]", v, {})["sigma"])
+    _ok(v, isinstance(v, str) and v.lower() in _VOLUMES)
+    return _VOLUMES[v.lower()]
+
+
+def _grid_domain(known: dict):
+    """metric.r_domain unless given: the grid, padded for the f(r) cross-check stencil."""
+    if known["grid"] is None:
+        return REQUIRED
+    return [0.9 * known["grid.r_min"], 1.1 * known["grid.r_max"]]
+
+
+NUMBER = Kind("a finite number", _finite)
+POSITIVE = Kind("a positive finite number", lambda v: _ok(_finite(v), _finite(v) > 0.0))
+RANGE = Kind("a [lo, hi] pair of finite numbers with 0 < lo < hi", _range)
+CLOSED = Kind("an expression string in r or a finite number", _closed)
+RADIAL = Kind('an expression string in r, a finite number or {"table": {r_nodes, values, '
+              'derivs, second_derivs}}', _radial)
+STEPS = _integer(16, SOLVER_STEPS_CAP)
+OBJECT = _where("an object", lambda v: isinstance(v, dict))
+SECTION = Kind("an object", None)  #: the object at SCHEMA[<key path>], read by _section
+
+#: Every key a command reads: SCHEMA[section][key] = (kind, default).  A section
+#: is the key path of a config object, with the metric kind or construct family
+#: it is for in brackets.  A default is a JSON value read as if given, None (the
+#: key is optional), REQUIRED, or a function of the values read so far.  Other
+#: keys are ignored: an emitted config carries its diagnostics and its input.
+SCHEMA = {
+    "": {
+        "n": (_integer(2, DIMENSION_CAP), REQUIRED),
+        "metric": (SECTION, REQUIRED),
+        "volume": (Kind('bh | ht | constant | {"kind": "custom", "sigma": <radial function>}',
+                        _volume), "bh"),
+        "grid": (SECTION, None),
+        "tolerances": (SECTION, {}),
+        "oracle": (SECTION, {}),
+        "output": (SECTION, {}),
+        "seed": (_where("a non-negative integer", lambda v: type(v) is int and v >= 0), 0),
+        "c_const": (POSITIVE, None),
+        "construct": (OBJECT, {}),
+    },
+    "volume[custom]": {"kind": (_where("custom", lambda v: v == "custom"), REQUIRED),
+                       "sigma": (RADIAL, REQUIRED)},
+    "grid": {"r_min": (POSITIVE, REQUIRED), "r_max": (POSITIVE, REQUIRED),
+             "r_count": (_integer(2, GRID_COUNT_CAP), 21),
+             "s_count": (_integer(5, GRID_COUNT_CAP), 21)},
+    "tolerances": {"isotropy": (POSITIVE, None), "douglas": (POSITIVE, None)},
+    "oracle": {"points": (_integer(1, ORACLE_POINTS_CAP), 10)},
+    "output": {"path": (_where("a string", lambda v: isinstance(v, str)), None)},
+    "metric": {"kind": (_where("one of general | randers | berwald-family",
+                               lambda v: v in ("general", "randers", "berwald-family")), REQUIRED)},
+    "metric[general]": {"phi": (_expression("r", "s"), REQUIRED),
+                        "r_domain": (RANGE, _grid_domain)},
+    "metric[randers]": {"f": (RADIAL, REQUIRED), "g": (RADIAL, REQUIRED), "h": (RADIAL, REQUIRED),
+                        "r_domain": (RANGE, _grid_domain)},
+    "metric[berwald-family]": {"c2": (CLOSED, REQUIRED), "chi": (_expression("w"), REQUIRED),
+                               "r0": (NUMBER, REQUIRED), "r_domain": (RANGE, _grid_domain)},
+    "construct[berwald]": {"c2": (CLOSED, REQUIRED), "chi": (_expression("w"), REQUIRED),
+                           "r0": (NUMBER, REQUIRED), "domain": (RANGE, REQUIRED)},
+    "construct[randers-bh]": {"f": (RADIAL, REQUIRED), "h": (RADIAL, REQUIRED),
+                              "g_at_r0": (NUMBER, REQUIRED), "r_range": (RANGE, REQUIRED),
+                              "steps": (STEPS, 400), "r0": (NUMBER, None)},
+    "construct[randers-ht]": {"c_const": (POSITIVE, REQUIRED), "g": (RADIAL, REQUIRED),
+                              "h_at_r0": (NUMBER, REQUIRED), "r_range": (RANGE, REQUIRED),
+                              "steps": (STEPS, 400), "r0": (NUMBER, None)},
+}
+
+
+def _inside(x: float, bounds: tuple[float, float]) -> bool:
+    return bounds[0] <= x <= bounds[1]
+
+
+#: (key, relation, other key, test): once both keys have values, test(key's
+#: value, other's value) must hold, or the error names the first key
+RELATIONS = (
+    ("grid.r_max", "above", "grid.r_min", lambda hi, lo: hi > lo),
+    ("grid.r_min", "inside", "metric.r_domain", _inside),
+    ("grid.r_max", "inside", "metric.r_domain", _inside),
+    ("metric.r0", "inside", "metric.r_domain", _inside),
+    ("construct.r0", "inside", "construct.domain", _inside),
+    ("construct.r0", "inside", "construct.r_range", _inside),
+)
+
+#: the metric kind a check needs, for the checks that need one
+CHECK_KINDS = {"berwald-family": "berwald-family", "bh-classification": "randers",
+               "ht-parallel": "randers"}
+
+
+def _section(name: str, obj, known: dict) -> dict:
+    """Typed values of config object ``obj`` read against SCHEMA[name].
+
+    Each value is also stored in ``known`` under its key path; then every
+    relation with a key in this section and values for both keys is checked.
+    """
+    prefix = name.partition("[")[0]
+    if not isinstance(obj, dict):
+        _fail(prefix or "<root>", "an object", obj)
+    out = {}
+    for key, (kind, default) in SCHEMA[name].items():
+        path = f"{prefix}.{key}" if prefix else key
+        value = obj[key] if key in obj else default(known) if callable(default) else default
+        if value is None and key not in obj:
+            out[key] = known[path] = None
+        elif kind is SECTION:
+            out[key] = known[path] = _section(path, value, known)
+        else:
+            try:
+                out[key] = known[path] = kind.read(_ok(value, value is not REQUIRED))
+            except _Wrong as exc:
+                _fail(path, kind.what, value, str(exc))
+    for key, relation, other, holds in RELATIONS:
+        here = prefix in (key.rpartition(".")[0], other.rpartition(".")[0])
+        value, bound = known.get(key), known.get(other)
+        if here and value is not None and bound is not None and not holds(value, bound):
+            _fail(key, f"{relation} {other} = {bound!r}", value)
+    return out
 
 
 # -- config loading ----------------------------------------------------------
@@ -75,64 +283,24 @@ FAMILIES = ("berwald", "randers-bh", "randers-ht")
 
 @dataclass
 class RunConfig:
-    raw: dict
+    """A loaded config: the typed values of the shared sections (SCHEMA[""])."""
+
+    raw: dict  #: the file as read; build_spec and construct read their sections from it
+    values: dict  #: every typed value load_config read, by key path
     n: int
     metric: dict
     volume: object
     grid: dict | None
-    tolerances: dict = field(default_factory=dict)
-    output: dict = field(default_factory=dict)
-    seed: int = 0
-    construct: dict = field(default_factory=dict)
-    oracle: dict = field(default_factory=dict)
-    c_const: float | None = None
-
-
-#: largest grid.r_count and grid.s_count: every radius is evaluated in one batch
-GRID_COUNT_CAP = 401
-#: largest oracle.points: each point integrates two geodesics
-ORACLE_POINTS_CAP = 1000
-
-
-def _expect(cond: bool, message: str, key: str) -> None:
-    if not cond:
-        raise ConfigError(message, key=key)
-
-
-def _is_number(v) -> bool:
-    """A finite JSON number (not a string, bool or null)."""
-    return type(v) in (int, float) and math.isfinite(v)
-
-
-def _grid_count(grid: dict, key: str, least: int) -> int:
-    v = grid.get(key, 21)
-    _expect(type(v) is int and least <= v <= GRID_COUNT_CAP,
-            f"grid.{key} must be an integer from {least} to {GRID_COUNT_CAP}, got {v!r}",
-            f"grid.{key}")
-    return v
-
-
-def _radial_fn(obj, key: str):
-    """Accept an expression string, a number, or a sampled table."""
-    if isinstance(obj, str):
-        try:
-            return ScalarFunction.from_text(obj)
-        except (ParseError, UnknownIdentifierError) as exc:
-            raise ConfigError(f"bad expression for {key}: {exc}", key=key) from exc
-    if isinstance(obj, (int, float)):
-        return ScalarFunction.constant(float(obj))
-    if isinstance(obj, dict) and "table" in obj:
-        t = obj["table"]
-        for want in ("r_nodes", "values", "derivs", "second_derivs"):
-            _expect(want in t, f"sampled table for {key} lacks '{want}'", f"{key}.table")
-        try:
-            return SampledFunction(t["r_nodes"], t["values"], t["derivs"], t["second_derivs"])
-        except ValueError as exc:
-            raise ConfigError(f"bad sampled table for {key}: {exc}", key=f"{key}.table") from exc
-    raise ConfigError(f"{key} must be an expression string, number, or table", key=key)
+    tolerances: dict
+    oracle: dict
+    output: dict
+    seed: int
+    c_const: float | None
+    construct: dict
 
 
 def load_config(path: str) -> RunConfig:
+    """Read a config file and check its shared sections; exit 2 names a bad key."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -140,135 +308,25 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError(f"cannot read config file {path!r}: {exc}", key="<file>") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path!r} is not valid JSON: {exc}", key="<file>") from exc
-    _expect(isinstance(raw, dict), "config root must be a JSON object", "<root>")
-    _expect("n" in raw, "missing dimension 'n'", "n")
-    n = raw["n"]
-    _expect(isinstance(n, int) and n >= 2, "'n' must be an integer >= 2", "n")
-    _expect("metric" in raw and isinstance(raw["metric"], dict), "missing 'metric' object", "metric")
-    metric = raw["metric"]
-    _expect(
-        metric.get("kind") in ("general", "randers", "berwald-family"),
-        "metric.kind must be one of general | randers | berwald-family",
-        "metric.kind",
-    )
-    volume = _load_volume(raw.get("volume", "bh"))
-    grid = raw.get("grid")
-    if grid is not None:
-        _expect(isinstance(grid, dict), "'grid' must be an object", "grid")
-        for want in ("r_min", "r_max"):
-            _expect(want in grid, f"grid lacks '{want}'", f"grid.{want}")
-            _expect(_is_number(grid[want]),
-                    f"grid.{want} must be a finite number, got {grid[want]!r}", f"grid.{want}")
-        _expect(0.0 < grid["r_min"] < grid["r_max"], "grid range must satisfy 0 < r_min < r_max", "grid")
-        grid = {
-            "r_min": float(grid["r_min"]),
-            "r_max": float(grid["r_max"]),
-            "r_count": _grid_count(grid, "r_count", 2),
-            "s_count": _grid_count(grid, "s_count", 5),
-        }
-    tolerances = raw.get("tolerances", {}) or {}
-    _expect(isinstance(tolerances, dict), "'tolerances' must be an object", "tolerances")
-    for key in ("isotropy", "douglas"):
-        v = tolerances.get(key)
-        _expect(v is None or type(v) in (int, float) and 0.0 < v < float("inf"),
-                f"tolerances.{key} must be a positive number, got {v!r}", f"tolerances.{key}")
-    seed = raw.get("seed", 0)
-    _expect(isinstance(seed, int), "'seed' must be an integer", "seed")
-    c_const = raw.get("c_const")
-    if c_const is not None:
-        _expect(type(c_const) in (int, float) and 0.0 < c_const < math.inf,
-                f"'c_const' must be a positive finite number, got {c_const!r}", "c_const")
-        c_const = float(c_const)
-    oracle = raw.get("oracle", {}) or {}
-    _expect(isinstance(oracle, dict), "'oracle' must be an object", "oracle")
-    points = oracle.get("points", 10)
-    _expect(type(points) is int and 1 <= points <= ORACLE_POINTS_CAP,
-            f"oracle.points must be an integer from 1 to {ORACLE_POINTS_CAP}, got {points!r}",
-            "oracle.points")
-    return RunConfig(
-        raw=raw,
-        n=n,
-        metric=metric,
-        volume=volume,
-        grid=grid,
-        tolerances=tolerances,
-        output=raw.get("output", {}) or {},
-        seed=seed,
-        construct=raw.get("construct", {}) or {},
-        oracle=oracle,
-        c_const=c_const,
-    )
-
-
-def _load_volume(obj):
-    if isinstance(obj, str):
-        kind = obj.lower()
-        if kind == "bh":
-            return BH
-        if kind == "ht":
-            return HT
-        if kind == "constant":
-            return CONSTANT
-        raise ConfigError("volume must be bh | ht | constant | {kind: custom, sigma: ...}", key="volume")
-    if isinstance(obj, dict) and obj.get("kind") == "custom":
-        _expect("sigma" in obj, "custom volume lacks 'sigma'", "volume.sigma")
-        return CustomDensity(_radial_fn(obj["sigma"], "volume.sigma"))
-    raise ConfigError("volume must be bh | ht | constant | {kind: custom, sigma: ...}", key="volume")
-
-
-def _default_domain(cfg: RunConfig) -> tuple[float, float]:
-    dom = cfg.metric.get("r_domain")
-    if dom is not None:
-        _expect(
-            isinstance(dom, (list, tuple)) and len(dom) == 2 and all(map(_is_number, dom))
-            and 0.0 < dom[0] < dom[1],
-            "metric.r_domain must be [r_min, r_max] with 0 < r_min < r_max",
-            "metric.r_domain",
-        )
-        lo, hi = float(dom[0]), float(dom[1])
-        if cfg.grid is not None:
-            for key, r in (("r_min", cfg.grid["r_min"]), ("r_max", cfg.grid["r_max"])):
-                _expect(lo <= r <= hi, f"grid.{key} = {r!r} lies outside metric.r_domain "
-                        f"[{lo!r}, {hi!r}]", f"grid.{key}")
-        return lo, hi
-    _expect(cfg.grid is not None, "need metric.r_domain or a grid to fix the domain", "metric.r_domain")
-    # pad so boundary radii keep room for the density cross-check stencil
-    return 0.9 * cfg.grid["r_min"], 1.1 * cfg.grid["r_max"]
+    known = {}
+    return RunConfig(raw=raw, values=known, **_section("", raw, known))
 
 
 def build_spec(cfg: RunConfig) -> MetricSpec:
+    """The metric of a loaded config, its section checked for the config's kind."""
     kind = cfg.metric["kind"]
-    domain = _default_domain(cfg)
+    m = _section(f"metric[{kind}]", cfg.raw["metric"], dict(cfg.values))
     if kind == "general":
-        _expect("phi" in cfg.metric, "general metric lacks 'phi'", "metric.phi")
-        _expect(isinstance(cfg.metric["phi"], str),
-                f"metric.phi must be an expression string, got {cfg.metric['phi']!r}", "metric.phi")
-        try:
-            return general_phi_spec(cfg.metric["phi"], cfg.n, domain)
-        except (ParseError, UnknownIdentifierError) as exc:
-            raise ConfigError(f"bad expression for metric.phi: {exc}", key="metric.phi") from exc
+        return general_phi_spec(m["phi"], cfg.n, m["r_domain"])
     if kind == "randers":
-        for want in ("f", "g", "h"):
-            _expect(want in cfg.metric, f"randers metric lacks '{want}'", f"metric.{want}")
-        f, g, h = (_radial_fn(cfg.metric[k], f"metric.{k}") for k in ("f", "g", "h"))
-        return randers_spec(f, g, h, cfg.n, domain)
-    for want in ("c2", "chi", "r0"):
-        _expect(want in cfg.metric, f"berwald-family metric lacks '{want}'", f"metric.{want}")
-    c2 = _radial_fn(cfg.metric["c2"], "metric.c2")
-    _expect(isinstance(c2, ScalarFunction), "family c2 must be closed form", "metric.c2")
-    try:
-        chi = parse_expression(str(cfg.metric["chi"]), {"w"})
-    except (ParseError, UnknownIdentifierError) as exc:
-        raise ConfigError(f"bad expression for metric.chi: {exc}", key="metric.chi") from exc
-    r0 = cfg.metric["r0"]
-    _expect(_is_number(r0) and domain[0] <= r0 <= domain[1],
-            f"family anchor metric.r0 must be a number inside r_domain, got {r0!r}", "metric.r0")
-    r0 = float(r0)
-    return MetricSpec(BerwaldFamilyProfile(c2=c2, chi=chi, r0=r0), cfg.n, domain)
+        return randers_spec(m["f"], m["g"], m["h"], cfg.n, m["r_domain"])
+    return MetricSpec(BerwaldFamilyProfile(c2=m["c2"], chi=m["chi"], r0=m["r0"]), cfg.n,
+                      m["r_domain"])
 
 
 def _grids(cfg: RunConfig) -> tuple[np.ndarray, np.ndarray]:
-    _expect(cfg.grid is not None, "this command needs a 'grid' section", "grid")
+    if cfg.grid is None:
+        _fail("grid", "an object for this command", REQUIRED)
     g = cfg.grid
     r_values = np.linspace(g["r_min"], g["r_max"], g["r_count"])
     return r_values, s_fractions(g["s_count"])
@@ -291,10 +349,14 @@ def _residual_block(res, r, s) -> dict:
 
 
 def _write_text(args, cfg: RunConfig, text: str) -> None:
-    path = args.out or cfg.output.get("path")
+    path = args.out or cfg.output["path"]
     if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            _fail("--out" if args.out else "output.path", "a writable file path", path,
+                  exc.strerror or str(exc))
         print(f"wrote {path}", file=sys.stderr)
     else:
         sys.stdout.write(text)
@@ -379,7 +441,7 @@ class Verdict(NamedTuple):
 
 def _verify_isotropy(cfg, spec, args, rule) -> Verdict:
     r_values, fracs = _grids(cfg)
-    tol = args.tol if args.tol is not None else cfg.tolerances.get("isotropy")
+    tol = args.tol if args.tol is not None else cfg.tolerances["isotropy"]
     prof = isotropy_profile(spec, cfg.volume, r_values, s_fracs=fracs, tolerance=tol, rule=rule)
     rc = r_values[:, None]
     return Verdict(prof.passed, prof.c_values - prof.c_mean[:, None], rc, rc * fracs,
@@ -389,7 +451,7 @@ def _verify_isotropy(cfg, spec, args, rule) -> Verdict:
 
 def _verify_douglas(cfg, spec, args, rule) -> Verdict:
     r_values, fracs = _grids(cfg)
-    tol = args.tol if args.tol is not None else cfg.tolerances.get("douglas")
+    tol = args.tol if args.tol is not None else cfg.tolerances["douglas"]
     fit = douglas_verdict(spec, r_values, fracs, tolerance=tol)
     rc = r_values[:, None]
     return Verdict(fit.passed, fit.residuals, rc, rc * fracs,
@@ -398,11 +460,6 @@ def _verify_douglas(cfg, spec, args, rule) -> Verdict:
 
 
 def _verify_family(cfg, spec, args, rule) -> Verdict:
-    _expect(
-        cfg.metric["kind"] == "berwald-family",
-        "--check berwald-family needs a berwald-family metric",
-        "metric.kind",
-    )
     built = build_berwald_family(
         spec.profile.c2, spec.profile.chi, spec.profile.r0, spec.r_domain, cfg.n
     )
@@ -417,13 +474,8 @@ def _verify_family(cfg, spec, args, rule) -> Verdict:
                    {"r": r_values, "c1": fit.c1, "c2": fit.c2, "pde_residual": np.max(dev, axis=1)})
 
 
-def _randers_profiles(cfg):
-    _expect(cfg.metric["kind"] == "randers", "this check needs a randers metric", "metric.kind")
-    return tuple(_radial_fn(cfg.metric[k], f"metric.{k}") for k in ("f", "g", "h"))
-
-
 def _verify_bh_classification(cfg, spec, args, rule) -> Verdict:
-    f, g, h = _randers_profiles(cfg)
+    f, g, h = spec.profile.f, spec.profile.g, spec.profile.h
     r_values, _ = _grids(cfg)
     bc = batch_radii(lambda radii: bh_classification_residuals(f, g, h, radii), r_values)
     tol = args.tol if args.tol is not None else 1e-8 * (1.0 + float(np.max(np.abs(bc.c))))
@@ -433,17 +485,13 @@ def _verify_bh_classification(cfg, spec, args, rule) -> Verdict:
 
 
 def _verify_ht_parallel(cfg, spec, args, rule) -> Verdict:
-    f, g, h = _randers_profiles(cfg)
+    f, g, h = spec.profile.f, spec.profile.g, spec.profile.h
     r_values, _ = _grids(cfg)
-    if cfg.c_const is not None:
-        c_const = cfg.c_const
-    else:
+    c_const = cfg.c_const
+    if c_const is None:
         cs = r_values * r_values * np.asarray(f.value(r_values), dtype=float)
-        _expect(
-            float(np.max(cs) - np.min(cs)) <= 1e-6 * (1.0 + float(np.mean(np.abs(cs)))),
-            "metric.f is not c/r^2 for a constant c; set 'c_const' explicitly",
-            "c_const",
-        )
+        if float(np.max(cs) - np.min(cs)) > 1e-6 * (1.0 + float(np.mean(np.abs(cs)))):
+            _fail("c_const", "given when metric.f is not c/r^2 for a constant c", REQUIRED)
         c_const = float(np.mean(cs))
 
     def batch(radii):
@@ -461,7 +509,7 @@ def _verify_oracle(cfg, spec, args, rule) -> Verdict:
     r_values, _ = _grids(cfg)
     lo, hi = float(r_values[0]), float(r_values[-1])
     span = hi - lo
-    points = cfg.oracle.get("points", 10)
+    points = cfg.oracle["points"]
     seed = args.seed if args.seed is not None else cfg.seed
     rng = np.random.default_rng(seed)
     tol = args.tol if args.tol is not None else 1e-4
@@ -495,6 +543,9 @@ _VERIFIERS = {
 
 
 def cmd_verify(cfg: RunConfig, args) -> int:
+    kind = cfg.metric["kind"]
+    if CHECK_KINDS.get(args.check, kind) != kind:
+        _fail("metric.kind", f"{CHECK_KINDS[args.check]} for --check {args.check}", kind)
     spec = build_spec(cfg)
     verdict = _VERIFIERS[args.check](cfg, spec, args, _rule(args))
     block = _residual_block(verdict.residual, verdict.r, verdict.s)
@@ -511,25 +562,13 @@ def cmd_verify(cfg: RunConfig, args) -> int:
     return 0 if verdict.passed else 1
 
 
-def _construct_berwald(cfg: RunConfig, args) -> dict:
-    p = cfg.construct
-    for want in ("c2", "chi", "r0", "domain"):
-        _expect(want in p, f"construct section lacks '{want}'", f"construct.{want}")
-    lo, hi = float(p["domain"][0]), float(p["domain"][1])
-    built = build_berwald_family(p["c2"], p["chi"], float(p["r0"]), (lo, hi), cfg.n)
+def _construct_berwald(cfg: RunConfig, p: dict) -> dict:
+    built = build_berwald_family(p["c2"], p["chi"], p["r0"], p["domain"], cfg.n)
     prof = built.spec.profile
-    pad = 0.05 * (hi - lo)
     return {
-        "n": cfg.n,
-        "metric": {
-            "kind": "berwald-family",
-            "c2": str(prof.c2),
-            "chi": to_string(prof.chi),
-            "r0": prof.r0,
-            "r_domain": [lo, hi],
-        },
+        "metric": {"kind": "berwald-family", "c2": str(prof.c2), "chi": to_string(prof.chi),
+                   "r0": prof.r0},
         "volume": "bh",
-        "grid": {"r_min": lo + pad, "r_max": hi - pad, "r_count": 11, "s_count": 11},
         "diagnostics": {
             "pde_max_residual": built.pde_max_residual,
             "douglas_passed": built.douglas.passed,
@@ -541,37 +580,15 @@ def _construct_berwald(cfg: RunConfig, args) -> dict:
 
 
 def _table_dict(sol) -> dict:
-    return {
-        "table": {
-            "r_nodes": sol.r_nodes.tolist(),
-            "values": sol.values.tolist(),
-            "derivs": sol.derivs.tolist(),
-            "second_derivs": sol.second_derivs.tolist(),
-        }
-    }
+    return {"table": {k: getattr(sol, k).tolist() for k in _TABLE_KEYS}}
 
 
-def _construct_randers_bh(cfg: RunConfig, args) -> dict:
-    p = cfg.construct
-    for want in ("f", "h", "g_at_r0", "r_range"):
-        _expect(want in p, f"construct section lacks '{want}'", f"construct.{want}")
-    lo, hi = float(p["r_range"][0]), float(p["r_range"][1])
-    sol = bh_solve_g(
-        p["f"], p["h"], float(p["g_at_r0"]), (lo, hi),
-        steps=int(p.get("steps", 400)), r0=p.get("r0"),
-    )
-    pad = 0.05 * (hi - lo)
+def _construct_randers_bh(cfg: RunConfig, p: dict) -> dict:
+    sol = bh_solve_g(p["f"], p["h"], p["g_at_r0"], p["r_range"], steps=p["steps"], r0=p["r0"])
     return {
-        "n": cfg.n,
-        "metric": {
-            "kind": "randers",
-            "f": p["f"],
-            "g": _table_dict(sol),
-            "h": p["h"],
-            "r_domain": [lo, hi],
-        },
+        "metric": {"kind": "randers", "f": cfg.construct["f"], "g": _table_dict(sol),
+                   "h": cfg.construct["h"]},
         "volume": "bh",
-        "grid": {"r_min": lo + pad, "r_max": hi - pad, "r_count": 11, "s_count": 11},
         "diagnostics": {
             "max_node_residual": sol.max_node_residual,
             "admissibility_margin": sol.admissibility_margin,
@@ -579,29 +596,14 @@ def _construct_randers_bh(cfg: RunConfig, args) -> dict:
     }
 
 
-def _construct_randers_ht(cfg: RunConfig, args) -> dict:
-    p = cfg.construct
-    for want in ("c_const", "g", "h_at_r0", "r_range"):
-        _expect(want in p, f"construct section lacks '{want}'", f"construct.{want}")
-    c_const = float(p["c_const"])
-    lo, hi = float(p["r_range"][0]), float(p["r_range"][1])
-    sol = ht_solve_h(
-        c_const, p["g"], float(p["h_at_r0"]), (lo, hi),
-        steps=int(p.get("steps", 400)), r0=p.get("r0"),
-    )
-    pad = 0.05 * (hi - lo)
+def _construct_randers_ht(cfg: RunConfig, p: dict) -> dict:
+    c_const = p["c_const"]
+    sol = ht_solve_h(c_const, p["g"], p["h_at_r0"], p["r_range"], steps=p["steps"], r0=p["r0"])
     return {
-        "n": cfg.n,
         "c_const": c_const,
-        "metric": {
-            "kind": "randers",
-            "f": "%.17g/r^2" % c_const,
-            "g": p["g"],
-            "h": _table_dict(sol),
-            "r_domain": [lo, hi],
-        },
+        "metric": {"kind": "randers", "f": "%.17g/r^2" % c_const, "g": cfg.construct["g"],
+                   "h": _table_dict(sol)},
         "volume": "ht",
-        "grid": {"r_min": lo + pad, "r_max": hi - pad, "r_count": 11, "s_count": 11},
         "diagnostics": {
             "max_node_residual": sol.max_node_residual,
             "admissible": sol.admissible,
@@ -610,14 +612,23 @@ def _construct_randers_ht(cfg: RunConfig, args) -> dict:
     }
 
 
+_BUILDERS = {
+    "berwald": _construct_berwald,
+    "randers-bh": _construct_randers_bh,
+    "randers-ht": _construct_randers_ht,
+}
+
+
 def cmd_construct(cfg: RunConfig, args) -> int:
-    builder = {
-        "berwald": _construct_berwald,
-        "randers-bh": _construct_randers_bh,
-        "randers-ht": _construct_randers_ht,
-    }[args.family]
-    out = builder(cfg, args)
-    out["config_echo"] = cfg.raw
+    """Emit a loadable config: the builder's metric, volume and diagnostics on the
+    construct domain, with an 11 x 11 grid inset 5% from its ends."""
+    p = _section(f"construct[{args.family}]", cfg.construct, dict(cfg.values))
+    lo, hi = p["domain"] if "domain" in p else p["r_range"]
+    pad = 0.05 * (hi - lo)
+    out = _BUILDERS[args.family](cfg, p)
+    out["metric"]["r_domain"] = [lo, hi]
+    out.update(n=cfg.n, config_echo=cfg.raw,
+               grid={"r_min": lo + pad, "r_max": hi - pad, "r_count": 11, "s_count": 11})
     _dump_report(args, cfg, out)
     return 0
 
@@ -625,10 +636,10 @@ def cmd_construct(cfg: RunConfig, args) -> int:
 # -- entry point -------------------------------------------------------------
 
 
-def _positive_int(text: str) -> int:
-    """argparse type for counts: a decimal integer >= 1."""
-    if not text.isdecimal() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+def _int_from(least: int, text: str) -> int:
+    """argparse type, with least bound by partial: a decimal integer >= least."""
+    if not text.isdecimal() or int(text) < least:
+        raise argparse.ArgumentTypeError(f"expected an integer >= {least}, got {text!r}")
     return int(text)
 
 
@@ -660,11 +671,12 @@ def _parser() -> argparse.ArgumentParser:
         if "check" in needs:
             p.add_argument("--check", required=True, choices=CHECKS)
         if "family" in needs:
-            p.add_argument("--family", required=True, choices=FAMILIES)
+            p.add_argument("--family", required=True, choices=_BUILDERS)
         p.add_argument("--out", default=None, help="output file path")
         p.add_argument("--tol", type=_positive_float, default=None, help="tolerance override")
-        p.add_argument("--quad", type=_positive_int, default=None, help="quadrature node count")
-        p.add_argument("--seed", type=int, default=None, help="seed override")
+        p.add_argument("--quad", type=partial(_int_from, 1), default=None,
+                       help="quadrature node count")
+        p.add_argument("--seed", type=partial(_int_from, 0), default=None, help="seed override")
     return ap
 
 
@@ -681,7 +693,7 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         return _COMMANDS[args.command](cfg, args)
-    except (ConfigError, ParseError, UnknownIdentifierError, DegenerateInputError) as exc:
+    except (ConfigError, DegenerateInputError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except RegularityError as exc:

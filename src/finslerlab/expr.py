@@ -416,10 +416,3 @@ class ScalarFunction:
     def __str__(self) -> str:
         return to_string(self.tree)
 
-
-def eval_scalar(fn, r: float, order: int = 0):
-    """Value and the first ``order`` (<= 2) derivatives of a scalar function."""
-    if order not in (0, 1, 2):
-        raise ValueError("order must be 0, 1 or 2")
-    j = fn.jet(r)
-    return tuple(j.d(k, 0) for k in range(order + 1))

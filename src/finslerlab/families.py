@@ -164,14 +164,13 @@ class OdeSolution:
     ``node_residuals`` re-evaluates the defining condition at every node with
     the derivative taken by finite differences of the solved values (never
     the solver's own right-hand side), so the audit cannot inherit a solver
-    bug.  ``order`` is the interpolation order of as_function().
+    bug.
     """
 
     r_nodes: np.ndarray
     values: np.ndarray
     derivs: np.ndarray
     second_derivs: np.ndarray
-    order: int
     node_residuals: np.ndarray
     admissible: bool
     admissibility_margin: float
@@ -434,7 +433,6 @@ def bh_solve_g(f, h, g_at_r0: float, r_range, steps: int = 400, r0=None) -> OdeS
         values=values,
         derivs=derivs,
         second_derivs=second,
-        order=5,
         node_residuals=residuals,
         admissible=True,
         admissibility_margin=float(margin),
@@ -502,7 +500,6 @@ def ht_solve_h(c_const: float, g, h_at_r0: float, r_range, steps: int = 400, r0=
         values=values,
         derivs=derivs,
         second_derivs=second,
-        order=5,
         node_residuals=residuals,
         admissible=bool(np.all(margins > 0.0)),
         admissibility_margin=float(np.min(margins)),

@@ -105,10 +105,9 @@ def exact_sum(values):
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Gauss-Legendre rule on [0, pi] with optional doubling refinement."""
+    """Gauss-Legendre rule on [0, pi]; ``n`` is where doubling refinement starts."""
 
     n: int = 64
-    adaptive: bool = True
 
     def points(self, n: int | None = None) -> tuple[np.ndarray, np.ndarray]:
         """Nodes and weights mapped to [0, pi]."""
@@ -122,10 +121,7 @@ def refine(eval_at_n, rule: QuadratureRule):
     eval_at_n returns a float or an array (one value per radius).  Each element
     keeps the first value within ``REFINE_ATOL`` of the one before it, as a
     scalar run would; QuadratureError when one reaches the node cap unsettled.
-    With ``rule.adaptive`` unset this is a single evaluation at ``rule.n``.
     """
-    if not rule.adaptive:
-        return eval_at_n(rule.n)
     n = rule.n
     prev = eval_at_n(n)
     out, settled = np.array(prev, dtype=float), np.zeros(np.shape(prev), dtype=bool)

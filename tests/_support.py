@@ -264,3 +264,13 @@ def dispatched_simd_targets() -> list:
     except TypeError:  # numpy < 1.25 has no dict form and reports nothing here
         return []
     return info["SIMD Extensions"].get("found", [])
+
+
+# A construct section per family that builds and passes its node audits.
+CONSTRUCT_INPUTS = {
+    "berwald": {"c2": "0.1", "chi": "1 + w/4", "r0": 1.0, "domain": [0.85, 1.15]},
+    "randers-bh": {"f": "1 + 0.3*r^2", "h": "0.4", "g_at_r0": 0.8, "r_range": [0.3, 0.9],
+                   "steps": 400, "r0": 0.6},
+    "randers-ht": {"c_const": 1.0, "g": "0", "h_at_r0": 0.5, "r_range": [1.0, 2.5],
+                   "steps": 600},
+}

@@ -10,10 +10,12 @@ from pathlib import Path
 
 import pytest
 
-from finslerlab import expr
+from finslerlab import cli, expr, volume
+from finslerlab.geometry import MetricSpec
 from finslerlab.jets import Jet3
 
-TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "bench" / "tracing.py"
 
 
 @pytest.fixture(scope="module")
@@ -44,3 +46,11 @@ def test_node_jet_cache_counters_exist():
 
     info = volume._node_jets.cache_info()
     assert info.maxsize == 16 and info.hits >= 0 and info.misses >= 0
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "configs").glob("*.json")), ids=lambda p: p.stem)
+def test_bundled_configs_load_as_the_bench_reads_them(path):
+    # bench/workloads._spec reads cli.build_spec(cli.load_config(p)) and the loaded .volume
+    loaded = cli.load_config(str(path))
+    assert isinstance(cli.build_spec(loaded), MetricSpec)
+    assert loaded.volume in (volume.BH, volume.HT, volume.CONSTANT)

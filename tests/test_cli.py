@@ -10,8 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from _support import dispatched_simd_targets
-from finslerlab.cli import CHECKS, CSV_HEADER, main
+from _support import CONSTRUCT_INPUTS, dispatched_simd_targets
+from finslerlab.cli import CHECKS, CSV_HEADER, SOLVER_STEPS_CAP, main
 from finslerlab.errors import DomainError
 from finslerlab.expr import ScalarFunction
 from finslerlab.families import bh_classification_residuals, ht_condition_residual
@@ -209,6 +209,14 @@ def test_quad_must_be_a_positive_int(capsys, quad):
         main(["verify", "--check", "isotropy", FUNK_CFG, "--quad", quad])
     assert exc.value.code == 2
     assert "--quad" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed", ["-1", "x", "1.5"])
+def test_seed_must_be_a_non_negative_int(capsys, seed):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--check", "oracle", FUNK_CFG, "--seed", seed])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf", "abc"])
@@ -442,6 +450,28 @@ def test_bad_config_value_is_config_error_naming_its_key(tmp_path, capsys, stem,
     assert err.startswith("config error:") and f"{section}.{key}" in err, err
 
 
+@pytest.mark.parametrize("key, value, named", [
+    ("output", "report.json", "'output'"), ("output", {"path": 7}, "'output.path'"),
+    ("seed", -3, "'seed'"), ("seed", True, "'seed'"), ("tolerances", [], "'tolerances'"),
+    ("oracle", [], "'oracle'"), ("n", 10**400, "'n'"),
+    ("volume", {"kind": "custom"}, "'volume.sigma'"),
+])
+def test_bad_shared_value_is_config_error_naming_its_key(tmp_path, capsys, key, value, named):
+    cfg = json.loads(Path(FUNK_CFG).read_text())
+    cfg[key] = value
+    assert main(["verify", "--check", "douglas", write_cfg(tmp_path, "bad.json", cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and named in err, err
+
+
+def test_unwritable_output_path_is_config_error(tmp_path, capsys):
+    cfg = json.loads(Path(FUNK_CFG).read_text())
+    cfg["output"] = {"path": str(tmp_path / "no" / "such" / "dir.json")}
+    assert main(["verify", "--check", "douglas", write_cfg(tmp_path, "out.json", cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: 'output.path' must be a writable file path"), err
+
+
 def test_grid_on_the_domain_ends_is_accepted(tmp_path):
     from finslerlab.cli import build_spec, load_config
 
@@ -549,6 +579,36 @@ def test_construct_randers_ht_round_trip(tmp_path, capsys):
     assert main(["verify", "--check", "ht-parallel", str(out)]) == 0
     assert main(["verify", "--check", "isotropy", str(out)]) == 0
     capsys.readouterr()
+
+
+C2_TABLE = {"table": {"r_nodes": [0.8, 1.2], "values": [0.1, 0.1], "derivs": [0.0, 0.0],
+                      "second_derivs": [0.0, 0.0]}}
+
+
+@pytest.mark.parametrize("family, key, value", [
+    ("berwald", "domain", ["a", 1.2]), ("berwald", "r0", 2.0), ("berwald", "c2", C2_TABLE),
+    ("berwald", "chi", 1), ("randers-bh", "steps", "x"), ("randers-bh", "steps", 4),
+    ("randers-bh", "steps", SOLVER_STEPS_CAP + 1), ("randers-bh", "r0", 5.0),
+    ("randers-bh", "g_at_r0", "abc"), ("randers-bh", "f", None),
+    ("randers-ht", "r_range", [2.5, 1.0]), ("randers-ht", "c_const", -1),
+])
+def test_bad_construct_value_is_config_error_naming_its_key(tmp_path, capsys, family, key, value):
+    body = dict(CONSTRUCT_INPUTS[family], **{key: value})
+    cfg = {"n": 2, "metric": H05_METRIC, "construct": body}
+    assert main(["construct", "--family", family, write_cfg(tmp_path, "bad.json", cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and f"'construct.{key}'" in err, err
+
+
+@pytest.mark.parametrize("family", sorted(CONSTRUCT_INPUTS))
+def test_construct_lacking_a_key_names_it(tmp_path, capsys, family):
+    for key in CONSTRUCT_INPUTS[family]:
+        if key in ("steps", "r0") and family != "berwald":
+            continue  # optional
+        body = {k: v for k, v in CONSTRUCT_INPUTS[family].items() if k != key}
+        cfg = write_cfg(tmp_path, "lacks.json", {"n": 2, "metric": H05_METRIC, "construct": body})
+        assert main(["construct", "--family", family, cfg]) == 2
+        assert f"config error: 'construct.{key}' must be " in capsys.readouterr().err
 
 
 # -- module entry point ------------------------------------------------------

@@ -19,7 +19,6 @@ from finslerlab.expr import (
     Unary,
     Var,
     eval_jet,
-    eval_scalar,
     eval_value,
     parse_expression,
     to_string,
@@ -190,18 +189,6 @@ def test_eval_value_matches_jet_value():
             continue
         for r, s in pts:
             assert fn(r, s) == pytest.approx(float(eval_jet(tree, r, s).d(0, 0)), rel=1e-12)
-
-
-def test_eval_scalar_examples():
-    assert eval_scalar(ScalarFunction.from_text("1/r"), 2.0, order=1) == pytest.approx((0.5, -0.25))
-    assert eval_scalar(ScalarFunction.from_text("r^2"), 3.0, order=2) == pytest.approx((9.0, 6.0, 2.0))
-    with pytest.raises(DomainError):
-        eval_scalar(ScalarFunction.from_text("log(r)"), 0.0)
-
-
-def test_eval_scalar_order_validation():
-    with pytest.raises(ValueError):
-        eval_scalar(ScalarFunction.from_text("r"), 1.0, order=3)
 
 
 def test_scalar_function_constant():
