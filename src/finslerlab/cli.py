@@ -224,7 +224,7 @@ SCHEMA = {
                               "steps": (STEPS, 400), "r0": (NUMBER, None)},
     "construct[randers-ht]": {"c_const": (POSITIVE, REQUIRED), "g": (RADIAL, REQUIRED),
                               "h_at_r0": (NUMBER, REQUIRED), "r_range": (RANGE, REQUIRED),
-                              "steps": (STEPS, 400), "r0": (NUMBER, None)},
+                              "steps": (STEPS, 1600), "r0": (NUMBER, None)},
 }
 
 

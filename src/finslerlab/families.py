@@ -7,8 +7,8 @@ Three layers live here:
   Randers-profile conditions for either volume density), each computed with
   jet-exact partial derivatives;
 * fixed-step solvers that generate admissible profiles from the conditions
-  (RK4 for the Busemann-Hausdorff branch, an exponential of a cumulative
-  quadrature for the Holmes-Thompson branch), every node audited with an
+  (RK4 for the Busemann-Hausdorff branch, the exponential of a tabulated
+  antiderivative for the Holmes-Thompson branch), every node audited with an
   independent finite-difference derivative of the solved values;
 * quintic Hermite packaging (SampledFunction) so solved profiles plug into
   the same pipelines as closed-form ones.
@@ -439,27 +439,24 @@ def bh_solve_g(f, h, g_at_r0: float, r_range, steps: int = 400, r0=None) -> OdeS
     )
 
 
-def ht_solve_h(c_const: float, g, h_at_r0: float, r_range, steps: int = 400, r0=None) -> OdeSolution:
+def ht_solve_h(c_const: float, g, h_at_r0: float, r_range, steps: int = 1600, r0=None) -> OdeSolution:
     """Solve 2h'(c/r^2 + r^2 g) = h (r^2 g' - 4c/r^3) for h.
 
-    The equation is linear homogeneous, so h(r) = h(r0) exp K(r) with K a
-    cumulative quadrature of the coefficient: one integral per grid step,
-    summed outwards from r0.  Admissibility g - h^2 > -c/r^4 is reported,
-    not enforced.
+    The equation is linear homogeneous, so h(r) = h(r0) exp K(r) with K the
+    antiderivative of the coefficient from r0 (snapped onto the grid): one
+    ``segment_integral`` table, read at the uniform grid nodes.  Admissibility
+    g - h^2 > -c/r^4 is reported, not enforced.
     """
     c_const = float(c_const)
     if c_const <= 0.0:
         raise DomainError(f"c must be a positive constant, got {c_const!r}")
     g = _as_radial_fn(g)
     nodes, step, i0 = _uniform_nodes(r_range, steps, r0)
-    m = nodes.size
 
-    def kappa(r_arr):
-        gj = g.jet(np.asarray(r_arr, dtype=float))
-        g_v, gp = np.asarray(gj.d(0, 0)), np.asarray(gj.d(1, 0))
-        r_arr = np.asarray(r_arr, dtype=float)
-        den = 2.0 * (c_const / (r_arr * r_arr) + r_arr * r_arr * g_v)
-        return (r_arr * r_arr * gp - 4.0 * c_const / r_arr**3) / den
+    def kappa(rho):
+        gj = g.jet(rho, order=2)
+        den = 2.0 * (c_const / (rho * rho) + rho * rho * gj.d(0, 0))
+        return (rho * rho * gj.d(1, 0) - 4.0 * c_const / rho**3) / den
 
     gj_n = g.jet(nodes)
     g_nodes, gp_nodes = np.asarray(gj_n.d(0, 0)), np.asarray(gj_n.d(1, 0))
@@ -471,12 +468,9 @@ def ht_solve_h(c_const: float, g, h_at_r0: float, r_range, steps: int = 400, r0=
             "the h equation is singular"
         )
 
-    # K over each step; a step taken backwards is exactly the negated integral
-    steps_k = segment_integral(kappa, nodes[:-1], nodes[1:])
-    log_scale = np.zeros(m)
-    log_scale[i0 + 1 :] = np.cumsum(steps_k[i0:])
-    log_scale[:i0] = np.cumsum(-steps_k[:i0][::-1])[::-1]
-    values = float(h_at_r0) * np.exp(log_scale)
+    # K from the anchor node outwards, read off its table at the grid nodes
+    k_table = segment_integral((kappa,), nodes[i0], nodes[0], nodes[-1])
+    values = float(h_at_r0) * np.exp(k_table.at(nodes)[0])
 
     rj = Jet3.seed(nodes, dr=1.0)
     k_jet = (rj * rj * gj_n.deriv(1, 0) - 4.0 * c_const / rj.powi(3)) / (

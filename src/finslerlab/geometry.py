@@ -12,11 +12,11 @@ phi_ss are read, for three profile kinds:
 * ``BerwaldFamilyProfile`` -- phi = chi(w) sqrt(g(r) + J(r) s^2) e^{-I2(r)}
   with w = s^2/(g + J s^2), where g = e^{I1}, J and I2 are antiderivatives
   from r0 built from a radial coefficient c2 (see
-  :mod:`finslerlab.families`).  Their values come from a table built once per
-  spec: Chebyshev-Lobatto panels over the domain, split at r0, each node value
-  one quadrature from r0, read off by barycentric interpolation.  A value
-  therefore depends on r and the spec alone, never on which radii were
-  queried before.
+  :mod:`finslerlab.families`).  Their values come from one
+  ``quadrature.segment_integral`` table built once per spec (Chebyshev-Lobatto
+  panels over the domain, split at r0, read off by barycentric
+  interpolation).  A value therefore depends on r and the spec alone, never
+  on which radii were queried before.
 
 Regularity means three pointwise positivity conditions::
 
@@ -32,17 +32,16 @@ S-curvature, the sampled CSV (Q_s) and the Holmes-Thompson density use order 3.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Union
 
 import numpy as np
 
-from .errors import DomainError, FinslerError, QuadratureError, RegularityError
+from .errors import DomainError, FinslerError, RegularityError
 from .expr import ExpressionTree, ScalarFunction, eval_tree, parse_expression
 from .jets import Jet3, any_true, ipow
-from .quadrature import exact_sum, segment_integral
+from .quadrature import PanelTable, segment_integral
 
 #: relative inset used when building s-grids that must avoid |s| = r
 S_MARGIN = 1e-6
@@ -195,118 +194,17 @@ def regularity_margins(jet: Jet3, r, s):
 
 # -- Berwald-type family profiles -------------------------------------------
 
-#: Chebyshev-Lobatto degree of each family table panel
-TABLE_DEGREE = 16
-#: a panel is kept when its two trailing Chebyshev coefficients are at most
-#: this times the largest node value, for each of I1, J and I2
-TABLE_TOL = 1e-14
-#: bisections of a starting panel before QuadratureError
-TABLE_SPLIT_CAP = 12
-
-#: Lobatto points cos(j pi / N), j = 0..N, on [-1, 1] (descending, exactly symmetric)
-_LOBATTO = np.array([math.sin(math.pi * (TABLE_DEGREE - 2 * j) / (2 * TABLE_DEGREE))
-                     for j in range(TABLE_DEGREE + 1)])
-#: barycentric weights of the Lobatto points: (-1)^j, halved at both ends
-_BARY = np.array([(-1.0) ** j * (0.5 if j in (0, TABLE_DEGREE) else 1.0)
-                  for j in range(TABLE_DEGREE + 1)])
-
-
-@dataclass(frozen=True)
-class _FamilyTable:
-    """I1, J and I2 at the Chebyshev-Lobatto nodes of panels split at r0."""
-
-    edges: np.ndarray    # (P + 1,) ascending panel ends
-    nodes: np.ndarray    # (P, N + 1) nodes per panel, panel ends exact
-    values: np.ndarray   # (k, P, N + 1) node values of each tabulated function
-
-
-def _panel_nodes(edges: np.ndarray) -> np.ndarray:
-    a, b = edges[:-1, None], edges[1:, None]
-    nodes = 0.5 * (a + b) + 0.5 * (b - a) * _LOBATTO
-    nodes[:, 0], nodes[:, -1] = edges[1:], edges[:-1]
-    return nodes
-
-
-def _barycentric(table: _FamilyTable, r):
-    """Interpolated values of every tabulated function at radii r of any shape.
-
-    Each radius uses the panel that holds it (the end panels for radii just
-    outside the table); the barycentric sums are exact sums, and a radius on
-    a node gets the node value.
-    """
-    r_arr = np.asarray(r, dtype=float)
-    flat = r_arr.reshape(-1)
-    panel = np.searchsorted(table.edges[1:-1], flat, side="right")
-    diff = flat[:, None] - table.nodes[panel]
-    hit = diff == 0.0
-    on_node = any_true(hit)
-    q = _BARY / (np.where(hit, 1.0, diff) if on_node else diff)
-    vals = table.values[:, panel]
-    sums = exact_sum(np.concatenate([q[None], q * vals]).reshape(-1, q.shape[1]))
-    out = sums.reshape(-1, flat.size)
-    out = out[1:] / out[0]
-    if on_node:
-        rows, cols = np.nonzero(hit)
-        out[:, rows] = vals[:, rows, cols]
-    if r_arr.ndim == 0:
-        return out[:, 0].tolist()
-    return list(out.reshape((-1,) + r_arr.shape))
-
-
-def _unresolved(values: np.ndarray) -> np.ndarray:
-    """Per panel: do the trailing Chebyshev coefficients exceed TABLE_TOL?
-
-    From the Lobatto values f_j, c_N = sum w_j f_j / N and
-    c_{N-1} = 2 sum w_j x_j f_j / N, with w the barycentric weights.
-    """
-    n = TABLE_DEGREE
-    tail = np.maximum(np.abs(exact_sum(_BARY * values)) / n,
-                      2.0 * np.abs(exact_sum(_BARY * _LOBATTO * values)) / n)
-    return tail > TABLE_TOL * np.max(np.abs(values), axis=1)
-
-
 @lru_cache(maxsize=16)
-def _family_table(spec: MetricSpec) -> _FamilyTable:
-    """Tables of I1, J and I2 over spec.r_domain (and r0), built once per spec.
+def _family_table(spec: MetricSpec) -> PanelTable:
+    """Table of I1, J and I2 over spec.r_domain (and r0), built once per spec.
 
-    Each node value is one ``segment_integral`` from r0, so every value at r0
-    is exactly 0; J's integrand reads I1 from I1's table.  Panels start split
-    at r0 and are bisected until every function passes the trailing
-    coefficient test.
+    The integrands of I1, J and I2 in order; J's reads I1 at its own nodes.
     """
     c2, r0 = spec.profile.c2, spec.profile.r0
-    lo, hi = min(spec.r_domain[0], r0), max(spec.r_domain[1], r0)
-    edges = np.array(sorted({lo, r0, hi}))
-    splits = np.zeros(edges.size - 1, dtype=int)
-
-    def w1(rho):
-        return 2.0 / rho - 4.0 * ipow(rho, 3) * c2.value(rho)
-
-    def w3(rho):
-        return 2.0 / rho - 2.0 * ipow(rho, 3) * c2.value(rho)
-
-    while True:
-        nodes = _panel_nodes(edges)
-        i1 = _FamilyTable(edges, nodes, segment_integral(w1, r0, nodes)[None])
-        bad = _unresolved(i1.values[0])
-        if not bad.any():  # J's integrand needs a resolved I1
-
-            def w2(rho):
-                return 4.0 * rho * c2.value(rho) * np.exp(_barycentric(i1, rho)[0])
-
-            values = np.stack([i1.values[0], segment_integral(w2, r0, nodes),
-                               segment_integral(w3, r0, nodes)])
-            bad = _unresolved(values[1]) | _unresolved(values[2])
-            if not bad.any():
-                return _FamilyTable(edges, nodes, values)
-        capped = bad & (splits >= TABLE_SPLIT_CAP)
-        if capped.any():
-            a, b = edges[int(np.argmax(capped)):][:2].tolist()
-            raise QuadratureError(f"family table panel [{a!r}, {b!r}] not resolved to "
-                                  f"{TABLE_TOL:g} after {TABLE_SPLIT_CAP} bisections")
-        mids = 0.5 * (edges[:-1] + edges[1:])[bad]
-        edges = np.sort(np.concatenate([edges, mids]))
-        splits = np.repeat(splits + bad, np.where(bad, 2, 1))
+    return segment_integral((lambda rho: 2.0 / rho - 4.0 * ipow(rho, 3) * c2.value(rho),
+                             lambda rho, i1: 4.0 * rho * c2.value(rho) * np.exp(i1),
+                             lambda rho, *_: 2.0 / rho - 2.0 * ipow(rho, 3) * c2.value(rho)),
+                            r0, *spec.r_domain)
 
 
 def _family_radial_jets(spec: MetricSpec, r, order: int = 3) -> tuple[Jet3, Jet3, Jet3]:
@@ -318,7 +216,7 @@ def _family_radial_jets(spec: MetricSpec, r, order: int = 3) -> tuple[Jet3, Jet3
     calculus), so the transport-PDE residual is exact to roundoff.
     """
     c2 = spec.profile.c2
-    i1, j, i2 = _barycentric(_family_table(spec), r)
+    i1, j, i2 = _family_table(spec).at(r)
     rj = Jet3.seed(r, dr=1.0, order=order)
     c2j = c2.jet(r, order)
     r3c2 = rj.powi(3) * c2j

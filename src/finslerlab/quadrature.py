@@ -1,15 +1,16 @@
-"""Gauss-Legendre quadrature utilities.
+"""Gauss-Legendre angular integrals and Chebyshev-panel radial antiderivatives.
 
-Two consumers: the angular integrals behind the volume densities (fixed
-interval [0, pi], doubling refinement, elementwise over a batch of radii)
-and the radial integrals (``segment_integral``, elementwise over arrays of
-interval endpoints) behind the Holmes-Thompson solver's steps and the node
-values of the Berwald-type family tables in :mod:`finslerlab.geometry`.  An
-element's value never depends on the others.
+``refine`` runs Gauss-Legendre rules on [0, pi] with doubling refinement,
+elementwise over a batch of radii (an element's value never depends on the
+others); the volume densities use it.  ``segment_integral`` tabulates
+antiderivatives from an anchor on adaptive Chebyshev-Lobatto panels
+(spectral integration, Greengard 1991), read back by barycentric
+interpolation; the Berwald-type family tables in :mod:`finslerlab.geometry`
+and the Holmes-Thompson solver in :mod:`finslerlab.families` use it.
 
-Nodes, weights and segment sums use only IEEE basic operations (no LAPACK
-eigensolver, no libm, no numpy reduction whose blocking numpy chooses), so
-they are the same bit patterns on every platform.
+Nodes, weights, the integration matrix and every sum use only IEEE basic
+operations (no LAPACK eigensolver, no BLAS, no numpy reduction whose blocking
+numpy chooses), so they are the same bit patterns on every platform.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import QuadratureError
+from .errors import DomainError, QuadratureError
 
 _GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
@@ -139,39 +140,145 @@ def refine(eval_at_n, rule: QuadratureRule):
     )
 
 
-def segment_integral(f, a, b, tol: float = 1e-13):
-    """Adaptive GL integrals of f over [a, b], elementwise over broadcast endpoints.
+# -- Chebyshev panel tables ----------------------------------------------------
 
-    f receives the nodes with a trailing axis of length N appended to the
-    pending intervals (shape (k, N)) and must act elementwise.  N doubles
-    from 16 up to 512; each interval keeps the first value that agrees with
-    the one before it to ``tol`` relative, so its result does not depend on
-    the other intervals in the call.  Each value is ``half * fsum(w * f)``.
-    Scalar endpoints give a float, array endpoints an array of their shape.
+#: Chebyshev-Lobatto degree of each table panel
+TABLE_DEGREE = 16
+#: a panel is kept when its two trailing Chebyshev coefficients are at most
+#: this times the largest node value, for every tabulated antiderivative
+TABLE_TOL = 1e-14
+#: bisections of a starting panel before QuadratureError
+TABLE_SPLIT_CAP = 12
+
+#: Lobatto points cos(j pi / N), j = 0..N, on [-1, 1] (descending, exactly symmetric)
+_LOBATTO = np.array([math.sin(math.pi * (TABLE_DEGREE - 2 * j) / (2 * TABLE_DEGREE))
+                     for j in range(TABLE_DEGREE + 1)])
+#: barycentric weights of the Lobatto points: (-1)^j, halved at both ends
+_BARY = np.array([(-1.0) ** j * (0.5 if j in (0, TABLE_DEGREE) else 1.0)
+                  for j in range(TABLE_DEGREE + 1)])
+
+
+def _spectral_matrix() -> np.ndarray:
+    """S[i, j] = integral from -1 to x_i of the j-th Lobatto cardinal polynomial.
+
+    Chebyshev coefficients a_k (a_0 doubled), b_k = (a_{k-1} - a_{k+1}) / 2k,
+    then exact sums of b_k (T_k(x_i) - T_k(-1)), with T_k(x_j) = cos(k j pi / N)
+    read off the Lobatto points: the row at x = -1 is exactly zero.
     """
-    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
-    lo, hi = a.ravel(), b.ravel()
-    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    out = np.zeros(lo.size)
-    pending = np.flatnonzero(lo != hi)
-    n, prev = 16, None
-    while pending.size:
-        if n > 512:
-            i = int(pending[0])
-            raise QuadratureError(f"segment integral over [{lo[i]}, {hi[i]}] did not converge")
-        cur = _segment_fixed(f, mid[pending], half[pending], n)
-        if prev is not None:
-            done = np.abs(cur - prev) <= tol * (1.0 + np.abs(cur))
-            out[pending[done]] = cur[done]
-            pending, cur = pending[~done], cur[~done]
-        prev = cur
-        n *= 2
-    return float(out[0]) if a.ndim == 0 else out.reshape(a.shape)
+    n = TABLE_DEGREE
+    kj = np.outer(np.arange(n + 2), np.arange(n + 1)) % (2 * n)
+    cheb = _LOBATTO[np.minimum(kj, 2 * n - kj)]  # T_k(x_j), k = 0..N+1
+    ends = np.where(np.arange(n + 1) % n, 1.0, 0.5)
+    a = np.zeros((n + 3, n + 1))  # rows N+1, N+2 stand for a_{N+1} = a_{N+2} = 0
+    a[:n + 1] = ends * cheb[:n + 1] * (2.0 / n)
+    a[n] *= 0.5
+    b = (a[:n + 1] - a[2:]) / (2.0 * np.arange(1, n + 2))[:, None]  # b_1..b_{N+1}
+    rise = (cheb[1:] - cheb[1:, n:]).T  # (i, k): T_k(x_i) - T_k(-1)
+    return exact_sum((rise[:, None, :] * b.T[None]).reshape(-1, n + 1)).reshape(n + 1, n + 1)
 
 
-def _segment_fixed(f, mid: np.ndarray, half: np.ndarray, n: int) -> np.ndarray:
-    """n-point GL values of the integrals centred at mid with half-widths half."""
-    x, w = gl_nodes(n)
-    pts = mid[:, None] + half[:, None] * x
-    vals = w * np.broadcast_to(np.asarray(f(pts)), pts.shape)
-    return half * exact_sum(vals)
+#: integrals from the left panel end (node N) to each node
+_SPECTRAL = _spectral_matrix()
+#: integrals from the right panel end (node 0), the mirror image: left of the anchor,
+#: values near it are then small sums, not differences of panel totals
+_SPECTRAL_RIGHT = -_SPECTRAL[::-1, ::-1]
+
+
+@dataclass(frozen=True)
+class PanelTable:
+    """Antiderivatives at the Chebyshev-Lobatto nodes of panels split at their anchor."""
+
+    edges: np.ndarray    # (P + 1,) ascending panel ends
+    nodes: np.ndarray    # (P, N + 1) nodes per panel, panel ends exact
+    values: np.ndarray   # (k, P, N + 1) node values of each antiderivative
+
+    def at(self, r) -> list:
+        """Every antiderivative at radii r: a list of floats, or of arrays of r's shape.
+
+        Each radius uses the panel that holds it (the end panels for radii
+        just outside the table); the barycentric sums are exact sums, and a
+        radius on a node gets the node value.
+        """
+        r_arr = np.asarray(r, dtype=float)
+        flat = r_arr.reshape(-1)
+        panel = np.searchsorted(self.edges[1:-1], flat, side="right")
+        diff = flat[:, None] - self.nodes[panel]
+        hit = diff == 0.0
+        on_node = hit.any()
+        q = _BARY / (np.where(hit, 1.0, diff) if on_node else diff)
+        vals = self.values[:, panel]
+        sums = exact_sum(np.concatenate([q[None], q * vals]).reshape(-1, q.shape[1]))
+        out = sums.reshape(-1, flat.size)
+        out = out[1:] / out[0]
+        if on_node:
+            rows, cols = np.nonzero(hit)
+            out[:, rows] = vals[:, rows, cols]
+        return out[:, 0].tolist() if r_arr.ndim == 0 else list(out.reshape((-1,) + r_arr.shape))
+
+
+def _unresolved(values: np.ndarray) -> np.ndarray:
+    """Per panel: do the trailing Chebyshev coefficients exceed TABLE_TOL?
+
+    From the Lobatto values f_j, c_N = sum w_j f_j / N and
+    c_{N-1} = 2 sum w_j x_j f_j / N, with w the barycentric weights.
+    """
+    n = TABLE_DEGREE
+    tail = np.maximum(np.abs(exact_sum(_BARY * values)) / n,
+                      2.0 * np.abs(exact_sum(_BARY * _LOBATTO * values)) / n)
+    return tail > TABLE_TOL * np.max(np.abs(values), axis=1)
+
+
+def segment_integral(integrands, anchor: float, lo: float, hi: float) -> PanelTable:
+    """Antiderivatives from ``anchor`` of each integrand, tabulated over [lo, hi] and the anchor.
+
+    Integrand k is called as ``f(rho, *earlier)`` with rho the nodes of every
+    panel, shape (P, N + 1), and ``earlier`` the node values of
+    antiderivatives 0..k-1.  Panels start split at the anchor and are bisected
+    until every antiderivative passes the trailing-coefficient test;
+    QuadratureError names a panel that fails after ``TABLE_SPLIT_CAP``
+    bisections, DomainError the radius of a non-finite integrand value.
+    """
+    anchor = float(anchor)
+    edges = np.array(sorted({min(float(lo), anchor), anchor, max(float(hi), anchor)}))
+    splits = np.zeros(edges.size - 1, dtype=int)
+    while True:
+        a, b = edges[:-1, None], edges[1:, None]
+        nodes = 0.5 * (a + b) + 0.5 * (b - a) * _LOBATTO
+        nodes[:, 0], nodes[:, -1] = edges[1:], edges[:-1]
+        values = _antiderivatives(integrands, anchor, edges, nodes)
+        bad = np.any([_unresolved(v) for v in values], axis=0)
+        if not bad.any():
+            return PanelTable(edges, nodes, values)
+        capped = bad & (splits >= TABLE_SPLIT_CAP)
+        if capped.any():
+            a, b = edges[int(np.argmax(capped)):][:2].tolist()
+            raise QuadratureError(f"table panel [{a!r}, {b!r}] not resolved to "
+                                  f"{TABLE_TOL:g} after {TABLE_SPLIT_CAP} bisections")
+        mids = 0.5 * (edges[:-1] + edges[1:])[bad]
+        edges = np.sort(np.concatenate([edges, mids]))
+        splits = np.repeat(splits + bad, np.where(bad, 2, 1))
+
+
+def _antiderivatives(integrands, anchor: float, edges: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """Node values (k, P, N + 1) of the antiderivatives from the anchor: each panel
+    integrated from its end nearer the anchor, panel totals chained outwards."""
+    left = edges[1:] <= anchor
+    first = int(np.count_nonzero(left))  # the panel starting at the anchor
+    matrix = np.where(left[:, None, None], _SPECTRAL_RIGHT, _SPECTRAL)
+    half = 0.5 * (edges[1:] - edges[:-1])
+    out = []
+    for f in integrands:
+        with np.errstate(all="ignore"):
+            vals = np.broadcast_to(np.asarray(f(nodes, *out), dtype=float), nodes.shape)
+        bad = ~np.isfinite(vals)
+        if bad.any():
+            raise DomainError(f"integrand is not finite at r={float(nodes[bad][0])!r}")
+        local = half[:, None] * exact_sum((matrix * vals[:, None, :]).reshape(-1, nodes.shape[1])
+                                          ).reshape(nodes.shape)
+        offset = np.zeros(len(half))
+        for p in range(first + 1, len(half)):  # outwards to the right ...
+            offset[p] = offset[p - 1] + local[p - 1, 0]
+        for p in range(first - 2, -1, -1):  # ... and to the left
+            offset[p] = offset[p + 1] + local[p + 1, -1]
+        out.append(offset[:, None] + local)
+    return np.array(out)

@@ -3,6 +3,7 @@ byte-stable CSV sampling against committed goldens, construct round trips."""
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -264,6 +265,24 @@ def test_inadmissible_point_is_numeric_error(tmp_path, capsys):
     )
     assert main(["verify", "--check", "bh-classification", cfg]) == 3
     assert "numeric failure" in capsys.readouterr().err
+
+
+def test_overflowing_family_integrand_prints_only_the_numeric_failure(tmp_path):
+    # c2 = 1e18 overflows e^{I1} in J's integrand below r0; numpy stays silent
+    cfg = json.loads((HERE.parent / "configs" / "family_k.json").read_text())
+    cfg["metric"]["c2"] = 10**18
+    proc = subprocess.run(
+        [sys.executable, "-m", "finslerlab", "verify", "--check", "douglas",
+         write_cfg(tmp_path, "huge_c2.json", cfg)],
+        capture_output=True,
+        text=True,
+        cwd=str(HERE.parent),
+    )
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    got = re.fullmatch(r"numeric failure: integrand is not finite at r=(\S+)\n", proc.stderr)
+    assert got, proc.stderr
+    assert 0.8 <= float(got.group(1)) < 1.0
 
 
 def test_irregular_grid_point_is_regularity_error(tmp_path, capsys):

@@ -13,6 +13,7 @@ from finslerlab.errors import (
 )
 from finslerlab.expr import ScalarFunction
 from finslerlab.families import (
+    HT_NODE_TOL,
     SampledFunction,
     bh_classification_residuals,
     bh_solve_g,
@@ -246,6 +247,13 @@ def test_ht_solution_gives_parallel_beta():
     prof = isotropy_profile(spec, HT, interior_grid(spec, 5))
     assert prof.passed
     np.testing.assert_allclose(prof.c_of_r, 0.0, atol=1e-7)
+
+
+def test_ht_solve_default_steps_pass_their_audit():
+    # the FD audit stencil's truncation failed the old 400-step default (2.8e-7)
+    sol = ht_solve_h(1.0, "0.3 + 0.1*r^2", 1.0, (0.5, 2.0))
+    assert sol.r_nodes.size == 1601
+    assert sol.max_node_residual <= HT_NODE_TOL * (1.0 + float(np.max(np.abs(sol.values))))
 
 
 def test_ht_solve_validates_denominator():

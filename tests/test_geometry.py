@@ -8,7 +8,7 @@ import pytest
 
 from _support import random_orthogonal, random_xy, randers_metric_tensor
 from conftest import RANDERS111, interior_grid, make_randers
-from finslerlab import geometry
+from finslerlab import quadrature
 from finslerlab.cli import build_spec, load_config
 from finslerlab.errors import DomainError, QuadratureError, RegularityError
 from finslerlab.expr import ScalarFunction, parse_expression
@@ -30,7 +30,6 @@ from finslerlab.geometry import (
     spray_values,
 )
 from finslerlab.oracle import _split, finsler_norm
-from finslerlab.quadrature import segment_integral
 
 
 def test_phi_jet_constant_profile(euclid):
@@ -83,19 +82,28 @@ def test_family_antiderivatives_match_constant_c2_closed_forms(c2):
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(64)
+
+
+def _fixed_gl(f, a, b):
+    """64-point Gauss-Legendre integrals of f from a to each element of b."""
+    half = 0.5 * (np.asarray(b, dtype=float) - a)
+    return half * np.sum(f(a + half[..., None] * (_GL_X + 1.0)) * _GL_W, axis=-1)
+
+
 def _nested_family_values(c2, r0, r):
-    """I1, J and I2 from r0 to r by direct quadrature, J's integrand nesting I1's."""
+    """I1, J and I2 from r0 to r by a fixed rule, J's integrand nesting I1's."""
 
     def w1(rho):
         return 2.0 / rho - 4.0 * rho**3 * c2.value(rho)
 
     def w2(rho):
-        return 4.0 * rho * c2.value(rho) * np.exp(segment_integral(w1, r0, rho))
+        return 4.0 * rho * c2.value(rho) * np.exp(_fixed_gl(w1, r0, rho))
 
     def w3(rho):
         return 2.0 / rho - 2.0 * rho**3 * c2.value(rho)
 
-    return [segment_integral(w, r0, r) for w in (w1, w2, w3)]
+    return [_fixed_gl(w, r0, r) for w in (w1, w2, w3)]
 
 
 @pytest.mark.parametrize("domain, r0, bisected", [((0.8, 1.2), 1.0, False),
@@ -123,10 +131,10 @@ def test_family_tables_match_nested_quadrature(c2, domain, r0, bisected):
 
 
 def test_family_table_split_cap_raises_naming_the_panel(monkeypatch):
-    monkeypatch.setattr(geometry, "TABLE_SPLIT_CAP", 1)
+    monkeypatch.setattr(quadrature, "TABLE_SPLIT_CAP", 1)
     chi = parse_expression("1 + w/4", {"w"})
     spec = MetricSpec(BerwaldFamilyProfile(ScalarFunction.constant(0.1), chi, 0.5), 2, (0.04, 0.9))
-    with pytest.raises(QuadratureError, match=r"family table panel \[0\.04, .* after 1 bisections"):
+    with pytest.raises(QuadratureError, match=r"table panel \[0\.04, .* after 1 bisections"):
         _family_table(spec)
 
 
