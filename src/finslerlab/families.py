@@ -6,10 +6,12 @@ Three layers live here:
   satisfy (the first-order family PDE, the two-equation spray system, and the
   Randers-profile conditions for either volume density), each computed with
   jet-exact partial derivatives;
-* fixed-step solvers that generate admissible profiles from the conditions
-  (RK4 for the Busemann-Hausdorff branch, the exponential of a tabulated
-  antiderivative for the Holmes-Thompson branch), every node audited with an
-  independent finite-difference derivative of the solved values;
+* solvers that generate admissible profiles from the conditions at the
+  nodes of a uniform grid (the closed-form solution of the linear g equation,
+  read off one jet, for the Busemann-Hausdorff branch; the exponential of a
+  tabulated antiderivative for the Holmes-Thompson branch), every node
+  audited with an independent finite-difference derivative of the solved
+  values;
 * quintic Hermite packaging (SampledFunction) so solved profiles plug into
   the same pipelines as closed-form ones.
 
@@ -332,98 +334,75 @@ def ht_condition_residual(c_const: float, g, h, r):
 # -- profile solvers ---------------------------------------------------------
 
 
-def _bh_alpha_beta_jets(f, h, r) -> tuple[Jet3, Jet3]:
-    # g' = alpha(r) g + beta(r), obtained by eliminating c from the two
-    # conditions; requires h nonvanishing (checked by the caller).
-    rj = Jet3.seed(np.asarray(r, dtype=float) if np.ndim(r) else float(r), dr=1.0)
-    fj, hj = f.jet(r), h.jet(r)
-    fpj, hpj = fj.deriv(1, 0), hj.deriv(1, 0)
-    den = rj * rj * fj * hj
-    alpha = -(2.0 * rj * fj * hj + rj * rj * fpj * hj - 2.0 * rj * rj * fj * hpj) / den
-    beta = (
-        -2.0 * fj * fpj * hj
-        + 2.0 * fj * fj * hpj
-        + 2.0 * rj * fj * hj.powi(3)
-        + rj * rj * fpj * hj.powi(3)
-    ) / den
-    return alpha, beta
-
-
 def bh_solve_g(f, h, g_at_r0: float, r_range, steps: int = 400, r0=None) -> OdeSolution:
-    """Solve the eliminated linear ODE for g so that the BH conditions hold.
+    """Solve the eliminated linear ODE g' = alpha g + beta so that the BH conditions hold.
 
-    Fixed-step RK4 on a uniform grid over r_range, marching both ways from
-    r0 (default: the left endpoint, snapped onto the grid).  Admissibility
-    f > 0, f + r^2(g - h^2) > 0 is enforced at every node; a profile with
-    h identically zero is rejected since any g then satisfies the system.
+    Eliminating c from the two conditions gives alpha = (ln(h^2/(r^2 f)))'
+    and beta r^2 f/h^2 = (r^2 f - f^2/h^2)', so the solution through
+    g(r0) = g0 is, exactly,
+
+        g = h^2 - f/r^2 + C h^2/(r^2 f),   C = (g0 - h0^2 + f0/r0^2) r0^2 f0/h0^2,
+
+    and f + r^2 (g - h^2) = C h^2/f.  It is evaluated as one r-jet at the
+    nodes of a uniform grid over r_range, with r0 (default: the left
+    endpoint) snapped onto the grid; values and both derivatives are read off
+    that jet, and the r0 node holds g0 exactly.  Admissibility f > 0,
+    f + r^2(g - h^2) > 0 is enforced at every node, and the first failure is
+    reported marching from r0 rightwards, then leftwards.  alpha has 1/h, so
+    h must not vanish at a node or change sign between adjacent ones; a
+    profile with h identically zero is rejected since any g then satisfies
+    the system.
     """
+    g0 = float(g_at_r0)
+    if not math.isfinite(g0):
+        raise DomainError(f"g_at_r0 must be finite, got {g0!r}")
     f, h = _as_radial_fn(f), _as_radial_fn(h)
     nodes, step, i0 = _uniform_nodes(r_range, steps, r0)
-    m = nodes.size
-    h_nodes = np.asarray(h.value(nodes), dtype=float)
-    f_nodes = np.asarray(f.value(nodes), dtype=float)
+    fj, hj = f.jet(nodes, order=2), h.jet(nodes, order=2)
+    f_nodes = np.broadcast_to(fj.value, nodes.shape)
+    h_nodes = np.broadcast_to(hj.value, nodes.shape)
     scale = 1.0 + float(np.max(np.abs(f_nodes)))
     if np.max(np.abs(h_nodes)) <= 1e-13 * scale:
         raise DegenerateInputError(
             "h vanishes identically: the two conditions force c = 0 and leave g free"
         )
-    if np.min(np.abs(h_nodes)) <= 1e-13 * scale:
-        i = int(np.argmin(np.abs(h_nodes)))
+    near_zero = np.abs(h_nodes) <= 1e-13 * scale
+    sign_change = np.signbit(h_nodes[:-1]) != np.signbit(h_nodes[1:])
+    if near_zero.any() or sign_change.any():
+        i = int(np.argmin(np.abs(h_nodes)) if near_zero.any() else np.argmax(sign_change))
         raise DomainError(f"h vanishes near r = {nodes[i]:.6g}: the g equation is singular")
 
-    mids = nodes[:-1] + 0.5 * step
-    aj_n, bj_n = _bh_alpha_beta_jets(f, h, nodes)
-    a_nodes, b_nodes = np.asarray(aj_n.d(0, 0)), np.asarray(bj_n.d(0, 0))
-    a_d1, b_d1 = np.asarray(aj_n.d(1, 0)), np.asarray(bj_n.d(1, 0))
-    aj_m, bj_m = _bh_alpha_beta_jets(f, h, mids)
-    a_mid, b_mid = np.asarray(aj_m.d(0, 0)), np.asarray(bj_m.d(0, 0))
-
-    values = np.empty(m)
-    values[i0] = float(g_at_r0)
-
-    def rk4(i_from: int, i_to: int, dt: float, i_mid: int) -> float:
-        gv = values[i_from]
-        k1 = a_nodes[i_from] * gv + b_nodes[i_from]
-        k2 = a_mid[i_mid] * (gv + 0.5 * dt * k1) + b_mid[i_mid]
-        k3 = a_mid[i_mid] * (gv + 0.5 * dt * k2) + b_mid[i_mid]
-        k4 = a_nodes[i_to] * (gv + dt * k3) + b_nodes[i_to]
-        return gv + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-    def settle(i: int) -> float:
-        # admissibility margin of node i, once its value is finite and admissible
+    rr0, f0, h0 = float(nodes[i0]), float(f_nodes[i0]), float(h_nodes[i0])
+    const = (g0 - h0 * h0 + f0 / (rr0 * rr0)) * (rr0 * rr0 * f0) / (h0 * h0)
+    rj = Jet3.seed(nodes, dr=1.0, order=2)
+    r2, h2 = rj * rj, hj * hj
+    with np.errstate(over="ignore", invalid="ignore"):
+        g_jet = h2 - fj / r2 + const * h2 / (r2 * fj)
+    values = np.asarray(g_jet.d(0, 0))
+    values[i0] = g0  # the closed form returns g0 only to roundoff
+    margins = admissibility_margin(nodes, f_nodes, values, h_nodes)
+    march = np.concatenate((np.arange(i0, nodes.size), np.arange(i0 - 1, -1, -1)))
+    settled = np.isfinite(values[march]) & (margins[march] > 0.0)
+    if not settled.all():
+        i = int(march[np.argmin(settled)])
         if not np.isfinite(values[i]):
             raise DomainError(f"g blew up near r = {nodes[i]:.6g}")
-        margin = admissibility_margin(nodes[i], f_nodes[i], values[i], h_nodes[i])
-        if margin <= 0.0:
-            raise DomainError(
-                f"solution exits the admissible region at r = {nodes[i]:.6g} "
-                f"(min(f, f + r^2(g - h^2)) = {margin:.6g})"
-            )
-        return margin
-
-    margin = settle(i0)
-    for i in range(i0, m - 1):
-        values[i + 1] = rk4(i, i + 1, step, i)
-        margin = min(margin, settle(i + 1))
-    for i in range(i0, 0, -1):
-        values[i - 1] = rk4(i, i - 1, -step, i - 1)
-        margin = min(margin, settle(i - 1))
-
-    derivs = a_nodes * values + b_nodes
-    second = a_d1 * values + a_nodes * derivs + b_d1
+        raise DomainError(
+            f"solution exits the admissible region at r = {nodes[i]:.6g} "
+            f"(min(f, f + r^2(g - h^2)) = {margins[i]:.6g})"
+        )
+    derivs, second = np.asarray(g_jet.d(1, 0)), np.asarray(g_jet.d(2, 0))
 
     # independent audit: g' from the node values alone, plugged into the
     # second condition with c solved from the first
     gp_fd = _fd_derivative(values, step)
-    fj = f.jet(nodes)
-    hj = h.jet(nodes)
     fp, hp = np.asarray(fj.d(1, 0)), np.asarray(hj.d(1, 0))
     qv = f_nodes + nodes * nodes * values
     c_nodes = h_nodes * (nodes * fp + 2.0 * f_nodes) / (4.0 * f_nodes * qv)
     u2_fd = hp / nodes - h_nodes * (nodes * nodes * gp_fd + 2.0 * fp) / (2.0 * nodes * qv)
     residuals = u2_fd - 2.0 * c_nodes * (values - h_nodes * h_nodes)
     worst = float(np.max(np.abs(residuals)))
-    if worst > BH_NODE_TOL:
+    if not worst <= BH_NODE_TOL:
         raise CrossCheckError(
             f"bh_solve_g node audit failed: max residual {worst:.3e} > {BH_NODE_TOL:g}"
             " (a finer grid tightens the audit stencil; try more steps)"
@@ -435,7 +414,7 @@ def bh_solve_g(f, h, g_at_r0: float, r_range, steps: int = 400, r0=None) -> OdeS
         second_derivs=second,
         node_residuals=residuals,
         admissible=True,
-        admissibility_margin=float(margin),
+        admissibility_margin=float(np.min(margins)),
     )
 
 
@@ -447,16 +426,18 @@ def ht_solve_h(c_const: float, g, h_at_r0: float, r_range, steps: int = 1600, r0
     ``segment_integral`` table, read at the uniform grid nodes.  Admissibility
     g - h^2 > -c/r^4 is reported, not enforced.
     """
-    c_const = float(c_const)
-    if c_const <= 0.0:
-        raise DomainError(f"c must be a positive constant, got {c_const!r}")
+    c_const, h0 = float(c_const), float(h_at_r0)
+    if not 0.0 < c_const < math.inf:
+        raise DomainError(f"c must be a positive finite constant, got {c_const!r}")
+    if not math.isfinite(h0):
+        raise DomainError(f"h_at_r0 must be finite, got {h0!r}")
     g = _as_radial_fn(g)
     nodes, step, i0 = _uniform_nodes(r_range, steps, r0)
 
     def kappa(rho):
         gj = g.jet(rho, order=2)
         den = 2.0 * (c_const / (rho * rho) + rho * rho * gj.d(0, 0))
-        return (rho * rho * gj.d(1, 0) - 4.0 * c_const / rho**3) / den
+        return (rho * rho * gj.d(1, 0) - 4.0 * c_const / ipow(rho, 3)) / den
 
     gj_n = g.jet(nodes)
     g_nodes, gp_nodes = np.asarray(gj_n.d(0, 0)), np.asarray(gj_n.d(1, 0))
@@ -470,7 +451,7 @@ def ht_solve_h(c_const: float, g, h_at_r0: float, r_range, steps: int = 1600, r0
 
     # K from the anchor node outwards, read off its table at the grid nodes
     k_table = segment_integral((kappa,), nodes[i0], nodes[0], nodes[-1])
-    values = float(h_at_r0) * np.exp(k_table.at(nodes)[0])
+    values = h0 * np.exp(k_table.at(nodes)[0])
 
     rj = Jet3.seed(nodes, dr=1.0)
     k_jet = (rj * rj * gj_n.deriv(1, 0) - 4.0 * c_const / rj.powi(3)) / (
@@ -481,14 +462,14 @@ def ht_solve_h(c_const: float, g, h_at_r0: float, r_range, steps: int = 1600, r0
     second = (kp_nodes + k_nodes * k_nodes) * values
 
     hp_fd = _fd_derivative(values, step)
-    residuals = 2.0 * hp_fd * den_nodes - values * (nodes * nodes * gp_nodes - 4.0 * c_const / nodes**3)
+    residuals = 2.0 * hp_fd * den_nodes - values * (nodes * nodes * gp_nodes - 4.0 * c_const / ipow(nodes, 3))
     worst = float(np.max(np.abs(residuals)))
-    if worst > HT_NODE_TOL * (1.0 + float(np.max(np.abs(values)))):
+    if not worst <= HT_NODE_TOL * (1.0 + float(np.max(np.abs(values)))):
         raise CrossCheckError(
             f"ht_solve_h node audit failed: max residual {worst:.3e}"
             " (a finer grid tightens the audit stencil; try more steps)"
         )
-    margins = g_nodes - values * values + c_const / nodes**4
+    margins = g_nodes - values * values + c_const / ipow(nodes, 4)
     return OdeSolution(
         r_nodes=nodes,
         values=values,

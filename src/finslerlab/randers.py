@@ -206,7 +206,7 @@ def sigma_closed_form(f, g, h, n: int, r: float, which_volume="bh") -> float:
     coef = randers_coefficients(f, g, h, n, float(r))
     out = np.sqrt(coef.det_a)
     if kind == "bh":
-        out = out * (1.0 - coef.beta_norm2) ** ((n + 1) / 2.0)
+        out = out * ipow(np.sqrt(1.0 - coef.beta_norm2), n + 1)
     return float(out)
 
 

@@ -8,6 +8,11 @@ Generators so every test run is reproducible.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 
 from finslerlab.errors import DomainError
@@ -264,6 +269,25 @@ def dispatched_simd_targets() -> list:
     except TypeError:  # numpy < 1.25 has no dict form and reports nothing here
         return []
     return info["SIMD Extensions"].get("found", [])
+
+
+def stdout_with_and_without_simd(script: str) -> list:
+    """Stdout of ``python -c script`` with every dispatched SIMD target on, then all off.
+
+    The child imports the package from this checkout's ``src``.
+    """
+    root = Path(__file__).resolve().parents[1]
+    env = {k: v for k, v in os.environ.items() if k != "NPY_DISABLE_CPU_FEATURES"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    outputs = []
+    for disabled in ("", " ".join(dispatched_simd_targets())):
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            env={**env, "NPY_DISABLE_CPU_FEATURES": disabled} if disabled else env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    return outputs
 
 
 # A construct section per family that builds and passes its node audits.

@@ -1,9 +1,14 @@
 """Construction-side checks: PDE residuals, classification conditions,
 the two ODE solvers with their independent node audits, and the family builder."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
+from numpy.polynomial import Polynomial
 
+from _support import dispatched_simd_targets, stdout_with_and_without_simd
 from conftest import FUNK_RANDERS, interior_grid
 from finslerlab.errors import (
     CrossCheckError,
@@ -171,7 +176,7 @@ def test_bh_solve_reproduces_funk():
     g0 = 1.0 / (1.0 - 0.25) ** 2
     sol = bh_solve_g(f, f, g0, (0.3, 0.7), steps=400, r0=0.5)
     want = 1.0 / (1.0 - sol.r_nodes**2) ** 2
-    np.testing.assert_allclose(sol.values, want, rtol=1e-8)
+    np.testing.assert_allclose(sol.values, want, rtol=1e-13)
     assert sol.max_node_residual <= 1e-8
 
 
@@ -199,6 +204,104 @@ def test_bh_solution_round_trips_through_isotropy():
     for i, r in enumerate(grid):
         bc = bh_classification_residuals(f, g_fn, h, float(r))
         assert prof.c_mean[i] == pytest.approx(bc.c, abs=1e-7)
+
+
+def bh_poly_case(data):
+    """(f, h) as Polynomials and as texts, g0, r_range and r0 of a solvable BH input.
+
+    An int seeds a quadratic pair with f, h > 0 on (0.5, 1.5) and g0 on a
+    solution g >= h^2; "construct" is the README's randers-bh example.
+    """
+    if data == "construct":
+        f, h = Polynomial([1.0, 0.0, 0.3]), Polynomial([0.4])
+        return f, h, "1 + 0.3*r^2", "0.4", 0.8, (0.3, 0.9), 0.6
+    rng = np.random.default_rng(data)
+    texts = [[f"{v:.4f}" for v in rng.uniform(lo, hi)]
+             for lo, hi in (([0.5, -0.3, 0.0], [1.5, 0.3, 0.5]), ([0.3, -0.2, -0.1], [1.0, 0.2, 0.1]))]
+    f, h = (Polynomial([float(c) for c in t]) for t in texts)
+    f_text, h_text = (f"{t[0]} + {t[1]}*r + {t[2]}*r^2" for t in texts)
+    r = np.linspace(0.5, 1.5, 401)
+    const = (1.0 + rng.uniform()) * float(np.max(f(r) ** 2 / h(r) ** 2))  # C h^2/f >= f
+    r0, f0, h0 = 1.0, f(1.0), h(1.0)
+    g0 = float(h0 * h0 - f0 / (r0 * r0) + const * h0 * h0 / (r0 * r0 * f0))
+    return f, h, f_text, h_text, g0, (0.5, 1.5), r0
+
+
+def closed_form_g(f, h, g0, r, i0):
+    """h^2 - f/r^2 + C h^2/(r^2 f) through g(r[i0]) = g0, from node values of f and h."""
+    r0, f0, h0 = r[i0], f[i0], h[i0]
+    const = (g0 - h0 * h0 + f0 / (r0 * r0)) * r0 * r0 * f0 / (h0 * h0)
+    return h * h - f / (r * r) + const * h * h / (r * r * f)
+
+
+@pytest.mark.parametrize("data", ["funk", "construct", 1, 2, 3])
+def test_bh_solve_nodes_equal_the_closed_form(data):
+    if data == "funk":
+        g0, r0 = 1.0 / 0.75**2, 0.5
+        sol = bh_solve_g("1/(1 - r^2)", "1/(1 - r^2)", g0, (0.3, 0.7), steps=400, r0=r0)
+        f_nodes = h_nodes = 1.0 / (1.0 - sol.r_nodes * sol.r_nodes)
+    else:
+        f, h, f_text, h_text, g0, r_range, r0 = bh_poly_case(data)
+        sol = bh_solve_g(f_text, h_text, g0, r_range, steps=400, r0=r0)
+        f_nodes, h_nodes = f(sol.r_nodes), h(sol.r_nodes)
+    i0 = int(np.argmin(np.abs(sol.r_nodes - r0)))
+    want = closed_form_g(f_nodes, h_nodes, g0, sol.r_nodes, i0)
+    assert sol.values[i0] == g0  # the closed form alone misses it by an ulp on "construct"
+    np.testing.assert_allclose(sol.values, want, rtol=1e-13)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_bh_solve_derivatives_satisfy_the_ode(seed):
+    # g' = alpha g + beta with alpha = num_a/den, beta = num_b/den, all polynomials
+    f, h, f_text, h_text, g0, r_range, r0 = bh_poly_case(seed)
+    sol = bh_solve_g(f_text, h_text, g0, r_range, steps=400, r0=r0)
+    r, fp, hp = Polynomial([0.0, 1.0]), f.deriv(), h.deriv()
+    den = r * r * f * h
+    num_a = -(2 * r * f * h + r * r * fp * h - 2 * r * r * f * hp)
+    num_b = -2 * f * fp * h + 2 * f * f * hp + 2 * r * f * h**3 + r * r * fp * h**3
+    x, g, gp = sol.r_nodes, sol.values, sol.derivs
+    alpha, beta = num_a(x) / den(x), num_b(x) / den(x)
+    alpha_d1 = (num_a.deriv()(x) * den(x) - num_a(x) * den.deriv()(x)) / den(x) ** 2
+    beta_d1 = (num_b.deriv()(x) * den(x) - num_b(x) * den.deriv()(x)) / den(x) ** 2
+    np.testing.assert_allclose(gp, alpha * g + beta, rtol=1e-12)
+    np.testing.assert_allclose(sol.second_derivs, alpha_d1 * g + alpha * gp + beta_d1, rtol=1e-12)
+
+
+def test_bh_solve_reports_the_first_exit_in_march_order():
+    # f < 0 below r = 0.512 and above r = 1.488; the march from r0 = 1 goes right first
+    with pytest.raises(DomainError, match=r"exits the admissible region at r = 1\.48875 "):
+        bh_solve_g("1 - 4.2*(r - 1)^2", "0.5", 1.0, (0.3, 1.8), steps=400, r0=1.0)
+
+
+def test_bh_solve_names_a_sign_change_of_h():
+    # no node of h = r - 0.61 is near zero; it changes sign between 0.609 and 0.6105
+    with pytest.raises(DomainError, match=r"h vanishes near r = 0\.609: "):
+        bh_solve_g("1 + 0.3*r^2", "r - 0.61", 0.8, (0.3, 0.9))
+
+
+# SHA-256 of the 400-step Funk solution table
+BH_DIGEST_SCRIPT = """
+import hashlib
+from finslerlab.families import bh_solve_g
+sol = bh_solve_g("1/(1 - r^2)", "1/(1 - r^2)", 1.0 / 0.75**2, (0.3, 0.7), steps=400, r0=0.5)
+print(hashlib.sha256(b"".join(a.tobytes() for a in (sol.values, sol.derivs, sol.second_derivs))).hexdigest())
+"""
+
+
+@pytest.mark.skipif(not dispatched_simd_targets(), reason="numpy reports no dispatched SIMD target")
+def test_bh_solve_bytes_independent_of_simd_dispatch():
+    dispatched, baseline = stdout_with_and_without_simd(BH_DIGEST_SCRIPT)
+    assert dispatched == baseline
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_solvers_reject_non_finite_initial_values(bad):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="g_at_r0 must be finite"):
+            bh_solve_g(ONE, ONE, bad, (0.5, 1.5))
+        with pytest.raises(DomainError, match="h_at_r0 must be finite"):
+            ht_solve_h(1.0, ZERO, bad, (1.0, 2.5), steps=600)
 
 
 # -- HT condition and ht_solve_h ---------------------------------------------
@@ -254,6 +357,12 @@ def test_ht_solve_default_steps_pass_their_audit():
     sol = ht_solve_h(1.0, "0.3 + 0.1*r^2", 1.0, (0.5, 2.0))
     assert sol.r_nodes.size == 1601
     assert sol.max_node_residual <= HT_NODE_TOL * (1.0 + float(np.max(np.abs(sol.values))))
+
+
+@pytest.mark.parametrize("c", [math.nan, math.inf, 0.0, -1.0])
+def test_ht_solve_validates_c(c):
+    with pytest.raises(DomainError, match="c must be a positive finite constant"):
+        ht_solve_h(c, ZERO, 0.5, (1.0, 2.5), steps=600)
 
 
 def test_ht_solve_validates_denominator():

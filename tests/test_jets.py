@@ -1,18 +1,14 @@
 """Ring axioms, composition rules and array semantics of the jet type."""
 
 import math
-import os
-import subprocess
-import sys
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _support import dispatched_simd_targets
+from _support import dispatched_simd_targets, stdout_with_and_without_simd
 from finslerlab.errors import DomainError
 from finslerlab.jets import INDICES, Jet3, is_finite
 
@@ -325,18 +321,8 @@ print("".join(np.asarray(c).tobytes().hex() for c in x.powr(1.5).c))
 
 @pytest.mark.skipif(not dispatched_simd_targets(), reason="numpy reports no dispatched SIMD target")
 def test_powr_bytes_independent_of_simd_dispatch():
-    root = Path(__file__).resolve().parents[1]
-    env = {k: v for k, v in os.environ.items() if k != "NPY_DISABLE_CPU_FEATURES"}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
-    outputs = []
-    for disabled in ("", " ".join(dispatched_simd_targets())):
-        proc = subprocess.run(
-            [sys.executable, "-c", POWR_SCRIPT], capture_output=True, text=True,
-            env={**env, "NPY_DISABLE_CPU_FEATURES": disabled} if disabled else env,
-        )
-        assert proc.returncode == 0, proc.stderr
-        outputs.append(proc.stdout)
-    assert outputs[0] == outputs[1]
+    dispatched, baseline = stdout_with_and_without_simd(POWR_SCRIPT)
+    assert dispatched == baseline
 
 
 # -- order-2 truncation ---------------------------------------------------------
