@@ -204,6 +204,26 @@ def _fd_derivative(values: np.ndarray, step: float) -> np.ndarray:
     return d
 
 
+def _audit(solver: str, residuals: np.ndarray, tol: float) -> None:
+    """Raise CrossCheckError unless every node residual is within tol.
+
+    A non-finite residual means the solution or its audit stencil overflowed,
+    which no finer grid mends, and the message says so.
+    """
+    worst = float(np.max(np.abs(residuals)))
+    if worst <= tol:
+        return
+    if not math.isfinite(worst):
+        raise CrossCheckError(
+            f"{solver} node audit failed: max residual {worst!r} is not finite"
+            " (the solution overflows double precision; more steps cannot help)"
+        )
+    raise CrossCheckError(
+        f"{solver} node audit failed: max residual {worst:.3e} > {tol:.3g}"
+        " (a finer grid tightens the audit stencil; try more steps)"
+    )
+
+
 def _uniform_nodes(r_range, steps: int, r0) -> tuple[np.ndarray, float, int]:
     ra, rb = (float(r_range[0]), float(r_range[1]))
     if not (0.0 < ra < rb):
@@ -395,18 +415,14 @@ def bh_solve_g(f, h, g_at_r0: float, r_range, steps: int = 400, r0=None) -> OdeS
 
     # independent audit: g' from the node values alone, plugged into the
     # second condition with c solved from the first
-    gp_fd = _fd_derivative(values, step)
     fp, hp = np.asarray(fj.d(1, 0)), np.asarray(hj.d(1, 0))
-    qv = f_nodes + nodes * nodes * values
-    c_nodes = h_nodes * (nodes * fp + 2.0 * f_nodes) / (4.0 * f_nodes * qv)
-    u2_fd = hp / nodes - h_nodes * (nodes * nodes * gp_fd + 2.0 * fp) / (2.0 * nodes * qv)
-    residuals = u2_fd - 2.0 * c_nodes * (values - h_nodes * h_nodes)
-    worst = float(np.max(np.abs(residuals)))
-    if not worst <= BH_NODE_TOL:
-        raise CrossCheckError(
-            f"bh_solve_g node audit failed: max residual {worst:.3e} > {BH_NODE_TOL:g}"
-            " (a finer grid tightens the audit stencil; try more steps)"
-        )
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the audit
+        gp_fd = _fd_derivative(values, step)
+        qv = f_nodes + nodes * nodes * values
+        c_nodes = h_nodes * (nodes * fp + 2.0 * f_nodes) / (4.0 * f_nodes * qv)
+        u2_fd = hp / nodes - h_nodes * (nodes * nodes * gp_fd + 2.0 * fp) / (2.0 * nodes * qv)
+        residuals = u2_fd - 2.0 * c_nodes * (values - h_nodes * h_nodes)
+    _audit("bh_solve_g", residuals, BH_NODE_TOL)
     return OdeSolution(
         r_nodes=nodes,
         values=values,
@@ -453,6 +469,12 @@ def ht_solve_h(c_const: float, g, h_at_r0: float, r_range, steps: int = 1600, r0
     k_table = segment_integral((kappa,), nodes[i0], nodes[0], nodes[-1])
     values = h0 * np.exp(k_table.at(nodes)[0])
 
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the audit
+        hp_fd = _fd_derivative(values, step)
+        residuals = 2.0 * hp_fd * den_nodes - values * (
+            nodes * nodes * gp_nodes - 4.0 * c_const / ipow(nodes, 3))
+    _audit("ht_solve_h", residuals, HT_NODE_TOL * (1.0 + float(np.max(np.abs(values)))))
+
     rj = Jet3.seed(nodes, dr=1.0)
     k_jet = (rj * rj * gj_n.deriv(1, 0) - 4.0 * c_const / rj.powi(3)) / (
         2.0 * (c_const / (rj * rj) + rj * rj * gj_n)
@@ -460,15 +482,6 @@ def ht_solve_h(c_const: float, g, h_at_r0: float, r_range, steps: int = 1600, r0
     k_nodes, kp_nodes = np.asarray(k_jet.d(0, 0)), np.asarray(k_jet.d(1, 0))
     derivs = k_nodes * values
     second = (kp_nodes + k_nodes * k_nodes) * values
-
-    hp_fd = _fd_derivative(values, step)
-    residuals = 2.0 * hp_fd * den_nodes - values * (nodes * nodes * gp_nodes - 4.0 * c_const / ipow(nodes, 3))
-    worst = float(np.max(np.abs(residuals)))
-    if not worst <= HT_NODE_TOL * (1.0 + float(np.max(np.abs(values)))):
-        raise CrossCheckError(
-            f"ht_solve_h node audit failed: max residual {worst:.3e}"
-            " (a finer grid tightens the audit stencil; try more steps)"
-        )
     margins = g_nodes - values * values + c_const / ipow(nodes, 4)
     return OdeSolution(
         r_nodes=nodes,

@@ -77,6 +77,20 @@ class MetricSpec:
     n: int
     r_domain: tuple[float, float]
 
+    def __hash__(self) -> int:
+        """The field hash, computed on first use and kept on the spec, as eval_tree
+        keeps a tree's kernels: the lru_cache lookups keyed on a spec then hash
+        no nested profile."""
+        try:
+            return self._hash
+        except AttributeError:
+            object.__setattr__(self, "_hash", hash((self.profile, self.n, self.r_domain)))
+            return self._hash
+
+    def __getstate__(self):
+        """The fields: string hashes differ between processes, so _hash stays behind."""
+        return {k: v for k, v in vars(self).items() if k != "_hash"}
+
     def __post_init__(self):
         if int(self.n) != self.n or self.n < 2:
             raise ValueError(f"dimension n must be an integer >= 2, got {self.n}")

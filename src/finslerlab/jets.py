@@ -36,6 +36,14 @@ INDICES = tuple((d - b, b) for d in range(ORDER + 1) for b in range(d + 1))
 _POS = {ab: k for k, ab in enumerate(INDICES)}
 #: number of coefficients of a jet of each truncation order
 SIZE = {2: 6, 3: 10}
+#: the Leibniz rule slot by slot: for each slot of INDICES, its (x slot, y slot,
+#: weight) terms; a slot of x * y is x[p] * y[q], times w when w != 1, summed
+#: left to right.  Jet3.__mul__ spells it out and compiled kernels emit it.
+MUL_TERMS = tuple(
+    tuple((_POS[(i, j)], _POS[(a - i, b - j)], float(math.comb(a, i) * math.comb(b, j)))
+          for i in range(a + 1) for j in range(b + 1))
+    for (a, b) in INDICES
+)
 
 #: magnitude below which a divisor counts as zero
 DIV_EPS = 1e-300
@@ -188,13 +196,7 @@ class Jet3:
         return self._reciprocal() * other
 
     def _reciprocal(self) -> "Jet3":
-        v = self.value
-        bad = abs(v) < DIV_EPS
-        if any_true(bad):
-            raise DomainError(f"division by (near-)zero value {_fmt(v, bad)}")
-        iv = 1.0 / v
-        iv2 = iv * iv
-        return self.compose(iv, -iv2, 2.0 * (iv2 * iv), -6.0 * (iv2 * iv2))
+        return self.compose(*reciprocal_taylor(self.value))
 
     # -- composition with a smooth univariate function ---------------------
 
@@ -216,38 +218,22 @@ class Jet3:
     # -- elementary functions ----------------------------------------------
 
     def sqrt(self) -> "Jet3":
-        v = self.value
-        bad = v <= 0.0
-        if any_true(bad):
-            raise DomainError(f"sqrt of non-positive value {_fmt(v, bad)}")
-        sv = np.sqrt(v)
-        return self.compose(sv, 0.5 / sv, -0.25 / (sv * v), 0.375 / (sv * v * v))
+        return self.compose(*_sqrt_taylor(self.value))
 
     def exp(self) -> "Jet3":
-        ev = np.exp(self.value)
-        return self.compose(ev, ev, ev, ev)
+        return self.compose(*_exp_taylor(self.value))
 
     def log(self) -> "Jet3":
-        v = self.value
-        bad = v <= 0.0
-        if any_true(bad):
-            raise DomainError(f"log of non-positive value {_fmt(v, bad)}")
-        iv = 1.0 / v
-        iv2 = iv * iv
-        return self.compose(np.log(v), iv, -iv2, 2.0 * (iv2 * iv))
+        return self.compose(*_log_taylor(self.value))
 
     def sin(self) -> "Jet3":
-        sv, cv = np.sin(self.value), np.cos(self.value)
-        return self.compose(sv, cv, -sv, -cv)
+        return self.compose(*_sin_taylor(self.value))
 
     def cos(self) -> "Jet3":
-        sv, cv = np.sin(self.value), np.cos(self.value)
-        return self.compose(cv, -sv, -cv, sv)
+        return self.compose(*_cos_taylor(self.value))
 
     def atan(self) -> "Jet3":
-        v = self.value
-        q = 1.0 / (1.0 + v * v)
-        return self.compose(np.arctan(v), q, -2.0 * v * q * q, (6.0 * v * v - 2.0) * (q * q * q))
+        return self.compose(*_atan_taylor(self.value))
 
     def powi(self, k: int) -> "Jet3":
         """Integer power; exact at zero base for k >= 0 (repeated products)."""
@@ -259,15 +245,81 @@ class Jet3:
 
     def powr(self, q: float) -> "Jet3":
         """Half-integer power q of a positive base: sqrt(v) to the integer 2q."""
-        v = self.value
-        bad = v <= 0.0
-        if any_true(bad):
-            raise DomainError(f"power {q} of non-positive value {_fmt(v, bad)}")
-        f0 = ipow(np.sqrt(v), int(2.0 * q))
-        f1 = q * f0 / v
-        f2 = (q - 1.0) * f1 / v
-        f3 = (q - 2.0) * f2 / v
-        return self.compose(f0, f1, f2, f3)
+        return self.compose(*powr_taylor(self.value, q))
+
+
+# -- Taylor data of the elementary functions ------------------------------------
+# Each returns f, f', f'', f''' at the value v (float or array) after its domain
+# guard; Jet3 and the compiled kernels of finslerlab.expr compose with them.
+
+
+def _sqrt_taylor(v):
+    if type(v) is float and 1e-100 < v < 1e100:
+        # Python floats round as numpy's float64 scalars do, and in this range
+        # nothing below under- or overflows, so no warning or error differs
+        sv = math.sqrt(v)
+        return sv, 0.5 / sv, -0.25 / (sv * v), 0.375 / (sv * v * v)
+    bad = v <= 0.0
+    if any_true(bad):
+        raise DomainError(f"sqrt of non-positive value {_fmt(v, bad)}")
+    sv = np.sqrt(v)
+    return sv, 0.5 / sv, -0.25 / (sv * v), 0.375 / (sv * v * v)
+
+
+def _exp_taylor(v):
+    ev = np.exp(v)
+    return ev, ev, ev, ev
+
+
+def _log_taylor(v):
+    bad = v <= 0.0
+    if any_true(bad):
+        raise DomainError(f"log of non-positive value {_fmt(v, bad)}")
+    iv = 1.0 / v
+    iv2 = iv * iv
+    return np.log(v), iv, -iv2, 2.0 * (iv2 * iv)
+
+
+def _sin_taylor(v):
+    sv, cv = np.sin(v), np.cos(v)
+    return sv, cv, -sv, -cv
+
+
+def _cos_taylor(v):
+    sv, cv = np.sin(v), np.cos(v)
+    return cv, -sv, -cv, sv
+
+
+def _atan_taylor(v):
+    q = 1.0 / (1.0 + v * v)
+    return np.arctan(v), q, -2.0 * v * q * q, (6.0 * v * v - 2.0) * (q * q * q)
+
+
+#: Taylor data of each function of the expression grammar
+TAYLOR = {"sqrt": _sqrt_taylor, "exp": _exp_taylor, "log": _log_taylor,
+          "sin": _sin_taylor, "cos": _cos_taylor, "atan": _atan_taylor}
+
+
+def reciprocal_taylor(v):
+    """Taylor data of 1/x at v, after the near-zero guard."""
+    bad = abs(v) < DIV_EPS
+    if any_true(bad):
+        raise DomainError(f"division by (near-)zero value {_fmt(v, bad)}")
+    iv = 1.0 / v
+    iv2 = iv * iv
+    return iv, -iv2, 2.0 * (iv2 * iv), -6.0 * (iv2 * iv2)
+
+
+def powr_taylor(v, q: float):
+    """Taylor data of x^q for a half-integer q at v > 0: sqrt(v) to the integer 2q."""
+    bad = v <= 0.0
+    if any_true(bad):
+        raise DomainError(f"power {q} of non-positive value {_fmt(v, bad)}")
+    f0 = ipow(np.sqrt(v), int(2.0 * q))
+    f1 = q * f0 / v
+    f2 = (q - 1.0) * f1 / v
+    f3 = (q - 2.0) * f2 / v
+    return f0, f1, f2, f3
 
 
 def any_true(mask) -> bool:
@@ -275,12 +327,11 @@ def any_true(mask) -> bool:
     return mask.any() if isinstance(mask, np.ndarray) else bool(mask)
 
 
-def is_finite(jet: Jet3) -> bool:
-    """True when every coefficient is finite.
+def is_finite(c) -> bool:
+    """True when every one of the jet coefficients c is finite.
 
     A finite sum proves it, since inf and NaN propagate; a non-finite sum, which
     finite terms can also give by overflowing, is checked term by term."""
-    c = jet.c
     try:  # scalar coefficients: fsum never warns; it raises on overflow and inf - inf
         if math.isfinite(math.fsum(c)):
             return True

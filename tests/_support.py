@@ -3,11 +3,14 @@
 Everything here is deliberately independent of the package internals: finite
 differences never call jet code, the brute-force Randers tensors are assembled
 from textbook formulas, and random inputs are generated from seeded numpy
-Generators so every test run is reproducible.
+Generators so every test run is reproducible.  The one exception is the
+reference jet walker, Jet3 arithmetic node by node, which the compiled kernels
+of ``eval_tree`` must match bit for bit.
 """
 
 from __future__ import annotations
 
+import operator
 import os
 import subprocess
 import sys
@@ -16,7 +19,9 @@ from pathlib import Path
 import numpy as np
 
 from finslerlab.errors import DomainError
-from finslerlab.expr import ExpressionTree, eval_value
+from finslerlab.expr import (Binary, Const, ExpressionTree, Node, Pow, Var, _check_exponent,
+                             eval_value, to_string)
+from finslerlab.jets import Jet3, is_finite
 
 # Central-difference step per total derivative order.  The cubic stencils
 # divide by h^3, so the step must grow with the order or roundoff in the
@@ -70,6 +75,52 @@ def tree_point_fn(tree: ExpressionTree):
         return eval_value(tree, {"r": r, "s": s})
 
     return fn
+
+
+# -- the reference jet walker ------------------------------------------------
+
+#: jet arithmetic of each binary operator
+_JET_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
+def _eval_jet_node(node: Node, env) -> Jet3:
+    """Jet3 arithmetic node by node, post-order, with the domain guards that
+    finslerlab.expr.eval_tree's compiled kernels must reproduce bit for bit."""
+    try:
+        kind = type(node)
+        if kind is Binary:
+            out = _JET_BINARY[node.op](_eval_jet_node(node.left, env),
+                                       _eval_jet_node(node.right, env))
+        elif kind is Var:
+            return env[node.name]
+        elif kind is Const:
+            return Jet3.constant(node.value)
+        elif kind is Pow:
+            a = _eval_jet_node(node.base, env)
+            _check_exponent(node.exponent)
+            if node.exponent == int(node.exponent):
+                out = a.powi(int(node.exponent))
+            else:
+                out = a.powr(node.exponent)
+        else:
+            a = _eval_jet_node(node.arg, env)
+            out = -a if node.op == "neg" else getattr(a, node.op)()
+        if not is_finite(out.c):
+            raise DomainError("non-finite result")
+        return out
+    except DomainError as err:
+        if err.subexpr is None:
+            err.subexpr = to_string(node)
+            err.args = (f"{err.args[0]} in '{err.subexpr}'",)
+        raise
+
+
+def reference_eval_tree(tree: ExpressionTree, env) -> Jet3:
+    """eval_tree by walking the tree with Jet3 arithmetic."""
+    missing = tree.variables - set(env)
+    if missing:
+        raise DomainError(f"no value bound for variable(s) {sorted(missing)}")
+    return _eval_jet_node(tree.root, env)
 
 
 # -- random closed-form expressions ------------------------------------------

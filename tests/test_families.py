@@ -279,6 +279,14 @@ def test_bh_solve_names_a_sign_change_of_h():
         bh_solve_g("1 + 0.3*r^2", "r - 0.61", 0.8, (0.3, 0.9))
 
 
+def test_bh_solve_overflow_fails_its_audit_quietly_and_says_so():
+    # g0 = 1e308: the node values are finite, their difference stencil overflows
+    with pytest.raises(CrossCheckError, match=r"bh_solve_g node audit failed: max residual nan "
+                                              r"is not finite") as err:
+        bh_solve_g("1", "1", 1e308, (0.5, 1.5))
+    assert "try more steps" not in str(err.value)
+
+
 # SHA-256 of the 400-step Funk solution table
 BH_DIGEST_SCRIPT = """
 import hashlib
@@ -336,6 +344,13 @@ def test_ht_solve_reproduces_inverse_square():
     assert sol.values[i] == pytest.approx(0.125, abs=1e-9)
     np.testing.assert_allclose(sol.values, 0.5 / sol.r_nodes**2, rtol=1e-8)
     assert sol.admissible
+
+
+def test_ht_solve_overflow_fails_its_audit_quietly_and_says_so():
+    with pytest.raises(CrossCheckError, match=r"ht_solve_h node audit failed: max residual nan "
+                                              r"is not finite") as err:
+        ht_solve_h(1.0, ZERO, 1e308, (1.0, 2.5), steps=600)
+    assert "try more steps" not in str(err.value)
 
 
 def test_ht_solution_gives_parallel_beta():

@@ -1,6 +1,7 @@
 """Profile jets, spray coefficients, metric tensor, regularity and embeddings."""
 
 import math
+import pickle
 from pathlib import Path
 
 import numpy as np
@@ -152,6 +153,22 @@ def test_family_table_is_per_spec():
         one, two = _family_radial_jets(wide, r), _family_radial_jets(narrow, r)
         for a, b in zip(one, two):
             assert a.value == pytest.approx(b.value, rel=1e-14, abs=1e-15)
+
+
+def test_family_table_lookup_hashes_no_profile(monkeypatch):
+    spec = _family_spec(ScalarFunction.from_text("0.1 + 0.05/r"))
+    table = _family_table(spec)
+
+    def refuse(self):
+        raise AssertionError("the profile was hashed again")
+
+    monkeypatch.setattr(BerwaldFamilyProfile, "__hash__", refuse)
+    assert _family_table(spec) is table
+    # a copy through pickle leaves the kept hash behind and computes its own
+    monkeypatch.undo()
+    again = pickle.loads(pickle.dumps(spec))
+    assert "_hash" not in vars(again) and hash(again) == hash(spec)
+    assert _family_table(again) is table
 
 
 def test_family_phi_jet_on_array_equals_scalar_calls(family_k):

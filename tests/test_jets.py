@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from _support import dispatched_simd_targets, stdout_with_and_without_simd
 from finslerlab.errors import DomainError
-from finslerlab.jets import INDICES, Jet3, is_finite
+from finslerlab.jets import INDICES, MUL_TERMS, Jet3, _sqrt_taylor, is_finite
 
 coef = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
 jet_coeffs = st.lists(coef, min_size=len(INDICES), max_size=len(INDICES))
@@ -27,19 +27,6 @@ def direct_product(x: Jet3, y: Jet3) -> Jet3:
                 acc += w * x.d(i, j) * y.d(a - i, b - j)
         out.append(acc)
     return Jet3(out)
-
-
-# Leibniz convolution as a table: for each output slot, the (slot_x, slot_y,
-# binomial weight) triples in the order the product sums them.
-_POS = {ab: k for k, ab in enumerate(INDICES)}
-MUL_TERMS = tuple(
-    tuple(
-        (_POS[(i, j)], _POS[(a - i, b - j)], float(math.comb(a, i) * math.comb(b, j)))
-        for i in range(a + 1)
-        for j in range(b + 1)
-    )
-    for (a, b) in INDICES
-)
 
 
 def table_product(x: Jet3, y: Jet3) -> list:
@@ -252,10 +239,19 @@ def test_array_domain_error_reports_offending_value():
             op(Jet3.seed(v, dr=1.0))
 
 
+def test_sqrt_of_a_float_rounds_as_numpy_float64_does():
+    # Python-float arithmetic serves float values; numpy's float64 scalars serve the rest
+    rng = np.random.default_rng(5)
+    for v in [*(10.0 ** rng.uniform(-99.9, 99.9, 3000)).tolist(), 1.0000001e-100, 0.9999999e100]:
+        fast = _sqrt_taylor(v)
+        assert all(type(f) is float for f in fast)
+        assert [f.hex() for f in fast] == [float(f).hex() for f in _sqrt_taylor(np.float64(v))]
+
+
 def test_is_finite_flags_bad_values():
-    assert is_finite(Jet3.seed(1.0, dr=2.0))
-    assert not is_finite(Jet3.seed(float("inf")))
-    assert not is_finite(Jet3.seed(np.array([1.0, float("nan")])))
+    assert is_finite(Jet3.seed(1.0, dr=2.0).c)
+    assert not is_finite(Jet3.seed(float("inf")).c)
+    assert not is_finite(Jet3.seed(np.array([1.0, float("nan")])).c)
 
 
 @pytest.mark.parametrize("shape", [(), (21,), (41, 128)])
@@ -299,7 +295,7 @@ def test_is_finite_equals_coefficientwise_predicate(cx, planted, as_array, overf
     jet = Jet3(cx)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert is_finite(jet) == _coefficientwise_finite(jet)
+        assert is_finite(jet.c) == _coefficientwise_finite(jet)
 
 
 @pytest.mark.parametrize("wrap", [float, np.float64, lambda v: np.full((3, 4), v)])
@@ -307,7 +303,7 @@ def test_is_finite_on_overflowing_sum_is_true_and_silent(wrap):
     jet = Jet3([wrap(1e308), wrap(1.0), wrap(1e308)] + [wrap(0.5)] * (len(INDICES) - 3))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert is_finite(jet)
+        assert is_finite(jet.c)
 
 
 # prints the bytes of every coefficient of x^1.5 for an array x, as hex
