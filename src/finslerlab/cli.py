@@ -19,7 +19,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -59,7 +59,7 @@ from .geometry import (
     s_fractions,
     spray_values,
 )
-from .oracle import s_by_distortion
+from .oracle import _split, s_by_distortion
 from .quadrature import QuadratureRule
 from .randers import covariant_b_coefficients
 from .scurvature import isotropy_profile, reduced_s, reduced_s_given_f
@@ -519,8 +519,7 @@ def _verify_oracle(cfg, spec, args, rule) -> Verdict:
         frac = float(rng.uniform(-0.9, 0.9))
         x, y = embed_point(r, r * frac, cfg.n)
         y = y * float(rng.uniform(0.5, 2.0))
-        u = float(np.linalg.norm(y))
-        s = float(np.dot(x, y) / u)
+        u, _, s = _split(x, y)
         cols["r"].append(r)
         cols["s"].append(s)
         cols["oracle"].append(s_by_distortion(spec, cfg.volume, x, y, rule=rule))
@@ -654,7 +653,9 @@ def _positive_float(text: str) -> float:
     return value
 
 
+@lru_cache(maxsize=None)
 def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it unchanged."""
     ap = argparse.ArgumentParser(
         prog="finslerlab",
         description="verification lab for spherically symmetric Finsler metrics",

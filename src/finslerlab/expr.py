@@ -13,12 +13,15 @@ restricted to integer and half-integer constants; anything else must be
 spelled ``exp(y*log(x))``.
 
 Trees evaluate either to floats (``eval_value``) or to :class:`~finslerlab.jets.Jet3`
-(``eval_jet`` / ``eval_tree``).  Jet evaluation runs compiled kernels: one
-straight-line Python function per tree shape (the tree with its constants
-taken out) and input jet order, performing exactly the float operations of
-Jet3 arithmetic on the tree node by node, with the same domain guards and
-finite checks.  Trees that differ only in their constants share a kernel, and
-a tree keeps the kernels it used, so evaluating it again walks no tree.
+(``eval_jet`` / ``eval_tree``).  ``tree_jet`` is Jet3 arithmetic on the
+tree node by node, with every node's domain guards and finite check.  On
+float inputs it is recorded once per tree shape (the tree with its constants
+taken out) and input jet sizes into a kernel (see :mod:`finslerlab.jets`),
+one straight-line Python function; trees that differ only in their
+constants share a kernel, and a tree keeps the kernels it used (its
+``Bound``), so evaluating it again walks no tree.  On arrays, where numpy
+does the arithmetic either way, it runs at once, with no kernel to compile.
+The profile jets of :mod:`finslerlab.geometry` record trees the same way.
 """
 
 from __future__ import annotations
@@ -32,8 +35,7 @@ from typing import Mapping, Union
 import numpy as np
 
 from .errors import DomainError, ParseError, UnknownIdentifierError
-from .jets import (MUL_TERMS, ORDER, SIZE, TAYLOR, Jet3, ipow, is_finite, powr_taylor,
-                   reciprocal_taylor)
+from .jets import Eager, Jet3, ipow, kernel_of
 
 FUNCTIONS = ("sqrt", "exp", "log", "sin", "cos", "atan")
 VARIABLES = ("r", "s", "w")
@@ -83,8 +85,7 @@ class ExpressionTree:
         return to_string(self)
 
     def __getstate__(self):
-        """The fields: the kernels eval_tree keeps on the tree are found again on use."""
-        return {k: v for k, v in vars(self).items() if k != "_bound"}
+        return state_without_kernels(self)
 
 
 # -- tokenizer ---------------------------------------------------------------
@@ -290,30 +291,19 @@ def _locate(err: DomainError, node: Node) -> None:
         err.args = (f"{err.args[0]} in '{err.subexpr}'",)
 
 
-# A kernel takes the constants as an argument and performs, in post-order, the
-# float operations Jet3 arithmetic would: the Leibniz terms of jets.MUL_TERMS,
-# Jet3.compose's Horner steps over the Taylor data of jets, every domain guard
-# and every node's finite check.  Its coefficients are therefore bit-identical
-# to Jet3's for floats and arrays alike, and a DomainError names the
-# subexpression of the node that raised it.
-#
-# When every input coefficient and constant is a Python float, so is every
-# intermediate, and the kernel's own arithmetic (it divides only by 6) neither
-# warns nor raises; a node's finite check is then a plain sum of its
-# coefficients, finite only if they all are, with is_finite deciding the rest.
+class Bound:
+    """What evaluating some trees needs besides their shapes' kernel, kept on the
+    object that owns the trees: their constants and post-order nodes, tree after
+    tree, their shapes (each tree with its constants taken out) and the kernels
+    used so far, by key."""
 
+    __slots__ = ("names", "consts", "floats", "nodes", "shapes", "kernels")
 
-class _Bound:
-    """What evaluating one tree needs besides its shape's kernel, kept on the tree:
-    input names, constants, post-order nodes and its kernels by input sizes."""
-
-    __slots__ = ("names", "consts", "floats", "nodes", "shape", "kernels")
-
-    def __init__(self, tree: ExpressionTree):
-        self.names = tuple(sorted(tree.variables))
+    def __init__(self, trees, names=()):
+        self.names = names
         consts: list = []
         self.nodes: list[Node] = []
-        self.shape = self._walk(tree.root, consts)
+        self.shapes = tuple(self._walk(tree.root, consts) for tree in trees)
         self.consts = tuple(consts)
         self.floats = all(type(k) is float for k in consts)
         self.kernels: list = []
@@ -335,184 +325,116 @@ class _Bound:
         self.nodes.append(node)
         return key
 
+    def kernel(self, key):
+        """The kernel kept under key, or None; compares keys, hashes nothing."""
+        for k, kernel in self.kernels:
+            if k == key:
+                return kernel
+        return None
 
-class _Emitter:
-    """Source lines of one kernel, one local name per jet coefficient."""
+    def keep(self, key, kernel):
+        self.kernels.append((key, kernel))
+        return kernel
 
-    def __init__(self, names, sizes):
-        self.lines: list[str] = []
-        self.made: list[str] = []  # locals t0, t1, ... that may still be read
-        self.free: list[str] = []  # locals no later line reads
-        self.index = 0  # post-order index of the next node
-        self.consts = 0
-        self.checks = 0
-        self.exponents: dict[str, float] = {}
-        # input i's coefficients, named apart from every other local whatever the variable
-        self.inputs = {v: [f"i{i}_{j}" for j in range(n)]
-                       for i, (v, n) in enumerate(zip(names, sizes))}
+    def locate(self, err: DomainError, index: int) -> None:
+        _locate(err, self.nodes[index])
 
-    def local(self) -> str:
-        """A local to assign: a dead one when there is one, so that rebinding it
-        frees its old value (an array's buffer, say) as Jet3 arithmetic would."""
-        name = self.free.pop() if self.free else f"t{len(self.made) + len(self.free)}"
-        self.made.append(name)
-        return name
 
-    def let(self, expr: str) -> str:
-        name = self.local()
-        self.lines.append(f"{name} = {expr}")
-        return name
+def bound_of(owner, trees=None) -> Bound:
+    """owner's Bound, made on first use from the trees that trees() returns
+    (default: owner itself, a tree)."""
+    try:
+        return owner._bound
+    except AttributeError:
+        bound = Bound([owner], tuple(sorted(owner.variables))) if trees is None else Bound(trees())
+        object.__setattr__(owner, "_bound", bound)
+        return bound
 
-    def node(self, key) -> list[str]:
-        """Coefficient names of the node with this shape key, after its subtree.
 
-        Only the node's own coefficients are read after it: the other locals
-        its lines assigned are dead from here on.
-        """
-        mark = len(self.made)
-        out = self._node(key)
-        made = dict.fromkeys(self.made[mark:])
-        self.free += [x for x in made if x not in out]
-        self.made[mark:] = [x for x in made if x in out]
-        return out
+def state_without_kernels(self) -> dict:
+    """The fields of a frozen dataclass: kernels kept on it are found again on use."""
+    return {k: v for k, v in vars(self).items() if k != "_bound"}
 
-    def _node(self, key) -> list[str]:
-        if key is None:
-            self.index += 1
-            k = f"k{self.consts}"
-            self.consts += 1
-            return [k] + [self.let(f"{k} * 0.0")] * (SIZE[ORDER] - 1)
-        if isinstance(key, str):
-            self.index += 1
-            return self.inputs[key]
-        op = key[0]
-        args = [self.node(key[2])] if op == "^" else [self.node(sub) for sub in key[1:]]
-        self.lines.append(f"at = {self.index}")
-        self.index += 1
-        if op == "^":
-            out = self.power(args[0], key[1])
-        elif op == "neg":
-            out = [self.let(f"-{x}") for x in args[0]]
-        elif op in FUNCTIONS:
-            out = self.compose(args[0], f"{op}_taylor({args[0][0]})")
-        elif op == "*":
-            out = self.product(*args)
-        elif op == "/":
-            a, b = args
-            out = self.product(a, self.compose(b, f"reciprocal_taylor({b[0]})"))
-        else:
-            out = [self.let(f"{x} {op} {y}") for x, y in zip(*args)]
-        self.checks += 1
-        self.lines.append(f"if not (scalar and ({' + '.join(out)}) * 0.0 == 0.0 "
-                          f"or is_finite(({', '.join(out)}))): "
-                          f"raise DomainError('non-finite result')")
-        return out
 
-    def product(self, x, y) -> list[str]:
-        """Jet3.__mul__ of two jets, slot by slot from MUL_TERMS."""
-        return [self.let(" + ".join(f"{x[p]} * {y[q]}" + ("" if w == 1.0 else f" * {w!r}")
-                                    for p, q, w in terms))
-                for terms in MUL_TERMS[:min(len(x), len(y))]]
+def tree_jet(tape, key, env: Mapping[str, Jet3]) -> Jet3:
+    """The jet of a tree of this shape key on the jets of env, recorded on a
+    jets.Tape or computed at once by a jets.Eager.
 
-    def compose(self, a, taylor: str) -> list[str]:
-        """Jet3.compose of jet a with the Taylor data the call taylor returns."""
-        f = [self.local() for _ in range(4)]
-        self.lines.append(f"{', '.join(f)} = {taylor}")
-        self.lines.append(f"if type({a[0]}) is float: "
-                          f"{', '.join(f)} = {', '.join(f'float({x})' for x in f)}")
-        gh = [self.let(f"{a[0]} * 0.0"), *a[1:]]
-        scale = self.let(f"{f[3]} / 6.0")
-        p = [self.let(f"{x} * {scale}") for x in gh]
-        p[0] = self.let(f"{p[0]} + {f[2]} * 0.5")
-        p = self.product(p, gh)
-        p[0] = self.let(f"{p[0]} + {f[1]}")
-        p = self.product(p, gh)
-        p[0] = self.let(f"{p[0]} + {f[0]}")
-        return p
-
-    def power(self, a, q: float) -> list[str]:
-        """Jet3.powi or Jet3.powr of jet a, after the exponent check."""
-        name = f"q{len(self.exponents)}"
-        self.exponents[name] = q  # q itself, not its repr, reaches the kernel
+    Jet3 arithmetic node by node in post-order, each constant the tape's next
+    const(), and each node marked, then exponent-checked, guarded and
+    finite-checked, so a DomainError names the subexpression of the node that
+    raised it.
+    """
+    if key is None:
+        tape.nodes += 1
+        return Jet3.constant(tape.const())
+    if isinstance(key, str):
+        tape.nodes += 1
+        return env[key]
+    op = key[0]
+    args = [tree_jet(tape, key[2], env)] if op == "^" else [tree_jet(tape, k, env)
+                                                                for k in key[1:]]
+    tape.mark()
+    a = args[0]
+    if op == "^":
+        q = key[1]
         try:
             _check_exponent(q)
         except Exception:  # the kernel raises what the check raises, here
-            self.lines.append(f"check_exponent({name})")
-            return a
-        if q != int(q):
-            return self.compose(a, f"powr_taylor({a[0]}, {name})")
-        k = int(q)
-        if k < 0:
-            a, k = self.compose(a, f"reciprocal_taylor({a[0]})"), -k
-        if k == 0:
-            one = self.let(f"{a[0]} * 0.0 + 1.0")
-            return [one] + [self.let(f"{one} * 0.0")] * (len(a) - 1)
-        acc = None
-        while True:  # jets._pow_pos
-            if k & 1:
-                acc = a if acc is None else self.product(acc, a)
-            k >>= 1
-            if not k:
-                return acc
-            a = self.product(a, a)
+            tape.call(_check_exponent, q)
+            out = a
+        else:
+            out = a.powi(int(q)) if q == int(q) else a.powr(q)
+    elif op == "neg":
+        out = -a
+    elif op in FUNCTIONS:
+        out = getattr(a, op)()
+    elif op == "+":
+        out = a + args[1]
+    elif op == "-":
+        out = a - args[1]
+    elif op == "*":
+        out = a * args[1]
+    else:
+        out = a / args[1]
+    tape.check_finite(out.c)
+    return out
 
 
-#: what kernels call besides arithmetic
-_KERNEL_GLOBALS = {"DomainError": DomainError, "is_finite": is_finite,
-                   "check_exponent": _check_exponent, "locate": _locate,
-                   "reciprocal_taylor": reciprocal_taylor, "powr_taylor": powr_taylor,
-                   **{f"{op}_taylor": fn for op, fn in TAYLOR.items()}}
+def _tree_program(tape, shape, names: tuple[str, ...], sizes: tuple[int, ...]) -> tuple:
+    """The coefficients of a tree's jet, its inputs jets of these sizes."""
+    env = {v: Jet3(tape.param_jet(n)) for v, n in zip(names, sizes)}
+    return tree_jet(tape, shape, env).c
 
 
 @lru_cache(maxsize=256)
 def _compile(shape, names: tuple[str, ...], sizes: tuple[int, ...]):
     """The kernel of a tree shape for input jets with these coefficient counts.
 
-    It takes a _Bound of the shape and the coefficient tuples of the inputs,
+    It takes a Bound of the shape and the coefficient tuples of the inputs,
     and returns the coefficients of the tree's jet.
     """
-    em = _Emitter(names, sizes)
-    out = em.node(shape)
-    params = [f"i{i}" for i in range(len(names))]
-    coeffs = [x for v in names for x in em.inputs[v]]
-    head = [f"{', '.join(em.inputs[v])}, = {p}" for v, p in zip(names, params)]
-    if em.consts:
-        head.append(f"{', '.join(f'k{i}' for i in range(em.consts))}, = bound.consts")
-    if em.checks:
-        head.append(" and ".join(["scalar = bound.floats", *(f"type({x}) is float" for x in coeffs)]))
-    source = "\n    ".join([f"def kernel(bound, {', '.join(params)}):", *head, "at = 0", "try:",
-                            *(f"    {line}" for line in em.lines), "    pass",
-                            "except DomainError as err:",
-                            "    locate(err, bound.nodes[at])", "    raise",
-                            f"return ({', '.join(out)},)"])
-    namespace = {**_KERNEL_GLOBALS, **em.exponents}
-    exec(compile(source, f"<jet kernel of {len(em.lines)} lines>", "exec"), namespace)
-    return namespace["kernel"]
+    return kernel_of(_tree_program, shape, names, sizes)
 
 
 def eval_tree(tree: ExpressionTree, env: Mapping[str, Jet3]) -> Jet3:
     """Evaluate to a jet with caller-supplied jets bound to the variables.
 
-    The tree's kernel for the input sizes is looked up on the tree itself after
-    the first call, so a call hashes nothing.
+    A jet with an array value makes tree_jet run at once.  Otherwise the
+    tree's kernel for the input sizes runs; it is looked up on the tree
+    itself after the first call, so a call hashes nothing.
     """
-    try:
-        bound = tree._bound
-    except AttributeError:
-        bound = _Bound(tree)
-        object.__setattr__(tree, "_bound", bound)
+    bound = bound_of(tree)
     try:
         inputs = [env[v].c for v in bound.names]
     except KeyError:
         missing = tree.variables - set(env)
         raise DomainError(f"no value bound for variable(s) {sorted(missing)}") from None
-    sizes = list(map(len, inputs))
-    for key, kernel in bound.kernels:
-        if key == sizes:
-            break
-    else:
-        kernel = _compile(bound.shape, bound.names, tuple(sizes))
-        bound.kernels.append((sizes, kernel))
+    sizes = tuple(map(len, inputs))
+    for c in inputs:
+        if isinstance(c[0], np.ndarray):
+            return Jet3(Eager(bound, inputs).run(_tree_program, bound.shapes[0], bound.names, sizes))
+    kernel = bound.kernel(sizes) or bound.keep(sizes, _compile(bound.shapes[0], bound.names, sizes))
     return Jet3(kernel(bound, *inputs))
 
 

@@ -354,6 +354,24 @@ def ht_condition_residual(c_const: float, g, h, r):
 # -- profile solvers ---------------------------------------------------------
 
 
+def _dip_between_nodes(nodes, h, hp, hpp, tol: float):
+    """Where |h| dips to within tol of zero (or through it) between two nodes, or None.
+
+    |h| has a minimum between nodes i and i + 1 when h h' < 0 at i and > 0 at
+    i + 1; its value is estimated from the Taylor quadratic at the nearer of
+    the two nodes, h - h'^2 / (2 h''), at r - h'/h''.
+    """
+    hp, hpp = np.broadcast_to(hp, h.shape), np.broadcast_to(hpp, h.shape)
+    dips = np.flatnonzero((h[:-1] * hp[:-1] < 0.0) & (h[1:] * hp[1:] > 0.0))
+    for i in dips + (np.abs(h[dips + 1]) < np.abs(h[dips])):
+        if hpp[i] * h[i] > 0.0:
+            step = -hp[i] / hpp[i]
+            low = h[i] + 0.5 * hp[i] * step
+            if low * h[i] <= 0.0 or abs(low) <= tol:
+                return float(nodes[i] + step)
+    return None
+
+
 def bh_solve_g(f, h, g_at_r0: float, r_range, steps: int = 400, r0=None) -> OdeSolution:
     """Solve the eliminated linear ODE g' = alpha g + beta so that the BH conditions hold.
 
@@ -391,6 +409,9 @@ def bh_solve_g(f, h, g_at_r0: float, r_range, steps: int = 400, r0=None) -> OdeS
     if near_zero.any() or sign_change.any():
         i = int(np.argmin(np.abs(h_nodes)) if near_zero.any() else np.argmax(sign_change))
         raise DomainError(f"h vanishes near r = {nodes[i]:.6g}: the g equation is singular")
+    dip = _dip_between_nodes(nodes, h_nodes, hj.d(1, 0), hj.d(2, 0), 1e-13 * scale)
+    if dip is not None:
+        raise DomainError(f"h vanishes near r = {dip:.6g}: the g equation is singular")
 
     rr0, f0, h0 = float(nodes[i0]), float(f_nodes[i0]), float(h_nodes[i0])
     const = (g0 - h0 * h0 + f0 / (rr0 * rr0)) * (rr0 * rr0 * f0) / (h0 * h0)

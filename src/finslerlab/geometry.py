@@ -18,6 +18,15 @@ phi_ss are read, for three profile kinds:
   interpolation).  A value therefore depends on r and the spec alone, never
   on which radii were queried before.
 
+Each profile jet is one program of Jet3 arithmetic (see :mod:`finslerlab.jets`):
+the general profile's tree; sqrt(f + g s^2) + h s with the trees of
+expression coefficients recorded in and the jets of the others (solved
+profiles) as arguments; the family's r-jets of g, J and I2 from the three
+table values, the radicand guard, c2 and chi.  On float inputs it is one
+kernel call, compiled once per program shape and jet order and kept on the
+profile; on arrays, where numpy does the arithmetic either way, the program
+runs at once with no kernel to compile.  Both give the same bits.
+
 Regularity means three pointwise positivity conditions::
 
     phi > 0,   phi - s phi_s > 0,   phi - s phi_s + (r^2 - s^2) phi_ss > 0
@@ -39,8 +48,9 @@ from typing import Union
 import numpy as np
 
 from .errors import DomainError, FinslerError, RegularityError
-from .expr import ExpressionTree, ScalarFunction, eval_tree, parse_expression
-from .jets import Jet3, any_true, ipow
+from .expr import (ExpressionTree, ScalarFunction, bound_of, eval_tree, parse_expression,
+                   state_without_kernels, tree_jet)
+from .jets import SIZE, Eager, Jet3, any_true, ipow, kernel_of
 from .quadrature import PanelTable, segment_integral
 
 #: relative inset used when building s-grids that must avoid |s| = r
@@ -54,11 +64,17 @@ class GeneralPhi:
 
 @dataclass(frozen=True)
 class RandersProfile:
-    """Radial Randers data; f, g, h expose value(r) and jet(r, order)."""
+    """Radial Randers data; f, g, h expose value(r) and jet(r, order).
+
+    Its jet is one program: the trees of the ScalarFunction coefficients are
+    part of it, and the jets of the others are its arguments.
+    """
 
     f: object
     g: object
     h: object
+
+    __getstate__ = state_without_kernels
 
 
 @dataclass(frozen=True)
@@ -66,6 +82,8 @@ class BerwaldFamilyProfile:
     c2: ScalarFunction
     chi: ExpressionTree
     r0: float
+
+    __getstate__ = state_without_kernels
 
 
 Profile = Union[GeneralPhi, RandersProfile, BerwaldFamilyProfile]
@@ -158,9 +176,7 @@ def _phi_jet_raw(spec: MetricSpec, r, s, order: int = 3) -> Jet3:
         return eval_tree(p.phi, {"r": Jet3.seed(r, dr=1.0, order=order),
                                  "s": Jet3.seed(s, ds=1.0, order=order)})
     if isinstance(p, RandersProfile):
-        sj = Jet3.seed(s, ds=1.0, order=order)
-        fj, gj, hj = p.f.jet(r, order), p.g.jet(r, order), p.h.jet(r, order)
-        return (fj + gj * sj * sj).sqrt() + hj * sj
+        return _randers_phi_jet(p, r, s, order)
     return _family_phi_jet(spec, r, s, order)
 
 
@@ -206,6 +222,51 @@ def regularity_margins(jet: Jet3, r, s):
     return m1, m2, m3
 
 
+# -- Randers profiles ----------------------------------------------------------
+
+
+def _randers_phi_jet(p: RandersProfile, r, s, order: int) -> Jet3:
+    """sqrt(f + g s^2) + h s: one kernel call on floats, the same Jet3 arithmetic
+    run at once on arrays."""
+    coeffs = (p.f, p.g, p.h)
+    bound = bound_of(p, lambda: [x.tree for x in coeffs if isinstance(x, ScalarFunction)])
+    inputs = [x.jet(r, order).c for x in coeffs if not isinstance(x, ScalarFunction)]
+    if isinstance(r, np.ndarray) or isinstance(s, np.ndarray):
+        return Jet3(Eager(bound, (r, s, *inputs)).run(_randers_program, _kinds(p, bound), order))
+    kernel = bound.kernel(order)
+    if kernel is None:
+        kernel = bound.keep(order, _randers_kernel(_kinds(p, bound), order))
+    return Jet3(kernel(bound, r, s, *inputs))
+
+
+def _kinds(p: RandersProfile, bound) -> tuple:
+    """Per coefficient: (its tree shape,) for a ScalarFunction, else None."""
+    shapes = iter(bound.shapes)
+    return tuple((next(shapes),) if isinstance(x, ScalarFunction) else None
+                 for x in (p.f, p.g, p.h))
+
+
+def _randers_program(tape, kinds, order: int) -> tuple:
+    """(f + g*s*s).sqrt() + h*s on arguments r, s and a jet per coefficient of
+    kind None; the others are ScalarFunction.jet of their tree shapes."""
+    r, s = tape.param(), tape.param()
+    coeffs = []
+    for kind in kinds:
+        if kind is None:
+            coeffs.append(Jet3(tape.param_jet(SIZE[order])))
+        else:
+            coeffs.append(tree_jet(tape, kind[0], {"r": Jet3.seed(r, dr=1.0, order=order)}))
+    tape.unmark()
+    fj, gj, hj = coeffs
+    sj = Jet3.seed(s, ds=1.0, order=order)
+    return ((fj + gj * sj * sj).sqrt() + hj * sj).c
+
+
+@lru_cache(maxsize=64)
+def _randers_kernel(kinds, order: int):
+    return kernel_of(_randers_program, kinds, order)
+
+
 # -- Berwald-type family profiles -------------------------------------------
 
 @lru_cache(maxsize=16)
@@ -221,24 +282,50 @@ def _family_table(spec: MetricSpec) -> PanelTable:
                             r0, *spec.r_domain)
 
 
-def _family_radial_jets(spec: MetricSpec, r, order: int = 3) -> tuple[Jet3, Jet3, Jet3]:
-    """r-jets of g = e^{I1}, J and I2 of the given order at radii r of any shape.
+def _family_phi_jet(spec: MetricSpec, r, s, order: int) -> Jet3:
+    """chi(w) sqrt(g + J s^2) e^{-I2}: the table values of I1, J and I2 at r, then
+    one kernel call on floats, the same Jet3 arithmetic run at once on arrays."""
+    r = np.asarray(r, dtype=float)
+    r = float(r) if r.ndim == 0 else r
+    i1, j, i2 = _family_table(spec).at(r)
+    p = spec.profile
+    bound = bound_of(p, lambda: [p.c2.tree, p.chi])
+    if isinstance(r, np.ndarray) or isinstance(s, np.ndarray):
+        return Jet3(Eager(bound, (r, s, i1, j, i2)).run(_family_program, *bound.shapes, order))
+    kernel = bound.kernel(order) or bound.keep(order, _family_kernel(*bound.shapes, order))
+    return Jet3(kernel(bound, r, s, i1, j, i2))
 
-    The values are read off the spec's family table (barycentric
-    interpolation on Chebyshev panels, integration constant zero at r0).  The
-    r-derivatives come from the exact integrand (fundamental theorem of
+
+def _family_program(tape, c2_shape, chi_shape, order: int) -> tuple:
+    """The family profile jet on arguments r, s and the table values i1, j, i2,
+    with c2 and chi of these shapes.
+
+    The r-jets of g = e^{I1}, J and I2 take their values from the table and
+    their r-derivatives from the exact integrands (fundamental theorem of
     calculus), so the transport-PDE residual is exact to roundoff.
     """
-    c2 = spec.profile.c2
-    i1, j, i2 = _family_table(spec).at(r)
+    r, s, i1, j, i2 = (tape.param() for _ in range(5))
     rj = Jet3.seed(r, dr=1.0, order=order)
-    c2j = c2.jet(r, order)
+    c2j = tree_jet(tape, c2_shape, {"r": Jet3.seed(r, dr=1.0, order=order)})  # c2.jet
+    tape.unmark()
     r3c2 = rj.powi(3) * c2j
     two_over_r = 2.0 / rj
     g_jet = _antiderivative_jet(i1, two_over_r - 4.0 * r3c2, order).exp()
     J_jet = _antiderivative_jet(j, 4.0 * rj * c2j * g_jet, order)
     I2_jet = _antiderivative_jet(i2, two_over_r - 2.0 * r3c2, order)
-    return g_jet, J_jet, I2_jet
+    sj = Jet3.seed(s, ds=1.0, order=order)
+    s2 = sj * sj
+    radicand = g_jet + J_jet * s2
+    tape.call(_check_radicand, r, radicand.value)
+    rsqrt = radicand.powr(-0.5)  # one composition gives both w and the square root
+    chi_jet = tree_jet(tape, chi_shape, {"w": s2 * (rsqrt * rsqrt)})
+    tape.unmark()
+    return (chi_jet * (radicand * rsqrt) * (-I2_jet).exp()).c
+
+
+@lru_cache(maxsize=64)
+def _family_kernel(c2_shape, chi_shape, order: int):
+    return kernel_of(_family_program, c2_shape, chi_shape, order)
 
 
 def _antiderivative_jet(value, integrand: Jet3, order: int) -> Jet3:
@@ -246,24 +333,16 @@ def _antiderivative_jet(value, integrand: Jet3, order: int) -> Jet3:
     return Jet3.radial([value] + [integrand.d(a, 0) for a in range(order)], order)
 
 
-def _family_phi_jet(spec: MetricSpec, r, s, order: int) -> Jet3:
-    r = np.asarray(r, dtype=float)
-    g_jet, J_jet, I2_jet = _family_radial_jets(spec, float(r) if r.ndim == 0 else r, order)
-    profile = spec.profile
-    sj = Jet3.seed(s, ds=1.0, order=order)
-    s2 = sj * sj
-    radicand = g_jet + J_jet * s2
-    bad = radicand.value <= 0.0
+def _check_radicand(r, value) -> None:
+    """DomainError unless the family radicand g + J s^2 is positive everywhere."""
+    bad = value <= 0.0
     if any_true(bad):
         i = int(np.argmax(bad))
-        rr, vv = np.broadcast_arrays(r, radicand.value)
+        rr, vv = np.broadcast_arrays(np.asarray(r, dtype=float), value)
         raise DomainError(
             f"family radical g + J*s^2 is non-positive at r={float(rr.flat[i])!r} "
             f"(value {float(vv.flat[i])!r})"
         )
-    rsqrt = radicand.powr(-0.5)  # one composition gives both w and the square root
-    chi_jet = eval_tree(profile.chi, {"w": s2 * (rsqrt * rsqrt)})
-    return chi_jet * (radicand * rsqrt) * (-I2_jet).exp()
 
 
 # -- spray coefficients ------------------------------------------------------

@@ -18,6 +18,14 @@ Coefficients may be python floats or numpy arrays of a common broadcastable
 shape; all operations vectorize over the array case.  The product is the
 Leibniz rule written out slot by slot and ``is_finite`` costs one reduction, so
 a scalar jet operation costs about what its arithmetic costs.
+
+Code that computes a jet can also be recorded once and replayed as one
+straight-line function, a kernel (forward-mode taping; Griewank & Walther,
+*Evaluating Derivatives*, 2nd ed., SIAM 2008, ch. 6): on ``Sym``
+coefficients, Jet3 arithmetic appends its float operations to a ``Tape``
+instead of performing them, and the tape compiles them.  The expression trees
+of :mod:`finslerlab.expr` and the Randers and Berwald-family profile jets of
+:mod:`finslerlab.geometry` are evaluated by such kernels.
 """
 
 from __future__ import annotations
@@ -36,14 +44,6 @@ INDICES = tuple((d - b, b) for d in range(ORDER + 1) for b in range(d + 1))
 _POS = {ab: k for k, ab in enumerate(INDICES)}
 #: number of coefficients of a jet of each truncation order
 SIZE = {2: 6, 3: 10}
-#: the Leibniz rule slot by slot: for each slot of INDICES, its (x slot, y slot,
-#: weight) terms; a slot of x * y is x[p] * y[q], times w when w != 1, summed
-#: left to right.  Jet3.__mul__ spells it out and compiled kernels emit it.
-MUL_TERMS = tuple(
-    tuple((_POS[(i, j)], _POS[(a - i, b - j)], float(math.comb(a, i) * math.comb(b, j)))
-          for i in range(a + 1) for j in range(b + 1))
-    for (a, b) in INDICES
-)
 
 #: magnitude below which a divisor counts as zero
 DIV_EPS = 1e-300
@@ -196,7 +196,7 @@ class Jet3:
         return self._reciprocal() * other
 
     def _reciprocal(self) -> "Jet3":
-        return self.compose(*reciprocal_taylor(self.value))
+        return self._compose_with(reciprocal_taylor)
 
     # -- composition with a smooth univariate function ---------------------
 
@@ -215,25 +215,33 @@ class Jet3:
         gh = Jet3((_like_zero(c[0]), *c[1:]))
         return ((gh * (f3 / 6.0) + f2 * 0.5) * gh + f1) * gh + f0
 
+    def _compose_with(self, taylor, *args) -> "Jet3":
+        """compose with taylor(value, *args), the guarded Taylor data of f; on a
+        tape the call is recorded."""
+        v = self.c[0]
+        if type(v) is Sym:
+            return self.compose(*v.tape.taylor(taylor, v, args))
+        return self.compose(*taylor(v, *args))
+
     # -- elementary functions ----------------------------------------------
 
     def sqrt(self) -> "Jet3":
-        return self.compose(*_sqrt_taylor(self.value))
+        return self._compose_with(_sqrt_taylor)
 
     def exp(self) -> "Jet3":
-        return self.compose(*_exp_taylor(self.value))
+        return self._compose_with(_exp_taylor)
 
     def log(self) -> "Jet3":
-        return self.compose(*_log_taylor(self.value))
+        return self._compose_with(_log_taylor)
 
     def sin(self) -> "Jet3":
-        return self.compose(*_sin_taylor(self.value))
+        return self._compose_with(_sin_taylor)
 
     def cos(self) -> "Jet3":
-        return self.compose(*_cos_taylor(self.value))
+        return self._compose_with(_cos_taylor)
 
     def atan(self) -> "Jet3":
-        return self.compose(*_atan_taylor(self.value))
+        return self._compose_with(_atan_taylor)
 
     def powi(self, k: int) -> "Jet3":
         """Integer power; exact at zero base for k >= 0 (repeated products)."""
@@ -245,12 +253,12 @@ class Jet3:
 
     def powr(self, q: float) -> "Jet3":
         """Half-integer power q of a positive base: sqrt(v) to the integer 2q."""
-        return self.compose(*powr_taylor(self.value, q))
+        return self._compose_with(powr_taylor, q)
 
 
 # -- Taylor data of the elementary functions ------------------------------------
 # Each returns f, f', f'', f''' at the value v (float or array) after its domain
-# guard; Jet3 and the compiled kernels of finslerlab.expr compose with them.
+# guard; Jet3.compose takes them, and a kernel calls them as Jet3 would.
 
 
 def _sqrt_taylor(v):
@@ -293,11 +301,6 @@ def _cos_taylor(v):
 def _atan_taylor(v):
     q = 1.0 / (1.0 + v * v)
     return np.arctan(v), q, -2.0 * v * q * q, (6.0 * v * v - 2.0) * (q * q * q)
-
-
-#: Taylor data of each function of the expression grammar
-TAYLOR = {"sqrt": _sqrt_taylor, "exp": _exp_taylor, "log": _log_taylor,
-          "sin": _sin_taylor, "cos": _cos_taylor, "atan": _atan_taylor}
 
 
 def reciprocal_taylor(v):
@@ -350,3 +353,393 @@ def _fmt(v, bad) -> str:
     if a.size == 1:  # a scalar, or one radius replayed by batch_radii
         return repr(float(a.flat[0]))
     return f"(array, e.g. {float(a[np.broadcast_to(bad, a.shape)].flat[0])!r})"
+
+
+# -- recording Jet3 arithmetic into kernels -------------------------------------
+# A kernel performs exactly the float operations of the Jet3 arithmetic it was
+# recorded from, on the same operands and in the same order, so its
+# coefficients are Jet3's bit for bit, for floats and arrays alike, and it
+# warns and raises where Jet3 would.  Arithmetic on two Python floats (a seed's
+# 1.0 and 0.0) is done while recording, as it would be while computing.  An
+# operation whose result is read once is written into the line that reads it,
+# unless that would move it past another line: the source is one line per
+# coefficient of most Jet3 operations, and a local no later line reads is
+# reused, so that rebinding it frees an array's buffer as Jet3 arithmetic would.
+
+_OP, _CALL, _STMT = "op", "call", "stmt"
+#: precedence of each operator in kernel source; names and literals bind tightest
+_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3}
+_ATOM = 4
+#: a longer single-use expression gets a line of its own
+_MAX_INLINE = 240
+
+
+class Sym:
+    """A jet coefficient on a tape: arithmetic on it is recorded, not performed."""
+
+    __slots__ = ("tape", "id")
+
+    def __init__(self, tape: "Tape", ident: int):
+        self.tape = tape
+        self.id = ident
+
+    def __add__(self, other):
+        return self.tape.op("+", self, other)
+
+    def __radd__(self, other):
+        return self.tape.op("+", other, self)
+
+    def __sub__(self, other):
+        return self.tape.op("-", self, other)
+
+    def __rsub__(self, other):
+        return self.tape.op("-", other, self)
+
+    def __mul__(self, other):
+        return self.tape.op("*", self, other)
+
+    def __rmul__(self, other):
+        return self.tape.op("*", other, self)
+
+    def __truediv__(self, other):
+        return self.tape.op("/", self, other)
+
+    def __rtruediv__(self, other):
+        return self.tape.op("/", other, self)
+
+    def __neg__(self):
+        return self.tape.op("neg", self, None)
+
+    def __bool__(self):
+        raise TypeError("a recorded coefficient has no value to branch on")
+
+
+class Tape:
+    """Instructions recorded from Jet3 arithmetic on Sym coefficients, and the
+    kernel they compile to.
+
+    The kernel is ``kernel(bound, *params)`` and returns the coefficients
+    given to ``compile``.  ``bound`` supplies ``consts``, the values of the
+    const() coefficients in order, ``floats``, whether they are all Python
+    floats, and ``locate(err, i)``, which names node i of what was recorded
+    in a DomainError raised after mark() recorded i.
+    """
+
+    def __init__(self):
+        self.code: list = []
+        self.uses: list[int] = []  # per value id
+        self.names: dict[int, str] = {}  # value id -> parameter or constant name
+        self.head: list[str] = []  # parameter unpacking
+        self.params: list[str] = []
+        self.scalars: list[str] = []  # inputs whose types make a call all-float
+        self.namespace: dict = {"DomainError": DomainError, "is_finite": is_finite}
+        self.consts = 0
+        self.nodes = 0  # nodes marked so far
+        self.marked = self.checked = False
+
+    # -- recording -------------------------------------------------------------
+
+    def _value(self, name: str | None = None) -> Sym:
+        sym = Sym(self, len(self.uses))
+        self.uses.append(0)
+        if name is not None:
+            self.names[sym.id] = name
+        return sym
+
+    def _read(self, operands) -> None:
+        for v in operands:
+            if type(v) is Sym:
+                self.uses[v.id] += 1
+
+    def op(self, op: str, a, b) -> Sym:
+        uses = self.uses
+        out = Sym(self, len(uses))
+        uses.append(0)
+        if type(a) is Sym:
+            uses[a.id] += 1
+        if type(b) is Sym:
+            uses[b.id] += 1
+        self.code.append((_OP, out.id, op, a, b))
+        return out
+
+    def param(self) -> Sym:
+        """The next kernel argument, a float or an array."""
+        name = f"p{len(self.params)}"
+        self.params.append(name)
+        self.scalars.append(name)
+        return self._value(name)
+
+    def param_jet(self, size: int) -> list[Sym]:
+        """The next kernel argument, a tuple of size jet coefficients."""
+        name = f"p{len(self.params)}"
+        self.params.append(name)
+        names = [f"{name}_{j}" for j in range(size)]
+        self.head.append(f"{', '.join(names)}, = {name}")
+        self.scalars += names
+        return [self._value(n) for n in names]
+
+    def const(self) -> Sym:
+        """The next of bound.consts."""
+        self.consts += 1
+        return self._value(f"k{self.consts - 1}")
+
+    def call(self, fn, *args, results: int = 0) -> list[Sym]:
+        """fn(*args) at this point of the kernel, giving results coefficients."""
+        name = fn.__name__.lstrip("_")
+        while self.namespace.setdefault(name, fn) is not fn:
+            name += "_"
+        outs = [self._value() for _ in range(results)]
+        self._read(args)
+        self.code.append((_CALL, [v.id for v in outs], name, args))
+        return outs
+
+    def stmt(self, template: str, *operands) -> None:
+        """A statement: template with {0}, {1}, ... standing for the operands."""
+        self._read(operands)
+        self.code.append((_STMT, template, operands))
+
+    def taylor(self, fn, v: Sym, args) -> list[Sym]:
+        """f, f', f'', f''' = fn(v, *args) as Jet3.compose takes them: Python
+        floats when v is one."""
+        f = self.call(fn, v, *args, results=4)
+        self.stmt("if type({0}) is float: {1}, {2}, {3}, {4} = "
+                  "float({1}), float({2}), float({3}), float({4})", v, *f)
+        return f
+
+    def mark(self) -> None:
+        """A DomainError raised from here on names the next node."""
+        self.marked = True
+        self.stmt(f"at = {self.nodes}")
+        self.nodes += 1
+
+    def unmark(self) -> None:
+        """A DomainError raised from here on names no node."""
+        if self.marked:
+            self.stmt("at = -1")
+
+    def check_finite(self, coeffs) -> None:
+        """DomainError('non-finite result') unless every coefficient is finite.
+
+        When every input is a Python float so is every coefficient, and their
+        plain sum is finite only if they all are; is_finite decides the rest.
+        """
+        self.checked = True
+        slots = [f"{{{i}}}" for i in range(len(coeffs))]
+        self.stmt(f"if not (scalar and ({' + '.join(slots)}) * 0.0 == 0.0 or "
+                  f"is_finite(({', '.join(slots)},))): raise DomainError('non-finite result')",
+                  *coeffs)
+
+    # -- compiling -------------------------------------------------------------
+
+    def compile(self, outputs):
+        """The kernel returning the tuple of outputs (coefficients or floats)."""
+        body = _Writer(self).lines(outputs)
+        head = [f"def kernel(bound, {', '.join(self.params)}):", *self.head]
+        if self.consts:
+            head.append(f"{', '.join(f'k{i}' for i in range(self.consts))}, = bound.consts")
+        if self.checked:
+            head.append(" and ".join(["scalar = bound.floats",
+                                      *(f"type({x}) is float" for x in self.scalars)]))
+        *body, ret = body
+        if self.marked:
+            body = ["at = -1", "try:", *(f"    {line}" for line in body), "    pass",
+                    "except DomainError as err:", "    if at >= 0:",
+                    "        bound.locate(err, at)", "    raise"]
+        source = "\n    ".join([*head, *body, ret])
+        namespace = dict(self.namespace)
+        exec(compile(source, f"<jet kernel of {len(body)} lines>", "exec"), namespace)
+        return namespace["kernel"]
+
+
+class Eager:
+    """The Tape interface carried out at once: a program that records a kernel
+    on a Tape computes its jet coefficients here, by Jet3 arithmetic.
+
+    ``args`` are the kernel's arguments after ``bound``.  On arrays a kernel's
+    arithmetic is numpy's either way, so a program run eagerly costs about
+    what its kernel does, without the kernel's compilation.
+    """
+
+    def __init__(self, bound, args):
+        self.bound = bound
+        self.args = iter(args)
+        self.consts = iter(bound.consts)
+        self.nodes = 0
+        self.at = -1
+
+    def run(self, program, *static):
+        """program(self, *static), a DomainError named as the kernel names it."""
+        try:
+            return program(self, *static)
+        except DomainError as err:
+            if self.at >= 0:
+                self.bound.locate(err, self.at)
+            raise
+
+    def param(self):
+        return next(self.args)
+
+    def param_jet(self, size: int) -> list:
+        return list(next(self.args))
+
+    def const(self):
+        return next(self.consts)
+
+    def call(self, fn, *args, results: int = 0) -> list:
+        out = fn(*args)
+        return list(out) if results else []
+
+    def mark(self) -> None:
+        self.at = self.nodes
+        self.nodes += 1
+
+    def unmark(self) -> None:
+        self.at = -1
+
+    def check_finite(self, coeffs) -> None:
+        if not is_finite(coeffs):
+            raise DomainError("non-finite result")
+
+
+def kernel_of(program, *static):
+    """The kernel that program(tape, *static), returning jet coefficients, records."""
+    tape = Tape()
+    return tape.compile(program(tape, *static))
+
+
+class _Writer:
+    """Kernel source lines from a tape's instructions.
+
+    A value read once waits on a stack as an expression until the operation
+    that reads it; it is written into that operation's expression when it is
+    on top of the stack in operand order, and every waiting value gets a line
+    of its own, in recording order, before any line is written, so nothing is
+    evaluated out of order.  Locals are named t0, t1, ...; parameters and
+    constants, which are never reused, otherwise.
+    """
+
+    def __init__(self, tape: Tape):
+        self.tape = tape
+        self.left: list[int] = []  # reads still to come, per value id
+        self.text: list = [None] * len(tape.uses)  # its name once written, per value id
+        for ident, name in tape.names.items():
+            self.text[ident] = name
+        self.waiting: list = []  # (id, expression, precedence, locals to free once written)
+        self.free: list[str] = []
+        self.count = 0
+        self.out: list[str] = []
+
+    def lines(self, outputs) -> list[str]:
+        t = self.tape
+        t._read(outputs)
+        self.left = list(t.uses)
+        op = self.op
+        for ins in t.code:
+            kind = ins[0]
+            if kind is _OP:
+                op(ins[1], ins[2], ins[3], ins[4])
+                continue
+            self.flush()
+            frees: list[str] = []
+            if kind is _CALL:
+                _, dests, name, args = ins
+                call = f"{name}({', '.join([self.operand(v, frees) for v in args])})"
+                self.free += frees
+                names = [self.local(d) for d in dests]
+                self.out.append(f"{', '.join(names)} = {call}" if names else call)
+            else:
+                _, template, operands = ins
+                self.out.append(template.format(*[self.operand(v, frees) for v in operands]))
+                self.free += frees
+        self.flush()
+        texts = [self.operand(v, []) for v in outputs]
+        self.out.append(f"return ({', '.join(texts)},)")
+        return self.out
+
+    def local(self, ident: int) -> str:
+        if self.free:
+            name = self.free.pop()
+        else:
+            name = f"t{self.count}"
+            self.count += 1
+        self.text[ident] = name
+        return name
+
+    def literal(self, v) -> tuple[str, int]:
+        if type(v) is float and math.isfinite(v):
+            text = repr(v)
+            return text, _PREC["neg"] if text[0] == "-" else _ATOM
+        name = f"c{len(self.tape.namespace)}"
+        self.tape.namespace[name] = v
+        return name, _ATOM
+
+    def operand(self, v, frees: list) -> str:
+        """Text of a literal or written value; a local read for the last time goes
+        to frees."""
+        if type(v) is not Sym:
+            return self.literal(v)[0]
+        i = v.id
+        name = self.text[i]
+        self.left[i] -= 1
+        if not self.left[i] and name[0] == "t":
+            frees.append(name)
+        return name
+
+    def op(self, dest: int, op: str, a, b) -> None:
+        text, waiting, left = self.text, self.waiting, self.left
+        sa, sb = type(a) is Sym, type(b) is Sym
+        wa = sa and text[a.id] is None
+        wb = sb and text[b.id] is None
+        if wa or wb:  # written in only when on top of the stack, b above a
+            if wb:
+                ok = waiting[-1][0] == b.id and (
+                    not wa or len(waiting) > 1 and waiting[-2][0] == a.id)
+            else:
+                ok = waiting[-1][0] == a.id
+            if not ok:
+                self.flush()
+                wa = wb = False
+        frees = []
+        if wb:
+            _, rt, rp, frees = waiting.pop()
+            left[b.id] = 0
+        if wa:
+            _, lt, lp, more = waiting.pop()
+            frees += more
+            left[a.id] = 0
+        elif sa:
+            lt, lp = self.operand(a, frees), _ATOM
+        else:
+            lt, lp = self.literal(a)
+        if op == "neg":
+            expr, prec = (f"-{lt}" if lp == _ATOM else f"-({lt})"), _PREC["neg"]
+        else:
+            if wb:
+                pass
+            elif sb:
+                rt, rp = self.operand(b, frees), _ATOM
+            else:
+                rt, rp = self.literal(b)
+            prec = _PREC[op]
+            if lp < prec:
+                lt = f"({lt})"
+            if rp <= prec:
+                rt = f"({rt})"
+            expr = f"{lt} {op} {rt}"
+        if left[dest] == 1 and len(expr) <= _MAX_INLINE:
+            waiting.append((dest, expr, prec, frees))
+        else:
+            self.flush()
+            self.write(dest, expr, frees)
+
+    def write(self, dest: int, expr: str, frees) -> None:
+        self.free += frees
+        if self.left[dest]:
+            self.out.append(f"{self.local(dest)} = {expr}")
+        else:  # read by nothing, but evaluated as Jet3 would (it may warn)
+            self.out.append(expr)
+
+    def flush(self) -> None:
+        for dest, expr, _, frees in self.waiting:
+            self.write(dest, expr, frees)
+        self.waiting.clear()

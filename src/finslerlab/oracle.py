@@ -8,7 +8,9 @@ coefficients, the determinant identity, the volume densities, and the
 reduced S-curvature formula all at once.
 
 The norm, the spray and the determinant read no third partial of the
-profile, so every profile jet here is of order 2.
+profile, so every profile jet here is of order 2.  The integrator steps on
+Python floats, and its dot products are sums in a fixed order, so its bits
+depend on no BLAS kernel.
 """
 
 from __future__ import annotations
@@ -36,14 +38,20 @@ class GeodesicState:
     jet: Jet3 | None = field(default=None, repr=False, compare=False)
 
 
-def _split(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
-    """(|y|, |x|, <x,y>/|y|); the norms are np.linalg.norm's arithmetic without its dispatch."""
-    u = math.sqrt(y.dot(y))
+def _dot(a, b) -> float:
+    """a[0] b[0] + a[1] b[1] + ..., summed left to right."""
+    acc = a[0] * b[0]
+    for p, q in zip(a[1:], b[1:]):
+        acc = acc + p * q
+    return float(acc)
+
+
+def _split(x, y) -> tuple[float, float, float]:
+    """(|y|, |x|, <x,y>/|y|) of float sequences or 1-d arrays, from fixed-order sums."""
+    u = math.sqrt(_dot(y, y))
     if u <= 0.0:
         raise DomainError("geodesic velocity must be nonzero")
-    r = math.sqrt(x.dot(x))
-    s = float(x.dot(y)) / u
-    return u, r, s
+    return u, math.sqrt(_dot(x, x)), _dot(x, y) / u
 
 
 def _norm_and_jet(spec: MetricSpec, x, y, jet: Jet3 | None = None) -> tuple[float, Jet3]:
@@ -56,12 +64,11 @@ def _norm_and_jet(spec: MetricSpec, x, y, jet: Jet3 | None = None) -> tuple[floa
 
 def finsler_norm(spec: MetricSpec, x, y) -> float:
     """F(x, y) = |y| phi(|x|, <x,y>/|y|)."""
-    return _norm_and_jet(spec, np.asarray(x, dtype=float), np.asarray(y, dtype=float))[0]
+    return _norm_and_jet(spec, np.asarray(x, dtype=float).tolist(),
+                         np.asarray(y, dtype=float).tolist())[0]
 
 
-def _spray_rhs(
-    spec: MetricSpec, t: float, x: np.ndarray, y: np.ndarray, jet: Jet3 | None = None
-) -> np.ndarray:
+def _spray_rhs(spec: MetricSpec, t: float, x: list, y: list, jet: Jet3 | None = None) -> list:
     u, r, s = _split(x, y)
     rmin, rmax = spec.r_domain
     if not rmin <= r <= rmax:
@@ -74,7 +81,8 @@ def _spray_rhs(
         jet = phi_jet(spec, r, s, order=2)
     sv = spray_values(spec, r, s, jet)
     # geodesic equation: x'' = -2G, G^i = u P y^i + u^2 Q x^i
-    return -2.0 * (u * sv.P * y + u * u * sv.Q * x)
+    a, b = u * sv.P, u * u * sv.Q
+    return [-2.0 * (a * yi + b * xi) for xi, yi in zip(x, y)]
 
 
 def integrate_geodesic(
@@ -86,7 +94,8 @@ def integrate_geodesic(
     is recomputed at every stored state and must stay within 1e-8 relative
     of its initial value, otherwise the run aborts.  One profile jet is
     evaluated per stored state (``jet0``, the jet at (x0, y0), may be given)
-    and reused by the next step's first stage.
+    and reused by the next step's first stage.  The stages step lists of
+    floats, with the elementwise operations numpy arrays would perform.
     """
     steps = int(steps)
     if steps < 16:
@@ -95,22 +104,31 @@ def integrate_geodesic(
     y = np.asarray(y0, dtype=float).copy()
     if x.shape != y.shape or x.ndim != 1 or x.size < 2:
         raise ValueError("x0 and y0 must be 1-d vectors of equal dimension >= 2")
+    x, y = x.tolist(), y.tolist()
     dt = float(t_end) / steps
+    half, sixth = 0.5 * dt, dt / 6.0
+
+    def axpy(a, h, b):  # a + h * b
+        return [p + h * q for p, q in zip(a, b)]
+
+    def rk4(k1, k2, k3, k4):  # k1 + 2 k2 + 2 k3 + k4
+        return [p + 2.0 * q + 2.0 * v + w for p, q, v, w in zip(k1, k2, k3, k4)]
+
     f0, jet = _norm_and_jet(spec, x, y, jet0)
-    states = [GeodesicState(x=x.copy(), y=y.copy(), t=0.0, jet=jet)]
+    states = [GeodesicState(x=np.array(x), y=np.array(y), t=0.0, jet=jet)]
     for k in range(steps):
         t = k * dt
         k1x, k1y = y, _spray_rhs(spec, t, x, y, jet)
-        k2x = y + 0.5 * dt * k1y
-        k2y = _spray_rhs(spec, t + 0.5 * dt, x + 0.5 * dt * k1x, k2x)
-        k3x = y + 0.5 * dt * k2y
-        k3y = _spray_rhs(spec, t + 0.5 * dt, x + 0.5 * dt * k2x, k3x)
-        k4x = y + dt * k3y
-        k4y = _spray_rhs(spec, t + dt, x + dt * k3x, k4x)
-        x = x + dt / 6.0 * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-        y = y + dt / 6.0 * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
+        k2x = axpy(y, half, k1y)
+        k2y = _spray_rhs(spec, t + 0.5 * dt, axpy(x, half, k1x), k2x)
+        k3x = axpy(y, half, k2y)
+        k3y = _spray_rhs(spec, t + 0.5 * dt, axpy(x, half, k2x), k3x)
+        k4x = axpy(y, dt, k3y)
+        k4y = _spray_rhs(spec, t + dt, axpy(x, dt, k3x), k4x)
+        x = axpy(x, sixth, rk4(k1x, k2x, k3x, k4x))
+        y = axpy(y, sixth, rk4(k1y, k2y, k3y, k4y))
         f, jet = _norm_and_jet(spec, x, y)
-        states.append(GeodesicState(x=x.copy(), y=y.copy(), t=(k + 1) * dt, jet=jet))
+        states.append(GeodesicState(x=np.array(x), y=np.array(y), t=(k + 1) * dt, jet=jet))
         drift = abs(f - f0) / (1.0 + abs(f0))
         if drift > 1e-8:
             raise CrossCheckError(
@@ -124,7 +142,7 @@ def _taus(spec: MetricSpec, vol, states, rule: QuadratureRule | None) -> list[fl
     jet, if it has one), then one density call for all their radii."""
     radii, half_log_det = [], []
     for st in states:
-        _, r, s = _split(st.x, st.y)
+        _, r, s = _split(st.x.tolist(), st.y.tolist())
         det = float(metric_determinant(spec, r, s, st.jet))
         if det <= 0.0:
             raise DomainError(f"det g = {det:.6g} not positive at r={r:.6g}, s={s:.6g}")
@@ -163,7 +181,7 @@ def s_by_distortion(
     y0 = np.asarray(y0, dtype=float)
     jet0 = None
     if dt is None:
-        f0, jet0 = _norm_and_jet(spec, x0, y0)
+        f0, jet0 = _norm_and_jet(spec, x0.tolist(), y0.tolist())
         dt = 1e-3 / f0
     dt = float(dt)
     if dt <= 0.0:

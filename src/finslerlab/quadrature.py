@@ -16,7 +16,10 @@ numpy chooses), so they are the same bit patterns on every platform.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import repeat
+from operator import mul, sub, truediv
 
 import numpy as np
 
@@ -156,6 +159,7 @@ _LOBATTO = np.array([math.sin(math.pi * (TABLE_DEGREE - 2 * j) / (2 * TABLE_DEGR
 #: barycentric weights of the Lobatto points: (-1)^j, halved at both ends
 _BARY = np.array([(-1.0) ** j * (0.5 if j in (0, TABLE_DEGREE) else 1.0)
                   for j in range(TABLE_DEGREE + 1)])
+_BARY_LIST = _BARY.tolist()
 
 
 def _spectral_matrix() -> np.ndarray:
@@ -192,28 +196,36 @@ class PanelTable:
     nodes: np.ndarray    # (P, N + 1) nodes per panel, panel ends exact
     values: np.ndarray   # (k, P, N + 1) node values of each antiderivative
 
+    def __post_init__(self):
+        # the same numbers as Python floats, per panel, for at()
+        object.__setattr__(self, "_lists", (self.edges[1:-1].tolist(), self.nodes.tolist(),
+                                            self.values.transpose(1, 0, 2).tolist()))
+
     def at(self, r) -> list:
         """Every antiderivative at radii r: a list of floats, or of arrays of r's shape.
 
         Each radius uses the panel that holds it (the end panels for radii
         just outside the table); the barycentric sums are exact sums, and a
-        radius on a node gets the node value.
+        radius on a node gets the node value.  One radius at a time in Python
+        floats, whose operations round as numpy's float64 ones do.
         """
         r_arr = np.asarray(r, dtype=float)
-        flat = r_arr.reshape(-1)
-        panel = np.searchsorted(self.edges[1:-1], flat, side="right")
-        diff = flat[:, None] - self.nodes[panel]
-        hit = diff == 0.0
-        on_node = hit.any()
-        q = _BARY / (np.where(hit, 1.0, diff) if on_node else diff)
-        vals = self.values[:, panel]
-        sums = exact_sum(np.concatenate([q[None], q * vals]).reshape(-1, q.shape[1]))
-        out = sums.reshape(-1, flat.size)
-        out = out[1:] / out[0]
-        if on_node:
-            rows, cols = np.nonzero(hit)
-            out[:, rows] = vals[:, rows, cols]
-        return out[:, 0].tolist() if r_arr.ndim == 0 else list(out.reshape((-1,) + r_arr.shape))
+        inner, nodes, values = self._lists
+        fsum = math.fsum
+        out = []
+        for x in r_arr.ravel().tolist():
+            p = bisect_right(inner, x)
+            row = nodes[p]
+            if x in row:  # x - node == 0.0 exactly when x == node
+                j = row.index(x)
+                out.append([v[j] for v in values[p]])
+                continue
+            q = list(map(truediv, _BARY_LIST, map(sub, repeat(x), row)))
+            den = fsum(q)
+            out.append([fsum(map(mul, q, v)) / den for v in values[p]])
+        if r_arr.ndim == 0:
+            return out[0]
+        return [np.array(col).reshape(r_arr.shape) for col in zip(*out)]
 
 
 def _unresolved(values: np.ndarray) -> np.ndarray:

@@ -4,8 +4,9 @@ Everything here is deliberately independent of the package internals: finite
 differences never call jet code, the brute-force Randers tensors are assembled
 from textbook formulas, and random inputs are generated from seeded numpy
 Generators so every test run is reproducible.  The one exception is the
-reference jet walker, Jet3 arithmetic node by node, which the compiled kernels
-of ``eval_tree`` must match bit for bit.
+reference jet walker, Jet3 arithmetic node by node, and the reference Randers
+and Berwald-family profile jets built on it, which the kernels of
+``eval_tree`` and of the profile jets must match bit for bit.
 """
 
 from __future__ import annotations
@@ -19,9 +20,10 @@ from pathlib import Path
 import numpy as np
 
 from finslerlab.errors import DomainError
-from finslerlab.expr import (Binary, Const, ExpressionTree, Node, Pow, Var, _check_exponent,
-                             eval_value, to_string)
-from finslerlab.jets import Jet3, is_finite
+from finslerlab.expr import (Binary, Const, ExpressionTree, Node, Pow, ScalarFunction, Var,
+                             _check_exponent, eval_value, to_string)
+from finslerlab.geometry import MetricSpec, RandersProfile, _family_table
+from finslerlab.jets import Jet3, any_true, is_finite
 
 # Central-difference step per total derivative order.  The cubic stencils
 # divide by h^3, so the step must grow with the order or roundoff in the
@@ -121,6 +123,62 @@ def reference_eval_tree(tree: ExpressionTree, env) -> Jet3:
     if missing:
         raise DomainError(f"no value bound for variable(s) {sorted(missing)}")
     return _eval_jet_node(tree.root, env)
+
+
+# -- reference profile jets: Jet3 arithmetic, as the profile kernels record it ----
+
+
+def _reference_radial_jet(fn, r, order: int) -> Jet3:
+    """fn.jet(r, order), a ScalarFunction's by the reference walker."""
+    if isinstance(fn, ScalarFunction):
+        return reference_eval_tree(fn.tree, {"r": Jet3.seed(r, dr=1.0, order=order)})
+    return fn.jet(r, order)
+
+
+def reference_randers_jet(profile: RandersProfile, r, s, order: int) -> Jet3:
+    """sqrt(f + g s^2) + h s from the radial jets of f, g and h."""
+    sj = Jet3.seed(s, ds=1.0, order=order)
+    fj, gj, hj = (_reference_radial_jet(x, r, order) for x in (profile.f, profile.g, profile.h))
+    return (fj + gj * sj * sj).sqrt() + hj * sj
+
+
+def reference_family_radial_jets(spec: MetricSpec, r, order: int = 3) -> tuple:
+    """r-jets of g = e^{I1}, J and I2: table values, integrand derivatives."""
+    c2 = spec.profile.c2
+    i1, j, i2 = _family_table(spec).at(r)
+    rj = Jet3.seed(r, dr=1.0, order=order)
+    c2j = _reference_radial_jet(c2, r, order)
+    r3c2 = rj.powi(3) * c2j
+    two_over_r = 2.0 / rj
+    g_jet = _antiderivative_jet(i1, two_over_r - 4.0 * r3c2, order).exp()
+    J_jet = _antiderivative_jet(j, 4.0 * rj * c2j * g_jet, order)
+    I2_jet = _antiderivative_jet(i2, two_over_r - 2.0 * r3c2, order)
+    return g_jet, J_jet, I2_jet
+
+
+def _antiderivative_jet(value, integrand: Jet3, order: int) -> Jet3:
+    return Jet3.radial([value] + [integrand.d(a, 0) for a in range(order)], order)
+
+
+def reference_family_jet(spec: MetricSpec, r, s, order: int) -> Jet3:
+    """chi(w) sqrt(g + J s^2) e^{-I2}, with the radicand guard."""
+    r = np.asarray(r, dtype=float)
+    g_jet, J_jet, I2_jet = reference_family_radial_jets(spec, float(r) if r.ndim == 0 else r,
+                                                        order)
+    sj = Jet3.seed(s, ds=1.0, order=order)
+    s2 = sj * sj
+    radicand = g_jet + J_jet * s2
+    bad = radicand.value <= 0.0
+    if any_true(bad):
+        i = int(np.argmax(bad))
+        rr, vv = np.broadcast_arrays(r, radicand.value)
+        raise DomainError(
+            f"family radical g + J*s^2 is non-positive at r={float(rr.flat[i])!r} "
+            f"(value {float(vv.flat[i])!r})"
+        )
+    rsqrt = radicand.powr(-0.5)
+    chi_jet = reference_eval_tree(spec.profile.chi, {"w": s2 * (rsqrt * rsqrt)})
+    return chi_jet * (radicand * rsqrt) * (-I2_jet).exp()
 
 
 # -- random closed-form expressions ------------------------------------------
@@ -322,23 +380,34 @@ def dispatched_simd_targets() -> list:
     return info["SIMD Extensions"].get("found", [])
 
 
-def stdout_with_and_without_simd(script: str) -> list:
-    """Stdout of ``python -c script`` with every dispatched SIMD target on, then all off.
+def _stdout_under(script: str, name: str, values) -> list:
+    """Stdout of ``python -c script`` with the environment variable name unset
+    for an empty value, else set to the value, for each value.
 
     The child imports the package from this checkout's ``src``.
     """
     root = Path(__file__).resolve().parents[1]
-    env = {k: v for k, v in os.environ.items() if k != "NPY_DISABLE_CPU_FEATURES"}
+    env = {k: v for k, v in os.environ.items() if k != name}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
     outputs = []
-    for disabled in ("", " ".join(dispatched_simd_targets())):
-        proc = subprocess.run(
-            [sys.executable, "-c", script], capture_output=True, text=True,
-            env={**env, "NPY_DISABLE_CPU_FEATURES": disabled} if disabled else env,
-        )
+    for value in values:
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env={**env, name: value} if value else env)
         assert proc.returncode == 0, proc.stderr
         outputs.append(proc.stdout)
     return outputs
+
+
+def stdout_with_and_without_simd(script: str) -> list:
+    """Stdout of ``python -c script`` with every dispatched SIMD target on, then all off."""
+    return _stdout_under(script, "NPY_DISABLE_CPU_FEATURES",
+                         ("", " ".join(dispatched_simd_targets())))
+
+
+def stdout_under_blas_cores(script: str, cores=("Haswell",)) -> list:
+    """Stdout of ``python -c script`` with the OpenBLAS kernel it picks for this CPU,
+    then with each of the named cores (``OPENBLAS_CORETYPE``)."""
+    return _stdout_under(script, "OPENBLAS_CORETYPE", ("", *cores))
 
 
 # A construct section per family that builds and passes its node audits.

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from _support import CONSTRUCT_INPUTS, dispatched_simd_targets
+from finslerlab import cli
 from finslerlab.cli import CHECKS, CSV_HEADER, SOLVER_STEPS_CAP, main
 from finslerlab.errors import DomainError
 from finslerlab.expr import ScalarFunction
@@ -643,3 +644,17 @@ def test_module_entry_point_subprocess():
     assert proc.returncode == 0, proc.stderr
     assert "isotropy: PASS" in proc.stderr
     assert json.loads(proc.stdout)["verdict"] == "pass"
+
+
+def test_a_flag_does_not_persist_into_the_next_main_call(monkeypatch):
+    # the parser is built once per process; each call parses afresh
+    seen = []
+    monkeypatch.setitem(cli._COMMANDS, "verify", lambda cfg, args: seen.append(args.seed) or 0)
+    assert main(["verify", "--check", "isotropy", FUNK_CFG, "--seed", "5"]) == 0
+    assert main(["verify", "--check", "isotropy", FUNK_CFG]) == 0
+    assert seen == [5, None]
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", FUNK_CFG])  # --check is required
+    assert exc.value.code == 2
+    assert main(["verify", "--check", "isotropy", FUNK_CFG, "--seed", "7"]) == 0
+    assert seen == [5, None, 7]

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _support import reference_eval_tree
+from _support import reference_eval_tree, reference_family_jet, reference_randers_jet
 from finslerlab import expr, geometry, volume
 from finslerlab.cli import build_spec, load_config
 from finslerlab.errors import DomainError
@@ -152,5 +152,10 @@ def test_oracle_is_bit_identical_to_the_reference_walker(monkeypatch, config):
     walked = []
     _on_every_binding(monkeypatch, "eval_tree",
                       lambda tree, env: walked.append(tree) or reference_eval_tree(tree, env))
+    # the Randers and family profile kernels record trees too: their references
+    monkeypatch.setattr(geometry, "_randers_phi_jet", lambda p, r, s, order: walked.append(p)
+                        or reference_randers_jet(p, r, s, order))
+    monkeypatch.setattr(geometry, "_family_phi_jet", lambda spec, r, s, order: walked.append(spec)
+                        or reference_family_jet(spec, r, s, order))
     assert _oracle_values(config) == compiled
     assert walked

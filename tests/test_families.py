@@ -185,6 +185,14 @@ def test_bh_solve_rejects_zero_h():
         bh_solve_g(ONE, ZERO, 1.0, (0.5, 1.5))
 
 
+@pytest.mark.parametrize("h", ["(r - 0.6005)^2", "(r - 0.6005)^2 - 1e-9", "-(r - 0.6005)^2"],
+                         ids=["double-root", "two-roots", "negative"])
+def test_bh_solve_flags_h_vanishing_between_nodes(h):
+    # nodes 0.6 and 0.6015 hold h of one sign; |h| dips to zero between them
+    with pytest.raises(DomainError, match=r"h vanishes near r = 0\.6005: the g equation is singular"):
+        bh_solve_g("1", h, 1.0, (0.3, 0.9))
+
+
 def test_bh_solve_flags_admissibility_exit():
     # f + r^2(g - h^2) < 0 at the anchor itself
     h = ScalarFunction.from_text("2")

@@ -7,7 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from _support import random_orthogonal, random_xy, randers_metric_tensor
+from _support import (random_orthogonal, random_xy, randers_metric_tensor,
+                      reference_family_radial_jets)
 from conftest import RANDERS111, interior_grid, make_randers
 from finslerlab import quadrature
 from finslerlab.cli import build_spec, load_config
@@ -17,7 +18,6 @@ from finslerlab.families import bh_solve_g
 from finslerlab.geometry import (
     BerwaldFamilyProfile,
     MetricSpec,
-    _family_radial_jets,
     _family_table,
     assemble_metric_matrix,
     embed_point,
@@ -75,8 +75,8 @@ def test_family_antiderivatives_match_constant_c2_closed_forms(c2):
     i1 = 2.0 * np.log(r) - quartic
     i2 = 2.0 * np.log(r) - 0.5 * quartic
     j = 1.0 - np.exp(-quartic)
-    vector = _family_radial_jets(spec, r)
-    scalar = [_family_radial_jets(spec, float(x)) for x in r]
+    vector = reference_family_radial_jets(spec, r)
+    scalar = [reference_family_radial_jets(spec, float(x)) for x in r]
     for k, want in enumerate((np.exp(i1), j, i2)):
         np.testing.assert_allclose(vector[k].value, want, rtol=1e-12, atol=1e-12)
         got = [jets[k].value for jets in scalar]
@@ -118,14 +118,14 @@ def test_family_tables_match_nested_quadrature(c2, domain, r0, bisected):
     slack = 1e-12 * (1.0 + hi)  # what the domain check lets through
     r = np.concatenate([[lo - slack, lo], np.linspace(lo, hi, 9)[1:-1], [r0, hi, hi + slack]])
     want = _nested_family_values(spec.profile.c2, r0, r)
-    vector = _family_radial_jets(spec, r)
-    scalar = [_family_radial_jets(spec, float(x)) for x in r]
+    vector = reference_family_radial_jets(spec, r)
+    scalar = [reference_family_radial_jets(spec, float(x)) for x in r]
     for k, got in enumerate((np.log(vector[0].value), vector[1].value, vector[2].value)):
         np.testing.assert_allclose(got, want[k], rtol=1e-12, atol=1e-12)
         np.testing.assert_array_equal([float(jets[k].value) for jets in scalar],
                                       [float(v) for v in vector[k].value])
     # r0 is a node: g = e^0, J and I2 are exactly zero there
-    assert [jet.value for jet in _family_radial_jets(spec, r0)] == [1.0, 0.0, 0.0]
+    assert [jet.value for jet in reference_family_radial_jets(spec, r0)] == [1.0, 0.0, 0.0]
     for r_edge in (lo - slack, hi + slack):
         assert phi_jet(spec, r_edge, 0.5 * r_edge).d(0, 0) > 0.0
     assert (_family_table(spec).nodes.shape[0] > 2) is bisected
@@ -150,7 +150,7 @@ def test_family_table_is_per_spec():
     assert (other.edges[0], other.edges[-1]) == (0.9, 1.1)
     assert 1.0 in table.edges and 1.0 in other.edges
     for r in (0.95, 1.05):
-        one, two = _family_radial_jets(wide, r), _family_radial_jets(narrow, r)
+        one, two = reference_family_radial_jets(wide, r), reference_family_radial_jets(narrow, r)
         for a, b in zip(one, two):
             assert a.value == pytest.approx(b.value, rel=1e-14, abs=1e-15)
 

@@ -10,7 +10,17 @@ from hypothesis import strategies as st
 
 from _support import dispatched_simd_targets, stdout_with_and_without_simd
 from finslerlab.errors import DomainError
-from finslerlab.jets import INDICES, MUL_TERMS, Jet3, _sqrt_taylor, is_finite
+from finslerlab.jets import INDICES, Jet3, _sqrt_taylor, is_finite
+
+_POS = {ab: k for k, ab in enumerate(INDICES)}
+#: the Leibniz rule slot by slot: for each slot of INDICES, its (x slot, y slot,
+#: weight) terms; a slot of x * y is x[p] * y[q], times w when w != 1, summed
+#: left to right, as Jet3.__mul__ spells it out.
+MUL_TERMS = tuple(
+    tuple((_POS[(i, j)], _POS[(a - i, b - j)], float(math.comb(a, i) * math.comb(b, j)))
+          for i in range(a + 1) for j in range(b + 1))
+    for (a, b) in INDICES
+)
 
 coef = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
 jet_coeffs = st.lists(coef, min_size=len(INDICES), max_size=len(INDICES))

@@ -4,12 +4,13 @@ against brute-force tensors, and the S-by-distortion band check."""
 import numpy as np
 import pytest
 
-from _support import randers_metric_tensor, random_orthogonal, random_xy
+from _support import randers_metric_tensor, random_orthogonal, random_xy, stdout_under_blas_cores
 from finslerlab import geometry, oracle
 from finslerlab.errors import CrossCheckError, DomainError, DomainExitError
 from finslerlab.expr import ScalarFunction
 from finslerlab.geometry import general_phi_spec
 from finslerlab.oracle import (
+    _split,
     distortion,
     finsler_norm,
     integrate_geodesic,
@@ -163,15 +164,13 @@ def test_one_profile_jet_per_geodesic_state(funk2, monkeypatch, dt):
 
 def test_shared_jet_gives_the_same_spray_and_distortion(funk2):
     x, y = np.array([0.3, 0.2]), np.array([0.5, -0.4])
-    u = float(np.linalg.norm(y))
-    r, s = float(np.linalg.norm(x)), float(np.dot(x, y) / u)
+    _, r, s = _split(x, y)
     jet = geometry.phi_jet(funk2, r, s)
     assert geometry.spray_values(funk2, r, s, jet) == geometry.spray_values(funk2, r, s)
     assert distortion(funk2, BH, x, y, jet=jet) == distortion(funk2, BH, x, y)
     states = integrate_geodesic(funk2, x, y, 0.1, steps=16)
     for st in states:
-        u_st = float(np.linalg.norm(st.y))
-        r_st, s_st = float(np.linalg.norm(st.x)), float(np.dot(st.x, st.y) / u_st)
+        _, r_st, s_st = _split(st.x, st.y)
         want = geometry.phi_jet(funk2, r_st, s_st)
         assert st.jet.c == want.c[:6]
         got_sv = geometry.spray_values(funk2, r_st, s_st, st.jet)
@@ -225,3 +224,27 @@ def test_forward_density_error_comes_before_a_backward_exit(euclid):
     with pytest.raises(DomainError) as got:
         s_by_distortion(euclid, vol, x, y)
     assert type(got.value) is DomainError and str(got.value) == str(alone.value)
+
+
+_FUNK_DIGEST = """
+import hashlib
+import numpy as np
+from finslerlab.geometry import embed_point, general_phi_spec
+from finslerlab.oracle import s_by_distortion
+from finslerlab.volume import BH
+spec = general_phi_spec("(sqrt(1 - r^2 + s^2) + s)/(1 - r^2)", 2, (0.05, 0.95))
+rng = np.random.default_rng(5)
+digest = hashlib.sha256()
+for _ in range(30):
+    r = float(rng.uniform(0.2, 0.8))
+    x, y = embed_point(r, r * float(rng.uniform(-0.8, 0.8)), 2)
+    digest.update(s_by_distortion(spec, BH, x, y * float(rng.uniform(0.5, 2.0))).hex().encode())
+print(digest.hexdigest())
+"""
+
+
+def test_oracle_bytes_do_not_depend_on_the_blas_kernel():
+    # the stepper's norms and inner products are fixed-order float sums
+    default, haswell = stdout_under_blas_cores(_FUNK_DIGEST)
+    assert len(default.strip()) == 64
+    assert default == haswell
