@@ -19,7 +19,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -60,7 +60,6 @@ from .geometry import (
     spray_values,
 )
 from .oracle import _split, s_by_distortion
-from .quadrature import QuadratureRule
 from .randers import covariant_b_coefficients
 from .scurvature import isotropy_profile, reduced_s, reduced_s_given_f
 from .volume import BH, CONSTANT, HT, CustomDensity, density, f_coefficient
@@ -332,10 +331,6 @@ def _grids(cfg: RunConfig) -> tuple[np.ndarray, np.ndarray]:
     return r_values, s_fractions(g["s_count"])
 
 
-def _rule(args) -> QuadratureRule | None:
-    return QuadratureRule(n=args.quad) if args.quad else None
-
-
 # -- report plumbing ---------------------------------------------------------
 
 
@@ -369,15 +364,15 @@ def _dump_report(args, cfg: RunConfig, report: dict) -> None:
 # -- commands ----------------------------------------------------------------
 
 
-def _grid_columns(cfg: RunConfig, spec: MetricSpec, rule) -> tuple[dict, dict]:
+def _grid_columns(cfg: RunConfig, spec: MetricSpec) -> tuple[dict, dict]:
     """The grid's columns, each (r_count, s_count), and the per-radius columns."""
     r_values, fracs = _grids(cfg)
 
     def columns(radii):
         rc = radii[:, None]
         s = rc * fracs
-        sigma = density(cfg.volume, spec, radii, rule)
-        f_r = f_coefficient(cfg.volume, spec, radii, rule)
+        sigma = density(cfg.volume, spec, radii)
+        f_r = f_coefficient(cfg.volume, spec, radii)
         sv = spray_values(spec, rc, s)
         phi = phi_jet(spec, rc, s).d(0, 0)
         detg = metric_determinant(spec, rc, s)
@@ -401,9 +396,8 @@ def _records(cols: dict) -> list[dict]:
 
 def cmd_analyze(cfg: RunConfig, args) -> int:
     spec = build_spec(cfg)
-    rule = _rule(args)
     scan = regularity_scan(spec)
-    cols, per_radius = _grid_columns(cfg, spec, rule)
+    cols, per_radius = _grid_columns(cfg, spec)
     report = {
         "config_echo": cfg.raw,
         "regularity": {
@@ -421,7 +415,7 @@ def cmd_analyze(cfg: RunConfig, args) -> int:
 
 def cmd_sample(cfg: RunConfig, args) -> int:
     spec = build_spec(cfg)
-    cols, _ = _grid_columns(cfg, spec, _rule(args))
+    cols, _ = _grid_columns(cfg, spec)
     names = CSV_HEADER.split(",")
     row = ",".join(["%.17g"] * len(names))  # 17 significant digits round-trip every float
     lines = [CSV_HEADER, *(row % vals for vals in zip(*(cols[k].ravel().tolist() for k in names)))]
@@ -439,17 +433,17 @@ class Verdict(NamedTuple):
     per_radius: dict  #: equal-length columns, one row per radius (per point: oracle)
 
 
-def _verify_isotropy(cfg, spec, args, rule) -> Verdict:
+def _verify_isotropy(cfg, spec, args) -> Verdict:
     r_values, fracs = _grids(cfg)
     tol = args.tol if args.tol is not None else cfg.tolerances["isotropy"]
-    prof = isotropy_profile(spec, cfg.volume, r_values, s_fracs=fracs, tolerance=tol, rule=rule)
+    prof = isotropy_profile(spec, cfg.volume, r_values, s_fracs=fracs, tolerance=tol)
     rc = r_values[:, None]
     return Verdict(prof.passed, prof.c_values - prof.c_mean[:, None], rc, rc * fracs,
                    {"r": r_values, "c": prof.c_mean, "f_r": prof.f_values,
                     "spread": prof.c_spread, "tolerance": np.full(r_values.size, prof.tolerance)})
 
 
-def _verify_douglas(cfg, spec, args, rule) -> Verdict:
+def _verify_douglas(cfg, spec, args) -> Verdict:
     r_values, fracs = _grids(cfg)
     tol = args.tol if args.tol is not None else cfg.tolerances["douglas"]
     fit = douglas_verdict(spec, r_values, fracs, tolerance=tol)
@@ -459,7 +453,7 @@ def _verify_douglas(cfg, spec, args, rule) -> Verdict:
                     "odd_residual": fit.odd_residual, "tolerance": fit.tolerance})
 
 
-def _verify_family(cfg, spec, args, rule) -> Verdict:
+def _verify_family(cfg, spec, args) -> Verdict:
     built = build_berwald_family(
         spec.profile.c2, spec.profile.chi, spec.profile.r0, spec.r_domain, cfg.n
     )
@@ -474,7 +468,7 @@ def _verify_family(cfg, spec, args, rule) -> Verdict:
                    {"r": r_values, "c1": fit.c1, "c2": fit.c2, "pde_residual": np.max(dev, axis=1)})
 
 
-def _verify_bh_classification(cfg, spec, args, rule) -> Verdict:
+def _verify_bh_classification(cfg, spec, args) -> Verdict:
     f, g, h = spec.profile.f, spec.profile.g, spec.profile.h
     r_values, _ = _grids(cfg)
     bc = batch_radii(lambda radii: bh_classification_residuals(f, g, h, radii), r_values)
@@ -484,7 +478,7 @@ def _verify_bh_classification(cfg, spec, args, rule) -> Verdict:
                     "printed_ode_residual": bc.printed_ode_residual})
 
 
-def _verify_ht_parallel(cfg, spec, args, rule) -> Verdict:
+def _verify_ht_parallel(cfg, spec, args) -> Verdict:
     f, g, h = spec.profile.f, spec.profile.g, spec.profile.h
     r_values, _ = _grids(cfg)
     c_const = cfg.c_const
@@ -505,7 +499,7 @@ def _verify_ht_parallel(cfg, spec, args, rule) -> Verdict:
     return Verdict(bool(np.max(worst) <= tol), worst, r_values, None, cols)
 
 
-def _verify_oracle(cfg, spec, args, rule) -> Verdict:
+def _verify_oracle(cfg, spec, args) -> Verdict:
     r_values, _ = _grids(cfg)
     lo, hi = float(r_values[0]), float(r_values[-1])
     span = hi - lo
@@ -522,8 +516,8 @@ def _verify_oracle(cfg, spec, args, rule) -> Verdict:
         u, _, s = _split(x, y)
         cols["r"].append(r)
         cols["s"].append(s)
-        cols["oracle"].append(s_by_distortion(spec, cfg.volume, x, y, rule=rule))
-        cols["analytic"].append(u * float(reduced_s(spec, cfg.volume, r, s, rule)))
+        cols["oracle"].append(s_by_distortion(spec, cfg.volume, x, y))
+        cols["analytic"].append(u * float(reduced_s(spec, cfg.volume, r, s)))
     cols = {k: np.asarray(v, dtype=float) for k, v in cols.items()}
     cols["diff"] = np.abs(cols["oracle"] - cols["analytic"])
     cols["band"] = tol * (1.0 + np.abs(cols["analytic"]))
@@ -546,7 +540,7 @@ def cmd_verify(cfg: RunConfig, args) -> int:
     if CHECK_KINDS.get(args.check, kind) != kind:
         _fail("metric.kind", f"{CHECK_KINDS[args.check]} for --check {args.check}", kind)
     spec = build_spec(cfg)
-    verdict = _VERIFIERS[args.check](cfg, spec, args, _rule(args))
+    verdict = _VERIFIERS[args.check](cfg, spec, args)
     block = _residual_block(verdict.residual, verdict.r, verdict.s)
     report = {
         "config_echo": cfg.raw,
@@ -635,10 +629,10 @@ def cmd_construct(cfg: RunConfig, args) -> int:
 # -- entry point -------------------------------------------------------------
 
 
-def _int_from(least: int, text: str) -> int:
-    """argparse type, with least bound by partial: a decimal integer >= least."""
-    if not text.isdecimal() or int(text) < least:
-        raise argparse.ArgumentTypeError(f"expected an integer >= {least}, got {text!r}")
+def _natural(text: str) -> int:
+    """argparse type for seeds: a decimal integer >= 0."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
     return int(text)
 
 
@@ -675,9 +669,7 @@ def _parser() -> argparse.ArgumentParser:
             p.add_argument("--family", required=True, choices=_BUILDERS)
         p.add_argument("--out", default=None, help="output file path")
         p.add_argument("--tol", type=_positive_float, default=None, help="tolerance override")
-        p.add_argument("--quad", type=partial(_int_from, 1), default=None,
-                       help="quadrature node count")
-        p.add_argument("--seed", type=partial(_int_from, 0), default=None, help="seed override")
+        p.add_argument("--seed", type=_natural, default=None, help="seed override")
     return ap
 
 

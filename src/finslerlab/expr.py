@@ -12,16 +12,15 @@ declares) and the functions ``sqrt exp log sin cos atan``.  Exponents are
 restricted to integer and half-integer constants; anything else must be
 spelled ``exp(y*log(x))``.
 
-Trees evaluate either to floats (``eval_value``) or to :class:`~finslerlab.jets.Jet3`
-(``eval_jet`` / ``eval_tree``).  ``tree_jet`` is Jet3 arithmetic on the
-tree node by node, with every node's domain guards and finite check.  On
-float inputs it is recorded once per tree shape (the tree with its constants
-taken out) and input jet sizes into a kernel (see :mod:`finslerlab.jets`),
-one straight-line Python function; trees that differ only in their
-constants share a kernel, and a tree keeps the kernels it used (its
-``Bound``), so evaluating it again walks no tree.  On arrays, where numpy
-does the arithmetic either way, it runs at once, with no kernel to compile.
-The profile jets of :mod:`finslerlab.geometry` record trees the same way.
+Trees evaluate to :class:`~finslerlab.jets.Jet3` (``eval_jet`` /
+``eval_tree``); a radius function's value is the value of its order-2 jet.
+``tree_jet`` is Jet3 arithmetic on the tree node by node, with every node's
+domain guards and finite check, as a jet program of the tree's shape (the
+tree with its constants taken out) and input jet sizes; ``jets.run``
+evaluates it (see :mod:`finslerlab.jets` for when it compiles a kernel), so
+trees that differ only in their constants share a kernel.  The profile jets
+of :mod:`finslerlab.geometry` record trees the same way.  ``eval_value``
+walks a tree on floats with libm, a reference that no evaluation path uses.
 """
 
 from __future__ import annotations
@@ -29,13 +28,12 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Mapping, Union
 
 import numpy as np
 
 from .errors import DomainError, ParseError, UnknownIdentifierError
-from .jets import Eager, Jet3, ipow, kernel_of
+from .jets import Jet3, ipow, run
 
 FUNCTIONS = ("sqrt", "exp", "log", "sin", "cos", "atan")
 VARIABLES = ("r", "s", "w")
@@ -295,7 +293,7 @@ class Bound:
     """What evaluating some trees needs besides their shapes' kernel, kept on the
     object that owns the trees: their constants and post-order nodes, tree after
     tree, their shapes (each tree with its constants taken out) and the kernels
-    used so far, by key."""
+    ``jets.run`` called for them, by key."""
 
     __slots__ = ("names", "consts", "floats", "nodes", "shapes", "kernels")
 
@@ -306,7 +304,7 @@ class Bound:
         self.shapes = tuple(self._walk(tree.root, consts) for tree in trees)
         self.consts = tuple(consts)
         self.floats = all(type(k) is float for k in consts)
-        self.kernels: list = []
+        self.kernels: dict = {}
 
     def _walk(self, node: Node, consts: list):
         """Shape key of node; appends its constants and nodes in post-order."""
@@ -324,17 +322,6 @@ class Bound:
             key = ("^", node.exponent, self._walk(node.base, consts))
         self.nodes.append(node)
         return key
-
-    def kernel(self, key):
-        """The kernel kept under key, or None; compares keys, hashes nothing."""
-        for k, kernel in self.kernels:
-            if k == key:
-                return kernel
-        return None
-
-    def keep(self, key, kernel):
-        self.kernels.append((key, kernel))
-        return kernel
 
     def locate(self, err: DomainError, index: int) -> None:
         _locate(err, self.nodes[index])
@@ -407,23 +394,9 @@ def _tree_program(tape, shape, names: tuple[str, ...], sizes: tuple[int, ...]) -
     return tree_jet(tape, shape, env).c
 
 
-@lru_cache(maxsize=256)
-def _compile(shape, names: tuple[str, ...], sizes: tuple[int, ...]):
-    """The kernel of a tree shape for input jets with these coefficient counts.
-
-    It takes a Bound of the shape and the coefficient tuples of the inputs,
-    and returns the coefficients of the tree's jet.
-    """
-    return kernel_of(_tree_program, shape, names, sizes)
-
-
 def eval_tree(tree: ExpressionTree, env: Mapping[str, Jet3]) -> Jet3:
-    """Evaluate to a jet with caller-supplied jets bound to the variables.
-
-    A jet with an array value makes tree_jet run at once.  Otherwise the
-    tree's kernel for the input sizes runs; it is looked up on the tree
-    itself after the first call, so a call hashes nothing.
-    """
+    """Evaluate to a jet with caller-supplied jets bound to the variables:
+    ``jets.run`` of the tree's program, keyed on the tree by the input sizes."""
     bound = bound_of(tree)
     try:
         inputs = [env[v].c for v in bound.names]
@@ -431,11 +404,8 @@ def eval_tree(tree: ExpressionTree, env: Mapping[str, Jet3]) -> Jet3:
         missing = tree.variables - set(env)
         raise DomainError(f"no value bound for variable(s) {sorted(missing)}") from None
     sizes = tuple(map(len, inputs))
-    for c in inputs:
-        if isinstance(c[0], np.ndarray):
-            return Jet3(Eager(bound, inputs).run(_tree_program, bound.shapes[0], bound.names, sizes))
-    kernel = bound.kernel(sizes) or bound.keep(sizes, _compile(bound.shapes[0], bound.names, sizes))
-    return Jet3(kernel(bound, *inputs))
+    return Jet3(run(_tree_program, lambda: (bound.shapes[0], bound.names, sizes), bound, sizes,
+                    inputs))
 
 
 def eval_jet(tree: ExpressionTree, r, s) -> Jet3:
@@ -498,7 +468,8 @@ def _eval_value_node(node: Node, env: Mapping[str, float]) -> float:
 
 
 def eval_value(tree: ExpressionTree, env: Mapping[str, float]) -> float:
-    """Fast scalar evaluation (no derivative tracking)."""
+    """The tree's value on floats, walked node by node with libm (a reference:
+    evaluation goes through jets)."""
     missing = tree.variables - set(env)
     if missing:
         raise DomainError(f"no value bound for variable(s) {sorted(missing)}")
@@ -526,11 +497,12 @@ class ScalarFunction:
         return cls(ExpressionTree(Const(float(value)), frozenset()))
 
     def value(self, r):
-        """Value at a scalar r (a float) or at every element of an array of radii."""
+        """Value at a scalar r (a float) or at every element of an array of radii:
+        the value of the order-2 jet, a bit-exact prefix of the order-3 one."""
         if np.ndim(r) == 0:
-            return eval_value(self.tree, {"r": float(r)})
+            return self.jet(float(r), 2).value
         r = np.asarray(r, dtype=float)
-        return np.broadcast_to(self.jet(r).value, r.shape).copy()
+        return np.broadcast_to(self.jet(r, 2).value, r.shape).copy()
 
     def jet(self, r, order: int = 3) -> Jet3:
         """Univariate jet in r (all s-partials are zero), truncated at order."""

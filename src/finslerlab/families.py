@@ -48,6 +48,7 @@ from .geometry import (
     spray_values,
 )
 from .jets import Jet3, ipow
+from .oracle import _dot
 from .quadrature import segment_integral
 from .randers import admissibility_margin, radial_data
 
@@ -122,13 +123,8 @@ class SampledFunction:
         return idx, r - self.r_nodes[idx]
 
     def value(self, r):
-        r_arr = np.asarray(r, dtype=float)
-        idx, t = self._locate(r_arr)
-        c = self._coef[idx]
-        out = c[..., 5]
-        for k in (4, 3, 2, 1, 0):
-            out = out * t + c[..., k]
-        return out if r_arr.shape else float(out)
+        """Value at a float r or at an array of radii: the value of the order-2 jet."""
+        return self.jet(r, 2).value
 
     def jet(self, r, order: int = 3) -> Jet3:
         """Univariate jet in r: derivative orders 0..order (2 or 3) of the local quintic."""
@@ -196,11 +192,12 @@ def _fd_derivative(values: np.ndarray, step: float) -> np.ndarray:
     # one Richardson level where the doubled stencil fits: 6th order
     d2 = (v[: m - 8] - 8.0 * v[2 : m - 6] + 8.0 * v[6 : m - 2] - v[8:m]) / (24.0 * step)
     d[4 : m - 4] = (16.0 * d[4 : m - 4] - d2) / 15.0
-    # 6-point one-sided stencils near the ends: 5th order
-    fwd = np.array([-137.0 / 60.0, 5.0, -5.0, 10.0 / 3.0, -5.0 / 4.0, 1.0 / 5.0])
+    # 6-point one-sided stencils near the ends: 5th order, summed left to right
+    # (not by BLAS, whose kernel differs between CPUs)
+    fwd = (-137.0 / 60.0, 5.0, -5.0, 10.0 / 3.0, -5.0 / 4.0, 1.0 / 5.0)
     for i in range(4):
-        d[i] = np.dot(fwd, v[i : i + 6]) / step
-        d[m - 1 - i] = -np.dot(fwd, v[m - 6 - i : m - i][::-1]) / step
+        d[i] = _dot(fwd, v[i : i + 6].tolist()) / step
+        d[m - 1 - i] = -_dot(fwd, v[m - 6 - i : m - i][::-1].tolist()) / step
     return d
 
 

@@ -18,14 +18,12 @@ phi_ss are read, for three profile kinds:
   interpolation).  A value therefore depends on r and the spec alone, never
   on which radii were queried before.
 
-Each profile jet is one program of Jet3 arithmetic (see :mod:`finslerlab.jets`):
-the general profile's tree; sqrt(f + g s^2) + h s with the trees of
-expression coefficients recorded in and the jets of the others (solved
-profiles) as arguments; the family's r-jets of g, J and I2 from the three
-table values, the radicand guard, c2 and chi.  On float inputs it is one
-kernel call, compiled once per program shape and jet order and kept on the
-profile; on arrays, where numpy does the arithmetic either way, the program
-runs at once with no kernel to compile.  Both give the same bits.
+Each profile jet is one jet program, evaluated by ``jets.run`` (see
+:mod:`finslerlab.jets` for when it compiles a kernel) and keyed on the
+profile by jet order: the general profile's tree; sqrt(f + g s^2) + h s with
+the trees of expression coefficients recorded in and the jets of the others
+(solved profiles) as arguments; the family's r-jets of g, J and I2 from the
+three table values, the radicand guard, c2 and chi.
 
 Regularity means three pointwise positivity conditions::
 
@@ -50,7 +48,7 @@ import numpy as np
 from .errors import DomainError, FinslerError, RegularityError
 from .expr import (ExpressionTree, ScalarFunction, bound_of, eval_tree, parse_expression,
                    state_without_kernels, tree_jet)
-from .jets import SIZE, Eager, Jet3, any_true, ipow, kernel_of
+from .jets import SIZE, Jet3, any_true, ipow, run
 from .quadrature import PanelTable, segment_integral
 
 #: relative inset used when building s-grids that must avoid |s| = r
@@ -226,17 +224,12 @@ def regularity_margins(jet: Jet3, r, s):
 
 
 def _randers_phi_jet(p: RandersProfile, r, s, order: int) -> Jet3:
-    """sqrt(f + g s^2) + h s: one kernel call on floats, the same Jet3 arithmetic
-    run at once on arrays."""
+    """sqrt(f + g s^2) + h s, by jets.run."""
     coeffs = (p.f, p.g, p.h)
     bound = bound_of(p, lambda: [x.tree for x in coeffs if isinstance(x, ScalarFunction)])
     inputs = [x.jet(r, order).c for x in coeffs if not isinstance(x, ScalarFunction)]
-    if isinstance(r, np.ndarray) or isinstance(s, np.ndarray):
-        return Jet3(Eager(bound, (r, s, *inputs)).run(_randers_program, _kinds(p, bound), order))
-    kernel = bound.kernel(order)
-    if kernel is None:
-        kernel = bound.keep(order, _randers_kernel(_kinds(p, bound), order))
-    return Jet3(kernel(bound, r, s, *inputs))
+    return Jet3(run(_randers_program, lambda: (_kinds(p, bound), order), bound, order,
+                    (r, s, *inputs)))
 
 
 def _kinds(p: RandersProfile, bound) -> tuple:
@@ -262,11 +255,6 @@ def _randers_program(tape, kinds, order: int) -> tuple:
     return ((fj + gj * sj * sj).sqrt() + hj * sj).c
 
 
-@lru_cache(maxsize=64)
-def _randers_kernel(kinds, order: int):
-    return kernel_of(_randers_program, kinds, order)
-
-
 # -- Berwald-type family profiles -------------------------------------------
 
 @lru_cache(maxsize=16)
@@ -284,16 +272,14 @@ def _family_table(spec: MetricSpec) -> PanelTable:
 
 def _family_phi_jet(spec: MetricSpec, r, s, order: int) -> Jet3:
     """chi(w) sqrt(g + J s^2) e^{-I2}: the table values of I1, J and I2 at r, then
-    one kernel call on floats, the same Jet3 arithmetic run at once on arrays."""
+    jets.run."""
     r = np.asarray(r, dtype=float)
     r = float(r) if r.ndim == 0 else r
     i1, j, i2 = _family_table(spec).at(r)
     p = spec.profile
     bound = bound_of(p, lambda: [p.c2.tree, p.chi])
-    if isinstance(r, np.ndarray) or isinstance(s, np.ndarray):
-        return Jet3(Eager(bound, (r, s, i1, j, i2)).run(_family_program, *bound.shapes, order))
-    kernel = bound.kernel(order) or bound.keep(order, _family_kernel(*bound.shapes, order))
-    return Jet3(kernel(bound, r, s, i1, j, i2))
+    return Jet3(run(_family_program, lambda: (*bound.shapes, order), bound, order,
+                    (r, s, i1, j, i2)))
 
 
 def _family_program(tape, c2_shape, chi_shape, order: int) -> tuple:
@@ -321,11 +307,6 @@ def _family_program(tape, c2_shape, chi_shape, order: int) -> tuple:
     chi_jet = tree_jet(tape, chi_shape, {"w": s2 * (rsqrt * rsqrt)})
     tape.unmark()
     return (chi_jet * (radicand * rsqrt) * (-I2_jet).exp()).c
-
-
-@lru_cache(maxsize=64)
-def _family_kernel(c2_shape, chi_shape, order: int):
-    return kernel_of(_family_program, c2_shape, chi_shape, order)
 
 
 def _antiderivative_jet(value, integrand: Jet3, order: int) -> Jet3:

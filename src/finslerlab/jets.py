@@ -23,14 +23,23 @@ Code that computes a jet can also be recorded once and replayed as one
 straight-line function, a kernel (forward-mode taping; Griewank & Walther,
 *Evaluating Derivatives*, 2nd ed., SIAM 2008, ch. 6): on ``Sym``
 coefficients, Jet3 arithmetic appends its float operations to a ``Tape``
-instead of performing them, and the tape compiles them.  The expression trees
-of :mod:`finslerlab.expr` and the Randers and Berwald-family profile jets of
-:mod:`finslerlab.geometry` are evaluated by such kernels.
+instead of performing them, and the tape compiles them.
+
+Such code is a jet program, ``program(tape, *static)``, and ``run`` is the one
+way to evaluate one; the expression trees of :mod:`finslerlab.expr` and the
+Randers and Berwald-family profile jets of :mod:`finslerlab.geometry` all go
+through it.  Its policy: any array argument runs the program at once by Jet3
+arithmetic (``Eager``), with nothing to compile; float arguments call the
+program's kernel, compiled once per program and static arguments in the one
+kernel cache (``kernel_of``) and kept on the owner's ``bound`` under a small
+key, so a later call neither builds static arguments nor hashes them.  Both
+give the same bits.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from itertools import repeat
 from operator import add, mul, neg, sub
 
@@ -421,8 +430,9 @@ class Tape:
     The kernel is ``kernel(bound, *params)`` and returns the coefficients
     given to ``compile``.  ``bound`` supplies ``consts``, the values of the
     const() coefficients in order, ``floats``, whether they are all Python
-    floats, and ``locate(err, i)``, which names node i of what was recorded
-    in a DomainError raised after mark() recorded i.
+    floats, ``locate(err, i)``, which names node i of what was recorded
+    in a DomainError raised after mark() recorded i, and ``kernels``, the
+    dict in which ``run`` keeps the kernels it called for them.
     """
 
     def __init__(self):
@@ -555,9 +565,10 @@ class Eager:
     """The Tape interface carried out at once: a program that records a kernel
     on a Tape computes its jet coefficients here, by Jet3 arithmetic.
 
-    ``args`` are the kernel's arguments after ``bound``.  On arrays a kernel's
-    arithmetic is numpy's either way, so a program run eagerly costs about
-    what its kernel does, without the kernel's compilation.
+    ``args`` are the kernel's arguments after ``bound``.  On large arrays a
+    program run eagerly is 10-25% slower than its kernel (every intermediate
+    jet stays alive, where a kernel reuses dead locals), but it compiles
+    nothing, and array arguments seldom recur often enough to repay a compile.
     """
 
     def __init__(self, bound, args):
@@ -601,10 +612,30 @@ class Eager:
             raise DomainError("non-finite result")
 
 
+@lru_cache(maxsize=256)
 def kernel_of(program, *static):
-    """The kernel that program(tape, *static), returning jet coefficients, records."""
+    """The kernel that program(tape, *static), returning jet coefficients, records;
+    the one kernel cache, so owners of one shape share a kernel."""
     tape = Tape()
     return tape.compile(program(tape, *static))
+
+
+def run(program, static, bound, key, args) -> tuple:
+    """The jet coefficients program(tape, *static()) gives on args, the kernel's
+    arguments after bound.
+
+    An ndarray argument, or a tuple of jet coefficients whose value is one,
+    runs the program at once (``Eager``).  Otherwise the kernel kept in
+    bound.kernels under key runs; on a miss static() is built and kernel_of's
+    kernel kept there.
+    """
+    for a in args:
+        if isinstance(a[0] if type(a) is tuple else a, np.ndarray):
+            return Eager(bound, args).run(program, *static())
+    kernel = bound.kernels.get(key)
+    if kernel is None:
+        kernel = bound.kernels[key] = kernel_of(program, *static())
+    return kernel(bound, *args)
 
 
 class _Writer:

@@ -23,7 +23,6 @@ import numpy as np
 from .errors import CrossCheckError, DomainError, DomainExitError, FinslerError
 from .geometry import MetricSpec, metric_determinant, phi_jet, spray_values
 from .jets import Jet3
-from .quadrature import QuadratureRule
 from .volume import density
 
 
@@ -137,7 +136,7 @@ def integrate_geodesic(
     return states
 
 
-def _taus(spec: MetricSpec, vol, states, rule: QuadratureRule | None) -> list[float]:
+def _taus(spec: MetricSpec, vol, states) -> list[float]:
     """tau at each GeodesicState: one determinant per state (from its profile
     jet, if it has one), then one density call for all their radii."""
     radii, half_log_det = [], []
@@ -148,28 +147,19 @@ def _taus(spec: MetricSpec, vol, states, rule: QuadratureRule | None) -> list[fl
             raise DomainError(f"det g = {det:.6g} not positive at r={r:.6g}, s={s:.6g}")
         radii.append(r)
         half_log_det.append(0.5 * float(np.log(det)))
-    sigma = density(vol, spec, radii[0] if len(radii) == 1 else np.array(radii), rule)
+    sigma = density(vol, spec, radii[0] if len(radii) == 1 else np.array(radii))
     # a scalar log per value, as for one state
     return [v - float(np.log(sg)) for v, sg in zip(half_log_det, np.ravel(sigma).tolist())]
 
 
-def distortion(
-    spec: MetricSpec, vol, x, y, rule: QuadratureRule | None = None, jet: Jet3 | None = None
-) -> float:
+def distortion(spec: MetricSpec, vol, x, y, jet: Jet3 | None = None) -> float:
     """tau(x, y) = ln( sqrt(det g at (r, s)) / sigma(r) ); jet, if given, is the
     profile jet at (r, s)."""
     state = GeodesicState(np.asarray(x, dtype=float), np.asarray(y, dtype=float), 0.0, jet)
-    return _taus(spec, vol, [state], rule)[0]
+    return _taus(spec, vol, [state])[0]
 
 
-def s_by_distortion(
-    spec: MetricSpec,
-    vol,
-    x0,
-    y0,
-    dt: float | None = None,
-    rule: QuadratureRule | None = None,
-) -> float:
+def s_by_distortion(spec: MetricSpec, vol, x0, y0, dt: float | None = None) -> float:
     """S(x0, y0) as d/dt of the distortion along the geodesic through (x0, y0).
 
     Five-point fourth-order stencil at t = 0 with one RK4 step per sample;
@@ -194,13 +184,13 @@ def s_by_distortion(
                 integrate_geodesic(spec, x0, y0, direction * 2.0 * dt, steps=16, jet0=jet0))
             jet0 = trajectories[0][0].jet
         stored = [st for states in trajectories for st in states[8::8]]
-        values = _taus(spec, vol, stored, rule)
+        values = _taus(spec, vol, stored)
     except FinslerError:
         # one state at a time in trajectory order: the forward states are valued
         # before a backward-trajectory error, and each state raises what it
         # raises alone
         stored = [st for states in trajectories for st in states[8::8]]
-        values = [_taus(spec, vol, [st], rule)[0] for st in stored]
+        values = [_taus(spec, vol, [st])[0] for st in stored]
         if len(trajectories) < 2:
             raise
     taus = {round(st.t / dt): v for st, v in zip(stored, values)}

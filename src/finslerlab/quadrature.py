@@ -27,6 +27,8 @@ from .errors import DomainError, QuadratureError
 
 _GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
+#: doubling refinement starts at this node count
+REFINE_START = 64
 #: doubling refinement stops when successive values differ by at most this
 REFINE_ATOL = 1e-10
 #: node cap for the angular integrals
@@ -107,26 +109,21 @@ def exact_sum(values):
     return math.fsum(v.ravel().tolist())
 
 
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Gauss-Legendre rule on [0, pi]; ``n`` is where doubling refinement starts."""
-
-    n: int = 64
-
-    def points(self, n: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """Nodes and weights mapped to [0, pi]."""
-        x, w = gl_nodes(n or self.n)
-        return 0.5 * np.pi * (x + 1.0), 0.5 * np.pi * w
+def angle_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights of order n mapped to [0, pi]."""
+    x, w = gl_nodes(n)
+    return 0.5 * np.pi * (x + 1.0), 0.5 * np.pi * w
 
 
-def refine(eval_at_n, rule: QuadratureRule):
-    """Run eval_at_n(N) with doubling N until successive values agree, elementwise.
+def refine(eval_at_n):
+    """Run eval_at_n(N) with N doubling from ``REFINE_START`` until successive
+    values agree, elementwise.
 
     eval_at_n returns a float or an array (one value per radius).  Each element
     keeps the first value within ``REFINE_ATOL`` of the one before it, as a
     scalar run would; QuadratureError when one reaches the node cap unsettled.
     """
-    n = rule.n
+    n = REFINE_START
     prev = eval_at_n(n)
     out, settled = np.array(prev, dtype=float), np.zeros(np.shape(prev), dtype=bool)
     while n < REFINE_CAP:

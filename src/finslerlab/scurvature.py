@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import MetricSpec, batch_radii, phi_jet, s_fractions, spray_values
-from .quadrature import QuadratureRule
 from .volume import VolumeSpec, f_coefficient
 
 
@@ -30,9 +29,9 @@ def reduced_s_given_f(spec: MetricSpec, r, s, f_r):
     return (n + 1) * sv.P + (r * r - s * s) * sv.Q_s + 2.0 * s * sv.Q + f_r * s
 
 
-def reduced_s(spec: MetricSpec, vol: VolumeSpec, r, s, rule: QuadratureRule | None = None):
+def reduced_s(spec: MetricSpec, vol: VolumeSpec, r, s):
     """S/u at a point (r scalar; s scalar or array)."""
-    f_r = f_coefficient(vol, spec, float(r), rule)
+    f_r = f_coefficient(vol, spec, float(r))
     return reduced_s_given_f(spec, r, s, f_r)
 
 
@@ -62,7 +61,6 @@ def isotropy_profile(
     r_grid,
     s_fracs=None,
     tolerance: float | None = None,
-    rule: QuadratureRule | None = None,
 ) -> IsotropyReport:
     """Sample c(r, s) on a grid and judge s-independence per radius.
 
@@ -80,7 +78,7 @@ def isotropy_profile(
     def c_grid(radii):
         rc = radii[:, None]
         s = rc * fracs
-        f_r = f_coefficient(vol, spec, radii, rule)
+        f_r = f_coefficient(vol, spec, radii)
         red = reduced_s_given_f(spec, rc, s, f_r[:, None])
         phi = phi_jet(spec, rc, s).d(0, 0)
         return red / ((spec.n + 1) * phi), f_r

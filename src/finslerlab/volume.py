@@ -40,7 +40,7 @@ from .errors import CrossCheckError, DomainError, FinslerError
 from .expr import ScalarFunction
 from .geometry import MetricSpec, phi_jet
 from .jets import Jet3, any_true, ipow
-from .quadrature import QuadratureRule, exact_sum, refine
+from .quadrature import angle_nodes, exact_sum, refine
 
 
 @dataclass(frozen=True)
@@ -68,8 +68,6 @@ VolumeSpec = object  # one of the four dataclasses above
 BH = BusemannHausdorff()
 HT = HolmesThompson()
 CONSTANT = ConstantDensity()
-
-_DEFAULT_RULE = QuadratureRule()
 
 
 def sin_power_integral(n: int) -> float:
@@ -102,7 +100,7 @@ def _node_jets(spec: MetricSpec, r, n_nodes: int, order: int):
 
     Regularity is enforced by phi_jet.
     """
-    t, w = _DEFAULT_RULE.points(n_nodes)
+    t, w = angle_nodes(n_nodes)
     cos_t = np.cos(t)
     rc = r if isinstance(r, float) else np.array(r)[:, None]
     s = rc * cos_t
@@ -130,16 +128,16 @@ def _sigma_ht_at(spec: MetricSpec, r, n_nodes: int):
     return exact_sum(ws * integrand) / sin_power_integral(spec.n)
 
 
-def sigma_bh(spec: MetricSpec, r, rule: QuadratureRule | None = None):
+def sigma_bh(spec: MetricSpec, r):
     """Busemann-Hausdorff density at radius r (normalized to 1 for phi = 1)."""
     key = _radii(r)
-    return refine(lambda n: _sigma_bh_at(spec, key, n), rule or _DEFAULT_RULE)
+    return refine(lambda n: _sigma_bh_at(spec, key, n))
 
 
-def sigma_ht(spec: MetricSpec, r, rule: QuadratureRule | None = None):
+def sigma_ht(spec: MetricSpec, r):
     """Holmes-Thompson density at radius r (normalized to 1 for phi = 1)."""
     key = _radii(r)
-    return refine(lambda n: _sigma_ht_at(spec, key, n), rule or _DEFAULT_RULE)
+    return refine(lambda n: _sigma_ht_at(spec, key, n))
 
 
 def _at_first(bad, *values):
@@ -155,17 +153,16 @@ def _check_positive(v, r) -> None:
         raise DomainError(f"custom density must be positive, got {v_i!r} at r={r_i!r}")
 
 
-def density(vol: VolumeSpec, spec: MetricSpec, r, rule: QuadratureRule | None = None):
+def density(vol: VolumeSpec, spec: MetricSpec, r):
     """sigma(r) for any volume specification."""
     if isinstance(vol, BusemannHausdorff):
-        return sigma_bh(spec, r, rule)
+        return sigma_bh(spec, r)
     if isinstance(vol, HolmesThompson):
-        return sigma_ht(spec, r, rule)
+        return sigma_ht(spec, r)
     if isinstance(vol, CustomDensity):
-        # ScalarFunction.value radius by radius: its scalar path has other bits than its jet path
-        v = np.vectorize(vol.sigma.value, otypes=[float])(r)
+        v = vol.sigma.value(r)
         _check_positive(v, r)
-        return v if v.ndim else float(v)
+        return v
     if isinstance(vol, ConstantDensity):
         return np.ones(np.shape(r)) if np.ndim(r) else 1.0
     raise TypeError(f"unknown volume spec {vol!r}")
@@ -198,12 +195,7 @@ def _log_deriv_ht_at(spec: MetricSpec, r, n_nodes: int):
     return k_der / k_val
 
 
-def f_coefficient(
-    vol: VolumeSpec,
-    spec: MetricSpec,
-    r,
-    rule: QuadratureRule | None = None,
-):
+def f_coefficient(vol: VolumeSpec, spec: MetricSpec, r):
     """f(r) = -sigma'(r) / (r sigma(r)) for the given volume.
 
     The quadrature volumes differentiate under the integral sign and always
@@ -211,23 +203,22 @@ def f_coefficient(
     flags disagreement beyond 1e-6 relative.
     """
     r = float(r) if np.ndim(r) == 0 else np.asarray(r, dtype=float)
-    rule = rule or _DEFAULT_RULE
     if isinstance(vol, ConstantDensity):
         return np.zeros(r.shape) if np.ndim(r) else 0.0
     if isinstance(vol, CustomDensity):
-        j = vol.sigma.jet(r)
+        j = vol.sigma.jet(r, 2)
         v = _arr(j.d(0, 0), np.shape(r))
         _check_positive(v, r)
         f = -_arr(j.d(1, 0), np.shape(r)) / (r * v)
         return f if f.ndim else float(f)
     key = _radii(r)
     at_n = _log_deriv_bh_at if isinstance(vol, BusemannHausdorff) else _log_deriv_ht_at
-    dlog = refine(lambda n: at_n(spec, key, n), rule)
-    _cross_check_log_derivative(vol, spec, r, rule, dlog)
+    dlog = refine(lambda n: at_n(spec, key, n))
+    _cross_check_log_derivative(vol, spec, r, dlog)
     return -dlog / r
 
 
-def _cross_check_log_derivative(vol, spec, r, rule, dlog) -> None:
+def _cross_check_log_derivative(vol, spec, r, dlog) -> None:
     rmin, rmax = spec.r_domain
     h = np.minimum(np.minimum(1e-4 * np.maximum(1.0, r), 0.45 * (r - rmin)), 0.45 * (rmax - r))
     if any_true(h < 1e-8):
@@ -237,10 +228,10 @@ def _cross_check_log_derivative(vol, spec, r, rule, dlog) -> None:
         )
     sides = (r - h, r + h)
     try:
-        sigma = density(vol, spec, np.concatenate([np.ravel(side) for side in sides]), rule)
+        sigma = density(vol, spec, np.concatenate([np.ravel(side) for side in sides]))
     except FinslerError:
         # one call per side, lo before hi: the error (or value) each gives alone
-        sigma = np.concatenate([np.ravel(density(vol, spec, side, rule)) for side in sides])
+        sigma = np.concatenate([np.ravel(density(vol, spec, side)) for side in sides])
     # math.log (libm) of each value, as for a single radius
     logs = np.array([math.log(v) for v in sigma.tolist()])
     lo, hi = np.split(logs, 2)

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _support import reference_eval_tree, reference_family_jet, reference_randers_jet
-from finslerlab import expr, geometry, volume
+from finslerlab import expr, geometry, jets, volume
 from finslerlab.cli import build_spec, load_config
 from finslerlab.errors import DomainError
 from finslerlab.expr import (
@@ -100,16 +100,16 @@ def test_missing_variable_is_named_before_evaluation():
 
 
 def test_trees_of_one_shape_share_one_kernel():
-    expr._compile.cache_clear()
+    jets.kernel_of.cache_clear()
     one = parse_expression("atan(2.5*r - s^3)/(0.75 + s^2)", {"r", "s"})
     two = parse_expression("atan(0.5*r - s^3)/(3 + s^2)", {"r", "s"})
     env = {"r": Jet3.seed(0.4, dr=1.0, order=2), "s": Jet3.seed(-0.2, ds=1.0, order=2)}
     for tree in (one, two, one, two):
         assert eval_tree(tree, env).c == reference_eval_tree(tree, env).c
-    info = expr._compile.cache_info()
+    info = jets.kernel_of.cache_info()
     assert (info.misses, info.hits) == (1, 1)  # later calls find the kernel on the tree
     eval_tree(one, {"r": Jet3.seed(0.4, dr=1.0), "s": Jet3.seed(-0.2, ds=1.0)})
-    assert expr._compile.cache_info().misses == 2  # one kernel per jet order
+    assert jets.kernel_of.cache_info().misses == 2  # one kernel per jet order
 
 
 def test_an_evaluated_tree_pickles_without_its_kernels():

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 from numpy.polynomial import Polynomial
 
-from _support import dispatched_simd_targets, stdout_with_and_without_simd
+from _support import (dispatched_simd_targets, stdout_under_blas_cores,
+                      stdout_with_and_without_simd)
 from conftest import FUNK_RANDERS, interior_grid
 from finslerlab.errors import (
     CrossCheckError,
@@ -308,6 +309,30 @@ print(hashlib.sha256(b"".join(a.tobytes() for a in (sol.values, sol.derivs, sol.
 def test_bh_solve_bytes_independent_of_simd_dispatch():
     dispatched, baseline = stdout_with_and_without_simd(BH_DIGEST_SCRIPT)
     assert dispatched == baseline
+
+
+# SHA-256 of the node residuals of 20 BH and 20 HT solves
+AUDIT_DIGEST_SCRIPT = """
+import hashlib
+import numpy as np
+from finslerlab.families import bh_solve_g, ht_solve_h
+rng = np.random.default_rng(3)
+digest = hashlib.sha256()
+for _ in range(20):
+    a, b, c = (float(v) for v in rng.uniform(0.1, 0.5, 3))
+    bh = bh_solve_g(f"1 + {a!r}*r^2", f"{b!r} + {c!r}*r", 0.8, (0.3, 0.9), steps=400, r0=0.6)
+    ht = ht_solve_h(1.0, f"{c!r}*r", b, (1.0, 2.5), steps=600)
+    digest.update(bh.node_residuals.tobytes() + ht.node_residuals.tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_audit_residual_bytes_do_not_depend_on_the_blas_kernel():
+    # the one-sided end stencils of the audit derivative are fixed-order float sums
+    default, haswell, prescott = stdout_under_blas_cores(AUDIT_DIGEST_SCRIPT,
+                                                         cores=("Haswell", "Prescott"))
+    assert len(default.strip()) == 64
+    assert default == haswell == prescott
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _support import reference_family_jet, reference_randers_jet
-from finslerlab import geometry
+from finslerlab import geometry, jets
 from finslerlab.errors import DomainError
 from finslerlab.expr import (
     FUNCTIONS,
@@ -23,7 +23,8 @@ from finslerlab.expr import (
     parse_expression,
 )
 from finslerlab.families import SampledFunction
-from finslerlab.geometry import BerwaldFamilyProfile, MetricSpec, RandersProfile, phi_jet
+from finslerlab.geometry import (BerwaldFamilyProfile, GeneralPhi, MetricSpec, RandersProfile,
+                                 phi_jet)
 
 # integer and half-integer exponents, and one the exponent check rejects
 _EXPONENTS = (-2.0, -1.0, 0.0, 1.0, 2.0, 3.0, -0.5, 0.5, 1.5, 0.25)
@@ -139,16 +140,55 @@ def test_randers_template_errors_name_no_subexpression():
 
 
 def test_profiles_of_one_shape_share_one_kernel():
-    geometry._randers_kernel.cache_clear()
-    geometry._family_kernel.cache_clear()
+    jets.kernel_of.cache_clear()
     for a in ("1", "2"):
         randers = RandersProfile(*(ScalarFunction.from_text(f"{a} + r^2") for _ in range(3)))
         geometry._randers_phi_jet(randers, 0.5, 0.1, 2)
         family = BerwaldFamilyProfile(ScalarFunction.from_text(f"0.{a}"),
                                       parse_expression(f"1 + w/{a}", {"w"}), 1.0)
         geometry._family_phi_jet(MetricSpec(family, 2, (0.8, 1.2)), 1.0, 0.1, 2)
-    assert geometry._randers_kernel.cache_info().misses == 1
-    assert geometry._family_kernel.cache_info().misses == 1
+    assert jets.kernel_of.cache_info().misses == 2  # one Randers, one family kernel
+
+
+def _fresh_spec(kind: str) -> MetricSpec:
+    """A new spec of each profile kind: no kernel kept on it yet."""
+    if kind == "general":
+        profile = GeneralPhi(parse_expression("sqrt(1 + s^2) + 0.3*r*s + exp(-r)", {"r", "s"}))
+    elif kind == "randers":
+        profile = RandersProfile(ScalarFunction.from_text("1 + r^2"), SAMPLED,
+                                 ScalarFunction.from_text("0.3*atan(r)"))
+    else:
+        profile = BerwaldFamilyProfile(ScalarFunction.from_text("0.1 + 0.05/r"),
+                                       parse_expression("1 + w/4", {"w"}), 1.0)
+    return MetricSpec(profile, 2, (0.8, 1.2))
+
+
+_KINDS = ("general", "randers", "family")
+
+
+@pytest.mark.parametrize("kind", _KINDS)
+def test_array_inputs_compile_no_kernel(kind):
+    spec = _fresh_spec(kind)
+    r, s = _point(None, 0.8, 1.2)
+    sigma = ScalarFunction.from_text("exp(0.3*r) + sin(r)")
+    before = jets.kernel_of.cache_info()
+    for order in (2, 3):
+        phi_jet(spec, r, s, order)
+        phi_jet(spec, 0.9, 0.9 * np.linspace(-0.9, 0.9, 5), order)  # a float radius
+        sigma.jet(r, order)
+    sigma.value(r)
+    assert jets.kernel_of.cache_info() == before
+
+
+@pytest.mark.parametrize("kind", _KINDS)
+def test_numpy_and_python_floats_give_the_same_bits(kind):
+    spec = _fresh_spec(kind)
+    for order in (2, 3):
+        want = phi_jet(spec, 0.9, -0.4, order).c
+        got = phi_jet(spec, np.float64(0.9), np.float64(-0.4), order).c
+        assert [float(x).hex() for x in got] == [float(x).hex() for x in want]
+    sigma = ScalarFunction.from_text("exp(0.3*r)/(2 + sin(r))")
+    assert sigma.value(np.float64(0.9)).hex() == sigma.value(0.9).hex()
 
 
 @pytest.mark.parametrize("profile", [

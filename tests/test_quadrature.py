@@ -9,7 +9,6 @@ from finslerlab.errors import DomainError, QuadratureError
 from finslerlab.quadrature import (
     REFINE_CAP,
     TABLE_SPLIT_CAP,
-    QuadratureRule,
     refine,
     segment_integral,
 )
@@ -106,9 +105,9 @@ def test_refine_settles_each_element_on_its_own():
         calls.append(n)
         return np.array([seq[n] for seq in _SEQUENCES])
 
-    got = refine(batch, QuadratureRule(n=64))
+    got = refine(batch)
     assert calls == [64, 128, 256]
-    alone = [refine(lambda n, seq=seq: seq[n], QuadratureRule(n=64)) for seq in _SEQUENCES]
+    alone = [refine(lambda n, seq=seq: seq[n]) for seq in _SEQUENCES]
     assert alone == [1.0 + 1e-12, 1.0 - 2e-11]
     assert all(isinstance(v, float) for v in alone)
     np.testing.assert_array_equal(got, alone)
@@ -119,4 +118,4 @@ def test_refine_raises_when_any_element_reaches_the_cap():
         return np.array([1.0, float(n)])  # the second element never settles
 
     with pytest.raises(QuadratureError, match=str(REFINE_CAP)):
-        refine(batch, QuadratureRule(n=64))
+        refine(batch)

@@ -9,7 +9,7 @@ from _support import random_randers_texts
 from conftest import FUNK_PHI, FUNK_RANDERS, PARALLEL_HT, RANDERS111, interior_grid, make_randers
 from finslerlab.expr import ScalarFunction
 from finslerlab.geometry import general_phi_spec, randers_spec, regularity_scan
-from finslerlab.quadrature import QuadratureRule, gl_nodes
+from finslerlab.quadrature import angle_nodes, gl_nodes
 from finslerlab.randers import sigma_closed_form
 from finslerlab.volume import (
     BH,
@@ -29,7 +29,7 @@ RANDERS_TEXT_ZOO = [RANDERS111, FUNK_RANDERS, PARALLEL_HT]
 
 
 def test_quadrature_integrates_sin_powers():
-    t, w = QuadratureRule(n=64).points()
+    t, w = angle_nodes(64)
     for n in range(2, 9):
         val = float(np.sum(w * np.sin(t) ** (n - 2)))
         assert val == pytest.approx(sin_power_integral(n), abs=1e-12)
@@ -55,6 +55,18 @@ def test_density_dispatch(euclid):
     vol = CustomDensity(ScalarFunction.from_text("r^2"))
     assert density(vol, euclid, 3.0) == pytest.approx(9.0)
     assert density(BH, euclid, 0.5) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_custom_density_is_its_sigma_jet_value_for_floats_and_arrays(euclid):
+    sigma = ScalarFunction.from_text("exp(0.3*r) * (2 + atan(r - 0.5)) + log(1 + r^2) * sin(2*r)")
+    vol = CustomDensity(sigma)
+    r = np.linspace(0.05, 0.95, 201)
+    got = density(vol, euclid, r)
+    alone = [density(vol, euclid, x) for x in r.tolist()]
+    assert all(type(v) is float for v in alone)
+    assert got.tobytes() == np.array(alone).tobytes()
+    assert got.tobytes() == sigma.jet(r, 2).value.tobytes()
+    assert [v.hex() for v in alone] == [sigma.jet(x, 2).value.hex() for x in r.tolist()]
 
 
 def test_quadrature_stability_64_vs_128():
