@@ -178,9 +178,9 @@ def test_criterion_05_geodesic_oracle_confirms_analytic_s():
                 analytic = u * float(np.asarray(reduced_s(spec, vol, r, s)))
                 brute = s_by_distortion(spec, vol, x, y)
                 band = abs(brute - analytic) / (1.0 + abs(analytic))
-                assert band <= 1e-4, (spec, vol, r, s, brute, analytic)
+                assert band <= 1e-10, (spec, vol, r, s, brute, analytic)
                 worst = max(worst, band)
-    _line(5, f"3 metrics x 2 densities x 10 points: worst scaled gap {worst:.2e} <= 1e-4")
+    _line(5, f"3 metrics x 2 densities x 10 points: worst scaled gap {worst:.2e} <= 1e-10")
 
 
 def test_criterion_06_funk_metric_has_constant_half_isotropy():

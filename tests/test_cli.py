@@ -6,13 +6,14 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from _support import CONSTRUCT_INPUTS, dispatched_simd_targets
-from finslerlab import cli
+from finslerlab import cli, geometry, scurvature
 from finslerlab.cli import CHECKS, CSV_HEADER, SOLVER_STEPS_CAP, main
 from finslerlab.errors import DomainError
 from finslerlab.expr import ScalarFunction
@@ -182,6 +183,43 @@ def test_verify_oracle_seeded(tmp_path, capsys):
     assert main(["verify", "--check", "oracle", cfg, "--seed", "5", "--out", str(out2)]) == 0
     capsys.readouterr()
     assert out1.read_bytes() == out2.read_bytes()
+
+
+BUNDLED = sorted((HERE.parent / "configs").glob("*.json"))
+
+
+def _with_oracle_points(tmp_path, path: Path, points: int) -> str:
+    data = json.loads(path.read_text())
+    data["oracle"] = {"points": points}
+    return write_cfg(tmp_path, path.name, data)
+
+
+@pytest.mark.parametrize("path", BUNDLED, ids=lambda p: p.stem)
+def test_oracle_band_passes_and_catches_an_f_slip(tmp_path, monkeypatch, capsys, path):
+    # the oracle never reads f(r); a 1e-9 slip in it moves the gap to 2e-10 or more
+    cfg = _with_oracle_points(tmp_path, path, 60)
+    assert main(["verify", "--check", "oracle", cfg]) == 0
+    real = scurvature.f_coefficient
+    monkeypatch.setattr(scurvature, "f_coefficient",
+                        lambda *a, **k: real(*a, **k) * (1.0 + 1e-9) + 1e-9)
+    assert main(["verify", "--check", "oracle", cfg]) == 1
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("path", BUNDLED, ids=lambda p: p.stem)
+def test_oracle_band_catches_a_spray_slip_both_sides_share(monkeypatch, capsys, path):
+    # the geodesics are integrated with the slipped spray too, yet the gap reaches 8e-7
+    real = geometry.spray_values
+
+    def slipped(*a, **k):
+        sv = real(*a, **k)
+        return replace(sv, P=sv.P * (1.0 + 1e-6))
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "finslerlab" and getattr(module, "spray_values", None) is real:
+            monkeypatch.setattr(module, "spray_values", slipped)
+    assert main(["verify", "--check", "oracle", str(path)]) == 1
+    capsys.readouterr()
 
 
 def test_unknown_check_rejected(capsys):

@@ -106,7 +106,7 @@ def test_oracle_band_against_reduced_s(funk2, funk_randers):
                 s = float(np.dot(x, y) / u)
                 analytic = u * reduced_s(spec, vol, r, s)
                 brute = s_by_distortion(spec, vol, x, y)
-                assert abs(brute - analytic) <= 1e-4 * (1.0 + abs(analytic))
+                assert abs(brute - analytic) <= 1e-10 * (1.0 + abs(analytic))
 
 
 def test_geodesic_domain_exit(funk2):
