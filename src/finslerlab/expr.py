@@ -13,14 +13,12 @@ restricted to integer and half-integer constants; anything else must be
 spelled ``exp(y*log(x))``.
 
 Trees evaluate to :class:`~finslerlab.jets.Jet3` (``eval_jet`` /
-``eval_tree``); a radius function's value is the value of its order-2 jet.
-``tree_jet`` is Jet3 arithmetic on the tree node by node, with every node's
-domain guards and finite check, as a jet program of the tree's shape (the
-tree with its constants taken out) and input jet sizes; ``jets.run``
-evaluates it (see :mod:`finslerlab.jets` for when it compiles a kernel), so
-trees that differ only in their constants share a kernel.  The profile jets
-of :mod:`finslerlab.geometry` record trees the same way.  ``eval_value``
-walks a tree on floats with libm, a reference that no evaluation path uses.
+``eval_tree``) by Jet3 arithmetic node by node in post-order, on floats and
+arrays alike; every node checks its exponent, then operates with its domain
+guards, then checks that its jet is finite, and a ``DomainError`` names the
+innermost subexpression it arose in.  A radius function's value is the value
+of its order-2 jet.  ``eval_value`` walks a tree on floats with libm, a
+reference that no evaluation path uses.
 """
 
 from __future__ import annotations
@@ -33,7 +31,7 @@ from typing import Mapping, Union
 import numpy as np
 
 from .errors import DomainError, ParseError, UnknownIdentifierError
-from .jets import Jet3, ipow, run
+from .jets import Jet3, ipow, is_finite
 
 FUNCTIONS = ("sqrt", "exp", "log", "sin", "cos", "atan")
 VARIABLES = ("r", "s", "w")
@@ -81,9 +79,6 @@ class ExpressionTree:
 
     def __str__(self) -> str:
         return to_string(self)
-
-    def __getstate__(self):
-        return state_without_kernels(self)
 
 
 # -- tokenizer ---------------------------------------------------------------
@@ -289,123 +284,49 @@ def _locate(err: DomainError, node: Node) -> None:
         err.args = (f"{err.args[0]} in '{err.subexpr}'",)
 
 
-class Bound:
-    """What evaluating some trees needs besides their shapes' kernel, kept on the
-    object that owns the trees: their constants and post-order nodes, tree after
-    tree, their shapes (each tree with its constants taken out) and the kernels
-    ``jets.run`` called for them, by key."""
-
-    __slots__ = ("names", "consts", "floats", "nodes", "shapes", "kernels")
-
-    def __init__(self, trees, names=()):
-        self.names = names
-        consts: list = []
-        self.nodes: list[Node] = []
-        self.shapes = tuple(self._walk(tree.root, consts) for tree in trees)
-        self.consts = tuple(consts)
-        self.floats = all(type(k) is float for k in consts)
-        self.kernels: dict = {}
-
-    def _walk(self, node: Node, consts: list):
-        """Shape key of node; appends its constants and nodes in post-order."""
-        kind = type(node)
-        if kind is Const:  # its shape key is None, a variable's is its name
-            consts.append(node.value)
-            key = None
-        elif kind is Var:
-            key = node.name
-        elif kind is Unary:
-            key = (node.op, self._walk(node.arg, consts))
-        elif kind is Binary:
-            key = (node.op, self._walk(node.left, consts), self._walk(node.right, consts))
-        else:
-            key = ("^", node.exponent, self._walk(node.base, consts))
-        self.nodes.append(node)
-        return key
-
-    def locate(self, err: DomainError, index: int) -> None:
-        _locate(err, self.nodes[index])
-
-
-def bound_of(owner, trees=None) -> Bound:
-    """owner's Bound, made on first use from the trees that trees() returns
-    (default: owner itself, a tree)."""
+def _eval_jet_node(node: Node, env: Mapping[str, Jet3]) -> Jet3:
+    """Jet3 arithmetic on node's subtree, post-order; each node checks its
+    exponent, operates and checks that its jet is finite."""
     try:
-        return owner._bound
-    except AttributeError:
-        bound = Bound([owner], tuple(sorted(owner.variables))) if trees is None else Bound(trees())
-        object.__setattr__(owner, "_bound", bound)
-        return bound
-
-
-def state_without_kernels(self) -> dict:
-    """The fields of a frozen dataclass: kernels kept on it are found again on use."""
-    return {k: v for k, v in vars(self).items() if k != "_bound"}
-
-
-def tree_jet(tape, key, env: Mapping[str, Jet3]) -> Jet3:
-    """The jet of a tree of this shape key on the jets of env, recorded on a
-    jets.Tape or computed at once by a jets.Eager.
-
-    Jet3 arithmetic node by node in post-order, each constant the tape's next
-    const(), and each node marked, then exponent-checked, guarded and
-    finite-checked, so a DomainError names the subexpression of the node that
-    raised it.
-    """
-    if key is None:
-        tape.nodes += 1
-        return Jet3.constant(tape.const())
-    if isinstance(key, str):
-        tape.nodes += 1
-        return env[key]
-    op = key[0]
-    args = [tree_jet(tape, key[2], env)] if op == "^" else [tree_jet(tape, k, env)
-                                                                for k in key[1:]]
-    tape.mark()
-    a = args[0]
-    if op == "^":
-        q = key[1]
-        try:
+        kind = type(node)
+        if kind is Binary:
+            a = _eval_jet_node(node.left, env)
+            b = _eval_jet_node(node.right, env)
+            op = node.op
+            if op == "+":
+                out = a + b
+            elif op == "-":
+                out = a - b
+            elif op == "*":
+                out = a * b
+            else:
+                out = a / b
+        elif kind is Var:
+            return env[node.name]
+        elif kind is Const:
+            return Jet3.constant(node.value)
+        elif kind is Pow:
+            a = _eval_jet_node(node.base, env)
+            q = node.exponent
             _check_exponent(q)
-        except Exception:  # the kernel raises what the check raises, here
-            tape.call(_check_exponent, q)
-            out = a
-        else:
             out = a.powi(int(q)) if q == int(q) else a.powr(q)
-    elif op == "neg":
-        out = -a
-    elif op in FUNCTIONS:
-        out = getattr(a, op)()
-    elif op == "+":
-        out = a + args[1]
-    elif op == "-":
-        out = a - args[1]
-    elif op == "*":
-        out = a * args[1]
-    else:
-        out = a / args[1]
-    tape.check_finite(out.c)
-    return out
-
-
-def _tree_program(tape, shape, names: tuple[str, ...], sizes: tuple[int, ...]) -> tuple:
-    """The coefficients of a tree's jet, its inputs jets of these sizes."""
-    env = {v: Jet3(tape.param_jet(n)) for v, n in zip(names, sizes)}
-    return tree_jet(tape, shape, env).c
+        else:
+            a = _eval_jet_node(node.arg, env)
+            out = -a if node.op == "neg" else getattr(a, node.op)()
+        if not is_finite(out.c):
+            raise DomainError("non-finite result")
+        return out
+    except DomainError as err:
+        _locate(err, node)
+        raise
 
 
 def eval_tree(tree: ExpressionTree, env: Mapping[str, Jet3]) -> Jet3:
-    """Evaluate to a jet with caller-supplied jets bound to the variables:
-    ``jets.run`` of the tree's program, keyed on the tree by the input sizes."""
-    bound = bound_of(tree)
-    try:
-        inputs = [env[v].c for v in bound.names]
-    except KeyError:
-        missing = tree.variables - set(env)
-        raise DomainError(f"no value bound for variable(s) {sorted(missing)}") from None
-    sizes = tuple(map(len, inputs))
-    return Jet3(run(_tree_program, lambda: (bound.shapes[0], bound.names, sizes), bound, sizes,
-                    inputs))
+    """Evaluate to a jet with caller-supplied jets bound to the variables."""
+    missing = tree.variables - set(env)
+    if missing:
+        raise DomainError(f"no value bound for variable(s) {sorted(missing)}")
+    return _eval_jet_node(tree.root, env)
 
 
 def eval_jet(tree: ExpressionTree, r, s) -> Jet3:

@@ -18,12 +18,10 @@ phi_ss are read, for three profile kinds:
   interpolation).  A value therefore depends on r and the spec alone, never
   on which radii were queried before.
 
-Each profile jet is one jet program, evaluated by ``jets.run`` (see
-:mod:`finslerlab.jets` for when it compiles a kernel) and keyed on the
-profile by jet order: the general profile's tree; sqrt(f + g s^2) + h s with
-the trees of expression coefficients recorded in and the jets of the others
-(solved profiles) as arguments; the family's r-jets of g, J and I2 from the
-three table values, the radicand guard, c2 and chi.
+Every profile jet is Jet3 arithmetic, on floats and arrays alike: the
+general profile's tree by ``expr.eval_tree``; sqrt(f + g s^2) + h s on the
+radial jets of f, g and h; and the family profile from the r-jets of g, J and
+I2 (table values, integrand derivatives), the radicand guard, c2 and chi.
 
 Regularity means three pointwise positivity conditions::
 
@@ -46,9 +44,8 @@ from typing import Union
 import numpy as np
 
 from .errors import DomainError, FinslerError, RegularityError
-from .expr import (ExpressionTree, ScalarFunction, bound_of, eval_tree, parse_expression,
-                   state_without_kernels, tree_jet)
-from .jets import SIZE, Jet3, any_true, ipow, run
+from .expr import ExpressionTree, ScalarFunction, eval_tree, parse_expression
+from .jets import Jet3, any_true, ipow
 from .quadrature import PanelTable, segment_integral
 
 #: relative inset used when building s-grids that must avoid |s| = r
@@ -62,17 +59,11 @@ class GeneralPhi:
 
 @dataclass(frozen=True)
 class RandersProfile:
-    """Radial Randers data; f, g, h expose value(r) and jet(r, order).
-
-    Its jet is one program: the trees of the ScalarFunction coefficients are
-    part of it, and the jets of the others are its arguments.
-    """
+    """Radial Randers data; f, g, h expose value(r) and jet(r, order)."""
 
     f: object
     g: object
     h: object
-
-    __getstate__ = state_without_kernels
 
 
 @dataclass(frozen=True)
@@ -80,8 +71,6 @@ class BerwaldFamilyProfile:
     c2: ScalarFunction
     chi: ExpressionTree
     r0: float
-
-    __getstate__ = state_without_kernels
 
 
 Profile = Union[GeneralPhi, RandersProfile, BerwaldFamilyProfile]
@@ -94,9 +83,8 @@ class MetricSpec:
     r_domain: tuple[float, float]
 
     def __hash__(self) -> int:
-        """The field hash, computed on first use and kept on the spec, as eval_tree
-        keeps a tree's kernels: the lru_cache lookups keyed on a spec then hash
-        no nested profile."""
+        """The field hash, computed on first use and kept on the spec: the
+        lru_cache lookups keyed on a spec then hash no nested profile."""
         try:
             return self._hash
         except AttributeError:
@@ -224,35 +212,10 @@ def regularity_margins(jet: Jet3, r, s):
 
 
 def _randers_phi_jet(p: RandersProfile, r, s, order: int) -> Jet3:
-    """sqrt(f + g s^2) + h s, by jets.run."""
-    coeffs = (p.f, p.g, p.h)
-    bound = bound_of(p, lambda: [x.tree for x in coeffs if isinstance(x, ScalarFunction)])
-    inputs = [x.jet(r, order).c for x in coeffs if not isinstance(x, ScalarFunction)]
-    return Jet3(run(_randers_program, lambda: (_kinds(p, bound), order), bound, order,
-                    (r, s, *inputs)))
-
-
-def _kinds(p: RandersProfile, bound) -> tuple:
-    """Per coefficient: (its tree shape,) for a ScalarFunction, else None."""
-    shapes = iter(bound.shapes)
-    return tuple((next(shapes),) if isinstance(x, ScalarFunction) else None
-                 for x in (p.f, p.g, p.h))
-
-
-def _randers_program(tape, kinds, order: int) -> tuple:
-    """(f + g*s*s).sqrt() + h*s on arguments r, s and a jet per coefficient of
-    kind None; the others are ScalarFunction.jet of their tree shapes."""
-    r, s = tape.param(), tape.param()
-    coeffs = []
-    for kind in kinds:
-        if kind is None:
-            coeffs.append(Jet3(tape.param_jet(SIZE[order])))
-        else:
-            coeffs.append(tree_jet(tape, kind[0], {"r": Jet3.seed(r, dr=1.0, order=order)}))
-    tape.unmark()
-    fj, gj, hj = coeffs
+    """sqrt(f + g s^2) + h s from the radial jets of f, g and h."""
+    fj, gj, hj = (x.jet(r, order) for x in (p.f, p.g, p.h))
     sj = Jet3.seed(s, ds=1.0, order=order)
-    return ((fj + gj * sj * sj).sqrt() + hj * sj).c
+    return (fj + gj * sj * sj).sqrt() + hj * sj
 
 
 # -- Berwald-type family profiles -------------------------------------------
@@ -271,29 +234,18 @@ def _family_table(spec: MetricSpec) -> PanelTable:
 
 
 def _family_phi_jet(spec: MetricSpec, r, s, order: int) -> Jet3:
-    """chi(w) sqrt(g + J s^2) e^{-I2}: the table values of I1, J and I2 at r, then
-    jets.run."""
-    r = np.asarray(r, dtype=float)
-    r = float(r) if r.ndim == 0 else r
-    i1, j, i2 = _family_table(spec).at(r)
-    p = spec.profile
-    bound = bound_of(p, lambda: [p.c2.tree, p.chi])
-    return Jet3(run(_family_program, lambda: (*bound.shapes, order), bound, order,
-                    (r, s, i1, j, i2)))
-
-
-def _family_program(tape, c2_shape, chi_shape, order: int) -> tuple:
-    """The family profile jet on arguments r, s and the table values i1, j, i2,
-    with c2 and chi of these shapes.
+    """chi(w) sqrt(g + J s^2) e^{-I2} at r, from the table values of I1, J and I2.
 
     The r-jets of g = e^{I1}, J and I2 take their values from the table and
     their r-derivatives from the exact integrands (fundamental theorem of
     calculus), so the transport-PDE residual is exact to roundoff.
     """
-    r, s, i1, j, i2 = (tape.param() for _ in range(5))
+    r = np.asarray(r, dtype=float)
+    r = float(r) if r.ndim == 0 else r
+    i1, j, i2 = _family_table(spec).at(r)
+    p = spec.profile
     rj = Jet3.seed(r, dr=1.0, order=order)
-    c2j = tree_jet(tape, c2_shape, {"r": Jet3.seed(r, dr=1.0, order=order)})  # c2.jet
-    tape.unmark()
+    c2j = p.c2.jet(r, order)
     r3c2 = rj.powi(3) * c2j
     two_over_r = 2.0 / rj
     g_jet = _antiderivative_jet(i1, two_over_r - 4.0 * r3c2, order).exp()
@@ -302,11 +254,10 @@ def _family_program(tape, c2_shape, chi_shape, order: int) -> tuple:
     sj = Jet3.seed(s, ds=1.0, order=order)
     s2 = sj * sj
     radicand = g_jet + J_jet * s2
-    tape.call(_check_radicand, r, radicand.value)
+    _check_radicand(r, radicand.value)
     rsqrt = radicand.powr(-0.5)  # one composition gives both w and the square root
-    chi_jet = tree_jet(tape, chi_shape, {"w": s2 * (rsqrt * rsqrt)})
-    tape.unmark()
-    return (chi_jet * (radicand * rsqrt) * (-I2_jet).exp()).c
+    chi_jet = eval_tree(p.chi, {"w": s2 * (rsqrt * rsqrt)})
+    return chi_jet * (radicand * rsqrt) * (-I2_jet).exp()
 
 
 def _antiderivative_jet(value, integrand: Jet3, order: int) -> Jet3:

@@ -5,8 +5,8 @@ differences never call jet code, the brute-force Randers tensors are assembled
 from textbook formulas, and random inputs are generated from seeded numpy
 Generators so every test run is reproducible.  The one exception is the
 reference jet walker, Jet3 arithmetic node by node, and the reference Randers
-and Berwald-family profile jets built on it, which the kernels of
-``eval_tree`` and of the profile jets must match bit for bit.
+and Berwald-family profile jets built on it, which ``expr.eval_tree`` and the
+profile jets of ``finslerlab.geometry`` must match bit for bit.
 """
 
 from __future__ import annotations
@@ -87,7 +87,7 @@ _JET_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": ope
 
 def _eval_jet_node(node: Node, env) -> Jet3:
     """Jet3 arithmetic node by node, post-order, with the domain guards that
-    finslerlab.expr.eval_tree's compiled kernels must reproduce bit for bit."""
+    finslerlab.expr.eval_tree must reproduce bit for bit."""
     try:
         kind = type(node)
         if kind is Binary:
@@ -125,7 +125,7 @@ def reference_eval_tree(tree: ExpressionTree, env) -> Jet3:
     return _eval_jet_node(tree.root, env)
 
 
-# -- reference profile jets: Jet3 arithmetic, as the profile kernels record it ----
+# -- reference profile jets: Jet3 arithmetic, as finslerlab.geometry computes them ----
 
 
 def _reference_radial_jet(fn, r, order: int) -> Jet3:
