@@ -9,7 +9,7 @@ construct  build a profile (Berwald-type family or a Randers branch) and
 sample     the analyze grid as deterministic CSV (regression fixture format)
 
 Exit codes: 0 pass, 1 verdict fail, 2 config error, 3 numeric failure,
-4 regularity failure.
+4 regularity failure, 5 internal error (any other exception).
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import argparse
 import json
 import math
 import sys
+import traceback
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, NamedTuple
@@ -705,6 +706,10 @@ def main(argv=None) -> int:
     ) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
+    except Exception as exc:  # a fault in finslerlab itself, not in the config or the numbers
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        traceback.print_exc(file=sys.stderr)
+        return 5
 
 
 if __name__ == "__main__":

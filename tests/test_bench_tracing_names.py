@@ -6,6 +6,9 @@ renaming a traced function fails here instead of in a traced benchmark run.
 
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -38,6 +41,26 @@ def test_every_traced_leaf_exists(tracing):
         assert callable(Jet3.__dict__.get(name)), f"Jet3.{name}"
     for name in tracing.EXPR_LEAVES:
         assert callable(getattr(expr, name, None)), f"finslerlab.expr.{name}"
+
+
+_INSTALL = """
+import importlib.util
+spec = importlib.util.spec_from_file_location("bench_tracing", {path!r})
+tracing = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracing)
+tracing.Tracer().install()
+"""
+
+
+def test_the_tracer_installs_on_this_source():
+    # install() checks that no module, class or module-level table still binds an
+    # unwrapped function (a Jet3 method kept in a dict, say); a fresh process
+    # imports the package from this checkout's src as bench/run.py does
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _INSTALL.format(path=str(TRACING))],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_node_jet_cache_counters_exist():

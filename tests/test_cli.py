@@ -271,6 +271,17 @@ def test_tol_must_be_a_positive_finite_number(capsys, tol):
 # -- exit codes --------------------------------------------------------------
 
 
+def test_any_other_exception_is_an_internal_error(monkeypatch, capsys):
+    def broken(cfg, spec, args):
+        raise KeyError("no such column")
+
+    monkeypatch.setitem(cli._VERIFIERS, "isotropy", broken)
+    assert main(["verify", "--check", "isotropy", FUNK_CFG]) == 5
+    err = capsys.readouterr().err
+    assert "internal error: KeyError: 'no such column'" in err
+    assert "Traceback (most recent call last)" in err and "in broken" in err
+
+
 def test_missing_file_is_config_error(capsys):
     assert main(["analyze", "/no/such/config.json"]) == 2
     assert "config error" in capsys.readouterr().err
