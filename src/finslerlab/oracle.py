@@ -162,9 +162,9 @@ def distortion(spec: MetricSpec, vol, x, y, jet: Jet3 | None = None) -> float:
 def s_by_distortion(spec: MetricSpec, vol, x0, y0, dt: float | None = None) -> float:
     """S(x0, y0) as d/dt of the distortion along the geodesic through (x0, y0).
 
-    Five-point fourth-order stencil at t = 0, the samples at +-dt and +-2dt
-    reached by two RK4 steps each (4 per direction): the stencil's rounding,
-    about 1e-12 of 1 + |S|, dominates the integrator's error at any step
+    Five-point fourth-order stencil at t = 0 on samples at +-dt and +-2dt,
+    two RK4 steps apart (4 steps per direction): the stencil's rounding,
+    about 1e-12 of 1 + |S|, outweighs the integrator's error at any step
     count.  The default dt is 1e-3 scaled by 1/F(x0, y0) so the stencil width
     is metrically uniform across specs.  Both directions are integrated
     first, then the four stored states' densities are one ``density`` call.
