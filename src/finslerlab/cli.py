@@ -54,16 +54,14 @@ from .geometry import (
     embed_point,
     general_phi_spec,
     metric_determinant,
-    phi_jet,
     randers_spec,
     regularity_scan,
     s_fractions,
-    spray_values,
 )
 from .oracle import _split, s_by_distortion
 from .randers import covariant_b_coefficients
-from .scurvature import isotropy_profile, reduced_s, reduced_s_given_f
-from .volume import BH, CONSTANT, HT, CustomDensity, density, f_coefficient
+from .scurvature import isotropy_profile, reduced_s, scurvature_columns
+from .volume import BH, CONSTANT, HT, CustomDensity, density
 
 CSV_HEADER = "r,s,phi,P,Q,Q_s,detg,sigma,f_r,S_over_u"
 
@@ -373,17 +371,10 @@ def _grid_columns(cfg: RunConfig, spec: MetricSpec) -> tuple[dict, dict]:
     r_values, fracs = _grids(cfg)
 
     def columns(radii):
-        rc = radii[:, None]
-        s = rc * fracs
         sigma = density(cfg.volume, spec, radii)
-        f_r = f_coefficient(cfg.volume, spec, radii)
-        sv = spray_values(spec, rc, s)
-        phi = phi_jet(spec, rc, s).d(0, 0)
-        detg = metric_determinant(spec, rc, s)
-        red = reduced_s_given_f(spec, rc, s, f_r[:, None])
-        cols = {"r": rc, "s": s, "phi": phi, "P": sv.P, "Q": sv.Q, "Q_s": sv.Q_s, "detg": detg,
-                "sigma": sigma[:, None], "f_r": f_r[:, None], "S_over_u": red,
-                "c": red / ((spec.n + 1) * phi)}
+        cols, jet = scurvature_columns(spec, cfg.volume, radii, fracs)
+        s = cols["s"]
+        cols.update(sigma=sigma[:, None], detg=metric_determinant(spec, cols["r"], s, jet))
         return {k: np.broadcast_to(np.asarray(v, dtype=float), s.shape) for k, v in cols.items()}
 
     cols = batch_radii(columns, r_values)
@@ -409,6 +400,7 @@ def cmd_analyze(cfg: RunConfig, args) -> int:
             "worst_margin": float(scan.worst_margin),
             "worst_point": {"r": scan.worst_point[0], "s": scan.worst_point[1]},
             "worst_condition": int(scan.worst_condition),
+            "cholesky_ok": scan.cholesky_ok,
         },
         "per_radius": _records(per_radius),
         "grid": _records(cols),
@@ -458,16 +450,15 @@ def _verify_douglas(cfg, spec, args) -> Verdict:
 
 
 def _verify_family(cfg, spec, args) -> Verdict:
-    built = build_berwald_family(
-        spec.profile.c2, spec.profile.chi, spec.profile.r0, spec.r_domain, cfg.n
-    )
+    # the build raises on a failed regularity scan (exit 4) or PDE audit (exit 3)
+    build_berwald_family(spec.profile.c2, spec.profile.chi, spec.profile.r0, spec.r_domain, cfg.n)
     r_values, fracs = _grids(cfg)
     rc = r_values[:, None]
     dev = np.abs(np.broadcast_to(family_pde_residual(spec, spec.profile.c2, rc, rc * fracs),
                                  (r_values.size, fracs.size)))
     tol = args.tol if args.tol is not None else 1e-8
     fit = douglas_verdict(spec, r_values, fracs)
-    passed = bool(np.max(dev) <= tol and fit.passed and built.regularity.passed)
+    passed = bool(np.max(dev) <= tol and fit.passed)
     return Verdict(passed, dev, rc, rc * fracs,
                    {"r": r_values, "c1": fit.c1, "c2": fit.c2, "pde_residual": np.max(dev, axis=1)})
 
@@ -572,6 +563,7 @@ def _construct_berwald(cfg: RunConfig, p: dict) -> dict:
             "douglas_max_residual": float(np.max(built.douglas.max_residual)),
             "regularity_passed": built.regularity.passed,
             "regularity_worst_margin": float(built.regularity.worst_margin),
+            "cholesky_ok": built.regularity.cholesky_ok,
         },
     }
 
@@ -659,21 +651,17 @@ def _parser() -> argparse.ArgumentParser:
         description="verification lab for spherically symmetric Finsler metrics",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-    for name, needs in (
-        ("analyze", ()),
-        ("verify", ("check",)),
-        ("construct", ("family",)),
-        ("sample", ()),
-    ):
+    for name in _COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("config", help="path to a JSON run configuration")
-        if "check" in needs:
+        if name == "verify":
             p.add_argument("--check", required=True, choices=CHECKS)
-        if "family" in needs:
+        if name == "construct":
             p.add_argument("--family", required=True, choices=_BUILDERS)
         p.add_argument("--out", default=None, help="output file path")
-        p.add_argument("--tol", type=_positive_float, default=None, help="tolerance override")
-        p.add_argument("--seed", type=_natural, default=None, help="seed override")
+        if name == "verify":  # no other command reads a tolerance or a seed
+            p.add_argument("--tol", type=_positive_float, default=None, help="tolerance override")
+            p.add_argument("--seed", type=_natural, default=None, help="seed override")
     return ap
 
 

@@ -29,9 +29,10 @@ Regularity means three pointwise positivity conditions::
 
 The last quantity is also the denominator of the spray coefficient Q.
 
-Order-2 jets (``phi_jet(..., order=2)``) serve the consumers that read no
-third partial: the geodesic oracle (norm, spray stages, determinant), the
-Douglas fit of Q, the P/s spread and the Busemann-Hausdorff density.  The
+The caller that owns a point set evaluates its profile jet once (``phi_jet``);
+``spray_values`` and ``metric_determinant`` read it.  Order 2 serves the readers
+of no third partial: the geodesic oracle (norm, spray stages, determinant), the
+Douglas fit of Q, the P/s spread and the Busemann-Hausdorff density; the
 S-curvature, the sampled CSV (Q_s) and the Holmes-Thompson density use order 3.
 """
 
@@ -301,21 +302,18 @@ class SprayValues:
         return self._q_s
 
 
-def spray_values(spec: MetricSpec, r, s, jet: Jet3 | None = None) -> SprayValues:
+def spray_values(spec: MetricSpec, r, s, jet: Jet3) -> SprayValues:
     """P, Q and, from an order-3 jet, the exact s-derivative of Q at (r, s).
 
     Q = (-phi_r + s phi_rs + r phi_ss) / (2 r (phi - s phi_s + (r^2-s^2) phi_ss))
     P = -(s phi + (r^2-s^2) phi_s) Q / phi + (s phi_r + r phi_s) / (2 r phi)
 
-    P and Q read partials of order <= 2 only, so the geodesic oracle, the
-    Douglas fit (Q) and the P/s spread pass an order-2 jet.  Q_s comes from
+    ``jet`` is ``phi_jet(spec, r, s, order)``, evaluated by the caller.  P and
+    Q read partials of order <= 2 only, so the geodesic oracle, the Douglas
+    fit (Q) and the P/s spread pass an order-2 jet.  Q_s comes from
     differentiating the quotient symbolically with the third partials (no
     finite differences); the S-curvature and the sampled CSV read it.
-    ``jet``, if given, is ``phi_jet(spec, r, s, order)`` already evaluated;
-    by default an order-3 jet is evaluated.
     """
-    if jet is None:
-        jet = phi_jet(spec, r, s)
     phi = jet.d(0, 0)
     phi_r = jet.d(1, 0)
     phi_s = jet.d(0, 1)
@@ -323,7 +321,7 @@ def spray_values(spec: MetricSpec, r, s, jet: Jet3 | None = None) -> SprayValues
     phi_ss = jet.d(0, 2)
     rr_ss = r * r - s * s
     num = -phi_r + s * phi_rs + r * phi_ss
-    den = phi - s * phi_s + rr_ss * phi_ss
+    den = regularity_margins(jet, r, s)[2]
     q = num / (2.0 * r * den)
     p = -(s * phi + rr_ss * phi_s) * q / phi + (s * phi_r + r * phi_s) / (2.0 * r * phi)
     if jet.order < 3:
@@ -336,13 +334,11 @@ def spray_values(spec: MetricSpec, r, s, jet: Jet3 | None = None) -> SprayValues
     return SprayValues(P=p, Q=q, denom=den, _q_s=q_s)
 
 
-def metric_determinant(spec: MetricSpec, r, s, jet: Jet3 | None = None):
+def metric_determinant(spec: MetricSpec, r, s, jet: Jet3):
     """det(g_ij) = phi^{n+1} (phi - s phi_s)^{n-2} (phi - s phi_s + (r^2-s^2) phi_ss).
 
-    ``jet``, if given, is ``phi_jet(spec, r, s)`` already evaluated.
+    ``jet`` is ``phi_jet(spec, r, s)``, of order 2 or 3, evaluated by the caller.
     """
-    if jet is None:
-        jet = phi_jet(spec, r, s)
     m1, m2, m3 = regularity_margins(jet, r, s)
     n = spec.n
     return ipow(m1, n + 1) * ipow(m2, n - 2) * m3
@@ -396,7 +392,6 @@ class RegularityReport:
     worst_margin: float
     worst_point: tuple[float, float] | None
     worst_condition: int | None
-    cholesky_points: list = field(default_factory=list)
     cholesky_ok: bool | None = None
     notes: list = field(default_factory=list)
 
@@ -484,9 +479,6 @@ def _cholesky_spots(spec: MetricSpec, report: RegularityReport, count: int = 5):
         g = assemble_metric_matrix(spec, x, y)
         try:
             np.linalg.cholesky(0.5 * (g + g.T))
-            ok = True
         except np.linalg.LinAlgError:
-            ok = False
             all_ok = False
-        report.cholesky_points.append({"r": r, "s": s, "positive_definite": ok})
     report.cholesky_ok = all_ok

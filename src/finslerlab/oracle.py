@@ -34,7 +34,7 @@ class GeodesicState:
     x: np.ndarray
     y: np.ndarray
     t: float
-    jet: Jet3 | None = field(default=None, repr=False, compare=False)
+    jet: Jet3 = field(repr=False, compare=False)
 
 
 def _dot(a, b) -> float:
@@ -138,7 +138,7 @@ def integrate_geodesic(
 
 def _taus(spec: MetricSpec, vol, states) -> list[float]:
     """tau at each GeodesicState: one determinant per state (from its profile
-    jet, if it has one), then one density call for all their radii."""
+    jet), then one density call for all their radii."""
     radii, half_log_det = [], []
     for st in states:
         _, r, s = _split(st.x.tolist(), st.y.tolist())
@@ -154,9 +154,10 @@ def _taus(spec: MetricSpec, vol, states) -> list[float]:
 
 def distortion(spec: MetricSpec, vol, x, y, jet: Jet3 | None = None) -> float:
     """tau(x, y) = ln( sqrt(det g at (r, s)) / sigma(r) ); jet, if given, is the
-    profile jet at (r, s)."""
-    state = GeodesicState(np.asarray(x, dtype=float), np.asarray(y, dtype=float), 0.0, jet)
-    return _taus(spec, vol, [state])[0]
+    profile jet at (r, s), else its order-2 jet is evaluated."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    jet = _norm_and_jet(spec, x.tolist(), y.tolist(), jet)[1]
+    return _taus(spec, vol, [GeodesicState(x, y, 0.0, jet)])[0]
 
 
 def s_by_distortion(spec: MetricSpec, vol, x0, y0, dt: float | None = None) -> float:

@@ -8,6 +8,9 @@ u = |y| to a function of (r, s) alone::
 S-curvature is isotropic when S = (n+1) c(r) F for some function of the
 radius, i.e. when c(r, s) := (S/u) / ((n+1) phi) does not depend on s.  The
 verdict measures the spread of c over each radius's s-grid.
+
+Every term but f(r) s is read off one order-3 profile jet, evaluated by the
+caller that owns the points: one per batch of radii, or one per point.
 """
 
 from __future__ import annotations
@@ -16,23 +19,41 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import MetricSpec, batch_radii, phi_jet, s_fractions, spray_values
+from .geometry import MetricSpec, SprayValues, batch_radii, phi_jet, s_fractions, spray_values
+from .jets import Jet3
 from .volume import VolumeSpec, f_coefficient
 
 
-def reduced_s_given_f(spec: MetricSpec, r, s, f_r):
-    """S/u at (r, s) with the volume's f(r) supplied by the caller."""
-    sv = spray_values(spec, r, s)
-    r = np.asarray(r, dtype=float)
-    s = np.asarray(s, dtype=float)
-    n = spec.n
+def _s_over_u(n: int, r, s, f_r, sv: SprayValues):
+    """(n+1) P + (r^2 - s^2) Q_s + 2 s Q + f(r) s from the spray values at (r, s)."""
+    r, s = np.asarray(r, dtype=float), np.asarray(s, dtype=float)
     return (n + 1) * sv.P + (r * r - s * s) * sv.Q_s + 2.0 * s * sv.Q + f_r * s
+
+
+def reduced_s_given_f(spec: MetricSpec, r, s, f_r, jet: Jet3):
+    """S/u at (r, s) from the order-3 profile jet there and the volume's f(r)."""
+    return _s_over_u(spec.n, r, s, f_r, spray_values(spec, r, s, jet))
 
 
 def reduced_s(spec: MetricSpec, vol: VolumeSpec, r, s):
     """S/u at a point (r scalar; s scalar or array)."""
     f_r = f_coefficient(vol, spec, float(r))
-    return reduced_s_given_f(spec, r, s, f_r)
+    return reduced_s_given_f(spec, r, s, f_r, phi_jet(spec, r, s))
+
+
+def scurvature_columns(spec: MetricSpec, vol: VolumeSpec, radii, fracs) -> tuple[dict, Jet3]:
+    """Columns r, f_r (shaped (radii, 1)), s, phi, P, Q, Q_s, S_over_u and c = (S/u) /
+    ((n+1) phi) at (r, r * fracs) for an array of radii, and the order-3 profile jet
+    they read (evaluated after f(r))."""
+    rc = radii[:, None]
+    s = rc * fracs
+    f_r = f_coefficient(vol, spec, radii)[:, None]
+    jet = phi_jet(spec, rc, s)
+    sv = spray_values(spec, rc, s, jet)
+    phi = jet.d(0, 0)
+    red = _s_over_u(spec.n, rc, s, f_r, sv)
+    return {"r": rc, "s": s, "phi": phi, "P": sv.P, "Q": sv.Q, "Q_s": sv.Q_s, "f_r": f_r,
+            "S_over_u": red, "c": red / ((spec.n + 1) * phi)}, jet
 
 
 @dataclass
@@ -76,12 +97,8 @@ def isotropy_profile(
         raise ValueError("s fractions must lie strictly inside (-1, 1)")
 
     def c_grid(radii):
-        rc = radii[:, None]
-        s = rc * fracs
-        f_r = f_coefficient(vol, spec, radii)
-        red = reduced_s_given_f(spec, rc, s, f_r[:, None])
-        phi = phi_jet(spec, rc, s).d(0, 0)
-        return red / ((spec.n + 1) * phi), f_r
+        cols, _ = scurvature_columns(spec, vol, radii, fracs)
+        return cols["c"], cols["f_r"][:, 0]
 
     c_values, f_values = batch_radii(c_grid, r_grid)
     c_mean = c_values.mean(axis=1)

@@ -46,6 +46,7 @@ from finslerlab.geometry import (
     assemble_metric_matrix,
     general_phi_spec,
     metric_determinant,
+    phi_jet,
     randers_spec,
     s_fractions,
 )
@@ -116,7 +117,7 @@ def test_criterion_02_determinant_identity_against_brute_force():
                 u = float(np.linalg.norm(y))
                 r = float(np.linalg.norm(x))
                 s = float(np.dot(x, y) / u)
-                closed = float(metric_determinant(spec, r, s))
+                closed = float(metric_determinant(spec, r, s, phi_jet(spec, r, s)))
                 brute = float(np.linalg.det(assemble_metric_matrix(spec, x, y)))
                 rel = abs(closed - brute) / abs(brute)
                 assert rel <= 1e-9, (n, spec, r, s, closed, brute)

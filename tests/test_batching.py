@@ -117,8 +117,9 @@ def test_isotropy_profile_rows_equal_per_radius_evaluation(request, name, vol):
     for i, x in enumerate(r.tolist()):
         s = x * fracs
         f_r = f_coefficient(vol, spec, x)
-        red = reduced_s_given_f(spec, x, s, f_r)
-        c = red / ((spec.n + 1) * phi_jet(spec, x, s).d(0, 0))
+        jet = phi_jet(spec, x, s)
+        red = reduced_s_given_f(spec, x, s, f_r, jet)
+        c = red / ((spec.n + 1) * jet.d(0, 0))
         assert _same(prof.c_values[i], c), i
         assert _same(prof.f_values[i], f_r), i
         assert _same(prof.c_spread[i], np.max(c) - np.min(c)), i

@@ -222,6 +222,42 @@ def test_oracle_band_catches_a_spray_slip_both_sides_share(monkeypatch, capsys, 
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("path", BUNDLED, ids=lambda p: p.stem)
+def test_analyze_reports_the_cholesky_spot_check(capsys, path):
+    assert main(["analyze", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["regularity"]["cholesky_ok"] is True
+
+
+def _grid_jet_orders(monkeypatch, argv: list, path: Path) -> list:
+    """The orders of the profile jets main(argv) evaluates on the config's whole (r, s) grid."""
+    r, fracs = cli._grids(cli.load_config(str(path)))
+    grid_s = r[:, None] * fracs
+    raw, orders = geometry._phi_jet_raw, []
+
+    def counted(spec, r, s, order=3):
+        if np.shape(s) == grid_s.shape and np.array_equal(s, grid_s):
+            orders.append(order)
+        return raw(spec, r, s, order)
+
+    monkeypatch.setattr(geometry, "_phi_jet_raw", counted)
+    assert main(argv) == 0
+    return orders
+
+
+@pytest.mark.parametrize("path", BUNDLED, ids=lambda p: p.stem)
+@pytest.mark.parametrize("command, orders", [
+    (["sample"], [3]),
+    (["analyze"], [3]),
+    (["verify", "--check", "isotropy"], [3]),
+    (["verify", "--check", "douglas"], [2]),
+])
+def test_one_profile_jet_per_grid_batch(monkeypatch, capsys, path, command, orders):
+    # the spray, determinant and S-curvature columns all read the batch's one jet
+    argv = [command[0], str(path), *command[1:]]
+    assert _grid_jet_orders(monkeypatch, argv, path) == orders
+    capsys.readouterr()
+
+
 def test_unknown_check_rejected(capsys):
     with pytest.raises(SystemExit):
         main(["verify", "--check", "bogus", FUNK_CFG])
@@ -250,6 +286,19 @@ def test_quad_is_an_unknown_option(capsys, quad):
         main(["verify", "--check", "isotropy", FUNK_CFG, "--quad", quad])
     assert exc.value.code == 2
     assert "unrecognized arguments: --quad" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["sample", FUNK_CFG, "--tol", "5"],
+    ["analyze", FUNK_CFG, "--seed", "3"],
+    ["construct", "--family", "berwald", FUNK_CFG, "--seed", "3"],
+])
+def test_tol_and_seed_are_verify_options(capsys, argv):
+    # no other command reads them, so elsewhere they are unknown, not ignored
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("seed", ["-1", "x", "1.5"])
@@ -589,6 +638,7 @@ def test_construct_berwald_round_trip(tmp_path, capsys):
     assert "tables" not in built
     assert built["diagnostics"]["pde_max_residual"] <= 1e-8
     assert built["diagnostics"]["douglas_passed"] is True
+    assert built["diagnostics"]["cholesky_ok"] is True
     assert main(["verify", "--check", "berwald-family", str(out)]) == 0
     assert main(["verify", "--check", "douglas", str(out)]) == 0
     capsys.readouterr()
