@@ -27,6 +27,7 @@ from .families import (
     bh_classification_residuals,
     bh_solve_g,
     build_berwald_family,
+    certify_family,
     family_pde_residual,
     ht_condition_residual,
     ht_solve_h,
@@ -89,6 +90,7 @@ __all__ = [
     "bh_classification_residuals",
     "bh_solve_g",
     "build_berwald_family",
+    "certify_family",
     "christoffel_coefficients",
     "covariant_b_coefficients",
     "density",

@@ -43,7 +43,7 @@ from .families import (
     bh_classification_residuals,
     bh_solve_g,
     build_berwald_family,
-    family_pde_residual,
+    certify_family,
     ht_condition_residual,
     ht_solve_h,
 )
@@ -307,7 +307,7 @@ def load_config(path: str) -> RunConfig:
             raw = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path!r}: {exc}", key="<file>") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, huge ints, deep nesting
         raise ConfigError(f"config file {path!r} is not valid JSON: {exc}", key="<file>") from exc
     known = {}
     return RunConfig(raw=raw, values=known, **_section("", raw, known))
@@ -450,17 +450,15 @@ def _verify_douglas(cfg, spec, args) -> Verdict:
 
 
 def _verify_family(cfg, spec, args) -> Verdict:
-    # the build raises on a failed regularity scan (exit 4) or PDE audit (exit 3)
-    build_berwald_family(spec.profile.c2, spec.profile.chi, spec.profile.r0, spec.r_domain, cfg.n)
+    # a failed regularity scan over metric.r_domain raises (exit 4); the PDE
+    # residual and the Douglas fit are judged on the config grid
     r_values, fracs = _grids(cfg)
-    rc = r_values[:, None]
-    dev = np.abs(np.broadcast_to(family_pde_residual(spec, spec.profile.c2, rc, rc * fracs),
-                                 (r_values.size, fracs.size)))
+    built = certify_family(spec, r_values, fracs)
     tol = args.tol if args.tol is not None else 1e-8
-    fit = douglas_verdict(spec, r_values, fracs)
-    passed = bool(np.max(dev) <= tol and fit.passed)
-    return Verdict(passed, dev, rc, rc * fracs,
-                   {"r": r_values, "c1": fit.c1, "c2": fit.c2, "pde_residual": np.max(dev, axis=1)})
+    fit, rc = built.douglas, r_values[:, None]
+    return Verdict(built.pde_max_residual <= tol and fit.passed, built.pde, rc, rc * fracs,
+                   {"r": r_values, "c1": fit.c1, "c2": fit.c2,
+                    "pde_residual": np.max(built.pde, axis=1)})
 
 
 def _verify_bh_classification(cfg, spec, args) -> Verdict:

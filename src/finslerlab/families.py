@@ -1,11 +1,16 @@
 """Construction of Berwald-type metric families and the classification ODEs.
 
-Three layers live here:
+Four layers live here:
 
 * residual evaluators for the structural identities a candidate profile must
   satisfy (the first-order family PDE, the two-equation spray system, and the
   Randers-profile conditions for either volume density), each computed with
-  jet-exact partial derivatives;
+  jet-exact partial derivatives; the PDE and spray-system residuals read the
+  profile jet their caller evaluated;
+* the family builder and its certificate (``certify_family``): a regularity
+  scan over the domain, then the PDE residual and the Douglas fit of Q read
+  off one order-2 jet per batch of radii, on the config grid for ``verify``
+  and on 9 radii x ``s_fractions(21)`` for a build;
 * solvers that generate admissible profiles from the conditions at the
   nodes of a uniform grid (the closed-form solution of the linear g equation,
   read off one jet, for the Busemann-Hausdorff branch; the exponential of a
@@ -29,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .douglas import DouglasFit, douglas_verdict
+from .douglas import DouglasFit, fit_q
 from .errors import (
     CrossCheckError,
     DegenerateInputError,
@@ -41,8 +46,8 @@ from .geometry import (
     BerwaldFamilyProfile,
     MetricSpec,
     RegularityReport,
+    batch_radii,
     phi_jet,
-    phi_jet_unchecked,
     regularity_scan,
     s_fractions,
     spray_values,
@@ -242,17 +247,17 @@ def _uniform_nodes(r_range, steps: int, r0) -> tuple[np.ndarray, float, int]:
 # -- residual evaluators -----------------------------------------------------
 
 
-def family_pde_residual(spec: MetricSpec, c2, r, s):
+def family_pde_residual(spec: MetricSpec, c2, r, s, jet):
     """Residual of phi_r + (s/r - 2 r c2 (r^2-s^2) s) phi_s + (1/r - 2 r c2 s^2) phi.
 
     Solutions of this transport equation are exactly the profiles whose
-    sprays have Q = 1/(2r^2) + c2(r) s^2 with P linear in s; positivity is
-    deliberately not enforced so degenerate fixtures can be probed.
+    sprays have Q = 1/(2r^2) + c2(r) s^2 with P linear in s.  ``jet`` is the
+    profile jet at (r, s), of order 2 or 3, evaluated by the caller; degenerate
+    fixtures (odd or sign-changing profiles) pass ``phi_jet_unchecked``.
     """
     c2 = _as_radial_fn(c2)
     r_a = np.asarray(r, dtype=float)
     s_a = np.asarray(s, dtype=float)
-    jet = phi_jet_unchecked(spec, r, s)
     c2v = np.asarray(c2.value(r_a))
     phi, phi_r, phi_s = jet.d(0, 0), jet.d(1, 0), jet.d(0, 1)
     res = (
@@ -263,7 +268,7 @@ def family_pde_residual(spec: MetricSpec, c2, r, s):
     return res if np.asarray(res).shape else float(res)
 
 
-def spray_system_residual(spec: MetricSpec, c1, c2, b, c, r, s):
+def spray_system_residual(spec: MetricSpec, c1, c2, b, c, r, s, jet):
     """Residuals (res1, res2) of the two first-order spray relations.
 
     res1 = r[2(r^2-s^2)(c1+c2 s^2) - 1] phi_s - s phi_r
@@ -272,12 +277,12 @@ def spray_system_residual(spec: MetricSpec, c1, c2, b, c, r, s):
            + 2 r (c1+c2 s^2)(phi - s phi_s)
 
     A profile satisfies both exactly when its spray has Q = c1 + c2 s^2 and
-    P = c phi + b s.
+    P = c phi + b s.  ``jet`` is the caller's profile jet at (r, s), as for
+    ``family_pde_residual``.
     """
     c1, c2, b, c = (_as_radial_fn(v) for v in (c1, c2, b, c))
     r_a = np.asarray(r, dtype=float)
     s_a = np.asarray(s, dtype=float)
-    jet = phi_jet_unchecked(spec, r, s)
     phi = jet.d(0, 0)
     phi_r, phi_s = jet.d(1, 0), jet.d(0, 1)
     phi_rs, phi_ss = jet.d(1, 1), jet.d(0, 2)
@@ -517,12 +522,45 @@ def ht_solve_h(c_const: float, g, h_at_r0: float, r_range, steps: int = 1600, r0
 
 @dataclass
 class FamilyBuildResult:
-    """A built family member plus the diagnostics that certify it."""
+    """A family member plus the diagnostics that certify it."""
 
     spec: MetricSpec
-    pde_max_residual: float
+    pde: np.ndarray  # (r, s): |family PDE residual| on the certified grid
     douglas: DouglasFit
     regularity: RegularityReport
+
+    @property
+    def pde_max_residual(self) -> float:
+        return float(np.max(self.pde))
+
+
+def certify_family(spec: MetricSpec, r_grid, s_fracs) -> FamilyBuildResult:
+    """The regularity scan over spec.r_domain, then the PDE and Douglas fit on a grid.
+
+    A failed scan raises RegularityError.  The transport-PDE residual and the
+    Douglas fit of Q both read one order-2 profile jet per batch of radii, on
+    the points r * s_fracs of each radius in r_grid; judging the residual is
+    the caller's.
+    """
+    regularity = regularity_scan(spec)
+    if not regularity.passed:
+        raise RegularityError(
+            "family instance is not a Finsler metric for this chi "
+            f"(worst margin {regularity.worst_margin:.3e} at {regularity.worst_point}, "
+            f"condition {regularity.worst_condition})",
+            point=regularity.worst_point,
+            condition=regularity.worst_condition,
+        )
+
+    def batch(radii):
+        rc = radii[:, None]
+        s = rc * s_fracs
+        jet = phi_jet(spec, rc, s, order=2)  # neither reader needs a third partial
+        pde = family_pde_residual(spec, spec.profile.c2, rc, s, jet)
+        return fit_q(spec, rc, s, jet), np.abs(pde)
+
+    fit, pde = batch_radii(batch, np.asarray(r_grid, dtype=float))
+    return FamilyBuildResult(spec=spec, pde=pde, douglas=fit, regularity=regularity)
 
 
 def build_berwald_family(c2, chi, r0: float, domain, n: int) -> FamilyBuildResult:
@@ -530,9 +568,10 @@ def build_berwald_family(c2, chi, r0: float, domain, n: int) -> FamilyBuildResul
 
     Here w = s^2/(g + J s^2) and g, J, I2 are the three antiderivatives of
     the construction, all anchored at r0 (integration constants zero there).
-    The result is only returned if a regularity scan passes and the family
-    PDE residual stays below 1e-8 on a validation grid; the Douglas fit of
-    the built spray is bundled as a diagnostic.
+    The member is certified by ``certify_family`` on 9 radii across the
+    domain times ``s_fractions(21)``, and only returned if its PDE residual
+    stays below 1e-8 there; the Douglas fit on that grid is bundled as a
+    diagnostic.
     """
     c2 = _as_radial_fn(c2)
     if not isinstance(c2, ScalarFunction):
@@ -546,28 +585,13 @@ def build_berwald_family(c2, chi, r0: float, domain, n: int) -> FamilyBuildResul
     if not lo <= r0 <= hi:
         raise ValueError(f"anchor r0 = {r0} outside domain [{lo}, {hi}]")
     spec = MetricSpec(BerwaldFamilyProfile(c2=c2, chi=chi, r0=r0), int(n), (lo, hi))
-
-    regularity = regularity_scan(spec)
-    if not regularity.passed:
-        raise RegularityError(
-            "family instance is not a Finsler metric for this chi "
-            f"(worst margin {regularity.worst_margin:.3e} at {regularity.worst_point}, "
-            f"condition {regularity.worst_condition})",
-            point=regularity.worst_point,
-            condition=regularity.worst_condition,
-        )
-
-    r_grid = np.linspace(lo, hi, 9)
-    rc = r_grid[:, None]
-    worst = float(np.max(np.abs(family_pde_residual(spec, c2, rc, rc * s_fractions(11)))))
+    built = certify_family(spec, np.linspace(lo, hi, 9), s_fractions(21))
+    worst = built.pde_max_residual
     if worst > 1e-8:
         raise CrossCheckError(
             f"constructed family member violates its own PDE: residual {worst:.3e}"
         )
-    fit = douglas_verdict(spec, r_grid)
-    return FamilyBuildResult(
-        spec=spec, pde_max_residual=worst, douglas=fit, regularity=regularity
-    )
+    return built
 
 
 # -- spray shape helpers -----------------------------------------------------

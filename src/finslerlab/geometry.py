@@ -32,7 +32,8 @@ The last quantity is also the denominator of the spray coefficient Q.
 The caller that owns a point set evaluates its profile jet once (``phi_jet``);
 ``spray_values`` and ``metric_determinant`` read it.  Order 2 serves the readers
 of no third partial: the geodesic oracle (norm, spray stages, determinant), the
-Douglas fit of Q, the P/s spread and the Busemann-Hausdorff density; the
+Douglas fit of Q, the family PDE and spray-system residuals, the P/s spread, the
+regularity scan, the assembled tensor and the Busemann-Hausdorff density; the
 S-curvature, the sampled CSV (Q_s) and the Holmes-Thompson density use order 3.
 """
 
@@ -115,11 +116,11 @@ def randers_spec(f, g, h, n: int, r_domain=(1e-3, 1.0)) -> MetricSpec:
     return MetricSpec(RandersProfile(f, g, h), n, tuple(map(float, r_domain)))
 
 
-def s_fractions(count: int, margin: float = S_MARGIN) -> np.ndarray:
-    """Symmetric grid of s/r fractions, endpoints inset from +-1 by margin."""
+def s_fractions(count: int) -> np.ndarray:
+    """Symmetric grid of s/r fractions, endpoints inset from +-1 by S_MARGIN."""
     if count < 2:
         raise ValueError("need at least two s points")
-    return np.linspace(-(1.0 - margin), 1.0 - margin, count)
+    return np.linspace(-(1.0 - S_MARGIN), 1.0 - S_MARGIN, count)
 
 
 def batch_radii(batch, r_grid):
@@ -291,7 +292,6 @@ class SprayValues:
 
     P: object
     Q: object
-    denom: object
     _q_s: object = field(default=None, repr=False)
 
     @property
@@ -325,13 +325,13 @@ def spray_values(spec: MetricSpec, r, s, jet: Jet3) -> SprayValues:
     q = num / (2.0 * r * den)
     p = -(s * phi + rr_ss * phi_s) * q / phi + (s * phi_r + r * phi_s) / (2.0 * r * phi)
     if jet.order < 3:
-        return SprayValues(P=p, Q=q, denom=den)
+        return SprayValues(P=p, Q=q)
     phi_rss = jet.d(1, 2)
     phi_sss = jet.d(0, 3)
     num_s = s * phi_rss + r * phi_sss
     den_s = -3.0 * s * phi_ss + rr_ss * phi_sss
     q_s = (num_s * den - num * den_s) / (2.0 * r * den * den)
-    return SprayValues(P=p, Q=q, denom=den, _q_s=q_s)
+    return SprayValues(P=p, Q=q, _q_s=q_s)
 
 
 def metric_determinant(spec: MetricSpec, r, s, jet: Jet3):
@@ -359,7 +359,7 @@ def assemble_metric_matrix(spec: MetricSpec, x, y) -> np.ndarray:
         raise DomainError("y must be non-zero")
     r = float(np.linalg.norm(x))
     s = float(np.dot(x, y) / u)
-    jet = _phi_jet_raw(spec, r, s)
+    jet = _phi_jet_raw(spec, r, s, 2)
     phi = jet.d(0, 0)
     phi_s = jet.d(0, 1)
     phi_ss = jet.d(0, 2)
@@ -410,7 +410,7 @@ def regularity_scan(spec: MetricSpec, r_count: int = 25, s_count: int = 25) -> R
     notes: list[str] = []
 
     def fill(idx, r, s):
-        for k, m in enumerate(regularity_margins(_phi_jet_raw(spec, r, s), r, s)):
+        for k, m in enumerate(regularity_margins(_phi_jet_raw(spec, r, s, 2), r, s)):
             margins[idx + (k,)] = m
         valid[idx] = True
 
@@ -464,15 +464,15 @@ def embed_point(r: float, s: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, y
 
 
-def _cholesky_spots(spec: MetricSpec, report: RegularityReport, count: int = 5):
+def _cholesky_spots(spec: MetricSpec, report: RegularityReport):
     good = np.argwhere(report.point_valid & report.ok.all(axis=2))
     # skip |s/r| ~ 1 rows where embed_point degenerates
     good = [idx for idx in good if abs(report.s_fracs[idx[1]]) < 0.999]
     if not good:
         return
-    stride = max(1, len(good) // count)
+    stride = max(1, len(good) // 5)
     all_ok = True
-    for idx in good[::stride][:count]:
+    for idx in good[::stride][:5]:
         r = float(report.r_grid[idx[0]])
         s = float(r * report.s_fracs[idx[1]])
         x, y = embed_point(r, s, spec.n)

@@ -68,14 +68,6 @@ class RadialData:
     u2: object
     jets: tuple
 
-    def christoffel(self) -> tuple:
-        """(A, B, C) with Gamma^k_ij = A x_i x_j x_k + B x_k d_ij + C (x_i d_kj + x_j d_ki)."""
-        r, f, fp, g, gp, q = self.r, self.f, self.f_d1, self.g, self.g_d1, self.q
-        a = (f * gp - 2.0 * fp * g) / (2.0 * r * f * q)
-        b = (2.0 * r * g - fp) / (2.0 * r * q)
-        c = fp / (2.0 * r * f)
-        return a, b, c
-
 
 def radial_data(f, g, h, r) -> RadialData:
     """The radial Randers data of the profiles f, g, h at r, a float or a 1-D array.
@@ -105,12 +97,12 @@ def radial_data(f, g, h, r) -> RadialData:
 
 @dataclass(frozen=True)
 class RandersCoefficients:
-    """Pointwise Levi-Civita and 1-form data of a Randers profile at radius r.
+    """Pointwise metric and 1-form data of a Randers profile at radius r.
 
-    Conventions: Gamma^k_ij = A x_i x_j x_k + B x_k d_ij + C (x_i d_kj + x_j d_ki)
-    for the Christoffel symbols of alpha, and b_{i;j} = u1 d_ij + u2 x_i x_j
-    for the covariant derivative of beta.  inv_diag and inv_xx describe the
-    inverse metric a^ij = inv_diag d_ij + inv_xx x_i x_j.
+    Conventions: b_{i;j} = u1 d_ij + u2 x_i x_j for the covariant derivative of
+    beta, and inv_diag and inv_xx describe the inverse metric
+    a^ij = inv_diag d_ij + inv_xx x_i x_j.  The Christoffel symbols of alpha
+    are ``christoffel_coefficients``.
     """
 
     r: float
@@ -129,14 +121,19 @@ class RandersCoefficients:
     rho_d1: float
     u1: float
     u2: float
-    christoffel_A: float
-    christoffel_B: float
-    christoffel_C: float
 
 
 def christoffel_coefficients(f, g, r) -> tuple[float, float, float]:
-    """Coefficients (A, B, C) of Gamma^k_ij for a_ij = f d_ij + g x_i x_j."""
-    return radial_data(f, g, _ZERO, r).christoffel()
+    """(A, B, C) with Gamma^k_ij = A x_i x_j x_k + B x_k d_ij + C (x_i d_kj + x_j d_ki).
+
+    These are the Christoffel symbols of a_ij = f d_ij + g x_i x_j.
+    """
+    d = radial_data(f, g, _ZERO, r)
+    r, f, fp, g, gp, q = d.r, d.f, d.f_d1, d.g, d.g_d1, d.q
+    a = (f * gp - 2.0 * fp * g) / (2.0 * r * f * q)
+    b = (2.0 * r * g - fp) / (2.0 * r * q)
+    c = fp / (2.0 * r * f)
+    return a, b, c
 
 
 def covariant_b_coefficients(f, g, h, r) -> tuple[float, float]:
@@ -155,7 +152,6 @@ def randers_coefficients(f, g, h, n: int, r) -> RandersCoefficients:
     # ||beta||^2 and rho as jets in r; rho' comes out exactly, no differencing.
     b2_jet = (rj * rj * hj * hj) / (fj + rj * rj * gj)
     rho_jet = (1.0 - b2_jet).log() * 0.5
-    a, b, c = d.christoffel()
     return RandersCoefficients(
         r=d.r,
         n=n,
@@ -173,9 +169,6 @@ def randers_coefficients(f, g, h, n: int, r) -> RandersCoefficients:
         rho_d1=rho_jet.d(1, 0),
         u1=d.u1,
         u2=d.u2,
-        christoffel_A=a,
-        christoffel_B=b,
-        christoffel_C=c,
     )
 
 

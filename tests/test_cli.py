@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from _support import CONSTRUCT_INPUTS, dispatched_simd_targets
-from finslerlab import cli, geometry, scurvature
+from finslerlab import cli, families, geometry, scurvature
 from finslerlab.cli import CHECKS, CSV_HEADER, SOLVER_STEPS_CAP, main
 from finslerlab.errors import DomainError
 from finslerlab.expr import ScalarFunction
@@ -258,6 +258,14 @@ def test_one_profile_jet_per_grid_batch(monkeypatch, capsys, path, command, orde
     capsys.readouterr()
 
 
+def test_one_profile_jet_for_the_family_check(monkeypatch, capsys):
+    # the Douglas fit and the transport-PDE residual read the batch's one jet
+    path = HERE.parent / "configs" / "family_k.json"
+    argv = ["verify", str(path), "--check", "berwald-family"]
+    assert _grid_jet_orders(monkeypatch, argv, path) == [2]
+    capsys.readouterr()
+
+
 def test_unknown_check_rejected(capsys):
     with pytest.raises(SystemExit):
         main(["verify", "--check", "bogus", FUNK_CFG])
@@ -341,6 +349,18 @@ def test_invalid_json_is_config_error(tmp_path, capsys):
     p.write_text("{not json")
     assert main(["analyze", str(p)]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("body", [
+    b'{"n": 2, "seed": "\xff"}',
+    b'{"n": ' + b"1" * 5000 + b"}",
+    b"[" * 100_000 + b"]" * 100_000,
+], ids=["not-utf8", "huge-int", "deep-nesting"])
+def test_undecodable_config_is_config_error(tmp_path, capsys, body):
+    p = tmp_path / "undecodable.json"
+    p.write_bytes(body)
+    assert main(["analyze", str(p)]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
 
 
 def test_missing_metric_is_config_error(tmp_path, capsys):
@@ -641,6 +661,43 @@ def test_construct_berwald_round_trip(tmp_path, capsys):
     assert built["diagnostics"]["cholesky_ok"] is True
     assert main(["verify", "--check", "berwald-family", str(out)]) == 0
     assert main(["verify", "--check", "douglas", str(out)]) == 0
+    capsys.readouterr()
+
+
+def test_verify_family_builds_no_family(monkeypatch, capsys):
+    def refused(*args):
+        raise AssertionError("the check certifies the configured member itself")
+
+    monkeypatch.setattr(families, "build_berwald_family", refused)
+    monkeypatch.setattr(cli, "build_berwald_family", refused)
+    assert main(["verify", str(HERE.parent / "configs" / "family_k.json"),
+                 "--check", "berwald-family"]) == 0
+    capsys.readouterr()
+
+
+FAMILY_CFG = {"n": 2, "metric": {"kind": "berwald-family", "c2": 0.1, "chi": "1 + w/4",
+                                 "r0": 1.0, "r_domain": [0.8, 1.2]},
+              "volume": "bh", "grid": {"r_min": 0.85, "r_max": 1.15, "r_count": 9, "s_count": 13}}
+
+
+def test_verify_family_irregular_chi_is_regularity_error(tmp_path, capsys):
+    # chi = w - 0.5 is negative at s = 0: the scan over metric.r_domain rejects it
+    metric = dict(FAMILY_CFG["metric"], c2=0, chi="w - 0.5")
+    cfg = write_cfg(tmp_path, "irregular_family.json", dict(FAMILY_CFG, metric=metric))
+    assert main(["verify", "--check", "berwald-family", cfg]) == 4
+    assert capsys.readouterr().err.startswith("regularity failure: family instance is not")
+
+
+def test_verify_family_pde_miss_is_a_failed_verdict(tmp_path, capsys):
+    # c2 = 30 leaves a roundoff residual above 1e-8 near the domain ends
+    metric = dict(FAMILY_CFG["metric"], c2=30)
+    grid = dict(FAMILY_CFG["grid"], r_min=0.8, r_max=1.2, s_count=21)
+    cfg = write_cfg(tmp_path, "stiff_family.json", dict(FAMILY_CFG, metric=metric, grid=grid))
+    out = tmp_path / "report.json"
+    assert main(["verify", "--check", "berwald-family", cfg, "--out", str(out)]) == 1
+    report = json.loads(out.read_text())
+    assert report["verdict"] == "fail"
+    assert report["residuals"]["max"] > 1e-8
     capsys.readouterr()
 
 

@@ -10,7 +10,7 @@ import pytest
 from _support import (random_orthogonal, random_xy, randers_metric_tensor,
                       reference_family_radial_jets)
 from conftest import RANDERS111, interior_grid, make_randers
-from finslerlab import quadrature
+from finslerlab import geometry, quadrature
 from finslerlab.cli import build_spec, load_config
 from finslerlab.errors import DomainError, QuadratureError, RegularityError
 from finslerlab.expr import ScalarFunction, parse_expression
@@ -319,6 +319,21 @@ def test_regularity_scan_funk(funk2):
     assert report.cholesky_ok is True
 
 
+@pytest.mark.parametrize("name", ["funk_n2", "funk_randers_n3", "parallel_ht", "family_k"])
+def test_regularity_scan_evaluates_order2_jets(monkeypatch, name):
+    # the margins and the assembled tensor read no third partial
+    spec = build_spec(load_config(str(BUNDLED / f"{name}.json")))
+    raw, orders = geometry._phi_jet_raw, []
+
+    def counted(spec, r, s, order=3):
+        orders.append(order)
+        return raw(spec, r, s, order)
+
+    monkeypatch.setattr(geometry, "_phi_jet_raw", counted)
+    assert regularity_scan(spec).cholesky_ok is True
+    assert orders and set(orders) == {2}
+
+
 def test_regularity_scan_locates_violation():
     # f=1, g=0, h=1.2: |beta|^2 = 1.44 r^2 / 1 >= 1 for r >= 1/1.2
     spec = randers_spec("1", "0", "1.2", 2, (0.5, 1.1))
@@ -397,7 +412,7 @@ def test_order2_spray_determinant_and_norm_equal_the_order3_bits(name):
         u, r, s = _split(x, y)
         two, three = phi_jet(spec, r, s, order=2), phi_jet(spec, r, s)
         sv2, sv3 = spray_values(spec, r, s, two), spray_values(spec, r, s, three)
-        assert _bits(sv2.P, sv2.Q, sv2.denom) == _bits(sv3.P, sv3.Q, sv3.denom)
+        assert _bits(sv2.P, sv2.Q) == _bits(sv3.P, sv3.Q)
         assert _bits(metric_determinant(spec, r, s, two)) == _bits(
             metric_determinant(spec, r, s, three))
         assert _bits(finsler_norm(spec, x, y)) == _bits(u * float(three.d(0, 0)))
@@ -405,7 +420,7 @@ def test_order2_spray_determinant_and_norm_equal_the_order3_bits(name):
     s = np.array([_split(x, y)[2] for x, y in points])
     sv2 = spray_values(spec, r, s, phi_jet(spec, r, s, order=2))
     sv3 = spray_values(spec, r, s, phi_jet(spec, r, s))
-    assert _bits(sv2.P, sv2.Q, sv2.denom) == _bits(sv3.P, sv3.Q, sv3.denom)
+    assert _bits(sv2.P, sv2.Q) == _bits(sv3.P, sv3.Q)
 
 
 def test_q_s_from_an_order2_jet_raises(funk2):
