@@ -29,22 +29,23 @@ class DouglasFit:
     passed: bool
 
 
-def fit_q(spec: MetricSpec, r, s_values, jet, tolerance: float | None = None) -> DouglasFit:
+def fit_q(r, s_values, jet, tolerance: float | None = None) -> DouglasFit:
     """Fit Q(r, .) = c1 + c2 s^2 on a symmetric s-grid (>= 5 points) and judge it.
 
-    ``jet`` is ``phi_jet(spec, r, s_values, order)``, evaluated by the caller; Q
-    reads no third partial, so order 2 serves.  r may also be a column of radii
-    with one s-row each (shape (R, S)): a fit per row, and fields that are
-    arrays.  The default per-radius tolerance is 1e-8 * (1 + |c1| + |c2| r^2);
-    a fixed ``tolerance`` overrides it uniformly.  The fit passes when both the
-    even residual and its odd part stay within the tolerance at every radius.
+    ``jet`` is ``phi_jet(spec, r, s_values, order)``, evaluated by the caller,
+    and all the fit reads of the spec; Q reads no third partial, so order 2
+    serves.  r may also be a column of radii with one s-row each (shape
+    (R, S)): a fit per row, and fields that are arrays.  The default
+    per-radius tolerance is 1e-8 * (1 + |c1| + |c2| r^2); a fixed
+    ``tolerance`` overrides it uniformly.  The fit passes when both the even
+    residual and its odd part stay within the tolerance at every radius.
     """
     s = np.asarray(s_values, dtype=float)
     if s.shape[-1] < 5:
         raise ValueError("need at least 5 s points for the Douglas fit")
     if not np.allclose(np.sort(s), -np.sort(s)[..., ::-1], atol=1e-12):
         raise ValueError("s grid must be symmetric about 0")
-    q = np.broadcast_to(np.asarray(spray_values(spec, r, s, jet).Q, dtype=float), s.shape)
+    q = np.broadcast_to(np.asarray(spray_values(r, s, jet).Q, dtype=float), s.shape)
     rows = partial(np.sum, axis=-1, keepdims=True)
     s2 = s * s
     m0, m2, m4, m6 = s.shape[-1], rows(s2), rows(s2 * s2), rows(s2 * s2 * s2)
@@ -77,6 +78,6 @@ def douglas_verdict(spec: MetricSpec, r_grid, s_fracs=None,
     def batch(radii):
         rc = radii[:, None]
         s = rc * fracs
-        return fit_q(spec, rc, s, phi_jet(spec, rc, s, order=2), tolerance)
+        return fit_q(rc, s, phi_jet(spec, rc, s, order=2), tolerance)
 
     return batch_radii(batch, np.asarray(r_grid, dtype=float))

@@ -7,10 +7,11 @@ Four layers live here:
   Randers-profile conditions for either volume density), each computed with
   jet-exact partial derivatives; the PDE and spray-system residuals read the
   profile jet their caller evaluated;
-* the family builder and its certificate (``certify_family``): a regularity
-  scan over the domain, then the PDE residual and the Douglas fit of Q read
-  off one order-2 jet per batch of radii, on the config grid for ``verify``
-  and on 9 radii x ``s_fractions(21)`` for a build;
+* the family builder (one tabulated antiderivative, I1, per member; see
+  :mod:`finslerlab.geometry`) and its certificate (``certify_family``): a
+  regularity scan over the domain, then the PDE residual and the Douglas fit
+  of Q read off one order-2 jet per batch of radii, on the config grid for
+  ``verify`` and on 9 radii x ``s_fractions(21)`` for a build;
 * solvers that generate admissible profiles from the conditions at the
   nodes of a uniform grid (the closed-form solution of the linear g equation,
   read off one jet, for the Busemann-Hausdorff branch; the exponential of a
@@ -247,13 +248,14 @@ def _uniform_nodes(r_range, steps: int, r0) -> tuple[np.ndarray, float, int]:
 # -- residual evaluators -----------------------------------------------------
 
 
-def family_pde_residual(spec: MetricSpec, c2, r, s, jet):
+def family_pde_residual(c2, r, s, jet):
     """Residual of phi_r + (s/r - 2 r c2 (r^2-s^2) s) phi_s + (1/r - 2 r c2 s^2) phi.
 
     Solutions of this transport equation are exactly the profiles whose
     sprays have Q = 1/(2r^2) + c2(r) s^2 with P linear in s.  ``jet`` is the
-    profile jet at (r, s), of order 2 or 3, evaluated by the caller; degenerate
-    fixtures (odd or sign-changing profiles) pass ``phi_jet_unchecked``.
+    profile jet at (r, s), of order 2 or 3, evaluated by the caller, and all
+    it reads of the spec; degenerate fixtures (odd or sign-changing profiles)
+    pass ``phi_jet_unchecked``.
     """
     c2 = _as_radial_fn(c2)
     r_a = np.asarray(r, dtype=float)
@@ -268,7 +270,7 @@ def family_pde_residual(spec: MetricSpec, c2, r, s, jet):
     return res if np.asarray(res).shape else float(res)
 
 
-def spray_system_residual(spec: MetricSpec, c1, c2, b, c, r, s, jet):
+def spray_system_residual(c1, c2, b, c, r, s, jet):
     """Residuals (res1, res2) of the two first-order spray relations.
 
     res1 = r[2(r^2-s^2)(c1+c2 s^2) - 1] phi_s - s phi_r
@@ -277,8 +279,8 @@ def spray_system_residual(spec: MetricSpec, c1, c2, b, c, r, s, jet):
            + 2 r (c1+c2 s^2)(phi - s phi_s)
 
     A profile satisfies both exactly when its spray has Q = c1 + c2 s^2 and
-    P = c phi + b s.  ``jet`` is the caller's profile jet at (r, s), as for
-    ``family_pde_residual``.
+    P = c phi + b s.  ``jet`` is the caller's profile jet at (r, s), all they
+    read of the spec, as for ``family_pde_residual``.
     """
     c1, c2, b, c = (_as_radial_fn(v) for v in (c1, c2, b, c))
     r_a = np.asarray(r, dtype=float)
@@ -489,8 +491,8 @@ def ht_solve_h(c_const: float, g, h_at_r0: float, r_range, steps: int = 1600, r0
         )
 
     # K from the anchor node outwards, read off its table at the grid nodes
-    k_table = segment_integral((kappa,), nodes[i0], nodes[0], nodes[-1])
-    values = h0 * np.exp(k_table.at(nodes)[0])
+    k_table = segment_integral(kappa, nodes[i0], nodes[0], nodes[-1])
+    values = h0 * np.exp(k_table.at(nodes))
 
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the audit
         hp_fd = _fd_derivative(values, step)
@@ -556,8 +558,8 @@ def certify_family(spec: MetricSpec, r_grid, s_fracs) -> FamilyBuildResult:
         rc = radii[:, None]
         s = rc * s_fracs
         jet = phi_jet(spec, rc, s, order=2)  # neither reader needs a third partial
-        pde = family_pde_residual(spec, spec.profile.c2, rc, s, jet)
-        return fit_q(spec, rc, s, jet), np.abs(pde)
+        pde = family_pde_residual(spec.profile.c2, rc, s, jet)
+        return fit_q(rc, s, jet), np.abs(pde)
 
     fit, pde = batch_radii(batch, np.asarray(r_grid, dtype=float))
     return FamilyBuildResult(spec=spec, pde=pde, douglas=fit, regularity=regularity)
@@ -566,8 +568,8 @@ def certify_family(spec: MetricSpec, r_grid, s_fracs) -> FamilyBuildResult:
 def build_berwald_family(c2, chi, r0: float, domain, n: int) -> FamilyBuildResult:
     """Assemble the family member phi = chi(w) sqrt(g + J s^2) e^{-I2}.
 
-    Here w = s^2/(g + J s^2) and g, J, I2 are the three antiderivatives of
-    the construction, all anchored at r0 (integration constants zero there).
+    Here w = s^2/(g + J s^2), g = e^{I1}, and I1, J, I2 are anchored at r0;
+    only I1 is tabulated, as J = 1/r0^2 - g/r^2 and I2 = I1/2 + ln(r/r0).
     The member is certified by ``certify_family`` on 9 radii across the
     domain times ``s_fractions(21)``, and only returned if its PDE residual
     stays below 1e-8 there; the Douglas fit on that grid is bundled as a
@@ -607,7 +609,7 @@ def p_over_s_spread(spec: MetricSpec, r: float, s_values=None) -> tuple[float, f
     if np.any(np.abs(s_arr) < 1e-9 * r):
         raise ValueError("s grid for P/s must avoid s = 0")
     jet = phi_jet(spec, r, s_arr, order=2)  # P reads no third partial
-    p = np.broadcast_to(np.asarray(spray_values(spec, r, s_arr, jet).P), s_arr.shape)
+    p = np.broadcast_to(np.asarray(spray_values(r, s_arr, jet).P), s_arr.shape)
     ratio = p / s_arr
     return float(np.mean(ratio)), float(np.max(ratio) - np.min(ratio))
 

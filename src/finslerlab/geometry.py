@@ -12,16 +12,18 @@ phi_ss are read, for three profile kinds:
 * ``BerwaldFamilyProfile`` -- phi = chi(w) sqrt(g(r) + J(r) s^2) e^{-I2(r)}
   with w = s^2/(g + J s^2), where g = e^{I1}, J and I2 are antiderivatives
   from r0 built from a radial coefficient c2 (see
-  :mod:`finslerlab.families`).  Their values come from one
-  ``quadrature.segment_integral`` table built once per spec (Chebyshev-Lobatto
-  panels over the domain, split at r0, read off by barycentric
-  interpolation).  A value therefore depends on r and the spec alone, never
-  on which radii were queried before.
+  :mod:`finslerlab.families`).  Only I1' = 2/r - 4 r^3 c2 is integrated, into
+  one ``quadrature.segment_integral`` table built once per spec
+  (Chebyshev-Lobatto panels over the domain, split at r0, read off by
+  barycentric interpolation): J' = 4 r c2 g = -(g/r^2)' and I2' = I1'/2 + 1/r
+  give J = 1/r0^2 - g/r^2 and e^{-I2} = (r0/r) g^{-1/2}.  A value therefore
+  depends on r and the spec alone, never on which radii were queried before.
 
 Every profile jet is Jet3 arithmetic, on floats and arrays alike: the
 general profile's tree by ``expr.eval_tree``; sqrt(f + g s^2) + h s on the
-radial jets of f, g and h; and the family profile from the r-jets of g, J and
-I2 (table values, integrand derivatives), the radicand guard, c2 and chi.
+radial jets of f, g and h; and the family profile from the r-jet of g (table
+value, integrand derivatives), the two identities, the radicand guard, c2
+and chi.
 
 Regularity means three pointwise positivity conditions::
 
@@ -224,47 +226,42 @@ def _randers_phi_jet(p: RandersProfile, r, s, order: int) -> Jet3:
 
 @lru_cache(maxsize=16)
 def _family_table(spec: MetricSpec) -> PanelTable:
-    """Table of I1, J and I2 over spec.r_domain (and r0), built once per spec.
-
-    The integrands of I1, J and I2 in order; J's reads I1 at its own nodes.
-    """
+    """Table of I1 over spec.r_domain (and r0), built once per spec; DomainError
+    names the first node where g = e^{I1} overflows."""
     c2, r0 = spec.profile.c2, spec.profile.r0
-    return segment_integral((lambda rho: 2.0 / rho - 4.0 * ipow(rho, 3) * c2.value(rho),
-                             lambda rho, i1: 4.0 * rho * c2.value(rho) * np.exp(i1),
-                             lambda rho, *_: 2.0 / rho - 2.0 * ipow(rho, 3) * c2.value(rho)),
-                            r0, *spec.r_domain)
+    table = segment_integral(lambda rho: 2.0 / rho - 4.0 * ipow(rho, 3) * c2.value(rho),
+                             r0, *spec.r_domain)
+    with np.errstate(over="ignore"):
+        bad = ~np.isfinite(np.exp(table.values))
+    if bad.any():
+        raise DomainError(f"family g = exp(I1) is not finite at r={float(table.nodes[bad][0])!r}")
+    return table
 
 
 def _family_phi_jet(spec: MetricSpec, r, s, order: int) -> Jet3:
-    """chi(w) sqrt(g + J s^2) e^{-I2} at r, from the table values of I1, J and I2.
+    """chi(w) sqrt(g + J s^2) e^{-I2} at r, from the table value of I1.
 
-    The r-jets of g = e^{I1}, J and I2 take their values from the table and
-    their r-derivatives from the exact integrands (fundamental theorem of
-    calculus), so the transport-PDE residual is exact to roundoff.
+    g = e^{I1} takes its value from the table and its r-derivatives from the
+    exact integrand (fundamental theorem of calculus); J and e^{-I2} are the
+    closed forms in g, so the transport-PDE residual is exact to roundoff.
     """
     r = np.asarray(r, dtype=float)
     r = float(r) if r.ndim == 0 else r
-    i1, j, i2 = _family_table(spec).at(r)
     p = spec.profile
     rj = Jet3.seed(r, dr=1.0, order=order)
-    c2j = p.c2.jet(r, order)
-    r3c2 = rj.powi(3) * c2j
-    two_over_r = 2.0 / rj
-    g_jet = _antiderivative_jet(i1, two_over_r - 4.0 * r3c2, order).exp()
-    J_jet = _antiderivative_jet(j, 4.0 * rj * c2j * g_jet, order)
-    I2_jet = _antiderivative_jet(i2, two_over_r - 2.0 * r3c2, order)
+    inv_r = 1.0 / rj
+    i1_prime = 2.0 * inv_r - 4.0 * (rj.powi(3) * p.c2.jet(r, order))
+    g_jet = Jet3.radial([_family_table(spec).at(r)]
+                        + [i1_prime.d(a, 0) for a in range(order)], order).exp()
+    inv_r0 = 1.0 / p.r0
+    J_jet = inv_r0 * inv_r0 - g_jet * (inv_r * inv_r)
     sj = Jet3.seed(s, ds=1.0, order=order)
     s2 = sj * sj
     radicand = g_jet + J_jet * s2
     _check_radicand(r, radicand.value)
     rsqrt = radicand.powr(-0.5)  # one composition gives both w and the square root
     chi_jet = eval_tree(p.chi, {"w": s2 * (rsqrt * rsqrt)})
-    return chi_jet * (radicand * rsqrt) * (-I2_jet).exp()
-
-
-def _antiderivative_jet(value, integrand: Jet3, order: int) -> Jet3:
-    """Order-``order`` jet of an antiderivative: its value + integrand derivatives."""
-    return Jet3.radial([value] + [integrand.d(a, 0) for a in range(order)], order)
+    return chi_jet * (radicand * rsqrt) * (g_jet.powr(-0.5) * (p.r0 * inv_r))
 
 
 def _check_radicand(r, value) -> None:
@@ -302,17 +299,18 @@ class SprayValues:
         return self._q_s
 
 
-def spray_values(spec: MetricSpec, r, s, jet: Jet3) -> SprayValues:
+def spray_values(r, s, jet: Jet3) -> SprayValues:
     """P, Q and, from an order-3 jet, the exact s-derivative of Q at (r, s).
 
     Q = (-phi_r + s phi_rs + r phi_ss) / (2 r (phi - s phi_s + (r^2-s^2) phi_ss))
     P = -(s phi + (r^2-s^2) phi_s) Q / phi + (s phi_r + r phi_s) / (2 r phi)
 
-    ``jet`` is ``phi_jet(spec, r, s, order)``, evaluated by the caller.  P and
-    Q read partials of order <= 2 only, so the geodesic oracle, the Douglas
-    fit (Q) and the P/s spread pass an order-2 jet.  Q_s comes from
-    differentiating the quotient symbolically with the third partials (no
-    finite differences); the S-curvature and the sampled CSV read it.
+    ``jet`` is ``phi_jet(spec, r, s, order)``, evaluated by the caller; nothing
+    else of the spec is read.  P and Q read partials of order <= 2 only, so the
+    geodesic oracle, the Douglas fit (Q) and the P/s spread pass an order-2
+    jet.  Q_s comes from differentiating the quotient symbolically with the
+    third partials (no finite differences); the S-curvature and the sampled
+    CSV read it.
     """
     phi = jet.d(0, 0)
     phi_r = jet.d(1, 0)

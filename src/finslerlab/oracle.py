@@ -78,7 +78,7 @@ def _spray_rhs(spec: MetricSpec, t: float, x: list, y: list, jet: Jet3 | None = 
         )
     if jet is None:
         jet = phi_jet(spec, r, s, order=2)
-    sv = spray_values(spec, r, s, jet)
+    sv = spray_values(r, s, jet)
     # geodesic equation: x'' = -2G, G^i = u P y^i + u^2 Q x^i
     a, b = u * sv.P, u * u * sv.Q
     return [-2.0 * (a * yi + b * xi) for xi, yi in zip(x, y)]

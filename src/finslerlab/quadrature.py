@@ -2,11 +2,11 @@
 
 ``refine`` runs Gauss-Legendre rules on [0, pi] with doubling refinement,
 elementwise over a batch of radii (an element's value never depends on the
-others); the volume densities use it.  ``segment_integral`` tabulates
-antiderivatives from an anchor on adaptive Chebyshev-Lobatto panels
-(spectral integration, Greengard 1991), read back by barycentric
-interpolation; the Berwald-type family tables in :mod:`finslerlab.geometry`
-and the Holmes-Thompson solver in :mod:`finslerlab.families` use it.
+others); the volume densities use it.  ``segment_integral`` tabulates the
+antiderivative of one integrand from an anchor on adaptive Chebyshev-Lobatto
+panels (spectral integration, Greengard 1991), read back by barycentric
+interpolation; the Berwald-type family's I1 in :mod:`finslerlab.geometry` and
+the Holmes-Thompson solver's K in :mod:`finslerlab.families` use it.
 
 Nodes, weights, the integration matrix and every sum use only IEEE basic
 operations (no LAPACK eigensolver, no BLAS, no numpy reduction whose blocking
@@ -145,7 +145,7 @@ def refine(eval_at_n):
 #: Chebyshev-Lobatto degree of each table panel
 TABLE_DEGREE = 16
 #: a panel is kept when its two trailing Chebyshev coefficients are at most
-#: this times the largest node value, for every tabulated antiderivative
+#: this times the largest node value of the antiderivative on it
 TABLE_TOL = 1e-14
 #: bisections of a starting panel before QuadratureError
 TABLE_SPLIT_CAP = 12
@@ -187,19 +187,19 @@ _SPECTRAL_RIGHT = -_SPECTRAL[::-1, ::-1]
 
 @dataclass(frozen=True)
 class PanelTable:
-    """Antiderivatives at the Chebyshev-Lobatto nodes of panels split at their anchor."""
+    """An antiderivative at the Chebyshev-Lobatto nodes of panels split at its anchor."""
 
     edges: np.ndarray    # (P + 1,) ascending panel ends
     nodes: np.ndarray    # (P, N + 1) nodes per panel, panel ends exact
-    values: np.ndarray   # (k, P, N + 1) node values of each antiderivative
+    values: np.ndarray   # (P, N + 1) node values of the antiderivative
 
     def __post_init__(self):
         # the same numbers as Python floats, per panel, for at()
         object.__setattr__(self, "_lists", (self.edges[1:-1].tolist(), self.nodes.tolist(),
-                                            self.values.transpose(1, 0, 2).tolist()))
+                                            self.values.tolist()))
 
-    def at(self, r) -> list:
-        """Every antiderivative at radii r: a list of floats, or of arrays of r's shape.
+    def at(self, r):
+        """The antiderivative at radii r: a float, or an array of r's shape.
 
         Each radius uses the panel that holds it (the end panels for radii
         just outside the table); the barycentric sums are exact sums, and a
@@ -214,15 +214,13 @@ class PanelTable:
             p = bisect_right(inner, x)
             row = nodes[p]
             if x in row:  # x - node == 0.0 exactly when x == node
-                j = row.index(x)
-                out.append([v[j] for v in values[p]])
+                out.append(values[p][row.index(x)])
                 continue
             q = list(map(truediv, _BARY_LIST, map(sub, repeat(x), row)))
-            den = fsum(q)
-            out.append([fsum(map(mul, q, v)) / den for v in values[p]])
+            out.append(fsum(map(mul, q, values[p])) / fsum(q))
         if r_arr.ndim == 0:
             return out[0]
-        return [np.array(col).reshape(r_arr.shape) for col in zip(*out)]
+        return np.array(out).reshape(r_arr.shape)
 
 
 def _unresolved(values: np.ndarray) -> np.ndarray:
@@ -237,13 +235,12 @@ def _unresolved(values: np.ndarray) -> np.ndarray:
     return tail > TABLE_TOL * np.max(np.abs(values), axis=1)
 
 
-def segment_integral(integrands, anchor: float, lo: float, hi: float) -> PanelTable:
-    """Antiderivatives from ``anchor`` of each integrand, tabulated over [lo, hi] and the anchor.
+def segment_integral(integrand, anchor: float, lo: float, hi: float) -> PanelTable:
+    """The antiderivative from ``anchor`` of ``integrand``, tabulated over [lo, hi] and the anchor.
 
-    Integrand k is called as ``f(rho, *earlier)`` with rho the nodes of every
-    panel, shape (P, N + 1), and ``earlier`` the node values of
-    antiderivatives 0..k-1.  Panels start split at the anchor and are bisected
-    until every antiderivative passes the trailing-coefficient test;
+    The integrand is called as ``f(rho)`` with rho the nodes of every panel,
+    shape (P, N + 1).  Panels start split at the anchor and are bisected until
+    the antiderivative passes the trailing-coefficient test on each;
     QuadratureError names a panel that fails after ``TABLE_SPLIT_CAP``
     bisections, DomainError the radius of a non-finite integrand value.
     """
@@ -254,8 +251,8 @@ def segment_integral(integrands, anchor: float, lo: float, hi: float) -> PanelTa
         a, b = edges[:-1, None], edges[1:, None]
         nodes = 0.5 * (a + b) + 0.5 * (b - a) * _LOBATTO
         nodes[:, 0], nodes[:, -1] = edges[1:], edges[:-1]
-        values = _antiderivatives(integrands, anchor, edges, nodes)
-        bad = np.any([_unresolved(v) for v in values], axis=0)
+        values = _antiderivative(integrand, anchor, edges, nodes)
+        bad = _unresolved(values)
         if not bad.any():
             return PanelTable(edges, nodes, values)
         capped = bad & (splits >= TABLE_SPLIT_CAP)
@@ -268,26 +265,23 @@ def segment_integral(integrands, anchor: float, lo: float, hi: float) -> PanelTa
         splits = np.repeat(splits + bad, np.where(bad, 2, 1))
 
 
-def _antiderivatives(integrands, anchor: float, edges: np.ndarray, nodes: np.ndarray) -> np.ndarray:
-    """Node values (k, P, N + 1) of the antiderivatives from the anchor: each panel
+def _antiderivative(integrand, anchor: float, edges: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """Node values (P, N + 1) of the antiderivative from the anchor: each panel
     integrated from its end nearer the anchor, panel totals chained outwards."""
+    with np.errstate(all="ignore"):
+        vals = np.broadcast_to(np.asarray(integrand(nodes), dtype=float), nodes.shape)
+    bad = ~np.isfinite(vals)
+    if bad.any():
+        raise DomainError(f"integrand is not finite at r={float(nodes[bad][0])!r}")
     left = edges[1:] <= anchor
     first = int(np.count_nonzero(left))  # the panel starting at the anchor
     matrix = np.where(left[:, None, None], _SPECTRAL_RIGHT, _SPECTRAL)
     half = 0.5 * (edges[1:] - edges[:-1])
-    out = []
-    for f in integrands:
-        with np.errstate(all="ignore"):
-            vals = np.broadcast_to(np.asarray(f(nodes, *out), dtype=float), nodes.shape)
-        bad = ~np.isfinite(vals)
-        if bad.any():
-            raise DomainError(f"integrand is not finite at r={float(nodes[bad][0])!r}")
-        local = half[:, None] * exact_sum((matrix * vals[:, None, :]).reshape(-1, nodes.shape[1])
-                                          ).reshape(nodes.shape)
-        offset = np.zeros(len(half))
-        for p in range(first + 1, len(half)):  # outwards to the right ...
-            offset[p] = offset[p - 1] + local[p - 1, 0]
-        for p in range(first - 2, -1, -1):  # ... and to the left
-            offset[p] = offset[p + 1] + local[p + 1, -1]
-        out.append(offset[:, None] + local)
-    return np.array(out)
+    local = half[:, None] * exact_sum((matrix * vals[:, None, :]).reshape(-1, nodes.shape[1])
+                                      ).reshape(nodes.shape)
+    offset = np.zeros(len(half))
+    for p in range(first + 1, len(half)):  # outwards to the right ...
+        offset[p] = offset[p - 1] + local[p - 1, 0]
+    for p in range(first - 2, -1, -1):  # ... and to the left
+        offset[p] = offset[p + 1] + local[p + 1, -1]
+    return offset[:, None] + local

@@ -32,7 +32,7 @@ def _s_over_u(n: int, r, s, f_r, sv: SprayValues):
 
 def reduced_s_given_f(spec: MetricSpec, r, s, f_r, jet: Jet3):
     """S/u at (r, s) from the order-3 profile jet there and the volume's f(r)."""
-    return _s_over_u(spec.n, r, s, f_r, spray_values(spec, r, s, jet))
+    return _s_over_u(spec.n, r, s, f_r, spray_values(r, s, jet))
 
 
 def reduced_s(spec: MetricSpec, vol: VolumeSpec, r, s):
@@ -49,7 +49,7 @@ def scurvature_columns(spec: MetricSpec, vol: VolumeSpec, radii, fracs) -> tuple
     s = rc * fracs
     f_r = f_coefficient(vol, spec, radii)[:, None]
     jet = phi_jet(spec, rc, s)
-    sv = spray_values(spec, rc, s, jet)
+    sv = spray_values(rc, s, jet)
     phi = jet.d(0, 0)
     red = _s_over_u(spec.n, rc, s, f_r, sv)
     return {"r": rc, "s": s, "phi": phi, "P": sv.P, "Q": sv.Q, "Q_s": sv.Q_s, "f_r": f_r,

@@ -92,7 +92,7 @@ _HT_ORDER = 3
 
 
 #: whole-grid entries are (R, N) jets, so the cache stays small; isotropy,
-#: douglas and sample on one grid still share their entries
+#: analyze and sample on one grid still share their entries
 @lru_cache(maxsize=16)
 def _node_jets(spec: MetricSpec, r, n_nodes: int, order: int):
     """Radius (float or column), s = r cos t, cos t, weights times sin^{n-2} t,

@@ -142,29 +142,29 @@ def reference_randers_jet(profile: RandersProfile, r, s, order: int) -> Jet3:
     return (fj + gj * sj * sj).sqrt() + hj * sj
 
 
-def reference_family_radial_jets(spec: MetricSpec, r, order: int = 3) -> tuple:
-    """r-jets of g = e^{I1}, J and I2: table values, integrand derivatives."""
-    c2 = spec.profile.c2
-    i1, j, i2 = _family_table(spec).at(r)
+def _reference_family_jets(spec: MetricSpec, r, order: int) -> tuple:
+    """r-jets of r, I1 (table value, integrand derivatives), g = e^{I1} and J = 1/r0^2 - g/r^2."""
+    p = spec.profile
     rj = Jet3.seed(r, dr=1.0, order=order)
-    c2j = _reference_radial_jet(c2, r, order)
-    r3c2 = rj.powi(3) * c2j
-    two_over_r = 2.0 / rj
-    g_jet = _antiderivative_jet(i1, two_over_r - 4.0 * r3c2, order).exp()
-    J_jet = _antiderivative_jet(j, 4.0 * rj * c2j * g_jet, order)
-    I2_jet = _antiderivative_jet(i2, two_over_r - 2.0 * r3c2, order)
-    return g_jet, J_jet, I2_jet
+    inv_r = 1.0 / rj
+    i1_prime = 2.0 * inv_r - 4.0 * (rj.powi(3) * _reference_radial_jet(p.c2, r, order))
+    i1_jet = Jet3.radial([_family_table(spec).at(r)] + [i1_prime.d(a, 0) for a in range(order)],
+                         order)
+    g_jet = i1_jet.exp()
+    inv_r0 = 1.0 / p.r0
+    return rj, i1_jet, g_jet, inv_r0 * inv_r0 - g_jet * (inv_r * inv_r)
 
 
-def _antiderivative_jet(value, integrand: Jet3, order: int) -> Jet3:
-    return Jet3.radial([value] + [integrand.d(a, 0) for a in range(order)], order)
+def reference_family_radial_jets(spec: MetricSpec, r, order: int = 3) -> tuple:
+    """r-jets of g = e^{I1}, J = 1/r0^2 - g/r^2 and I2 = I1/2 + ln(r/r0)."""
+    rj, i1_jet, g_jet, J_jet = _reference_family_jets(spec, r, order)
+    return g_jet, J_jet, 0.5 * i1_jet + (rj / spec.profile.r0).log()
 
 
 def reference_family_jet(spec: MetricSpec, r, s, order: int) -> Jet3:
-    """chi(w) sqrt(g + J s^2) e^{-I2}, with the radicand guard."""
+    """chi(w) sqrt(g + J s^2) e^{-I2}, with the radicand guard and e^{-I2} = (r0/r) g^{-1/2}."""
     r = np.asarray(r, dtype=float)
-    g_jet, J_jet, I2_jet = reference_family_radial_jets(spec, float(r) if r.ndim == 0 else r,
-                                                        order)
+    rj, _, g_jet, J_jet = _reference_family_jets(spec, float(r) if r.ndim == 0 else r, order)
     sj = Jet3.seed(s, ds=1.0, order=order)
     s2 = sj * sj
     radicand = g_jet + J_jet * s2
@@ -178,7 +178,7 @@ def reference_family_jet(spec: MetricSpec, r, s, order: int) -> Jet3:
         )
     rsqrt = radicand.powr(-0.5)
     chi_jet = reference_eval_tree(spec.profile.chi, {"w": s2 * (rsqrt * rsqrt)})
-    return chi_jet * (radicand * rsqrt) * (-I2_jet).exp()
+    return chi_jet * (radicand * rsqrt) * (g_jet.powr(-0.5) * (spec.profile.r0 * (1.0 / rj)))
 
 
 # -- random closed-form expressions ------------------------------------------

@@ -132,7 +132,7 @@ def test_douglas_rows_equal_scalar_fits(request, name):
     fracs = s_fractions(11)
     fit = douglas_verdict(spec, r, fracs)
     for i, x in enumerate(r.tolist()):
-        one = fit_q(spec, x, x * fracs, phi_jet(spec, x, x * fracs, order=2))
+        one = fit_q(x, x * fracs, phi_jet(spec, x, x * fracs, order=2))
         assert isinstance(one.c1, float)
         for field in ("c1", "c2", "max_residual", "odd_residual", "residuals"):
             assert _same(getattr(fit, field)[i], getattr(one, field)), (i, field)

@@ -387,22 +387,36 @@ def test_inadmissible_point_is_numeric_error(tmp_path, capsys):
     assert "numeric failure" in capsys.readouterr().err
 
 
-def test_overflowing_family_integrand_prints_only_the_numeric_failure(tmp_path):
-    # c2 = 1e18 overflows e^{I1} in J's integrand below r0; numpy stays silent
+def _verify_douglas_with_c2(tmp_path, c2):
+    """verify --check douglas on configs/family_k.json with c2 replaced, warnings fatal."""
     cfg = json.loads((HERE.parent / "configs" / "family_k.json").read_text())
-    cfg["metric"]["c2"] = 10**18
-    proc = subprocess.run(
-        [sys.executable, "-m", "finslerlab", "verify", "--check", "douglas",
-         write_cfg(tmp_path, "huge_c2.json", cfg)],
+    cfg["metric"]["c2"] = c2
+    return subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "finslerlab", "verify",
+         "--check", "douglas", write_cfg(tmp_path, "huge_c2.json", cfg)],
         capture_output=True,
         text=True,
         cwd=str(HERE.parent),
     )
+
+
+def test_overflowing_family_integrand_prints_only_the_numeric_failure(tmp_path):
+    # c2 = 1e18 overflows g = e^{I1} below r0; numpy stays silent
+    proc = _verify_douglas_with_c2(tmp_path, 10**18)
     assert proc.returncode == 3
     assert proc.stdout == ""
-    got = re.fullmatch(r"numeric failure: integrand is not finite at r=(\S+)\n", proc.stderr)
+    got = re.fullmatch(r"numeric failure: family g = exp\(I1\) is not finite at r=(\S+)\n",
+                       proc.stderr)
     assert got, proc.stderr
     assert 0.8 <= float(got.group(1)) < 1.0
+
+
+def test_overflowing_family_integrand_above_r0_names_the_outer_end(tmp_path):
+    # c2 = -1e18 overflows g above r0, first at the domain's outer end
+    proc = _verify_douglas_with_c2(tmp_path, -10**18)
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr == "numeric failure: family g = exp(I1) is not finite at r=1.2\n"
 
 
 def test_irregular_grid_point_is_regularity_error(tmp_path, capsys):

@@ -19,7 +19,7 @@ def jet2(spec, r, s):
 
 def test_fit_trivial_profile(euclid):
     s = symmetric_s(0.5)
-    fit = fit_q(euclid, 0.5, s, jet2(euclid, 0.5, s))
+    fit = fit_q(0.5, s, jet2(euclid, 0.5, s))
     assert fit.c1 == pytest.approx(0.0, abs=1e-14)
     assert fit.c2 == pytest.approx(0.0, abs=1e-14)
     assert fit.max_residual < 1e-14
@@ -28,7 +28,7 @@ def test_fit_trivial_profile(euclid):
 def test_fit_known_closed_form():
     spec = general_phi_spec("sqrt(1+s^2)", 2, (0.05, 1.2))
     s = symmetric_s(0.5)
-    fit = fit_q(spec, 0.5, s, jet2(spec, 0.5, s))
+    fit = fit_q(0.5, s, jet2(spec, 0.5, s))
     assert fit.c1 == pytest.approx(0.4, abs=1e-12)
     assert fit.c2 == pytest.approx(0.0, abs=1e-12)
     assert fit.max_residual <= 1e-12
@@ -38,7 +38,7 @@ def test_fit_family_recovers_defining_coefficients(family_k):
     spec = family_k.spec
     for r in interior_grid(spec, 5):
         s = symmetric_s(float(r))
-        fit = fit_q(spec, float(r), s, jet2(spec, float(r), s))
+        fit = fit_q(float(r), s, jet2(spec, float(r), s))
         assert fit.c1 == pytest.approx(1.0 / (2.0 * r * r), abs=1e-8)
         assert fit.c2 == pytest.approx(0.1, abs=1e-8)
 
@@ -46,9 +46,9 @@ def test_fit_family_recovers_defining_coefficients(family_k):
 def test_fit_requires_symmetric_grid(euclid):
     s5, s3 = np.array([-0.1, 0.0, 0.1, 0.2, 0.3]), np.array([-0.1, 0.0, 0.1])
     with pytest.raises(ValueError):
-        fit_q(euclid, 0.5, s5, jet2(euclid, 0.5, s5))
+        fit_q(0.5, s5, jet2(euclid, 0.5, s5))
     with pytest.raises(ValueError):
-        fit_q(euclid, 0.5, s3, jet2(euclid, 0.5, s3))
+        fit_q(0.5, s3, jet2(euclid, 0.5, s3))
 
 
 def test_verdict_randers_zoo_passes():
@@ -76,8 +76,8 @@ def test_fit_stable_under_grid_refinement(funk2, family_k):
     for spec in (funk2, family_k.spec):
         for r in interior_grid(spec, 3):
             s21, s41 = symmetric_s(float(r), 21), symmetric_s(float(r), 41)
-            a = fit_q(spec, float(r), s21, jet2(spec, float(r), s21))
-            b = fit_q(spec, float(r), s41, jet2(spec, float(r), s41))
+            a = fit_q(float(r), s21, jet2(spec, float(r), s21))
+            b = fit_q(float(r), s41, jet2(spec, float(r), s41))
             assert abs(a.c1 - b.c1) <= 1e-9
             assert abs(a.c2 - b.c2) <= 1e-9
 
@@ -101,5 +101,5 @@ def test_verdict_residuals_are_the_per_point_fit_defects(funk2):
     np.testing.assert_array_equal(np.max(np.abs(fit.residuals), axis=1), fit.max_residual)
     for i, r in enumerate(grid):
         s = r * fracs
-        one = fit_q(funk2, float(r), s, jet2(funk2, float(r), s))
+        one = fit_q(float(r), s, jet2(funk2, float(r), s))
         np.testing.assert_array_equal(fit.residuals[i], one.residuals)

@@ -89,12 +89,12 @@ def test_pde_residual_exact_solution():
     # phi = s/r^2 solves the c2 = 0 transport equation identically
     spec = general_phi_spec("s/r^2", 2, (0.4, 1.2))
     for r in (0.5, 0.8, 1.1):
-        res = family_pde_residual(spec, ZERO, r, 0.4 * r, phi_jet_unchecked(spec, r, 0.4 * r))
+        res = family_pde_residual(ZERO, r, 0.4 * r, phi_jet_unchecked(spec, r, 0.4 * r))
         assert abs(float(np.asarray(res))) < 1e-13
 
 
 def test_pde_residual_detects_non_solution(funk2):
-    res = family_pde_residual(funk2, ZERO, 0.5, 0.2, phi_jet(funk2, 0.5, 0.2))
+    res = family_pde_residual(ZERO, 0.5, 0.2, phi_jet(funk2, 0.5, 0.2))
     assert abs(float(np.asarray(res))) > 1e-2
 
 
@@ -102,7 +102,7 @@ def test_pde_residual_family_members(family_k):
     spec = family_k.spec
     for r in interior_grid(spec, 5):
         s = 0.5 * float(r)
-        res = family_pde_residual(spec, spec.profile.c2, float(r), s, phi_jet(spec, float(r), s))
+        res = family_pde_residual(spec.profile.c2, float(r), s, phi_jet(spec, float(r), s))
         assert abs(float(np.asarray(res))) <= 1e-10
 
 
@@ -115,7 +115,7 @@ def test_spray_system_residual_family(family_k):
     for r in interior_grid(spec, 4):
         for frac in (-0.6, 0.3):
             x, s = float(r), float(r) * frac
-            res1, res2 = spray_system_residual(spec, c1, c2, b, c, x, s, phi_jet(spec, x, s))
+            res1, res2 = spray_system_residual(c1, c2, b, c, x, s, phi_jet(spec, x, s))
             assert abs(float(np.asarray(res1))) < 1e-10
             assert abs(float(np.asarray(res2))) < 1e-10
 
@@ -124,7 +124,7 @@ def test_spray_system_residual_funk(funk2):
     # Funk: P = phi/2, Q = 0 -> c1 = c2 = b = 0, c = 1/2
     c_half = ScalarFunction.from_text("0.5")
     for r in (0.3, 0.55):
-        res1, res2 = spray_system_residual(funk2, ZERO, ZERO, ZERO, c_half, r, 0.4 * r,
+        res1, res2 = spray_system_residual(ZERO, ZERO, ZERO, c_half, r, 0.4 * r,
                                            phi_jet(funk2, r, 0.4 * r))
         assert abs(float(np.asarray(res1))) < 1e-12
         assert abs(float(np.asarray(res2))) < 1e-12

@@ -110,7 +110,7 @@ def _nested_family_values(c2, r0, r):
 @pytest.mark.parametrize("domain, r0, bisected", [((0.8, 1.2), 1.0, False),
                                                   ((0.05, 0.95), 0.5, True)],
                          ids=["two-panels", "bisected"])
-@pytest.mark.parametrize("c2", ["0.1", "0.1 + 0.05/r"])
+@pytest.mark.parametrize("c2", ["0.1", "0.1 + 0.05/r", "sin(3*r)"])
 def test_family_tables_match_nested_quadrature(c2, domain, r0, bisected):
     chi = parse_expression("1 + w/4", {"w"})
     spec = MetricSpec(BerwaldFamilyProfile(ScalarFunction.from_text(c2), chi, r0), 2, domain)
@@ -129,6 +129,28 @@ def test_family_tables_match_nested_quadrature(c2, domain, r0, bisected):
     for r_edge in (lo - slack, hi + slack):
         assert phi_jet(spec, r_edge, 0.5 * r_edge).d(0, 0) > 0.0
     assert (_family_table(spec).nodes.shape[0] > 2) is bisected
+
+
+# the first row is the metric of configs/family_k.json
+@pytest.mark.parametrize("c2, domain, r0, rounds", [("0.1", (0.8, 1.2), 1.0, 1),
+                                                    ("0.1 + 0.05/r", (0.001, 1.0), 0.5, 11)],
+                         ids=["family-k", "inverse-r"])
+def test_family_table_reads_c2_once_per_bisection_round(monkeypatch, c2, domain, r0, rounds):
+    chi = parse_expression("1 + w/4", {"w"})
+    spec = MetricSpec(BerwaldFamilyProfile(ScalarFunction.from_text(c2), chi, r0), 2, domain)
+    shapes = []
+    value = ScalarFunction.value
+
+    def counted(self, r):
+        shapes.append(np.shape(r))
+        return value(self, r)
+
+    monkeypatch.setattr(ScalarFunction, "value", counted)
+    table = _family_table.__wrapped__(spec)  # a fresh build, past the per-spec cache
+    assert len(shapes) == rounds
+    assert shapes[-1] == table.nodes.shape
+    assert table.values.ndim == 2 and table.values.shape == table.nodes.shape
+    assert isinstance(table.at(1.05 * r0), float)
 
 
 def test_family_table_split_cap_raises_naming_the_panel(monkeypatch):
@@ -204,7 +226,7 @@ def test_phi_jet_enforces_positivity():
 
 
 def test_spray_trivial_profile(euclid):
-    sv = spray_values(euclid, 0.4, 0.1, phi_jet(euclid, 0.4, 0.1))
+    sv = spray_values(0.4, 0.1, phi_jet(euclid, 0.4, 0.1))
     assert sv.P == 0.0
     assert sv.Q == 0.0
     assert sv.Q_s == 0.0
@@ -214,7 +236,7 @@ def test_spray_known_closed_form():
     # phi = sqrt(1+s^2): Q = 1/(2(1+r^2)), P = 0
     spec = general_phi_spec("sqrt(1+s^2)", 3, (0.05, 1.2))
     for s in (-0.3, 0.0, 0.25):
-        sv = spray_values(spec, 0.5, s, phi_jet(spec, 0.5, s))
+        sv = spray_values(0.5, s, phi_jet(spec, 0.5, s))
         assert sv.Q == pytest.approx(0.4, abs=1e-12)
         assert sv.P == pytest.approx(0.0, abs=1e-12)
 
@@ -223,7 +245,7 @@ def test_spray_family_closed_form(family_riemann):
     # phi = 1/r: Q = 1/(2r^2), P = -s/r^2
     spec = family_riemann.spec
     r, s = 1.1, 0.4
-    sv = spray_values(spec, r, s, phi_jet(spec, r, s))
+    sv = spray_values(r, s, phi_jet(spec, r, s))
     assert sv.Q == pytest.approx(1.0 / (2.0 * r * r), rel=1e-9)
     assert sv.P == pytest.approx(-s / r**2, rel=1e-9)
 
@@ -234,9 +256,9 @@ def test_q_s_matches_central_difference(funk2, randers111):
         for r in interior_grid(spec, 5):
             for frac in (-0.6, -0.1, 0.4):
                 r, s = float(r), float(r) * frac
-                sv = spray_values(spec, r, s, phi_jet(spec, r, s))
-                q_plus = spray_values(spec, r, s + h, phi_jet(spec, r, s + h)).Q
-                q_minus = spray_values(spec, r, s - h, phi_jet(spec, r, s - h)).Q
+                sv = spray_values(r, s, phi_jet(spec, r, s))
+                q_plus = spray_values(r, s + h, phi_jet(spec, r, s + h)).Q
+                q_minus = spray_values(r, s - h, phi_jet(spec, r, s - h)).Q
                 fd = (q_plus - q_minus) / (2.0 * h)
                 assert float(sv.Q_s) == pytest.approx(fd, rel=1e-6, abs=1e-9)
 
@@ -411,20 +433,20 @@ def test_order2_spray_determinant_and_norm_equal_the_order3_bits(name):
     for x, y in points:
         u, r, s = _split(x, y)
         two, three = phi_jet(spec, r, s, order=2), phi_jet(spec, r, s)
-        sv2, sv3 = spray_values(spec, r, s, two), spray_values(spec, r, s, three)
+        sv2, sv3 = spray_values(r, s, two), spray_values(r, s, three)
         assert _bits(sv2.P, sv2.Q) == _bits(sv3.P, sv3.Q)
         assert _bits(metric_determinant(spec, r, s, two)) == _bits(
             metric_determinant(spec, r, s, three))
         assert _bits(finsler_norm(spec, x, y)) == _bits(u * float(three.d(0, 0)))
     r = np.array([_split(x, y)[1] for x, y in points])
     s = np.array([_split(x, y)[2] for x, y in points])
-    sv2 = spray_values(spec, r, s, phi_jet(spec, r, s, order=2))
-    sv3 = spray_values(spec, r, s, phi_jet(spec, r, s))
+    sv2 = spray_values(r, s, phi_jet(spec, r, s, order=2))
+    sv3 = spray_values(r, s, phi_jet(spec, r, s))
     assert _bits(sv2.P, sv2.Q) == _bits(sv3.P, sv3.Q)
 
 
 def test_q_s_from_an_order2_jet_raises(funk2):
-    sv = spray_values(funk2, 0.5, 0.2, phi_jet(funk2, 0.5, 0.2, order=2))
+    sv = spray_values(0.5, 0.2, phi_jet(funk2, 0.5, 0.2, order=2))
     with pytest.raises(ValueError, match="Q_s needs the third partials of an order-3"):
         sv.Q_s
 

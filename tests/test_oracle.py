@@ -172,8 +172,8 @@ def test_shared_jet_gives_the_same_spray_and_distortion(funk2):
         _, r_st, s_st = _split(st.x, st.y)
         want = geometry.phi_jet(funk2, r_st, s_st)
         assert st.jet.c == want.c[:6]
-        got_sv = geometry.spray_values(funk2, r_st, s_st, st.jet)
-        want_sv = geometry.spray_values(funk2, r_st, s_st, want)
+        got_sv = geometry.spray_values(r_st, s_st, st.jet)
+        want_sv = geometry.spray_values(r_st, s_st, want)
         assert [v.hex() for v in (got_sv.P, got_sv.Q)] == [v.hex() for v in (want_sv.P, want_sv.Q)]
 
 
