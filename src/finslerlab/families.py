@@ -13,11 +13,10 @@ Four layers live here:
   of Q read off one order-2 jet per batch of radii, on the config grid for
   ``verify`` and on 9 radii x ``s_fractions(21)`` for a build;
 * solvers that generate admissible profiles from the conditions at the
-  nodes of a uniform grid (the closed-form solution of the linear g equation,
-  read off one jet, for the Busemann-Hausdorff branch; the exponential of a
-  tabulated antiderivative for the Holmes-Thompson branch), every node
-  audited with an independent finite-difference derivative of the solved
-  values;
+  nodes of a uniform grid (closed-form solutions read off one jet: of the
+  linear g equation for the Busemann-Hausdorff branch, of the linear h
+  equation for the Holmes-Thompson branch), every node audited with an
+  independent finite-difference derivative of the solved values;
 * quintic Hermite packaging (SampledFunction) so solved profiles plug into
   the same pipelines as closed-form ones.
 
@@ -55,7 +54,6 @@ from .geometry import (
 )
 from .jets import Jet3, ipow
 from .oracle import _dot
-from .quadrature import segment_integral
 from .randers import admissibility_margin, radial_data
 
 #: enforced bound on the independent node audit of bh_solve_g solutions
@@ -462,10 +460,16 @@ def bh_solve_g(f, h, g_at_r0: float, r_range, steps: int = 400, r0=None) -> OdeS
 def ht_solve_h(c_const: float, g, h_at_r0: float, r_range, steps: int = 1600, r0=None) -> OdeSolution:
     """Solve 2h'(c/r^2 + r^2 g) = h (r^2 g' - 4c/r^3) for h.
 
-    The equation is linear homogeneous, so h(r) = h(r0) exp K(r) with K the
-    antiderivative of the coefficient from r0 (snapped onto the grid): one
-    ``segment_integral`` table, read at the uniform grid nodes.  Admissibility
-    g - h^2 > -c/r^4 is reported, not enforced.
+    With q = c/r^2 + r^2 g, q' = -2c/r^3 + 2rg + r^2 g', so the right-hand
+    coefficient is q' - 2q/r and the solution through h(r0) = h0 is, exactly,
+
+        h = h0 (r0/r) sqrt(q/q0),
+
+    that is, r^2 h^2 / q is constant: the parallel 1-form has constant
+    alpha-length.  It is evaluated as one r-jet at the nodes of a uniform grid
+    over r_range, with r0 (default: the left endpoint) snapped onto the grid;
+    values and both derivatives are read off that jet, and the r0 node holds
+    h0 exactly.  Admissibility g - h^2 > -c/r^4 is reported, not enforced.
     """
     c_const, h0 = float(c_const), float(h_at_r0)
     if not 0.0 < c_const < math.inf:
@@ -474,14 +478,8 @@ def ht_solve_h(c_const: float, g, h_at_r0: float, r_range, steps: int = 1600, r0
         raise DomainError(f"h_at_r0 must be finite, got {h0!r}")
     g = _as_radial_fn(g)
     nodes, step, i0 = _uniform_nodes(r_range, steps, r0)
-
-    def kappa(rho):
-        gj = g.jet(rho, order=2)
-        den = 2.0 * (c_const / (rho * rho) + rho * rho * gj.d(0, 0))
-        return (rho * rho * gj.d(1, 0) - 4.0 * c_const / ipow(rho, 3)) / den
-
-    gj_n = g.jet(nodes)
-    g_nodes, gp_nodes = np.asarray(gj_n.d(0, 0)), np.asarray(gj_n.d(1, 0))
+    gj = g.jet(nodes, order=2)
+    g_nodes, gp_nodes = np.asarray(gj.d(0, 0)), np.asarray(gj.d(1, 0))
     den_nodes = c_const / (nodes * nodes) + nodes * nodes * g_nodes
     if np.any(den_nodes <= 0.0):
         i = int(np.argmax(den_nodes <= 0.0))
@@ -490,29 +488,23 @@ def ht_solve_h(c_const: float, g, h_at_r0: float, r_range, steps: int = 1600, r0
             "the h equation is singular"
         )
 
-    # K from the anchor node outwards, read off its table at the grid nodes
-    k_table = segment_integral(kappa, nodes[i0], nodes[0], nodes[-1])
-    values = h0 * np.exp(k_table.at(nodes))
-
+    rr0, q0 = float(nodes[i0]), float(den_nodes[i0])
+    rj = Jet3.seed(nodes, dr=1.0, order=2)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the audit
+        h_jet = (c_const / (rj * rj) + rj * rj * gj).sqrt() * (h0 * rr0 / math.sqrt(q0)) / rj
+        values = np.asarray(h_jet.d(0, 0))
+        values[i0] = h0  # the closed form returns h0 only to roundoff
         hp_fd = _fd_derivative(values, step)
         residuals = 2.0 * hp_fd * den_nodes - values * (
             nodes * nodes * gp_nodes - 4.0 * c_const / ipow(nodes, 3))
     _audit("ht_solve_h", residuals, HT_NODE_TOL * (1.0 + float(np.max(np.abs(values)))))
 
-    rj = Jet3.seed(nodes, dr=1.0)
-    k_jet = (rj * rj * gj_n.deriv(1, 0) - 4.0 * c_const / rj.powi(3)) / (
-        2.0 * (c_const / (rj * rj) + rj * rj * gj_n)
-    )
-    k_nodes, kp_nodes = np.asarray(k_jet.d(0, 0)), np.asarray(k_jet.d(1, 0))
-    derivs = k_nodes * values
-    second = (kp_nodes + k_nodes * k_nodes) * values
     margins = g_nodes - values * values + c_const / ipow(nodes, 4)
     return OdeSolution(
         r_nodes=nodes,
         values=values,
-        derivs=derivs,
-        second_derivs=second,
+        derivs=np.asarray(h_jet.d(1, 0)),
+        second_derivs=np.asarray(h_jet.d(2, 0)),
         node_residuals=residuals,
         admissible=bool(np.all(margins > 0.0)),
         admissibility_margin=float(np.min(margins)),

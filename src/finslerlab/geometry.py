@@ -49,7 +49,7 @@ import numpy as np
 
 from .errors import DomainError, FinslerError, RegularityError
 from .expr import ExpressionTree, ScalarFunction, eval_tree, parse_expression
-from .jets import Jet3, any_true, ipow
+from .jets import Jet3, any_true, ipow, is_finite
 from .quadrature import PanelTable, segment_integral
 
 #: relative inset used when building s-grids that must avoid |s| = r
@@ -258,22 +258,24 @@ def _family_phi_jet(spec: MetricSpec, r, s, order: int) -> Jet3:
     sj = Jet3.seed(s, ds=1.0, order=order)
     s2 = sj * sj
     radicand = g_jet + J_jet * s2
-    _check_radicand(r, radicand.value)
-    rsqrt = radicand.powr(-0.5)  # one composition gives both w and the square root
+    _check_radicand(r, radicand.value <= 0.0, "is non-positive", "value", radicand.value)
+    with np.errstate(over="ignore", invalid="ignore"):  # a tiny g overflows their Taylor data
+        rsqrt = radicand.powr(-0.5)  # one composition gives both w and the square root
+        g_rsqrt = g_jet.powr(-0.5)
+    if not (is_finite(rsqrt.c) and is_finite(g_rsqrt.c)):
+        bad = sum(~np.isfinite(c) for c in rsqrt.c + g_rsqrt.c) > 0
+        _check_radicand(r, bad, "is too small: its derivatives overflow", "g =", g_jet.value)
     chi_jet = eval_tree(p.chi, {"w": s2 * (rsqrt * rsqrt)})
-    return chi_jet * (radicand * rsqrt) * (g_jet.powr(-0.5) * (p.r0 * inv_r))
+    return chi_jet * (radicand * rsqrt) * (g_rsqrt * (p.r0 * inv_r))
 
 
-def _check_radicand(r, value) -> None:
-    """DomainError unless the family radicand g + J s^2 is positive everywhere."""
-    bad = value <= 0.0
+def _check_radicand(r, bad, what: str, name: str, value) -> None:
+    """DomainError about the family radicand g + J s^2 at the first point of the mask bad."""
     if any_true(bad):
-        i = int(np.argmax(bad))
-        rr, vv = np.broadcast_arrays(np.asarray(r, dtype=float), value)
-        raise DomainError(
-            f"family radical g + J*s^2 is non-positive at r={float(rr.flat[i])!r} "
-            f"(value {float(vv.flat[i])!r})"
-        )
+        rr, vv, bb = np.broadcast_arrays(np.asarray(r, dtype=float), value, bad)
+        i = int(np.argmax(bb))
+        raise DomainError(f"family radical g + J*s^2 {what} at r={float(rr.flat[i])!r} "
+                          f"({name} {float(vv.flat[i])!r})")
 
 
 # -- spray coefficients ------------------------------------------------------

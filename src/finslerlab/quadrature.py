@@ -5,8 +5,8 @@ elementwise over a batch of radii (an element's value never depends on the
 others); the volume densities use it.  ``segment_integral`` tabulates the
 antiderivative of one integrand from an anchor on adaptive Chebyshev-Lobatto
 panels (spectral integration, Greengard 1991), read back by barycentric
-interpolation; the Berwald-type family's I1 in :mod:`finslerlab.geometry` and
-the Holmes-Thompson solver's K in :mod:`finslerlab.families` use it.
+interpolation; the Berwald-type family's I1 in :mod:`finslerlab.geometry`, the
+one radial integral here with no closed form, uses it.
 
 Nodes, weights, the integration matrix and every sum use only IEEE basic
 operations (no LAPACK eigensolver, no BLAS, no numpy reduction whose blocking

@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import CrossCheckError, DomainError, FinslerError
 from .expr import ScalarFunction
-from .geometry import MetricSpec, phi_jet
+from .geometry import MetricSpec, phi_jet, regularity_margins
 from .jets import Jet3, any_true, ipow
 from .quadrature import angle_nodes, exact_sum, refine
 
@@ -119,11 +119,7 @@ def _sigma_bh_at(spec: MetricSpec, r, n_nodes: int):
 
 def _sigma_ht_at(spec: MetricSpec, r, n_nodes: int):
     rc, s, _, ws, jet = _node_jets(spec, r, n_nodes, _HT_ORDER)
-    phi = _arr(jet.d(0, 0), s.shape)
-    phi_s = _arr(jet.d(0, 1), s.shape)
-    phi_ss = _arr(jet.d(0, 2), s.shape)
-    m2 = phi - s * phi_s
-    m3 = m2 + (rc * rc - s * s) * phi_ss
+    phi, m2, m3 = (_arr(m, s.shape) for m in regularity_margins(jet, rc, s))
     integrand = phi * ipow(m2, spec.n - 2) * m3
     return exact_sum(ws * integrand) / sin_power_integral(spec.n)
 

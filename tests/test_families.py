@@ -11,6 +11,7 @@ from numpy.polynomial import Polynomial
 from _support import (dispatched_simd_targets, stdout_under_blas_cores,
                       stdout_with_and_without_simd)
 from conftest import FUNK_RANDERS, interior_grid
+from finslerlab import quadrature
 from finslerlab.errors import (
     CrossCheckError,
     DegenerateInputError,
@@ -31,6 +32,8 @@ from finslerlab.families import (
     spray_system_residual,
 )
 from finslerlab.geometry import general_phi_spec, phi_jet, phi_jet_unchecked, randers_spec
+from finslerlab.jets import ipow
+from finslerlab.quadrature import segment_integral
 from finslerlab.randers import covariant_b_coefficients
 from finslerlab.scurvature import isotropy_profile
 from finslerlab.volume import BH, HT
@@ -419,6 +422,63 @@ def test_ht_solve_validates_denominator():
     g_neg = ScalarFunction.from_text("-2")
     with pytest.raises(DomainError):
         ht_solve_h(1.0, g_neg, 0.5, (1.0, 2.0))
+
+
+HT_CASES = [  # (c, g, h0, r_range, steps, r0)
+    (1.0, "0", 0.5, (1.0, 2.5), 600, None),
+    (1.0, "0.3 + 0.1*r^2", 1.0, (0.5, 2.0), 1600, None),
+    (1.0, "0.2*r", 0.3, (1.0, 2.5), 600, None),
+    (0.7, "0.1*sin(3*r) + 0.5", -0.4, (0.6, 2.0), 800, 1.3),
+    (2.0, "exp(-r)", 0.2, (1.0, 3.0), 1600, 2.0),
+]
+
+
+@pytest.mark.parametrize("c, g, h0, r_range, steps, r0", HT_CASES)
+def test_ht_solution_matches_the_quadrature_of_its_coefficient(c, g, h0, r_range, steps, r0):
+    # the closed form against h0 exp(K), K the tabulated antiderivative of
+    # K' = (r^2 g' - 4c/r^3) / (2 (c/r^2 + r^2 g)) from r0
+    sol = ht_solve_h(c, g, h0, r_range, steps=steps, r0=r0)
+    nodes = sol.r_nodes
+    i0 = 0 if r0 is None else int(np.argmin(np.abs(nodes - r0)))
+    g_fn = ScalarFunction.from_text(g)
+
+    def kappa(rho):
+        gj = g_fn.jet(rho, order=2)
+        den = 2.0 * (c / (rho * rho) + rho * rho * gj.d(0, 0))
+        return (rho * rho * gj.d(1, 0) - 4.0 * c / ipow(rho, 3)) / den
+
+    k_table = segment_integral(kappa, nodes[i0], nodes[0], nodes[-1])
+    np.testing.assert_allclose(sol.values, h0 * np.exp(k_table.at(nodes)), rtol=1e-13)
+    # h' passes through zero on some ranges: there the roundoff of its scale counts
+    np.testing.assert_allclose(sol.derivs, kappa(nodes) * sol.values, rtol=1e-12,
+                               atol=1e-15 * np.max(np.abs(sol.derivs)))
+
+
+def test_ht_solve_evaluates_no_panel_table(monkeypatch):
+    def no_table(*args):
+        raise AssertionError("ht_solve_h evaluated a panel table")
+
+    monkeypatch.setattr(quadrature, "_antiderivative", no_table)
+    sol = ht_solve_h(1.0, "0.3 + 0.1*r^2", 1.0, (0.5, 2.0))
+    assert sol.admissible and sol.r_nodes.size == 1601
+
+
+# SHA-256 of three HT solution tables
+HT_DIGEST_SCRIPT = """
+import hashlib
+from finslerlab.families import ht_solve_h
+digest = hashlib.sha256()
+for g in ("0.3 + 0.1*r^2", "0.2*r", "0"):
+    sol = ht_solve_h(1.0, g, 0.3, (1.0, 2.5), steps=600)
+    digest.update(b"".join(a.tobytes() for a in (sol.values, sol.derivs, sol.second_derivs)))
+print(digest.hexdigest())
+"""
+
+
+@pytest.mark.skipif(not dispatched_simd_targets(), reason="numpy reports no dispatched SIMD target")
+def test_ht_solve_bytes_independent_of_simd_dispatch():
+    dispatched, baseline = stdout_with_and_without_simd(HT_DIGEST_SCRIPT)
+    assert dispatched == baseline
 
 
 # -- build_berwald_family ----------------------------------------------------
