@@ -2,11 +2,14 @@
 
 ``refine`` runs Gauss-Legendre rules on [0, pi] with doubling refinement,
 elementwise over a batch of radii (an element's value never depends on the
-others); the volume densities use it.  ``segment_integral`` tabulates the
-antiderivative of one integrand from an anchor on adaptive Chebyshev-Lobatto
-panels (spectral integration, Greengard 1991), read back by barycentric
-interpolation; the Berwald-type family's I1 in :mod:`finslerlab.geometry`, the
-one radial integral here with no closed form, uses it.
+others); the volume densities use it.  Its first evaluation asks for the 64-
+and 128-node rules together, where the bundled integrands settle, so one
+profile jet serves both.  ``segment_integral`` tabulates the antiderivative
+of one integrand from an anchor on adaptive Chebyshev-Lobatto panels (spectral
+integration, Greengard 1991), read back by barycentric interpolation, and
+evaluates the integrand once per panel made; the Berwald-type family's I1 in
+:mod:`finslerlab.geometry`, the one radial integral here with no closed form,
+uses it.
 
 Nodes, weights, the integration matrix and every sum use only IEEE basic
 operations (no LAPACK eigensolver, no BLAS, no numpy reduction whose blocking
@@ -115,20 +118,21 @@ def angle_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * np.pi * (x + 1.0), 0.5 * np.pi * w
 
 
-def refine(eval_at_n):
-    """Run eval_at_n(N) with N doubling from ``REFINE_START`` until successive
-    values agree, elementwise.
+def refine(eval_at):
+    """Gauss-Legendre refinement, elementwise: node counts double from
+    ``REFINE_START`` until successive values agree.
 
-    eval_at_n returns a float or an array (one value per radius).  Each element
-    keeps the first value within ``REFINE_ATOL`` of the one before it, as a
-    scalar run would; QuadratureError when one reaches the node cap unsettled.
+    eval_at(counts) takes a tuple of node counts and returns one value per
+    count, each a float or an array (one value per radius).  The first call
+    asks for ``REFINE_START`` and its double together, the next ones for one
+    doubling each.  Each element keeps the first value within ``REFINE_ATOL``
+    of the one before it, as a scalar run would; QuadratureError when one
+    reaches the node cap unsettled.
     """
-    n = REFINE_START
-    prev = eval_at_n(n)
+    values = _doubling(eval_at)
+    prev = next(values)
     out, settled = np.array(prev, dtype=float), np.zeros(np.shape(prev), dtype=bool)
-    while n < REFINE_CAP:
-        n *= 2
-        cur = eval_at_n(n)
+    for cur in values:
         new = ~settled & (np.abs(np.subtract(cur, prev)) <= REFINE_ATOL)
         out[new] = np.asarray(cur)[new]
         settled |= new
@@ -138,6 +142,15 @@ def refine(eval_at_n):
     raise QuadratureError(
         f"refinement did not reach {REFINE_ATOL:g} below {REFINE_CAP} nodes"
     )
+
+
+def _doubling(eval_at):
+    """refine's values by node count, the first two from one call, each evaluated when read."""
+    n = 2 * REFINE_START
+    yield from eval_at((REFINE_START, n))
+    while n < REFINE_CAP:
+        n *= 2
+        yield from eval_at((n,))
 
 
 # -- Chebyshev panel tables ----------------------------------------------------
@@ -238,20 +251,24 @@ def _unresolved(values: np.ndarray) -> np.ndarray:
 def segment_integral(integrand, anchor: float, lo: float, hi: float) -> PanelTable:
     """The antiderivative from ``anchor`` of ``integrand``, tabulated over [lo, hi] and the anchor.
 
-    The integrand is called as ``f(rho)`` with rho the nodes of every panel,
-    shape (P, N + 1).  Panels start split at the anchor and are bisected until
-    the antiderivative passes the trailing-coefficient test on each;
+    The integrand is called as ``f(rho)`` with rho the nodes of the panels it
+    has not seen, shape (K, N + 1).  Panels start split at the anchor and are
+    bisected until the antiderivative passes the trailing-coefficient test on
+    each; a panel's integrand values are evaluated once, when it is made.
     QuadratureError names a panel that fails after ``TABLE_SPLIT_CAP``
     bisections, DomainError the radius of a non-finite integrand value.
     """
     anchor = float(anchor)
     edges = np.array(sorted({min(float(lo), anchor), anchor, max(float(hi), anchor)}))
     splits = np.zeros(edges.size - 1, dtype=int)
+    fresh = np.ones(edges.size - 1, dtype=bool)  # panels whose integrand values are unknown
+    vals = np.empty((edges.size - 1, TABLE_DEGREE + 1))
     while True:
         a, b = edges[:-1, None], edges[1:, None]
         nodes = 0.5 * (a + b) + 0.5 * (b - a) * _LOBATTO
         nodes[:, 0], nodes[:, -1] = edges[1:], edges[:-1]
-        values = _antiderivative(integrand, anchor, edges, nodes)
+        vals[fresh] = _integrand_values(integrand, nodes[fresh])
+        values = _antiderivative(anchor, edges, vals)
         bad = _unresolved(values)
         if not bad.any():
             return PanelTable(edges, nodes, values)
@@ -262,23 +279,31 @@ def segment_integral(integrand, anchor: float, lo: float, hi: float) -> PanelTab
                                   f"{TABLE_TOL:g} after {TABLE_SPLIT_CAP} bisections")
         mids = 0.5 * (edges[:-1] + edges[1:])[bad]
         edges = np.sort(np.concatenate([edges, mids]))
-        splits = np.repeat(splits + bad, np.where(bad, 2, 1))
+        # a bisected panel becomes two fresh ones; a kept panel keeps its values
+        twice = np.where(bad, 2, 1)
+        splits, fresh, vals = (np.repeat(x, twice, axis=0) for x in (splits + bad, bad, vals))
 
 
-def _antiderivative(integrand, anchor: float, edges: np.ndarray, nodes: np.ndarray) -> np.ndarray:
-    """Node values (P, N + 1) of the antiderivative from the anchor: each panel
-    integrated from its end nearer the anchor, panel totals chained outwards."""
+def _integrand_values(integrand, nodes: np.ndarray) -> np.ndarray:
+    """integrand(nodes) as floats of the nodes' shape; DomainError at the first non-finite one."""
     with np.errstate(all="ignore"):
         vals = np.broadcast_to(np.asarray(integrand(nodes), dtype=float), nodes.shape)
     bad = ~np.isfinite(vals)
     if bad.any():
         raise DomainError(f"integrand is not finite at r={float(nodes[bad][0])!r}")
+    return vals
+
+
+def _antiderivative(anchor: float, edges: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """Node values (P, N + 1) of the antiderivative from the anchor, from the
+    integrand's node values: each panel integrated from its end nearer the
+    anchor, panel totals chained outwards."""
     left = edges[1:] <= anchor
     first = int(np.count_nonzero(left))  # the panel starting at the anchor
     matrix = np.where(left[:, None, None], _SPECTRAL_RIGHT, _SPECTRAL)
     half = 0.5 * (edges[1:] - edges[:-1])
-    local = half[:, None] * exact_sum((matrix * vals[:, None, :]).reshape(-1, nodes.shape[1])
-                                      ).reshape(nodes.shape)
+    local = half[:, None] * exact_sum((matrix * vals[:, None, :]).reshape(-1, vals.shape[1])
+                                      ).reshape(vals.shape)
     offset = np.zeros(len(half))
     for p in range(first + 1, len(half)):  # outwards to the right ...
         offset[p] = offset[p - 1] + local[p - 1, 0]

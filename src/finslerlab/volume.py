@@ -17,6 +17,9 @@ log sigma guards the analytic path and raises CrossCheckError on disagreement.
 The functions take one radius (kept a Python float) or a 1-D batch of radii,
 evaluated at once as (R, N) node jets with r a column; ``refine`` settles and
 math.fsum reduces each radius on its own, so it gets the bits it gets alone.
+Likewise one node jet holds the nodes of every count a ``refine`` call asks
+for (64 and 128 in its first), and each count's block of nodes is summed on
+its own, so each count gets the bits of a jet of its nodes alone.
 
 Node jets are of the order each volume reads: 2 under BH (sigma_bh reads phi,
 (log sigma_bh)' the first partials of phi^-n, and phi_jet's regularity guard
@@ -33,6 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -91,49 +95,65 @@ _BH_ORDER = 2
 _HT_ORDER = 3
 
 
-#: whole-grid entries are (R, N) jets, so the cache stays small; isotropy,
-#: analyze and sample on one grid still share their entries
-@lru_cache(maxsize=16)
-def _node_jets(spec: MetricSpec, r, n_nodes: int, order: int):
+#: whole-grid entries are (R, N) jets, so the cache stays small: 8 entries of
+#: the first refinement's 64 + 128 nodes hold what 16 single-count entries did;
+#: isotropy, analyze and sample on one grid still share their entries
+@lru_cache(maxsize=8)
+def _node_jets(spec: MetricSpec, r, counts: tuple[int, ...], order: int):
     """Radius (float or column), s = r cos t, cos t, weights times sin^{n-2} t,
-    and the profile jets of the given order at (r, s) for a key from ``_radii``.
+    and the profile jets of the given order at (r, s) for a key from ``_radii``,
+    with the Gauss-Legendre nodes of each count in ``counts`` side by side.
 
-    Regularity is enforced by phi_jet.
+    Regularity is enforced by phi_jet; a failure raises what the first failing
+    count raises alone.
     """
-    t, w = angle_nodes(n_nodes)
+    t, w = (np.concatenate(parts) for parts in zip(*map(angle_nodes, counts)))
     cos_t = np.cos(t)
     rc = r if isinstance(r, float) else np.array(r)[:, None]
     s = rc * cos_t
-    return rc, s, cos_t, w * ipow(np.sin(t), spec.n - 2), phi_jet(spec, rc, s, order)
+    try:
+        jet = phi_jet(spec, rc, s, order)
+    except FinslerError:
+        # a lower count that fails alone raises its own error first, as separate
+        # calls did; otherwise every failing node is the last count's, as alone
+        for n in counts[:-1]:
+            _node_jets(spec, r, (n,), order)
+        raise
+    return rc, s, cos_t, w * ipow(np.sin(t), spec.n - 2), jet
+
+
+def _per_count(counts, values):
+    """Exact sums of values over each count's block of nodes (the last axis)."""
+    return [exact_sum(values[..., end - n:end]) for n, end in zip(counts, accumulate(counts))]
 
 
 def _arr(v, shape):
     return np.broadcast_to(np.asarray(v, dtype=float), shape)
 
 
-def _sigma_bh_at(spec: MetricSpec, r, n_nodes: int):
-    _, s, _, ws, jet = _node_jets(spec, r, n_nodes, _BH_ORDER)
+def _sigma_bh_at(spec: MetricSpec, r, counts: tuple[int, ...]):
+    _, s, _, ws, jet = _node_jets(spec, r, counts, _BH_ORDER)
     phi = _arr(jet.d(0, 0), s.shape)
-    return sin_power_integral(spec.n) / exact_sum(ws * ipow(phi, -spec.n))
+    return [sin_power_integral(spec.n) / v for v in _per_count(counts, ws * ipow(phi, -spec.n))]
 
 
-def _sigma_ht_at(spec: MetricSpec, r, n_nodes: int):
-    rc, s, _, ws, jet = _node_jets(spec, r, n_nodes, _HT_ORDER)
+def _sigma_ht_at(spec: MetricSpec, r, counts: tuple[int, ...]):
+    rc, s, _, ws, jet = _node_jets(spec, r, counts, _HT_ORDER)
     phi, m2, m3 = (_arr(m, s.shape) for m in regularity_margins(jet, rc, s))
     integrand = phi * ipow(m2, spec.n - 2) * m3
-    return exact_sum(ws * integrand) / sin_power_integral(spec.n)
+    return [v / sin_power_integral(spec.n) for v in _per_count(counts, ws * integrand)]
 
 
 def sigma_bh(spec: MetricSpec, r):
     """Busemann-Hausdorff density at radius r (normalized to 1 for phi = 1)."""
     key = _radii(r)
-    return refine(lambda n: _sigma_bh_at(spec, key, n))
+    return refine(lambda counts: _sigma_bh_at(spec, key, counts))
 
 
 def sigma_ht(spec: MetricSpec, r):
     """Holmes-Thompson density at radius r (normalized to 1 for phi = 1)."""
     key = _radii(r)
-    return refine(lambda n: _sigma_ht_at(spec, key, n))
+    return refine(lambda counts: _sigma_ht_at(spec, key, counts))
 
 
 def _at_first(bad, *values):
@@ -167,28 +187,29 @@ def density(vol: VolumeSpec, spec: MetricSpec, r):
 # -- derivative under the integral sign --------------------------------------
 
 
-def _log_deriv_bh_at(spec: MetricSpec, r, n_nodes: int):
-    """(log sigma_bh)'(r) via integrand jets."""
-    _, s, cos_t, ws, jet = _node_jets(spec, r, n_nodes, _BH_ORDER)
+def _log_deriv_bh_at(spec: MetricSpec, r, counts: tuple[int, ...]):
+    """(log sigma_bh)'(r) via integrand jets, one value per node count."""
+    _, s, cos_t, ws, jet = _node_jets(spec, r, counts, _BH_ORDER)
     integrand = jet.powi(-spec.n)
     ddr = _arr(integrand.d(1, 0), s.shape) + cos_t * _arr(integrand.d(0, 1), s.shape)
-    j_val = exact_sum(ws * _arr(integrand.d(0, 0), s.shape))
-    j_der = exact_sum(ws * ddr)
-    return -j_der / j_val
+    j_val = _per_count(counts, ws * _arr(integrand.d(0, 0), s.shape))
+    j_der = _per_count(counts, ws * ddr)
+    return [-d / v for d, v in zip(j_der, j_val)]
 
 
-def _log_deriv_ht_at(spec: MetricSpec, r, n_nodes: int):
-    """(log sigma_ht)'(r) via integrand jets (order-3 profile jets feed T_r, T_s)."""
-    rc, s, cos_t, ws, jet = _node_jets(spec, r, n_nodes, _HT_ORDER)
+def _log_deriv_ht_at(spec: MetricSpec, r, counts: tuple[int, ...]):
+    """(log sigma_ht)'(r) via integrand jets (order-3 profile jets feed T_r, T_s),
+    one value per node count."""
+    rc, s, cos_t, ws, jet = _node_jets(spec, r, counts, _HT_ORDER)
     rj = Jet3.seed(rc, dr=1.0)
     sj = Jet3.seed(s, ds=1.0)
     m2j = jet - sj * jet.deriv(0, 1)
     m3j = m2j + (rj * rj - sj * sj) * jet.deriv(0, 2)
     t_jet = jet * m2j.powi(spec.n - 2) * m3j
     ddr = _arr(t_jet.d(1, 0), s.shape) + cos_t * _arr(t_jet.d(0, 1), s.shape)
-    k_val = exact_sum(ws * _arr(t_jet.d(0, 0), s.shape))
-    k_der = exact_sum(ws * ddr)
-    return k_der / k_val
+    k_val = _per_count(counts, ws * _arr(t_jet.d(0, 0), s.shape))
+    k_der = _per_count(counts, ws * ddr)
+    return [d / v for d, v in zip(k_der, k_val)]
 
 
 def f_coefficient(vol: VolumeSpec, spec: MetricSpec, r):
@@ -208,8 +229,8 @@ def f_coefficient(vol: VolumeSpec, spec: MetricSpec, r):
         f = -_arr(j.d(1, 0), np.shape(r)) / (r * v)
         return f if f.ndim else float(f)
     key = _radii(r)
-    at_n = _log_deriv_bh_at if isinstance(vol, BusemannHausdorff) else _log_deriv_ht_at
-    dlog = refine(lambda n: at_n(spec, key, n))
+    at = _log_deriv_bh_at if isinstance(vol, BusemannHausdorff) else _log_deriv_ht_at
+    dlog = refine(lambda counts: at(spec, key, counts))
     _cross_check_log_derivative(vol, spec, r, dlog)
     return -dlog / r
 

@@ -4,8 +4,9 @@ The bases are the bundled configs, run through `verify --check douglas`, and
 the construct inputs of _support.py.  Each has every optional top-level
 section filled in, so that those keys are fuzzed too.  Whatever the
 replacement, `main` must end in a documented exit code with no exception
-escaping: 2 with a `config error:` line, 1 only from `verify` with a report
-whose verdict is "fail", 3 or 4 for numeric and regularity failures.
+escaping: 1 only from `verify` with a report whose verdict is "fail"; 2, 3 and
+4 with stderr exactly one `config error:`, `numeric failure:` or
+`regularity failure:` line.
 """
 
 import contextlib
@@ -32,6 +33,9 @@ BASES += [(["construct", "--family", family],
            {"n": 2, "metric": {"kind": "general", "phi": "1"}, "construct": body})
           for family, body in CONSTRUCT_INPUTS.items()]
 BASES = [(argv, {**OPTIONAL, **body}) for argv, body in BASES]
+
+#: the one stderr line of each failure exit begins with its prefix
+PREFIX = {2: "config error: ", 3: "numeric failure: ", 4: "regularity failure: "}
 
 WRONG = ["", "x", "1", "bh", True, False, None, [], [1.0], [2.0, 1.0], ["a", 1.2], {},
          {"table": {}}, float("nan"), float("inf"), float("-inf"), -3, -0.5, 0, 0.0, 2.5,
@@ -81,8 +85,10 @@ def test_one_wrong_value_ends_in_a_documented_exit(work, case):
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main([*argv, str(cfg)])
         assert code in (0, 1, 2, 3, 4), (path, code)
-        if code == 2:
-            assert err.getvalue().startswith("config error:"), (path, err.getvalue())
+        if code in PREFIX:
+            text = err.getvalue()
+            assert text.startswith(PREFIX[code]) and text.count("\n") == 1 \
+                and text.endswith("\n"), (path, code, text)
         if code == 1:
             assert argv[0] == "verify", path
             report = out.getvalue() or Path(body["output"]["path"]).read_text()

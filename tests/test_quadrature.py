@@ -6,9 +6,12 @@ import numpy as np
 import pytest
 
 from finslerlab.errors import DomainError, QuadratureError
+from finslerlab.expr import ScalarFunction
+from finslerlab.jets import ipow
 from finslerlab.quadrature import (
     REFINE_CAP,
     TABLE_SPLIT_CAP,
+    _antiderivative,
     refine,
     segment_integral,
 )
@@ -73,6 +76,24 @@ def test_non_finite_integrand_names_the_radius():
         segment_integral(lambda x: 1.0 / x, -1.0, -1.0, 1.0)
 
 
+def test_segment_integral_evaluates_each_panel_once():
+    # the family's I1 integrand for c2 = 0.1 + 0.05/r: 17 bisections keep 19 panels
+    c2 = ScalarFunction.from_text("0.1 + 0.05/r")
+    seen = []
+
+    def integrand(rho):
+        seen.extend(zip(rho[:, -1].tolist(), rho[:, 0].tolist()))  # (left, right) panel ends
+        return 2.0 / rho - 4.0 * ipow(rho, 3) * c2.value(rho)
+
+    table = segment_integral(integrand, 0.5, 0.001, 1.0)
+    kept = table.edges.size - 1
+    assert kept == 19
+    assert len(seen) == len(set(seen)) == 2 + 2 * (kept - 2)  # every panel ever made, once
+    # pieced together round by round, the node values are those of one evaluation
+    whole = _antiderivative(0.5, table.edges, integrand(table.nodes))
+    assert whole.tobytes() == table.values.tobytes()
+
+
 # values by node count: element 0 settles at 128, element 1 at 256; the
 # values after settling differ, so a batch that kept refining would show it
 _SEQUENCES = (
@@ -84,21 +105,25 @@ _SEQUENCES = (
 def test_refine_settles_each_element_on_its_own():
     calls = []
 
-    def batch(n):
-        calls.append(n)
-        return np.array([seq[n] for seq in _SEQUENCES])
+    def batch(counts):
+        calls.append(counts)
+        return [np.array([seq[n] for seq in _SEQUENCES]) for n in counts]
 
     got = refine(batch)
-    assert calls == [64, 128, 256]
-    alone = [refine(lambda n, seq=seq: seq[n]) for seq in _SEQUENCES]
+    assert calls == [(64, 128), (256,)]
+    alone = [refine(lambda counts, seq=seq: [seq[n] for n in counts]) for seq in _SEQUENCES]
     assert alone == [1.0 + 1e-12, 1.0 - 2e-11]
     assert all(isinstance(v, float) for v in alone)
     np.testing.assert_array_equal(got, alone)
 
 
 def test_refine_raises_when_any_element_reaches_the_cap():
-    def batch(n):
-        return np.array([1.0, float(n)])  # the second element never settles
+    calls = []
+
+    def batch(counts):
+        calls.append(counts)
+        return [np.array([1.0, float(n)]) for n in counts]  # the second never settles
 
     with pytest.raises(QuadratureError, match=str(REFINE_CAP)):
         refine(batch)
+    assert calls == [(64, 128), (256,), (512,), (1024,)]

@@ -1,12 +1,16 @@
 """Quadrature densities, closed-form cross-checks and the f(r) coefficient."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from _support import random_randers_texts
 from conftest import FUNK_PHI, FUNK_RANDERS, PARALLEL_HT, RANDERS111, interior_grid, make_randers
+from finslerlab import volume
+from finslerlab.cli import build_spec, load_config
+from finslerlab.errors import RegularityError
 from finslerlab.expr import ScalarFunction
 from finslerlab.geometry import general_phi_spec, randers_spec, regularity_scan
 from finslerlab.quadrature import angle_nodes, gl_nodes
@@ -21,9 +25,13 @@ from finslerlab.volume import (
     sigma_bh,
     sigma_ht,
     sin_power_integral,
+    _log_deriv_bh_at,
+    _log_deriv_ht_at,
     _sigma_bh_at,
     _sigma_ht_at,
 )
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 RANDERS_TEXT_ZOO = [RANDERS111, FUNK_RANDERS, PARALLEL_HT]
 
@@ -74,9 +82,39 @@ def test_quadrature_stability_64_vs_128():
     for spec in specs:
         r = float(np.mean(interior_grid(spec, 3)))
         for fn in (_sigma_bh_at, _sigma_ht_at):
-            a = fn(spec, r, 64)
-            b = fn(spec, r, 128)
+            a, b = fn(spec, r, (64, 128))
             assert abs(a - b) <= 1e-10 * (1.0 + abs(a))
+
+
+@pytest.mark.parametrize("fns", [(_sigma_bh_at, _log_deriv_bh_at), (_sigma_ht_at, _log_deriv_ht_at)],
+                         ids=["bh", "ht"])
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.stem)
+def test_one_call_for_64_and_128_nodes_equals_one_call_per_count(path, fns):
+    spec = build_spec(load_config(str(path)))
+    grid = tuple(interior_grid(spec, 4).tolist())
+    for r in (grid[1], grid):
+        for fn in fns:
+            volume._node_jets.cache_clear()
+            both = fn(spec, r, (64, 128))
+            volume._node_jets.cache_clear()
+            alone = [fn(spec, r, (n,))[0] for n in (64, 128)]
+            assert [np.asarray(v).tobytes() for v in both] == [
+                np.asarray(v).tobytes() for v in alone], (fn.__name__, r)
+            assert [type(v) for v in both] == [type(v) for v in alone]
+
+
+def test_a_failing_node_jet_raises_what_its_first_count_raises_alone():
+    # phi < 0 for r < 0.5, most negative at the largest |s|: the 128 nodes reach
+    # nearer |s| = r than the 64 nodes, so the two counts alone name other nodes
+    spec = general_phi_spec("(r - 0.5)*(0.9 - r)*sqrt(1 + s^2)", 2, (0.1, 1.0))
+    for r in (0.3, (0.3, 0.4)):
+        msgs = []
+        for counts in ((64,), (128,), (64, 128)):
+            volume._node_jets.cache_clear()
+            with pytest.raises(RegularityError) as err:
+                _sigma_bh_at(spec, r, counts)
+            msgs.append(str(err.value))
+        assert msgs[2] == msgs[0] != msgs[1]
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
