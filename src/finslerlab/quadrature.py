@@ -6,10 +6,9 @@ others); the volume densities use it.  Its first evaluation asks for the 64-
 and 128-node rules together, where the bundled integrands settle, so one
 profile jet serves both.  ``segment_integral`` tabulates the antiderivative
 of one integrand from an anchor on adaptive Chebyshev-Lobatto panels (spectral
-integration, Greengard 1991), read back by barycentric interpolation, and
-evaluates the integrand once per panel made; the Berwald-type family's I1 in
-:mod:`finslerlab.geometry`, the one radial integral here with no closed form,
-uses it.
+integration, Greengard 1991), read back by barycentric interpolation; the
+Berwald-type family's I1 in :mod:`finslerlab.geometry`, the one radial integral
+here with no closed form, uses it.
 
 Nodes, weights, the integration matrix and every sum use only IEEE basic
 operations (no LAPACK eigensolver, no BLAS, no numpy reduction whose blocking
@@ -251,24 +250,20 @@ def _unresolved(values: np.ndarray) -> np.ndarray:
 def segment_integral(integrand, anchor: float, lo: float, hi: float) -> PanelTable:
     """The antiderivative from ``anchor`` of ``integrand``, tabulated over [lo, hi] and the anchor.
 
-    The integrand is called as ``f(rho)`` with rho the nodes of the panels it
-    has not seen, shape (K, N + 1).  Panels start split at the anchor and are
-    bisected until the antiderivative passes the trailing-coefficient test on
-    each; a panel's integrand values are evaluated once, when it is made.
+    The integrand is called as ``f(rho)`` with rho the nodes of every panel,
+    shape (P, N + 1).  Panels start split at the anchor and are bisected until
+    the antiderivative passes the trailing-coefficient test on each;
     QuadratureError names a panel that fails after ``TABLE_SPLIT_CAP``
     bisections, DomainError the radius of a non-finite integrand value.
     """
     anchor = float(anchor)
     edges = np.array(sorted({min(float(lo), anchor), anchor, max(float(hi), anchor)}))
     splits = np.zeros(edges.size - 1, dtype=int)
-    fresh = np.ones(edges.size - 1, dtype=bool)  # panels whose integrand values are unknown
-    vals = np.empty((edges.size - 1, TABLE_DEGREE + 1))
     while True:
         a, b = edges[:-1, None], edges[1:, None]
         nodes = 0.5 * (a + b) + 0.5 * (b - a) * _LOBATTO
         nodes[:, 0], nodes[:, -1] = edges[1:], edges[:-1]
-        vals[fresh] = _integrand_values(integrand, nodes[fresh])
-        values = _antiderivative(anchor, edges, vals)
+        values = _antiderivative(integrand, anchor, edges, nodes)
         bad = _unresolved(values)
         if not bad.any():
             return PanelTable(edges, nodes, values)
@@ -279,31 +274,23 @@ def segment_integral(integrand, anchor: float, lo: float, hi: float) -> PanelTab
                                   f"{TABLE_TOL:g} after {TABLE_SPLIT_CAP} bisections")
         mids = 0.5 * (edges[:-1] + edges[1:])[bad]
         edges = np.sort(np.concatenate([edges, mids]))
-        # a bisected panel becomes two fresh ones; a kept panel keeps its values
-        twice = np.where(bad, 2, 1)
-        splits, fresh, vals = (np.repeat(x, twice, axis=0) for x in (splits + bad, bad, vals))
+        splits = np.repeat(splits + bad, np.where(bad, 2, 1))
 
 
-def _integrand_values(integrand, nodes: np.ndarray) -> np.ndarray:
-    """integrand(nodes) as floats of the nodes' shape; DomainError at the first non-finite one."""
+def _antiderivative(integrand, anchor: float, edges: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """Node values (P, N + 1) of the antiderivative from the anchor: each panel
+    integrated from its end nearer the anchor, panel totals chained outwards."""
     with np.errstate(all="ignore"):
         vals = np.broadcast_to(np.asarray(integrand(nodes), dtype=float), nodes.shape)
     bad = ~np.isfinite(vals)
     if bad.any():
         raise DomainError(f"integrand is not finite at r={float(nodes[bad][0])!r}")
-    return vals
-
-
-def _antiderivative(anchor: float, edges: np.ndarray, vals: np.ndarray) -> np.ndarray:
-    """Node values (P, N + 1) of the antiderivative from the anchor, from the
-    integrand's node values: each panel integrated from its end nearer the
-    anchor, panel totals chained outwards."""
     left = edges[1:] <= anchor
     first = int(np.count_nonzero(left))  # the panel starting at the anchor
     matrix = np.where(left[:, None, None], _SPECTRAL_RIGHT, _SPECTRAL)
     half = 0.5 * (edges[1:] - edges[:-1])
-    local = half[:, None] * exact_sum((matrix * vals[:, None, :]).reshape(-1, vals.shape[1])
-                                      ).reshape(vals.shape)
+    local = half[:, None] * exact_sum((matrix * vals[:, None, :]).reshape(-1, nodes.shape[1])
+                                      ).reshape(nodes.shape)
     offset = np.zeros(len(half))
     for p in range(first + 1, len(half)):  # outwards to the right ...
         offset[p] = offset[p - 1] + local[p - 1, 0]

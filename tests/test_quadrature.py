@@ -6,12 +6,9 @@ import numpy as np
 import pytest
 
 from finslerlab.errors import DomainError, QuadratureError
-from finslerlab.expr import ScalarFunction
-from finslerlab.jets import ipow
 from finslerlab.quadrature import (
     REFINE_CAP,
     TABLE_SPLIT_CAP,
-    _antiderivative,
     refine,
     segment_integral,
 )
@@ -74,24 +71,6 @@ def test_non_finite_integrand_names_the_radius():
     # one panel [-1, 1], whose middle Lobatto node is 0.0
     with pytest.raises(DomainError, match=r"integrand is not finite at r=0\.0$"):
         segment_integral(lambda x: 1.0 / x, -1.0, -1.0, 1.0)
-
-
-def test_segment_integral_evaluates_each_panel_once():
-    # the family's I1 integrand for c2 = 0.1 + 0.05/r: 17 bisections keep 19 panels
-    c2 = ScalarFunction.from_text("0.1 + 0.05/r")
-    seen = []
-
-    def integrand(rho):
-        seen.extend(zip(rho[:, -1].tolist(), rho[:, 0].tolist()))  # (left, right) panel ends
-        return 2.0 / rho - 4.0 * ipow(rho, 3) * c2.value(rho)
-
-    table = segment_integral(integrand, 0.5, 0.001, 1.0)
-    kept = table.edges.size - 1
-    assert kept == 19
-    assert len(seen) == len(set(seen)) == 2 + 2 * (kept - 2)  # every panel ever made, once
-    # pieced together round by round, the node values are those of one evaluation
-    whole = _antiderivative(0.5, table.edges, integrand(table.nodes))
-    assert whole.tobytes() == table.values.tobytes()
 
 
 # values by node count: element 0 settles at 128, element 1 at 256; the
