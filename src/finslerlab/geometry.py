@@ -143,18 +143,21 @@ def batch_radii(batch, r_grid):
 
 
 def _check_domain(spec: MetricSpec, r, s):
-    """Raise DomainError unless every radius is in the domain and |s| <= r (floats or arrays)."""
+    """Raise DomainError unless every radius is in the domain and |s| <= r, NaNs
+    failing both (floats or arrays)."""
     rmin, rmax = spec.r_domain
     slack = 1e-12 * (1.0 + rmax)
     outside = (r < rmin - slack) | (r > rmax + slack) | (r != r)  # NaN radii too
     if any_true(outside):
         bad = float(np.asarray(r, dtype=float).flat[int(np.argmax(outside))])
         raise DomainError(f"radius {bad!r} outside declared domain [{rmin}, {rmax}]")
-    mask = abs(s) > r * (1.0 + 1e-12) + 1e-15
-    if any_true(mask):
-        i = int(np.argmax(np.broadcast_to(mask, np.broadcast_shapes(np.shape(r), np.shape(s)))))
+    inside = abs(s) <= r * (1.0 + 1e-12) + 1e-15  # False for a NaN slope too
+    if not (inside.all() if isinstance(inside, np.ndarray) else inside):
+        shape = np.broadcast_shapes(np.shape(r), np.shape(s))
+        i = int(np.argmax(~np.broadcast_to(inside, shape)))
+        bad = float(np.broadcast_to(s, shape).flat[i])
         raise DomainError(
-            f"|s| > r at point index {i}: the slope variable must satisfy |s| <= |x|"
+            f"slope s = {bad!r} at point index {i}: the slope variable must satisfy |s| <= |x|"
         )
 
 

@@ -215,6 +215,21 @@ def test_phi_jet_domain_checks(funk2, family_k):
         phi_jet(funk2, 0.5, 0.6)  # |s| > r
 
 
+@pytest.mark.parametrize("name", ["funk2", "funk_randers", "family_k"])
+def test_phi_jet_rejects_nan_slopes(request, name):
+    # a NaN slope fails |s| <= r on every profile kind, and the error names
+    # the first slope that fails it
+    spec = request.getfixturevalue(name)
+    spec = getattr(spec, "spec", spec)
+    r = 0.5 * sum(spec.r_domain)
+    with pytest.raises(DomainError, match="slope s = nan at point index 0"):
+        phi_jet(spec, r, math.nan, order=2)
+    with pytest.raises(DomainError, match="slope s = nan at point index 2"):
+        phi_jet(spec, np.full(3, r), np.array([0.0, 0.1 * r, np.nan]))
+    with pytest.raises(DomainError, match=f"slope s = {2.0 * r!r} at point index 1"):
+        phi_jet(spec, np.full(3, r), np.array([0.0, 2.0 * r, np.nan]))
+
+
 def test_phi_jet_enforces_positivity():
     spec = general_phi_spec("s/r^2", 2, (0.5, 1.0))
     with pytest.raises(RegularityError) as exc:

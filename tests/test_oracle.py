@@ -1,11 +1,16 @@
 """Geodesic-flow oracle: straight lines in the flat case, distortion values
 against brute-force tensors, and the S-by-distortion band check."""
 
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from _support import randers_metric_tensor, random_orthogonal, random_xy, stdout_under_blas_cores
+from _support import (dispatched_simd_targets, randers_metric_tensor, random_orthogonal,
+                      random_xy, stdout_under_blas_cores, stdout_with_and_without_simd)
 from finslerlab import geometry, oracle
+from finslerlab.cli import build_spec, load_config
 from finslerlab.errors import CrossCheckError, DomainError, DomainExitError
 from finslerlab.expr import ScalarFunction
 from finslerlab.geometry import general_phi_spec
@@ -18,6 +23,8 @@ from finslerlab.oracle import (
 )
 from finslerlab.scurvature import reduced_s
 from finslerlab.volume import BH, HT, CustomDensity, density
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def test_finsler_norm_flat(euclid):
@@ -119,7 +126,7 @@ def test_geodesic_domain_exit(funk2):
 
 def test_integrator_input_validation(euclid):
     with pytest.raises(ValueError):
-        integrate_geodesic(euclid, [0.3, 0.1], [0.2, 0.5], 0.5, steps=3)
+        integrate_geodesic(euclid, [0.3, 0.1], [0.2, 0.5], 0.5, steps=1)
     with pytest.raises(ValueError):
         integrate_geodesic(euclid, [0.3, 0.1, 0.0], [0.2, 0.5], 0.5)
 
@@ -154,10 +161,10 @@ def test_one_profile_jet_per_geodesic_state(funk2, monkeypatch, dt):
     sprays = _counting(monkeypatch, "spray_values", (geometry, oracle))
     x, y = np.array([0.3, 0.2]), np.array([0.5, -0.4])
     unshared = s_by_distortion(funk2, BH, x, y, dt=dt)
-    # 2 trajectories x 4 steps x 4 stages, each state's jet evaluated once:
+    # 2 trajectories x 2 steps x 4 stages, each state's jet evaluated once:
     # the start state, then three stages and the stored state per step
-    assert len(sprays) == 2 * 4 * 4
-    assert len(jets) == 1 + 2 * 4 * 4
+    assert len(sprays) == 2 * 2 * 4
+    assert len(jets) == 1 + 2 * 2 * 4
     monkeypatch.undo()
     assert s_by_distortion(funk2, BH, x, y, dt=dt) == unshared
 
@@ -185,12 +192,14 @@ def test_drift_above_bound_raises():
     integrate_geodesic(spec, [0.5, 0.0], [0.0, 1.0], 2.0, steps=256)
 
 
-def _stencil_of_distortions(spec, vol, x, y):
-    """The five-point stencil of four one-state distortion calls."""
+def _stencil_of_distortions(spec, vol, x, y, steps=2):
+    """The five-point stencil of four one-state distortion calls, on geodesics
+    of the given number of RK4 steps per direction."""
     dt = 1e-3 / finsler_norm(spec, x, y)
     taus = {}
     for direction in (1.0, -1.0):
-        for st in integrate_geodesic(spec, x, y, direction * 2.0 * dt, steps=4)[2::2]:
+        states = integrate_geodesic(spec, x, y, direction * 2.0 * dt, steps=steps)
+        for st in states[steps // 2::steps // 2]:
             taus[round(st.t / dt)] = distortion(spec, vol, st.x, st.y)
     return (taus[-2] - 8.0 * taus[-1] + 8.0 * taus[1] - taus[2]) / (12.0 * dt)
 
@@ -209,16 +218,48 @@ def test_s_by_distortion_is_the_stencil_of_four_distortions(request, monkeypatch
     assert len(radii) == 1 and np.shape(radii[0][1]) == (4,)
 
 
+@pytest.mark.parametrize("vol", [BH, HT, CustomDensity(ScalarFunction.from_text("1 + r^2"))],
+                         ids=["bh", "ht", "custom"])
+@pytest.mark.parametrize("name", ["funk_n2", "funk_randers_n3", "parallel_ht", "family_k"])
+def test_integrator_truncation_stays_below_the_stencil_rounding(name, vol):
+    # one RK4 step per stencil sample against 8: RK4's O(dt^5) local error is
+    # far below the stencil's rounding, about 1e-12 of 1 + |S|, even near both
+    # ends of the domain.  A second-order stepper misses by 1e-9 to 3e-7 here,
+    # except on parallel_ht under BH and HT, where S = 0: the custom density
+    # makes tau vary along the geodesics of every config
+    spec = build_spec(load_config(str(CONFIGS / f"{name}.json")))
+    lo, hi = spec.r_domain
+    rng = np.random.default_rng(29)
+    for k in range(5):
+        gap = (hi - lo) * float(rng.uniform(0.02, 0.1))
+        r = lo + gap if k % 2 else hi - gap
+        x, y = geometry.embed_point(r, r * float(rng.uniform(-0.95, 0.95)), spec.n)
+        y = y * float(rng.uniform(0.5, 2.0))
+        got = s_by_distortion(spec, vol, x, y)
+        fine = _stencil_of_distortions(spec, vol, x, y, steps=16)
+        assert abs(got - fine) <= 1e-11 * (1.0 + abs(fine)), (r, got, fine)
+
+
+def test_oracle_rejects_a_non_finite_velocity(funk_randers):
+    # |y| must be a positive float before any profile jet is evaluated
+    x = [0.5, 0.0]
+    for y in ([math.nan, 0.0], [math.inf, 1.0], [0.0, 0.0]):
+        with pytest.raises(DomainError, match="velocity must be finite and nonzero"):
+            s_by_distortion(funk_randers, BH, x, y)
+        with pytest.raises(DomainError, match="velocity must be finite and nonzero"):
+            integrate_geodesic(funk_randers, x, y, 1e-3, steps=2)
+
+
 def test_forward_density_error_comes_before_a_backward_exit(euclid):
     # the backward geodesic leaves [0.05, 1.2] through r = 1.2; the forward one
     # stays inside, and its first stored state's density is negative
     vol = CustomDensity(ScalarFunction.from_text("r - 1.19989"))
     x, y = np.array([1.19995, 0.0]), np.array([-1.0, 0.0])
-    fwd = integrate_geodesic(euclid, x, y, 2e-3, steps=4)
+    fwd = integrate_geodesic(euclid, x, y, 2e-3, steps=2)
     with pytest.raises(DomainExitError):
-        integrate_geodesic(euclid, x, y, -2e-3, steps=4)
+        integrate_geodesic(euclid, x, y, -2e-3, steps=2)
     with pytest.raises(DomainError) as alone:
-        distortion(euclid, vol, fwd[2].x, fwd[2].y)
+        distortion(euclid, vol, fwd[1].x, fwd[1].y)
     assert "custom density must be positive" in str(alone.value)
     with pytest.raises(DomainError) as got:
         s_by_distortion(euclid, vol, x, y)
@@ -247,3 +288,35 @@ def test_oracle_bytes_do_not_depend_on_the_blas_kernel():
     default, haswell = stdout_under_blas_cores(_FUNK_DIGEST)
     assert len(default.strip()) == 64
     assert default == haswell
+
+
+# SHA-256 of 20 oracle values on each of two bundled Randers configs: under BH
+# (funk_randers_n3) and HT (parallel_ht) sigma varies with r, so every state
+# takes two logs; Funk with n = 2 would not show a SIMD log, as its sigma_BH is 1
+_RANDERS_DIGEST = f"""
+import hashlib
+import numpy as np
+from finslerlab.cli import build_spec, load_config
+from finslerlab.geometry import embed_point
+from finslerlab.oracle import s_by_distortion
+digest = hashlib.sha256()
+for name in ("funk_randers_n3", "parallel_ht"):
+    cfg = load_config({str(CONFIGS)!r} + "/" + name + ".json")
+    spec = build_spec(cfg)
+    lo, hi = spec.r_domain
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        r = float(rng.uniform(lo + 0.02 * (hi - lo), hi - 0.02 * (hi - lo)))
+        x, y = embed_point(r, r * float(rng.uniform(-0.9, 0.9)), cfg.n)
+        y = y * float(rng.uniform(0.5, 2.0))
+        digest.update(s_by_distortion(spec, cfg.volume, x, y).hex().encode())
+print(digest.hexdigest())
+"""
+
+
+@pytest.mark.skipif(not dispatched_simd_targets(), reason="numpy reports no dispatched SIMD target")
+def test_oracle_bytes_independent_of_simd_dispatch():
+    # the logs of det g and sigma are math.log, not numpy's dispatched loop
+    dispatched, baseline = stdout_with_and_without_simd(_RANDERS_DIGEST)
+    assert len(dispatched.strip()) == 64
+    assert dispatched == baseline
