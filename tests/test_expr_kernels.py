@@ -152,3 +152,30 @@ def test_oracle_is_bit_identical_to_the_reference_walker(monkeypatch, config):
                         or reference_family_jet(spec, r, s, order))
     assert _oracle_values(config) == got
     assert walked
+
+
+def _seeded(r, s, order):
+    return {"r": Jet3.seed(r, dr=1.0, order=order), "s": Jet3.seed(s, ds=1.0, order=order)}
+
+
+@given(trees, st.sampled_from((2, 3)))
+@settings(max_examples=300, deadline=None)
+def test_array_evaluation_equals_every_point_on_floats(tree, order):
+    """The 41-wide array jet against the 41 points evaluated on Python floats,
+    which take the written-out product: value slots hex-identical, derivative
+    slots hex-identical or both an exact zero.  Where the arrays raise, some
+    point raises the same error type at the same subexpression.  numpy's
+    floating-point warnings are off, as Python floats have none."""
+    with np.errstate(all="ignore"):
+        got = _outcome(eval_tree, tree, _seeded(_R, _S, order))
+        points = [_outcome(eval_tree, tree, _seeded(float(r), float(s), order))
+                  for r, s in zip(_R, _S)]
+    if isinstance(got[0], type):
+        assert (got[0], got[2]) in {(p[0], p[2]) for p in points if isinstance(p[0], type)}
+        return
+    for i, want in enumerate(points):
+        assert not isinstance(want[0], type), (i, want)
+        assert len(got) == len(want)
+        for k, (a, b) in enumerate(zip(got, want)):
+            a = float(np.broadcast_to(a, _R.shape)[i])
+            assert a.hex() == b.hex() or (k > 0 and a == b == 0.0), (i, k, a, b)

@@ -1,6 +1,7 @@
 """Ring axioms, composition rules and array semantics of the jet type."""
 
 import math
+import operator
 import warnings
 
 import numpy as np
@@ -10,7 +11,8 @@ from hypothesis import strategies as st
 
 from _support import dispatched_simd_targets, stdout_with_and_without_simd
 from finslerlab.errors import DomainError
-from finslerlab.jets import INDICES, Jet3, _sqrt_taylor, is_finite
+from finslerlab.expr import ScalarFunction
+from finslerlab.jets import INDICES, SIZE, Jet3, _sqrt_taylor, is_finite
 
 _POS = {ab: k for k, ab in enumerate(INDICES)}
 #: the Leibniz rule slot by slot: for each slot of INDICES, its (x slot, y slot,
@@ -415,3 +417,146 @@ def test_deriv_keeps_the_order_and_zero_fills():
     assert dx.order == 2
     assert (dx.d(0, 0), dx.d(1, 0), dx.d(0, 1)) == (x.d(0, 1), x.d(1, 1), x.d(0, 2))
     assert (dx.d(2, 0), dx.d(1, 1), dx.d(0, 2)) == (0.0, 0.0, 0.0)
+
+
+# -- array jets against the per-element written-out product ----------------------
+
+_COLUMN, _FULL = (41, 1), (41, 2)
+
+
+def _draw_slot(rng, kinds):
+    kind = kinds[int(rng.integers(len(kinds)))]
+    if kind == "zero":
+        return 0.0
+    if kind == "one":
+        return 1.0
+    if kind == "float":
+        return float(rng.standard_normal())
+    v = rng.standard_normal(_COLUMN if kind == "column" else _FULL)
+    v[rng.random(v.shape) < 0.15] = 0.0  # exact zeros inside arrays, of both signs
+    v[rng.random(v.shape) < 0.1] *= -0.0
+    v[rng.random(v.shape) < 0.1] = 1.0
+    return v
+
+
+def _random_array_jet(rng, order, positive=False):
+    """A jet whose value slot is a column, a full array or a float, and whose
+    derivative slots are the structural 0.0, 1.0, other floats, columns or full arrays."""
+    value = _draw_slot(rng, ("column", "full", "float") if positive
+                       else ("column", "full", "float", "zero", "one"))
+    if positive:
+        value = abs(value) + 0.25
+    kinds = ("zero", "one", "float", "column", "full")
+    return Jet3([value, *(_draw_slot(rng, kinds) for _ in range(SIZE[order] - 1))])
+
+
+def _per_element(jet: Jet3, shape):
+    """The Python-float jet at each index of shape, which takes the written-out product."""
+    slots = [np.broadcast_to(c, shape) for c in jet.c]
+    return {idx: Jet3([float(c[idx]) for c in slots]) for idx in np.ndindex(*shape)}
+
+
+def _equal_but_for_zero_signs(got: Jet3, want: dict, shape) -> bool:
+    """Value slots hex-identical; derivative slots hex-identical or both an exact zero."""
+    slots = [np.broadcast_to(c, shape) for c in got.c]
+    for idx, ref in want.items():
+        if len(ref.c) != len(slots):
+            return False
+        for k, (a, b) in enumerate(zip(slots, ref.c)):
+            a = float(a[idx])
+            if a.hex() != b.hex() and (k == 0 or a != 0.0 or b != 0.0):
+                return False
+    return True
+
+
+def _check_op(op, *jets, other=None):
+    """op on array jets (and an array or float other) against op on each element."""
+    extra = () if other is None else (other,)
+    shape = np.broadcast_shapes(*(np.shape(c) for j in jets for c in j.c), *map(np.shape, extra))
+    elems = [_per_element(j, shape) for j in jets]
+    want = {idx: op(*(e[idx] for e in elems), *(float(np.broadcast_to(o, shape)[idx]) for o in extra))
+            for idx in np.ndindex(*shape)}
+    assert _equal_but_for_zero_signs(op(*jets, *extra), want, shape)
+
+
+_ARRAY_UNARY = {
+    "sqrt": Jet3.sqrt,
+    "exp": Jet3.exp,
+    "log": Jet3.log,
+    "recip": lambda j: 1.0 / j,
+    "powi3": lambda j: j.powi(3),
+    "powi2": lambda j: j.powi(2),
+    "powi0": lambda j: j.powi(0),
+    "powi-2": lambda j: j.powi(-2),
+    "powr1.5": lambda j: j.powr(1.5),
+    "powr-0.5": lambda j: j.powr(-0.5),
+}
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from((2, 3)), st.sampled_from((2, 3)))
+@settings(max_examples=60, deadline=None)
+def test_array_operations_equal_the_per_element_written_out_product(seed, order_x, order_y):
+    """Every array operation, on jets holding structural zeros, ones, floats, columns
+    and full arrays, against the same operation on each element's Python-float jet."""
+    rng = np.random.default_rng(seed)
+    x, y = _random_array_jet(rng, order_x), _random_array_jet(rng, order_y)
+    for op in (operator.mul, operator.add, operator.sub):
+        _check_op(op, x, y)
+    _check_op(operator.truediv, x, _random_array_jet(rng, order_y, positive=True))
+    for kind in ("column", "full", "float", "zero", "one"):
+        _check_op(operator.mul, x, other=_draw_slot(rng, (kind,)))
+    positive = _random_array_jet(rng, order_x, positive=True)
+    for op in _ARRAY_UNARY.values():
+        _check_op(op, positive)
+
+
+# -- structural zeros survive array arithmetic ---------------------------------
+
+_S_SLOTS = [k for k, (a, b) in enumerate(INDICES) if b > 0]
+
+
+def _structural(v) -> bool:
+    return type(v) is float and v == 0.0
+
+
+def _radial(jet: Jet3) -> bool:
+    return all(_structural(jet.c[k]) for k in _S_SLOTS if k < len(jet.c))
+
+
+@pytest.mark.parametrize("text", ["1/(1 - r^2)", "0.5/r^2", "0", "1 - r", "-r",
+                                  "sqrt(1 + r^2)*exp(-r) + log(r)", "(2 + sin(r))^-1.5",
+                                  "atan(r)*cos(r) - r^3"])
+def test_a_radius_function_jet_on_a_radius_column_has_structural_s_slots(text):
+    column = np.linspace(0.2, 0.8, 7)[:, None]
+    for order in (2, 3):
+        jet = ScalarFunction.from_text(text).jet(column, order)
+        assert _radial(jet), (order, jet.c)
+
+
+def test_radial_jets_stay_radial_through_array_arithmetic():
+    r = np.linspace(0.2, 0.8, 7)[:, None]
+    for order in (2, 3):
+        f = Jet3.radial([1.0 + r * r, 2.0 * r, 2.0 + 0.0 * r, np.zeros_like(r)], order)
+        g = Jet3.seed(r, dr=1.0, order=order)
+        for name, jet in {
+            "sqrt": f.sqrt(), "exp": f.exp(), "log": f.log(), "powi3": f.powi(3),
+            "powi-2": f.powi(-2), "powi0": f.powi(0), "powr1.5": f.powr(1.5),
+            "powr-0.5": f.powr(-0.5), "recip": 1.0 / f, "f*g": f * g, "f*f": f * f,
+            "f/g": f / g, "f+g": f + g, "f-g": f - g, "-f": -f, "f*array": f * r,
+            "f*float": 2.5 * f, "f+float": f + 1.0, "compose": f.compose(r, r, r, r),
+        }.items():
+            assert _radial(jet), (order, name)
+
+
+def test_constants_and_derivatives_have_float_zeros():
+    for order in (2, 3):
+        const = Jet3.constant(np.linspace(1.0, 2.0, 3), order)
+        assert isinstance(const.value, np.ndarray)
+        assert all(_structural(v) for v in const.c[1:])
+        full = Jet3([np.full(3, k + 1.0) for k in range(SIZE[order])])
+        for dr, ds in ((1, 0), (0, 1), (2, 0), (1, 1)):
+            shifted = full.deriv(dr, ds)
+            high = [k for k, (a, b) in enumerate(INDICES[:SIZE[order]]) if a + b + dr + ds > order]
+            assert high and all(_structural(shifted.c[k]) for k in high)
+        radial = Jet3.radial([np.full(3, 1.0 + k) for k in range(order + 1)], order)
+        assert all(_structural(v) for v in radial.deriv(0, 1).c[1:])
