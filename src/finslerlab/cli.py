@@ -61,7 +61,7 @@ from .geometry import (
 from .oracle import _split, s_by_distortion
 from .randers import covariant_b_coefficients
 from .scurvature import isotropy_profile, reduced_s, scurvature_columns
-from .volume import BH, CONSTANT, HT, CustomDensity, density
+from .volume import VOLUMES, CustomDensity, density
 
 CSV_HEADER = "r,s,phi,P,Q,Q_s,detg,sigma,f_r,S_over_u"
 
@@ -83,7 +83,6 @@ ORACLE_BAND = 1e-10
 SOLVER_STEPS_CAP = 10_000
 #: the columns of a sampled radial function, as construct writes them
 _TABLE_KEYS = ("r_nodes", "values", "derivs", "second_derivs")
-_VOLUMES = {"bh": BH, "ht": HT, "constant": CONSTANT}
 
 
 class _Wrong(Exception):
@@ -162,8 +161,8 @@ def _radial(v):
 def _volume(v):
     if isinstance(v, dict):
         return CustomDensity(_section("volume[custom]", v, {})["sigma"])
-    _ok(v, isinstance(v, str) and v.lower() in _VOLUMES)
-    return _VOLUMES[v.lower()]
+    _ok(v, isinstance(v, str) and v.lower() in VOLUMES)
+    return VOLUMES[v.lower()]
 
 
 def _grid_domain(known: dict):

@@ -54,7 +54,7 @@ from .geometry import (
 )
 from .jets import Jet3, ipow
 from .oracle import _dot
-from .randers import admissibility_margin, radial_data
+from .randers import admissibility_margin, randers_coefficients
 
 #: enforced bound on the independent node audit of bh_solve_g solutions
 BH_NODE_TOL = 1e-8
@@ -72,6 +72,10 @@ def _as_radial_fn(obj):
 
 
 # -- sampled profiles --------------------------------------------------------
+
+
+#: SampledFunction's table rows of p, p', p'' and p''', lowest power first
+_HORNER_BLOCKS = ((0, 6), (6, 11), (11, 15), (15, 18))
 
 
 class SampledFunction:
@@ -104,7 +108,8 @@ class SampledFunction:
         self._coef = self._hermite_coefficients()
 
     def _hermite_coefficients(self) -> np.ndarray:
-        # Per interval: p(t) = sum c_k t^k matching (v, d1, d2) at both ends.
+        """Per interval (a column), the coefficients c_k of p(t) = sum c_k t^k matching
+        (v, d1, d2) at both ends, then those of p', p'' and p''' (rows _HORNER_BLOCKS)."""
         v0, v1 = self.values[:-1], self.values[1:]
         d0, d1 = self.derivs[:-1], self.derivs[1:]
         m0, m1 = self.second_derivs[:-1], self.second_derivs[1:]
@@ -112,14 +117,14 @@ class SampledFunction:
         a = v1 - v0 - d0 * t - 0.5 * m0 * t * t
         b = d1 - d0 - m0 * t
         c = m1 - m0
-        coef = np.empty((t.size, 6))
-        coef[:, 0] = v0
-        coef[:, 1] = d0
-        coef[:, 2] = 0.5 * m0
-        coef[:, 3] = (10.0 * a - 4.0 * b * t + 0.5 * c * t * t) / ipow(t, 3)
-        coef[:, 4] = (-15.0 * a + 7.0 * b * t - c * t * t) / ipow(t, 4)
-        coef[:, 5] = (6.0 * a - 3.0 * b * t + 0.5 * c * t * t) / ipow(t, 5)
-        return coef
+        p = np.array([v0, d0, 0.5 * m0,
+                      (10.0 * a - 4.0 * b * t + 0.5 * c * t * t) / ipow(t, 3),
+                      (-15.0 * a + 7.0 * b * t - c * t * t) / ipow(t, 4),
+                      (6.0 * a - 3.0 * b * t + 0.5 * c * t * t) / ipow(t, 5)])
+        # the j-th derivative's coefficient of t^(k-j) is k (k-1) ... (k-j+1) c_k
+        return np.concatenate([p, p[1:] * [[1.0], [2.0], [3.0], [4.0], [5.0]],
+                               p[2:] * [[2.0], [6.0], [12.0], [20.0]],
+                               p[3:] * [[6.0], [24.0], [60.0]]])
 
     def _locate(self, r):
         idx = np.searchsorted(self.r_nodes, r, side="right") - 1
@@ -134,22 +139,13 @@ class SampledFunction:
         """Univariate jet in r: derivative orders 0..order (2 or 3) of the local quintic."""
         r_arr = np.asarray(r, dtype=float)
         idx, t = self._locate(r_arr)
-        c = self._coef[idx]
-        p = c[..., 5]
-        for k in (4, 3, 2, 1, 0):
-            p = p * t + c[..., k]
-        d1 = 5.0 * c[..., 5]
-        for k, m in ((4, 4.0), (3, 3.0), (2, 2.0), (1, 1.0)):
-            d1 = d1 * t + m * c[..., k]
-        d2 = 20.0 * c[..., 5]
-        for k, m in ((4, 12.0), (3, 6.0), (2, 2.0)):
-            d2 = d2 * t + m * c[..., k]
-        derivs = [p, d1, d2]
-        if order == 3:
-            d3 = 60.0 * c[..., 5]
-            for k, m in ((4, 24.0), (3, 6.0)):
-                d3 = d3 * t + m * c[..., k]
-            derivs.append(d3)
+        rows = self._coef[:, idx]
+        derivs = []
+        for lo, hi in _HORNER_BLOCKS[:order + 1]:
+            p = rows[hi - 1]
+            for k in range(hi - 2, lo - 1, -1):
+                p = p * t + rows[k]
+            derivs.append(p)
         if not r_arr.shape:
             derivs = [float(v) for v in derivs]
         return Jet3.radial(derivs, order)
@@ -320,7 +316,7 @@ class BhClassification:
 
 
 def bh_classification_residuals(f, g, h, r) -> BhClassification:
-    d = radial_data(*(_as_radial_fn(v) for v in (f, g, h)), r)
+    d = randers_coefficients(*(_as_radial_fn(v) for v in (f, g, h)), r)
     r, f_v, fp, g_v, gp, h_v, hp = d.r, d.f, d.f_d1, d.g, d.g_d1, d.h, d.h_d1
     c = d.u1 / (2.0 * f_v)
     res1 = d.u1 - 2.0 * c * f_v
@@ -345,8 +341,8 @@ def ht_condition_residual(c_const: float, g, h, r):
     c_const = float(c_const)
     if not 0.0 < c_const < math.inf:
         raise DomainError(f"c must be a positive finite constant, got {c_const!r}")
-    d = radial_data(ScalarFunction.from_text(f"{c_const!r}/r^2"), _as_radial_fn(g),
-                    _as_radial_fn(h), r)
+    d = randers_coefficients(ScalarFunction.from_text(f"{c_const!r}/r^2"), _as_radial_fn(g),
+                             _as_radial_fn(h), r)
     r = d.r
     return 2.0 * d.h_d1 * (c_const / (r * r) + r * r * d.g) - d.h * (
         r * r * d.g_d1 - 4.0 * c_const / ipow(r, 3)

@@ -1,10 +1,12 @@
 """Randers metrics F = alpha + beta built from radial profile functions.
 
 The Riemannian part is a_ij = f(r) d_ij + g(r) x_i x_j and the 1-form is
-b_i = h(r) x_i, so phi(r, s) = sqrt(f + g s^2) + h s.  This module computes
-the Levi-Civita data of alpha, the covariant derivative of beta, and the
-S-curvature through the closed-form volume densities -- an independent
-pipeline cross-checked elsewhere against the quadrature-based one.
+b_i = h(r) x_i, so phi(r, s) = sqrt(f + g s^2) + h s.  One radial bundle,
+``randers_coefficients`` (floats or arrays of radii), holds the values and
+first r-derivatives of f, g, h, q = f + r^2 g, u1, u2, ||beta||^2 and rho'.
+From it come the connection of alpha, the covariant drift of beta, the
+closed-form S-curvature and densities, and the condition checks -- an
+independent pipeline cross-checked against the quadrature-based one.
 
 Because beta is closed (b_i is a radial gradient), the antisymmetric part
 of b_{i;j} vanishes identically; the symmetric part has the rank-two shape
@@ -19,21 +21,8 @@ import numpy as np
 
 from .errors import DomainError
 from .expr import ScalarFunction
-from .jets import Jet3, any_true, ipow
-from .volume import BusemannHausdorff, HolmesThompson
-
-
-def _volume_kind(which) -> str:
-    if isinstance(which, str):
-        kind = which.lower()
-        if kind in ("bh", "ht"):
-            return kind
-        raise ValueError(f"unknown volume kind {which!r}; expected 'bh' or 'ht'")
-    if isinstance(which, BusemannHausdorff):
-        return "bh"
-    if isinstance(which, HolmesThompson):
-        return "ht"
-    raise ValueError(f"unknown volume kind {which!r}")
+from .jets import any_true, ipow
+from .volume import BH, HT, VOLUMES
 
 
 def admissibility_margin(r, f, g, h):
@@ -49,11 +38,12 @@ _ZERO = ScalarFunction.constant(0.0)
 
 
 @dataclass(frozen=True)
-class RadialData:
-    """Values and first r-derivatives of f, g and h at r, a float or a 1-D array.
+class RandersCoefficients:
+    """The radial Randers data at r, a float or a 1-D array; each field is a float or an array.
 
-    q = f + r^2 g, and b_{i;j} = u1 d_ij + u2 x_i x_j.  ``jets`` keeps the
-    order-3 jets of (f, g, h) for quantities that need more derivatives.
+    Values and first r-derivatives of f, g and h; q = f + r^2 g; u1 and u2
+    with b_{i;j} = u1 d_ij + u2 x_i x_j; beta_norm2 = ||beta||_alpha^2 =
+    r^2 h^2 / q; and rho_d1 = rho' for rho = ln sqrt(1 - ||beta||^2).
     """
 
     r: object
@@ -66,17 +56,18 @@ class RadialData:
     q: object
     u1: object
     u2: object
-    jets: tuple
+    beta_norm2: object
+    rho_d1: object
 
 
-def radial_data(f, g, h, r) -> RadialData:
+def randers_coefficients(f, g, h, r) -> RandersCoefficients:
     """The radial Randers data of the profiles f, g, h at r, a float or a 1-D array.
 
-    Raises DomainError naming the first radius where the data is not
-    admissible (see admissibility_margin).
+    Reads order-2 jets of f, g and h.  Raises DomainError naming the first
+    radius where the data is not admissible (see admissibility_margin).
     """
     r = float(r) if np.ndim(r) == 0 else np.asarray(r, dtype=float)
-    fj, gj, hj = f.jet(r), g.jet(r), h.jet(r)
+    fj, gj, hj = f.jet(r, 2), g.jet(r, 2), h.jet(r, 2)
     f_v, fp = fj.d(0, 0), fj.d(1, 0)
     g_v, gp = gj.d(0, 0), gj.d(1, 0)
     h_v, hp = hj.d(0, 0), hj.d(1, 0)
@@ -92,35 +83,11 @@ def radial_data(f, g, h, r) -> RadialData:
     q = f_v + r * r * g_v
     u1 = 0.5 * h_v * (r * fp + 2.0 * f_v) / q
     u2 = hp / r - 0.5 * h_v * (r * r * gp + 2.0 * fp) / (r * q)
-    return RadialData(r, f_v, fp, g_v, gp, h_v, hp, q, u1, u2, (fj, gj, hj))
-
-
-@dataclass(frozen=True)
-class RandersCoefficients:
-    """Pointwise metric and 1-form data of a Randers profile at radius r.
-
-    Conventions: b_{i;j} = u1 d_ij + u2 x_i x_j for the covariant derivative of
-    beta, and inv_diag and inv_xx describe the inverse metric
-    a^ij = inv_diag d_ij + inv_xx x_i x_j.  The Christoffel symbols of alpha
-    are ``christoffel_coefficients``.
-    """
-
-    r: float
-    n: int
-    f: float
-    f_d1: float
-    g: float
-    g_d1: float
-    h: float
-    h_d1: float
-    det_a: float
-    inv_diag: float
-    inv_xx: float
-    beta_norm2: float
-    rho: float
-    rho_d1: float
-    u1: float
-    u2: float
+    b2 = r * r * h_v * h_v / q
+    # (r^2 h^2)' = 2 r h (h + r h') and q' = f' + 2 r g + r^2 g'
+    b2_d1 = (2.0 * r * h_v * (h_v + r * hp) - b2 * (fp + 2.0 * r * g_v + r * r * gp)) / q
+    rho_d1 = -b2_d1 / (2.0 * (1.0 - b2))
+    return RandersCoefficients(r, f_v, fp, g_v, gp, h_v, hp, q, u1, u2, b2, rho_d1)
 
 
 def christoffel_coefficients(f, g, r) -> tuple[float, float, float]:
@@ -128,7 +95,7 @@ def christoffel_coefficients(f, g, r) -> tuple[float, float, float]:
 
     These are the Christoffel symbols of a_ij = f d_ij + g x_i x_j.
     """
-    d = radial_data(f, g, _ZERO, r)
+    d = randers_coefficients(f, g, _ZERO, r)
     r, f, fp, g, gp, q = d.r, d.f, d.f_d1, d.g, d.g_d1, d.q
     a = (f * gp - 2.0 * fp * g) / (2.0 * r * f * q)
     b = (2.0 * r * g - fp) / (2.0 * r * q)
@@ -138,38 +105,18 @@ def christoffel_coefficients(f, g, r) -> tuple[float, float, float]:
 
 def covariant_b_coefficients(f, g, h, r) -> tuple[float, float]:
     """(u1, u2) with b_{i;j} = u1 d_ij + u2 x_i x_j; both vanish iff beta is parallel."""
-    d = radial_data(f, g, h, r)
+    d = randers_coefficients(f, g, h, r)
     return d.u1, d.u2
 
 
-def randers_coefficients(f, g, h, n: int, r) -> RandersCoefficients:
-    """Bundle every pointwise quantity the S-curvature formulas consume."""
+def _closed_form_is_bh(n, which_volume) -> bool:
+    """Whether the closed forms take the BH density (else HT), given as BH/HT or by name."""
     if not isinstance(n, int) or n < 2:
         raise ValueError(f"dimension n must be an integer >= 2, got {n!r}")
-    d = radial_data(f, g, h, r)
-    fj, gj, hj = d.jets
-    rj = Jet3.seed(d.r, dr=1.0)
-    # ||beta||^2 and rho as jets in r; rho' comes out exactly, no differencing.
-    b2_jet = (rj * rj * hj * hj) / (fj + rj * rj * gj)
-    rho_jet = (1.0 - b2_jet).log() * 0.5
-    return RandersCoefficients(
-        r=d.r,
-        n=n,
-        f=d.f,
-        f_d1=d.f_d1,
-        g=d.g,
-        g_d1=d.g_d1,
-        h=d.h,
-        h_d1=d.h_d1,
-        det_a=d.q * ipow(d.f, n - 1),
-        inv_diag=1.0 / d.f,
-        inv_xx=-d.g / (d.f * d.q),
-        beta_norm2=b2_jet.d(0, 0),
-        rho=rho_jet.d(0, 0),
-        rho_d1=rho_jet.d(1, 0),
-        u1=d.u1,
-        u2=d.u2,
-    )
+    vol = VOLUMES.get(which_volume.lower()) if isinstance(which_volume, str) else which_volume
+    if vol not in (BH, HT):
+        raise ValueError(f"unknown volume kind {which_volume!r}; expected BH, HT, 'bh' or 'ht'")
+    return vol == BH
 
 
 def randers_reduced_s(f, g, h, n: int, r: float, s, which_volume="bh"):
@@ -181,24 +128,25 @@ def randers_reduced_s(f, g, h, n: int, r: float, s, which_volume="bh"):
     the Holmes-Thompson one by exactly (n+1) rho, so the whole correction
     carries the (n+1) factor).
     """
-    kind = _volume_kind(which_volume)
-    coef = randers_coefficients(f, g, h, n, float(r))
+    bh = _closed_form_is_bh(n, which_volume)
+    coef = randers_coefficients(f, g, h, float(r))
     s_arr = np.asarray(s, dtype=float)
     phi = np.sqrt(coef.f + coef.g * s_arr * s_arr) + coef.h * s_arr
     if np.any(phi <= 0.0):
         raise DomainError(f"phi <= 0 at r = {r:.6g}: inadmissible (r, s) pair")
     out = (n + 1) * (coef.u1 + coef.u2 * s_arr * s_arr) / (2.0 * phi)
-    if kind == "bh":
+    if bh:
         out = out - (n + 1) * coef.rho_d1 * s_arr / coef.r
     return out if out.shape else float(out)
 
 
 def sigma_closed_form(f, g, h, n: int, r: float, which_volume="bh") -> float:
-    """Closed-form volume density: sqrt(det a), times (1-||beta||^2)^{(n+1)/2} for BH."""
-    kind = _volume_kind(which_volume)
-    coef = randers_coefficients(f, g, h, n, float(r))
-    out = np.sqrt(coef.det_a)
-    if kind == "bh":
+    """Closed-form volume density: sqrt(det a) with det a = q f^{n-1}, times
+    (1-||beta||^2)^{(n+1)/2} for BH."""
+    bh = _closed_form_is_bh(n, which_volume)
+    coef = randers_coefficients(f, g, h, float(r))
+    out = np.sqrt(coef.q * ipow(coef.f, n - 1))
+    if bh:
         out = out * ipow(np.sqrt(1.0 - coef.beta_norm2), n + 1)
     return float(out)
 
@@ -227,7 +175,7 @@ def isotropy_condition_check(
     s_arr = np.asarray(s_grid, dtype=float)
     if s_arr.size < 3:
         raise ValueError("need at least 3 s points for the isotropy condition fit")
-    d = radial_data(f, g, h, r)
+    d = randers_coefficients(f, g, h, r)
     lhs = d.u1 + d.u2 * s_arr * s_arr
     basis = d.f + (d.g - d.h * d.h) * s_arr * s_arr
     denom = 2.0 * float(np.sum(basis * basis))

@@ -72,6 +72,8 @@ VolumeSpec = object  # one of the four dataclasses above
 BH = BusemannHausdorff()
 HT = HolmesThompson()
 CONSTANT = ConstantDensity()
+#: the volumes a config names, by name
+VOLUMES = {"bh": BH, "ht": HT, "constant": CONSTANT}
 
 
 def sin_power_integral(n: int) -> float:
@@ -241,7 +243,8 @@ def _cross_check_log_derivative(vol, spec, r, dlog) -> None:
     if any_true(h < 1e-8):
         (r_i,) = _at_first(h < 1e-8, r)
         raise DomainError(
-            f"radius {r_i!r} too close to the domain boundary for the sigma' cross-check"
+            f"radius {r_i!r} is within {1e-8 / 0.45:.3g} of an end of r_domain "
+            f"[{rmin!r}, {rmax!r}]: the sigma' cross-check needs that much room"
         )
     sides = (r - h, r + h)
     try:

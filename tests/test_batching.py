@@ -5,6 +5,7 @@ single scalar radius; every comparison is on bytes, not to a tolerance.
 """
 
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +27,12 @@ from finslerlab.geometry import (
     regularity_scan,
     s_fractions,
 )
-from finslerlab.randers import christoffel_coefficients, covariant_b_coefficients
+from finslerlab.randers import (
+    RandersCoefficients,
+    christoffel_coefficients,
+    covariant_b_coefficients,
+    randers_coefficients,
+)
 from finslerlab.scurvature import isotropy_profile, reduced_s_given_f
 from finslerlab.volume import BH, CONSTANT, HT, CustomDensity, density, f_coefficient
 
@@ -187,6 +193,11 @@ def test_randers_conditions_of_a_batch_equal_scalar_calls(name):
     loop = [christoffel_coefficients(f, g, float(x)) for x in r]
     for k in range(3):
         assert _same(gamma[k], [c[k] for c in loop]), k
+    batch = randers_coefficients(f, g, h, r)
+    loop = [randers_coefficients(f, g, h, float(x)) for x in r]
+    for field in fields(RandersCoefficients):
+        got = np.broadcast_to(getattr(batch, field.name), r.shape)
+        assert _same(got, [getattr(co, field.name) for co in loop]), field.name
 
 
 @pytest.mark.parametrize("name, check", [

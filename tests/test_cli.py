@@ -485,6 +485,24 @@ def test_batched_grid_reports_the_first_failing_radius(tmp_path, capsys, argv, c
     assert capsys.readouterr().err.strip() == line
 
 
+EDGE_OF_DOMAIN = {"n": 3, "volume": "bh",
+                  "metric": dict(H05_METRIC, r_domain=[0.2, 0.8]),
+                  "grid": {"r_min": 0.2, "r_max": 0.7, "r_count": 5, "s_count": 5}}
+
+
+@pytest.mark.parametrize("argv", [["verify", "--check", "isotropy"], ["sample"], ["analyze"]],
+                         ids=["isotropy", "sample", "analyze"])
+def test_grid_on_the_domain_end_names_r_domain(tmp_path, capsys, argv):
+    # grid.r_min = metric.r_domain[0] passes validation, but leaves the f(r)
+    # cross-check no room for its central difference
+    cfg = write_cfg(tmp_path, "edge.json", EDGE_OF_DOMAIN)
+    assert main(argv + [cfg]) == 3
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("numeric failure: ") and "r_domain [0.2, 0.8]" in line, line
+    assert main(["verify", "--check", "douglas", cfg]) == 0
+    capsys.readouterr()
+
+
 # each fails admissibility at one radius and its expression domain at a later one,
 # which a batch over every radius meets first
 INADMISSIBLE = {

@@ -15,12 +15,11 @@ from finslerlab.randers import (
     covariant_b_coefficients,
     isotropy_condition_check,
     randers_coefficients,
-    radial_data,
     randers_reduced_s,
     sigma_closed_form,
 )
 from finslerlab.scurvature import isotropy_profile
-from finslerlab.volume import BH
+from finslerlab.volume import BH, CONSTANT, HT, CustomDensity
 
 
 def texts_fns(texts):
@@ -89,17 +88,37 @@ def test_coefficient_bundle_linear_algebra():
     for texts in (RANDERS111, FUNK_RANDERS):
         f, g, h = texts_fns(texts)
         for r in (0.3, 0.6, 0.85):
-            co = randers_coefficients(f, g, h, 3, r)
+            co = randers_coefficients(f, g, h, r)
             x = np.zeros(3)
             x[0] = r
             a = co.f * np.eye(3) + co.g * np.outer(x, x)
-            assert co.det_a == pytest.approx(np.linalg.det(a), rel=1e-12)
-            inv = co.inv_diag * np.eye(3) + co.inv_xx * np.outer(x, x)
-            np.testing.assert_allclose(inv @ a, np.eye(3), atol=1e-12)
+            assert co.q * co.f**2 == pytest.approx(np.linalg.det(a), rel=1e-12)
             b = co.h * x
-            beta2 = float(b @ inv @ b)
-            assert co.beta_norm2 == pytest.approx(beta2, rel=1e-12)
-            assert co.rho == pytest.approx(0.5 * np.log(1.0 - beta2), rel=1e-12)
+            assert co.beta_norm2 == pytest.approx(float(b @ np.linalg.solve(a, b)), rel=1e-12)
+
+
+def _half_log_one_minus_beta2(f, g, h, r):
+    # ||beta||^2 = b^T a^{-1} b from numpy, independent of the coefficient bundle
+    x = np.array([r, 0.0, 0.0])
+    a = f.value(r) * np.eye(3) + g.value(r) * np.outer(x, x)
+    b = h.value(r) * x
+    return 0.5 * np.log(1.0 - float(b @ np.linalg.solve(a, b)))
+
+
+def test_rho_derivative_matches_a_central_difference():
+    rng = np.random.default_rng(29)
+    corpus = [RANDERS111, FUNK_RANDERS, PARALLEL_HT]
+    corpus += [random_randers_texts(rng) + ((0.15, 1.0),) for _ in range(8)]
+    step = 1e-5
+    for texts in corpus:
+        f, g, h = texts_fns(texts)
+        lo, hi = texts[3]
+        for r in np.linspace(lo + 0.05, min(hi, 1.0) - 0.05, 7).tolist():
+            fd = (_half_log_one_minus_beta2(f, g, h, r + step)
+                  - _half_log_one_minus_beta2(f, g, h, r - step)) / (2.0 * step)
+            # PARALLEL_HT has ||beta||^2 = 1/4, so rho' = 0 and only roundoff is left
+            assert randers_coefficients(f, g, h, r).rho_d1 == pytest.approx(fd, rel=1e-7,
+                                                                            abs=1e-9)
 
 
 def test_admissibility_guard():
@@ -120,7 +139,7 @@ def test_reduced_s_volume_split():
     s = r * np.linspace(-0.8, 0.8, 9)
     bh = randers_reduced_s(f, g, h, n, r, s, "bh")
     ht = randers_reduced_s(f, g, h, n, r, s, "ht")
-    co = randers_coefficients(f, g, h, n, r)
+    co = randers_coefficients(f, g, h, r)
     np.testing.assert_allclose(bh - ht, -(n + 1) * co.rho_d1 * s / r, atol=1e-12)
 
 
@@ -132,6 +151,20 @@ def test_sigma_closed_form_kinds():
     assert v_bh < v_ht  # the (1-|beta|^2)^{(n+1)/2} factor is < 1 here
     with pytest.raises(ValueError):
         sigma_closed_form(f, g, h, 3, 1.0, "nope")
+
+
+def test_closed_forms_take_bh_and_ht_as_volumes_or_names():
+    f, g, h = texts_fns(RANDERS111)
+    s = 0.7 * np.linspace(-0.8, 0.8, 5)
+    for vol, name in ((BH, "bh"), (HT, "HT")):
+        assert sigma_closed_form(f, g, h, 3, 0.7, vol) == sigma_closed_form(f, g, h, 3, 0.7, name)
+        np.testing.assert_array_equal(randers_reduced_s(f, g, h, 3, 0.7, s, vol),
+                                      randers_reduced_s(f, g, h, 3, 0.7, s, name))
+    for vol in ("constant", CONSTANT, CustomDensity(ScalarFunction.from_text("1 + r"))):
+        with pytest.raises(ValueError):
+            sigma_closed_form(f, g, h, 3, 0.7, vol)
+        with pytest.raises(ValueError):
+            randers_reduced_s(f, g, h, 3, 0.7, s, vol)
 
 
 def test_isotropy_condition_positive_case():
@@ -171,6 +204,6 @@ def test_domain_error_on_radii_quotes_an_offending_value():
     one = ScalarFunction.from_text("1")
     h = ScalarFunction.from_text("2*sqrt(1.3 - r)")
     with pytest.raises(DomainError, match=r"sqrt of non-positive value \(array, e\.g\. ") as exc:
-        radial_data(one, one, h, np.linspace(0.2, 1.4, 13))
+        randers_coefficients(one, one, h, np.linspace(0.2, 1.4, 13))
     quoted = float(re.search(r"e\.g\. ([^)]+)\)", str(exc.value)).group(1))
     assert quoted <= 0.0
