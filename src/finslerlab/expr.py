@@ -425,9 +425,9 @@ class ScalarFunction:
         r = np.asarray(r, dtype=float)
         return np.broadcast_to(self.jet(r, 2).value, r.shape).copy()
 
-    def jet(self, r, order: int = 3) -> Jet3:
-        """Univariate jet in r (all s-partials are zero), truncated at order."""
-        return eval_tree(self.tree, {"r": Jet3.seed(r, dr=1.0, order=order)})
+    def jet(self, r, order: int = 3, r_order: int = 3) -> Jet3:
+        """Univariate jet in r (all s-partials are zero), truncated at order (and r_order)."""
+        return eval_tree(self.tree, {"r": Jet3.seed(r, dr=1.0, order=order, r_order=r_order)})
 
     def __str__(self) -> str:
         return to_string(self.tree)

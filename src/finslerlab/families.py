@@ -135,8 +135,8 @@ class SampledFunction:
         """Value at a float r or at an array of radii: the value of the order-2 jet."""
         return self.jet(r, 2).value
 
-    def jet(self, r, order: int = 3) -> Jet3:
-        """Univariate jet in r: derivative orders 0..order (2 or 3) of the local quintic."""
+    def jet(self, r, order: int = 3, r_order: int = 3) -> Jet3:
+        """Univariate jet in r of the local quintic, truncated at order (2 or 3) and r_order."""
         r_arr = np.asarray(r, dtype=float)
         idx, t = self._locate(r_arr)
         rows = self._coef[:, idx]
@@ -148,7 +148,7 @@ class SampledFunction:
             derivs.append(p)
         if not r_arr.shape:
             derivs = [float(v) for v in derivs]
-        return Jet3.radial(derivs, order)
+        return Jet3.radial(derivs, order, r_order)
 
     def __repr__(self) -> str:
         lo, hi = self.r_nodes[0], self.r_nodes[-1]

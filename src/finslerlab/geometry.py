@@ -35,8 +35,8 @@ The caller that owns a point set evaluates its profile jet once (``phi_jet``);
 ``spray_values`` and ``metric_determinant`` read it.  Order 2 serves the readers
 of no third partial: the geodesic oracle (norm, spray stages, determinant), the
 Douglas fit of Q, the family PDE and spray-system residuals, the P/s spread, the
-regularity scan, the assembled tensor and the Busemann-Hausdorff density; the
-S-curvature, the sampled CSV (Q_s) and the Holmes-Thompson density use order 3.
+regularity scan, the assembled tensor and the densities (``volume``); the S-curvature,
+the sampled CSV (Q_s) and the Holmes-Thompson density's derivative use order 3.
 """
 
 from __future__ import annotations
@@ -161,16 +161,16 @@ def _check_domain(spec: MetricSpec, r, s):
         )
 
 
-def _phi_jet_raw(spec: MetricSpec, r, s, order: int = 3) -> Jet3:
-    """Profile jet of the given order with domain checks but no regularity enforcement."""
+def _phi_jet_raw(spec: MetricSpec, r, s, order: int = 3, r_order: int = 3) -> Jet3:
+    """Profile jet of the given order and r_order; domain checks, no regularity enforcement."""
     _check_domain(spec, r, s)
     p = spec.profile
     if isinstance(p, GeneralPhi):
-        return eval_tree(p.phi, {"r": Jet3.seed(r, dr=1.0, order=order),
-                                 "s": Jet3.seed(s, ds=1.0, order=order)})
+        return eval_tree(p.phi, {"r": Jet3.seed(r, dr=1.0, order=order, r_order=r_order),
+                                 "s": Jet3.seed(s, ds=1.0, order=order, r_order=r_order)})
     if isinstance(p, RandersProfile):
-        return _randers_phi_jet(p, r, s, order)
-    return _family_phi_jet(spec, r, s, order)
+        return _randers_phi_jet(p, r, s, order, r_order)
+    return _family_phi_jet(spec, r, s, order, r_order)
 
 
 def phi_jet_unchecked(spec: MetricSpec, r, s) -> Jet3:
@@ -182,12 +182,13 @@ def phi_jet_unchecked(spec: MetricSpec, r, s) -> Jet3:
     return _phi_jet_raw(spec, r, s)
 
 
-def phi_jet(spec: MetricSpec, r, s, order: int = 3) -> Jet3:
+def phi_jet(spec: MetricSpec, r, s, order: int = 3, r_order: int = 3) -> Jet3:
     """Jet of phi at (r, s), of order 3 or 2; raises RegularityError when positivity fails.
 
-    Accepts scalars or broadcastable arrays for r and s.
+    Accepts scalars or broadcastable arrays for r and s.  An array jet drops its
+    partials of r-order above r_order and carries the rest bit for bit.
     """
-    jet = _phi_jet_raw(spec, r, s, order)
+    jet = _phi_jet_raw(spec, r, s, order, r_order)
     m1, m2, m3 = regularity_margins(jet, r, s)
     for cond, m, label in (
         (1, m1, "phi > 0"),
@@ -218,10 +219,10 @@ def regularity_margins(jet: Jet3, r, s):
 # -- Randers profiles ----------------------------------------------------------
 
 
-def _randers_phi_jet(p: RandersProfile, r, s, order: int) -> Jet3:
+def _randers_phi_jet(p: RandersProfile, r, s, order: int, r_order: int = 3) -> Jet3:
     """sqrt(f + g s^2) + h s from the radial jets of f, g and h."""
-    fj, gj, hj = (x.jet(r, order) for x in (p.f, p.g, p.h))
-    sj = Jet3.seed(s, ds=1.0, order=order)
+    fj, gj, hj = (x.jet(r, order, r_order) for x in (p.f, p.g, p.h))
+    sj = Jet3.seed(s, ds=1.0, order=order, r_order=r_order)
     return (fj + gj * sj * sj).sqrt() + hj * sj
 
 
@@ -241,7 +242,7 @@ def _family_table(spec: MetricSpec) -> PanelTable:
     return table
 
 
-def _family_phi_jet(spec: MetricSpec, r, s, order: int) -> Jet3:
+def _family_phi_jet(spec: MetricSpec, r, s, order: int, r_order: int = 3) -> Jet3:
     """chi(w) sqrt(g + J s^2) e^{-I2} at r, from the table value of I1.
 
     g = e^{I1} takes its value from the table and its r-derivatives from the
@@ -251,14 +252,14 @@ def _family_phi_jet(spec: MetricSpec, r, s, order: int) -> Jet3:
     r = np.asarray(r, dtype=float)
     r = float(r) if r.ndim == 0 else r
     p = spec.profile
-    rj = Jet3.seed(r, dr=1.0, order=order)
+    rj = Jet3.seed(r, dr=1.0, order=order, r_order=r_order)
     inv_r = 1.0 / rj
-    i1_prime = 2.0 * inv_r - 4.0 * (rj.powi(3) * p.c2.jet(r, order))
-    g_jet = Jet3.radial([_family_table(spec).at(r)]
-                        + [i1_prime.d(a, 0) for a in range(order)], order).exp()
+    i1_prime = 2.0 * inv_r - 4.0 * (rj.powi(3) * p.c2.jet(r, order, r_order))
+    g_jet = Jet3.radial([_family_table(spec).at(r), *i1_prime.r_partials()],
+                        order, r_order).exp()
     inv_r0 = 1.0 / p.r0
     J_jet = inv_r0 * inv_r0 - g_jet * (inv_r * inv_r)
-    sj = Jet3.seed(s, ds=1.0, order=order)
+    sj = Jet3.seed(s, ds=1.0, order=order, r_order=r_order)
     s2 = sj * sj
     radicand = g_jet + J_jet * s2
     _check_radicand(r, radicand.value <= 0.0, "is non-positive", "value", radicand.value)
@@ -266,7 +267,7 @@ def _family_phi_jet(spec: MetricSpec, r, s, order: int) -> Jet3:
         rsqrt = radicand.powr(-0.5)  # one composition gives both w and the square root
         g_rsqrt = g_jet.powr(-0.5)
     if not (is_finite(rsqrt.c) and is_finite(g_rsqrt.c)):
-        bad = sum(~np.isfinite(c) for c in rsqrt.c + g_rsqrt.c) > 0
+        bad = sum(~np.isfinite(c) for c in rsqrt.c + g_rsqrt.c if c is not None) > 0
         _check_radicand(r, bad, "is too small: its derivatives overflow", "g =", g_jet.value)
     chi_jet = eval_tree(p.chi, {"w": s2 * (rsqrt * rsqrt)})
     return chi_jet * (radicand * rsqrt) * (g_rsqrt * (p.r0 * inv_r))

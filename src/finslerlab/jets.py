@@ -21,9 +21,20 @@ broadcastable shape; all operations vectorize over the array case, and
 make them in derivative slots (the s-slots of a jet of r alone are all
 structural), and ``compose`` in the value slot of its nilpotent part.
 
+Array jets may also *drop* partials, holding None: ``seed`` and ``radial``
+given an r-order drop every partial of higher r-order.  ``+``, ``-``, products,
+scalings and negation drop a slot when any of its remaining Leibniz terms (with
+no structural-zero factor) reads a dropped one; every other slot sums the same
+terms in the same order, so it has the full jet's bits (truncated Taylor
+arithmetic is closed under dropping all partials above a fixed order in one
+variable; Griewank & Walther, Evaluating Derivatives, 2008, ch. 13).  ``d``
+raises ValueError on a dropped slot and ``is_finite`` skips it.  Float jets
+never drop one.
+
 The product is one formula, the Leibniz rule, taken two ways.  On scalar jets
 (Python-float or numpy-scalar values, as in the geodesic oracle's steps) it is
-written out slot by slot.  On array jets (the result's value slot is an
+written out slot by slot, and ``compose`` runs its Horner chain through the
+same written-out product on lists.  On array jets (the result's value slot is an
 ndarray, by ``isinstance``) each derivative slot sums the same terms in the
 same order from a term table, leaving out every term with a structural-zero
 factor and multiplying by no float 1.0; ``+``, ``-`` and multiplication by an
@@ -113,40 +124,72 @@ def _term_product(v0, x, y) -> list:
     Each derivative slot sums the written-out product's terms in its order,
     times their weights != 1, leaving out every term with a structural-zero
     factor and multiplying by no factor that is the float 1.0; a slot with no
-    term left is the structural zero.
+    term left is the structural zero, and one whose remaining terms read a
+    dropped slot is dropped.
     """
     out = [v0]
     for terms in _MUL_TERMS[:min(len(x), len(y)) - 1]:
-        acc = None
+        acc, t = None, 0.0
         for p, q, w in terms:
             a, b = x[p], y[q]
             if type(a) is float:
                 if a == 0.0 or _is_zero(b):
                     continue
-                t = b if a == 1.0 else a * b
+                t = b if a == 1.0 or b is None else a * b
             elif type(b) is float:
                 if b == 0.0:
                     continue
-                t = a if b == 1.0 else a * b
+                t = a if b == 1.0 or a is None else a * b
             else:
-                t = a * b
+                t = None if a is None or b is None else a * b
+            if t is None:  # the slot is dropped
+                break
             if w != 1.0:
                 t = t * w
             acc = t if acc is None else acc + t
-        out.append(0.0 if acc is None else acc)
+        out.append(None if t is None else 0.0 if acc is None else acc)
     return out
 
 
+def _float_product(v0, x, y) -> list:
+    """The coefficients of x * y for float jets, given its value slot v0 = x0 * y0: products
+    times weights != 1, summed left to right; the first 6 lines are the order-2 product."""
+    x0, x1, x2, x3, x4, x5 = x[:6]
+    y0, y1, y2, y3, y4, y5 = y[:6]
+    low = (
+        v0,
+        x0 * y1 + x1 * y0,
+        x0 * y2 + x2 * y0,
+        x0 * y3 + x1 * y1 * 2.0 + x3 * y0,
+        x0 * y4 + x2 * y1 + x1 * y2 + x4 * y0,
+        x0 * y5 + x2 * y2 * 2.0 + x5 * y0,
+    )
+    if len(x) == 6 or len(y) == 6:
+        return [*low]
+    x6, x7, x8, x9 = x[6:]
+    y6, y7, y8, y9 = y[6:]
+    return [
+        *low,
+        x0 * y6 + x1 * y3 * 3.0 + x3 * y1 * 3.0 + x6 * y0,
+        x0 * y7 + x2 * y3 + x1 * y4 * 2.0 + x4 * y1 * 2.0 + x3 * y2 + x7 * y0,
+        x0 * y8 + x2 * y4 * 2.0 + x5 * y1 + x1 * y5 + x4 * y2 * 2.0 + x8 * y0,
+        x0 * y9 + x2 * y5 * 3.0 + x5 * y2 * 3.0 + x9 * y0,
+    ]
+
+
 def _add_slot(a, b):
-    """a + b for derivative slots of array jets; a structural zero adds nothing."""
-    if _is_zero(a):
+    """a + b for derivative slots of array jets; a structural zero adds nothing,
+    a dropped slot gives a dropped one."""
+    if _is_zero(a) or b is None:
         return b
-    return a if _is_zero(b) else a + b
+    return a if _is_zero(b) or a is None else a + b
 
 
 def _sub_slot(a, b):
     """a - b for derivative slots of array jets; a structural-zero b subtracts nothing."""
-    return a if _is_zero(b) else a - b
+    if _is_zero(b) or a is None:
+        return a
+    return None if b is None else a - b
 
 
 def _mul_slot(a, other):
@@ -156,7 +199,14 @@ def _mul_slot(a, other):
             return a
         if a == 1.0:
             return other
-    return a * other
+    return None if a is None else a * other
+
+
+def _dropped(c: list, r_order: int) -> list:
+    """c with every slot of r-order above r_order dropped (None), if its value is an array."""
+    if r_order < ORDER and isinstance(c[0], _ndarray):
+        return [None if a > r_order else v for (a, _), v in zip(INDICES, c)]
+    return c
 
 
 class Jet3:
@@ -176,25 +226,32 @@ class Jet3:
         return cls((value, *[0.0] * (SIZE[order] - 1)))
 
     @classmethod
-    def seed(cls, value, dr=0.0, ds=0.0, order: int = ORDER) -> "Jet3":
-        """Jet of value + dr (r - r0) + ds (s - s0), truncated at the given order."""
-        return cls((value, dr, ds, *[0.0] * (SIZE[order] - 3)))
+    def seed(cls, value, dr=0.0, ds=0.0, order: int = ORDER, r_order: int = ORDER) -> "Jet3":
+        """Jet of value + dr (r - r0) + ds (s - s0), truncated at order and (arrays) r_order."""
+        return cls(_dropped([value, dr, ds, *[0.0] * (SIZE[order] - 3)], r_order))
 
     @classmethod
-    def radial(cls, derivs, order: int = ORDER) -> "Jet3":
+    def radial(cls, derivs, order: int = ORDER, r_order: int = ORDER) -> "Jet3":
         """Jet of a function of r alone; derivs[a] is its a-th r-derivative, a = 0..order."""
         c = [0.0] * SIZE[order]
         for a in range(order + 1):
             c[_POS[(a, 0)]] = derivs[a]
-        return cls(c)
+        return cls(_dropped(c, r_order))
 
     def d(self, a: int, b: int):
-        """Raw partial derivative d^a_r d^b_s; raises ValueError beyond the jet's order."""
+        """Raw partial d^a_r d^b_s; raises ValueError beyond the jet's order or where dropped."""
         try:
-            return self.c[_POS[(a, b)]]
+            v = self.c[_POS[(a, b)]]
         except (KeyError, IndexError):
             raise ValueError(
                 f"an order-{self.order} jet carries no d^{a}_r d^{b}_s coefficient") from None
+        if v is None:
+            raise ValueError(f"this jet dropped its d^{a}_r d^{b}_s coefficient")
+        return v
+
+    def r_partials(self) -> list:
+        """The pure r-partials d^a_r, a = 0..order, None where dropped."""
+        return [self.c[_POS[(a, 0)]] for a in range(self.order + 1)]
 
     @property
     def value(self):
@@ -210,7 +267,7 @@ class Jet3:
         order only.
         """
         order = self.order
-        out = [0.0] * len(self.c)
+        out = [0.0] * len(self.c)  # a dropped partial shifts as a dropped one
         for k, (a, b) in enumerate(INDICES[:len(self.c)]):
             if a + dr + b + ds <= order:
                 out[k] = self.c[_POS[(a + dr, b + ds)]]
@@ -242,6 +299,8 @@ class Jet3:
         return (-self) + other
 
     def __neg__(self):
+        if isinstance(self.c[0], _ndarray):  # dropped slots stay dropped
+            return Jet3(None if a is None else -a for a in self.c)
         return Jet3(map(neg, self.c))
 
     def __mul__(self, other):
@@ -249,34 +308,14 @@ class Jet3:
             c = self.c
             if isinstance(other, _ndarray):
                 return Jet3((c[0] * other, *map(_mul_slot, c[1:], repeat(other))))
+            if isinstance(c[0], _ndarray):
+                return Jet3(None if a is None else a * other for a in c)
             return Jet3(map(mul, c, repeat(other)))
         x, y = self.c, other.c
         v0 = x[0] * y[0]
         if isinstance(v0, _ndarray):
             return Jet3(_term_product(v0, x, y))
-        # scalar jets: slots in INDICES order; products times weights != 1,
-        # summed left to right; the first 6 lines are the order-2 product
-        x0, x1, x2, x3, x4, x5 = x[:6]
-        y0, y1, y2, y3, y4, y5 = y[:6]
-        low = (
-            v0,
-            x0 * y1 + x1 * y0,
-            x0 * y2 + x2 * y0,
-            x0 * y3 + x1 * y1 * 2.0 + x3 * y0,
-            x0 * y4 + x2 * y1 + x1 * y2 + x4 * y0,
-            x0 * y5 + x2 * y2 * 2.0 + x5 * y0,
-        )
-        if len(x) == 6 or len(y) == 6:
-            return Jet3(low)
-        x6, x7, x8, x9 = x[6:]
-        y6, y7, y8, y9 = y[6:]
-        return Jet3((
-            *low,
-            x0 * y6 + x1 * y3 * 3.0 + x3 * y1 * 3.0 + x6 * y0,
-            x0 * y7 + x2 * y3 + x1 * y4 * 2.0 + x4 * y1 * 2.0 + x3 * y2 + x7 * y0,
-            x0 * y8 + x2 * y4 * 2.0 + x5 * y1 + x1 * y5 + x4 * y2 * 2.0 + x8 * y0,
-            x0 * y9 + x2 * y5 * 3.0 + x5 * y2 * 3.0 + x9 * y0,
-        ))
+        return Jet3(_float_product(v0, x, y))
 
     __rmul__ = __mul__
 
@@ -304,10 +343,19 @@ class Jet3:
         A scalar jet keeps Python-float coefficients: the numpy float64
         scalars that np.exp, np.sqrt and friends return would make every later
         product about three times slower, and converting them changes no bit.
+        On a float jet the chain runs on lists, with the same operations in
+        the same order and no Jet3 temporaries.
         """
         c = self.c
         if type(c[0]) is float:
-            f0, f1, f2, f3 = float(f0), float(f1), float(f2), float(f3)
+            gh = (0.0, *c[1:])
+            k = float(f3) / 6.0
+            acc = [x * k for x in gh]
+            acc[0] += float(f2) * 0.5
+            for f in (f1, f0):
+                acc = _float_product(acc[0] * 0.0, acc, gh)
+                acc[0] += float(f)
+            return Jet3(acc)
         gh = Jet3((0.0, *c[1:]))
         return ((gh * (f3 / 6.0) + f2 * 0.5) * gh + f1) * gh + f0
 
@@ -423,7 +471,7 @@ def any_true(mask) -> bool:
 
 
 def is_finite(c) -> bool:
-    """True when every one of the jet coefficients c is finite.
+    """True when every one of the jet coefficients c but the dropped ones (None) is finite.
 
     A finite sum proves it, since inf and NaN propagate; a non-finite sum, which
     finite terms can also give by overflowing, is checked term by term."""
@@ -433,6 +481,7 @@ def is_finite(c) -> bool:
     except (OverflowError, ValueError):
         pass
     except TypeError:  # array coefficients
+        c = [x for x in c if x is not None]
         with np.errstate(over="ignore", invalid="ignore"):
             if np.isfinite(sum(c)).all():
                 return True

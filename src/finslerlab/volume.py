@@ -21,10 +21,11 @@ Likewise one node jet holds the nodes of every count a ``refine`` call asks
 for (64 and 128 in its first), and each count's block of nodes is summed on
 its own, so each count gets the bits of a jet of its nodes alone.
 
-Node jets are of the order each volume reads: 2 under BH (sigma_bh reads phi,
-(log sigma_bh)' the first partials of phi^-n, and phi_jet's regularity guard
-phi_ss), 3 under HT (T_r and T_s read third partials).  An order-2 jet is the
-bit-exact prefix of the order-3 one, so the order changes no value.
+Node jets carry only what their reader takes.  sigma (and phi_jet's guard)
+reads phi, phi_s and phi_ss: order 2, r-order 0 under both volumes.  sigma'
+reads first r-partials: order 2, r-order 1 under BH (of phi^-n), order 3,
+r-order 1 under HT (T_r, T_s).  A carried partial has the full order-3 jet's
+bits, so neither order changes a value.
 
 The angular sums are reduced with math.fsum and integer powers are repeated
 products, so sigma and f(r) do not depend on numpy's reduction blocking or
@@ -92,7 +93,7 @@ def _radii(r):
     return float(r) if np.ndim(r) == 0 else tuple(np.asarray(r, dtype=float).tolist())
 
 
-#: profile-jet order of the node jets under each volume (see the module docstring)
+#: profile-jet order of the sigma' node jets under each volume (see the module docstring)
 _BH_ORDER = 2
 _HT_ORDER = 3
 
@@ -101,10 +102,10 @@ _HT_ORDER = 3
 #: the first refinement's 64 + 128 nodes hold what 16 single-count entries did;
 #: isotropy, analyze and sample on one grid still share their entries
 @lru_cache(maxsize=8)
-def _node_jets(spec: MetricSpec, r, counts: tuple[int, ...], order: int):
+def _node_jets(spec: MetricSpec, r, counts: tuple[int, ...], order: int, r_order: int):
     """Radius (float or column), s = r cos t, cos t, weights times sin^{n-2} t,
-    and the profile jets of the given order at (r, s) for a key from ``_radii``,
-    with the Gauss-Legendre nodes of each count in ``counts`` side by side.
+    and the profile jets of the given order and r-order at (r, s) for a key from
+    ``_radii``, with the Gauss-Legendre nodes of each count in ``counts`` side by side.
 
     Regularity is enforced by phi_jet; a failure raises what the first failing
     count raises alone.
@@ -114,12 +115,12 @@ def _node_jets(spec: MetricSpec, r, counts: tuple[int, ...], order: int):
     rc = r if isinstance(r, float) else np.array(r)[:, None]
     s = rc * cos_t
     try:
-        jet = phi_jet(spec, rc, s, order)
+        jet = phi_jet(spec, rc, s, order, r_order)
     except FinslerError:
         # a lower count that fails alone raises its own error first, as separate
         # calls did; otherwise every failing node is the last count's, as alone
         for n in counts[:-1]:
-            _node_jets(spec, r, (n,), order)
+            _node_jets(spec, r, (n,), order, r_order)
         raise
     return rc, s, cos_t, w * ipow(np.sin(t), spec.n - 2), jet
 
@@ -134,13 +135,13 @@ def _arr(v, shape):
 
 
 def _sigma_bh_at(spec: MetricSpec, r, counts: tuple[int, ...]):
-    _, s, _, ws, jet = _node_jets(spec, r, counts, _BH_ORDER)
+    _, s, _, ws, jet = _node_jets(spec, r, counts, 2, 0)
     phi = _arr(jet.d(0, 0), s.shape)
     return [sin_power_integral(spec.n) / v for v in _per_count(counts, ws * ipow(phi, -spec.n))]
 
 
 def _sigma_ht_at(spec: MetricSpec, r, counts: tuple[int, ...]):
-    rc, s, _, ws, jet = _node_jets(spec, r, counts, _HT_ORDER)
+    rc, s, _, ws, jet = _node_jets(spec, r, counts, 2, 0)
     phi, m2, m3 = (_arr(m, s.shape) for m in regularity_margins(jet, rc, s))
     integrand = phi * ipow(m2, spec.n - 2) * m3
     return [v / sin_power_integral(spec.n) for v in _per_count(counts, ws * integrand)]
@@ -191,7 +192,7 @@ def density(vol: VolumeSpec, spec: MetricSpec, r):
 
 def _log_deriv_bh_at(spec: MetricSpec, r, counts: tuple[int, ...]):
     """(log sigma_bh)'(r) via integrand jets, one value per node count."""
-    _, s, cos_t, ws, jet = _node_jets(spec, r, counts, _BH_ORDER)
+    _, s, cos_t, ws, jet = _node_jets(spec, r, counts, _BH_ORDER, 1)
     integrand = jet.powi(-spec.n)
     ddr = _arr(integrand.d(1, 0), s.shape) + cos_t * _arr(integrand.d(0, 1), s.shape)
     j_val = _per_count(counts, ws * _arr(integrand.d(0, 0), s.shape))
@@ -202,9 +203,9 @@ def _log_deriv_bh_at(spec: MetricSpec, r, counts: tuple[int, ...]):
 def _log_deriv_ht_at(spec: MetricSpec, r, counts: tuple[int, ...]):
     """(log sigma_ht)'(r) via integrand jets (order-3 profile jets feed T_r, T_s),
     one value per node count."""
-    rc, s, cos_t, ws, jet = _node_jets(spec, r, counts, _HT_ORDER)
-    rj = Jet3.seed(rc, dr=1.0)
-    sj = Jet3.seed(s, ds=1.0)
+    rc, s, cos_t, ws, jet = _node_jets(spec, r, counts, _HT_ORDER, 1)
+    rj = Jet3.seed(rc, dr=1.0, r_order=1)
+    sj = Jet3.seed(s, ds=1.0, r_order=1)
     m2j = jet - sj * jet.deriv(0, 1)
     m3j = m2j + (rj * rj - sj * sj) * jet.deriv(0, 2)
     t_jet = jet * m2j.powi(spec.n - 2) * m3j

@@ -125,31 +125,41 @@ def reference_eval_tree(tree: ExpressionTree, env) -> Jet3:
     return _eval_jet_node(tree.root, env)
 
 
+def reference_compose(jet: Jet3, f0, f1, f2, f3) -> Jet3:
+    """Jet3.compose as the Horner chain ((gh f3/6 + f2/2) gh + f1) gh + f0 of Jet3
+    objects, gh the jet without its value; a float jet takes float Taylor data."""
+    if type(jet.c[0]) is float:
+        f0, f1, f2, f3 = float(f0), float(f1), float(f2), float(f3)
+    gh = Jet3((0.0, *jet.c[1:]))
+    return ((gh * (f3 / 6.0) + f2 * 0.5) * gh + f1) * gh + f0
+
+
 # -- reference profile jets: Jet3 arithmetic, as finslerlab.geometry computes them ----
 
 
-def _reference_radial_jet(fn, r, order: int) -> Jet3:
-    """fn.jet(r, order), a ScalarFunction's by the reference walker."""
+def _reference_radial_jet(fn, r, order: int, r_order: int = 3) -> Jet3:
+    """fn.jet(r, order, r_order), a ScalarFunction's by the reference walker."""
     if isinstance(fn, ScalarFunction):
-        return reference_eval_tree(fn.tree, {"r": Jet3.seed(r, dr=1.0, order=order)})
-    return fn.jet(r, order)
+        return reference_eval_tree(fn.tree, {"r": Jet3.seed(r, dr=1.0, order=order,
+                                                            r_order=r_order)})
+    return fn.jet(r, order, r_order)
 
 
-def reference_randers_jet(profile: RandersProfile, r, s, order: int) -> Jet3:
+def reference_randers_jet(profile: RandersProfile, r, s, order: int, r_order: int = 3) -> Jet3:
     """sqrt(f + g s^2) + h s from the radial jets of f, g and h."""
-    sj = Jet3.seed(s, ds=1.0, order=order)
-    fj, gj, hj = (_reference_radial_jet(x, r, order) for x in (profile.f, profile.g, profile.h))
+    sj = Jet3.seed(s, ds=1.0, order=order, r_order=r_order)
+    fj, gj, hj = (_reference_radial_jet(x, r, order, r_order)
+                  for x in (profile.f, profile.g, profile.h))
     return (fj + gj * sj * sj).sqrt() + hj * sj
 
 
-def _reference_family_jets(spec: MetricSpec, r, order: int) -> tuple:
+def _reference_family_jets(spec: MetricSpec, r, order: int, r_order: int = 3) -> tuple:
     """r-jets of r, I1 (table value, integrand derivatives), g = e^{I1} and J = 1/r0^2 - g/r^2."""
     p = spec.profile
-    rj = Jet3.seed(r, dr=1.0, order=order)
+    rj = Jet3.seed(r, dr=1.0, order=order, r_order=r_order)
     inv_r = 1.0 / rj
-    i1_prime = 2.0 * inv_r - 4.0 * (rj.powi(3) * _reference_radial_jet(p.c2, r, order))
-    i1_jet = Jet3.radial([_family_table(spec).at(r)] + [i1_prime.d(a, 0) for a in range(order)],
-                         order)
+    i1_prime = 2.0 * inv_r - 4.0 * (rj.powi(3) * _reference_radial_jet(p.c2, r, order, r_order))
+    i1_jet = Jet3.radial([_family_table(spec).at(r), *i1_prime.r_partials()], order, r_order)
     g_jet = i1_jet.exp()
     inv_r0 = 1.0 / p.r0
     return rj, i1_jet, g_jet, inv_r0 * inv_r0 - g_jet * (inv_r * inv_r)
@@ -161,11 +171,12 @@ def reference_family_radial_jets(spec: MetricSpec, r, order: int = 3) -> tuple:
     return g_jet, J_jet, 0.5 * i1_jet + (rj / spec.profile.r0).log()
 
 
-def reference_family_jet(spec: MetricSpec, r, s, order: int) -> Jet3:
+def reference_family_jet(spec: MetricSpec, r, s, order: int, r_order: int = 3) -> Jet3:
     """chi(w) sqrt(g + J s^2) e^{-I2}, with the radicand guard and e^{-I2} = (r0/r) g^{-1/2}."""
     r = np.asarray(r, dtype=float)
-    rj, _, g_jet, J_jet = _reference_family_jets(spec, float(r) if r.ndim == 0 else r, order)
-    sj = Jet3.seed(s, ds=1.0, order=order)
+    rj, _, g_jet, J_jet = _reference_family_jets(spec, float(r) if r.ndim == 0 else r, order,
+                                                 r_order)
+    sj = Jet3.seed(s, ds=1.0, order=order, r_order=r_order)
     s2 = sj * sj
     radicand = g_jet + J_jet * s2
     bad = radicand.value <= 0.0

@@ -82,6 +82,23 @@ def test_bh_from_order_2_node_jets_equals_an_order_3_reference(request, monkeypa
     assert all(_same(g, w) for g, w in zip(got, want))
 
 
+@VOLUMES
+@pytest.mark.parametrize("name", PROFILES)
+def test_node_jets_that_drop_r_partials_equal_full_order_3_ones(request, monkeypatch, name, vol):
+    # sigma reads r-order 0 and sigma' r-order 1 of its node jets; full jets give the same bits
+    spec = _spec(request, name)
+    r = interior_grid(spec, 5)
+
+    def values():
+        volume._node_jets.cache_clear()
+        return [fn(vol, spec, x) for fn in (density, f_coefficient) for x in (float(r[2]), r)]
+
+    got = values()
+    monkeypatch.setattr(volume, "phi_jet", lambda spec, r, s, order, r_order: phi_jet(spec, r, s))
+    want = values()
+    assert all(_same(g, w) for g, w in zip(got, want))
+
+
 def _first_density_error(spec, *sides) -> str:
     """The message of the first side whose BH density raises alone."""
     for side in sides:

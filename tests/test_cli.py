@@ -234,10 +234,10 @@ def _grid_jet_orders(monkeypatch, argv: list, path: Path) -> list:
     grid_s = r[:, None] * fracs
     raw, orders = geometry._phi_jet_raw, []
 
-    def counted(spec, r, s, order=3):
+    def counted(spec, r, s, order=3, r_order=3):
         if np.shape(s) == grid_s.shape and np.array_equal(s, grid_s):
             orders.append(order)
-        return raw(spec, r, s, order)
+        return raw(spec, r, s, order, r_order)
 
     monkeypatch.setattr(geometry, "_phi_jet_raw", counted)
     assert main(argv) == 0
@@ -387,17 +387,18 @@ def test_inadmissible_point_is_numeric_error(tmp_path, capsys):
     assert "numeric failure" in capsys.readouterr().err
 
 
-def _verify_douglas_with_c2(tmp_path, c2, r_domain=None, grid=None):
-    """verify --check douglas on configs/family_k.json with c2 (and optionally
-    metric.r_domain and grid keys) replaced, warnings fatal."""
+def _verify_douglas_with_c2(tmp_path, c2, r_domain=None, grid=None,
+                            command=("verify", "--check", "douglas")):
+    """verify --check douglas (or another command) on configs/family_k.json with
+    c2 (and optionally metric.r_domain and grid keys) replaced, warnings fatal."""
     cfg = json.loads((HERE.parent / "configs" / "family_k.json").read_text())
     cfg["metric"]["c2"] = c2
     if r_domain is not None:
         cfg["metric"]["r_domain"] = r_domain
     cfg["grid"].update(grid or {})
     return subprocess.run(
-        [sys.executable, "-W", "error::RuntimeWarning", "-m", "finslerlab", "verify",
-         "--check", "douglas", write_cfg(tmp_path, "huge_c2.json", cfg)],
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "finslerlab", command[0],
+         write_cfg(tmp_path, "huge_c2.json", cfg), *command[1:]],
         capture_output=True,
         text=True,
         cwd=str(HERE.parent),
@@ -425,14 +426,17 @@ def test_overflowing_family_integrand_above_r0_names_the_outer_end(tmp_path):
 
 def test_tiny_family_radicand_prints_only_the_numeric_failure(tmp_path):
     # c2 = 2000 on [1.0, 1.2] leaves g = e^{I1} near 1e-187 on the grid, finite and
-    # positive, but the Taylor data of its powers overflow; the first grid radius is named
-    proc = _verify_douglas_with_c2(tmp_path, 2000, r_domain=[1.0, 1.2],
-                                   grid={"r_min": 1.05, "r_max": 1.15})
-    assert proc.returncode == 3
-    assert proc.stdout == ""
-    assert re.fullmatch(r"numeric failure: family radical g \+ J\*s\^2 is too small: its "
-                        r"derivatives overflow at r=1\.05 \(g = \S+e-18\d\)\n", proc.stderr), \
-        proc.stderr
+    # positive, but the Taylor data of its powers overflow; the first grid radius is
+    # named, also where the density's node jets drop their higher r-partials
+    for command in (("verify", "--check", "douglas"), ("verify", "--check", "isotropy"),
+                    ("sample",), ("analyze",)):
+        proc = _verify_douglas_with_c2(tmp_path, 2000, r_domain=[1.0, 1.2],
+                                       grid={"r_min": 1.05, "r_max": 1.15}, command=command)
+        assert proc.returncode == 3, command
+        assert proc.stdout == ""
+        assert re.fullmatch(r"numeric failure: family radical g \+ J\*s\^2 is too small: its "
+                            r"derivatives overflow at r=1\.05 \(g = \S+e-18\d\)\n",
+                            proc.stderr), (command, proc.stderr)
 
 
 def test_irregular_grid_point_is_regularity_error(tmp_path, capsys):

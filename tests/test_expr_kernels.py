@@ -31,7 +31,7 @@ from finslerlab.expr import (
     parse_expression,
 )
 from finslerlab.geometry import embed_point
-from finslerlab.jets import Jet3
+from finslerlab.jets import INDICES, Jet3, is_finite
 from finslerlab.oracle import s_by_distortion
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -146,10 +146,10 @@ def test_oracle_is_bit_identical_to_the_reference_walker(monkeypatch, config):
     _on_every_binding(monkeypatch, "eval_tree",
                       lambda tree, env: walked.append(tree) or reference_eval_tree(tree, env))
     # the Randers and family profile jets: their references
-    monkeypatch.setattr(geometry, "_randers_phi_jet", lambda p, r, s, order: walked.append(p)
-                        or reference_randers_jet(p, r, s, order))
-    monkeypatch.setattr(geometry, "_family_phi_jet", lambda spec, r, s, order: walked.append(spec)
-                        or reference_family_jet(spec, r, s, order))
+    monkeypatch.setattr(geometry, "_randers_phi_jet", lambda p, r, s, order, r_order:
+                        walked.append(p) or reference_randers_jet(p, r, s, order, r_order))
+    monkeypatch.setattr(geometry, "_family_phi_jet", lambda spec, r, s, order, r_order:
+                        walked.append(spec) or reference_family_jet(spec, r, s, order, r_order))
     assert _oracle_values(config) == got
     assert walked
 
@@ -179,3 +179,33 @@ def test_array_evaluation_equals_every_point_on_floats(tree, order):
         for k, (a, b) in enumerate(zip(got, want)):
             a = float(np.broadcast_to(a, _R.shape)[i])
             assert a.hex() == b.hex() or (k > 0 and a == b == 0.0), (i, k, a, b)
+
+
+@given(trees, st.sampled_from((2, 3)), st.sampled_from((0, 1)))
+@settings(max_examples=300, deadline=None)
+def test_dropped_slots_leave_every_carried_slot_bit_identical(tree, order, r_order):
+    """Seeds that drop their partials of r-order above r_order, against the full
+    seeds: the slots of r-order <= r_order are carried, every carried slot is
+    hex-identical to the full jet's, d() raises on a dropped one and is_finite
+    reads only the carried ones.  Where the reduced jet raises, the full one
+    raises the same error type at the same subexpression; the full one may also
+    raise alone, from a slot the reduced jet does not compute."""
+    env = {"r": Jet3.seed(_R, dr=1.0, order=order, r_order=r_order),
+           "s": Jet3.seed(_S, ds=1.0, order=order, r_order=r_order)}
+    got, want = _outcome(eval_tree, tree, env), _outcome(eval_tree, tree, _seeded(_R, _S, order))
+    if isinstance(got[0], type):
+        assert isinstance(want[0], type) and (got[0], got[2]) == (want[0], want[2]), (got, want)
+        return
+    if isinstance(want[0], type):
+        return
+    assert len(got) == len(want)
+    for (a, b), g, w in zip(INDICES, got, want):
+        if g is None:
+            assert a > r_order
+            with pytest.raises(ValueError, match="dropped"):
+                Jet3(got).d(a, b)
+        else:
+            assert _same_bits(g, w), (a, b, g, w)
+    with np.errstate(all="ignore"):
+        poisoned = [None if g is None else g + np.inf for g in got]
+    assert is_finite(got) and not is_finite(poisoned)

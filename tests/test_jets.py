@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _support import dispatched_simd_targets, stdout_with_and_without_simd
+from _support import dispatched_simd_targets, reference_compose, stdout_with_and_without_simd
 from finslerlab.errors import DomainError
 from finslerlab.expr import ScalarFunction
 from finslerlab.jets import INDICES, SIZE, Jet3, _sqrt_taylor, is_finite
@@ -560,3 +560,76 @@ def test_constants_and_derivatives_have_float_zeros():
             assert high and all(_structural(shifted.c[k]) for k in high)
         radial = Jet3.radial([np.full(3, 1.0 + k) for k in range(order + 1)], order)
         assert all(_structural(v) for v in radial.deriv(0, 1).c[1:])
+
+
+# -- float composition -------------------------------------------------------------
+
+#: coefficients every float composition must meet: signed zeros, subnormals,
+#: the ends of the float range, infinities and NaN
+_SPECIAL = (0.0, -0.0, 5e-324, -5e-324, 2.5e-310, 1e-300, -1e-300, 1e300, -1e300,
+            math.inf, -math.inf, math.nan, 1.0, -1.0)
+_COMPOSED = {
+    "sqrt": Jet3.sqrt, "exp": Jet3.exp, "log": Jet3.log, "sin": Jet3.sin, "cos": Jet3.cos,
+    "atan": Jet3.atan, "recip": Jet3._reciprocal,
+    **{f"powr{q}": (lambda j, q=q: j.powr(q)) for q in (-1.5, -0.5, 0.5, 1.5, 2.5)},
+}
+
+
+def _float_jet(rng, order: int) -> Jet3:
+    """Coefficients of random sign and magnitude, a fifth of them special values."""
+    c = [float(rng.choice(_SPECIAL)) if rng.random() < 0.2
+         else float(rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-8.0, 8.0))
+         for _ in range(SIZE[order])]
+    return Jet3(c)
+
+
+def _composed(fn, jet):
+    """The coefficients as float.hex, or the type and message of what was raised."""
+    try:
+        out = fn(jet).c
+    except Exception as err:  # RuntimeWarnings are errors under the suite's filter
+        return type(err), str(err)
+    assert all(type(v) is float for v in out)
+    return [v.hex() for v in out]
+
+
+@pytest.mark.parametrize("order", [2, 3])
+def test_float_composition_equals_the_jet3_horner_chain(monkeypatch, order):
+    # the tuple arithmetic of Jet3.compose on float jets against the chain of
+    # Jet3 objects it spells out, hex for hex, or the same error
+    rng = np.random.default_rng(order)
+    jets = [_float_jet(rng, order) for _ in range(1000)]
+    got = {name: [_composed(fn, j) for j in jets] for name, fn in _COMPOSED.items()}
+    monkeypatch.setattr(Jet3, "compose", reference_compose)
+    for name, fn in _COMPOSED.items():
+        want = [_composed(fn, j) for j in jets]
+        for j, g, w in zip(jets, got[name], want):
+            assert g == w, (name, j.c)
+    assert sum(isinstance(g, list) for g in got["recip"]) > 600
+
+
+def test_a_slot_that_reads_a_dropped_one_is_dropped():
+    # order-2 array jets: x drops d_r, y carries it; d_s and the value are carried
+    a = np.linspace(1.0, 2.0, 4)
+    x, y = Jet3((a, None, a + 1.0, None, None, a)), Jet3((a, a, a - 1.0, a, a, a))
+    for name, jet in {"x+y": x + y, "y+x": y + x, "x-y": x - y, "y-x": y - x, "x*y": x * y,
+                      "y*x": y * x, "-x": -x, "x*float": x * 2.5, "x*array": x * a,
+                      "x+float": x + 1.0, "recip": 1.0 / x, "sqrt": x.sqrt()}.items():
+        assert jet.c[1] is None and all(jet.c[k] is None for k in (3, 4)), name
+        assert isinstance(jet.c[0], np.ndarray) and isinstance(jet.c[2], np.ndarray), name
+        with pytest.raises(ValueError, match=r"dropped its d\^1_r d\^0_s"):
+            jet.d(1, 0)
+    # a term with a structural-zero factor reads nothing: (0 + d_s s) * x keeps d_r(x s) = 0
+    assert (Jet3((a, 0.0, 1.0, 0.0, 0.0, 0.0)) * Jet3((a, 0.0, a, None, 0.0, 0.0))).c[1] == 0.0
+
+
+def test_seeds_drop_only_on_arrays():
+    a = np.linspace(0.2, 0.8, 4)
+    for order in (2, 3):
+        for r_order in (0, 1, 2):
+            for seed in (Jet3.seed(a, dr=1.0, order=order, r_order=r_order),
+                         Jet3.radial([a, a, a, a], order, r_order)):
+                assert [k for k, c in enumerate(seed.c) if c is None] == [
+                    k for k, (i, _) in enumerate(INDICES[:SIZE[order]]) if i > r_order]
+            assert None not in Jet3.seed(0.5, dr=1.0, order=order, r_order=r_order).c
+            assert None not in Jet3.radial([0.5, 1.0, 2.0, 3.0], order, r_order).c
