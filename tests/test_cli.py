@@ -71,6 +71,16 @@ def test_sample_matches_golden(tmp_path, stem):
     assert out.read_bytes() == (GOLDENS / f"{stem}.csv").read_bytes()
 
 
+@pytest.mark.parametrize("stem", ["golden_funk", "golden_randers", "golden_parallel"])
+@pytest.mark.parametrize("report, argv", [("analyze", ["analyze"]),
+                                          ("isotropy", ["verify", "--check", "isotropy"]),
+                                          ("douglas", ["verify", "--check", "douglas"])])
+def test_report_matches_golden(tmp_path, stem, report, argv):
+    out = tmp_path / f"{stem}.{report}.json"
+    assert main([*argv, str(CONFIGS / f"{stem}.json"), "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDENS / f"{stem}.{report}.json").read_bytes()
+
+
 DISPATCHED = dispatched_simd_targets()
 
 # samples each (config, out) argument pair, then prints the dispatch targets in use
