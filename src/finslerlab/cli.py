@@ -44,7 +44,7 @@ from .families import (
     bh_solve_g,
     build_berwald_family,
     certify_family,
-    ht_condition_residual,
+    ht_condition_residual_of,
     ht_solve_h,
 )
 from .geometry import (
@@ -59,9 +59,9 @@ from .geometry import (
     s_fractions,
 )
 from .oracle import _split, s_by_distortion
-from .randers import covariant_b_coefficients
+from .randers import randers_coefficients
 from .scurvature import isotropy_profile, reduced_s, scurvature_columns
-from .volume import VOLUMES, CustomDensity, density
+from .volume import VOLUMES, CustomDensity, _density_for_f
 
 CSV_HEADER = "r,s,phi,P,Q,Q_s,detg,sigma,f_r,S_over_u"
 
@@ -370,7 +370,7 @@ def _grid_columns(cfg: RunConfig, spec: MetricSpec) -> tuple[dict, dict]:
     r_values, fracs = _grids(cfg)
 
     def columns(radii):
-        sigma = density(cfg.volume, spec, radii)
+        sigma = _density_for_f(cfg.volume, spec, radii)
         cols, jet = scurvature_columns(spec, cfg.volume, radii, fracs)
         s = cols["s"]
         cols.update(sigma=sigma[:, None], detg=metric_determinant(spec, cols["r"], s, jet))
@@ -408,13 +408,29 @@ def cmd_analyze(cfg: RunConfig, args) -> int:
     return 0
 
 
+#: the CSV columns that are constant along each radius's row of the grid
+_PER_RADIUS = ("r", "sigma", "f_r")
+
+
+def _csv_rows(cols: dict) -> list[str]:
+    """The CSV_HEADER columns of each grid point, "%.17g" each (17 significant digits
+    round-trip every float), in C order; the columns in _PER_RADIUS are formatted once
+    per radius, from each row's first point."""
+    names = CSV_HEADER.split(",")
+    template = ",".join("%.17g" if k in _PER_RADIUS else "%%.17g" for k in names)
+    per_radius = zip(*(cols[k][:, 0].tolist() for k in names if k in _PER_RADIUS))
+    per_point = [cols[k].tolist() for k in names if k not in _PER_RADIUS]
+    rows = []
+    for i, fixed in enumerate(per_radius):
+        row = template % fixed  # "%.17g" never prints a "%"
+        rows.extend(row % vals for vals in zip(*(col[i] for col in per_point)))
+    return rows
+
+
 def cmd_sample(cfg: RunConfig, args) -> int:
     spec = build_spec(cfg)
     cols, _ = _grid_columns(cfg, spec)
-    names = CSV_HEADER.split(",")
-    row = ",".join(["%.17g"] * len(names))  # 17 significant digits round-trip every float
-    lines = [CSV_HEADER, *(row % vals for vals in zip(*(cols[k].ravel().tolist() for k in names)))]
-    _write_text(args, cfg, "\n".join(lines) + "\n")
+    _write_text(args, cfg, "\n".join([CSV_HEADER, *_csv_rows(cols)]) + "\n")
     return 0
 
 
@@ -480,10 +496,10 @@ def _verify_ht_parallel(cfg, spec, args) -> Verdict:
             _fail("c_const", "given when metric.f is not c/r^2 for a constant c", REQUIRED)
         c_const = float(np.mean(cs))
 
-    def batch(radii):
-        u1, u2 = covariant_b_coefficients(f, g, h, radii)
-        return {"r": radii, "u1": u1, "u2": u2,
-                "ht_residual": ht_condition_residual(c_const, g, h, radii)}
+    def batch(radii):  # the jets of g and h, once: admissible with f, then with c/r^2
+        d = randers_coefficients(f, g, h, radii)
+        return {"r": radii, "u1": d.u1, "u2": d.u2,
+                "ht_residual": ht_condition_residual_of(c_const, d)}
 
     cols = batch_radii(batch, r_values)
     worst = np.max(np.abs([cols["u1"], cols["u2"], cols["ht_residual"]]), axis=0)

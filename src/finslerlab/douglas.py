@@ -72,12 +72,13 @@ def fit_q(r, s_values, jet, tolerance: float | None = None) -> DouglasFit:
 
 def douglas_verdict(spec: MetricSpec, r_grid, s_fracs=None,
                     tolerance: float | None = None) -> DouglasFit:
-    """Per-radius Douglas fits and a global verdict: one order-2 jet and ``fit_q`` per batch."""
+    """Per-radius Douglas fits and a global verdict: one order-2 jet of r-order 1 (Q reads
+    no phi_rr) and ``fit_q`` per batch."""
     fracs = s_fractions(21) if s_fracs is None else np.asarray(s_fracs, dtype=float)
 
     def batch(radii):
         rc = radii[:, None]
         s = rc * fracs
-        return fit_q(rc, s, phi_jet(spec, rc, s, order=2), tolerance)
+        return fit_q(rc, s, phi_jet(spec, rc, s, order=2, r_order=1), tolerance)
 
     return batch_radii(batch, np.asarray(r_grid, dtype=float))

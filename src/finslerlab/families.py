@@ -10,8 +10,8 @@ Four layers live here:
 * the family builder (one tabulated antiderivative, I1, per member; see
   :mod:`finslerlab.geometry`) and its certificate (``certify_family``): a
   regularity scan over the domain, then the PDE residual and the Douglas fit
-  of Q read off one order-2 jet per batch of radii, on the config grid for
-  ``verify`` and on 9 radii x ``s_fractions(21)`` for a build;
+  of Q read off one order-2, r-order-1 jet per batch of radii, on the config
+  grid for ``verify`` and on 9 radii x ``s_fractions(21)`` for a build;
 * solvers that generate admissible profiles from the conditions at the
   nodes of a uniform grid (closed-form solutions read off one jet: of the
   linear g equation for the Busemann-Hausdorff branch, of the linear h
@@ -54,7 +54,7 @@ from .geometry import (
 )
 from .jets import Jet3, ipow
 from .oracle import _dot
-from .randers import admissibility_margin, randers_coefficients
+from .randers import RandersCoefficients, admissibility_margin, randers_bundle, randers_coefficients
 
 #: enforced bound on the independent node audit of bh_solve_g solutions
 BH_NODE_TOL = 1e-8
@@ -133,19 +133,21 @@ class SampledFunction:
 
     def value(self, r):
         """Value at a float r or at an array of radii: the value of the order-2 jet."""
-        return self.jet(r, 2).value
+        return self.jet(r, 2, 0).value
 
     def jet(self, r, order: int = 3, r_order: int = 3) -> Jet3:
-        """Univariate jet in r of the local quintic, truncated at order (2 or 3) and r_order."""
+        """Univariate jet in r of the local quintic, truncated at order (2 or 3) and r_order;
+        at an array of radii no derivative above r_order is evaluated."""
         r_arr = np.asarray(r, dtype=float)
         idx, t = self._locate(r_arr)
-        rows = self._coef[:, idx]
-        derivs = []
-        for lo, hi in _HORNER_BLOCKS[:order + 1]:
+        blocks = _HORNER_BLOCKS[:min(order, r_order) + 1 if r_arr.shape else order + 1]
+        rows = self._coef[:blocks[-1][1], idx]
+        derivs = [None] * (order + 1)
+        for a, (lo, hi) in enumerate(blocks):
             p = rows[hi - 1]
             for k in range(hi - 2, lo - 1, -1):
                 p = p * t + rows[k]
-            derivs.append(p)
+            derivs[a] = p
         if not r_arr.shape:
             derivs = [float(v) for v in derivs]
         return Jet3.radial(derivs, order, r_order)
@@ -338,15 +340,29 @@ def ht_condition_residual(c_const: float, g, h, r):
     r is a float or a 1-D array; f = c/r^2 completes the Randers data whose
     admissibility is checked.
     """
+    c, f = _c_over_r2(c_const)
+    return _ht_residual(c, randers_coefficients(f, _as_radial_fn(g), _as_radial_fn(h), r))
+
+
+def ht_condition_residual_of(c_const: float, d: RandersCoefficients):
+    """ht_condition_residual at d.r with the g and h of the Randers data d, of any f,
+    so their jets are not taken again; admissibility is checked with f = c/r^2."""
+    c, f = _c_over_r2(c_const)
+    fj = f.jet(d.r, 2, 1)
+    return _ht_residual(c, randers_bundle(d.r, fj.d(0, 0), fj.d(1, 0), d.g, d.g_d1, d.h, d.h_d1))
+
+
+def _c_over_r2(c_const) -> tuple[float, ScalarFunction]:
+    """c as a float, and the radius function c/r^2; DomainError unless 0 < c < inf."""
     c_const = float(c_const)
     if not 0.0 < c_const < math.inf:
         raise DomainError(f"c must be a positive finite constant, got {c_const!r}")
-    d = randers_coefficients(ScalarFunction.from_text(f"{c_const!r}/r^2"), _as_radial_fn(g),
-                             _as_radial_fn(h), r)
+    return c_const, ScalarFunction.from_text(f"{c_const!r}/r^2")
+
+
+def _ht_residual(c: float, d: RandersCoefficients):
     r = d.r
-    return 2.0 * d.h_d1 * (c_const / (r * r) + r * r * d.g) - d.h * (
-        r * r * d.g_d1 - 4.0 * c_const / ipow(r, 3)
-    )
+    return 2.0 * d.h_d1 * (c / (r * r) + r * r * d.g) - d.h * (r * r * d.g_d1 - 4.0 * c / ipow(r, 3))
 
 
 # -- profile solvers ---------------------------------------------------------
@@ -528,9 +544,9 @@ def certify_family(spec: MetricSpec, r_grid, s_fracs) -> FamilyBuildResult:
     """The regularity scan over spec.r_domain, then the PDE and Douglas fit on a grid.
 
     A failed scan raises RegularityError.  The transport-PDE residual and the
-    Douglas fit of Q both read one order-2 profile jet per batch of radii, on
-    the points r * s_fracs of each radius in r_grid; judging the residual is
-    the caller's.
+    Douglas fit of Q both read one order-2, r-order-1 profile jet per batch of
+    radii, on the points r * s_fracs of each radius in r_grid; judging the
+    residual is the caller's.
     """
     regularity = regularity_scan(spec)
     if not regularity.passed:
@@ -545,7 +561,7 @@ def certify_family(spec: MetricSpec, r_grid, s_fracs) -> FamilyBuildResult:
     def batch(radii):
         rc = radii[:, None]
         s = rc * s_fracs
-        jet = phi_jet(spec, rc, s, order=2)  # neither reader needs a third partial
+        jet = phi_jet(spec, rc, s, order=2, r_order=1)  # neither reader needs phi_rr
         pde = family_pde_residual(spec.profile.c2, rc, s, jet)
         return fit_q(rc, s, jet), np.abs(pde)
 

@@ -22,14 +22,15 @@ make them in derivative slots (the s-slots of a jet of r alone are all
 structural), and ``compose`` in the value slot of its nilpotent part.
 
 Array jets may also *drop* partials, holding None: ``seed`` and ``radial``
-given an r-order drop every partial of higher r-order.  ``+``, ``-``, products,
-scalings and negation drop a slot when any of its remaining Leibniz terms (with
-no structural-zero factor) reads a dropped one; every other slot sums the same
+given an r-order drop every partial of higher r-order, and ``dropped_above``
+every partial above a total order.  ``+``, ``-``, products, scalings and
+negation drop a slot when any of its remaining Leibniz terms (with no
+structural-zero factor) reads a dropped one; every other slot sums the same
 terms in the same order, so it has the full jet's bits (truncated Taylor
-arithmetic is closed under dropping all partials above a fixed order in one
-variable; Griewank & Walther, Evaluating Derivatives, 2008, ch. 13).  ``d``
-raises ValueError on a dropped slot and ``is_finite`` skips it.  Float jets
-never drop one.
+arithmetic is closed under dropping all partials above a fixed order, in one
+variable or in total; Griewank & Walther, Evaluating Derivatives, 2008,
+ch. 13).  ``d`` raises ValueError on a dropped slot and ``is_finite`` skips
+it.  Float jets never drop one.
 
 The product is one formula, the Leibniz rule, taken two ways.  On scalar jets
 (Python-float or numpy-scalar values, as in the geodesic oracle's steps) it is
@@ -256,6 +257,15 @@ class Jet3:
     @property
     def value(self):
         return self.c[0]
+
+    def dropped_above(self, order: int) -> "Jet3":
+        """This jet with every partial of total order above ``order`` dropped, if its
+        value is an array; a jet with a float value is returned as it is."""
+        c = self.c
+        if not isinstance(c[0], _ndarray):
+            return self
+        kept = (order + 1) * (order + 2) // 2
+        return Jet3((*c[:kept], *[None] * (len(c) - kept)))
 
     def deriv(self, dr: int = 0, ds: int = 0) -> "Jet3":
         """Jet of the partial derivative d^dr_r d^ds_s of this function.

@@ -63,14 +63,21 @@ class RandersCoefficients:
 def randers_coefficients(f, g, h, r) -> RandersCoefficients:
     """The radial Randers data of the profiles f, g, h at r, a float or a 1-D array.
 
-    Reads order-2 jets of f, g and h.  Raises DomainError naming the first
-    radius where the data is not admissible (see admissibility_margin).
+    Reads order-2, r-order-1 jets of f, g and h, then is ``randers_bundle`` of
+    their values and first derivatives.
     """
     r = float(r) if np.ndim(r) == 0 else np.asarray(r, dtype=float)
-    fj, gj, hj = f.jet(r, 2), g.jet(r, 2), h.jet(r, 2)
-    f_v, fp = fj.d(0, 0), fj.d(1, 0)
-    g_v, gp = gj.d(0, 0), gj.d(1, 0)
-    h_v, hp = hj.d(0, 0), hj.d(1, 0)
+    fj, gj, hj = (x.jet(r, 2, 1) for x in (f, g, h))
+    return randers_bundle(r, fj.d(0, 0), fj.d(1, 0), gj.d(0, 0), gj.d(1, 0), hj.d(0, 0),
+                          hj.d(1, 0))
+
+
+def randers_bundle(r, f_v, fp, g_v, gp, h_v, hp) -> RandersCoefficients:
+    """The radial Randers data at r from the values and first derivatives of f, g and h.
+
+    Raises DomainError naming the first radius where the data is not
+    admissible (see admissibility_margin).
+    """
     margin = admissibility_margin(r, f_v, g_v, h_v)
     bad = margin <= 0.0
     if any_true(bad):

@@ -10,7 +10,8 @@ radius, i.e. when c(r, s) := (S/u) / ((n+1) phi) does not depend on s.  The
 verdict measures the spread of c over each radius's s-grid.
 
 Every term but f(r) s is read off one order-3 profile jet, evaluated by the
-caller that owns the points: one per batch of radii, or one per point.
+caller that owns the points: one per batch of radii, or one per point.  No
+term reads phi_rr, phi_rrr or phi_rrs, so a batch's jet is of r-order 1.
 """
 
 from __future__ import annotations
@@ -43,12 +44,12 @@ def reduced_s(spec: MetricSpec, vol: VolumeSpec, r, s):
 
 def scurvature_columns(spec: MetricSpec, vol: VolumeSpec, radii, fracs) -> tuple[dict, Jet3]:
     """Columns r, f_r (shaped (radii, 1)), s, phi, P, Q, Q_s, S_over_u and c = (S/u) /
-    ((n+1) phi) at (r, r * fracs) for an array of radii, and the order-3 profile jet
-    they read (evaluated after f(r))."""
+    ((n+1) phi) at (r, r * fracs) for an array of radii, and the order-3, r-order-1
+    profile jet they read (evaluated after f(r))."""
     rc = radii[:, None]
     s = rc * fracs
     f_r = f_coefficient(vol, spec, radii)[:, None]
-    jet = phi_jet(spec, rc, s)
+    jet = phi_jet(spec, rc, s, 3, 1)
     sv = spray_values(rc, s, jet)
     phi = jet.d(0, 0)
     red = _s_over_u(spec.n, rc, s, f_r, sv)

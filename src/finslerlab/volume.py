@@ -24,8 +24,12 @@ its own, so each count gets the bits of a jet of its nodes alone.
 Node jets carry only what their reader takes.  sigma (and phi_jet's guard)
 reads phi, phi_s and phi_ss: order 2, r-order 0 under both volumes.  sigma'
 reads first r-partials: order 2, r-order 1 under BH (of phi^-n), order 3,
-r-order 1 under HT (T_r, T_s).  A carried partial has the full order-3 jet's
-bits, so neither order changes a value.
+r-order 1 under HT (T_r, T_s).  Its integrands are first order: phi^-n is
+taken of the node jet cut to its value, r- and s-slots, and T of phi, phi_s
+and phi_ss cut so after the shift.  A carried partial has the full order-3
+jet's bits, so neither order nor cut changes a value.  Where f(r) follows
+sigma at the same radii (the CLI's grid columns), sigma reads the sigma' node
+jets, so one profile jet per node count serves both.
 
 The angular sums are reduced with math.fsum and integer powers are repeated
 products, so sigma and f(r) do not depend on numpy's reduction blocking or
@@ -134,14 +138,14 @@ def _arr(v, shape):
     return np.broadcast_to(np.asarray(v, dtype=float), shape)
 
 
-def _sigma_bh_at(spec: MetricSpec, r, counts: tuple[int, ...]):
-    _, s, _, ws, jet = _node_jets(spec, r, counts, 2, 0)
+def _sigma_bh_at(spec: MetricSpec, r, counts: tuple[int, ...], order: int = 2, r_order: int = 0):
+    _, s, _, ws, jet = _node_jets(spec, r, counts, order, r_order)
     phi = _arr(jet.d(0, 0), s.shape)
     return [sin_power_integral(spec.n) / v for v in _per_count(counts, ws * ipow(phi, -spec.n))]
 
 
-def _sigma_ht_at(spec: MetricSpec, r, counts: tuple[int, ...]):
-    rc, s, _, ws, jet = _node_jets(spec, r, counts, 2, 0)
+def _sigma_ht_at(spec: MetricSpec, r, counts: tuple[int, ...], order: int = 2, r_order: int = 0):
+    rc, s, _, ws, jet = _node_jets(spec, r, counts, order, r_order)
     phi, m2, m3 = (_arr(m, s.shape) for m in regularity_margins(jet, rc, s))
     integrand = phi * ipow(m2, spec.n - 2) * m3
     return [v / sin_power_integral(spec.n) for v in _per_count(counts, ws * integrand)]
@@ -187,13 +191,28 @@ def density(vol: VolumeSpec, spec: MetricSpec, r):
     raise TypeError(f"unknown volume spec {vol!r}")
 
 
+def _density_for_f(vol: VolumeSpec, spec: MetricSpec, r):
+    """density(vol, spec, r), under BH and HT read off the node jets that sigma' in
+    f_coefficient(vol, spec, r) then reads, so one profile jet per node count serves
+    both; where those raise, density's own value or error."""
+    if isinstance(vol, (BusemannHausdorff, HolmesThompson)):
+        bh = isinstance(vol, BusemannHausdorff)
+        at, order = (_sigma_bh_at, _BH_ORDER) if bh else (_sigma_ht_at, _HT_ORDER)
+        key = _radii(r)
+        try:
+            return refine(lambda counts: at(spec, key, counts, order, 1))
+        except FinslerError:
+            pass  # wider jets can fail where sigma's own do not, or fail otherwise
+    return density(vol, spec, r)
+
+
 # -- derivative under the integral sign --------------------------------------
 
 
 def _log_deriv_bh_at(spec: MetricSpec, r, counts: tuple[int, ...]):
     """(log sigma_bh)'(r) via integrand jets, one value per node count."""
     _, s, cos_t, ws, jet = _node_jets(spec, r, counts, _BH_ORDER, 1)
-    integrand = jet.powi(-spec.n)
+    integrand = jet.dropped_above(1).powi(-spec.n)
     ddr = _arr(integrand.d(1, 0), s.shape) + cos_t * _arr(integrand.d(0, 1), s.shape)
     j_val = _per_count(counts, ws * _arr(integrand.d(0, 0), s.shape))
     j_der = _per_count(counts, ws * ddr)
@@ -206,9 +225,11 @@ def _log_deriv_ht_at(spec: MetricSpec, r, counts: tuple[int, ...]):
     rc, s, cos_t, ws, jet = _node_jets(spec, r, counts, _HT_ORDER, 1)
     rj = Jet3.seed(rc, dr=1.0, r_order=1)
     sj = Jet3.seed(s, ds=1.0, r_order=1)
-    m2j = jet - sj * jet.deriv(0, 1)
-    m3j = m2j + (rj * rj - sj * sj) * jet.deriv(0, 2)
-    t_jet = jet * m2j.powi(spec.n - 2) * m3j
+    # phi_s and phi_ss are shifted before the cut, which would drop what they shift down
+    phi, phi_s, phi_ss = (j.dropped_above(1) for j in (jet, jet.deriv(0, 1), jet.deriv(0, 2)))
+    m2j = phi - sj * phi_s
+    m3j = m2j + (rj * rj - sj * sj) * phi_ss
+    t_jet = phi * m2j.powi(spec.n - 2) * m3j
     ddr = _arr(t_jet.d(1, 0), s.shape) + cos_t * _arr(t_jet.d(0, 1), s.shape)
     k_val = _per_count(counts, ws * _arr(t_jet.d(0, 0), s.shape))
     k_der = _per_count(counts, ws * ddr)

@@ -17,7 +17,12 @@ from finslerlab.douglas import douglas_verdict, fit_q
 from finslerlab import volume
 from finslerlab.errors import DomainError, RegularityError
 from finslerlab.expr import ScalarFunction
-from finslerlab.families import bh_classification_residuals, bh_solve_g, ht_condition_residual
+from finslerlab.families import (
+    bh_classification_residuals,
+    bh_solve_g,
+    ht_condition_residual,
+    ht_condition_residual_of,
+)
 from finslerlab.geometry import (
     _phi_jet_raw,
     general_phi_spec,
@@ -27,6 +32,7 @@ from finslerlab.geometry import (
     regularity_scan,
     s_fractions,
 )
+from finslerlab.jets import Jet3
 from finslerlab.randers import (
     RandersCoefficients,
     christoffel_coefficients,
@@ -85,18 +91,23 @@ def test_bh_from_order_2_node_jets_equals_an_order_3_reference(request, monkeypa
 @VOLUMES
 @pytest.mark.parametrize("name", PROFILES)
 def test_node_jets_that_drop_r_partials_equal_full_order_3_ones(request, monkeypatch, name, vol):
-    # sigma reads r-order 0 and sigma' r-order 1 of its node jets; full jets give the same bits
+    # sigma reads r-order 0 and sigma' r-order 1 of its node jets, and sigma' cuts its
+    # integrands to first order; full jets, never cut, give the same bits, and so does
+    # sigma read off the sigma' node jets
     spec = _spec(request, name)
     r = interior_grid(spec, 5)
 
     def values():
         volume._node_jets.cache_clear()
-        return [fn(vol, spec, x) for fn in (density, f_coefficient) for x in (float(r[2]), r)]
+        return [fn(vol, spec, x) for fn in (density, f_coefficient, volume._density_for_f)
+                for x in (float(r[2]), r)]
 
     got = values()
     monkeypatch.setattr(volume, "phi_jet", lambda spec, r, s, order, r_order: phi_jet(spec, r, s))
+    monkeypatch.setattr(Jet3, "dropped_above", lambda jet, order: jet)
     want = values()
     assert all(_same(g, w) for g, w in zip(got, want))
+    assert all(_same(g, w) for g, w in zip(got[4:], want[:2]))
 
 
 def _first_density_error(spec, *sides) -> str:
@@ -206,6 +217,8 @@ def test_randers_conditions_of_a_batch_equal_scalar_calls(name):
     assert _same(u1, [u[0] for u in loop]) and _same(u2, [u[1] for u in loop])
     assert _same(ht_condition_residual(1.0, g, h, r),
                  [ht_condition_residual(1.0, g, h, float(x)) for x in r])
+    assert _same(ht_condition_residual_of(1.0, randers_coefficients(f, g, h, r)),
+                 ht_condition_residual(1.0, g, h, r))
     gamma = christoffel_coefficients(f, g, r)
     loop = [christoffel_coefficients(f, g, float(x)) for x in r]
     for k in range(3):

@@ -1,7 +1,9 @@
 """End-to-end command line runs: verdict lines, report JSON, exit codes,
 byte-stable CSV sampling against committed goldens, construct round trips."""
 
+import hashlib
 import json
+import math
 import os
 import re
 import subprocess
@@ -11,9 +13,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _support import CONSTRUCT_INPUTS, dispatched_simd_targets
-from finslerlab import cli, families, geometry, scurvature
+from finslerlab import cli, families, geometry, scurvature, volume
 from finslerlab.cli import CHECKS, CSV_HEADER, SOLVER_STEPS_CAP, main
 from finslerlab.errors import DomainError
 from finslerlab.expr import ScalarFunction
@@ -239,14 +243,15 @@ def test_analyze_reports_the_cholesky_spot_check(capsys, path):
 
 
 def _grid_jet_orders(monkeypatch, argv: list, path: Path) -> list:
-    """The orders of the profile jets main(argv) evaluates on the config's whole (r, s) grid."""
+    """The (order, r-order) of each profile jet main(argv) evaluates on the config's whole
+    (r, s) grid."""
     r, fracs = cli._grids(cli.load_config(str(path)))
     grid_s = r[:, None] * fracs
     raw, orders = geometry._phi_jet_raw, []
 
     def counted(spec, r, s, order=3, r_order=3):
         if np.shape(s) == grid_s.shape and np.array_equal(s, grid_s):
-            orders.append(order)
+            orders.append((order, r_order))
         return raw(spec, r, s, order, r_order)
 
     monkeypatch.setattr(geometry, "_phi_jet_raw", counted)
@@ -256,13 +261,14 @@ def _grid_jet_orders(monkeypatch, argv: list, path: Path) -> list:
 
 @pytest.mark.parametrize("path", BUNDLED, ids=lambda p: p.stem)
 @pytest.mark.parametrize("command, orders", [
-    (["sample"], [3]),
-    (["analyze"], [3]),
-    (["verify", "--check", "isotropy"], [3]),
-    (["verify", "--check", "douglas"], [2]),
+    (["sample"], [(3, 1)]),
+    (["analyze"], [(3, 1)]),
+    (["verify", "--check", "isotropy"], [(3, 1)]),
+    (["verify", "--check", "douglas"], [(2, 1)]),
 ])
 def test_one_profile_jet_per_grid_batch(monkeypatch, capsys, path, command, orders):
-    # the spray, determinant and S-curvature columns all read the batch's one jet
+    # the spray, determinant and S-curvature columns all read the batch's one jet,
+    # and none of them reads phi_rr, phi_rrr or phi_rrs
     argv = [command[0], str(path), *command[1:]]
     assert _grid_jet_orders(monkeypatch, argv, path) == orders
     capsys.readouterr()
@@ -272,8 +278,61 @@ def test_one_profile_jet_for_the_family_check(monkeypatch, capsys):
     # the Douglas fit and the transport-PDE residual read the batch's one jet
     path = HERE.parent / "configs" / "family_k.json"
     argv = ["verify", str(path), "--check", "berwald-family"]
-    assert _grid_jet_orders(monkeypatch, argv, path) == [2]
+    assert _grid_jet_orders(monkeypatch, argv, path) == [(2, 1)]
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("path", BUNDLED, ids=lambda p: p.stem)
+def test_sample_evaluates_two_node_jet_entries(capsys, path):
+    # sigma reads the node jets of sigma' at the grid radii; the cross-check's
+    # densities at r -+ h are the other entry
+    volume._node_jets.cache_clear()
+    assert main(["sample", str(path)]) == 0
+    assert volume._node_jets.cache_info().misses == 2
+    capsys.readouterr()
+
+
+#: phi of r alone: phi_s and phi_ss are structural zeros, so the s-derivative jets
+#: of the node jets have a float value and dropped slots
+RADIAL_ONLY = {"n": 3, "metric": {"kind": "general", "phi": "1 + r^2", "r_domain": [0.1, 1.5]},
+               "grid": {"r_min": 0.3, "r_max": 1.2, "r_count": 7, "s_count": 9}}
+
+
+@pytest.mark.parametrize("vol, csv_sha256", [
+    ("ht", "6216ea10aec3c5536789f040e96cb46d31faa3d143721b424284c085f1fd1eb0"),
+    ("bh", "56ae0958d47ffe9ded5e72fb10d55a7c0e73b97b8de229245b21324abd848463"),
+])
+def test_a_profile_of_r_alone_runs_every_grid_command(tmp_path, capsys, vol, csv_sha256):
+    # csv_sha256 is the hash of the CSV before grid jets dropped phi_rr and the
+    # f(r) integrands were cut to first order
+    cfg = write_cfg(tmp_path, f"radial_{vol}.json", dict(RADIAL_ONLY, volume=vol))
+    assert main(["verify", "--check", "isotropy", cfg]) == 0
+    assert main(["verify", "--check", "douglas", cfg]) == 0
+    out = tmp_path / "radial.csv"
+    assert main(["sample", cfg, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == csv_sha256
+    capsys.readouterr()
+
+
+#: "%.17g" edge cases: signed zeros, subnormals, the extremes, infinities and NaN
+_EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308,
+          1.7976931348623157e308, math.inf, -math.inf, math.nan]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 5), st.data())
+def test_csv_rows_equal_a_join_of_every_field(r_count, s_count, data):
+    floats = st.one_of(st.sampled_from(_EDGES), st.floats(allow_nan=True, allow_infinity=True))
+    names = CSV_HEADER.split(",")
+
+    def column(shape):
+        return np.array(data.draw(st.lists(floats, min_size=int(np.prod(shape)),
+                                           max_size=int(np.prod(shape))))).reshape(shape)
+
+    cols = {k: np.broadcast_to(column((r_count, 1)), (r_count, s_count))
+            if k in ("r", "sigma", "f_r") else column((r_count, s_count)) for k in names}
+    rows = zip(*(cols[k].ravel().tolist() for k in names))
+    assert cli._csv_rows(cols) == [",".join("%.17g" % v for v in row) for row in rows]
 
 
 def test_unknown_check_rejected(capsys):
@@ -551,6 +610,24 @@ def test_batched_randers_checks_report_the_first_failing_radius(tmp_path, capsys
     assert "min(f, f + r^2 (g - h^2))" in line
     assert main(["verify", "--check", check, cfg]) == 3
     assert capsys.readouterr().err.strip() == line
+
+
+def test_ht_parallel_takes_the_jets_of_g_and_h_once(tmp_path, capsys, monkeypatch):
+    # the config's f and f = c/r^2 both meet the same values of g and h
+    metric = {"kind": "randers", "f": "1/r^2", "g": "0", "h": "0.5/r^2", "r_domain": [0.5, 3.0]}
+    cfg = write_cfg(tmp_path, "ht.json", {"n": 3, "volume": "ht", "metric": metric,
+                                         "grid": {"r_min": 0.8, "r_max": 2.5, "r_count": 9}})
+    real, taken = ScalarFunction.jet, []
+
+    def counted(fn, r, *args):
+        taken.append(str(fn))
+        return real(fn, r, *args)
+
+    monkeypatch.setattr(ScalarFunction, "jet", counted)
+    assert main(["verify", "--check", "ht-parallel", cfg]) == 0
+    g, h = (str(ScalarFunction.from_text(metric[k])) for k in ("g", "h"))
+    assert taken.count(g) == taken.count(h) == 1, taken
+    capsys.readouterr()
 
 
 def _report(tmp_path, capsys, check, cfg):

@@ -32,7 +32,7 @@ from finslerlab.families import (
     spray_system_residual,
 )
 from finslerlab.geometry import general_phi_spec, phi_jet, phi_jet_unchecked, randers_spec
-from finslerlab.jets import ipow
+from finslerlab.jets import INDICES, ipow
 from finslerlab.quadrature import segment_integral
 from finslerlab.randers import covariant_b_coefficients
 from finslerlab.scurvature import isotropy_profile
@@ -68,6 +68,28 @@ def test_sampled_function_reproduces_quintic():
     assert jet.d(3, 0) == pytest.approx(60.0 * 0.81 - 12.0, rel=1e-8)
     np.testing.assert_allclose(fn.jet(r).d(1, 0), want_d1, rtol=1e-10, atol=1e-10)
     np.testing.assert_allclose(fn.jet(r).d(2, 0), want_d2, rtol=1e-9, atol=1e-9)
+
+
+def test_sampled_function_jets_of_lower_r_order_carry_the_full_jets_bits():
+    # at an array of radii the Horner loops above r_order are skipped
+    nodes = np.linspace(0.5, 2.0, 7)
+    fn = SampledFunction(nodes, *poly5_samples(nodes))
+    r = np.linspace(0.45, 2.05, 37)  # past both ends too
+    for order in (2, 3):
+        full = fn.jet(r, order).c
+        for r_order in (0, 1, 2):
+            got = fn.jet(r, order, r_order).c
+            assert len(got) == len(full)
+            for (a, _), g, w in zip(INDICES, got, full):
+                if a > r_order:
+                    assert g is None
+                else:
+                    assert [x.hex() for x in np.ravel(g).tolist()] == \
+                        [x.hex() for x in np.ravel(w).tolist()]
+            # a float radius drops nothing
+            assert [x.hex() for x in fn.jet(0.9, order, r_order).c] == \
+                [x.hex() for x in fn.jet(0.9, order).c]
+    assert fn.value(r).tobytes() == fn.jet(r, 2).value.tobytes()
 
 
 def test_sampled_function_validation():

@@ -623,6 +623,22 @@ def test_a_slot_that_reads_a_dropped_one_is_dropped():
     assert (Jet3((a, 0.0, 1.0, 0.0, 0.0, 0.0)) * Jet3((a, 0.0, a, None, 0.0, 0.0))).c[1] == 0.0
 
 
+def test_dropped_above_keeps_the_lower_slots_of_array_jets_only():
+    a = np.linspace(0.2, 0.8, 4)
+    full = Jet3.seed(a, dr=1.0, ds=0.5).sqrt()
+    for order in (0, 1, 2, 3):
+        cut = full.dropped_above(order)
+        for (i, j), got, want in zip(INDICES, cut.c, full.c):
+            assert got is (None if i + j > order else want)
+    assert Jet3.seed(0.5, dr=1.0).dropped_above(1).c == Jet3.seed(0.5, dr=1.0).c
+    # phi_s of a jet of r alone has a float value and a dropped slot: passed through
+    shifted = Jet3.seed(a, dr=1.0, r_order=1).sqrt().deriv(0, 1)
+    assert type(shifted.value) is float and None in shifted.c
+    assert shifted.dropped_above(1) is shifted
+    prod = Jet3.seed(a, ds=1.0, r_order=1) * shifted
+    assert isinstance(prod.value, np.ndarray) and prod.c[1:3] == (0.0, 0.0)
+
+
 def test_seeds_drop_only_on_arrays():
     a = np.linspace(0.2, 0.8, 4)
     for order in (2, 3):
