@@ -408,23 +408,17 @@ def cmd_analyze(cfg: RunConfig, args) -> int:
     return 0
 
 
-#: the CSV columns that are constant along each radius's row of the grid
-_PER_RADIUS = ("r", "sigma", "f_r")
-
-
 def _csv_rows(cols: dict) -> list[str]:
     """The CSV_HEADER columns of each grid point, "%.17g" each (17 significant digits
-    round-trip every float), in C order; the columns in _PER_RADIUS are formatted once
-    per radius, from each row's first point."""
-    names = CSV_HEADER.split(",")
-    template = ",".join("%.17g" if k in _PER_RADIUS else "%%.17g" for k in names)
-    per_radius = zip(*(cols[k][:, 0].tolist() for k in names if k in _PER_RADIUS))
-    per_point = [cols[k].tolist() for k in names if k not in _PER_RADIUS]
-    rows = []
-    for i, fixed in enumerate(per_radius):
-        row = template % fixed  # "%.17g" never prints a "%"
-        rows.extend(row % vals for vals in zip(*(col[i] for col in per_point)))
-    return rows
+    round-trip every float), in C order; r, sigma and f_r, constant along each radius's
+    row, are formatted once per radius, from the row's first point."""
+    names, once = CSV_HEADER.split(","), ("r", "sigma", "f_r")
+    template = ",".join("%.17g" if k in once else "%%.17g" for k in names)
+    per_radius = zip(*(cols[k][:, 0].tolist() for k in names if k in once))
+    per_point = [cols[k].tolist() for k in names if k not in once]
+    return [row % vals for i, fixed in enumerate(per_radius)
+            for row in [template % fixed]  # once per radius; "%.17g" never prints a "%"
+            for vals in zip(*(col[i] for col in per_point))]
 
 
 def cmd_sample(cfg: RunConfig, args) -> int:

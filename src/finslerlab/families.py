@@ -54,7 +54,8 @@ from .geometry import (
 )
 from .jets import Jet3, ipow
 from .oracle import _dot
-from .randers import RandersCoefficients, admissibility_margin, randers_bundle, randers_coefficients
+from .randers import (RandersCoefficients, admissibility_margin, check_admissible,
+                      randers_coefficients)
 
 #: enforced bound on the independent node audit of bh_solve_g solutions
 BH_NODE_TOL = 1e-8
@@ -345,11 +346,11 @@ def ht_condition_residual(c_const: float, g, h, r):
 
 
 def ht_condition_residual_of(c_const: float, d: RandersCoefficients):
-    """ht_condition_residual at d.r with the g and h of the Randers data d, of any f,
-    so their jets are not taken again; admissibility is checked with f = c/r^2."""
+    """ht_condition_residual at d.r, reading g and h off the Randers data d of any f:
+    their jets are not taken again.  Admissibility is checked with f = c/r^2."""
     c, f = _c_over_r2(c_const)
-    fj = f.jet(d.r, 2, 1)
-    return _ht_residual(c, randers_bundle(d.r, fj.d(0, 0), fj.d(1, 0), d.g, d.g_d1, d.h, d.h_d1))
+    check_admissible(d.r, f.jet(d.r, 2, 0).value, d.g, d.h)
+    return _ht_residual(c, d)
 
 
 def _c_over_r2(c_const) -> tuple[float, ScalarFunction]:
@@ -362,7 +363,8 @@ def _c_over_r2(c_const) -> tuple[float, ScalarFunction]:
 
 def _ht_residual(c: float, d: RandersCoefficients):
     r = d.r
-    return 2.0 * d.h_d1 * (c / (r * r) + r * r * d.g) - d.h * (r * r * d.g_d1 - 4.0 * c / ipow(r, 3))
+    return 2.0 * d.h_d1 * (c / (r * r) + r * r * d.g) - d.h * (
+        r * r * d.g_d1 - 4.0 * c / ipow(r, 3))
 
 
 # -- profile solvers ---------------------------------------------------------

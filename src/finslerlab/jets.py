@@ -261,11 +261,10 @@ class Jet3:
     def dropped_above(self, order: int) -> "Jet3":
         """This jet with every partial of total order above ``order`` dropped, if its
         value is an array; a jet with a float value is returned as it is."""
-        c = self.c
-        if not isinstance(c[0], _ndarray):
+        if not isinstance(self.c[0], _ndarray):
             return self
-        kept = (order + 1) * (order + 2) // 2
-        return Jet3((*c[:kept], *[None] * (len(c) - kept)))
+        kept = (order + 1) * (order + 2) // 2  # INDICES runs by total degree
+        return Jet3((*self.c[:kept], *[None] * (len(self.c) - kept)))
 
     def deriv(self, dr: int = 0, ds: int = 0) -> "Jet3":
         """Jet of the partial derivative d^dr_r d^ds_s of this function.

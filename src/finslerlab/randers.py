@@ -34,6 +34,19 @@ def admissibility_margin(r, f, g, h):
     return np.minimum(f, f + r * r * (g - h * h))
 
 
+def check_admissible(r, f, g, h) -> None:
+    """Raise DomainError naming the first radius where admissibility_margin is <= 0."""
+    margin = admissibility_margin(r, f, g, h)
+    bad = margin <= 0.0
+    if any_true(bad):
+        i = int(np.argmax(bad))
+        raise DomainError(
+            f"min(f, f + r^2 (g - h^2)) = {float(np.ravel(margin)[i]):.6g} <= 0 at "
+            f"r = {float(np.ravel(r)[i]):.6g}: alpha is not positive definite or "
+            "does not dominate beta"
+        )
+
+
 _ZERO = ScalarFunction.constant(0.0)
 
 
@@ -63,30 +76,15 @@ class RandersCoefficients:
 def randers_coefficients(f, g, h, r) -> RandersCoefficients:
     """The radial Randers data of the profiles f, g, h at r, a float or a 1-D array.
 
-    Reads order-2, r-order-1 jets of f, g and h, then is ``randers_bundle`` of
-    their values and first derivatives.
+    Reads order-2, r-order-1 jets of f, g and h.  Raises DomainError where the
+    data is not admissible (see check_admissible).
     """
     r = float(r) if np.ndim(r) == 0 else np.asarray(r, dtype=float)
     fj, gj, hj = (x.jet(r, 2, 1) for x in (f, g, h))
-    return randers_bundle(r, fj.d(0, 0), fj.d(1, 0), gj.d(0, 0), gj.d(1, 0), hj.d(0, 0),
-                          hj.d(1, 0))
-
-
-def randers_bundle(r, f_v, fp, g_v, gp, h_v, hp) -> RandersCoefficients:
-    """The radial Randers data at r from the values and first derivatives of f, g and h.
-
-    Raises DomainError naming the first radius where the data is not
-    admissible (see admissibility_margin).
-    """
-    margin = admissibility_margin(r, f_v, g_v, h_v)
-    bad = margin <= 0.0
-    if any_true(bad):
-        i = int(np.argmax(bad))
-        raise DomainError(
-            f"min(f, f + r^2 (g - h^2)) = {float(np.ravel(margin)[i]):.6g} <= 0 at "
-            f"r = {float(np.ravel(r)[i]):.6g}: alpha is not positive definite or "
-            "does not dominate beta"
-        )
+    f_v, fp = fj.d(0, 0), fj.d(1, 0)
+    g_v, gp = gj.d(0, 0), gj.d(1, 0)
+    h_v, hp = hj.d(0, 0), hj.d(1, 0)
+    check_admissible(r, f_v, g_v, h_v)
     q = f_v + r * r * g_v
     u1 = 0.5 * h_v * (r * fp + 2.0 * f_v) / q
     u2 = hp / r - 0.5 * h_v * (r * r * gp + 2.0 * fp) / (r * q)

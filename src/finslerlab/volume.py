@@ -24,12 +24,10 @@ its own, so each count gets the bits of a jet of its nodes alone.
 Node jets carry only what their reader takes.  sigma (and phi_jet's guard)
 reads phi, phi_s and phi_ss: order 2, r-order 0 under both volumes.  sigma'
 reads first r-partials: order 2, r-order 1 under BH (of phi^-n), order 3,
-r-order 1 under HT (T_r, T_s).  Its integrands are first order: phi^-n is
-taken of the node jet cut to its value, r- and s-slots, and T of phi, phi_s
-and phi_ss cut so after the shift.  A carried partial has the full order-3
-jet's bits, so neither order nor cut changes a value.  Where f(r) follows
-sigma at the same radii (the CLI's grid columns), sigma reads the sigma' node
-jets, so one profile jet per node count serves both.
+r-order 1 under HT (T_r, T_s), and cuts them to first order (phi_s and phi_ss
+after the shift).  A carried partial has the full order-3 jet's bits, so
+neither order nor cut changes a value.  The CLI's grid columns read sigma off
+the sigma' node jets that f(r) reads next (``_density_for_f``).
 
 The angular sums are reduced with math.fsum and integer powers are repeated
 products, so sigma and f(r) do not depend on numpy's reduction blocking or
@@ -193,8 +191,7 @@ def density(vol: VolumeSpec, spec: MetricSpec, r):
 
 def _density_for_f(vol: VolumeSpec, spec: MetricSpec, r):
     """density(vol, spec, r), under BH and HT read off the node jets that sigma' in
-    f_coefficient(vol, spec, r) then reads, so one profile jet per node count serves
-    both; where those raise, density's own value or error."""
+    f_coefficient(vol, spec, r) then reads; where those raise, as density reads it."""
     if isinstance(vol, (BusemannHausdorff, HolmesThompson)):
         bh = isinstance(vol, BusemannHausdorff)
         at, order = (_sigma_bh_at, _BH_ORDER) if bh else (_sigma_ht_at, _HT_ORDER)

@@ -110,6 +110,20 @@ def test_node_jets_that_drop_r_partials_equal_full_order_3_ones(request, monkeyp
     assert all(_same(g, w) for g, w in zip(got[4:], want[:2]))
 
 
+def test_sigma_for_f_is_density_where_the_sigma_prime_node_jets_raise(monkeypatch, funk3):
+    real = volume._node_jets
+
+    def failing(spec, r, counts, order, r_order):
+        if r_order == 1:
+            raise DomainError("the sigma' node jets fail here")
+        return real(spec, r, counts, order, r_order)
+
+    r = interior_grid(funk3, 5)
+    want = [density(vol, funk3, r) for vol in (BH, HT)]
+    monkeypatch.setattr(volume, "_node_jets", failing)
+    assert all(_same(volume._density_for_f(vol, funk3, r), w) for vol, w in zip((BH, HT), want))
+
+
 def _first_density_error(spec, *sides) -> str:
     """The message of the first side whose BH density raises alone."""
     for side in sides:
