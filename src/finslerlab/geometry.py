@@ -254,9 +254,16 @@ def _family_phi_jet(spec: MetricSpec, r, s, order: int, r_order: int = 3) -> Jet
     p = spec.profile
     rj = Jet3.seed(r, dr=1.0, order=order, r_order=r_order)
     inv_r = 1.0 / rj
-    i1_prime = 2.0 * inv_r - 4.0 * (rj.powi(3) * p.c2.jet(r, order, r_order))
-    g_jet = Jet3.radial([_family_table(spec).at(r), *i1_prime.r_partials()],
-                        order, r_order).exp()
+    # g = e^{I1} reads I1' one r-order below its own, so on an array of radii I1'
+    # is taken at r-order r_order - 1, and not at all at r-order 0
+    cut = r_order - 1 if rj.is_array else order
+    g_derivs = [_family_table(spec).at(r), *[None] * order]
+    if cut >= 0:
+        rj1, inv_r1 = ((rj, inv_r) if cut >= order else
+                       (Jet3.radial(j.r_partials(), order, cut) for j in (rj, inv_r)))
+        i1_prime = 2.0 * inv_r1 - 4.0 * (rj1.powi(3) * p.c2.jet(r, order, cut))
+        g_derivs[1:] = i1_prime.r_partials()
+    g_jet = Jet3.radial(g_derivs, order, r_order).exp()
     inv_r0 = 1.0 / p.r0
     J_jet = inv_r0 * inv_r0 - g_jet * (inv_r * inv_r)
     sj = Jet3.seed(s, ds=1.0, order=order, r_order=r_order)

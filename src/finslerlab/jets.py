@@ -19,7 +19,7 @@ broadcastable shape; all operations vectorize over the array case, and
 ``is_finite`` costs one reduction.  A coefficient holding the Python float
 0.0 is a *structural zero*.  ``seed``, ``constant``, ``radial`` and ``deriv``
 make them in derivative slots (the s-slots of a jet of r alone are all
-structural), and ``compose`` in the value slot of its nilpotent part.
+structural), and ``deriv`` and ``compose`` also in value slots.
 
 Array jets may also *drop* partials, holding None: ``seed`` and ``radial``
 given an r-order drop every partial of higher r-order, and ``dropped_above``
@@ -29,21 +29,25 @@ structural-zero factor) reads a dropped one; every other slot sums the same
 terms in the same order, so it has the full jet's bits (truncated Taylor
 arithmetic is closed under dropping all partials above a fixed order, in one
 variable or in total; Griewank & Walther, Evaluating Derivatives, 2008,
-ch. 13).  ``d`` raises ValueError on a dropped slot and ``is_finite`` skips
-it.  Float jets never drop one.
+ch. 13).  ``d`` and ``deriv`` raise ValueError on a dropped slot and
+``is_finite`` skips it.  Float jets never drop one.
 
-The product is one formula, the Leibniz rule, taken two ways.  On scalar jets
-(Python-float or numpy-scalar values, as in the geodesic oracle's steps) it is
-written out slot by slot, and ``compose`` runs its Horner chain through the
-same written-out product on lists.  On array jets (the result's value slot is an
-ndarray, by ``isinstance``) each derivative slot sums the same terms in the
-same order from a term table, leaving out every term with a structural-zero
-factor and multiplying by no float 1.0; ``+``, ``-`` and multiplication by an
-array keep structural zeros too.  The table's Python costs a few microseconds
-per product, several times the written-out product on floats, and saves whole
-array operations.  A product's value slot is always computed in full, so
-``0 * r`` on arrays keeps its array value and the array form of its domain
-errors.
+The product is one formula, the Leibniz rule, taken two ways, chosen as every
+branch is by ``is_array``, which a jet records when it is built: ``Jet3(c)``
+sets it for an ndarray or dropped coefficient, ``seed``, ``radial`` and
+``constant`` for an ndarray value, an operation for an array-jet operand or
+ndarray factor, and ``deriv``, ``dropped_above``, ``compose`` and ``powi(0)``
+keep it.  No branch routes on a value slot, which may be a structural zero.  On
+float jets (Python-float or numpy-scalar coefficients, as in the geodesic
+oracle's steps) the product is written out slot by slot, and ``compose`` runs
+its Horner chain through the same written-out product on lists.  On array
+jets each derivative slot sums the same terms in the same order from a term
+table, leaving out every term with a structural-zero factor and multiplying by
+no float 1.0; ``+``, ``-`` and scalings keep structural zeros too.  The
+table's Python costs a few microseconds per product, several times the
+written-out product on floats, and saves whole array operations.  A value slot
+is always computed in full, so ``0 * r`` on arrays keeps its array value and
+the array form of its domain errors.
 With finite coefficients a dropped term is an exact zero, which changes a sum
 only in the sign of a zero result: an array jet equals the jets of its
 elements bit for bit, except that an exactly zero derivative may carry the
@@ -74,11 +78,6 @@ DIV_EPS = 1e-300
 _ndarray = np.ndarray
 
 
-def _like_zero(v):
-    """A zero with the same array shape as v (scalar 0.0 for scalars)."""
-    return v * 0.0
-
-
 def _pow_pos(base, k: int):
     """base**k for k >= 1 by repeated squaring and multiplication."""
     acc = None
@@ -101,7 +100,7 @@ def ipow(x, k: int):
     if k < 0:
         return _pow_pos(1.0 / x, -k)
     if k == 0:
-        return _like_zero(x) + 1.0
+        return x * 0.0 + 1.0  # 1 with x's array shape
     return _pow_pos(x, k)
 
 
@@ -112,11 +111,6 @@ _MUL_TERMS = tuple(
           for i in range(a + 1) for j in range(b + 1))
     for (a, b) in INDICES[1:]
 )
-
-
-def _is_zero(v) -> bool:
-    """True for a structural zero: a Python float equal to 0."""
-    return type(v) is float and v == 0.0
 
 
 def _term_product(v0, x, y) -> list:
@@ -134,7 +128,7 @@ def _term_product(v0, x, y) -> list:
         for p, q, w in terms:
             a, b = x[p], y[q]
             if type(a) is float:
-                if a == 0.0 or _is_zero(b):
+                if a == 0.0 or type(b) is float and b == 0.0:
                     continue
                 t = b if a == 1.0 or b is None else a * b
             elif type(b) is float:
@@ -178,45 +172,59 @@ def _float_product(v0, x, y) -> list:
     ]
 
 
-def _add_slot(a, b):
-    """a + b for derivative slots of array jets; a structural zero adds nothing,
-    a dropped slot gives a dropped one."""
-    if _is_zero(a) or b is None:
-        return b
-    return a if _is_zero(b) or a is None else a + b
-
-
-def _sub_slot(a, b):
-    """a - b for derivative slots of array jets; a structural-zero b subtracts nothing."""
-    if _is_zero(b) or a is None:
+def _sum_slot(op, a, b):
+    """op(a, b), op add or sub, for derivative slots of array jets: a structural
+    zero adds or subtracts nothing, and a dropped slot gives a dropped one."""
+    if type(b) is float and b == 0.0 or a is None:
         return a
-    return None if b is None else a - b
+    if b is None or op is add and type(a) is float and a == 0.0:
+        return b
+    return op(a, b)
 
 
 def _mul_slot(a, other):
-    """A derivative slot of a jet times an array; a structural zero stays one."""
-    if type(a) is float:
-        if a == 0.0:
-            return a
-        if a == 1.0:
-            return other
+    """A derivative slot of an array jet times a float or an array; a structural
+    zero stays one and a dropped slot stays dropped."""
+    if type(a) is float and (a == 0.0 or a == 1.0):
+        return a if a == 0.0 else other
     return None if a is None else a * other
 
 
-def _dropped(c: list, r_order: int) -> list:
-    """c with every slot of r-order above r_order dropped (None), if its value is an array."""
-    if r_order < ORDER and isinstance(c[0], _ndarray):
-        return [None if a > r_order else v for (a, _), v in zip(INDICES, c)]
-    return c
+def _cut(c, bound: int, s_weight: int) -> tuple:
+    """c with every partial d^a_r d^b_s of a + s_weight * b above bound dropped (None)."""
+    return tuple(None if a + s_weight * b > bound else v for (a, b), v in zip(INDICES, c))
+
+
+def _jet(c, is_array: bool) -> "Jet3":
+    """The jet of coefficients c whose array-ness the caller knows: no scan."""
+    jet = object.__new__(Jet3)
+    jet.c, jet.is_array = tuple(c), is_array
+    return jet
+
+
+def _sum_method(op):
+    """Jet3.__add__ or __sub__ for op add or sub: the value slot in full, then the
+    derivative slots by the array slot rule or, on float jets, elementwise."""
+    def method(self, other):
+        x = self.c
+        if not isinstance(other, Jet3):
+            return _jet((op(x[0], other), *x[1:]), self.is_array or isinstance(other, _ndarray))
+        y = other.c
+        if self.is_array or other.is_array:
+            return _jet((op(x[0], y[0]), *map(_sum_slot, repeat(op), x[1:], y[1:])), True)
+        return _jet(map(op, x, y), False)
+
+    return method
 
 
 class Jet3:
     """Value plus all (r, s) partials of total order <= 2 or <= 3."""
 
-    __slots__ = ("c",)
+    __slots__ = ("c", "is_array")
 
     def __init__(self, coefficients):
         self.c = tuple(coefficients)
+        self.is_array = any(v is None or isinstance(v, _ndarray) for v in self.c)
 
     @property
     def order(self) -> int:
@@ -224,20 +232,21 @@ class Jet3:
 
     @classmethod
     def constant(cls, value, order: int = ORDER) -> "Jet3":
-        return cls((value, *[0.0] * (SIZE[order] - 1)))
+        return _jet((value, *[0.0] * (SIZE[order] - 1)), isinstance(value, _ndarray))
 
     @classmethod
     def seed(cls, value, dr=0.0, ds=0.0, order: int = ORDER, r_order: int = ORDER) -> "Jet3":
         """Jet of value + dr (r - r0) + ds (s - s0), truncated at order and (arrays) r_order."""
-        return cls(_dropped([value, dr, ds, *[0.0] * (SIZE[order] - 3)], r_order))
+        c = (value, dr, ds, *[0.0] * (SIZE[order] - 3))
+        is_array = isinstance(value, _ndarray)
+        return _jet(_cut(c, r_order, 0) if is_array else c, is_array)
 
     @classmethod
     def radial(cls, derivs, order: int = ORDER, r_order: int = ORDER) -> "Jet3":
         """Jet of a function of r alone; derivs[a] is its a-th r-derivative, a = 0..order."""
-        c = [0.0] * SIZE[order]
-        for a in range(order + 1):
-            c[_POS[(a, 0)]] = derivs[a]
-        return cls(_dropped(c, r_order))
+        c = [0.0 if b else derivs[a] for a, b in INDICES[:SIZE[order]]]
+        is_array = isinstance(derivs[0], _ndarray)
+        return _jet(_cut(c, r_order, 0) if is_array else c, is_array)
 
     def d(self, a: int, b: int):
         """Raw partial d^a_r d^b_s; raises ValueError beyond the jet's order or where dropped."""
@@ -259,72 +268,51 @@ class Jet3:
         return self.c[0]
 
     def dropped_above(self, order: int) -> "Jet3":
-        """This jet with every partial of total order above ``order`` dropped, if its
-        value is an array; a jet with a float value is returned as it is."""
-        if not isinstance(self.c[0], _ndarray):
-            return self
-        kept = (order + 1) * (order + 2) // 2  # INDICES runs by total degree
-        return Jet3((*self.c[:kept], *[None] * (len(self.c) - kept)))
+        """This jet with every partial of total order above ``order`` dropped, if it is
+        an array jet; a float jet is returned as it is."""
+        return _jet(_cut(self.c, order, 1), True) if self.is_array else self
 
     def deriv(self, dr: int = 0, ds: int = 0) -> "Jet3":
         """Jet of the partial derivative d^dr_r d^ds_s of this function.
 
-        It keeps this jet's order, but only coefficients of total order
-        <= order - dr - ds are meaningful; the rest are structural zeros.  Truncated
-        arithmetic never feeds high-order coefficients into low-order results,
-        so this is safe whenever the consumer needs the shifted jet to reduced
-        order only.
+        It keeps this jet's order and array-ness, but only coefficients of total
+        order <= order - dr - ds are meaningful; the rest are structural zeros.
+        Truncated arithmetic never feeds high-order coefficients into low-order
+        results, so this is safe whenever the consumer needs the shifted jet to
+        reduced order only.  A dropped partial shifts as a dropped one; raises
+        ValueError, as ``d`` does, where the value would be dropped or beyond the order.
         """
-        order = self.order
-        out = [0.0] * len(self.c)  # a dropped partial shifts as a dropped one
-        for k, (a, b) in enumerate(INDICES[:len(self.c)]):
+        self.d(dr, ds)
+        c, order = self.c, self.order
+        out = [0.0] * len(c)
+        for k, (a, b) in enumerate(INDICES[:len(c)]):
             if a + dr + b + ds <= order:
-                out[k] = self.c[_POS[(a + dr, b + ds)]]
-        return Jet3(out)
+                out[k] = c[_POS[(a + dr, b + ds)]]
+        return _jet(out, self.is_array)
 
     # -- ring operations ---------------------------------------------------
 
-    def __add__(self, other):
-        if not isinstance(other, Jet3):
-            return Jet3((self.c[0] + other, *self.c[1:]))
-        x, y = self.c, other.c
-        v0 = x[0] + y[0]
-        if isinstance(v0, _ndarray):
-            return Jet3((v0, *map(_add_slot, x[1:], y[1:])))
-        return Jet3(map(add, x, y))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if not isinstance(other, Jet3):
-            return Jet3((self.c[0] - other, *self.c[1:]))
-        x, y = self.c, other.c
-        v0 = x[0] - y[0]
-        if isinstance(v0, _ndarray):
-            return Jet3((v0, *map(_sub_slot, x[1:], y[1:])))
-        return Jet3(map(sub, x, y))
+    __add__ = __radd__ = _sum_method(add)
+    __sub__ = _sum_method(sub)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __neg__(self):
-        if isinstance(self.c[0], _ndarray):  # dropped slots stay dropped
-            return Jet3(None if a is None else -a for a in self.c)
-        return Jet3(map(neg, self.c))
+        if self.is_array:  # dropped slots stay dropped
+            return _jet((None if a is None else -a for a in self.c), True)
+        return _jet(map(neg, self.c), False)
 
     def __mul__(self, other):
+        x = self.c
         if not isinstance(other, Jet3):
-            c = self.c
-            if isinstance(other, _ndarray):
-                return Jet3((c[0] * other, *map(_mul_slot, c[1:], repeat(other))))
-            if isinstance(c[0], _ndarray):
-                return Jet3(None if a is None else a * other for a in c)
-            return Jet3(map(mul, c, repeat(other)))
-        x, y = self.c, other.c
-        v0 = x[0] * y[0]
-        if isinstance(v0, _ndarray):
-            return Jet3(_term_product(v0, x, y))
-        return Jet3(_float_product(v0, x, y))
+            if self.is_array or isinstance(other, _ndarray):
+                return _jet((x[0] * other, *map(_mul_slot, x[1:], repeat(other))), True)
+            return _jet(map(mul, x, repeat(other)), False)
+        y = other.c
+        if self.is_array or other.is_array:
+            return _jet(_term_product(x[0] * y[0], x, y), True)
+        return _jet(_float_product(x[0] * y[0], x, y), False)
 
     __rmul__ = __mul__
 
@@ -348,15 +336,16 @@ class Jet3:
         remainder gh is nilpotent, so a cubic Taylor polynomial of f suffices.
         gh's value slot is the structural zero 0.0, so on array jets the
         Horner products below skip every term through it, and keep the
-        structural zeros of this jet; their value slots are still arrays.
-        A scalar jet keeps Python-float coefficients: the numpy float64
+        structural zeros of this jet; their value slots are still computed.
+        Taylor data on arrays make an array jet of a float jet.
+        A float jet keeps Python-float coefficients: the numpy float64
         scalars that np.exp, np.sqrt and friends return would make every later
         product about three times slower, and converting them changes no bit.
         On a float jet the chain runs on lists, with the same operations in
         the same order and no Jet3 temporaries.
         """
         c = self.c
-        if type(c[0]) is float:
+        if not (self.is_array or isinstance(f0, _ndarray)):
             gh = (0.0, *c[1:])
             k = float(f3) / 6.0
             acc = [x * k for x in gh]
@@ -364,8 +353,8 @@ class Jet3:
             for f in (f1, f0):
                 acc = _float_product(acc[0] * 0.0, acc, gh)
                 acc[0] += float(f)
-            return Jet3(acc)
-        gh = Jet3((0.0, *c[1:]))
+            return _jet(acc, False)
+        gh = _jet((0.0, *c[1:]), True)
         return ((gh * (f3 / 6.0) + f2 * 0.5) * gh + f1) * gh + f0
 
     def _compose_with(self, taylor, *args) -> "Jet3":
@@ -396,8 +385,8 @@ class Jet3:
         """Integer power; exact at zero base for k >= 0 (repeated products)."""
         if k < 0:
             return self._reciprocal().powi(-k)
-        if k == 0:
-            return Jet3.constant(_like_zero(self.value) + 1.0, self.order)
+        if k == 0:  # the constant 1, with this jet's array shape and array-ness
+            return _jet((self.c[0] * 0.0 + 1.0, *[0.0] * (len(self.c) - 1)), self.is_array)
         return _pow_pos(self, k)
 
     def powr(self, q: float) -> "Jet3":

@@ -128,7 +128,7 @@ def reference_eval_tree(tree: ExpressionTree, env) -> Jet3:
 def reference_compose(jet: Jet3, f0, f1, f2, f3) -> Jet3:
     """Jet3.compose as the Horner chain ((gh f3/6 + f2/2) gh + f1) gh + f0 of Jet3
     objects, gh the jet without its value; a float jet takes float Taylor data."""
-    if type(jet.c[0]) is float:
+    if not jet.is_array and np.ndim(f0) == 0:
         f0, f1, f2, f3 = float(f0), float(f1), float(f2), float(f3)
     gh = Jet3((0.0, *jet.c[1:]))
     return ((gh * (f3 / 6.0) + f2 * 0.5) * gh + f1) * gh + f0

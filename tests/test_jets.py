@@ -234,7 +234,7 @@ def test_scalar_compositions_keep_python_floats_with_unchanged_bits(op):
 
     base = Jet3.seed(0.7, dr=1.0) * Jet3.seed(0.3, ds=1.0) + 0.4
     floats = apply(base * base)
-    # numpy float64 scalars take the unconverted path
+    # numpy float64 scalars make a float jet too: the same list path, the same values
     np_base = Jet3([np.float64(c) for c in base.c])
     numpy_scalars = apply(np_base * np_base)
     assert all(type(c) is float for c in floats.c)
@@ -451,18 +451,22 @@ def _random_array_jet(rng, order, positive=False):
 
 
 def _per_element(jet: Jet3, shape):
-    """The Python-float jet at each index of shape, which takes the written-out product."""
-    slots = [np.broadcast_to(c, shape) for c in jet.c]
+    """The Python-float jet at each index of shape, which takes the written-out product;
+    a dropped slot holds 0.75 there, which no carried slot of a result may read."""
+    slots = [np.broadcast_to(0.75 if c is None else c, shape) for c in jet.c]
     return {idx: Jet3([float(c[idx]) for c in slots]) for idx in np.ndindex(*shape)}
 
 
 def _equal_but_for_zero_signs(got: Jet3, want: dict, shape) -> bool:
-    """Value slots hex-identical; derivative slots hex-identical or both an exact zero."""
-    slots = [np.broadcast_to(c, shape) for c in got.c]
+    """Value slots hex-identical; carried derivative slots hex-identical or both an
+    exact zero."""
+    slots = [None if c is None else np.broadcast_to(c, shape) for c in got.c]
     for idx, ref in want.items():
         if len(ref.c) != len(slots):
             return False
         for k, (a, b) in enumerate(zip(slots, ref.c)):
+            if a is None and k > 0:  # dropped
+                continue
             a = float(a[idx])
             if a.hex() != b.hex() and (k == 0 or a != 0.0 or b != 0.0):
                 return False
@@ -470,13 +474,17 @@ def _equal_but_for_zero_signs(got: Jet3, want: dict, shape) -> bool:
 
 
 def _check_op(op, *jets, other=None):
-    """op on array jets (and an array or float other) against op on each element."""
+    """op on array jets (and an array or float other) against op on each element; the
+    result is an array jet when a jet or other is, and carries its first partials."""
     extra = () if other is None else (other,)
     shape = np.broadcast_shapes(*(np.shape(c) for j in jets for c in j.c), *map(np.shape, extra))
     elems = [_per_element(j, shape) for j in jets]
     want = {idx: op(*(e[idx] for e in elems), *(float(np.broadcast_to(o, shape)[idx]) for o in extra))
             for idx in np.ndindex(*shape)}
-    assert _equal_but_for_zero_signs(op(*jets, *extra), want, shape)
+    got = op(*jets, *extra)
+    assert got.is_array == (any(j.is_array for j in jets) or isinstance(other, np.ndarray))
+    assert all(c is not None for c in got.c[:3])
+    assert _equal_but_for_zero_signs(got, want, shape)
 
 
 _ARRAY_UNARY = {
@@ -497,11 +505,25 @@ _ARRAY_UNARY = {
 @settings(max_examples=60, deadline=None)
 def test_array_operations_equal_the_per_element_written_out_product(seed, order_x, order_y):
     """Every array operation, on jets holding structural zeros, ones, floats, columns
-    and full arrays, against the same operation on each element's Python-float jet."""
+    and full arrays, against the same operation on each element's Python-float jet.
+    Shifted jets join them: their value slots may be structural zeros, and a
+    shifted jet of r alone carries the structural zero 0.0 and a dropped slot."""
     rng = np.random.default_rng(seed)
     x, y = _random_array_jet(rng, order_x), _random_array_jet(rng, order_y)
-    for op in (operator.mul, operator.add, operator.sub):
-        _check_op(op, x, y)
+    dr, ds = INDICES[rng.integers(1, 6)]
+    r = np.linspace(0.2, 0.8, _COLUMN[0]).reshape(_COLUMN)
+    shifted = (x.deriv(dr, ds), y.deriv(ds, dr),
+               Jet3.radial([r, 1.0 + 0.0 * r, 0.0 * r, 0.0 * r], 3, r_order=1).deriv(0, 1))
+    for a, b in ((x, y), shifted[:2], shifted[1:], shifted[::2]):
+        for op in (operator.mul, operator.add, operator.sub):
+            _check_op(op, a, b)
+    for d in shifted:
+        shift = 1.0 + float(np.max(np.abs(d.value)))  # 1.0 on the radial jet's 0.0
+        _check_op(operator.neg, d)
+        _check_op(operator.mul, d, other=_draw_slot(rng, ("float",)))
+        _check_op(lambda j: (j + shift).sqrt(), d)
+        _check_op(lambda j, f: j.compose(f, f * 0.5, -f, f * 2.0), d,
+                  other=_draw_slot(rng, ("full",)))
     _check_op(operator.truediv, x, _random_array_jet(rng, order_y, positive=True))
     for kind in ("column", "full", "float", "zero", "one"):
         _check_op(operator.mul, x, other=_draw_slot(rng, (kind,)))
@@ -621,6 +643,9 @@ def test_a_slot_that_reads_a_dropped_one_is_dropped():
             jet.d(1, 0)
     # a term with a structural-zero factor reads nothing: (0 + d_s s) * x keeps d_r(x s) = 0
     assert (Jet3((a, 0.0, 1.0, 0.0, 0.0, 0.0)) * Jet3((a, 0.0, a, None, 0.0, 0.0))).c[1] == 0.0
+    # a shift whose value slot would be a dropped one raises as d() does
+    with pytest.raises(ValueError, match=r"dropped its d\^1_r d\^0_s"):
+        Jet3.seed(a, dr=1.0, ds=0.5, r_order=0).sqrt().deriv(1, 0)
 
 
 def test_dropped_above_keeps_the_lower_slots_of_array_jets_only():
@@ -631,10 +656,12 @@ def test_dropped_above_keeps_the_lower_slots_of_array_jets_only():
         for (i, j), got, want in zip(INDICES, cut.c, full.c):
             assert got is (None if i + j > order else want)
     assert Jet3.seed(0.5, dr=1.0).dropped_above(1).c == Jet3.seed(0.5, dr=1.0).c
-    # phi_s of a jet of r alone has a float value and a dropped slot: passed through
+    # phi_s of a jet of r alone has a structural-zero value and a dropped slot: it is
+    # still an array jet, and the cut drops its partials of total order 2 and 3
     shifted = Jet3.seed(a, dr=1.0, r_order=1).sqrt().deriv(0, 1)
-    assert type(shifted.value) is float and None in shifted.c
-    assert shifted.dropped_above(1) is shifted
+    assert type(shifted.value) is float and None in shifted.c and shifted.is_array
+    cut = shifted.dropped_above(1)
+    assert cut.is_array and cut.c[:3] == shifted.c[:3] and cut.c[3:] == (None,) * 7
     prod = Jet3.seed(a, ds=1.0, r_order=1) * shifted
     assert isinstance(prod.value, np.ndarray) and prod.c[1:3] == (0.0, 0.0)
 
