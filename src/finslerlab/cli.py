@@ -61,12 +61,9 @@ from .geometry import (
 from .oracle import _split, s_by_distortion
 from .randers import randers_coefficients
 from .scurvature import isotropy_profile, reduced_s, scurvature_columns
-from .volume import VOLUMES, CustomDensity, _density_for_f
+from .volume import VOLUMES, CustomDensity
 
 CSV_HEADER = "r,s,phi,P,Q,Q_s,detg,sigma,f_r,S_over_u"
-
-CHECKS = ("isotropy", "douglas", "berwald-family", "bh-classification", "ht-parallel", "oracle")
-
 
 # -- config schema -------------------------------------------------------------
 
@@ -370,10 +367,9 @@ def _grid_columns(cfg: RunConfig, spec: MetricSpec) -> tuple[dict, dict]:
     r_values, fracs = _grids(cfg)
 
     def columns(radii):
-        sigma = _density_for_f(cfg.volume, spec, radii)
         cols, jet = scurvature_columns(spec, cfg.volume, radii, fracs)
         s = cols["s"]
-        cols.update(sigma=sigma[:, None], detg=metric_determinant(spec, cols["r"], s, jet))
+        cols["detg"] = metric_determinant(spec, cols["r"], s, jet)
         return {k: np.broadcast_to(np.asarray(v, dtype=float), s.shape) for k, v in cols.items()}
 
     cols = batch_radii(columns, r_values)
@@ -535,6 +531,7 @@ _VERIFIERS = {
     "ht-parallel": _verify_ht_parallel,
     "oracle": _verify_oracle,
 }
+CHECKS = tuple(_VERIFIERS)
 
 
 def cmd_verify(cfg: RunConfig, args) -> int:

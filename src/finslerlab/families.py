@@ -341,8 +341,9 @@ def ht_condition_residual(c_const: float, g, h, r):
     r is a float or a 1-D array; f = c/r^2 completes the Randers data whose
     admissibility is checked.
     """
-    c, f = _c_over_r2(c_const)
-    return _ht_residual(c, randers_coefficients(f, _as_radial_fn(g), _as_radial_fn(h), r))
+    _, f = _c_over_r2(c_const)
+    d = randers_coefficients(f, _as_radial_fn(g), _as_radial_fn(h), r)
+    return ht_condition_residual_of(c_const, d)
 
 
 def ht_condition_residual_of(c_const: float, d: RandersCoefficients):
@@ -350,7 +351,9 @@ def ht_condition_residual_of(c_const: float, d: RandersCoefficients):
     their jets are not taken again.  Admissibility is checked with f = c/r^2."""
     c, f = _c_over_r2(c_const)
     check_admissible(d.r, f.jet(d.r, 2, 0).value, d.g, d.h)
-    return _ht_residual(c, d)
+    r = d.r
+    return 2.0 * d.h_d1 * (c / (r * r) + r * r * d.g) - d.h * (
+        r * r * d.g_d1 - 4.0 * c / ipow(r, 3))
 
 
 def _c_over_r2(c_const) -> tuple[float, ScalarFunction]:
@@ -359,12 +362,6 @@ def _c_over_r2(c_const) -> tuple[float, ScalarFunction]:
     if not 0.0 < c_const < math.inf:
         raise DomainError(f"c must be a positive finite constant, got {c_const!r}")
     return c_const, ScalarFunction.from_text(f"{c_const!r}/r^2")
-
-
-def _ht_residual(c: float, d: RandersCoefficients):
-    r = d.r
-    return 2.0 * d.h_d1 * (c / (r * r) + r * r * d.g) - d.h * (
-        r * r * d.g_d1 - 4.0 * c / ipow(r, 3))
 
 
 # -- profile solvers ---------------------------------------------------------

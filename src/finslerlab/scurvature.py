@@ -22,7 +22,7 @@ import numpy as np
 
 from .geometry import MetricSpec, SprayValues, batch_radii, phi_jet, s_fractions, spray_values
 from .jets import Jet3
-from .volume import VolumeSpec, f_coefficient
+from .volume import VolumeSpec, density_and_f, f_coefficient
 
 
 def _s_over_u(n: int, r, s, f_r, sv: SprayValues):
@@ -43,18 +43,18 @@ def reduced_s(spec: MetricSpec, vol: VolumeSpec, r, s):
 
 
 def scurvature_columns(spec: MetricSpec, vol: VolumeSpec, radii, fracs) -> tuple[dict, Jet3]:
-    """Columns r, f_r (shaped (radii, 1)), s, phi, P, Q, Q_s, S_over_u and c = (S/u) /
-    ((n+1) phi) at (r, r * fracs) for an array of radii, and the order-3, r-order-1
-    profile jet they read (evaluated after f(r))."""
+    """Columns r, sigma, f_r (shaped (radii, 1)), s, phi, P, Q, Q_s, S_over_u and
+    c = (S/u) / ((n+1) phi) at (r, r * fracs) for an array of radii, and the order-3,
+    r-order-1 profile jet they read (evaluated after sigma and f(r))."""
     rc = radii[:, None]
     s = rc * fracs
-    f_r = f_coefficient(vol, spec, radii)[:, None]
+    sigma, f_r = (v[:, None] for v in density_and_f(vol, spec, radii))
     jet = phi_jet(spec, rc, s, 3, 1)
     sv = spray_values(rc, s, jet)
     phi = jet.d(0, 0)
     red = _s_over_u(spec.n, rc, s, f_r, sv)
-    return {"r": rc, "s": s, "phi": phi, "P": sv.P, "Q": sv.Q, "Q_s": sv.Q_s, "f_r": f_r,
-            "S_over_u": red, "c": red / ((spec.n + 1) * phi)}, jet
+    return {"r": rc, "s": s, "phi": phi, "P": sv.P, "Q": sv.Q, "Q_s": sv.Q_s, "sigma": sigma,
+            "f_r": f_r, "S_over_u": red, "c": red / ((spec.n + 1) * phi)}, jet
 
 
 @dataclass

@@ -26,8 +26,10 @@ reads phi, phi_s and phi_ss: order 2, r-order 0 under both volumes.  sigma'
 reads first r-partials: order 2, r-order 1 under BH (of phi^-n), order 3,
 r-order 1 under HT (T_r, T_s), and cuts them to first order (phi_s and phi_ss
 after the shift).  A carried partial has the full order-3 jet's bits, so
-neither order nor cut changes a value.  The CLI's grid columns read sigma off
-the sigma' node jets that f(r) reads next (``_density_for_f``).
+neither order nor cut changes a value.  sigma' sums sigma's own integrand
+beside its r-derivative, so ``density_and_f`` reads sigma off those sums, and
+one refinement settles the pair elementwise: each keeps the bits it settles at
+alone, and sigma's are density's.
 
 The angular sums are reduced with math.fsum and integer powers are repeated
 products, so sigma and f(r) do not depend on numpy's reduction blocking or
@@ -136,14 +138,14 @@ def _arr(v, shape):
     return np.broadcast_to(np.asarray(v, dtype=float), shape)
 
 
-def _sigma_bh_at(spec: MetricSpec, r, counts: tuple[int, ...], order: int = 2, r_order: int = 0):
-    _, s, _, ws, jet = _node_jets(spec, r, counts, order, r_order)
+def _sigma_bh_at(spec: MetricSpec, r, counts: tuple[int, ...]):
+    _, s, _, ws, jet = _node_jets(spec, r, counts, 2, 0)
     phi = _arr(jet.d(0, 0), s.shape)
     return [sin_power_integral(spec.n) / v for v in _per_count(counts, ws * ipow(phi, -spec.n))]
 
 
-def _sigma_ht_at(spec: MetricSpec, r, counts: tuple[int, ...], order: int = 2, r_order: int = 0):
-    rc, s, _, ws, jet = _node_jets(spec, r, counts, order, r_order)
+def _sigma_ht_at(spec: MetricSpec, r, counts: tuple[int, ...]):
+    rc, s, _, ws, jet = _node_jets(spec, r, counts, 2, 0)
     phi, m2, m3 = (_arr(m, s.shape) for m in regularity_margins(jet, rc, s))
     integrand = phi * ipow(m2, spec.n - 2) * m3
     return [v / sin_power_integral(spec.n) for v in _per_count(counts, ws * integrand)]
@@ -189,36 +191,23 @@ def density(vol: VolumeSpec, spec: MetricSpec, r):
     raise TypeError(f"unknown volume spec {vol!r}")
 
 
-def _density_for_f(vol: VolumeSpec, spec: MetricSpec, r):
-    """density(vol, spec, r), under BH and HT read off the node jets that sigma' in
-    f_coefficient(vol, spec, r) then reads; where those raise, as density reads it."""
-    if isinstance(vol, (BusemannHausdorff, HolmesThompson)):
-        bh = isinstance(vol, BusemannHausdorff)
-        at, order = (_sigma_bh_at, _BH_ORDER) if bh else (_sigma_ht_at, _HT_ORDER)
-        key = _radii(r)
-        try:
-            return refine(lambda counts: at(spec, key, counts, order, 1))
-        except FinslerError:
-            pass  # wider jets can fail where sigma's own do not, or fail otherwise
-    return density(vol, spec, r)
-
-
 # -- derivative under the integral sign --------------------------------------
 
 
 def _log_deriv_bh_at(spec: MetricSpec, r, counts: tuple[int, ...]):
-    """(log sigma_bh)'(r) via integrand jets, one value per node count."""
+    """(sigma_bh, (log sigma_bh)') at r via integrand jets, one pair per node count."""
     _, s, cos_t, ws, jet = _node_jets(spec, r, counts, _BH_ORDER, 1)
     integrand = jet.dropped_above(1).powi(-spec.n)
     ddr = _arr(integrand.d(1, 0), s.shape) + cos_t * _arr(integrand.d(0, 1), s.shape)
     j_val = _per_count(counts, ws * _arr(integrand.d(0, 0), s.shape))
     j_der = _per_count(counts, ws * ddr)
-    return [-d / v for d, v in zip(j_der, j_val)]
+    w = sin_power_integral(spec.n)
+    return [(w / v, -d / v) for d, v in zip(j_der, j_val)]
 
 
 def _log_deriv_ht_at(spec: MetricSpec, r, counts: tuple[int, ...]):
-    """(log sigma_ht)'(r) via integrand jets (order-3 profile jets feed T_r, T_s),
-    one value per node count."""
+    """(sigma_ht, (log sigma_ht)') at r via integrand jets (order-3 profile jets feed
+    T_r, T_s), one pair per node count."""
     rc, s, cos_t, ws, jet = _node_jets(spec, r, counts, _HT_ORDER, 1)
     rj = Jet3.seed(rc, dr=1.0, r_order=1)
     sj = Jet3.seed(s, ds=1.0, r_order=1)
@@ -230,7 +219,8 @@ def _log_deriv_ht_at(spec: MetricSpec, r, counts: tuple[int, ...]):
     ddr = _arr(t_jet.d(1, 0), s.shape) + cos_t * _arr(t_jet.d(0, 1), s.shape)
     k_val = _per_count(counts, ws * _arr(t_jet.d(0, 0), s.shape))
     k_der = _per_count(counts, ws * ddr)
-    return [d / v for d, v in zip(k_der, k_val)]
+    w = sin_power_integral(spec.n)
+    return [(v / w, d / v) for d, v in zip(k_der, k_val)]
 
 
 def f_coefficient(vol: VolumeSpec, spec: MetricSpec, r):
@@ -240,20 +230,25 @@ def f_coefficient(vol: VolumeSpec, spec: MetricSpec, r):
     cross-check against a central difference of log sigma; CrossCheckError
     flags disagreement beyond 1e-6 relative.
     """
+    return density_and_f(vol, spec, r)[1]
+
+
+def density_and_f(vol: VolumeSpec, spec: MetricSpec, r):
+    """(sigma(r), f(r)): the bits of density and f_coefficient, from the sums f(r) reads."""
     r = float(r) if np.ndim(r) == 0 else np.asarray(r, dtype=float)
     if isinstance(vol, ConstantDensity):
-        return np.zeros(r.shape) if np.ndim(r) else 0.0
+        return density(vol, spec, r), (np.zeros(r.shape) if np.ndim(r) else 0.0)
     if isinstance(vol, CustomDensity):
         j = vol.sigma.jet(r, 2)
         v = _arr(j.d(0, 0), np.shape(r))
         _check_positive(v, r)
         f = -_arr(j.d(1, 0), np.shape(r)) / (r * v)
-        return f if f.ndim else float(f)
+        return (v, f) if f.ndim else (float(v), float(f))
     key = _radii(r)
     at = _log_deriv_bh_at if isinstance(vol, BusemannHausdorff) else _log_deriv_ht_at
-    dlog = refine(lambda counts: at(spec, key, counts))
+    sigma, dlog = (v if v.ndim else float(v) for v in refine(lambda counts: at(spec, key, counts)))
     _cross_check_log_derivative(vol, spec, r, dlog)
-    return -dlog / r
+    return sigma, -dlog / r
 
 
 def _cross_check_log_derivative(vol, spec, r, dlog) -> None:

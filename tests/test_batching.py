@@ -99,8 +99,11 @@ def test_node_jets_that_drop_r_partials_equal_full_order_3_ones(request, monkeyp
 
     def values():
         volume._node_jets.cache_clear()
-        return [fn(vol, spec, x) for fn in (density, f_coefficient, volume._density_for_f)
+        return [fn(vol, spec, x) for fn in (density, f_coefficient, sigma_for_f)
                 for x in (float(r[2]), r)]
+
+    def sigma_for_f(vol, spec, x):
+        return volume.density_and_f(vol, spec, x)[0]
 
     got = values()
     monkeypatch.setattr(volume, "phi_jet", lambda spec, r, s, order, r_order: phi_jet(spec, r, s))
@@ -110,7 +113,8 @@ def test_node_jets_that_drop_r_partials_equal_full_order_3_ones(request, monkeyp
     assert all(_same(g, w) for g, w in zip(got[4:], want[:2]))
 
 
-def test_sigma_for_f_is_density_where_the_sigma_prime_node_jets_raise(monkeypatch, funk3):
+def test_grid_commands_report_what_isotropy_reports_where_the_sigma_prime_node_jets_raise(
+        monkeypatch, capsys, tmp_path):
     real = volume._node_jets
 
     def failing(spec, r, counts, order, r_order):
@@ -118,10 +122,13 @@ def test_sigma_for_f_is_density_where_the_sigma_prime_node_jets_raise(monkeypatc
             raise DomainError("the sigma' node jets fail here")
         return real(spec, r, counts, order, r_order)
 
-    r = interior_grid(funk3, 5)
-    want = [density(vol, funk3, r) for vol in (BH, HT)]
     monkeypatch.setattr(volume, "_node_jets", failing)
-    assert all(_same(volume._density_for_f(vol, funk3, r), w) for vol, w in zip((BH, HT), want))
+    path = str(Path(__file__).resolve().parents[1] / "configs" / "funk_n2.json")
+    lines = []
+    for argv in (["sample"], ["analyze"], ["verify", "--check", "isotropy"]):
+        assert main([*argv, path, "--out", str(tmp_path / "out")]) == 3, argv
+        lines.append(capsys.readouterr().err.splitlines()[-1])
+    assert lines == ["numeric failure: the sigma' node jets fail here"] * 3
 
 
 def _first_density_error(spec, *sides) -> str:

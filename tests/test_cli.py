@@ -954,3 +954,28 @@ def test_a_flag_does_not_persist_into_the_next_main_call(monkeypatch):
     assert exc.value.code == 2
     assert main(["verify", "--check", "isotropy", FUNK_CFG, "--seed", "7"]) == 0
     assert seen == [5, None, 7]
+
+
+CUSTOM_SIGMA = "1/(1 + r^2)^2 + 0.1*exp(r)"
+
+
+@pytest.mark.parametrize("volume_cfg", ["bh", "ht", "constant",
+                                        {"kind": "custom", "sigma": CUSTOM_SIGMA}],
+                         ids=["bh", "ht", "constant", "custom"])
+@pytest.mark.parametrize("stem", ["funk_n2", "family_k"])
+def test_sample_sigma_and_f_r_are_density_and_f_coefficient(tmp_path, stem, volume_cfg):
+    from finslerlab.cli import build_spec, load_config
+
+    cfg = json.loads((ROOT_CONFIGS / f"{stem}.json").read_text())
+    cfg["volume"] = volume_cfg
+    path, out = write_cfg(tmp_path, "vol.json", cfg), tmp_path / "out.csv"
+    assert main(["sample", path, "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    names = lines[0].split(",")
+    rows = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+    by_radius = rows.reshape(cfg["grid"]["r_count"], cfg["grid"]["s_count"], len(names))[:, 0]
+    radii, sigma, f_r = (by_radius[:, names.index(k)] for k in ("r", "sigma", "f_r"))
+    run = load_config(path)
+    spec = build_spec(run)
+    assert sigma.tobytes() == np.asarray(volume.density(run.volume, spec, radii)).tobytes()
+    assert f_r.tobytes() == np.asarray(volume.f_coefficient(run.volume, spec, radii)).tobytes()
