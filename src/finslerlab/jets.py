@@ -16,10 +16,11 @@ orders meet, the result takes the lower order.
 
 Coefficients may be Python floats, numpy scalars or numpy arrays of a common
 broadcastable shape; all operations vectorize over the array case, and
-``is_finite`` costs one reduction.  A coefficient holding the Python float
-0.0 is a *structural zero*.  ``seed``, ``constant``, ``radial`` and ``deriv``
-make them in derivative slots (the s-slots of a jet of r alone are all
-structural), and ``deriv`` and ``compose`` also in value slots.
+``is_finite`` costs one ``np.isfinite`` per array slot.  A coefficient holding
+the Python float 0.0 is a *structural zero*.  ``seed``, ``constant``,
+``radial`` and ``deriv`` make them in derivative slots (the s-slots of a jet
+of r alone are all structural), and ``deriv`` and ``compose`` also in value
+slots.
 
 Array jets may also *drop* partials, holding None: ``seed`` and ``radial``
 given an r-order drop every partial of higher r-order, and ``dropped_above``
@@ -471,19 +472,23 @@ def any_true(mask) -> bool:
 def is_finite(c) -> bool:
     """True when every one of the jet coefficients c but the dropped ones (None) is finite.
 
-    A finite sum proves it, since inf and NaN propagate; a non-finite sum, which
-    finite terms can also give by overflowing, is checked term by term."""
-    try:  # scalar coefficients: fsum never warns; it raises on overflow and inf - inf
-        if math.isfinite(math.fsum(c)):
-            return True
-    except (OverflowError, ValueError):
-        pass
-    except TypeError:  # array coefficients
-        c = [x for x in c if x is not None]
-        with np.errstate(over="ignore", invalid="ignore"):
-            if np.isfinite(sum(c)).all():
+    When the value slot is not an array (a float jet, as a rule), a finite
+    math.fsum proves it, since inf and NaN propagate.  Otherwise, or when that
+    sum is not finite (finite terms can also overflow), each slot is checked on
+    its own, an array slot by counting its np.isfinite mask, which never warns."""
+    if type(c[0]) is not _ndarray:
+        try:  # fsum never warns; it raises on overflow and inf - inf, and on an array or None
+            if math.isfinite(math.fsum(c)):
                 return True
-    return all(bool(np.all(np.isfinite(x))) for x in c)
+        except (OverflowError, ValueError, TypeError):
+            pass
+    for x in c:
+        if type(x) is _ndarray:
+            if np.count_nonzero(np.isfinite(x)) != x.size:  # cheaper than ndarray.all()
+                return False
+        elif x is not None and not math.isfinite(x):
+            return False
+    return True
 
 
 def _fmt(v, bad) -> str:

@@ -11,8 +11,11 @@ Berwald-type family's I1 in :mod:`finslerlab.geometry`, the one radial integral
 here with no closed form, uses it.
 
 Nodes, weights, the integration matrix and every sum use only IEEE basic
-operations (no LAPACK eigensolver, no BLAS, no numpy reduction whose blocking
-numpy chooses), so they are the same bit patterns on every platform.
+operations (no LAPACK eigensolver, no BLAS), so they are the same bit patterns
+on every platform.  Every sum is correctly rounded, math.fsum's double:
+``exact_sum`` hands few rows to math.fsum and extracts many at once, where the
+only numpy reductions add multiples of one power of two that no order of
+addition can round, so numpy's blocking and SIMD dispatch move no bit.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import accumulate, repeat
 from operator import mul, sub, truediv
 
 import numpy as np
@@ -100,15 +103,81 @@ def _legendre_ratio(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return p / dp, dp
 
 
-def exact_sum(values):
-    """Correctly rounded sum (math.fsum), independent of numpy's blocking.
+#: 2-D arrays with fewer rows are summed row by row with math.fsum (see exact_sum)
+EXTRACT_MIN_ROWS = 8
+#: extraction passes before a block that still holds a remainder goes to math.fsum
+EXTRACT_PASSES = 4
 
-    A 1-D array gives a float, a 2-D array the array of its row sums.
+
+def exact_sum(values):
+    """Correctly rounded sum, the double math.fsum returns, whatever numpy's blocking.
+
+    A 1-D array gives a float (math.fsum).  A 2-D array gives the array of its
+    row sums: below ``EXTRACT_MIN_ROWS`` rows by math.fsum row by row, from
+    there on by error-free extraction (ExtractVector; Rump, Ogita & Oishi,
+    "Accurate floating-point summation part I", SIAM J. Sci. Comput. 31(1),
+    2008).  Each pass takes sigma = 2^(e + m) per row, with |x| < 2^e on the row
+    and 2^m >= (block width) + 2.  Then q = (sigma + x) - sigma and x - q are
+    exact, each q is a multiple of 2^-53 sigma, and a block's q sum to less than
+    sigma in magnitude: every partial sum is exact, so ``np.add.reduceat`` gives
+    one double whatever order numpy adds in.  Once no remainder is left, after
+    at most ``EXTRACT_PASSES`` passes, the few pass sums add up to the row sum
+    exactly, and their correctly rounded sum (one IEEE addition for two) is
+    math.fsum's.  A block goes to math.fsum instead when its row holds a
+    non-finite value or one of magnitude 2^(1023 - m) or more (2^1015 for the
+    64 + 128 node blocks), when its row keeps a remainder after the last pass,
+    or when it sums to zero.  So NaN, inf, the sign of a zero sum and
+    math.fsum's OverflowError and ValueError are math.fsum's own, raised at the
+    block it meets first, block by block and row by row.
+
+    The threshold is the measured crossover: on one vCPU of an x86-64 Xeon,
+    blocks of 64 and 128 normal deviates took math.fsum 6.6 us for one row,
+    25 us for 4, 54 us for 8 and 336 us for 41, and extraction 31, 33, 44 and
+    83 us.
     """
     v = np.asarray(values, dtype=float)
     if v.ndim == 2:
-        return np.array([math.fsum(row) for row in v.tolist()])
+        return exact_block_sums(v, (v.shape[1],))[:, 0]
     return math.fsum(v.ravel().tolist())
+
+
+def exact_block_sums(values, widths) -> np.ndarray:
+    """(rows, blocks): ``exact_sum`` of each block of consecutive columns of the
+    given widths (summing to the row length) of a 2-D array, in one pass over it."""
+    v = np.asarray(values, dtype=float)
+    widths = list(widths)
+    starts = [end - w for w, end in zip(widths, accumulate(widths))]
+    if v.shape[0] < EXTRACT_MIN_ROWS:
+        sums = np.empty((v.shape[0], len(widths)))
+        for b, (a, w) in enumerate(zip(starts, widths)):
+            sums[:, b] = [math.fsum(row) for row in v[:, a:a + w].tolist()]
+        return sums
+    m = (max(widths) + 1).bit_length()  # 2^m >= width + 2
+    mag = np.maximum.reduce(np.abs(v), axis=1, keepdims=True)
+    fits = mag < 2.0 ** (1023 - m)  # False for NaN and inf; keeps sigma finite
+    x = v
+    if not fits.all():
+        mag, x = np.where(fits, mag, 0.0), np.where(fits, v, 0.0)
+    taus, left = [], False
+    for _ in range(EXTRACT_PASSES):
+        sigma = np.ldexp(1.0, np.frexp(mag)[1] + m)
+        q = (sigma + x) - sigma
+        x = x - q
+        taus.append(np.add.reduceat(q, starts, axis=1))
+        if not x.any():
+            break
+        mag = np.maximum.reduce(np.abs(x), axis=1, keepdims=True)
+    else:
+        left = mag > 0.0
+    # one or two pass sums: IEEE addition rounds correctly; more need math.fsum
+    sums = taus[0] + taus[1] if len(taus) > 1 else taus[0]
+    if len(taus) > 2:
+        deep = np.logical_or.reduce([t != 0.0 for t in taus[2:]])
+        sums[deep] = [math.fsum(t) for t in np.stack(taus, axis=-1)[deep].tolist()]
+    redo = ~fits | left | (sums == 0.0)
+    for b, i in zip(*np.nonzero(redo.T)):
+        sums[i, b] = math.fsum(v[i, starts[b]:starts[b] + widths[b]].tolist())
+    return sums
 
 
 def angle_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:

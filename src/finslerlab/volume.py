@@ -16,10 +16,11 @@ log sigma guards the analytic path and raises CrossCheckError on disagreement.
 
 The functions take one radius (kept a Python float) or a 1-D batch of radii,
 evaluated at once as (R, N) node jets with r a column; ``refine`` settles and
-math.fsum reduces each radius on its own, so it gets the bits it gets alone.
-Likewise one node jet holds the nodes of every count a ``refine`` call asks
-for (64 and 128 in its first), and each count's block of nodes is summed on
-its own, so each count gets the bits of a jet of its nodes alone.
+``exact_sum`` reduces each radius on its own, so it gets the bits it gets
+alone.  Likewise one node jet holds the nodes of every count a ``refine`` call
+asks for (64 and 128 in its first), and each count's block of nodes is summed
+on its own (all blocks of one integrand in one ``exact_block_sums`` call), so
+each count gets the bits of a jet of its nodes alone.
 
 Node jets carry only what their reader takes.  sigma (and phi_jet's guard)
 reads phi, phi_s and phi_ss: order 2, r-order 0 under both volumes.  sigma'
@@ -31,9 +32,11 @@ beside its r-derivative, so ``density_and_f`` reads sigma off those sums, and
 one refinement settles the pair elementwise: each keeps the bits it settles at
 alone, and sigma's are density's.
 
-The angular sums are reduced with math.fsum and integer powers are repeated
-products, so sigma and f(r) do not depend on numpy's reduction blocking or
-its SIMD-dispatched pow.
+The angular sums are correctly rounded (``quadrature.exact_sum``: math.fsum's
+double, by math.fsum for few radii and by error-free extraction for many) and
+integer powers are repeated products, so sigma and f(r) do not depend on
+numpy's reduction blocking or its SIMD-dispatched pow.  cos t and the weights
+times sin^{n-2} t are computed once per node counts and dimension.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ from .errors import CrossCheckError, DomainError, FinslerError
 from .expr import ScalarFunction
 from .geometry import MetricSpec, phi_jet, regularity_margins
 from .jets import Jet3, any_true, ipow
-from .quadrature import angle_nodes, exact_sum, refine
+from .quadrature import angle_nodes, exact_block_sums, exact_sum, refine
 
 
 @dataclass(frozen=True)
@@ -114,8 +117,7 @@ def _node_jets(spec: MetricSpec, r, counts: tuple[int, ...], order: int, r_order
     Regularity is enforced by phi_jet; a failure raises what the first failing
     count raises alone.
     """
-    t, w = (np.concatenate(parts) for parts in zip(*map(angle_nodes, counts)))
-    cos_t = np.cos(t)
+    cos_t, ws = _angle_columns(counts, spec.n)
     rc = r if isinstance(r, float) else np.array(r)[:, None]
     s = rc * cos_t
     try:
@@ -126,12 +128,25 @@ def _node_jets(spec: MetricSpec, r, counts: tuple[int, ...], order: int, r_order
         for n in counts[:-1]:
             _node_jets(spec, r, (n,), order, r_order)
         raise
-    return rc, s, cos_t, w * ipow(np.sin(t), spec.n - 2), jet
+    return rc, s, cos_t, ws, jet
+
+
+@lru_cache(maxsize=32)
+def _angle_columns(counts: tuple[int, ...], n: int):
+    """cos t and the weights times sin^{n-2} t at the Gauss-Legendre nodes of each
+    count in ``counts``, side by side (read-only: every node-jet entry shares them)."""
+    t, w = (np.concatenate(parts) for parts in zip(*map(angle_nodes, counts)))
+    cols = np.cos(t), w * ipow(np.sin(t), n - 2)
+    for col in cols:
+        col.setflags(write=False)
+    return cols
 
 
 def _per_count(counts, values):
     """Exact sums of values over each count's block of nodes (the last axis)."""
-    return [exact_sum(values[..., end - n:end]) for n, end in zip(counts, accumulate(counts))]
+    if values.ndim == 2:
+        return list(exact_block_sums(values, counts).T)
+    return [exact_sum(values[end - n:end]) for n, end in zip(counts, accumulate(counts))]
 
 
 def _arr(v, shape):
