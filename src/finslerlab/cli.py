@@ -122,6 +122,14 @@ def _finite(v) -> float:
                      or type(v) is int and abs(v) <= sys.float_info.max))
 
 
+def _finite_column(col: list):
+    """The entries of a list, each read by _finite: a column of floats in one check."""
+    if set(map(type, col)) == {float}:
+        values = np.array(col, dtype=float)
+        return _ok(values, bool(np.isfinite(values).all()))
+    return [_finite(x) for x in col]
+
+
 def _range(v) -> tuple[float, float]:
     lo, hi = map(_finite, _ok(v, isinstance(v, list) and len(v) == 2))
     return _ok((lo, hi), 0.0 < lo < hi)
@@ -150,7 +158,7 @@ def _radial(v):
     cols = [_ok(table.get(k), isinstance(table.get(k), list), f"table.{k} is not a list")
             for k in _TABLE_KEYS]
     try:
-        return SampledFunction(*([_finite(x) for x in col] for col in cols))
+        return SampledFunction(*map(_finite_column, cols))
     except ValueError as exc:
         raise _Wrong(f"table: {exc}") from exc
 
@@ -355,8 +363,54 @@ def _write_text(args, cfg: RunConfig, text: str) -> None:
         sys.stdout.write(text)
 
 
+@lru_cache(maxsize=16)
+def _encoder_at(depth: int):
+    """The C JSON encoder of json.dumps(..., indent=2, sort_keys=True) for a container
+    that holds no container and whose items stand at the given depth: the item
+    separator starts each item's line, and only the brackets' lines are missing."""
+    return json.encoder.c_make_encoder(None, json.JSONEncoder().default,
+                                       json.encoder.encode_basestring_ascii, None, ": ",
+                                       ",\n" + "  " * depth, True, False, True)
+
+
+#: what json.dumps lays out over several lines
+_CONTAINERS = (dict, list, tuple)
+
+
+def _holds_container(items) -> bool:
+    return any(isinstance(v, _CONTAINERS) for v in items)
+
+
+def _report_json(obj, depth: int = 0) -> str:
+    """json.dumps(obj, indent=2, sort_keys=True) for obj at the given depth (string keys):
+    each container that holds no container, and each list of such dicts, in one call
+    of the C encoder; the containers above them here."""
+    enc = _encoder_at(depth + 1)
+    if not isinstance(obj, _CONTAINERS) or not obj:
+        return "".join(enc(obj, 0))  # a scalar, {} or []
+    at, inner = "\n" + "  " * depth, "\n" + "  " * (depth + 1)
+    items = obj.values() if isinstance(obj, dict) else obj
+    if not _holds_container(items):
+        text = "".join(enc(obj, 0))
+        return text[0] + inner + text[1:-1] + at + text[-1]
+    if isinstance(obj, (list, tuple)) and all(
+            isinstance(v, dict) and v and not _holds_container(v.values()) for v in obj):
+        # "[{" body "}]" with every item, in and between the dicts, on a line at depth + 2;
+        # an encoded string holds no raw newline, so "},\n...{" only ever joins two dicts
+        text = "".join(_encoder_at(depth + 2)(obj, 0))
+        inside = "\n" + "  " * (depth + 2)
+        body = text[2:-2].replace("}," + inside + "{", inner + "}," + inner + "{" + inside)
+        return "[" + inner + "{" + inside + body + inner + "}" + at + "]"
+    if isinstance(obj, dict):
+        parts = [f"{json.encoder.encode_basestring_ascii(k)}: {_report_json(v, depth + 1)}"
+                 for k, v in sorted(obj.items())]
+        return "{" + inner + ("," + inner).join(parts) + at + "}"
+    return "[" + inner + ("," + inner).join(_report_json(v, depth + 1) for v in obj) + at + "]"
+
+
 def _dump_report(args, cfg: RunConfig, report: dict) -> None:
-    _write_text(args, cfg, json.dumps(report, indent=2, sort_keys=True) + "\n")
+    """The report as json.dumps(report, indent=2, sort_keys=True) writes it, and a newline."""
+    _write_text(args, cfg, _report_json(report) + "\n")
 
 
 # -- commands ----------------------------------------------------------------

@@ -86,22 +86,25 @@ class SampledFunction:
     ``jet``), so ODE solutions drop into Randers specs unchanged.  Nodal
     data reproduces exactly; queries outside the node range evaluate the
     boundary polynomial (callers guard domains at the spec level).
+
+    The four node arrays are read-only copies, and two interpolants are equal
+    (and hash alike) when those arrays are equal bit for bit, so specs built
+    from equal tables are equal cache keys.
     """
 
     __slots__ = ("r_nodes", "values", "derivs", "second_derivs", "_coef")
 
     def __init__(self, r_nodes, values, derivs, second_derivs):
-        r_nodes = np.asarray(r_nodes, dtype=float)
-        values = np.asarray(values, dtype=float)
-        derivs = np.asarray(derivs, dtype=float)
-        second_derivs = np.asarray(second_derivs, dtype=float)
+        nodes = [np.array(v, dtype=float) for v in (r_nodes, values, derivs, second_derivs)]
+        r_nodes, values, derivs, second_derivs = nodes
         if r_nodes.ndim != 1 or r_nodes.size < 2:
             raise ValueError("need at least two interpolation nodes")
         if np.any(np.diff(r_nodes) <= 0.0):
             raise ValueError("interpolation nodes must increase strictly")
-        for arr in (r_nodes, values, derivs, second_derivs):
+        for arr in nodes:
             if arr.shape != r_nodes.shape or not np.all(np.isfinite(arr)):
                 raise ValueError("nodal data must be finite and congruent")
+            arr.setflags(write=False)
         self.r_nodes = r_nodes
         self.values = values
         self.derivs = derivs
@@ -152,6 +155,18 @@ class SampledFunction:
         if not r_arr.shape:
             derivs = [float(v) for v in derivs]
         return Jet3.radial(derivs, order, r_order)
+
+    def _node_bytes(self) -> tuple[bytes, ...]:
+        return tuple(a.tobytes() for a in (self.r_nodes, self.values, self.derivs,
+                                           self.second_derivs))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SampledFunction):
+            return NotImplemented
+        return self is other or self._node_bytes() == other._node_bytes()
+
+    def __hash__(self) -> int:
+        return hash(self._node_bytes())
 
     def __repr__(self) -> str:
         lo, hi = self.r_nodes[0], self.r_nodes[-1]

@@ -421,7 +421,7 @@ def regularity_scan(spec: MetricSpec, r_count: int = 25, s_count: int = 25) -> R
     notes: list[str] = []
 
     def fill(idx, r, s):
-        for k, m in enumerate(regularity_margins(_phi_jet_raw(spec, r, s, 2), r, s)):
+        for k, m in enumerate(regularity_margins(_phi_jet_raw(spec, r, s, 2, 0), r, s)):
             margins[idx + (k,)] = m
         valid[idx] = True
 

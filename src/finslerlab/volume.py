@@ -30,7 +30,9 @@ after the shift).  A carried partial has the full order-3 jet's bits, so
 neither order nor cut changes a value.  sigma' sums sigma's own integrand
 beside its r-derivative, so ``density_and_f`` reads sigma off those sums, and
 one refinement settles the pair elementwise: each keeps the bits it settles at
-alone, and sigma's are density's.
+alone, and sigma's are density's.  A process keeps its last F_CACHE_SIZE pairs
+per (volume, spec, radii), so the grid commands on one config settle f(r) once;
+the node-jet cache then serves only the call that evaluates its entries.
 
 The angular sums are correctly rounded (``quadrature.exact_sum``: math.fsum's
 double, by math.fsum for few radii and by error-free extraction for many) and
@@ -105,10 +107,10 @@ _BH_ORDER = 2
 _HT_ORDER = 3
 
 
-#: whole-grid entries are (R, N) jets, so the cache stays small: 8 entries of
-#: the first refinement's 64 + 128 nodes hold what 16 single-count entries did;
-#: isotropy, analyze and sample on one grid still share their entries
-@lru_cache(maxsize=8)
+#: verdicts share (sigma, f) through density_and_f's cache, not node jets, so this
+#: cache holds the two entries one density_and_f call evaluates (sigma' at the
+#: radii, the cross-check's sigma at r -+ h); whole-grid entries are (R, N) jets
+@lru_cache(maxsize=2)
 def _node_jets(spec: MetricSpec, r, counts: tuple[int, ...], order: int, r_order: int):
     """Radius (float or column), s = r cos t, cos t, weights times sin^{n-2} t,
     and the profile jets of the given order and r-order at (r, s) for a key from
@@ -248,9 +250,26 @@ def f_coefficient(vol: VolumeSpec, spec: MetricSpec, r):
     return density_and_f(vol, spec, r)[1]
 
 
+#: (sigma, f) entries kept per process: isotropy settles a grid's pair, and
+#: sample and analyze on the same config read it again
+F_CACHE_SIZE = 8
+
+
 def density_and_f(vol: VolumeSpec, spec: MetricSpec, r):
-    """(sigma(r), f(r)): the bits of density and f_coefficient, from the sums f(r) reads."""
-    r = float(r) if np.ndim(r) == 0 else np.asarray(r, dtype=float)
+    """(sigma(r), f(r)): the bits of density and f_coefficient, from the sums f(r) reads.
+
+    The pair is kept per (vol, spec, radii), F_CACHE_SIZE pairs at most, and each
+    caller gets its own copies of kept arrays.  An error is not kept: a repeated
+    call raises it again.
+    """
+    sigma, f = _density_and_f(vol, spec, _radii(r))
+    return (sigma.copy(), f.copy()) if isinstance(f, np.ndarray) else (sigma, f)
+
+
+@lru_cache(maxsize=F_CACHE_SIZE)
+def _density_and_f(vol: VolumeSpec, spec: MetricSpec, key):
+    """density_and_f at the radii of a key from ``_radii``."""
+    r = key if isinstance(key, float) else np.array(key, dtype=float)
     if isinstance(vol, ConstantDensity):
         return density(vol, spec, r), (np.zeros(r.shape) if np.ndim(r) else 0.0)
     if isinstance(vol, CustomDensity):
@@ -259,7 +278,6 @@ def density_and_f(vol: VolumeSpec, spec: MetricSpec, r):
         _check_positive(v, r)
         f = -_arr(j.d(1, 0), np.shape(r)) / (r * v)
         return (v, f) if f.ndim else (float(v), float(f))
-    key = _radii(r)
     at = _log_deriv_bh_at if isinstance(vol, BusemannHausdorff) else _log_deriv_ht_at
     sigma, dlog = (v if v.ndim else float(v) for v in refine(lambda counts: at(spec, key, counts)))
     _cross_check_log_derivative(vol, spec, r, dlog)

@@ -22,6 +22,15 @@ PARALLEL_HT = ("1/r^2", "0", "0.5/r^2", (0.15, 3.2))
 RANDERS_H05 = ("1", "1", "0.5", (0.1, 1.2))
 
 
+@pytest.fixture(autouse=True)
+def _cold_f_cache():
+    """Every test starts without kept (sigma, f) pairs, so one that patches what
+    density_and_f calls sees its patch, not a pair an earlier test settled."""
+    from finslerlab import volume
+
+    volume._density_and_f.cache_clear()
+
+
 def make_randers(texts, n: int):
     f, g, h, domain = texts
     return randers_spec(

@@ -68,7 +68,7 @@ def test_node_jet_cache_counters_exist():
     from finslerlab import volume
 
     info = volume._node_jets.cache_info()
-    assert info.maxsize == 8 and info.hits >= 0 and info.misses >= 0
+    assert info.maxsize == 2 and info.hits >= 0 and info.misses >= 0
 
 
 @pytest.mark.parametrize("path", sorted((ROOT / "configs").glob("*.json")), ids=lambda p: p.stem)

@@ -977,5 +977,93 @@ def test_sample_sigma_and_f_r_are_density_and_f_coefficient(tmp_path, stem, volu
     radii, sigma, f_r = (by_radius[:, names.index(k)] for k in ("r", "sigma", "f_r"))
     run = load_config(path)
     spec = build_spec(run)
+    volume._density_and_f.cache_clear()  # f(r) settled afresh, not the pair sample kept
     assert sigma.tobytes() == np.asarray(volume.density(run.volume, spec, radii)).tobytes()
     assert f_r.tobytes() == np.asarray(volume.f_coefficient(run.volume, spec, radii)).tobytes()
+
+
+def _solved_randers_bh(tmp_path) -> str:
+    """A config whose g is the randers-bh solver's table, as construct writes it."""
+    cfg = write_cfg(tmp_path, "bh.json", {
+        "n": 3, "metric": {"kind": "randers", "f": "1", "g": "1", "h": "0.4",
+                           "r_domain": [0.3, 0.9]},
+        "construct": CONSTRUCT_INPUTS["randers-bh"]})
+    out = tmp_path / "built.json"
+    assert main(["construct", "--family", "randers-bh", cfg, "--out", str(out)]) == 0
+    return str(out)
+
+
+@pytest.mark.parametrize("name", [p.stem for p in BUNDLED] + ["solved"])
+def test_sample_after_isotropy_writes_the_bytes_of_a_cold_sample(tmp_path, capsys, name):
+    # sample reads the (sigma, f) pair isotropy kept, also where g is a table: the
+    # two commands build their specs apart, from equal tables
+    path = _solved_randers_bh(tmp_path) if name == "solved" else str(ROOT_CONFIGS / f"{name}.json")
+    cold, warm = tmp_path / "cold.csv", tmp_path / "warm.csv"
+    volume._density_and_f.cache_clear()
+    assert main(["sample", path, "--out", str(cold)]) == 0
+    volume._density_and_f.cache_clear()
+    assert main(["verify", "--check", "isotropy", path]) == 0
+    kept = volume._density_and_f.cache_info()
+    assert main(["sample", path, "--out", str(warm)]) == 0
+    after = volume._density_and_f.cache_info()
+    assert (after.hits, after.misses) == (kept.hits + 1, kept.misses)
+    assert warm.read_bytes() == cold.read_bytes()
+    capsys.readouterr()
+
+
+# -- report encoding and table configs ------------------------------------------
+
+_JSON_SCALARS = st.one_of(
+    st.floats(), st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf]),
+    st.integers(), st.booleans(), st.none(),
+    st.text(max_size=6), st.sampled_from(["\u00e9t\u00e9", "\u2202\u03c6", "},\n  {", "\U0001d4ae"]))
+_JSON_KEYS = st.one_of(st.text(max_size=4), st.sampled_from(["per_radius", "grid", "\u00e9", "}"]))
+_FLAT_RECORDS = st.lists(st.dictionaries(_JSON_KEYS, _JSON_SCALARS, min_size=1, max_size=4),
+                         min_size=1, max_size=4)
+_JSON_VALUES = st.recursive(
+    st.one_of(_JSON_SCALARS, _FLAT_RECORDS),
+    lambda kids: st.one_of(st.lists(kids, max_size=4),
+                           st.dictionaries(_JSON_KEYS, kids, max_size=4)),
+    max_leaves=24)
+
+
+@given(_JSON_VALUES)
+@settings(max_examples=200, deadline=None)
+def test_reports_are_the_bytes_of_json_dumps(value):
+    assert cli._report_json(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+def _table_config(tmp_path, entry) -> str:
+    nodes = np.linspace(0.3, 0.9, 5).tolist()
+    values = [1.0, entry, 1.0, 1.0, 1.0]
+    table = {"r_nodes": nodes, "values": values, "derivs": [0.0] * 5,
+             "second_derivs": [0.0] * 5}
+    return write_cfg(tmp_path, "table.json", {
+        "n": 2, "metric": {"kind": "randers", "f": "1", "g": {"table": table}, "h": "0.4",
+                           "r_domain": [0.3, 0.9]}})
+
+
+def _spec_or_error(path: str):
+    try:
+        return cli.build_spec(cli.load_config(path))
+    except cli.ConfigError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("entry, accepted", [
+    (1.5, True), (-0.0, True), (2, True), (10**300, True),
+    (2 * 10**308, False), (-(10**400), False), (True, False), (False, False),
+    (math.nan, False), (math.inf, False), (-math.inf, False), ("1.0", False), (None, False),
+])
+def test_table_columns_accept_what_their_entries_accept_one_by_one(
+        tmp_path, monkeypatch, entry, accepted):
+    # a column of floats is checked as an array, any other column entry by entry;
+    # both give the spec, or the exit-2 message, of the entry-by-entry reading
+    path = _table_config(tmp_path, entry)
+    got = _spec_or_error(path)
+    monkeypatch.setattr(cli, "_finite_column", lambda col: [cli._finite(x) for x in col])
+    want = _spec_or_error(path)
+    assert isinstance(got, str) != accepted
+    assert got == want
+    if not accepted:
+        assert got.startswith("'metric.g' must be an expression string in r"), got

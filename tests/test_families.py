@@ -100,6 +100,25 @@ def test_sampled_function_validation():
         SampledFunction(np.array([1.0, 2.0]), np.array([1.0]), np.array([0.0, 0.0]), np.array([0.0, 0.0]))
 
 
+def test_sampled_functions_from_equal_tables_are_equal_and_hash_alike():
+    nodes = np.linspace(0.5, 2.0, 7)
+    table = [nodes, *poly5_samples(nodes)]
+    one = SampledFunction(*table)
+    two = SampledFunction(*(col.tolist() for col in table))  # as a config's lists
+    assert one is not two and one == two and hash(one) == hash(two)
+    assert randers_spec("1", one, "0.4", 2, (0.5, 2.0)) == randers_spec("1", two, "0.4", 2,
+                                                                       (0.5, 2.0))
+    # the node arrays are read-only copies: the table a caller keeps writing to is not read
+    table[1][3] += 1.0
+    assert one == two and one.values.tobytes() == two.values.tobytes()
+    with pytest.raises(ValueError):
+        one.values[3] = 0.0
+    other = SampledFunction(nodes, table[1], table[2], table[3])
+    assert other != one and one != "a table"
+    assert SampledFunction(nodes, -0.0 * nodes, nodes, nodes) != SampledFunction(
+        nodes, 0.0 * nodes, nodes, nodes)  # bit for bit: the sign of a zero counts
+
+
 def test_sampled_function_extends_by_edge_polynomial():
     nodes = np.linspace(1.0, 2.0, 11)
     fn = SampledFunction(nodes, nodes * 0 + 3.0, nodes * 0, nodes * 0)

@@ -358,17 +358,36 @@ def test_regularity_scan_funk(funk2):
 
 @pytest.mark.parametrize("name", ["funk_n2", "funk_randers_n3", "parallel_ht", "family_k"])
 def test_regularity_scan_evaluates_order2_jets(monkeypatch, name):
-    # the margins and the assembled tensor read no third partial
+    # the margins and the assembled tensor read no third partial, and the margins
+    # no r-partial
     spec = build_spec(load_config(str(BUNDLED / f"{name}.json")))
     raw, orders = geometry._phi_jet_raw, []
 
-    def counted(spec, r, s, order=3):
-        orders.append(order)
-        return raw(spec, r, s, order)
+    def counted(spec, r, s, order=3, r_order=3):
+        orders.append((order, r_order, np.shape(s)))
+        return raw(spec, r, s, order, r_order)
 
     monkeypatch.setattr(geometry, "_phi_jet_raw", counted)
     assert regularity_scan(spec).cholesky_ok is True
-    assert orders and set(orders) == {2}
+    assert orders[0] == (2, 0, (25, 25))
+    assert {order for order, _, _ in orders} == {2}
+
+
+@pytest.mark.parametrize("name", ["funk_n2", "funk_randers_n3", "parallel_ht", "family_k",
+                                  "sqrt(1.2 - r + s^2)"])
+def test_regularity_scan_margins_are_those_of_r_order_3_jets(monkeypatch, name):
+    # the margins read phi, phi_s and phi_ss, which an r-order-0 jet carries bit for bit;
+    # the last profile fails its whole grid (r > 1.2 - s^2), so rows and points run too
+    spec = (general_phi_spec(name, 2, (0.5, 1.5)) if "(" in name
+            else build_spec(load_config(str(BUNDLED / f"{name}.json"))))
+    got = regularity_scan(spec)
+    raw = geometry._phi_jet_raw
+    monkeypatch.setattr(geometry, "_phi_jet_raw",
+                        lambda spec, r, s, order=3, r_order=3: raw(spec, r, s, order))
+    want = regularity_scan(spec)
+    assert got.margins.tobytes() == want.margins.tobytes()
+    assert (got.worst_margin, got.worst_point, got.worst_condition, got.notes) == (
+        want.worst_margin, want.worst_point, want.worst_condition, want.notes)
 
 
 def test_regularity_scan_locates_violation():

@@ -204,3 +204,49 @@ def test_custom_density_must_be_positive(euclid):
     vol = CustomDensity(ScalarFunction.from_text("r - 1"))
     with pytest.raises(Exception):
         f_coefficient(vol, euclid, 0.5)
+
+
+# -- the per-process (sigma, f) cache ------------------------------------------
+
+
+def _refuse_node_jets(*args):
+    raise AssertionError("a node jet was evaluated")
+
+
+@pytest.mark.parametrize("vol", [BH, HT, CONSTANT, CustomDensity(ScalarFunction.from_text(
+    "1/(1 + r^2)^2 + 0.1*exp(r)"))], ids=["bh", "ht", "constant", "custom"])
+def test_a_repeated_density_and_f_call_returns_the_bits_kept_for_its_radii(monkeypatch, vol):
+    spec = general_phi_spec(FUNK_PHI, 3, (0.05, 0.95))
+    r = interior_grid(spec, 7)
+    first = [volume.density_and_f(vol, spec, x) for x in (r, float(r[3]))]
+    monkeypatch.setattr(volume, "_node_jets", _refuse_node_jets)
+    again = [volume.density_and_f(vol, spec, x) for x in (r.tolist(), np.float64(r[3]))]
+    for got, want in zip(again, first):
+        assert [type(v) for v in got] == [type(v) for v in want]
+        assert [np.asarray(v).tobytes() for v in got] == [np.asarray(v).tobytes() for v in want]
+    assert f_coefficient(vol, spec, r).tobytes() == first[0][1].tobytes()
+
+
+def test_writing_to_a_returned_pair_leaves_the_kept_pair_intact(funk2):
+    r = interior_grid(funk2, 5)
+    sigma, f = volume.density_and_f(BH, funk2, r)
+    want = sigma.tobytes(), f.tobytes()
+    sigma[:] = -1.0
+    f[:] = np.nan
+    assert tuple(v.tobytes() for v in volume.density_and_f(BH, funk2, r)) == want
+
+
+def test_a_density_and_f_call_that_raises_is_not_kept(monkeypatch):
+    # phi < 0 for r < 0.5: the node jets at r = 0.3 fail their regularity check
+    spec = general_phi_spec("(r - 0.5)*(0.9 - r)*sqrt(1 + s^2)", 2, (0.1, 1.0))
+    real, calls = volume._node_jets, []
+    monkeypatch.setattr(volume, "_node_jets", lambda *a: calls.append(a) or real(*a))
+    messages, evaluated = [], []
+    for _ in range(2):
+        with pytest.raises(RegularityError) as err:
+            volume.density_and_f(BH, spec, np.array([0.6, 0.3]))
+        messages.append(str(err.value))
+        evaluated.append(len(calls))
+        assert volume._density_and_f.cache_info().currsize == 0
+    assert messages[0] == messages[1]
+    assert 0 < evaluated[0] and evaluated[1] == 2 * evaluated[0]  # evaluated again
