@@ -13,12 +13,22 @@ restricted to integer and half-integer constants; anything else must be
 spelled ``exp(y*log(x))``.
 
 Trees evaluate to :class:`~finslerlab.jets.Jet3` (``eval_jet`` /
-``eval_tree``) by Jet3 arithmetic node by node in post-order, on floats and
-arrays alike; every node checks its exponent, then operates with its domain
-guards, then checks that its jet is finite, and a ``DomainError`` names the
-innermost subexpression it arose in.  A radius function's value is the value
-of its order-2 jet.  ``eval_value`` walks a tree on floats with libm, a
-reference that no evaluation path uses.
+``eval_tree``, and ``eval_trees`` for several trees over one set of
+variable jets) by a flat program over their distinct subtrees, in the
+post-order of each subtree's first occurrence.  Subtrees with the same node
+kind, operator or name, the same bits (``float.hex``) of their constants and
+exponents and the same operand subtrees are computed once, and constants are
+prebuilt jets.  Each step keeps a walk's per-node semantics, on floats and
+arrays alike: it checks its exponent, operates by Jet3 arithmetic with its
+domain guards, then checks that its jet is finite, and a ``DomainError``
+names the innermost subexpression it arose in.  So a program gives the jets,
+coefficient types and errors of a node-by-node walk, and of several trees
+evaluated one by one in order.  A program is built at its trees' first
+evaluation and kept by their identity in a bounded table, never on a tree,
+which pickles, compares and hashes as its fields; a text parsed again gives
+the tree parsed before, and with it its program.  A radius function's value
+is the value of its order-2 jet.  ``eval_value`` walks a tree on floats with
+libm, a reference that no evaluation path uses.
 """
 
 from __future__ import annotations
@@ -26,6 +36,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from operator import add, methodcaller, mul, neg, sub, truediv
 from typing import Mapping, Union
 
 import numpy as np
@@ -206,14 +217,27 @@ class _Parser:
         raise ParseError(f"expected an operand, found {val or 'end of input'!r}", pos)
 
 
+#: parsed trees and programs kept per process; either table is emptied when full
+KEPT = 256
+#: the trees of the texts parsed last, by (text, variables): trees are immutable,
+#: so a text parsed again gives the tree, and the program, it gave before
+_PARSED: dict = {}
+
+
 def parse_expression(text: str, variables) -> ExpressionTree:
     """Parse text over the given subset of the variables r, s, w."""
     allowed = frozenset(variables)
     bad = allowed - set(VARIABLES)
     if bad:
         raise ValueError(f"unsupported variables {sorted(bad)}; choose from {VARIABLES}")
-    root = _Parser(text, allowed).parse()
-    return ExpressionTree(root, allowed)
+    key = (text, allowed)
+    tree = _PARSED.get(key)
+    if tree is None:
+        tree = ExpressionTree(_Parser(text, allowed).parse(), allowed)
+        if len(_PARSED) >= KEPT:
+            _PARSED.clear()
+        _PARSED[key] = tree
+    return tree
 
 
 # -- printing ----------------------------------------------------------------
@@ -284,49 +308,140 @@ def _locate(err: DomainError, node: Node) -> None:
         err.args = (f"{err.args[0]} in '{err.subexpr}'",)
 
 
-def _eval_jet_node(node: Node, env: Mapping[str, Jet3]) -> Jet3:
-    """Jet3 arithmetic on node's subtree, post-order; each node checks its
-    exponent, operates and checks that its jet is finite."""
-    try:
+#: the Jet3 operation of each node: operators and method callers, which look the
+#: method up on the operand's class at every call
+_BINARY = {"+": add, "-": sub, "*": mul, "/": truediv}
+_UNARY = {"neg": neg, **{name: methodcaller(name) for name in FUNCTIONS}}
+
+
+def _bits(v):
+    """A key that bit-identical floats share; any other value is a key of its own."""
+    return v.hex() if type(v) is float else (type(v), id(v))
+
+
+class _Emitter:
+    """Builds a program: every distinct subtree once, in the post-order of its first
+    occurrence.  Subtrees are the same when their node kind, operator or name, the
+    bits of their constants and exponents and their operand slots are."""
+
+    __slots__ = ("index", "init", "inputs", "steps")
+
+    def __init__(self):
+        self.index = {}   # structural key -> slot
+        self.init = []    # per slot: a constant's prebuilt jet, else None
+        self.inputs = []  # (variable name, slot)
+        self.steps = []   # (operation, operand slot, second operand slot or None, node, slot)
+
+    def _new_slot(self, key, jet=None) -> int:
+        slot = self.index[key] = len(self.init)
+        self.init.append(jet)
+        return slot
+
+    def emit(self, node: Node) -> int:
+        """The slot of node's subtree, emitting the subtrees not emitted yet."""
         kind = type(node)
+        if kind is Const:
+            key = ("c", _bits(node.value))
+            slot = self.index.get(key)
+            return self._new_slot(key, Jet3.constant(node.value)) if slot is None else slot
+        if kind is Var:
+            key = ("v", node.name)
+            slot = self.index.get(key)
+            if slot is None:
+                slot = self._new_slot(key)
+                self.inputs.append((node.name, slot))
+            return slot
+        y = None
         if kind is Binary:
-            a = _eval_jet_node(node.left, env)
-            b = _eval_jet_node(node.right, env)
-            op = node.op
-            if op == "+":
-                out = a + b
-            elif op == "-":
-                out = a - b
-            elif op == "*":
-                out = a * b
-            else:
-                out = a / b
-        elif kind is Var:
-            return env[node.name]
-        elif kind is Const:
-            return Jet3.constant(node.value)
+            x, y = self.emit(node.left), self.emit(node.right)
+            key, operation = (node.op, x, y), _BINARY.get(node.op, truediv)
         elif kind is Pow:
-            a = _eval_jet_node(node.base, env)
-            q = node.exponent
-            _check_exponent(q)
-            out = a.powi(int(q)) if q == int(q) else a.powr(q)
+            x, q = self.emit(node.base), node.exponent
+            key, operation = ("^", _bits(q), x), _power(q)
         else:
-            a = _eval_jet_node(node.arg, env)
-            out = -a if node.op == "neg" else getattr(a, node.op)()
-        if not is_finite(out.c):
-            raise DomainError("non-finite result")
-        return out
+            x = self.emit(node.arg)
+            key, operation = (node.op, x), _UNARY.get(node.op) or methodcaller(node.op)
+        slot = self.index.get(key)
+        if slot is None:
+            slot = self._new_slot(key)
+            self.steps.append((operation, x, y, node, slot))
+        return slot
+
+
+def _power(q):
+    """The operation of a Pow node of exponent q: the exponent check, then powi or powr."""
+    def power(base: Jet3) -> Jet3:
+        _check_exponent(q)
+        return base.powi(int(q)) if q == int(q) else base.powr(q)
+
+    return power
+
+
+#: programs by the ids of their trees, which each entry holds, so an id stays its
+#: tree's: id or tuple of ids -> (trees, program)
+_PROGRAMS: dict = {}
+
+
+def _program(key, trees: tuple) -> tuple:
+    """The program of the trees, one output per tree, kept under key: built now
+    unless kept.
+
+    A program is (init, inputs, steps, outputs): the slots' prebuilt constant
+    jets, the variables' slots, the steps in evaluation order and the slot of
+    each tree's root.
+    """
+    kept = _PROGRAMS.get(key)
+    if kept:
+        return kept[1]
+    out = _Emitter()
+    outputs = [out.emit(tree.root) for tree in trees]
+    program = out.init, out.inputs, out.steps, outputs
+    if len(_PROGRAMS) >= KEPT:
+        _PROGRAMS.clear()
+    _PROGRAMS[key] = trees, program
+    return program
+
+
+def _run(program: tuple, env: Mapping[str, Jet3]) -> list:
+    """Every slot of program, its variables bound to env's jets: each step operates,
+    then checks that its jet is finite; a DomainError names the step's subexpression."""
+    init, inputs, steps, _ = program
+    vals = init.copy()
+    for name, slot in inputs:
+        vals[slot] = env[name]
+    try:
+        for operation, x, y, node, slot in steps:
+            out = operation(vals[x]) if y is None else operation(vals[x], vals[y])
+            if not is_finite(out.c):
+                raise DomainError("non-finite result")
+            vals[slot] = out
     except DomainError as err:
         _locate(err, node)
         raise
+    return vals
+
+
+def _check_bound(variables, env) -> None:
+    missing = variables - set(env)
+    if missing:
+        raise DomainError(f"no value bound for variable(s) {sorted(missing)}")
 
 
 def eval_tree(tree: ExpressionTree, env: Mapping[str, Jet3]) -> Jet3:
     """Evaluate to a jet with caller-supplied jets bound to the variables."""
-    missing = tree.variables - set(env)
-    if missing:
-        raise DomainError(f"no value bound for variable(s) {sorted(missing)}")
-    return _eval_jet_node(tree.root, env)
+    _check_bound(tree.variables, env)
+    program = _program(id(tree), (tree,))
+    return _run(program, env)[program[3][0]]
+
+
+def eval_trees(trees, env: Mapping[str, Jet3]) -> list:
+    """The jets of several trees over one env, each distinct subexpression computed
+    once; raises what evaluating the trees one by one in order raises first."""
+    trees = tuple(trees)
+    _check_bound(frozenset().union(*(tree.variables for tree in trees)), env)
+    program = _program(tuple(map(id, trees)), trees)
+    vals = _run(program, env)
+    return [vals[slot] for slot in program[3]]
 
 
 def eval_jet(tree: ExpressionTree, r, s) -> Jet3:

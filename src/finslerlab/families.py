@@ -113,22 +113,28 @@ class SampledFunction:
 
     def _hermite_coefficients(self) -> np.ndarray:
         """Per interval (a column), the coefficients c_k of p(t) = sum c_k t^k matching
-        (v, d1, d2) at both ends, then those of p', p'' and p''' (rows _HORNER_BLOCKS)."""
+        (v, d1, d2) at both ends, then those of p', p'' and p''' (rows _HORNER_BLOCKS).
+        Raises ValueError unless every one is finite: nodal data near the largest
+        float can overflow them."""
         v0, v1 = self.values[:-1], self.values[1:]
         d0, d1 = self.derivs[:-1], self.derivs[1:]
         m0, m1 = self.second_derivs[:-1], self.second_derivs[1:]
         t = np.diff(self.r_nodes)
-        a = v1 - v0 - d0 * t - 0.5 * m0 * t * t
-        b = d1 - d0 - m0 * t
-        c = m1 - m0
-        p = np.array([v0, d0, 0.5 * m0,
-                      (10.0 * a - 4.0 * b * t + 0.5 * c * t * t) / ipow(t, 3),
-                      (-15.0 * a + 7.0 * b * t - c * t * t) / ipow(t, 4),
-                      (6.0 * a - 3.0 * b * t + 0.5 * c * t * t) / ipow(t, 5)])
-        # the j-th derivative's coefficient of t^(k-j) is k (k-1) ... (k-j+1) c_k
-        return np.concatenate([p, p[1:] * [[1.0], [2.0], [3.0], [4.0], [5.0]],
-                               p[2:] * [[2.0], [6.0], [12.0], [20.0]],
-                               p[3:] * [[6.0], [24.0], [60.0]]])
+        with np.errstate(all="ignore"):  # an overflow is reported below, not warned
+            a = v1 - v0 - d0 * t - 0.5 * m0 * t * t
+            b = d1 - d0 - m0 * t
+            c = m1 - m0
+            p = np.array([v0, d0, 0.5 * m0,
+                          (10.0 * a - 4.0 * b * t + 0.5 * c * t * t) / ipow(t, 3),
+                          (-15.0 * a + 7.0 * b * t - c * t * t) / ipow(t, 4),
+                          (6.0 * a - 3.0 * b * t + 0.5 * c * t * t) / ipow(t, 5)])
+            # the j-th derivative's coefficient of t^(k-j) is k (k-1) ... (k-j+1) c_k
+            coef = np.concatenate([p, p[1:] * [[1.0], [2.0], [3.0], [4.0], [5.0]],
+                                   p[2:] * [[2.0], [6.0], [12.0], [20.0]],
+                                   p[3:] * [[6.0], [24.0], [60.0]]])
+        if not np.isfinite(coef).all():
+            raise ValueError("the interpolant's coefficients overflow: nodal data too large")
+        return coef
 
     def _locate(self, r):
         idx = np.searchsorted(self.r_nodes, r, side="right") - 1

@@ -21,9 +21,11 @@ phi_ss are read, for three profile kinds:
 
 Every profile jet is Jet3 arithmetic, on floats and arrays alike: the
 general profile's tree by ``expr.eval_tree``; sqrt(f + g s^2) + h s on the
-radial jets of f, g and h; and the family profile from the r-jet of g (table
-value, integrand derivatives), the two identities, the radicand guard, c2
-and chi.
+radial jets of f, g and h, whose expression trees are one ``expr.eval_trees``
+program on one seed of r (Funk's f = h = 1/(1 - r^2) and g = f^2 share
+1 - r^2, and f and h are one subtree), while a table-backed function keeps
+its own jet; and the family profile from the r-jet of g (table value,
+integrand derivatives), the two identities, the radicand guard, c2 and chi.
 
 Regularity means three pointwise positivity conditions::
 
@@ -48,7 +50,7 @@ from typing import Union
 import numpy as np
 
 from .errors import DomainError, FinslerError, RegularityError
-from .expr import ExpressionTree, ScalarFunction, eval_tree, parse_expression
+from .expr import ExpressionTree, ScalarFunction, eval_tree, eval_trees, parse_expression
 from .jets import Jet3, any_true, ipow, is_finite
 from .quadrature import PanelTable, segment_integral
 
@@ -221,9 +223,24 @@ def regularity_margins(jet: Jet3, r, s):
 
 def _randers_phi_jet(p: RandersProfile, r, s, order: int, r_order: int = 3) -> Jet3:
     """sqrt(f + g s^2) + h s from the radial jets of f, g and h."""
-    fj, gj, hj = (x.jet(r, order, r_order) for x in (p.f, p.g, p.h))
+    fj, gj, hj = _radial_jets((p.f, p.g, p.h), r, order, r_order)
     sj = Jet3.seed(s, ds=1.0, order=order, r_order=r_order)
     return (fj + gj * sj * sj).sqrt() + hj * sj
+
+
+def _radial_jets(fns, r, order: int, r_order: int) -> list:
+    """fn.jet(r, order, r_order) for each fn: the expression trees among them as one
+    program on one seed, any other function (a table) by its own jet.  On an error,
+    what evaluating the functions one by one in order raises first."""
+    trees = [fn.tree for fn in fns if type(fn) is ScalarFunction]
+    try:
+        jets = iter(eval_trees(trees, {"r": Jet3.seed(r, dr=1.0, order=order, r_order=r_order)}))
+        return [next(jets) if type(fn) is ScalarFunction else fn.jet(r, order, r_order)
+                for fn in fns]
+    except Exception:  # of any kind: a table ahead of the failing tree raises first
+        for fn in fns:
+            fn.jet(r, order, r_order)
+        raise
 
 
 # -- Berwald-type family profiles -------------------------------------------
@@ -478,8 +495,8 @@ def embed_point(r: float, s: float, n: int) -> tuple[np.ndarray, np.ndarray]:
 def _cholesky_spots(spec: MetricSpec, report: RegularityReport):
     good = np.argwhere(report.point_valid & report.ok.all(axis=2))
     # skip |s/r| ~ 1 rows where embed_point degenerates
-    good = [idx for idx in good if abs(report.s_fracs[idx[1]]) < 0.999]
-    if not good:
+    good = good[np.abs(report.s_fracs[good[:, 1]]) < 0.999]
+    if not len(good):
         return
     stride = max(1, len(good) // 5)
     all_ok = True

@@ -454,6 +454,15 @@ def reciprocal_taylor(v):
 
 def powr_taylor(v, q: float):
     """Taylor data of x^q for a half-integer q at v > 0: sqrt(v) to the integer 2q."""
+    if type(v) is float and 1e-100 < v < 1e100:
+        # Python floats round as numpy's float64 scalars do; where these overflow,
+        # which numpy would warn of, the numpy path below computes them again
+        f0 = ipow(math.sqrt(v), int(2.0 * q))
+        f1 = q * f0 / v
+        f2 = (q - 1.0) * f1 / v
+        f3 = (q - 2.0) * f2 / v
+        if math.isfinite(f3):
+            return f0, f1, f2, f3
     bad = v <= 0.0
     if any_true(bad):
         raise DomainError(f"power {q} of non-positive value {_fmt(v, bad)}")

@@ -4,9 +4,12 @@ Everything here is deliberately independent of the package internals: finite
 differences never call jet code, the brute-force Randers tensors are assembled
 from textbook formulas, and random inputs are generated from seeded numpy
 Generators so every test run is reproducible.  The one exception is the
-reference jet walker, Jet3 arithmetic node by node, and the reference Randers
-and Berwald-family profile jets built on it, which ``expr.eval_tree`` and the
-profile jets of ``finslerlab.geometry`` must match bit for bit.
+reference jet walker, Jet3 arithmetic node by node in a recursive walk of the
+tree, which the package does not have: ``expr.eval_tree`` runs a flat program
+over a tree's distinct subtrees, and a Randers profile evaluates f, g and h as
+one program.  The programs, and the profile jets of ``finslerlab.geometry``,
+must match the walker and the reference Randers and Berwald-family profile
+jets built on it bit for bit.
 """
 
 from __future__ import annotations
@@ -419,6 +422,13 @@ def stdout_under_blas_cores(script: str, cores=("Haswell",)) -> list:
     """Stdout of ``python -c script`` with the OpenBLAS kernel it picks for this CPU,
     then with each of the named cores (``OPENBLAS_CORETYPE``)."""
     return _stdout_under(script, "OPENBLAS_CORETYPE", ("", *cores))
+
+
+#: a radial table whose values near the largest float overflow its interpolant's
+#: coefficients: a config error naming its key
+OVERFLOWING_TABLE = {"table": {"r_nodes": [0.3, 0.45, 0.6, 0.75, 0.9],
+                               "values": [1, 1e308, 1, 1, 1], "derivs": [0, 0, 0, 0, 0],
+                               "second_derivs": [0, 0, 0, 0, 0]}}
 
 
 # A construct section per family that builds and passes its node audits.

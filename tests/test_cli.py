@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _support import CONSTRUCT_INPUTS, dispatched_simd_targets
+from _support import CONSTRUCT_INPUTS, OVERFLOWING_TABLE, dispatched_simd_targets
 from finslerlab import cli, families, geometry, scurvature, volume
 from finslerlab.cli import CHECKS, CSV_HEADER, SOLVER_STEPS_CAP, main
 from finslerlab.errors import DomainError
@@ -506,6 +506,25 @@ def test_tiny_family_radicand_prints_only_the_numeric_failure(tmp_path):
         assert re.fullmatch(r"numeric failure: family radical g \+ J\*s\^2 is too small: its "
                             r"derivatives overflow at r=1\.05 \(g = \S+e-18\d\)\n",
                             proc.stderr), (command, proc.stderr)
+
+
+@pytest.mark.parametrize("warnings", [[], ["-W", "error::RuntimeWarning"]],
+                         ids=["default", "warnings-fatal"])
+def test_a_table_whose_interpolant_overflows_is_a_config_error_naming_its_key(tmp_path,
+                                                                               warnings):
+    cfg = json.loads((HERE.parent / "configs" / "funk_randers_n3.json").read_text())
+    cfg["metric"]["g"] = OVERFLOWING_TABLE
+    proc = subprocess.run(
+        [sys.executable, *warnings, "-m", "finslerlab", "verify",
+         write_cfg(tmp_path, "overflowing_table.json", cfg), "--check", "isotropy"],
+        capture_output=True, text=True, cwd=str(HERE.parent),
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("config error: 'metric.g' must be ")
+    assert proc.stderr.endswith("(table: the interpolant's coefficients overflow: "
+                                "nodal data too large)\n")
+    assert proc.stderr.count("\n") == 1
 
 
 def test_irregular_grid_point_is_regularity_error(tmp_path, capsys):

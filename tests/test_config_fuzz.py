@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _support import CONSTRUCT_INPUTS
+from _support import CONSTRUCT_INPUTS, OVERFLOWING_TABLE
 from finslerlab.cli import main
 
 HERE = Path(__file__).resolve().parent
@@ -39,7 +39,7 @@ PREFIX = {2: "config error: ", 3: "numeric failure: ", 4: "regularity failure: "
 
 WRONG = ["", "x", "1", "bh", True, False, None, [], [1.0], [2.0, 1.0], ["a", 1.2], {},
          {"table": {}}, float("nan"), float("inf"), float("-inf"), -3, -0.5, 0, 0.0, 2.5,
-         10**18, 10**400]
+         10**18, 10**400, OVERFLOWING_TABLE]
 
 
 def _paths(node, prefix=()):

@@ -1,9 +1,9 @@
 """expr.eval_tree against the reference walker of tests/_support: bits,
 coefficient types and errors, on floats and arrays.
 
-eval_tree is now that walk itself; the tests keep it from drifting, and keep
-their names from when eval_tree ran compiled kernels, so that their ids stay
-comparable between runs.
+eval_tree runs a flat program over the tree's distinct subtrees, which must
+give the walk's jets and errors; the tests keep their names from when
+eval_tree ran compiled kernels, so that their ids stay comparable between runs.
 """
 
 import pickle

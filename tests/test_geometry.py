@@ -390,6 +390,39 @@ def test_regularity_scan_margins_are_those_of_r_order_3_jets(monkeypatch, name):
         want.worst_margin, want.worst_point, want.worst_condition, want.notes)
 
 
+@pytest.mark.parametrize("name", ["funk_n2", "funk_randers_n3", "parallel_ht", "family_k",
+                                  "sqrt(1.2 - r + s^2)"])
+def test_cholesky_spots_are_those_of_the_row_by_row_filter(monkeypatch, name):
+    # every fifth passing point off the |s/r| ~ 1 rows, at most five, as a filter of
+    # the argwhere rows one by one picked them, and the verdict on those points
+    spec = (general_phi_spec(name, 2, (0.5, 1.5)) if "(" in name
+            else build_spec(load_config(str(BUNDLED / f"{name}.json"))))
+    report = regularity_scan(spec)
+    good = [idx for idx in np.argwhere(report.point_valid & report.ok.all(axis=2))
+            if abs(report.s_fracs[idx[1]]) < 0.999]
+    want = [(float(report.r_grid[i]), float(report.r_grid[i] * report.s_fracs[j]))
+            for i, j in good[::max(1, len(good) // 5)][:5]]
+    tensors, assemble = [], geometry.assemble_metric_matrix
+    monkeypatch.setattr(geometry, "assemble_metric_matrix",
+                        lambda spec, x, y: tensors.append((x, y)) or assemble(spec, x, y))
+    report.cholesky_ok = None
+    geometry._cholesky_spots(spec, report)
+    assert len(tensors) == len(want) == 5
+    for (x, y), (r, s) in zip(tensors, want):
+        wx, wy = embed_point(r, s, spec.n)
+        assert x.tobytes() == wx.tobytes() and y.tobytes() == wy.tobytes()
+
+    def positive(x, y):
+        g = assemble(spec, x, y)
+        try:
+            np.linalg.cholesky(0.5 * (g + g.T))
+        except np.linalg.LinAlgError:
+            return False
+        return True
+
+    assert report.cholesky_ok is all(positive(x, y) for x, y in tensors)
+
+
 def test_regularity_scan_locates_violation():
     # f=1, g=0, h=1.2: |beta|^2 = 1.44 r^2 / 1 >= 1 for r >= 1/1.2
     spec = randers_spec("1", "0", "1.2", 2, (0.5, 1.1))

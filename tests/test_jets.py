@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from _support import dispatched_simd_targets, reference_compose, stdout_with_and_without_simd
 from finslerlab.errors import DomainError
 from finslerlab.expr import ScalarFunction
-from finslerlab.jets import INDICES, SIZE, Jet3, _sqrt_taylor, is_finite
+from finslerlab.jets import INDICES, SIZE, Jet3, _sqrt_taylor, is_finite, powr_taylor
 
 _POS = {ab: k for k, ab in enumerate(INDICES)}
 #: the Leibniz rule slot by slot: for each slot of INDICES, its (x slot, y slot,
@@ -258,6 +258,25 @@ def test_sqrt_of_a_float_rounds_as_numpy_float64_does():
         fast = _sqrt_taylor(v)
         assert all(type(f) is float for f in fast)
         assert [f.hex() for f in fast] == [float(f).hex() for f in _sqrt_taylor(np.float64(v))]
+
+
+_HALF_INTEGERS = (-7.5, -2.5, -1.5, -0.5, 0.5, 1.5, 2.5, 7.5, -60.5, 60.5)
+
+
+@given(st.one_of(st.floats(min_value=1e-100, max_value=1e100, exclude_min=True, exclude_max=True),
+                 st.sampled_from((math.nextafter(1e-100, 1.0), math.nextafter(1e100, 0.0),
+                                  1e-100, 1e100, 1.0))),
+       st.sampled_from(_HALF_INTEGERS))
+@settings(max_examples=300, deadline=None)
+def test_half_integer_powers_of_a_float_round_as_numpy_float64_does(v, q):
+    # Python floats serve values inside (1e-100, 1e100) unless the data overflow there;
+    # the ends of the range, and any overflow, take numpy's float64 scalars
+    with np.errstate(all="ignore"):  # the numpy path warns of the overflow it shares
+        fast = powr_taylor(v, q)
+        want = powr_taylor(np.float64(v), q)
+    assert [float(f).hex() for f in fast] == [float(f).hex() for f in want]
+    inside = 1e-100 < v < 1e100 and all(math.isfinite(f) for f in want)
+    assert all(type(f) is float for f in fast) == inside
 
 
 def test_is_finite_flags_bad_values():
