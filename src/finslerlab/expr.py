@@ -13,8 +13,7 @@ restricted to integer and half-integer constants; anything else must be
 spelled ``exp(y*log(x))``.
 
 Trees evaluate to :class:`~finslerlab.jets.Jet3` (``eval_jet`` /
-``eval_tree``, and ``eval_trees`` for several trees over one set of
-variable jets) by a flat program over their distinct subtrees, in the
+``eval_tree``) by a flat program over their distinct subtrees, in the
 post-order of each subtree's first occurrence.  Subtrees with the same node
 kind, operator or name, the same bits (``float.hex``) of their constants and
 exponents and the same operand subtrees are computed once, and constants are
@@ -29,6 +28,12 @@ which pickles, compares and hashes as its fields; a text parsed again gives
 the tree parsed before, and with it its program.  A radius function's value
 is the value of its order-2 jet.  ``eval_value`` walks a tree on floats with
 libm, a reference that no evaluation path uses.
+
+Radius functions, ScalarFunctions of r and tables with their own ``value``
+and ``jet``, are lifted from numbers and strings by ``radius_function`` and
+read by ``radial_jets``, their trees as one program on one seed of r: the
+Randers profile jet, ``randers.randers_coefficients`` (every Randers
+condition and closed form) and ``families.bh_solve_g`` read f, g, h there.
 """
 
 from __future__ import annotations
@@ -378,18 +383,18 @@ def _power(q):
 
 
 #: programs by the ids of their trees, which each entry holds, so an id stays its
-#: tree's: id or tuple of ids -> (trees, program)
+#: tree's: tuple of ids -> (trees, program)
 _PROGRAMS: dict = {}
 
 
-def _program(key, trees: tuple) -> tuple:
-    """The program of the trees, one output per tree, kept under key: built now
-    unless kept.
+def _program(trees: tuple) -> tuple:
+    """The program of the trees, one output per tree: built now unless kept.
 
     A program is (init, inputs, steps, outputs): the slots' prebuilt constant
     jets, the variables' slots, the steps in evaluation order and the slot of
     each tree's root.
     """
+    key = (id(trees[0]),) if len(trees) == 1 else tuple(map(id, trees))  # eval_tree's is hot
     kept = _PROGRAMS.get(key)
     if kept:
         return kept[1]
@@ -403,9 +408,9 @@ def _program(key, trees: tuple) -> tuple:
 
 
 def _run(program: tuple, env: Mapping[str, Jet3]) -> list:
-    """Every slot of program, its variables bound to env's jets: each step operates,
+    """The output jets of program, its variables bound to env's jets: each step operates,
     then checks that its jet is finite; a DomainError names the step's subexpression."""
-    init, inputs, steps, _ = program
+    init, inputs, steps, outputs = program
     vals = init.copy()
     for name, slot in inputs:
         vals[slot] = env[name]
@@ -418,7 +423,7 @@ def _run(program: tuple, env: Mapping[str, Jet3]) -> list:
     except DomainError as err:
         _locate(err, node)
         raise
-    return vals
+    return [vals[slot] for slot in outputs]
 
 
 def _check_bound(variables, env) -> None:
@@ -430,18 +435,7 @@ def _check_bound(variables, env) -> None:
 def eval_tree(tree: ExpressionTree, env: Mapping[str, Jet3]) -> Jet3:
     """Evaluate to a jet with caller-supplied jets bound to the variables."""
     _check_bound(tree.variables, env)
-    program = _program(id(tree), (tree,))
-    return _run(program, env)[program[3][0]]
-
-
-def eval_trees(trees, env: Mapping[str, Jet3]) -> list:
-    """The jets of several trees over one env, each distinct subexpression computed
-    once; raises what evaluating the trees one by one in order raises first."""
-    trees = tuple(trees)
-    _check_bound(frozenset().union(*(tree.variables for tree in trees)), env)
-    program = _program(tuple(map(id, trees)), trees)
-    vals = _run(program, env)
-    return [vals[slot] for slot in program[3]]
+    return _run(_program((tree,)), env)[0]
 
 
 def eval_jet(tree: ExpressionTree, r, s) -> Jet3:
@@ -506,9 +500,7 @@ def _eval_value_node(node: Node, env: Mapping[str, float]) -> float:
 def eval_value(tree: ExpressionTree, env: Mapping[str, float]) -> float:
     """The tree's value on floats, walked node by node with libm (a reference:
     evaluation goes through jets)."""
-    missing = tree.variables - set(env)
-    if missing:
-        raise DomainError(f"no value bound for variable(s) {sorted(missing)}")
+    _check_bound(tree.variables, env)
     v = _eval_value_node(tree.root, env)
     if not math.isfinite(v):
         raise DomainError(f"non-finite result in '{to_string(tree)}'")
@@ -547,3 +539,28 @@ class ScalarFunction:
     def __str__(self) -> str:
         return to_string(self.tree)
 
+
+def radius_function(obj):
+    """obj as a radius function: a number is a constant, a string an expression in r,
+    and anything else (a ScalarFunction, a table with ``value`` and ``jet``) itself."""
+    if isinstance(obj, (int, float)):
+        return ScalarFunction.constant(float(obj))
+    if isinstance(obj, str):
+        return ScalarFunction.from_text(obj)
+    return obj
+
+
+def radial_jets(fns, r, order: int = 3, r_order: int = 3) -> list:
+    """fn.jet(r, order, r_order) for each radius function fn: the trees among them as
+    one program on one seed of r, a table by its own jet.  On an error, what
+    evaluating the functions one by one in order raises first."""
+    trees = tuple(fn.tree for fn in fns if type(fn) is ScalarFunction)
+    try:
+        jets = iter(_run(_program(trees),
+                         {"r": Jet3.seed(r, dr=1.0, order=order, r_order=r_order)}))
+        return [next(jets) if type(fn) is ScalarFunction else fn.jet(r, order, r_order)
+                for fn in fns]
+    except Exception:  # of any kind: a table ahead of the failing tree raises first
+        for fn in fns:
+            fn.jet(r, order, r_order)
+        raise

@@ -41,7 +41,7 @@ from .errors import (
     DomainError,
     RegularityError,
 )
-from .expr import ExpressionTree, ScalarFunction, parse_expression
+from .expr import ExpressionTree, ScalarFunction, parse_expression, radial_jets, radius_function
 from .geometry import (
     BerwaldFamilyProfile,
     MetricSpec,
@@ -61,15 +61,6 @@ from .randers import (RandersCoefficients, admissibility_margin, check_admissibl
 BH_NODE_TOL = 1e-8
 #: enforced bound on the independent node audit of ht_solve_h solutions
 HT_NODE_TOL = 1e-9
-
-
-def _as_radial_fn(obj):
-    """Lift numbers and expression strings to radius functions."""
-    if isinstance(obj, (int, float)):
-        return ScalarFunction.constant(float(obj))
-    if isinstance(obj, str):
-        return ScalarFunction.from_text(obj)
-    return obj
 
 
 # -- sampled profiles --------------------------------------------------------
@@ -275,7 +266,7 @@ def family_pde_residual(c2, r, s, jet):
     it reads of the spec; degenerate fixtures (odd or sign-changing profiles)
     pass ``phi_jet_unchecked``.
     """
-    c2 = _as_radial_fn(c2)
+    c2 = radius_function(c2)
     r_a = np.asarray(r, dtype=float)
     s_a = np.asarray(s, dtype=float)
     c2v = np.asarray(c2.value(r_a))
@@ -300,7 +291,7 @@ def spray_system_residual(c1, c2, b, c, r, s, jet):
     P = c phi + b s.  ``jet`` is the caller's profile jet at (r, s), all they
     read of the spec, as for ``family_pde_residual``.
     """
-    c1, c2, b, c = (_as_radial_fn(v) for v in (c1, c2, b, c))
+    c1, c2, b, c = (radius_function(v) for v in (c1, c2, b, c))
     r_a = np.asarray(r, dtype=float)
     s_a = np.asarray(s, dtype=float)
     phi = jet.d(0, 0)
@@ -340,7 +331,7 @@ class BhClassification:
 
 
 def bh_classification_residuals(f, g, h, r) -> BhClassification:
-    d = randers_coefficients(*(_as_radial_fn(v) for v in (f, g, h)), r)
+    d = randers_coefficients(*map(radius_function, (f, g, h)), r)
     r, f_v, fp, g_v, gp, h_v, hp = d.r, d.f, d.f_d1, d.g, d.g_d1, d.h, d.h_d1
     c = d.u1 / (2.0 * f_v)
     res1 = d.u1 - 2.0 * c * f_v
@@ -363,7 +354,7 @@ def ht_condition_residual(c_const: float, g, h, r):
     admissibility is checked.
     """
     _, f = _c_over_r2(c_const)
-    d = randers_coefficients(f, _as_radial_fn(g), _as_radial_fn(h), r)
+    d = randers_coefficients(f, radius_function(g), radius_function(h), r)
     return ht_condition_residual_of(c_const, d)
 
 
@@ -428,9 +419,9 @@ def bh_solve_g(f, h, g_at_r0: float, r_range, steps: int = 400, r0=None) -> OdeS
     g0 = float(g_at_r0)
     if not math.isfinite(g0):
         raise DomainError(f"g_at_r0 must be finite, got {g0!r}")
-    f, h = _as_radial_fn(f), _as_radial_fn(h)
+    fns = radius_function(f), radius_function(h)
     nodes, step, i0 = _uniform_nodes(r_range, steps, r0)
-    fj, hj = f.jet(nodes, order=2), h.jet(nodes, order=2)
+    fj, hj = radial_jets(fns, nodes, 2)
     f_nodes = np.broadcast_to(fj.value, nodes.shape)
     h_nodes = np.broadcast_to(hj.value, nodes.shape)
     scale = 1.0 + float(np.max(np.abs(f_nodes)))
@@ -508,7 +499,7 @@ def ht_solve_h(c_const: float, g, h_at_r0: float, r_range, steps: int = 1600, r0
         raise DomainError(f"c must be a positive finite constant, got {c_const!r}")
     if not math.isfinite(h0):
         raise DomainError(f"h_at_r0 must be finite, got {h0!r}")
-    g = _as_radial_fn(g)
+    g = radius_function(g)
     nodes, step, i0 = _uniform_nodes(r_range, steps, r0)
     gj = g.jet(nodes, order=2)
     g_nodes, gp_nodes = np.asarray(gj.d(0, 0)), np.asarray(gj.d(1, 0))
@@ -599,7 +590,7 @@ def build_berwald_family(c2, chi, r0: float, domain, n: int) -> FamilyBuildResul
     stays below 1e-8 there; the Douglas fit on that grid is bundled as a
     diagnostic.
     """
-    c2 = _as_radial_fn(c2)
+    c2 = radius_function(c2)
     if not isinstance(c2, ScalarFunction):
         raise TypeError("c2 must be a closed-form radius function")
     if isinstance(chi, str):

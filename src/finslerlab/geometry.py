@@ -21,11 +21,10 @@ phi_ss are read, for three profile kinds:
 
 Every profile jet is Jet3 arithmetic, on floats and arrays alike: the
 general profile's tree by ``expr.eval_tree``; sqrt(f + g s^2) + h s on the
-radial jets of f, g and h, whose expression trees are one ``expr.eval_trees``
-program on one seed of r (Funk's f = h = 1/(1 - r^2) and g = f^2 share
-1 - r^2, and f and h are one subtree), while a table-backed function keeps
-its own jet; and the family profile from the r-jet of g (table value,
-integrand derivatives), the two identities, the radicand guard, c2 and chi.
+radial jets of f, g and h, read as one program by ``expr.radial_jets`` (a
+table keeps its own jet); and the family profile from the r-jet of g (table
+value, integrand derivatives; a DomainError where it is not finite), the two
+identities, the radicand guard, c2 and chi.
 
 Regularity means three pointwise positivity conditions::
 
@@ -50,7 +49,8 @@ from typing import Union
 import numpy as np
 
 from .errors import DomainError, FinslerError, RegularityError
-from .expr import ExpressionTree, ScalarFunction, eval_tree, eval_trees, parse_expression
+from .expr import (ExpressionTree, ScalarFunction, eval_tree, parse_expression, radial_jets,
+                   radius_function)
 from .jets import Jet3, any_true, ipow, is_finite
 from .quadrature import PanelTable, segment_integral
 
@@ -116,8 +116,8 @@ def general_phi_spec(phi, n: int, r_domain=(1e-3, 1.0)) -> MetricSpec:
 
 
 def randers_spec(f, g, h, n: int, r_domain=(1e-3, 1.0)) -> MetricSpec:
-    f, g, h = (ScalarFunction.from_text(v) if isinstance(v, str) else v for v in (f, g, h))
-    return MetricSpec(RandersProfile(f, g, h), n, tuple(map(float, r_domain)))
+    profile = RandersProfile(*map(radius_function, (f, g, h)))
+    return MetricSpec(profile, n, tuple(map(float, r_domain)))
 
 
 def s_fractions(count: int) -> np.ndarray:
@@ -223,24 +223,9 @@ def regularity_margins(jet: Jet3, r, s):
 
 def _randers_phi_jet(p: RandersProfile, r, s, order: int, r_order: int = 3) -> Jet3:
     """sqrt(f + g s^2) + h s from the radial jets of f, g and h."""
-    fj, gj, hj = _radial_jets((p.f, p.g, p.h), r, order, r_order)
+    fj, gj, hj = radial_jets((p.f, p.g, p.h), r, order, r_order)
     sj = Jet3.seed(s, ds=1.0, order=order, r_order=r_order)
     return (fj + gj * sj * sj).sqrt() + hj * sj
-
-
-def _radial_jets(fns, r, order: int, r_order: int) -> list:
-    """fn.jet(r, order, r_order) for each fn: the expression trees among them as one
-    program on one seed, any other function (a table) by its own jet.  On an error,
-    what evaluating the functions one by one in order raises first."""
-    trees = [fn.tree for fn in fns if type(fn) is ScalarFunction]
-    try:
-        jets = iter(eval_trees(trees, {"r": Jet3.seed(r, dr=1.0, order=order, r_order=r_order)}))
-        return [next(jets) if type(fn) is ScalarFunction else fn.jet(r, order, r_order)
-                for fn in fns]
-    except Exception:  # of any kind: a table ahead of the failing tree raises first
-        for fn in fns:
-            fn.jet(r, order, r_order)
-        raise
 
 
 # -- Berwald-type family profiles -------------------------------------------
@@ -280,7 +265,12 @@ def _family_phi_jet(spec: MetricSpec, r, s, order: int, r_order: int = 3) -> Jet
                        (Jet3.radial(j.r_partials(), order, cut) for j in (rj, inv_r)))
         i1_prime = 2.0 * inv_r1 - 4.0 * (rj1.powi(3) * p.c2.jet(r, order, cut))
         g_derivs[1:] = i1_prime.r_partials()
-    g_jet = Jet3.radial(g_derivs, order, r_order).exp()
+    with np.errstate(over="ignore", invalid="ignore"):  # a large I1 is reported below
+        g_jet = Jet3.radial(g_derivs, order, r_order).exp()
+    if not is_finite(g_jet.c):
+        bad = sum(~np.isfinite(c) for c in g_jet.c if c is not None) > 0
+        at = np.broadcast_to(np.asarray(r, dtype=float), np.shape(bad)).flat[np.argmax(bad)]
+        raise DomainError(f"family g = exp(I1) is not finite at r={float(at)!r}")
     inv_r0 = 1.0 / p.r0
     J_jet = inv_r0 * inv_r0 - g_jet * (inv_r * inv_r)
     sj = Jet3.seed(s, ds=1.0, order=order, r_order=r_order)

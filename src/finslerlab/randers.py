@@ -3,10 +3,11 @@
 The Riemannian part is a_ij = f(r) d_ij + g(r) x_i x_j and the 1-form is
 b_i = h(r) x_i, so phi(r, s) = sqrt(f + g s^2) + h s.  One radial bundle,
 ``randers_coefficients`` (floats or arrays of radii), holds the values and
-first r-derivatives of f, g, h, q = f + r^2 g, u1, u2, ||beta||^2 and rho'.
-From it come the connection of alpha, the covariant drift of beta, the
-closed-form S-curvature and densities, and the condition checks -- an
-independent pipeline cross-checked against the quadrature-based one.
+first r-derivatives of f, g, h (one ``expr.radial_jets`` read), q = f + r^2 g,
+u1, u2, ||beta||^2 and rho'.  From it come the connection of alpha, the
+covariant drift of beta, the closed-form S-curvature and densities, and the
+condition checks -- an independent pipeline cross-checked against the
+quadrature-based one.
 
 Because beta is closed (b_i is a radial gradient), the antisymmetric part
 of b_{i;j} vanishes identically; the symmetric part has the rank-two shape
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .expr import ScalarFunction
+from .expr import ScalarFunction, radial_jets
 from .jets import any_true, ipow
 from .volume import BH, HT, VOLUMES
 
@@ -76,11 +77,11 @@ class RandersCoefficients:
 def randers_coefficients(f, g, h, r) -> RandersCoefficients:
     """The radial Randers data of the profiles f, g, h at r, a float or a 1-D array.
 
-    Reads order-2, r-order-1 jets of f, g and h.  Raises DomainError where the
-    data is not admissible (see check_admissible).
+    Reads the order-2, r-order-1 jets of f, g and h as one ``radial_jets`` call.
+    Raises DomainError where the data is not admissible (see check_admissible).
     """
     r = float(r) if np.ndim(r) == 0 else np.asarray(r, dtype=float)
-    fj, gj, hj = (x.jet(r, 2, 1) for x in (f, g, h))
+    fj, gj, hj = radial_jets((f, g, h), r, 2, 1)
     f_v, fp = fj.d(0, 0), fj.d(1, 0)
     g_v, gp = gj.d(0, 0), gj.d(1, 0)
     h_v, hp = hj.d(0, 0), hj.d(1, 0)

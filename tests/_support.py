@@ -6,10 +6,12 @@ from textbook formulas, and random inputs are generated from seeded numpy
 Generators so every test run is reproducible.  The one exception is the
 reference jet walker, Jet3 arithmetic node by node in a recursive walk of the
 tree, which the package does not have: ``expr.eval_tree`` runs a flat program
-over a tree's distinct subtrees, and a Randers profile evaluates f, g and h as
-one program.  The programs, and the profile jets of ``finslerlab.geometry``,
-must match the walker and the reference Randers and Berwald-family profile
-jets built on it bit for bit.
+over a tree's distinct subtrees, and every reader of radial data (the Randers
+profile jet, ``randers.randers_coefficients`` and ``families.bh_solve_g``)
+takes the jets of f, g and h through ``expr.radial_jets``, their trees as one
+program.  The programs, and the profile jets of ``finslerlab.geometry``, must
+match the walker, per-function ``.jet`` calls and the reference Randers and
+Berwald-family profile jets built on it bit for bit.
 """
 
 from __future__ import annotations

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _support import CONSTRUCT_INPUTS, OVERFLOWING_TABLE, dispatched_simd_targets
-from finslerlab import cli, families, geometry, scurvature, volume
+from finslerlab import cli, expr, families, geometry, scurvature, volume
 from finslerlab.cli import CHECKS, CSV_HEADER, SOLVER_STEPS_CAP, main
 from finslerlab.errors import DomainError
 from finslerlab.expr import ScalarFunction
@@ -527,6 +527,23 @@ def test_a_table_whose_interpolant_overflows_is_a_config_error_naming_its_key(tm
     assert proc.stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize("warnings", [[], ["-W", "error::RuntimeWarning"]],
+                         ids=["default", "warnings-fatal"])
+def test_a_family_g_that_overflows_at_a_radius_is_one_numeric_failure(tmp_path, warnings):
+    # over [0.8, 1e18] the table's I1 overflows exp between its nodes, at a verify radius
+    cfg = json.loads((HERE.parent / "configs" / "family_k.json").read_text())
+    cfg["metric"]["r_domain"] = [0.8, 1e18]
+    proc = subprocess.run(
+        [sys.executable, *warnings, "-m", "finslerlab", "verify",
+         write_cfg(tmp_path, "wide_family.json", cfg), "--check", "douglas"],
+        capture_output=True, text=True, cwd=str(HERE.parent),
+    )
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr == ("numeric failure: family g = exp(I1) is not finite "
+                           "at r=1.0374999999999999\n")
+
+
 def test_irregular_grid_point_is_regularity_error(tmp_path, capsys):
     # constant volume so the grid evaluation, not the density quadrature,
     # is first to see the sign change
@@ -636,13 +653,14 @@ def test_ht_parallel_takes_the_jets_of_g_and_h_once(tmp_path, capsys, monkeypatc
     metric = {"kind": "randers", "f": "1/r^2", "g": "0", "h": "0.5/r^2", "r_domain": [0.5, 3.0]}
     cfg = write_cfg(tmp_path, "ht.json", {"n": 3, "volume": "ht", "metric": metric,
                                          "grid": {"r_min": 0.8, "r_max": 2.5, "r_count": 9}})
-    real, taken = ScalarFunction.jet, []
+    # every evaluation of expression trees, alone or as one program, takes their program
+    real, taken = expr._program, []
 
-    def counted(fn, r, *args):
-        taken.append(str(fn))
-        return real(fn, r, *args)
+    def counted(trees):
+        taken.extend(map(str, trees))
+        return real(trees)
 
-    monkeypatch.setattr(ScalarFunction, "jet", counted)
+    monkeypatch.setattr(expr, "_program", counted)
     assert main(["verify", "--check", "ht-parallel", cfg]) == 0
     g, h = (str(ScalarFunction.from_text(metric[k])) for k in ("g", "h"))
     assert taken.count(g) == taken.count(h) == 1, taken

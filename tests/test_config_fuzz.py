@@ -16,7 +16,7 @@ import os
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _support import CONSTRUCT_INPUTS, OVERFLOWING_TABLE
@@ -72,7 +72,13 @@ def work(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
 
 
+#: family_k with r_domain [0.8, 1e18]: g = exp(I1) overflows at a verify radius
+_FAMILY_WIDE_DOMAIN = (BASES[0][0], ("metric", "r_domain", 1),
+                       _replace(BASES[0][1], ("metric", "r_domain", 1), 10**18))
+
+
 @given(mutations())
+@example(_FAMILY_WIDE_DOMAIN)
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 def test_one_wrong_value_ends_in_a_documented_exit(work, case):
     argv, path, body = case

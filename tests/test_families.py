@@ -11,7 +11,7 @@ from numpy.polynomial import Polynomial
 from _support import (dispatched_simd_targets, stdout_under_blas_cores,
                       stdout_with_and_without_simd)
 from conftest import FUNK_RANDERS, interior_grid
-from finslerlab import quadrature
+from finslerlab import expr, families, quadrature
 from finslerlab.errors import (
     CrossCheckError,
     DegenerateInputError,
@@ -225,6 +225,21 @@ def test_bh_solve_reproduces_funk():
     want = 1.0 / (1.0 - sol.r_nodes**2) ** 2
     np.testing.assert_allclose(sol.values, want, rtol=1e-13)
     assert sol.max_node_residual <= 1e-8
+
+
+def test_bh_solve_reads_f_and_h_of_one_text_as_one_radial_jet(monkeypatch):
+    runs = []
+    run = expr._run
+    monkeypatch.setattr(expr, "_run", lambda program, env: runs.append(program) or run(program, env))
+    g0 = 1.0 / (1.0 - 0.25) ** 2
+    sol = bh_solve_g("1/(1 - r^2)", "1/(1 - r^2)", g0, (0.3, 0.7), steps=400, r0=0.5)
+    [(_, _, steps, outputs)] = runs
+    assert len(steps) == 3 and outputs[0] == outputs[1]  # r^2, 1 - r^2 and 1/(1 - r^2), once
+    monkeypatch.setattr(families, "radial_jets", lambda fns, r, order: [fn.jet(r, order)
+                                                                        for fn in fns])
+    alone = bh_solve_g("1/(1 - r^2)", "1/(1 - r^2)", g0, (0.3, 0.7), steps=400, r0=0.5)
+    for key in ("values", "derivs", "second_derivs", "node_residuals"):
+        assert getattr(sol, key).tobytes() == getattr(alone, key).tobytes(), key
 
 
 def test_bh_solve_rejects_zero_h():

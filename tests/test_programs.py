@@ -1,16 +1,17 @@
 """Evaluation programs against the reference walker of tests/_support.
 
-``expr.eval_tree`` runs a flat program over a tree's distinct subtrees, and a
-Randers profile evaluates the expression trees of f, g and h as one program.
-These tests draw trees whose subtrees repeat, as shared nodes and as equal
-copies, and hold the programs to a node-by-node walk and to per-function
-``.jet`` calls: bits, coefficient types and errors, on floats and arrays.
+``expr.eval_tree`` runs a flat program over a tree's distinct subtrees, and
+``expr.radial_jets``, the reader of a set of radius functions, runs the
+expression trees among them as one program.  These tests draw trees whose
+subtrees repeat, as shared nodes and as equal copies, and hold the programs to
+a node-by-node walk and to per-function ``.jet`` calls: bits, coefficient
+types and errors, on floats and arrays, through the reader and the Randers
+profile jet, Randers data and BH classification that read through it.
 """
 
 import copy
 import math
 import pickle
-import re
 
 import numpy as np
 import pytest
@@ -21,9 +22,10 @@ from _support import _reference_radial_jet, reference_eval_tree
 from finslerlab import expr, geometry
 from finslerlab.errors import DomainError
 from finslerlab.expr import (FUNCTIONS, Binary, Const, ExpressionTree, Pow, ScalarFunction, Unary,
-                             Var, eval_tree, eval_trees, parse_expression)
-from finslerlab.families import SampledFunction
+                             Var, eval_tree, parse_expression, radial_jets)
+from finslerlab.families import SampledFunction, bh_classification_residuals
 from finslerlab.jets import Jet3
+from finslerlab.randers import randers_coefficients
 
 # integer and half-integer exponents, and one the exponent check rejects
 _EXPONENTS = (-2.0, -1.0, 0.0, 1.0, 2.0, 3.0, -1.5, -0.5, 0.5, 1.5, 0.25)
@@ -111,19 +113,15 @@ def test_a_program_over_shared_subtrees_equals_the_walk(tree, order, shape, poin
     _assert_same(_outcome(eval_tree, tree, env), _outcome(reference_eval_tree, tree, env))
 
 
-@given(st.lists(_trees(("r", "s")), min_size=1, max_size=4), st.sampled_from((2, 3)), _SHAPES,
-       st.integers(0, 40))
+@given(st.lists(_trees(("r",)), min_size=1, max_size=4), st.sampled_from((2, 3)),
+       st.sampled_from((0, 1, 3)), st.one_of(st.none(), st.integers(0, 40)))
 @settings(max_examples=120, deadline=None)
-def test_several_trees_in_one_program_equal_their_walks_in_order(trees, order, shape, point):
+def test_several_trees_in_one_program_equal_their_walks_in_order(trees, order, r_order, point):
     # equal copies of one subtree across the trees are one subtree of the program
-    trees = [*trees, copy.deepcopy(trees[0])]
-    r, s = _rs(shape, point)
-    env = {"r": Jet3.seed(r, dr=1.0, order=order), "s": Jet3.seed(s, ds=1.0, order=order)}
-
-    def walks(trees, env):
-        return [reference_eval_tree(tree, env) for tree in trees]
-
-    _assert_same(_outcome(eval_trees, trees, env), _outcome(walks, trees, env))
+    fns = [ScalarFunction(tree) for tree in (*trees, copy.deepcopy(trees[0]))]
+    r = _R if point is None else float(_R[point])
+    _assert_same(_outcome(radial_jets, fns, r, order, r_order),
+                 _outcome(_walked, fns, r, order, r_order))
 
 
 def test_a_repeated_subtree_is_computed_once(monkeypatch):
@@ -146,7 +144,7 @@ def test_constants_and_exponents_of_other_bits_are_other_subtrees():
     for value in (0.3, np.array([0.3, 0.7])):
         env = {"r": Jet3.seed(value, dr=1.0)}
         _assert_same(eval_tree(tree, env).c, reference_eval_tree(tree, env).c)
-    init, inputs, steps, _ = expr._PROGRAMS[id(tree)][1]
+    init, inputs, steps, _ = expr._PROGRAMS[(id(tree),)][1]
     assert [jet.value for jet in init if jet is not None] == [0.0, -0.0]
     assert [math.copysign(1.0, jet.value) for jet in init if jet is not None] == [1.0, -1.0]
     # r + 0.0, r + -0.0, their product, r^0.5 once, the sum, r^-0.5, the sum, the root
@@ -160,9 +158,9 @@ def test_a_text_parsed_again_gives_its_tree_and_program():
     assert parse_expression(text, {"r", "s", "w"}) is not tree
     env = {"r": Jet3.seed(0.2, dr=1.0), "s": Jet3.seed(0.1, ds=1.0)}
     eval_tree(tree, env)
-    kept = expr._PROGRAMS[id(tree)]
+    kept = expr._PROGRAMS[(id(tree),)]
     eval_tree(parse_expression(text, {"r", "s"}), env)
-    assert expr._PROGRAMS[id(tree)] is kept
+    assert expr._PROGRAMS[(id(tree),)] is kept
     again = pickle.loads(pickle.dumps(tree))
     assert again == tree and again is not tree and hash(again) == hash(tree)
 
@@ -178,7 +176,7 @@ def test_the_kept_tables_are_bounded():
     assert eval_tree(tree, env).c == reference_eval_tree(tree, env).c
 
 
-# -- Randers profiles: f, g and h as one program ---------------------------------------
+# -- radius functions: f, g and h as one program ---------------------------------------
 
 _NODES = np.linspace(0.05, 0.95, 10)
 SAMPLED = SampledFunction(_NODES, 1.0 + 0.3 * _NODES**2, 0.6 * _NODES, 0.6 + 0.0 * _NODES)
@@ -211,7 +209,7 @@ def _walked(fns, r, order, r_order):
 def test_randers_radial_program_equals_each_functions_jet(f, g, h, order, r_order, point):
     r = _R if point is None else float(_R[point])
     fns = (f, g, h)
-    got = _outcome(geometry._radial_jets, fns, r, order, r_order)
+    got = _outcome(radial_jets, fns, r, order, r_order)
     _assert_same(got, _outcome(_one_by_one, fns, r, order, r_order))
     _assert_same(got, _outcome(_walked, fns, r, order, r_order))
 
@@ -219,6 +217,14 @@ def test_randers_radial_program_equals_each_functions_jet(f, g, h, order, r_orde
 _GOOD, _BAD_F, _BAD_G, _BAD_H = (ScalarFunction.from_text(t) for t in (
     "1/(1 - r^2)", "log(r - 2)/(1 - r^2)", "1/(1 - r^2)^2 + sqrt(r - 3)",
     "1/(1 - r^2) + 1/(r - r)"))
+
+
+def _phi_jet(fns, order, r_order):
+    spec = geometry.MetricSpec(geometry.RandersProfile(*fns), 3, (0.05, 0.95))
+    return geometry.phi_jet(spec, 0.5, 0.1, order, r_order)
+
+
+_PROFILE_READERS = (lambda fns, order, r_order: radial_jets(fns, 0.5, order, r_order), _phi_jet)
 
 
 @pytest.mark.parametrize("fns, message", [
@@ -233,17 +239,22 @@ _GOOD, _BAD_F, _BAD_G, _BAD_H = (ScalarFunction.from_text(t) for t in (
     ((_Raising(), ScalarFunction.from_text("exp(1e200*r)"), _GOOD), "the table refuses"),
 ], ids=["f", "g", "h", "table-g", "raising-table", "f-before-table", "h-after-table",
         "table-before-a-warning"])
-@pytest.mark.parametrize("order, r_order", [(2, 0), (2, 1), (3, 3)])
-def test_randers_radial_program_raises_what_f_then_g_then_h_raise(fns, message, order, r_order):
+@pytest.mark.parametrize("readers, order, r_order", [
+    (_PROFILE_READERS, 2, 0), (_PROFILE_READERS, 2, 1), (_PROFILE_READERS, 3, 3),
+    # the Randers data read order-2, r-order-1 jets
+    ((lambda fns, *_: randers_coefficients(*fns, 0.5),), 2, 1),
+    ((lambda fns, *_: bh_classification_residuals(*fns, 0.5),), 2, 1),
+], ids=["2-0", "2-1", "3-3", "randers_coefficients", "bh_classification_residuals"])
+def test_randers_radial_program_raises_what_f_then_g_then_h_raise(fns, message, readers, order,
+                                                                   r_order):
     with pytest.raises(DomainError) as one_by_one:
         _one_by_one(fns, 0.5, order, r_order)
-    with pytest.raises(DomainError) as err:
-        geometry._radial_jets(fns, 0.5, order, r_order)
-    assert str(err.value) == str(one_by_one.value) == message
-    assert err.value.subexpr == one_by_one.value.subexpr
-    spec = geometry.MetricSpec(geometry.RandersProfile(*fns), 3, (0.05, 0.95))
-    with pytest.raises(DomainError, match=re.escape(message)):
-        geometry.phi_jet(spec, 0.5, 0.1, order, r_order)
+    assert str(one_by_one.value) == message
+    for read in readers:
+        with pytest.raises(DomainError) as err:
+            read(fns, order, r_order)
+        assert str(err.value) == message
+        assert err.value.subexpr == one_by_one.value.subexpr
 
 
 def test_funk_randers_data_run_as_one_program_with_f_and_h_one_subtree(monkeypatch):
@@ -252,7 +263,7 @@ def test_funk_randers_data_run_as_one_program_with_f_and_h_one_subtree(monkeypat
     monkeypatch.setattr(Jet3, "__mul__", lambda a, b: products.append(1) or mul(a, b))
     f, g, _ = _FUNK
     fns = (f, g, ScalarFunction(copy.deepcopy(f.tree)))  # h equals f, as another tree
-    got = geometry._radial_jets(fns, 0.5, 2, 3)
+    got = radial_jets(fns, 0.5, 2, 3)
     assert len(products) == 4  # r^2, 1/(1 - r^2), (1 - r^2)^2 and 1/(1 - r^2)^2
     products.clear()
     want = _one_by_one(fns, 0.5, 2, 3)

@@ -1,6 +1,7 @@
 """Radial Randers data: Christoffel symbols, covariant derivative of beta,
 closed-form densities and the direct isotropy-condition check."""
 
+import dataclasses
 import re
 
 import numpy as np
@@ -8,8 +9,10 @@ import pytest
 
 from _support import fd_christoffel, fd_covariant_b, random_randers_texts, random_xy
 from conftest import FUNK_RANDERS, PARALLEL_HT, RANDERS111, interior_grid, make_randers
+from finslerlab import randers
 from finslerlab.errors import DomainError
 from finslerlab.expr import ScalarFunction
+from finslerlab.families import SampledFunction
 from finslerlab.randers import (
     christoffel_coefficients,
     covariant_b_coefficients,
@@ -24,6 +27,35 @@ from finslerlab.volume import BH, CONSTANT, HT, CustomDensity
 
 def texts_fns(texts):
     return tuple(ScalarFunction.from_text(t) for t in texts[:3])
+
+
+_NODES = np.linspace(0.1, 1.0, 19)
+#: Randers data and radii inside their domains: the benchmark's Funk (fr3) and HT (ht3)
+#: data, drawn triples and a Hermite table for g
+READ_CASES = {
+    "fr3": (texts_fns(FUNK_RANDERS), (0.3, 0.7)),
+    "ht3": (texts_fns(PARALLEL_HT), (0.8, 2.5)),
+    **{f"drawn-{k}": (texts_fns(random_randers_texts(np.random.default_rng(k))), (0.15, 1.0))
+       for k in range(3)},
+    "hermite-g": ((ScalarFunction.from_text("1 + 0.2*r"),
+                   SampledFunction(_NODES, 1.0 + 0.3 * _NODES**2, 0.6 * _NODES, 0.6 + 0 * _NODES),
+                   ScalarFunction.from_text("0.4*atan(r)")), (0.2, 0.9)),
+}
+
+
+@pytest.mark.parametrize("case", READ_CASES)
+def test_randers_data_equal_those_of_each_functions_own_jet(monkeypatch, case):
+    fns, (lo, hi) = READ_CASES[case]
+    for r in (0.5 * (lo + hi), np.linspace(lo, hi, 41)):
+        got = randers_coefficients(*fns, r)
+        with monkeypatch.context() as patch:
+            patch.setattr(randers, "radial_jets", lambda fs, rr, order, r_order:
+                          [fn.jet(rr, order, r_order) for fn in fs])
+            want = randers_coefficients(*fns, r)
+        for field in dataclasses.fields(want):
+            a, b = getattr(got, field.name), getattr(want, field.name)
+            assert type(a) is type(b) and np.shape(a) == np.shape(b) and \
+                np.asarray(a).tobytes() == np.asarray(b).tobytes(), (case, field.name, np.ndim(r))
 
 
 def test_christoffel_flat_sphere_case():
