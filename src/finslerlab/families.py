@@ -494,9 +494,7 @@ def ht_solve_h(c_const: float, g, h_at_r0: float, r_range, steps: int = 1600, r0
     values and both derivatives are read off that jet, and the r0 node holds
     h0 exactly.  Admissibility g - h^2 > -c/r^4 is reported, not enforced.
     """
-    c_const, h0 = float(c_const), float(h_at_r0)
-    if not 0.0 < c_const < math.inf:
-        raise DomainError(f"c must be a positive finite constant, got {c_const!r}")
+    c_const, h0 = _c_over_r2(c_const)[0], float(h_at_r0)
     if not math.isfinite(h0):
         raise DomainError(f"h_at_r0 must be finite, got {h0!r}")
     g = radius_function(g)

@@ -212,10 +212,14 @@ def phi_jet(spec: MetricSpec, r, s, order: int = 3, r_order: int = 3) -> Jet3:
 
 def regularity_margins(jet: Jet3, r, s):
     """The three positivity margins from an already computed profile jet."""
-    m1 = jet.d(0, 0)
-    m2 = m1 - s * jet.d(0, 1)
-    m3 = m2 + (r * r - s * s) * jet.d(0, 2)
-    return m1, m2, m3
+    return margins(jet.d(0, 0), jet.d(0, 1), jet.d(0, 2), r, s)
+
+
+def margins(phi, phi_s, phi_ss, r, s):
+    """phi, phi - s phi_s and phi - s phi_s + (r^2 - s^2) phi_ss of values, or of jets
+    (of phi and its s-partials, r and s seeded): the positivity margins, det(g)'s factors."""
+    m2 = phi - s * phi_s
+    return phi, m2, m2 + (r * r - s * s) * phi_ss
 
 
 # -- Randers profiles ----------------------------------------------------------

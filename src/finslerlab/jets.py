@@ -92,12 +92,14 @@ def _pow_pos(base, k: int):
 
 
 def ipow(x, k: int):
-    """x**k for a float or array x and integer k, by repeated multiplication.
+    """x**k for a float, array or jet x and integer k, by repeated multiplication.
 
     Unlike ``**`` this never calls the platform's pow or numpy's SIMD-dispatched
     power loop, so the result is the same bit pattern on every machine.
-    Negative k takes the reciprocal first, as Jet3.powi does.
+    Negative k takes the reciprocal first, as Jet3.powi does; a jet runs Jet3.powi.
     """
+    if isinstance(x, Jet3):
+        return x.powi(k)
     if k < 0:
         return _pow_pos(1.0 / x, -k)
     if k == 0:

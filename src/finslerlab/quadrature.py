@@ -34,7 +34,8 @@ _GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 #: doubling refinement starts at this node count
 REFINE_START = 64
-#: doubling refinement stops when successive values differ by at most this
+#: doubling refinement stops when successive values differ by at most this times
+#: max(1, the smaller magnitude), so densities that grow like phi^n settle too
 REFINE_ATOL = 1e-10
 #: node cap for the angular integrals
 REFINE_CAP = 1024
@@ -193,16 +194,19 @@ def refine(eval_at):
     eval_at(counts) takes a tuple of node counts and returns one value per
     count, each a float or an array (one value per radius).  The first call
     asks for ``REFINE_START`` and its double together, the next ones for one
-    doubling each.  Each element keeps the first value within ``REFINE_ATOL``
-    of the one before it, as a scalar run would; QuadratureError when one
-    reaches the node cap unsettled.
+    doubling each.  Each element keeps the first value v within
+    ``REFINE_ATOL`` * max(1, min(|v|, |p|)) of the one p before it, as a scalar
+    run would: absolute below 1, relative above, and never next to an inf or
+    NaN.  QuadratureError when one reaches the node cap unsettled.
     """
     values = _doubling(eval_at)
     prev = next(values)
     out, settled = np.array(prev, dtype=float), np.zeros(np.shape(prev), dtype=bool)
     for cur in values:
-        new = ~settled & (np.abs(np.subtract(cur, prev)) <= REFINE_ATOL)
-        out[new] = np.asarray(cur)[new]
+        cur = np.asarray(cur)
+        scale = np.maximum(1.0, np.minimum(np.abs(cur), np.abs(prev)))
+        new = ~settled & (np.abs(cur - prev) <= REFINE_ATOL * scale)
+        out[new] = cur[new]
         settled |= new
         if settled.all():
             return out if out.ndim else float(out)

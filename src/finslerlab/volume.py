@@ -7,7 +7,7 @@ one-dimensional angular integrals with s = r cos t::
     sigma_ht(r) = int_0^pi sin^{n-2} t T(r, r cos t) dt / int_0^pi sin^{n-2} t dt
 
 with T = phi (phi - s phi_s)^{n-2} [(phi - s phi_s) + (r^2 - s^2) phi_ss],
-i.e. T = det(g) / phi^2 in the closed-form determinant factorization.
+i.e. T = det(g) / phi^n in the closed-form determinant factorization.
 
 The S-curvature pipeline needs f(r) = -sigma'(r) / (r sigma(r)).  sigma' is
 computed by differentiating under the integral sign (the integrand jets carry
@@ -22,17 +22,19 @@ asks for (64 and 128 in its first), and each count's block of nodes is summed
 on its own (all blocks of one integrand in one ``exact_block_sums`` call), so
 each count gets the bits of a jet of its nodes alone.
 
-Node jets carry only what their reader takes.  sigma (and phi_jet's guard)
-reads phi, phi_s and phi_ss: order 2, r-order 0 under both volumes.  sigma'
-reads first r-partials: order 2, r-order 1 under BH (of phi^-n), order 3,
-r-order 1 under HT (T_r, T_s), and cuts them to first order (phi_s and phi_ss
-after the shift).  A carried partial has the full order-3 jet's bits, so
-neither order nor cut changes a value.  sigma' sums sigma's own integrand
-beside its r-derivative, so ``density_and_f`` reads sigma off those sums, and
-one refinement settles the pair elementwise: each keeps the bits it settles at
+One routine, ``_angular_at``, sums each volume's integrand, written once on
+values or on jets: phi^-n, or T from ``geometry.margins``.  At r-order 0 it
+sums values for sigma; its node jets are order 2, r-order 0 under both volumes,
+what phi_jet's guard reads.  At r-order 1 it sums the integrand and its
+r-derivative for (sigma, (log sigma)'): order 2 under BH, order 3 under HT
+(T_r, T_s), r-order 1, with phi, phi_s and phi_ss cut to first order after the
+shift.  A carried partial has the full order-3 jet's bits and a value slot the
+value's, so ``density_and_f`` reads sigma off the r-order-1 sums, and one
+refinement settles the pair elementwise: each keeps the bits it settles at
 alone, and sigma's are density's.  A process keeps its last F_CACHE_SIZE pairs
 per (volume, spec, radii), so the grid commands on one config settle f(r) once;
 the node-jet cache then serves only the call that evaluates its entries.
+Constant and custom densities take (sigma, f) from one closed-form helper.
 
 The angular sums are correctly rounded (``quadrature.exact_sum``: math.fsum's
 double, by math.fsum for few radii and by error-free extraction for many) and
@@ -52,7 +54,7 @@ import numpy as np
 
 from .errors import CrossCheckError, DomainError, FinslerError
 from .expr import ScalarFunction
-from .geometry import MetricSpec, phi_jet, regularity_margins
+from .geometry import MetricSpec, margins, phi_jet
 from .jets import Jet3, any_true, ipow
 from .quadrature import angle_nodes, exact_block_sums, exact_sum, refine
 
@@ -100,11 +102,6 @@ def sin_power_integral(n: int) -> float:
 def _radii(r):
     """Cache key for one radius (a float) or a 1-D batch of radii (a tuple of floats)."""
     return float(r) if np.ndim(r) == 0 else tuple(np.asarray(r, dtype=float).tolist())
-
-
-#: profile-jet order of the sigma' node jets under each volume (see the module docstring)
-_BH_ORDER = 2
-_HT_ORDER = 3
 
 
 #: verdicts share (sigma, f) through density_and_f's cache, not node jets, so this
@@ -155,29 +152,48 @@ def _arr(v, shape):
     return np.broadcast_to(np.asarray(v, dtype=float), shape)
 
 
-def _sigma_bh_at(spec: MetricSpec, r, counts: tuple[int, ...]):
-    _, s, _, ws, jet = _node_jets(spec, r, counts, 2, 0)
-    phi = _arr(jet.d(0, 0), s.shape)
-    return [sin_power_integral(spec.n) / v for v in _per_count(counts, ws * ipow(phi, -spec.n))]
+#: profile-jet order of the sigma' node jets under each volume (see the module docstring)
+_BH_ORDER = 2
+_HT_ORDER = 3
 
 
-def _sigma_ht_at(spec: MetricSpec, r, counts: tuple[int, ...]):
-    rc, s, _, ws, jet = _node_jets(spec, r, counts, 2, 0)
-    phi, m2, m3 = (_arr(m, s.shape) for m in regularity_margins(jet, rc, s))
-    integrand = phi * ipow(m2, spec.n - 2) * m3
-    return [v / sin_power_integral(spec.n) for v in _per_count(counts, ws * integrand)]
+def _angular_at(vol: VolumeSpec, spec: MetricSpec, key, counts: tuple[int, ...], r_order: int):
+    """sigma under BH or HT at the radii of a key from ``_radii``, one per node count
+    (r_order 0), or (sigma, (log sigma)') pairs from the integrand's jet (r_order 1).
+
+    Each volume's integrand is one expression, on the values of phi, phi_s and
+    phi_ss or on their jets; BH reads phi alone.
+    """
+    bh = isinstance(vol, BusemannHausdorff)
+    order = (_BH_ORDER if bh else _HT_ORDER) if r_order else 2
+    rc, s, cos_t, ws, jet = _node_jets(spec, key, counts, order, r_order)
+    parts, r, s_ = (jet.d(0, b) for b in range(3)), rc, s
+    if r_order:
+        # phi_s and phi_ss are shifted before the cut, which would drop what they shift down
+        parts = ((jet.deriv(0, b) if b else jet).dropped_above(1) for b in range(3))
+        r, s_ = Jet3.seed(rc, dr=1.0, r_order=1), Jet3.seed(s, ds=1.0, r_order=1)
+    if bh:
+        integrand = ipow(next(parts), -spec.n)
+    else:
+        phi, m2, m3 = margins(*parts, r, s_)
+        integrand = phi * ipow(m2, spec.n - 2) * m3
+    w = sin_power_integral(spec.n)
+    if not r_order:
+        return [w / v if bh else v / w for v in _per_count(counts, ws * _arr(integrand, s.shape))]
+    ddr = _arr(integrand.d(1, 0), s.shape) + cos_t * _arr(integrand.d(0, 1), s.shape)
+    vals = _per_count(counts, ws * _arr(integrand.d(0, 0), s.shape))
+    ders = _per_count(counts, ws * ddr)
+    return [(w / v, -d / v) if bh else (v / w, d / v) for d, v in zip(ders, vals)]
 
 
 def sigma_bh(spec: MetricSpec, r):
     """Busemann-Hausdorff density at radius r (normalized to 1 for phi = 1)."""
-    key = _radii(r)
-    return refine(lambda counts: _sigma_bh_at(spec, key, counts))
+    return density(BH, spec, r)
 
 
 def sigma_ht(spec: MetricSpec, r):
     """Holmes-Thompson density at radius r (normalized to 1 for phi = 1)."""
-    key = _radii(r)
-    return refine(lambda counts: _sigma_ht_at(spec, key, counts))
+    return density(HT, spec, r)
 
 
 def _at_first(bad, *values):
@@ -186,58 +202,31 @@ def _at_first(bad, *values):
     return (float(np.ravel(v)[i]) for v in values)
 
 
-def _check_positive(v, r) -> None:
-    bad = np.asarray(v) <= 0.0
-    if any_true(bad):
-        v_i, r_i = _at_first(bad, v, r)
+def _closed_pair(vol: VolumeSpec, r):
+    """(sigma, f) of a constant or custom density at r, or None for BH and HT."""
+    if isinstance(vol, (BusemannHausdorff, HolmesThompson)):
+        return None
+    if isinstance(vol, ConstantDensity):
+        return (np.ones(np.shape(r)), np.zeros(np.shape(r))) if np.ndim(r) else (1.0, 0.0)
+    if not isinstance(vol, CustomDensity):
+        raise TypeError(f"unknown volume spec {vol!r}")
+    r = float(r) if np.ndim(r) == 0 else np.asarray(r, dtype=float)
+    j = vol.sigma.jet(r, 2)
+    v = np.array(_arr(j.d(0, 0), np.shape(r)))
+    if any_true(v <= 0.0):
+        v_i, r_i = _at_first(v <= 0.0, v, r)
         raise DomainError(f"custom density must be positive, got {v_i!r} at r={r_i!r}")
+    f = -_arr(j.d(1, 0), np.shape(r)) / (r * v)
+    return (v, f) if f.ndim else (float(v), float(f))
 
 
 def density(vol: VolumeSpec, spec: MetricSpec, r):
     """sigma(r) for any volume specification."""
-    if isinstance(vol, BusemannHausdorff):
-        return sigma_bh(spec, r)
-    if isinstance(vol, HolmesThompson):
-        return sigma_ht(spec, r)
-    if isinstance(vol, CustomDensity):
-        v = vol.sigma.value(r)
-        _check_positive(v, r)
-        return v
-    if isinstance(vol, ConstantDensity):
-        return np.ones(np.shape(r)) if np.ndim(r) else 1.0
-    raise TypeError(f"unknown volume spec {vol!r}")
-
-
-# -- derivative under the integral sign --------------------------------------
-
-
-def _log_deriv_bh_at(spec: MetricSpec, r, counts: tuple[int, ...]):
-    """(sigma_bh, (log sigma_bh)') at r via integrand jets, one pair per node count."""
-    _, s, cos_t, ws, jet = _node_jets(spec, r, counts, _BH_ORDER, 1)
-    integrand = jet.dropped_above(1).powi(-spec.n)
-    ddr = _arr(integrand.d(1, 0), s.shape) + cos_t * _arr(integrand.d(0, 1), s.shape)
-    j_val = _per_count(counts, ws * _arr(integrand.d(0, 0), s.shape))
-    j_der = _per_count(counts, ws * ddr)
-    w = sin_power_integral(spec.n)
-    return [(w / v, -d / v) for d, v in zip(j_der, j_val)]
-
-
-def _log_deriv_ht_at(spec: MetricSpec, r, counts: tuple[int, ...]):
-    """(sigma_ht, (log sigma_ht)') at r via integrand jets (order-3 profile jets feed
-    T_r, T_s), one pair per node count."""
-    rc, s, cos_t, ws, jet = _node_jets(spec, r, counts, _HT_ORDER, 1)
-    rj = Jet3.seed(rc, dr=1.0, r_order=1)
-    sj = Jet3.seed(s, ds=1.0, r_order=1)
-    # phi_s and phi_ss are shifted before the cut, which would drop what they shift down
-    phi, phi_s, phi_ss = (j.dropped_above(1) for j in (jet, jet.deriv(0, 1), jet.deriv(0, 2)))
-    m2j = phi - sj * phi_s
-    m3j = m2j + (rj * rj - sj * sj) * phi_ss
-    t_jet = phi * m2j.powi(spec.n - 2) * m3j
-    ddr = _arr(t_jet.d(1, 0), s.shape) + cos_t * _arr(t_jet.d(0, 1), s.shape)
-    k_val = _per_count(counts, ws * _arr(t_jet.d(0, 0), s.shape))
-    k_der = _per_count(counts, ws * ddr)
-    w = sin_power_integral(spec.n)
-    return [(v / w, d / v) for d, v in zip(k_der, k_val)]
+    pair = _closed_pair(vol, r)
+    if pair is not None:
+        return pair[0]
+    key = _radii(r)
+    return refine(lambda counts: _angular_at(vol, spec, key, counts, 0))
 
 
 def f_coefficient(vol: VolumeSpec, spec: MetricSpec, r):
@@ -270,16 +259,11 @@ def density_and_f(vol: VolumeSpec, spec: MetricSpec, r):
 def _density_and_f(vol: VolumeSpec, spec: MetricSpec, key):
     """density_and_f at the radii of a key from ``_radii``."""
     r = key if isinstance(key, float) else np.array(key, dtype=float)
-    if isinstance(vol, ConstantDensity):
-        return density(vol, spec, r), (np.zeros(r.shape) if np.ndim(r) else 0.0)
-    if isinstance(vol, CustomDensity):
-        j = vol.sigma.jet(r, 2)
-        v = _arr(j.d(0, 0), np.shape(r))
-        _check_positive(v, r)
-        f = -_arr(j.d(1, 0), np.shape(r)) / (r * v)
-        return (v, f) if f.ndim else (float(v), float(f))
-    at = _log_deriv_bh_at if isinstance(vol, BusemannHausdorff) else _log_deriv_ht_at
-    sigma, dlog = (v if v.ndim else float(v) for v in refine(lambda counts: at(spec, key, counts)))
+    pair = _closed_pair(vol, r)
+    if pair is not None:
+        return pair
+    sigma, dlog = (v if v.ndim else float(v)
+                   for v in refine(lambda counts: _angular_at(vol, spec, key, counts, 1)))
     _cross_check_log_derivative(vol, spec, r, dlog)
     return sigma, -dlog / r
 

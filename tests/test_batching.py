@@ -11,7 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import FUNK_RANDERS, PARALLEL_HT, RANDERS_H05, interior_grid
+from _support import random_randers_texts
+from conftest import FUNK_RANDERS, PARALLEL_HT, RANDERS_H05, interior_grid, make_randers
 from finslerlab.cli import main
 from finslerlab.douglas import douglas_verdict, fit_q
 from finslerlab import volume
@@ -42,7 +43,7 @@ from finslerlab.randers import (
 from finslerlab.scurvature import isotropy_profile, reduced_s_given_f
 from finslerlab.volume import BH, CONSTANT, HT, CustomDensity, density, f_coefficient
 
-PROFILES = ("funk3", "funk_randers", "sampled", "family")
+PROFILES = ("funk3", "funk_randers", "sampled", "family", "random_n5")
 VOLUMES = pytest.mark.parametrize("vol", [BH, HT], ids=["bh", "ht"])
 
 
@@ -52,6 +53,12 @@ def sampled():
     f = ScalarFunction.from_text("1/(1 - r^2)")
     sol = bh_solve_g(f, f, 1.0 / (1.0 - 0.25) ** 2, (0.3, 0.7), steps=400, r0=0.5)
     return randers_spec(f, sol.as_function(), f, 2, (0.3, 0.7))
+
+
+@pytest.fixture(scope="module")
+def random_n5():
+    """A drawn Randers triple at n = 5, where HT's m2^(n-2) is an odd power."""
+    return make_randers(random_randers_texts(np.random.default_rng(5)) + ((0.15, 1.0),), 5)
 
 
 def _spec(request, name):

@@ -594,6 +594,27 @@ def test_batched_grid_reports_the_first_failing_radius(tmp_path, capsys, argv, c
     assert capsys.readouterr().err.strip() == line
 
 
+#: the bundled profiles whose S-curvature is not isotropic under HT
+NOT_HT_ISOTROPIC = ("funk_n2", "funk_randers_n3")
+
+
+def test_isotropy_reaches_a_verdict_on_every_bundled_profile_volume_and_n_up_to_100(
+        tmp_path, capsys):
+    # the densities grow like phi^n (funk_n2's HT sigma is 7.5e6 at r = 0.8, n = 30),
+    # and refinement settles each of them to a tolerance scaled by its size
+    codes = {}
+    for path in sorted((HERE.parent / "configs").glob("*.json")):
+        for vol in ("bh", "ht"):
+            for n in (2, 30, 100):
+                cfg = write_cfg(tmp_path, "sweep.json",
+                                dict(json.loads(path.read_text()), n=n, volume=vol))
+                codes[path.stem, vol, n] = main(
+                    ["verify", "--check", "isotropy", cfg, "--out", str(tmp_path / "out")])
+    capsys.readouterr()
+    assert len(codes) == 24
+    assert codes == {key: int(key[0] in NOT_HT_ISOTROPIC and key[1] == "ht") for key in codes}
+
+
 EDGE_OF_DOMAIN = {"n": 3, "volume": "bh",
                   "metric": dict(H05_METRIC, r_domain=[0.2, 0.8]),
                   "grid": {"r_min": 0.2, "r_max": 0.7, "r_count": 5, "s_count": 5}}

@@ -106,6 +106,17 @@ def test_refine_settles_each_element_on_its_own():
     np.testing.assert_array_equal(got, alone)
 
 
+def test_refine_tolerance_is_absolute_below_1_and_relative_above():
+    big = 7.5e6  # its ulp is 2^-30, about 9.3e-10
+    seqs = (
+        {64: big, 128: float(np.nextafter(big, np.inf)), 256: 1.0, 512: 1.0},
+        {64: 0.5, 128: 0.5 + 2e-10, 256: 0.5 + 2.5e-10, 512: 1.0},
+        {64: 1.0, 128: math.inf, 256: 3.0, 512: 3.0},
+    )
+    got = [refine(lambda counts, seq=seq: [seq[n] for n in counts]) for seq in seqs]
+    assert got == [seqs[0][128], seqs[1][256], 3.0]
+
+
 def test_refine_raises_when_any_element_reaches_the_cap():
     calls = []
 

@@ -25,10 +25,7 @@ from finslerlab.volume import (
     sigma_bh,
     sigma_ht,
     sin_power_integral,
-    _log_deriv_bh_at,
-    _log_deriv_ht_at,
-    _sigma_bh_at,
-    _sigma_ht_at,
+    _angular_at,
 )
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -81,25 +78,24 @@ def test_quadrature_stability_64_vs_128():
     specs = [make_randers(texts, 3) for texts in RANDERS_TEXT_ZOO]
     for spec in specs:
         r = float(np.mean(interior_grid(spec, 3)))
-        for fn in (_sigma_bh_at, _sigma_ht_at):
-            a, b = fn(spec, r, (64, 128))
+        for vol in (BH, HT):
+            a, b = _angular_at(vol, spec, r, (64, 128), 0)
             assert abs(a - b) <= 1e-10 * (1.0 + abs(a))
 
 
-@pytest.mark.parametrize("fns", [(_sigma_bh_at, _log_deriv_bh_at), (_sigma_ht_at, _log_deriv_ht_at)],
-                         ids=["bh", "ht"])
+@pytest.mark.parametrize("vol", [BH, HT], ids=["bh", "ht"])
 @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.stem)
-def test_one_call_for_64_and_128_nodes_equals_one_call_per_count(path, fns):
+def test_one_call_for_64_and_128_nodes_equals_one_call_per_count(path, vol):
     spec = build_spec(load_config(str(path)))
     grid = tuple(interior_grid(spec, 4).tolist())
     for r in (grid[1], grid):
-        for fn in fns:
+        for r_order in (0, 1):  # sigma, and (sigma, (log sigma)')
             volume._node_jets.cache_clear()
-            both = fn(spec, r, (64, 128))
+            both = _angular_at(vol, spec, r, (64, 128), r_order)
             volume._node_jets.cache_clear()
-            alone = [fn(spec, r, (n,))[0] for n in (64, 128)]
+            alone = [_angular_at(vol, spec, r, (n,), r_order)[0] for n in (64, 128)]
             assert [np.asarray(v).tobytes() for v in both] == [
-                np.asarray(v).tobytes() for v in alone], (fn.__name__, r)
+                np.asarray(v).tobytes() for v in alone], (r_order, r)
             assert [type(v) for v in both] == [type(v) for v in alone]
 
 
@@ -112,7 +108,7 @@ def test_a_failing_node_jet_raises_what_its_first_count_raises_alone():
         for counts in ((64,), (128,), (64, 128)):
             volume._node_jets.cache_clear()
             with pytest.raises(RegularityError) as err:
-                _sigma_bh_at(spec, r, counts)
+                _angular_at(BH, spec, r, counts, 0)
             msgs.append(str(err.value))
         assert msgs[2] == msgs[0] != msgs[1]
 
