@@ -19,8 +19,8 @@ import json
 import math
 import sys
 import traceback
-from dataclasses import dataclass
 from functools import lru_cache
+from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -248,10 +248,6 @@ RELATIONS = (
     ("construct.r0", "inside", "construct.r_range", _inside),
 )
 
-#: the metric kind a check needs, for the checks that need one
-CHECK_KINDS = {"berwald-family": "berwald-family", "bh-classification": "randers",
-               "ht-parallel": "randers"}
-
 
 def _section(name: str, obj, known: dict) -> dict:
     """Typed values of config object ``obj`` read against SCHEMA[name].
@@ -286,22 +282,10 @@ def _section(name: str, obj, known: dict) -> dict:
 # -- config loading ----------------------------------------------------------
 
 
-@dataclass
-class RunConfig:
-    """A loaded config: the typed values of the shared sections (SCHEMA[""])."""
-
-    raw: dict  #: the file as read; build_spec and construct read their sections from it
-    values: dict  #: every typed value load_config read, by key path
-    n: int
-    metric: dict
-    volume: object
-    grid: dict | None
-    tolerances: dict
-    oracle: dict
-    output: dict
-    seed: int
-    c_const: float | None
-    construct: dict
+class RunConfig(SimpleNamespace):
+    """A loaded config: each key of SCHEMA[""] as an attribute holding its typed value,
+    ``raw`` (the file as read; build_spec and construct read their sections from it) and
+    ``values`` (every typed value load_config read, by key path)."""
 
 
 def load_config(path: str) -> RunConfig:
@@ -488,9 +472,7 @@ class Verdict(NamedTuple):
     per_radius: dict  #: equal-length columns, one row per radius (per point: oracle)
 
 
-def _verify_isotropy(cfg, spec, args) -> Verdict:
-    r_values, fracs = _grids(cfg)
-    tol = args.tol if args.tol is not None else cfg.tolerances["isotropy"]
+def _verify_isotropy(cfg, spec, r_values, fracs, tol, seed) -> Verdict:
     prof = isotropy_profile(spec, cfg.volume, r_values, s_fracs=fracs, tolerance=tol)
     rc = r_values[:, None]
     return Verdict(prof.passed, prof.c_values - prof.c_mean[:, None], rc, rc * fracs,
@@ -498,9 +480,7 @@ def _verify_isotropy(cfg, spec, args) -> Verdict:
                     "spread": prof.c_spread, "tolerance": np.full(r_values.size, prof.tolerance)})
 
 
-def _verify_douglas(cfg, spec, args) -> Verdict:
-    r_values, fracs = _grids(cfg)
-    tol = args.tol if args.tol is not None else cfg.tolerances["douglas"]
+def _verify_douglas(cfg, spec, r_values, fracs, tol, seed) -> Verdict:
     fit = douglas_verdict(spec, r_values, fracs, tolerance=tol)
     rc = r_values[:, None]
     return Verdict(fit.passed, fit.residuals, rc, rc * fracs,
@@ -508,31 +488,28 @@ def _verify_douglas(cfg, spec, args) -> Verdict:
                     "odd_residual": fit.odd_residual, "tolerance": fit.tolerance})
 
 
-def _verify_family(cfg, spec, args) -> Verdict:
+def _verify_family(cfg, spec, r_values, fracs, tol, seed) -> Verdict:
     # a failed regularity scan over metric.r_domain raises (exit 4); the PDE
     # residual and the Douglas fit are judged on the config grid
-    r_values, fracs = _grids(cfg)
     built = certify_family(spec, r_values, fracs)
-    tol = args.tol if args.tol is not None else 1e-8
     fit, rc = built.douglas, r_values[:, None]
     return Verdict(built.pde_max_residual <= tol and fit.passed, built.pde, rc, rc * fracs,
                    {"r": r_values, "c1": fit.c1, "c2": fit.c2,
                     "pde_residual": np.max(built.pde, axis=1)})
 
 
-def _verify_bh_classification(cfg, spec, args) -> Verdict:
+def _verify_bh_classification(cfg, spec, r_values, fracs, tol, seed) -> Verdict:
     f, g, h = spec.profile.f, spec.profile.g, spec.profile.h
-    r_values, _ = _grids(cfg)
     bc = batch_radii(lambda radii: bh_classification_residuals(f, g, h, radii), r_values)
-    tol = args.tol if args.tol is not None else 1e-8 * (1.0 + float(np.max(np.abs(bc.c))))
+    if tol is None:
+        tol = 1e-8 * (1.0 + float(np.max(np.abs(bc.c))))
     return Verdict(bool(np.max(np.abs(bc.res2)) <= tol), bc.res2, r_values, None,
                    {"r": r_values, "c": bc.c, "res1": bc.res1, "res2": bc.res2,
                     "printed_ode_residual": bc.printed_ode_residual})
 
 
-def _verify_ht_parallel(cfg, spec, args) -> Verdict:
+def _verify_ht_parallel(cfg, spec, r_values, fracs, tol, seed) -> Verdict:
     f, g, h = spec.profile.f, spec.profile.g, spec.profile.h
-    r_values, _ = _grids(cfg)
     c_const = cfg.c_const
     if c_const is None:
         cs = r_values * r_values * np.asarray(f.value(r_values), dtype=float)
@@ -547,20 +524,15 @@ def _verify_ht_parallel(cfg, spec, args) -> Verdict:
 
     cols = batch_radii(batch, r_values)
     worst = np.max(np.abs([cols["u1"], cols["u2"], cols["ht_residual"]]), axis=0)
-    tol = args.tol if args.tol is not None else 1e-8
     return Verdict(bool(np.max(worst) <= tol), worst, r_values, None, cols)
 
 
-def _verify_oracle(cfg, spec, args) -> Verdict:
-    r_values, _ = _grids(cfg)
+def _verify_oracle(cfg, spec, r_values, fracs, tol, seed) -> Verdict:
     lo, hi = float(r_values[0]), float(r_values[-1])
     span = hi - lo
-    points = cfg.oracle["points"]
-    seed = args.seed if args.seed is not None else cfg.seed
     rng = np.random.default_rng(seed)
-    tol = args.tol if args.tol is not None else ORACLE_BAND
     cols = {"r": [], "s": [], "oracle": [], "analytic": []}
-    for _ in range(points):
+    for _ in range(cfg.oracle["points"]):
         r = float(rng.uniform(lo + 0.05 * span, hi - 0.05 * span))
         frac = float(rng.uniform(-0.9, 0.9))
         x, y = embed_point(r, r * frac, cfg.n)
@@ -577,23 +549,37 @@ def _verify_oracle(cfg, spec, args) -> Verdict:
                    cols["s"], cols)
 
 
+class Check(NamedTuple):
+    """A verify check, declared once: its verifier, the metric.kind it runs on (None: any)
+    and its default tolerance (None: the verdict's own rule, relative to the sizes it
+    fits), which tolerances.<check> and then --tol override."""
+
+    verify: Callable  #: (cfg, spec, r_values, s_fracs, tol, seed) -> Verdict
+    kind: str | None
+    tol: float | None
+
+
+#: every verify check by name; cmd_verify resolves the inputs each verifier takes
 _VERIFIERS = {
-    "isotropy": _verify_isotropy,
-    "douglas": _verify_douglas,
-    "berwald-family": _verify_family,
-    "bh-classification": _verify_bh_classification,
-    "ht-parallel": _verify_ht_parallel,
-    "oracle": _verify_oracle,
+    "isotropy": Check(_verify_isotropy, None, None),
+    "douglas": Check(_verify_douglas, None, None),
+    "berwald-family": Check(_verify_family, "berwald-family", 1e-8),
+    "bh-classification": Check(_verify_bh_classification, "randers", None),
+    "ht-parallel": Check(_verify_ht_parallel, "randers", 1e-8),
+    "oracle": Check(_verify_oracle, None, ORACLE_BAND),
 }
 CHECKS = tuple(_VERIFIERS)
 
 
 def cmd_verify(cfg: RunConfig, args) -> int:
-    kind = cfg.metric["kind"]
-    if CHECK_KINDS.get(args.check, kind) != kind:
-        _fail("metric.kind", f"{CHECK_KINDS[args.check]} for --check {args.check}", kind)
+    check, kind = _VERIFIERS[args.check], cfg.metric["kind"]
+    if check.kind not in (None, kind):
+        _fail("metric.kind", f"{check.kind} for --check {args.check}", kind)
     spec = build_spec(cfg)
-    verdict = _VERIFIERS[args.check](cfg, spec, args)
+    r_values, fracs = _grids(cfg)
+    tol = args.tol or cfg.tolerances.get(args.check) or check.tol  # each given one is > 0
+    seed = cfg.seed if args.seed is None else args.seed
+    verdict = check.verify(cfg, spec, r_values, fracs, tol, seed)
     block = _residual_block(verdict.residual, verdict.r, verdict.s)
     report = {
         "config_echo": cfg.raw,

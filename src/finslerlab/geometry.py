@@ -382,10 +382,8 @@ def assemble_metric_matrix(spec: MetricSpec, x, y) -> np.ndarray:
     r = float(np.linalg.norm(x))
     s = float(np.dot(x, y) / u)
     jet = _phi_jet_raw(spec, r, s, 2)
-    phi = jet.d(0, 0)
-    phi_s = jet.d(0, 1)
-    phi_ss = jet.d(0, 2)
-    m2 = phi - s * phi_s
+    phi, phi_s, phi_ss = jet.d(0, 0), jet.d(0, 1), jet.d(0, 2)
+    _, m2, _ = margins(phi, phi_s, phi_ss, r, s)
     yh = y / u
     a_dd = phi * m2
     a_xx = phi_s * phi_s + phi * phi_ss

@@ -212,7 +212,8 @@ def refine(eval_at):
             return out if out.ndim else float(out)
         prev = cur
     raise QuadratureError(
-        f"refinement did not reach {REFINE_ATOL:g} below {REFINE_CAP} nodes"
+        f"refinement did not settle by {REFINE_CAP} nodes: successive values must differ by "
+        f"at most {REFINE_ATOL:g} * max(1, min(|cur|, |prev|))"
     )
 
 

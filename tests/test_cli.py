@@ -398,10 +398,11 @@ def test_tol_must_be_a_positive_finite_number(capsys, tol):
 
 
 def test_any_other_exception_is_an_internal_error(monkeypatch, capsys):
-    def broken(cfg, spec, args):
+    def broken(cfg, spec, r_values, fracs, tol, seed):
         raise KeyError("no such column")
 
-    monkeypatch.setitem(cli._VERIFIERS, "isotropy", broken)
+    monkeypatch.setitem(cli._VERIFIERS, "isotropy", cli._VERIFIERS["isotropy"]._replace(
+        verify=broken))
     assert main(["verify", "--check", "isotropy", FUNK_CFG]) == 5
     err = capsys.readouterr().err
     assert "internal error: KeyError: 'no such column'" in err
@@ -579,9 +580,11 @@ IRREGULAR_BH = {"n": 2,
 
 
 @pytest.mark.parametrize("argv, code, line", [
-    (["sample"], 3, "numeric failure: refinement did not reach 1e-10 below 1024 nodes"),
+    (["sample"], 3, "numeric failure: refinement did not settle by 1024 nodes: successive "
+     "values must differ by at most 1e-10 * max(1, min(|cur|, |prev|))"),
     (["verify", "--check", "isotropy"], 3,
-     "numeric failure: refinement did not reach 1e-10 below 1024 nodes"),
+     "numeric failure: refinement did not settle by 1024 nodes: successive values must "
+     "differ by at most 1e-10 * max(1, min(|cur|, |prev|))"),
     (["verify", "--check", "douglas"], 4,
      "regularity failure: regularity condition 1 (phi > 0) fails at r=0.7000000000000001, "
      "s=-0.6999993 (margin -0.3999986)"),
@@ -712,6 +715,53 @@ def test_every_check_reports_one_shape(tmp_path, capsys):
         rows = rep["per_radius"]
         assert rows and "r" in rows[0], check
         assert all(row.keys() == rows[0].keys() for row in rows), check
+
+
+def _check_config(tmp_path, check: str, **keys) -> str:
+    """The config of test_every_check_reports_one_shape for a check, with keys set; ht-parallel
+    takes the bundled parallel_ht grid, where its residual is not exactly 0."""
+    bundled = HERE.parent / "configs"
+    path = {"isotropy": FUNK_CFG, "douglas": FUNK_CFG,
+            "berwald-family": bundled / "family_k.json", "bh-classification": RANDERS_CFG,
+            "ht-parallel": bundled / "parallel_ht.json", "oracle": bundled / "funk_n2.json"}[check]
+    data = json.loads(Path(path).read_text())
+    if check == "oracle":
+        data["oracle"] = {"points": 2}
+    return write_cfg(tmp_path, f"{check}.json", dict(data, **keys))
+
+
+@pytest.mark.parametrize("check", CHECKS)
+def test_a_tol_below_a_passing_residual_fails_every_check(tmp_path, capsys, check):
+    rep = _report(tmp_path, capsys, check, _check_config(tmp_path, check))
+    assert rep["verdict"] == "pass" and rep["residuals"]["max"] > 0.0, check
+    tol = rep["residuals"]["max"] / 2
+    if check == "oracle":  # its band is tol * (1 + |S|)
+        tol /= 1.0 + max(abs(row["analytic"]) for row in rep["per_radius"])
+    assert main(["verify", "--check", check, _check_config(tmp_path, check),
+                 "--tol", repr(tol)]) == 1
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("check", sorted(cli.SCHEMA["tolerances"]))
+def test_tolerances_key_sets_the_tolerance_and_tol_beats_it(tmp_path, capsys, check):
+    rep = _report(tmp_path, capsys, check, _check_config(tmp_path, check))
+    cfg = _check_config(tmp_path, check, tolerances={check: rep["residuals"]["max"] / 2})
+    assert main(["verify", "--check", check, cfg]) == 1
+    assert main(["verify", "--check", check, cfg, "--tol", "10"]) == 0
+    capsys.readouterr()
+
+
+def test_the_oracle_seed_flag_beats_the_config_seed(tmp_path, capsys):
+    def points(**keys):
+        argv = ["--seed", str(keys.pop("flag"))] if "flag" in keys else []
+        path = tmp_path / "oracle.json"
+        assert main(["verify", "--check", "oracle", _check_config(tmp_path, "oracle", **keys),
+                     "--out", str(path)] + argv) == 0
+        capsys.readouterr()
+        return [(row["r"], row["s"]) for row in json.loads(path.read_text())["per_radius"]]
+
+    assert points(seed=3, flag=11) == points(seed=11) != points(seed=3)
+    assert points(flag=3) == points(seed=3)
 
 
 @pytest.mark.parametrize("key, value", [

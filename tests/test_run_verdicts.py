@@ -27,3 +27,15 @@ def test_every_planned_pair_passes_on_the_bundled_configs(tmp_path, capsys):
         assert (report["check"], report["verdict"]) == (check, "pass"), cfg.name
     err = capsys.readouterr().err
     assert err.count(": PASS (") == len(pairs)
+
+
+def test_every_planned_check_runs_on_its_configs_metric_kind():
+    # a check the plan puts on a config of another metric kind would exit 2, not verify
+    from finslerlab import cli
+
+    script = _load_script()
+    for name, checks in script.PLAN.items():
+        kind = json.loads((ROOT / "configs" / name).read_text())["metric"]["kind"]
+        for check in checks:
+            assert check in cli.CHECKS, (name, check)
+            assert cli._VERIFIERS[check].kind in (None, kind), (name, check)
