@@ -187,11 +187,20 @@ STEPS = _integer(16, SOLVER_STEPS_CAP)
 OBJECT = _where("an object", lambda v: isinstance(v, dict))
 SECTION = Kind("an object", None)  #: the object at SCHEMA[<key path>], read by _section
 
+#: the spec of each metric kind, from its metric[<kind>] section's values and n
+_SPECS = {
+    "general": lambda m, n: general_phi_spec(m["phi"], n, m["r_domain"]),
+    "randers": lambda m, n: randers_spec(m["f"], m["g"], m["h"], n, m["r_domain"]),
+    "berwald-family": lambda m, n: MetricSpec(
+        BerwaldFamilyProfile(c2=m["c2"], chi=m["chi"], r0=m["r0"]), n, m["r_domain"]),
+}
+
 #: Every key a command reads: SCHEMA[section][key] = (kind, default).  A section
 #: is the key path of a config object, with the metric kind or construct family
 #: it is for in brackets.  A default is a JSON value read as if given, None (the
 #: key is optional), REQUIRED, or a function of the values read so far.  Other
 #: keys are ignored: an emitted config carries its diagnostics and its input.
+#: Under tolerances, load_config refuses them instead: no check would read one.
 SCHEMA = {
     "": {
         "n": (_integer(2, DIMENSION_CAP), REQUIRED),
@@ -203,7 +212,6 @@ SCHEMA = {
         "oracle": (SECTION, {}),
         "output": (SECTION, {}),
         "seed": (_where("a non-negative integer", lambda v: type(v) is int and v >= 0), 0),
-        "c_const": (POSITIVE, None),
         "construct": (OBJECT, {}),
     },
     "volume[custom]": {"kind": (_where("custom", lambda v: v == "custom"), REQUIRED),
@@ -214,8 +222,8 @@ SCHEMA = {
     "tolerances": {"isotropy": (POSITIVE, None), "douglas": (POSITIVE, None)},
     "oracle": {"points": (_integer(1, ORACLE_POINTS_CAP), 10)},
     "output": {"path": (_where("a string", lambda v: isinstance(v, str)), None)},
-    "metric": {"kind": (_where("one of general | randers | berwald-family",
-                               lambda v: v in ("general", "randers", "berwald-family")), REQUIRED)},
+    "metric": {"kind": (_where("one of " + " | ".join(_SPECS),
+                               lambda v: isinstance(v, str) and v in _SPECS), REQUIRED)},
     "metric[general]": {"phi": (_expression("r", "s"), REQUIRED),
                         "r_domain": (RANGE, _grid_domain)},
     "metric[randers]": {"f": (RADIAL, REQUIRED), "g": (RADIAL, REQUIRED), "h": (RADIAL, REQUIRED),
@@ -298,19 +306,17 @@ def load_config(path: str) -> RunConfig:
     except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, huge ints, deep nesting
         raise ConfigError(f"config file {path!r} is not valid JSON: {exc}", key="<file>") from exc
     known = {}
-    return RunConfig(raw=raw, values=known, **_section("", raw, known))
+    cfg = RunConfig(raw=raw, values=known, **_section("", raw, known))
+    for key in raw.get("tolerances", {}):  # a tolerance no check reads is refused, not dropped
+        if key not in cfg.tolerances:
+            _fail(f"tolerances.{key}", "one of " + " | ".join(cfg.tolerances), key)
+    return cfg
 
 
 def build_spec(cfg: RunConfig) -> MetricSpec:
     """The metric of a loaded config, its section checked for the config's kind."""
     kind = cfg.metric["kind"]
-    m = _section(f"metric[{kind}]", cfg.raw["metric"], dict(cfg.values))
-    if kind == "general":
-        return general_phi_spec(m["phi"], cfg.n, m["r_domain"])
-    if kind == "randers":
-        return randers_spec(m["f"], m["g"], m["h"], cfg.n, m["r_domain"])
-    return MetricSpec(BerwaldFamilyProfile(c2=m["c2"], chi=m["chi"], r0=m["r0"]), cfg.n,
-                      m["r_domain"])
+    return _SPECS[kind](_section(f"metric[{kind}]", cfg.raw["metric"], dict(cfg.values)), cfg.n)
 
 
 def _grids(cfg: RunConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -509,18 +515,10 @@ def _verify_bh_classification(cfg, spec, r_values, fracs, tol, seed) -> Verdict:
 
 
 def _verify_ht_parallel(cfg, spec, r_values, fracs, tol, seed) -> Verdict:
-    f, g, h = spec.profile.f, spec.profile.g, spec.profile.h
-    c_const = cfg.c_const
-    if c_const is None:
-        cs = r_values * r_values * np.asarray(f.value(r_values), dtype=float)
-        if float(np.max(cs) - np.min(cs)) > 1e-6 * (1.0 + float(np.mean(np.abs(cs)))):
-            _fail("c_const", "given when metric.f is not c/r^2 for a constant c", REQUIRED)
-        c_const = float(np.mean(cs))
-
-    def batch(radii):  # the jets of g and h, once: admissible with f, then with c/r^2
-        d = randers_coefficients(f, g, h, radii)
-        return {"r": radii, "u1": d.u1, "u2": d.u2,
-                "ht_residual": ht_condition_residual_of(c_const, d)}
+    def batch(radii):  # f = c/r^2 with c the mean of r^2 f: where f is not, u1 fails
+        d = randers_coefficients(spec.profile.f, spec.profile.g, spec.profile.h, radii)
+        c = float(np.mean(d.r * d.r * d.f))
+        return {"r": radii, "u1": d.u1, "u2": d.u2, "ht_residual": ht_condition_residual_of(c, d)}
 
     cols = batch_radii(batch, r_values)
     worst = np.max(np.abs([cols["u1"], cols["u2"], cols["ht_residual"]]), axis=0)
@@ -552,7 +550,7 @@ def _verify_oracle(cfg, spec, r_values, fracs, tol, seed) -> Verdict:
 class Check(NamedTuple):
     """A verify check, declared once: its verifier, the metric.kind it runs on (None: any)
     and its default tolerance (None: the verdict's own rule, relative to the sizes it
-    fits), which tolerances.<check> and then --tol override."""
+    fits), which tolerances.<check> (where SCHEMA has it) and then --tol override."""
 
     verify: Callable  #: (cfg, spec, r_values, s_fracs, tol, seed) -> Verdict
     kind: str | None
@@ -633,7 +631,6 @@ def _construct_randers_ht(cfg: RunConfig, p: dict) -> dict:
     c_const = p["c_const"]
     sol = ht_solve_h(c_const, p["g"], p["h_at_r0"], p["r_range"], steps=p["steps"], r0=p["r0"])
     return {
-        "c_const": c_const,
         "metric": {"kind": "randers", "f": "%.17g/r^2" % c_const, "g": cfg.construct["g"],
                    "h": _table_dict(sol)},
         "volume": "ht",

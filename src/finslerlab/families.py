@@ -54,8 +54,7 @@ from .geometry import (
 )
 from .jets import Jet3, ipow
 from .oracle import _dot
-from .randers import (RandersCoefficients, admissibility_margin, check_admissible,
-                      randers_coefficients)
+from .randers import RandersCoefficients, admissibility_margin, randers_coefficients
 
 #: enforced bound on the independent node audit of bh_solve_g solutions
 BH_NODE_TOL = 1e-8
@@ -353,17 +352,14 @@ def ht_condition_residual(c_const: float, g, h, r):
     r is a float or a 1-D array; f = c/r^2 completes the Randers data whose
     admissibility is checked.
     """
-    _, f = _c_over_r2(c_const)
-    d = randers_coefficients(f, radius_function(g), radius_function(h), r)
+    d = randers_coefficients(_c_over_r2(c_const)[1], radius_function(g), radius_function(h), r)
     return ht_condition_residual_of(c_const, d)
 
 
 def ht_condition_residual_of(c_const: float, d: RandersCoefficients):
     """ht_condition_residual at d.r, reading g and h off the Randers data d of any f:
-    their jets are not taken again.  Admissibility is checked with f = c/r^2."""
-    c, f = _c_over_r2(c_const)
-    check_admissible(d.r, f.jet(d.r, 2, 0).value, d.g, d.h)
-    r = d.r
+    their jets are not taken again, and d was checked admissible when it was read."""
+    c, r = float(c_const), d.r
     return 2.0 * d.h_d1 * (c / (r * r) + r * r * d.g) - d.h * (
         r * r * d.g_d1 - 4.0 * c / ipow(r, 3))
 

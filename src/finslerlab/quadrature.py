@@ -325,13 +325,18 @@ def segment_integral(integrand, anchor: float, lo: float, hi: float) -> PanelTab
     """The antiderivative from ``anchor`` of ``integrand``, tabulated over [lo, hi] and the anchor.
 
     The integrand is called as ``f(rho)`` with rho the nodes of every panel,
-    shape (P, N + 1).  Panels start split at the anchor and are bisected until
-    the antiderivative passes the trailing-coefficient test on each;
-    QuadratureError names a panel that fails after ``TABLE_SPLIT_CAP``
+    shape (P, N + 1).  Panels start split at the anchor and, on a positive
+    range, at each power of ten inside it (read from its decimal literal, as on
+    every host), so no panel is judged against values decades away.  They are
+    bisected until the antiderivative passes the trailing-coefficient test on
+    each; QuadratureError names a panel that fails after ``TABLE_SPLIT_CAP``
     bisections, DomainError the radius of a non-finite integrand value.
     """
     anchor = float(anchor)
-    edges = np.array(sorted({min(float(lo), anchor), anchor, max(float(hi), anchor)}))
+    lo, hi = min(float(lo), anchor), max(float(hi), anchor)
+    tens = range(math.floor(math.log10(lo)), math.ceil(math.log10(hi)) + 1) if lo > 0 else ()
+    edges = np.array(sorted({lo, anchor, hi}.union(
+        x for x in (float(f"1e{k}") for k in tens) if lo < x < hi)))
     splits = np.zeros(edges.size - 1, dtype=int)
     while True:
         a, b = edges[:-1, None], edges[1:, None]

@@ -267,7 +267,7 @@ def test_randers_conditions_of_a_batch_equal_scalar_calls(name):
 def test_randers_verdict_rows_equal_scalar_calls(tmp_path, capsys, name, check):
     f, g, h = _randers_fns(name)
     if name == "h05":
-        cfg = {"n": 2, "c_const": 1.0, "volume": "bh",
+        cfg = {"n": 2, "volume": "bh",
                "metric": {"kind": "randers", "f": "1", "g": "1", "h": "0.5",
                           "r_domain": [0.1, 1.2]},
                "grid": {"r_min": 0.2, "r_max": 1.1, "r_count": 19, "s_count": 5}}
@@ -284,7 +284,9 @@ def test_randers_verdict_rows_equal_scalar_calls(tmp_path, capsys, name, check):
         for row, bc in zip(rows, _per_radius(bh_classification_residuals, f, g, h, r)):
             assert [row[k] for k in ("c", "res1", "res2", "printed_ode_residual")] == \
                 [bc.c, bc.res1, bc.res2, bc.printed_ode_residual]
-    else:
+    else:  # f = c/r^2 with c the mean of r^2 f over the grid
+        rs = np.array(r)
+        c = float(np.mean(rs * rs * f.value(rs)))
         for row, (u1, u2), ht in zip(rows, _per_radius(covariant_b_coefficients, f, g, h, r),
-                                     [ht_condition_residual(1.0, g, h, x) for x in r]):
+                                     [ht_condition_residual(c, g, h, x) for x in r]):
             assert [row["u1"], row["u2"], row["ht_residual"]] == [u1, u2, ht]

@@ -21,7 +21,7 @@ from finslerlab import cli, expr, families, geometry, scurvature, volume
 from finslerlab.cli import CHECKS, CSV_HEADER, SOLVER_STEPS_CAP, main
 from finslerlab.errors import DomainError
 from finslerlab.expr import ScalarFunction
-from finslerlab.families import bh_classification_residuals, ht_condition_residual
+from finslerlab.families import bh_classification_residuals
 from finslerlab.randers import covariant_b_coefficients
 
 HERE = Path(__file__).resolve().parent
@@ -531,9 +531,10 @@ def test_a_table_whose_interpolant_overflows_is_a_config_error_naming_its_key(tm
 @pytest.mark.parametrize("warnings", [[], ["-W", "error::RuntimeWarning"]],
                          ids=["default", "warnings-fatal"])
 def test_a_family_g_that_overflows_at_a_radius_is_one_numeric_failure(tmp_path, warnings):
-    # over [0.8, 1e18] the table's I1 overflows exp between its nodes, at a verify radius
+    # with c2 = -0.1, I1 = 2 ln r + 0.1 (r^4 - 1) passes exp's range near r = 9.2, so
+    # over [0.8, 1e18] the table's first node past it, the decade edge 10, overflows
     cfg = json.loads((HERE.parent / "configs" / "family_k.json").read_text())
-    cfg["metric"]["r_domain"] = [0.8, 1e18]
+    cfg["metric"].update(c2=-0.1, r_domain=[0.8, 1e18])
     proc = subprocess.run(
         [sys.executable, *warnings, "-m", "finslerlab", "verify",
          write_cfg(tmp_path, "wide_family.json", cfg), "--check", "douglas"],
@@ -541,8 +542,17 @@ def test_a_family_g_that_overflows_at_a_radius_is_one_numeric_failure(tmp_path, 
     )
     assert proc.returncode == 3
     assert proc.stdout == ""
-    assert proc.stderr == ("numeric failure: family g = exp(I1) is not finite "
-                           "at r=1.0374999999999999\n")
+    assert proc.stderr == "numeric failure: family g = exp(I1) is not finite at r=10.0\n"
+
+
+@pytest.mark.parametrize("hi", [1e4, 1e6, 1e18])
+@pytest.mark.parametrize("argv", [["sample"], ["verify", "--check", "isotropy"],
+                                  ["verify", "--check", "douglas"]])
+def test_a_family_domain_over_many_decades_computes(tmp_path, capsys, argv, hi):
+    cfg = json.loads((HERE.parent / "configs" / "family_k.json").read_text())
+    cfg["metric"]["r_domain"] = [0.8, hi]
+    assert main([*argv, write_cfg(tmp_path, "wide.json", cfg)]) == 0
+    capsys.readouterr()
 
 
 def test_irregular_grid_point_is_regularity_error(tmp_path, capsys):
@@ -653,7 +663,6 @@ def _first_loop_error(check, metric, r_values):
                 bh_classification_residuals(f, g, h, r)
             else:
                 covariant_b_coefficients(f, g, h, r)
-                ht_condition_residual(1.0, g, h, r)
     except DomainError as exc:
         return f"numeric failure: {exc}"
     return None
@@ -664,16 +673,34 @@ def _first_loop_error(check, metric, r_values):
 def test_batched_randers_checks_report_the_first_failing_radius(tmp_path, capsys, check, name):
     grid = {"r_min": 0.2, "r_max": 1.4, "r_count": 25, "s_count": 5}
     metric = dict(INADMISSIBLE[name], kind="randers", r_domain=[0.1, 1.5])
-    cfg = write_cfg(tmp_path, "bad.json", {"n": 2, "c_const": 1.0, "volume": "bh",
-                                          "metric": metric, "grid": grid})
+    cfg = write_cfg(tmp_path, "bad.json", {"n": 2, "volume": "bh", "metric": metric,
+                                          "grid": grid})
     line = _first_loop_error(check, metric, np.linspace(0.2, 1.4, 25))
     assert "min(f, f + r^2 (g - h^2))" in line
     assert main(["verify", "--check", check, cfg]) == 3
     assert capsys.readouterr().err.strip() == line
 
 
+def test_ht_parallel_reads_c_off_f_and_fails_where_u1_leaves_the_band(tmp_path, capsys):
+    # Funk's f = 1/(1 - r^2): u1 = h (r^2 f)'/(2 r q) is nonzero at every radius
+    out = tmp_path / "fr3.json"
+    assert main(["verify", "--check", "ht-parallel", str(HERE.parent / "configs" /
+                                                         "funk_randers_n3.json"),
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err.endswith("\nht-parallel: FAIL (max residual 7.364e+01)\n")
+    assert all(abs(row["u1"]) > 1.0 for row in json.loads(out.read_text())["per_radius"])
+    # f = 1 is not c/r^2: with beta = 0 every residual is 0, whatever c, and an h
+    # of 1e-12 keeps every residual inside the 1e-8 band
+    grid = {"r_min": 0.2, "r_max": 1.1, "r_count": 7, "s_count": 5}
+    for h, worst in [(0, "0.000e+00"), (1e-12, "2.563e-10")]:
+        metric = {"kind": "randers", "f": 1, "g": 1, "h": h, "r_domain": [0.1, 1.2]}
+        cfg = write_cfg(tmp_path, "f1.json", {"n": 2, "metric": metric, "grid": grid})
+        assert main(["verify", "--check", "ht-parallel", cfg]) == 0
+        assert capsys.readouterr().err == f"ht-parallel: PASS (max residual {worst})\n"
+
+
 def test_ht_parallel_takes_the_jets_of_g_and_h_once(tmp_path, capsys, monkeypatch):
-    # the config's f and f = c/r^2 both meet the same values of g and h
+    # one randers_coefficients call per batch reads g and h for u1, u2 and the HT residual
     metric = {"kind": "randers", "f": "1/r^2", "g": "0", "h": "0.5/r^2", "r_domain": [0.5, 3.0]}
     cfg = write_cfg(tmp_path, "ht.json", {"n": 3, "volume": "ht", "metric": metric,
                                          "grid": {"r_min": 0.8, "r_max": 2.5, "r_count": 9}})
@@ -796,6 +823,28 @@ def test_tolerances_must_be_positive_numbers(tmp_path, capsys, check, value):
     assert err.startswith("config error:") and f"tolerances.{check}" in err
 
 
+@pytest.mark.parametrize("name", ["oracle", "orcale"])
+@pytest.mark.parametrize("argv", [["analyze"], ["sample"], ["verify", "--check", "oracle"]])
+def test_a_tolerance_no_check_reads_is_a_config_error(tmp_path, capsys, argv, name):
+    cfg = json.loads(Path(FUNK_CFG).read_text())
+    cfg["tolerances"] = {"douglas": 1e-6, name: 1e-9}
+    assert main([*argv, write_cfg(tmp_path, "tol.json", cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"config error: 'tolerances.{name}' must be one of isotropy | "
+                            f"douglas, got '{name}'\n")
+
+
+def test_each_metric_kind_has_its_section_and_its_spec(tmp_path, capsys):
+    assert tuple(cli._SPECS) == ("general", "randers", "berwald-family")
+    assert all(f"metric[{kind}]" in cli.SCHEMA for kind in cli._SPECS)
+    cfg = json.loads(Path(FUNK_CFG).read_text())
+    cfg["metric"]["kind"] = "finsler"
+    assert main(["analyze", write_cfg(tmp_path, "kind.json", cfg)]) == 2
+    assert capsys.readouterr().err == ("config error: 'metric.kind' must be one of general | "
+                                       "randers | berwald-family, got 'finsler'\n")
+
+
 @pytest.mark.parametrize("points", [0, -3, "x", 2.5, True, 1001, None])
 def test_oracle_points_must_be_an_integer_in_range(tmp_path, capsys, points):
     cfg = json.loads(Path(FUNK_CFG).read_text())
@@ -803,14 +852,6 @@ def test_oracle_points_must_be_an_integer_in_range(tmp_path, capsys, points):
     assert main(["verify", "--check", "oracle", write_cfg(tmp_path, "pts.json", cfg)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "oracle.points" in err
-
-
-@pytest.mark.parametrize("c_const", [0, -1.0, float("inf"), "1", True])
-def test_c_const_must_be_a_positive_finite_number(tmp_path, capsys, c_const):
-    cfg = json.loads(Path(PARALLEL_CFG).read_text())
-    cfg["c_const"] = c_const
-    assert main(["verify", "--check", "ht-parallel", write_cfg(tmp_path, "c.json", cfg)]) == 2
-    assert "'c_const' must be a positive finite number" in capsys.readouterr().err
 
 
 ROOT_CONFIGS = HERE.parent / "configs"
@@ -1000,8 +1041,12 @@ def test_construct_randers_ht_round_trip(tmp_path, capsys):
     built = json.loads(out.read_text())
     assert built["volume"] == "ht"
     assert built["diagnostics"]["admissible"] is True
+    assert built["metric"]["f"] == "1/r^2" and "c_const" not in built  # f carries c
     assert main(["verify", "--check", "ht-parallel", str(out)]) == 0
     assert main(["verify", "--check", "isotropy", str(out)]) == 0
+    # a config emitted with a top-level c_const still loads: that key is ignored
+    old = write_cfg(tmp_path, "old.json", dict(built, c_const=2.0))
+    assert main(["verify", "--check", "ht-parallel", old]) == 0
     capsys.readouterr()
 
 

@@ -26,7 +26,7 @@ HERE = Path(__file__).resolve().parent
 BUNDLED = sorted((HERE.parent / "configs").glob("*.json"))
 
 OPTIONAL = {"tolerances": {"isotropy": 1e-7, "douglas": 1e-6}, "oracle": {"points": 3},
-            "seed": 7, "c_const": 1.0, "output": {"path": "report.json"}}
+            "seed": 7, "output": {"path": "report.json"}}
 
 BASES = [(["verify", "--check", "douglas"], json.loads(p.read_text())) for p in BUNDLED]
 BASES += [(["construct", "--family", family],
@@ -72,7 +72,7 @@ def work(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
 
 
-#: family_k with r_domain [0.8, 1e18]: g = exp(I1) overflows at a verify radius
+#: family_k with r_domain [0.8, 1e18]: its table starts a panel at each decade, so it exits 0
 _FAMILY_WIDE_DOMAIN = (BASES[0][0], ("metric", "r_domain", 1),
                        _replace(BASES[0][1], ("metric", "r_domain", 1), 10**18))
 

@@ -133,7 +133,7 @@ def test_family_tables_match_nested_quadrature(c2, domain, r0, bisected):
 
 # the first row is the metric of configs/family_k.json
 @pytest.mark.parametrize("c2, domain, r0, rounds", [("0.1", (0.8, 1.2), 1.0, 1),
-                                                    ("0.1 + 0.05/r", (0.001, 1.0), 0.5, 11)],
+                                                    ("0.1 + 0.05/r", (0.001, 1.0), 0.5, 5)],
                          ids=["family-k", "inverse-r"])
 def test_family_table_reads_c2_once_per_bisection_round(monkeypatch, c2, domain, r0, rounds):
     chi = parse_expression("1 + w/4", {"w"})
@@ -157,8 +157,25 @@ def test_family_table_split_cap_raises_naming_the_panel(monkeypatch):
     monkeypatch.setattr(quadrature, "TABLE_SPLIT_CAP", 1)
     chi = parse_expression("1 + w/4", {"w"})
     spec = MetricSpec(BerwaldFamilyProfile(ScalarFunction.constant(0.1), chi, 0.5), 2, (0.04, 0.9))
-    with pytest.raises(QuadratureError, match=r"table panel \[0\.04, .* after 1 bisections"):
+    with pytest.raises(QuadratureError, match=r"table panel \[0\.1, 0\.3\] .* after 1 bisections"):
         _family_table(spec)
+
+
+@pytest.mark.parametrize("hi", [1.2, 1e4, 1e5, 1e6, 1e7, 1e12, 1e18])
+def test_family_table_reads_i1_over_many_decades(hi):
+    # family_k: c2 = 0.1 and r0 = 1, so I1 = 2 ln r - 0.1 (r^4 - 1)
+    spec = MetricSpec(_family_spec(ScalarFunction.constant(0.1)).profile, 2, (0.8, hi))
+    table = _family_table(spec)
+    decades = [10.0 ** k for k in range(-1, 19) if 0.8 < 10.0 ** k < hi]
+    assert set(decades) <= set(table.edges.tolist())
+    def gap(r):
+        return np.abs(table.at(r) - (2.0 * np.log(r) - 0.1 * (r ** 4 - 1.0)))
+
+    # near the anchor, where family_k's grid lies, to rounding; out to hi, relative to
+    # |I1| (up to 1e71), since each panel is judged against its own largest value
+    near, far = np.linspace(0.8, 1.2, 81), np.geomspace(1.2, hi, 101)
+    assert np.max(gap(near)) <= 1e-15
+    assert np.max(gap(far) / np.abs(2.0 * np.log(far) - 0.1 * (far ** 4 - 1.0))) <= 1e-12
 
 
 def test_family_table_is_per_spec():
