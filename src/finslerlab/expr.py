@@ -12,22 +12,24 @@ declares) and the functions ``sqrt exp log sin cos atan``.  Exponents are
 restricted to integer and half-integer constants; anything else must be
 spelled ``exp(y*log(x))``.
 
-Trees evaluate to :class:`~finslerlab.jets.Jet3` (``eval_jet`` /
-``eval_tree``) by a flat program over their distinct subtrees, in the
-post-order of each subtree's first occurrence.  Subtrees with the same node
-kind, operator or name, the same bits (``float.hex``) of their constants and
-exponents and the same operand subtrees are computed once, and constants are
-prebuilt jets.  Each step keeps a walk's per-node semantics, on floats and
-arrays alike: it checks its exponent, operates by Jet3 arithmetic with its
-domain guards, then checks that its jet is finite, and a ``DomainError``
-names the innermost subexpression it arose in.  So a program gives the jets,
-coefficient types and errors of a node-by-node walk, and of several trees
-evaluated one by one in order.  A program is built at its trees' first
-evaluation and kept by their identity in a bounded table, never on a tree,
-which pickles, compares and hashes as its fields; a text parsed again gives
-the tree parsed before, and with it its program.  A radius function's value
-is the value of its order-2 jet.  ``eval_value`` walks a tree on floats with
-libm, a reference that no evaluation path uses.
+Trees evaluate to :class:`~finslerlab.jets.Jet3` (``eval_tree``) by a flat
+program over their distinct subtrees, in the post-order of each subtree's
+first occurrence.  Subtrees with the same node kind, operator or name, the
+same bits (``float.hex``) of their constants and exponents and the same
+operand subtrees are computed once, and constants are prebuilt jets.  Each
+step keeps a walk's per-node semantics, on floats and arrays alike: it checks
+its exponent, operates by Jet3 arithmetic with its domain guards, then checks
+that its jet is finite, and a ``DomainError`` names the innermost
+subexpression it arose in.  So a program gives the jets, coefficient types and
+errors of a node-by-node walk, and of several trees evaluated one by one in
+order.  A run takes its steps under one ``np.errstate`` that silences numpy's
+warnings, since each step's check reports what they would.  A program is
+built at its trees' first evaluation and kept by their identity in a bounded
+table, never on a tree, which pickles, compares and hashes as its fields; a
+text parsed again gives the tree parsed before, and with it its program.  The
+program is the one evaluator: a radius function's value is the value of its
+order-2 jet, and ``eval_value`` reads a tree's value at floats off the
+program on constant jets.
 
 Radius functions, ScalarFunctions of r and tables with their own ``value``
 and ``jet``, are lifted from numbers and strings by ``radius_function`` and
@@ -38,7 +40,6 @@ condition and closed form) and ``families.bh_solve_g`` read f, g, h there.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 from operator import add, methodcaller, mul, neg, sub, truediv
@@ -47,7 +48,7 @@ from typing import Mapping, Union
 import numpy as np
 
 from .errors import DomainError, ParseError, UnknownIdentifierError
-from .jets import Jet3, ipow, is_finite
+from .jets import Jet3, is_finite
 
 FUNCTIONS = ("sqrt", "exp", "log", "sin", "cos", "atan")
 VARIABLES = ("r", "s", "w")
@@ -359,13 +360,13 @@ class _Emitter:
         y = None
         if kind is Binary:
             x, y = self.emit(node.left), self.emit(node.right)
-            key, operation = (node.op, x, y), _BINARY.get(node.op, truediv)
+            key, operation = (node.op, x, y), _BINARY[node.op]
         elif kind is Pow:
             x, q = self.emit(node.base), node.exponent
             key, operation = ("^", _bits(q), x), _power(q)
         else:
             x = self.emit(node.arg)
-            key, operation = (node.op, x), _UNARY.get(node.op) or methodcaller(node.op)
+            key, operation = (node.op, x), _UNARY[node.op]
         slot = self.index.get(key)
         if slot is None:
             slot = self._new_slot(key)
@@ -409,17 +410,19 @@ def _program(trees: tuple) -> tuple:
 
 def _run(program: tuple, env: Mapping[str, Jet3]) -> list:
     """The output jets of program, its variables bound to env's jets: each step operates,
-    then checks that its jet is finite; a DomainError names the step's subexpression."""
+    then checks that its jet is finite; a DomainError names the step's subexpression.
+    The steps run under one errstate, as each step's check reports what numpy would warn of."""
     init, inputs, steps, outputs = program
     vals = init.copy()
     for name, slot in inputs:
         vals[slot] = env[name]
     try:
-        for operation, x, y, node, slot in steps:
-            out = operation(vals[x]) if y is None else operation(vals[x], vals[y])
-            if not is_finite(out.c):
-                raise DomainError("non-finite result")
-            vals[slot] = out
+        with np.errstate(all="ignore"):
+            for operation, x, y, node, slot in steps:
+                out = operation(vals[x]) if y is None else operation(vals[x], vals[y])
+                if not is_finite(out.c):
+                    raise DomainError("non-finite result")
+                vals[slot] = out
     except DomainError as err:
         _locate(err, node)
         raise
@@ -438,73 +441,10 @@ def eval_tree(tree: ExpressionTree, env: Mapping[str, Jet3]) -> Jet3:
     return _run(_program((tree,)), env)[0]
 
 
-def eval_jet(tree: ExpressionTree, r, s) -> Jet3:
-    """Jet of a profile phi(r, s) at a point (scalars or broadcastable arrays)."""
-    env = {"r": Jet3.seed(r, dr=1.0), "s": Jet3.seed(s, ds=1.0)}
-    return eval_tree(tree, env)
-
-
-def _eval_value_node(node: Node, env: Mapping[str, float]) -> float:
-    if isinstance(node, Const):
-        return node.value
-    if isinstance(node, Var):
-        return env[node.name]
-    if isinstance(node, Unary):
-        a = _eval_value_node(node.arg, env)
-        if node.op == "neg":
-            return -a
-        try:
-            if node.op == "sqrt":
-                if a <= 0.0:
-                    raise DomainError(f"sqrt of non-positive value {a!r}")
-                return math.sqrt(a)
-            if node.op == "exp":
-                v = math.exp(a)
-            elif node.op == "log":
-                if a <= 0.0:
-                    raise DomainError(f"log of non-positive value {a!r}")
-                v = math.log(a)
-            elif node.op == "sin":
-                v = math.sin(a)
-            elif node.op == "cos":
-                v = math.cos(a)
-            else:
-                v = math.atan(a)
-        except OverflowError as exc:
-            raise DomainError(f"overflow in {node.op}({a!r})") from exc
-        return v
-    if isinstance(node, Pow):
-        a = _eval_value_node(node.base, env)
-        q = node.exponent
-        if q == int(q):
-            k = int(q)
-            if k < 0 and abs(a) < 1e-300:
-                raise DomainError(f"division by (near-)zero value {a!r}")
-            return ipow(a, k)
-        if a <= 0.0:
-            raise DomainError(f"power {q} of non-positive value {a!r}")
-        return ipow(math.sqrt(a), int(2.0 * q))
-    left = _eval_value_node(node.left, env)
-    right = _eval_value_node(node.right, env)
-    if node.op == "+":
-        return left + right
-    if node.op == "-":
-        return left - right
-    if node.op == "*":
-        return left * right
-    if abs(right) < 1e-300:
-        raise DomainError(f"division by (near-)zero value {right!r}")
-    return left / right
-
-
 def eval_value(tree: ExpressionTree, env: Mapping[str, float]) -> float:
-    """The tree's value on floats, walked node by node with libm (a reference:
-    evaluation goes through jets)."""
-    _check_bound(tree.variables, env)
-    v = _eval_value_node(tree.root, env)
-    if not math.isfinite(v):
-        raise DomainError(f"non-finite result in '{to_string(tree)}'")
-    return v
+    """The tree's value at float variables: the value of its program on constant jets."""
+    jets = {name: Jet3.constant(float(v), 2) for name, v in env.items()}
+    return float(eval_tree(tree, jets).value)
 
 
 # -- scalar functions of r ---------------------------------------------------

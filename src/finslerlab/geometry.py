@@ -276,12 +276,13 @@ def _family_phi_jet(spec: MetricSpec, r, s, order: int, r_order: int = 3) -> Jet
         at = np.broadcast_to(np.asarray(r, dtype=float), np.shape(bad)).flat[np.argmax(bad)]
         raise DomainError(f"family g = exp(I1) is not finite at r={float(at)!r}")
     inv_r0 = 1.0 / p.r0
-    J_jet = inv_r0 * inv_r0 - g_jet * (inv_r * inv_r)
     sj = Jet3.seed(s, ds=1.0, order=order, r_order=r_order)
     s2 = sj * sj
-    radicand = g_jet + J_jet * s2
-    _check_radicand(r, radicand.value <= 0.0, "is non-positive", "value", radicand.value)
-    with np.errstate(over="ignore", invalid="ignore"):  # a tiny g overflows their Taylor data
+    # a huge g' overflows J s^2, and a tiny g the Taylor data of the powers
+    with np.errstate(over="ignore", invalid="ignore"):
+        J_jet = inv_r0 * inv_r0 - g_jet * (inv_r * inv_r)
+        radicand = g_jet + J_jet * s2
+        _check_radicand(r, radicand.value <= 0.0, "is non-positive", "value", radicand.value)
         rsqrt = radicand.powr(-0.5)  # one composition gives both w and the square root
         g_rsqrt = g_jet.powr(-0.5)
     if not (is_finite(rsqrt.c) and is_finite(g_rsqrt.c)):

@@ -143,8 +143,9 @@ def _taus(spec: MetricSpec, vol, states) -> list[float]:
     for st in states:
         _, r, s = _split(st.x.tolist(), st.y.tolist())
         det = float(metric_determinant(spec, r, s, st.jet))
-        if det <= 0.0:
-            raise DomainError(f"det g = {det:.6g} not positive at r={r:.6g}, s={s:.6g}")
+        if not 0.0 < det < math.inf:
+            what = "positive" if det <= 0.0 else "finite"
+            raise DomainError(f"det g = {det:.6g} not {what} at r={r:.6g}, s={s:.6g}")
         radii.append(r)
         half_log_det.append(0.5 * math.log(det))
     sigma = density(vol, spec, radii[0] if len(radii) == 1 else np.array(radii))

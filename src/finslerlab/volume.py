@@ -35,6 +35,9 @@ alone, and sigma's are density's.  A process keeps its last F_CACHE_SIZE pairs
 per (volume, spec, radii), so the grid commands on one config settle f(r) once;
 the node-jet cache then serves only the call that evaluates its entries.
 Constant and custom densities take (sigma, f) from one closed-form helper.
+The sums are taken under one ``np.errstate``: a sigma that is not a positive
+finite double, or a (log sigma)' that is not finite, is a DomainError naming
+the volume, the first such radius and n.
 
 The angular sums are correctly rounded (``quadrature.exact_sum``: math.fsum's
 double, by math.fsum for few radii and by error-free extraction for many) and
@@ -172,18 +175,36 @@ def _angular_at(vol: VolumeSpec, spec: MetricSpec, key, counts: tuple[int, ...],
         # phi_s and phi_ss are shifted before the cut, which would drop what they shift down
         parts = ((jet.deriv(0, b) if b else jet).dropped_above(1) for b in range(3))
         r, s_ = Jet3.seed(rc, dr=1.0, r_order=1), Jet3.seed(s, ds=1.0, r_order=1)
-    if bh:
-        integrand = ipow(next(parts), -spec.n)
-    else:
-        phi, m2, m3 = margins(*parts, r, s_)
-        integrand = phi * ipow(m2, spec.n - 2) * m3
     w = sin_power_integral(spec.n)
-    if not r_order:
-        return [w / v if bh else v / w for v in _per_count(counts, ws * _arr(integrand, s.shape))]
-    ddr = _arr(integrand.d(1, 0), s.shape) + cos_t * _arr(integrand.d(0, 1), s.shape)
-    vals = _per_count(counts, ws * _arr(integrand.d(0, 0), s.shape))
-    ders = _per_count(counts, ws * ddr)
-    return [(w / v, -d / v) if bh else (v / w, d / v) for d, v in zip(ders, vals)]
+    out = []
+    with np.errstate(all="ignore"):  # a bad sigma or (log sigma)' is reported below
+        if bh:
+            integrand = ipow(next(parts), -spec.n)
+        else:
+            phi, m2, m3 = margins(*parts, r, s_)
+            integrand = phi * ipow(m2, spec.n - 2) * m3
+        if r_order:
+            ddr = _arr(integrand.d(1, 0), s.shape) + cos_t * _arr(integrand.d(0, 1), s.shape)
+            vals = _per_count(counts, ws * _arr(integrand.d(0, 0), s.shape))
+            ders = _per_count(counts, ws * ddr)
+        else:
+            vals, ders = _per_count(counts, ws * _arr(integrand, s.shape)), [None] * len(counts)
+        for v, d in zip(vals, ders):
+            if type(v) is float and not v > 0.0:  # one radius: a float sum of 0 cannot divide
+                v = math.nan
+            sigma = w / v if bh else v / w
+            ok = (sigma > 0.0) & (sigma < math.inf)  # False for NaN, on floats and arrays
+            if r_order:
+                dlog = (-d if bh else d) / v
+                ok = ok & (abs(dlog) < math.inf)
+            if not (ok if type(ok) is bool else ok.all()):
+                r_i, sigma_i = _at_first(~np.asarray(ok), key, sigma)
+                what, must = (("density's log-derivative", "finite") if 0.0 < sigma_i < math.inf
+                              else ("density", "a positive finite double"))
+                raise DomainError(f"{'BH' if bh else 'HT'} {what} at r={r_i!r} is not {must} "
+                                  f"(n = {spec.n})")
+            out.append((sigma, dlog) if r_order else sigma)
+    return out
 
 
 def sigma_bh(spec: MetricSpec, r):

@@ -1,7 +1,8 @@
 """Shared numerical oracles and random-input generators for the test suite.
 
 Everything here is deliberately independent of the package internals: finite
-differences never call jet code, the brute-force Randers tensors are assembled
+differences never call jet code (they read ``reference_eval_value``, a libm
+walk of the tree on floats), the brute-force Randers tensors are assembled
 from textbook formulas, and random inputs are generated from seeded numpy
 Generators so every test run is reproducible.  The one exception is the
 reference jet walker, Jet3 arithmetic node by node in a recursive walk of the
@@ -16,6 +17,7 @@ Berwald-family profile jets built on it bit for bit.
 
 from __future__ import annotations
 
+import math
 import operator
 import os
 import subprocess
@@ -25,8 +27,8 @@ from pathlib import Path
 import numpy as np
 
 from finslerlab.errors import DomainError
-from finslerlab.expr import (Binary, Const, ExpressionTree, Node, Pow, ScalarFunction, Var,
-                             _check_exponent, eval_value, to_string)
+from finslerlab.expr import (Binary, Const, ExpressionTree, Node, Pow, ScalarFunction, Unary,
+                             Var, _check_exponent, eval_tree, to_string)
 from finslerlab.geometry import MetricSpec, RandersProfile, _family_table
 from finslerlab.jets import Jet3, any_true, is_finite
 
@@ -76,12 +78,90 @@ def fd_reference_jet(fn, r, s) -> dict:
 
 
 def tree_point_fn(tree: ExpressionTree):
-    """Wrap an (r, s) expression tree as a plain float-valued function."""
+    """Wrap an (r, s) expression tree as a plain float-valued function (libm)."""
 
     def fn(r: float, s: float) -> float:
-        return eval_value(tree, {"r": r, "s": s})
+        return reference_eval_value(tree, {"r": r, "s": s})
 
     return fn
+
+
+def tree_jet(tree: ExpressionTree, r, s) -> Jet3:
+    """eval_tree's jet of an (r, s) tree at a point (floats or broadcastable arrays)."""
+    return eval_tree(tree, {"r": Jet3.seed(r, dr=1.0), "s": Jet3.seed(s, ds=1.0)})
+
+
+# -- the reference float walker ------------------------------------------------
+
+
+def _eval_value_node(node: Node, env) -> float:
+    """The node's value on floats with libm, with domain checks of its own."""
+    if isinstance(node, Const):
+        return node.value
+    if isinstance(node, Var):
+        return env[node.name]
+    if isinstance(node, Unary):
+        a = _eval_value_node(node.arg, env)
+        if node.op == "neg":
+            return -a
+        try:
+            if node.op == "sqrt":
+                if a <= 0.0:
+                    raise DomainError(f"sqrt of non-positive value {a!r}")
+                return math.sqrt(a)
+            if node.op == "exp":
+                v = math.exp(a)
+            elif node.op == "log":
+                if a <= 0.0:
+                    raise DomainError(f"log of non-positive value {a!r}")
+                v = math.log(a)
+            elif node.op == "sin":
+                v = math.sin(a)
+            elif node.op == "cos":
+                v = math.cos(a)
+            else:
+                v = math.atan(a)
+        except OverflowError as exc:
+            raise DomainError(f"overflow in {node.op}({a!r})") from exc
+        return v
+    if isinstance(node, Pow):
+        a = _eval_value_node(node.base, env)
+        q = node.exponent
+        if q == int(q):
+            if q < 0 and abs(a) < 1e-300:
+                raise DomainError(f"division by (near-)zero value {a!r}")
+            base, k = a, int(q)
+        elif a <= 0.0:
+            raise DomainError(f"power {q} of non-positive value {a!r}")
+        else:
+            base, k = math.sqrt(a), int(2.0 * q)
+        try:
+            return base ** k  # libm's pow, where the jets multiply repeatedly (ipow)
+        except OverflowError as exc:
+            raise DomainError(f"overflow in power {q} of {a!r}") from exc
+    left = _eval_value_node(node.left, env)
+    right = _eval_value_node(node.right, env)
+    if node.op == "+":
+        return left + right
+    if node.op == "-":
+        return left - right
+    if node.op == "*":
+        return left * right
+    if abs(right) < 1e-300:
+        raise DomainError(f"division by (near-)zero value {right!r}")
+    return left / right
+
+
+def reference_eval_value(tree: ExpressionTree, env) -> float:
+    """The tree's value on floats, walked node by node with libm's functions and pow:
+    an evaluator that shares no routine with the jet programs."""
+    missing = tree.variables - set(env)
+    if missing:
+        raise DomainError(f"no value bound for variable(s) {sorted(missing)}")
+    v = _eval_value_node(tree.root, env)
+    if not math.isfinite(v):
+        raise DomainError(f"non-finite result in '{to_string(tree)}'")
+    return v
 
 
 # -- the reference jet walker ------------------------------------------------
@@ -123,11 +203,13 @@ def _eval_jet_node(node: Node, env) -> Jet3:
 
 
 def reference_eval_tree(tree: ExpressionTree, env) -> Jet3:
-    """eval_tree by walking the tree with Jet3 arithmetic."""
+    """eval_tree by walking the tree with Jet3 arithmetic, under one errstate as a
+    program's run, since every node's finiteness check reports what numpy would warn of."""
     missing = tree.variables - set(env)
     if missing:
         raise DomainError(f"no value bound for variable(s) {sorted(missing)}")
-    return _eval_jet_node(tree.root, env)
+    with np.errstate(all="ignore"):
+        return _eval_jet_node(tree.root, env)
 
 
 def reference_compose(jet: Jet3, f0, f1, f2, f3) -> Jet3:

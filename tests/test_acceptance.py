@@ -18,6 +18,7 @@ from _support import (
     random_randers_texts,
     random_xy,
     sample_points,
+    tree_jet,
     tree_point_fn,
     well_behaved_at,
 )
@@ -34,7 +35,7 @@ from conftest import (
 from finslerlab.cli import main as cli_main
 from finslerlab.douglas import douglas_verdict
 from finslerlab.errors import DomainError
-from finslerlab.expr import ScalarFunction, eval_jet, parse_expression
+from finslerlab.expr import ScalarFunction, parse_expression
 from finslerlab.families import (
     bh_classification_residuals,
     bh_solve_g,
@@ -81,7 +82,7 @@ def test_criterion_01_jet_coefficients_match_finite_differences():
             continue
         accepted += 1
         for r, s in points:
-            jet = eval_jet(tree, r, s)
+            jet = tree_jet(tree, r, s)
             for (a, b), want in fd_reference_jet(fn, r, s).items():
                 got = float(jet.d(a, b))
                 if abs(want) >= 1e-3:

@@ -545,6 +545,72 @@ def test_a_family_g_that_overflows_at_a_radius_is_one_numeric_failure(tmp_path, 
     assert proc.stderr == "numeric failure: family g = exp(I1) is not finite at r=10.0\n"
 
 
+_HUGE_G_PRIME_LINE = ("regularity failure: regularity condition 3 (phi - s*phi_s + (r^2-s^2)*phi_ss "
+                      "> 0) fails at r=1.01875, s=-0.6791659875 (margin -2.220446049250313e-16)\n")
+
+
+def test_a_huge_family_g_derivative_is_one_regularity_line(tmp_path, capsys):
+    # c2 = -935 on [0.95, 1.15] makes g's r-derivatives overflow J s^2's Taylor
+    # terms; numpy stays silent, in process (warnings are errors under the
+    # suite's filter) and in a child with warnings fatal
+    proc = _verify_douglas_with_c2(tmp_path, -935, r_domain=[0.95, 1.15], grid={"r_min": 1.0})
+    assert (proc.returncode, proc.stdout, proc.stderr) == (4, "", _HUGE_G_PRIME_LINE)
+    cfg = json.loads((HERE.parent / "configs" / "family_k.json").read_text())
+    cfg["metric"].update(c2=-935, r_domain=[0.95, 1.15])
+    cfg["grid"]["r_min"] = 1.0
+    assert main(["verify", "--check", "douglas", write_cfg(tmp_path, "huge_g.json", cfg)]) == 4
+    assert capsys.readouterr().err == _HUGE_G_PRIME_LINE
+
+
+@pytest.mark.parametrize("check, k", [("douglas", 900), ("oracle", 2000)])
+def test_an_overflowing_profile_expression_is_one_numeric_failure(tmp_path, capsys, check, k):
+    # the program overflows in exp, on the grid's arrays (douglas) or on the oracle's
+    # scalar jets: its step's check names it, numpy is silent
+    cfg = json.loads((HERE.parent / "configs" / "funk_n2.json").read_text())
+    cfg["metric"]["phi"] += f" + exp({k}*r)"
+    assert main(["verify", "--check", check, write_cfg(tmp_path, "exp.json", cfg)]) == 3
+    assert capsys.readouterr().err == f"numeric failure: non-finite result in 'exp({k} * r)'\n"
+
+
+def _out_of_range_density_cfg(tmp_path, vol: str) -> str:
+    """n = 100 configs whose density leaves double range: under BH, funk_n2 scaled by
+    1e4 (the integral of phi^-n underflows to 0); under HT, parallel_ht with f = 1e8/r^2
+    (the integrand overflows)."""
+    if vol == "BH":
+        cfg = json.loads((HERE.parent / "configs" / "funk_n2.json").read_text())
+        cfg["metric"]["phi"] = f"1e4*({cfg['metric']['phi']})"
+    else:
+        cfg = json.loads((HERE.parent / "configs" / "parallel_ht.json").read_text())
+        cfg["metric"]["f"] = "1e8/r^2"
+    cfg["n"] = 100
+    return write_cfg(tmp_path, f"{vol}_n100.json", cfg)
+
+
+@pytest.mark.parametrize("vol", ["BH", "HT"])
+@pytest.mark.parametrize("argv", [["verify", "--check", "isotropy"], ["verify", "--check", "oracle"],
+                                  ["sample"], ["analyze"]], ids=lambda a: a[-1])
+def test_a_density_out_of_double_range_is_one_numeric_failure(tmp_path, capsys, argv, vol):
+    # the grid commands name the density's first radius; the oracle meets det g = inf
+    # at its first point before it asks for the density there
+    assert main([*argv, _out_of_range_density_cfg(tmp_path, vol)]) == 3
+    err = capsys.readouterr().err
+    want = (r"det g = inf not finite at r=\S+, s=\S+" if argv[-1] == "oracle" else
+            rf"{vol} density at r={'0.2' if vol == 'BH' else '0.8'} "
+            r"is not a positive finite double \(n = 100\)")
+    assert re.fullmatch(rf"numeric failure: {want}\n", err), err
+
+
+def test_an_infinite_oracle_determinant_is_a_numeric_failure_not_a_fail(tmp_path, capsys):
+    # the constant volume needs no quadrature, so the oracle reaches det g = inf
+    cfg = json.loads((HERE.parent / "configs" / "funk_n2.json").read_text())
+    cfg.update(n=100, volume="constant")
+    cfg["metric"]["phi"] = f"1e4*({cfg['metric']['phi']})"
+    assert main(["verify", "--check", "oracle", write_cfg(tmp_path, "inf_det.json", cfg)]) == 3
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert re.fullmatch(r"numeric failure: det g = inf not finite at r=\S+, s=\S+\n", out.err), out.err
+
+
 @pytest.mark.parametrize("hi", [1e4, 1e6, 1e18])
 @pytest.mark.parametrize("argv", [["sample"], ["verify", "--check", "isotropy"],
                                   ["verify", "--check", "douglas"]])

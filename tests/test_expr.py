@@ -7,6 +7,7 @@ from _support import (
     fd_reference_jet,
     random_expression_text,
     sample_points,
+    tree_jet,
     tree_point_fn,
     well_behaved_at,
 )
@@ -18,7 +19,6 @@ from finslerlab.expr import (
     ScalarFunction,
     Unary,
     Var,
-    eval_jet,
     eval_value,
     parse_expression,
     to_string,
@@ -113,7 +113,7 @@ def test_parse_print_parse_on_random_corpus():
 
 
 def test_eval_jet_polynomial():
-    jet = eval_jet(parse_expression("s^2", {"r", "s"}), 0.7, 0.3)
+    jet = tree_jet(parse_expression("s^2", {"r", "s"}), 0.7, 0.3)
     assert jet.d(0, 0) == pytest.approx(0.09)
     assert jet.d(0, 1) == pytest.approx(0.6)
     assert jet.d(0, 2) == pytest.approx(2.0)
@@ -122,13 +122,13 @@ def test_eval_jet_polynomial():
 
 
 def test_eval_jet_mixed_partial_exp():
-    jet = eval_jet(parse_expression("exp(r*s)", {"r", "s"}), 0.0, 0.0)
+    jet = tree_jet(parse_expression("exp(r*s)", {"r", "s"}), 0.0, 0.0)
     assert jet.d(1, 1) == pytest.approx(1.0)
     assert jet.d(1, 0) == 0.0
 
 
 def test_eval_jet_constant():
-    jet = eval_jet(parse_expression("7", {"r", "s"}), 0.3, 0.1)
+    jet = tree_jet(parse_expression("7", {"r", "s"}), 0.3, 0.1)
     assert jet.d(0, 0) == 7.0
     assert all(jet.d(a, b) == 0.0 for a in range(4) for b in range(4 - a) if a + b)
 
@@ -139,7 +139,7 @@ def test_eval_jet_vs_fd_on_fixed_corpus():
         tree = parse_expression(text, {"r", "s"})
         fn = tree_point_fn(tree)
         for r, s in sample_points(rng, 4, r_box=(0.4, 0.8), s_box=(0.1, 0.45)):
-            jet = eval_jet(tree, r, s)
+            jet = tree_jet(tree, r, s)
             for (a, b), fd in fd_reference_jet(fn, r, s).items():
                 jv = float(jet.d(a, b))
                 if abs(fd) >= 1e-3:
@@ -151,7 +151,7 @@ def test_eval_jet_vs_fd_on_fixed_corpus():
 def test_domain_error_names_subexpression():
     tree = parse_expression("1/(r - s)", {"r", "s"})
     with pytest.raises(DomainError) as exc:
-        eval_jet(tree, 0.5, 0.5)
+        tree_jet(tree, 0.5, 0.5)
     assert "r - s" in str(exc.value)
 
 
@@ -173,7 +173,7 @@ def test_domain_error_text_and_subexpression(text, subexpr, scalar_msg, array_ms
     for r, msg in ((1.0, scalar_msg), (np.array([1.0]), scalar_msg),
                    (np.array([0.5, 1.0, 1.5]), array_msg)):
         with pytest.raises(DomainError) as exc, np.errstate(all="ignore"):
-            eval_jet(tree, r, 0.25)
+            tree_jet(tree, r, 0.25)
         assert exc.value.subexpr == subexpr
         assert str(exc.value) == f"{msg} in '{subexpr}'"
 
@@ -188,7 +188,10 @@ def test_eval_value_matches_jet_value():
         if not well_behaved_at(fn, pts, cap=1e6):
             continue
         for r, s in pts:
-            assert fn(r, s) == pytest.approx(float(eval_jet(tree, r, s).d(0, 0)), rel=1e-12)
+            value = float(tree_jet(tree, r, s).value)
+            assert fn(r, s) == pytest.approx(value, rel=1e-12)
+            # the library's float read is the program's value, bit for bit
+            assert eval_value(tree, {"r": r, "s": s}).hex() == value.hex()
 
 
 def test_scalar_function_constant():

@@ -58,6 +58,17 @@ def test_distortion_with_custom_density():
     assert tau == pytest.approx(-np.log(9.0), rel=1e-12)
 
 
+@pytest.mark.parametrize("det, what", [(-2.5, "det g = -2.5 not positive"),
+                                       (0.0, "det g = 0 not positive"),
+                                       (math.inf, "det g = inf not finite"),
+                                       (math.nan, "det g = nan not finite")])
+def test_a_determinant_that_is_not_positive_and_finite_is_a_domain_error(monkeypatch, det, what):
+    monkeypatch.setattr(oracle, "metric_determinant", lambda *args: det)
+    with pytest.raises(DomainError) as err:
+        distortion(general_phi_spec("1", 3, (0.5, 4.0)), BH, [3.0, 0.0, 0.0], [0.0, 1.0, 0.0])
+    assert str(err.value) == f"{what} at r=3, s=0"
+
+
 def test_funk_oracle_matches_linear_growth(funk2):
     # isotropic with c = 1/2: S = (n + 1) c F = 1.5 F in dimension 2
     rng = np.random.default_rng(11)

@@ -10,7 +10,7 @@ from _support import random_randers_texts
 from conftest import FUNK_PHI, FUNK_RANDERS, PARALLEL_HT, RANDERS111, interior_grid, make_randers
 from finslerlab import volume
 from finslerlab.cli import build_spec, load_config
-from finslerlab.errors import RegularityError
+from finslerlab.errors import DomainError, RegularityError
 from finslerlab.expr import ScalarFunction
 from finslerlab.geometry import general_phi_spec, randers_spec, regularity_scan
 from finslerlab.quadrature import angle_nodes, gl_nodes
@@ -194,6 +194,37 @@ def test_funk_bh_density_blows_up_toward_boundary():
             ht.append(sigma_ht(spec, r))
             assert ht[-1] == pytest.approx((1.0 - r * r) ** (-(n + 1) / 2.0), rel=1e-10)
         assert ht[0] < ht[1] < ht[2]
+
+
+@pytest.mark.parametrize("vol, spec, r, first", [
+    # the integral of phi^-n underflows to 0 (a float radius divided by it)
+    (BH, general_phi_spec(f"1e4*({FUNK_PHI})", 100, (0.05, 0.95)), 0.5, 0.5),
+    (BH, general_phi_spec(f"1e4*({FUNK_PHI})", 100, (0.05, 0.95)), (0.3, 0.5), 0.3),
+    # the integrand overflows
+    (HT, randers_spec("1e8/r^2", "0", "0.5/r^2", 100, (0.5, 3.0)), 1.5, 1.5),
+    (HT, randers_spec("1e8/r^2", "0", "0.5/r^2", 100, (0.5, 3.0)), (1.0, 2.0), 1.0),
+    # phi^-n = exp(-1000 r): sigma is 1.4e217 at 0.5 and 1.0e304 at 0.7, out of range at 0.8
+    (BH, general_phi_spec("exp(10*r)", 100, (0.05, 1.0)), (0.5, 0.8, 0.7), 0.8),
+], ids=["bh-float", "bh-array", "ht-float", "ht-array", "bh-first-bad"])
+def test_a_density_out_of_double_range_names_volume_radius_and_n(vol, spec, r, first):
+    volume._node_jets.cache_clear()
+    name = "BH" if vol is BH else "HT"
+    want = f"{name} density at r={first!r} is not a positive finite double (n = {spec.n})"
+    for read in (density, volume.density_and_f):  # sigma, and (sigma, (log sigma)')
+        with pytest.raises(DomainError) as err:
+            read(vol, spec, r if isinstance(r, float) else np.array(r))
+        assert str(err.value) == want
+
+
+def test_a_log_derivative_out_of_double_range_is_named_apart_from_sigma():
+    # phi^-n = exp(1e10 (r - 0.5)): sigma is 2.2e-300 at r, its sum's r-derivative overflows
+    spec, r = general_phi_spec("exp(-1e8*(r-0.5))", 100, (0.05, 0.95)), 0.500000069
+    volume._node_jets.cache_clear()
+    assert 0.0 < density(BH, spec, r) < 1e-299
+    for radii in (r, np.array([r])):
+        with pytest.raises(DomainError) as err:
+            volume.density_and_f(BH, spec, radii)
+        assert str(err.value) == f"BH density's log-derivative at r={r!r} is not finite (n = 100)"
 
 
 def test_custom_density_must_be_positive(euclid):
