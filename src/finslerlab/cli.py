@@ -58,6 +58,7 @@ from .geometry import (
     regularity_scan,
     s_fractions,
 )
+from .jets import first_nonfinite, is_finite
 from .oracle import _split, s_by_distortion
 from .randers import randers_coefficients
 from .scurvature import isotropy_profile, reduced_s, scurvature_columns
@@ -407,7 +408,11 @@ def _dump_report(args, cfg: RunConfig, report: dict) -> None:
 
 
 def _grid_columns(cfg: RunConfig, spec: MetricSpec) -> tuple[dict, dict]:
-    """The grid's columns, each (r_count, s_count), and the per-radius columns."""
+    """The grid's columns, each (r_count, s_count), and the per-radius columns.
+
+    They are computed under one errstate; a DomainError names the first column
+    with a value that is not finite, and that value's first (r, s).
+    """
     r_values, fracs = _grids(cfg)
 
     def columns(radii):
@@ -416,10 +421,17 @@ def _grid_columns(cfg: RunConfig, spec: MetricSpec) -> tuple[dict, dict]:
         cols["detg"] = metric_determinant(spec, cols["r"], s, jet)
         return {k: np.broadcast_to(np.asarray(v, dtype=float), s.shape) for k, v in cols.items()}
 
-    cols = batch_radii(columns, r_values)
-    c = cols["c"]
-    per_radius = {"r": r_values, "sigma": cols["sigma"][:, 0], "f_r": cols["f_r"][:, 0],
-                  "c_mean": np.mean(c, axis=1), "c_spread": np.max(c, axis=1) - np.min(c, axis=1)}
+    with np.errstate(all="ignore"):  # a value that is not finite is reported below
+        cols = batch_radii(columns, r_values)
+        c = cols["c"]
+        per_radius = {"r": r_values, "sigma": cols["sigma"][:, 0], "f_r": cols["f_r"][:, 0],
+                      "c_mean": np.mean(c, axis=1),
+                      "c_spread": np.max(c, axis=1) - np.min(c, axis=1)}
+    for name, col in (*cols.items(), *per_radius.items()):
+        if not is_finite((col,)):
+            coords = (cols["r"], cols["s"]) if col.ndim == 2 else (r_values,)
+            at = ", ".join(f"{k}={v!r}" for k, v in zip("rs", first_nonfinite((col,), *coords)))
+            raise DomainError(f"grid column {name} is not finite at {at}")
     return cols, per_radius
 
 

@@ -77,3 +77,14 @@ class ConfigError(FinslerError):
     def __init__(self, message: str, key: str | None = None):
         super().__init__(message)
         self.key = key
+
+
+def replay_alone(run, whole, parts):
+    """run(whole); on a FinslerError, run(part) for each part in order, so the first
+    part that fails alone raises its own error, and else the batch's error is raised."""
+    try:
+        return run(whole)
+    except FinslerError:
+        for part in parts:
+            run(part)
+        raise

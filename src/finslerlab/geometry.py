@@ -48,10 +48,10 @@ from typing import Union
 
 import numpy as np
 
-from .errors import DomainError, FinslerError, RegularityError
+from .errors import DomainError, RegularityError, replay_alone
 from .expr import (ExpressionTree, ScalarFunction, eval_tree, parse_expression, radial_jets,
                    radius_function)
-from .jets import Jet3, any_true, ipow, is_finite
+from .jets import Jet3, any_true, first_nonfinite, ipow, is_finite
 from .quadrature import PanelTable, segment_integral
 
 #: relative inset used when building s-grids that must avoid |s| = r
@@ -128,17 +128,8 @@ def s_fractions(count: int) -> np.ndarray:
 
 
 def batch_radii(batch, r_grid):
-    """batch(r_grid), or on a FinslerError what the first failing radius raises alone.
-
-    A batch may meet a later radius's error first; replaying one radius at a
-    time in grid order reports the error a loop over the radii would.
-    """
-    try:
-        return batch(r_grid)
-    except FinslerError:
-        for i in range(len(r_grid)):
-            batch(r_grid[i:i + 1])
-        raise
+    """batch(r_grid), replayed on an error one radius at a time in grid order."""
+    return replay_alone(batch, r_grid, (r_grid[i:i + 1] for i in range(len(r_grid))))
 
 
 # -- profile jets ------------------------------------------------------------
@@ -197,7 +188,8 @@ def phi_jet(spec: MetricSpec, r, s, order: int = 3, r_order: int = 3) -> Jet3:
         (2, m2, "phi - s*phi_s > 0"),
         (3, m3, "phi - s*phi_s + (r^2-s^2)*phi_ss > 0"),
     ):
-        if any_true(m <= 0.0):
+        ok = m > 0.0  # False for a NaN margin too
+        if not (ok.all() if isinstance(ok, np.ndarray) else ok):
             rr, ss, mm = np.broadcast_arrays(np.asarray(r, float), np.asarray(s, float), m)
             i = int(np.argmin(mm))
             raise RegularityError(
@@ -226,10 +218,20 @@ def margins(phi, phi_s, phi_ss, r, s):
 
 
 def _randers_phi_jet(p: RandersProfile, r, s, order: int, r_order: int = 3) -> Jet3:
-    """sqrt(f + g s^2) + h s from the radial jets of f, g and h."""
+    """sqrt(f + g s^2) + h s from the radial jets of f, g and h; a DomainError names
+    the first point where it is not finite."""
     fj, gj, hj = radial_jets((p.f, p.g, p.h), r, order, r_order)
     sj = Jet3.seed(s, ds=1.0, order=order, r_order=r_order)
-    return (fj + gj * sj * sj).sqrt() + hj * sj
+    if type(r) is type(s) is float:  # Python floats never warn (an errstate costs ~2 us)
+        jet = (fj + gj * sj * sj).sqrt() + hj * sj
+    else:
+        with np.errstate(all="ignore"):  # the check below reports what numpy warns of
+            jet = (fj + gj * sj * sj).sqrt() + hj * sj
+    if not is_finite(jet.c):
+        r_i, s_i = first_nonfinite(jet.c, r, s)
+        raise DomainError(f"Randers profile sqrt(f + g*s^2) + h*s is not finite at r={r_i!r}, "
+                          f"s={s_i!r}")
+    return jet
 
 
 # -- Berwald-type family profiles -------------------------------------------
@@ -272,9 +274,8 @@ def _family_phi_jet(spec: MetricSpec, r, s, order: int, r_order: int = 3) -> Jet
     with np.errstate(over="ignore", invalid="ignore"):  # a large I1 is reported below
         g_jet = Jet3.radial(g_derivs, order, r_order).exp()
     if not is_finite(g_jet.c):
-        bad = sum(~np.isfinite(c) for c in g_jet.c if c is not None) > 0
-        at = np.broadcast_to(np.asarray(r, dtype=float), np.shape(bad)).flat[np.argmax(bad)]
-        raise DomainError(f"family g = exp(I1) is not finite at r={float(at)!r}")
+        (at,) = first_nonfinite(g_jet.c, r)
+        raise DomainError(f"family g = exp(I1) is not finite at r={at!r}")
     inv_r0 = 1.0 / p.r0
     sj = Jet3.seed(s, ds=1.0, order=order, r_order=r_order)
     s2 = sj * sj
@@ -435,19 +436,14 @@ def regularity_scan(spec: MetricSpec, r_count: int = 25, s_count: int = 25) -> R
             margins[idx + (k,)] = m
         valid[idx] = True
 
-    try:  # the whole grid at once; on a DomainError, rows and then points
+    try:  # the whole grid at once; on a DomainError, point by point
         fill((slice(None), slice(None)), r_grid[:, None], r_grid[:, None] * fracs)
     except DomainError:
-        for i, r in enumerate(r_grid):
-            s_row = r * fracs
+        for (i, j), s in np.ndenumerate(r_grid[:, None] * fracs):
             try:
-                fill((i, slice(None)), r, s_row)
-            except DomainError:
-                for j, s in enumerate(s_row):
-                    try:
-                        fill((i, j), r, float(s))
-                    except DomainError as err:
-                        notes.append(f"r={float(r)!r}, s={float(s)!r}: {err}")
+                fill((i, j), r_grid[i], float(s))
+            except DomainError as err:
+                notes.append(f"r={float(r_grid[i])!r}, s={float(s)!r}: {err}")
     ok = np.where(np.isnan(margins), False, margins > 0.0)
     passed = bool(valid.all() and ok.all())
     worst_margin = np.inf

@@ -403,11 +403,14 @@ class Jet3:
 
 
 def _sqrt_taylor(v):
-    if type(v) is float and 1e-100 < v < 1e100:
-        # Python floats round as numpy's float64 scalars do, and in this range
-        # nothing below under- or overflows, so no warning or error differs
-        sv = math.sqrt(v)
-        return sv, 0.5 / sv, -0.25 / (sv * v), 0.375 / (sv * v * v)
+    if type(v) is float:
+        if 1e-100 < v < 1e100:
+            # Python floats round as numpy's float64 scalars do, and in this range
+            # nothing below under- or overflows, so no warning or error differs
+            sv = math.sqrt(v)
+            return sv, 0.5 / sv, -0.25 / (sv * v), 0.375 / (sv * v * v)
+        with np.errstate(all="ignore"):  # its caller checks the jet for what numpy warns of
+            return _sqrt_taylor(np.float64(v))
     bad = v <= 0.0
     if any_true(bad):
         raise DomainError(f"sqrt of non-positive value {_fmt(v, bad)}")
@@ -456,15 +459,18 @@ def reciprocal_taylor(v):
 
 def powr_taylor(v, q: float):
     """Taylor data of x^q for a half-integer q at v > 0: sqrt(v) to the integer 2q."""
-    if type(v) is float and 1e-100 < v < 1e100:
-        # Python floats round as numpy's float64 scalars do; where these overflow,
-        # which numpy would warn of, the numpy path below computes them again
-        f0 = ipow(math.sqrt(v), int(2.0 * q))
-        f1 = q * f0 / v
-        f2 = (q - 1.0) * f1 / v
-        f3 = (q - 2.0) * f2 / v
-        if math.isfinite(f3):
-            return f0, f1, f2, f3
+    if type(v) is float:
+        if 1e-100 < v < 1e100:
+            # Python floats round as numpy's float64 scalars do; where these
+            # overflow, the numpy path computes them again
+            f0 = ipow(math.sqrt(v), int(2.0 * q))
+            f1 = q * f0 / v
+            f2 = (q - 1.0) * f1 / v
+            f3 = (q - 2.0) * f2 / v
+            if math.isfinite(f3):
+                return f0, f1, f2, f3
+        with np.errstate(all="ignore"):  # its caller checks the jet for what numpy warns of
+            return powr_taylor(np.float64(v), q)
     bad = v <= 0.0
     if any_true(bad):
         raise DomainError(f"power {q} of non-positive value {_fmt(v, bad)}")
@@ -500,6 +506,15 @@ def is_finite(c) -> bool:
         elif x is not None and not math.isfinite(x):
             return False
     return True
+
+
+def first_nonfinite(values, *coords) -> tuple:
+    """The coordinates, as floats, of the first element (in C order, all broadcast
+    together) where one of the values (floats, arrays or None) is not finite."""
+    bad = sum(~np.isfinite(v) for v in values if v is not None) > 0
+    bad, *coords = np.broadcast_arrays(bad, *(np.asarray(c, dtype=float) for c in coords))
+    i = int(np.argmax(bad))
+    return tuple(float(c.flat[i]) for c in coords)
 
 
 def _fmt(v, bad) -> str:

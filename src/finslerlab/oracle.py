@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CrossCheckError, DomainError, DomainExitError, FinslerError
+from .errors import CrossCheckError, DomainError, DomainExitError, FinslerError, replay_alone
 from .geometry import MetricSpec, metric_determinant, phi_jet, spray_values
 from .jets import Jet3
 from .volume import density
@@ -169,7 +169,8 @@ def s_by_distortion(spec: MetricSpec, vol, x0, y0, dt: float | None = None) -> f
     steps buy no accuracy.  The default dt is 1e-3 scaled by 1/F(x0, y0) so
     the stencil width is metrically uniform across specs.  Both directions
     are integrated first, then the four stored states' densities are one
-    ``density`` call.
+    ``density`` call, replayed on an error one state at a time: an error is
+    what a loop over the states in trajectory order meets first.
     """
     x0 = np.asarray(x0, dtype=float)
     y0 = np.asarray(y0, dtype=float)
@@ -187,15 +188,12 @@ def s_by_distortion(spec: MetricSpec, vol, x0, y0, dt: float | None = None) -> f
             trajectories.append(
                 integrate_geodesic(spec, x0, y0, direction * 2.0 * dt, steps=2, jet0=jet0))
             jet0 = trajectories[0][0].jet
-        stored = [st for states in trajectories for st in states[1:]]
-        values = _taus(spec, vol, stored)
-    except FinslerError:
-        # one state at a time in trajectory order: the forward states are valued
-        # before a backward-trajectory error, and each state raises what it
-        # raises alone
-        stored = [st for states in trajectories for st in states[1:]]
-        values = [_taus(spec, vol, [st])[0] for st in stored]
-        if len(trajectories) < 2:
-            raise
+    except FinslerError:  # the forward states are valued before a backward-trajectory error
+        for st in trajectories[0][1:] if trajectories else ():
+            _taus(spec, vol, [st])
+        raise
+    stored = [st for states in trajectories for st in states[1:]]
+    values = replay_alone(lambda states: _taus(spec, vol, states), stored,
+                          ([st] for st in stored))
     taus = {round(st.t / dt): v for st, v in zip(stored, values)}
     return (taus[-2] - 8.0 * taus[-1] + 8.0 * taus[1] - taus[2]) / (12.0 * dt)

@@ -16,13 +16,14 @@ b_{i;j} = u1 d_ij + u2 x_i x_j.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
 from .expr import ScalarFunction, radial_jets
-from .jets import any_true, ipow
+from .jets import any_true, first_nonfinite, ipow, is_finite
 from .volume import BH, HT, VOLUMES
 
 
@@ -38,7 +39,7 @@ def admissibility_margin(r, f, g, h):
 def check_admissible(r, f, g, h) -> None:
     """Raise DomainError naming the first radius where admissibility_margin is <= 0."""
     margin = admissibility_margin(r, f, g, h)
-    bad = margin <= 0.0
+    bad = ~(margin > 0.0)  # NaN too
     if any_true(bad):
         i = int(np.argmax(bad))
         raise DomainError(
@@ -78,22 +79,31 @@ def randers_coefficients(f, g, h, r) -> RandersCoefficients:
     """The radial Randers data of the profiles f, g, h at r, a float or a 1-D array.
 
     Reads the order-2, r-order-1 jets of f, g and h as one ``radial_jets`` call.
-    Raises DomainError where the data is not admissible (see check_admissible).
+    Raises DomainError where the data is not admissible (see check_admissible)
+    and at the first radius where a coefficient is not finite.  Arrays are
+    combined under an errstate, as that check reports what numpy would warn of;
+    Python floats never warn.
     """
     r = float(r) if np.ndim(r) == 0 else np.asarray(r, dtype=float)
     fj, gj, hj = radial_jets((f, g, h), r, 2, 1)
     f_v, fp = fj.d(0, 0), fj.d(1, 0)
     g_v, gp = gj.d(0, 0), gj.d(1, 0)
     h_v, hp = hj.d(0, 0), hj.d(1, 0)
-    check_admissible(r, f_v, g_v, h_v)
-    q = f_v + r * r * g_v
-    u1 = 0.5 * h_v * (r * fp + 2.0 * f_v) / q
-    u2 = hp / r - 0.5 * h_v * (r * r * gp + 2.0 * fp) / (r * q)
-    b2 = r * r * h_v * h_v / q
-    # (r^2 h^2)' = 2 r h (h + r h') and q' = f' + 2 r g + r^2 g'
-    b2_d1 = (2.0 * r * h_v * (h_v + r * hp) - b2 * (fp + 2.0 * r * g_v + r * r * gp)) / q
-    rho_d1 = -b2_d1 / (2.0 * (1.0 - b2))
-    return RandersCoefficients(r, f_v, fp, g_v, gp, h_v, hp, q, u1, u2, b2, rho_d1)
+    with nullcontext() if type(r) is float else np.errstate(all="ignore"):
+        check_admissible(r, f_v, g_v, h_v)
+        q = f_v + r * r * g_v
+        u1 = 0.5 * h_v * (r * fp + 2.0 * f_v) / q
+        u2 = hp / r - 0.5 * h_v * (r * r * gp + 2.0 * fp) / (r * q)
+        b2 = r * r * h_v * h_v / q
+        # (r^2 h^2)' = 2 r h (h + r h') and q' = f' + 2 r g + r^2 g'
+        b2_d1 = (2.0 * r * h_v * (h_v + r * hp) - b2 * (fp + 2.0 * r * g_v + r * r * gp)) / q
+        rho_d1 = -b2_d1 / (2.0 * (1.0 - b2))
+    coefficients = (q, u1, u2, b2, rho_d1)
+    if not is_finite(coefficients):
+        (r_i,) = first_nonfinite(coefficients, r)
+        raise DomainError(f"Randers data f, g, h give a coefficient (q = f + r^2 g, u1, u2, "
+                          f"||beta||^2 or rho') that is not finite at r = {r_i:.6g}")
+    return RandersCoefficients(r, f_v, fp, g_v, gp, h_v, hp, *coefficients)
 
 
 def christoffel_coefficients(f, g, r) -> tuple[float, float, float]:

@@ -55,7 +55,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .errors import CrossCheckError, DomainError, FinslerError
+from .errors import CrossCheckError, DomainError, replay_alone
 from .expr import ScalarFunction
 from .geometry import MetricSpec, margins, phi_jet
 from .jets import Jet3, any_true, ipow
@@ -117,19 +117,13 @@ def _node_jets(spec: MetricSpec, r, counts: tuple[int, ...], order: int, r_order
     ``_radii``, with the Gauss-Legendre nodes of each count in ``counts`` side by side.
 
     Regularity is enforced by phi_jet; a failure raises what the first failing
-    count raises alone.
+    count raises alone (when no lower count does, every failing node is the last's).
     """
     cos_t, ws = _angle_columns(counts, spec.n)
     rc = r if isinstance(r, float) else np.array(r)[:, None]
     s = rc * cos_t
-    try:
-        jet = phi_jet(spec, rc, s, order, r_order)
-    except FinslerError:
-        # a lower count that fails alone raises its own error first, as separate
-        # calls did; otherwise every failing node is the last count's, as alone
-        for n in counts[:-1]:
-            _node_jets(spec, r, (n,), order, r_order)
-        raise
+    jet = replay_alone(lambda s: phi_jet(spec, rc, s, order, r_order), s,
+                       (rc * _angle_columns((n,), spec.n)[0] for n in counts[:-1]))
     return rc, s, cos_t, ws, jet
 
 
@@ -290,6 +284,8 @@ def _density_and_f(vol: VolumeSpec, spec: MetricSpec, key):
 
 
 def _cross_check_log_derivative(vol, spec, r, dlog) -> None:
+    """CrossCheckError where dlog and a central difference of log sigma disagree; the
+    sigmas at r -+ h are one ``density`` call, replayed on an error side by side."""
     rmin, rmax = spec.r_domain
     h = np.minimum(np.minimum(1e-4 * np.maximum(1.0, r), 0.45 * (r - rmin)), 0.45 * (rmax - r))
     if any_true(h < 1e-8):
@@ -299,11 +295,8 @@ def _cross_check_log_derivative(vol, spec, r, dlog) -> None:
             f"[{rmin!r}, {rmax!r}]: the sigma' cross-check needs that much room"
         )
     sides = (r - h, r + h)
-    try:
-        sigma = density(vol, spec, np.concatenate([np.ravel(side) for side in sides]))
-    except FinslerError:
-        # one call per side, lo before hi: the error (or value) each gives alone
-        sigma = np.concatenate([np.ravel(density(vol, spec, side)) for side in sides])
+    sigma = replay_alone(lambda radii: density(vol, spec, radii),
+                         np.concatenate([np.ravel(side) for side in sides]), sides)
     # math.log (libm) of each value, as for a single radius
     logs = np.array([math.log(v) for v in sigma.tolist()])
     lo, hi = np.split(logs, 2)

@@ -22,6 +22,7 @@ import operator
 import os
 import subprocess
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
 import numpy as np
@@ -233,11 +234,21 @@ def _reference_radial_jet(fn, r, order: int, r_order: int = 3) -> Jet3:
 
 
 def reference_randers_jet(profile: RandersProfile, r, s, order: int, r_order: int = 3) -> Jet3:
-    """sqrt(f + g s^2) + h s from the radial jets of f, g and h."""
+    """sqrt(f + g s^2) + h s from the radial jets of f, g and h, arrays under one
+    errstate; a DomainError names the first point where the jet is not finite."""
     sj = Jet3.seed(s, ds=1.0, order=order, r_order=r_order)
     fj, gj, hj = (_reference_radial_jet(x, r, order, r_order)
                   for x in (profile.f, profile.g, profile.h))
-    return (fj + gj * sj * sj).sqrt() + hj * sj
+    with nullcontext() if type(r) is type(s) is float else np.errstate(all="ignore"):
+        jet = (fj + gj * sj * sj).sqrt() + hj * sj
+    bad = sum(~np.isfinite(c) for c in jet.c if c is not None) > 0
+    if np.any(bad):
+        rr, ss, bb = np.broadcast_arrays(np.asarray(r, dtype=float), np.asarray(s, dtype=float),
+                                         bad)
+        i = int(np.argmax(bb))
+        raise DomainError(f"Randers profile sqrt(f + g*s^2) + h*s is not finite at "
+                          f"r={float(rr.flat[i])!r}, s={float(ss.flat[i])!r}")
+    return jet
 
 
 def _reference_family_jets(spec: MetricSpec, r, order: int, r_order: int = 3) -> tuple:

@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -543,6 +544,56 @@ def test_a_family_g_that_overflows_at_a_radius_is_one_numeric_failure(tmp_path, 
     assert proc.returncode == 3
     assert proc.stdout == ""
     assert proc.stderr == "numeric failure: family g = exp(I1) is not finite at r=10.0\n"
+
+
+#: Randers data whose numbers overflow: f + g s^2 and 2 f are past the largest double
+_OVERFLOWING_RANDERS = {
+    "n": 2,
+    "metric": {"kind": "randers", "f": "1e308", "g": "1e308", "h": "0", "r_domain": [0.5, 2.0]},
+    "grid": {"r_min": 0.6, "r_max": 1.8, "r_count": 5, "s_count": 5},
+}
+_SEVEN_COMMANDS = [*(("verify", "--check", check) for check in
+                     ("isotropy", "douglas", "bh-classification", "ht-parallel", "oracle")),
+                   ("sample",), ("analyze",)]
+_WARNING_MODES = pytest.mark.parametrize("mode", ["default", "error"],
+                                         ids=["default", "warnings-fatal"])
+
+
+def _one_numeric_failure(tmp_path, capsys, mode, cfg, command) -> str:
+    """The one stderr line of main(command + [cfg]), which exits 3 and warns of nothing,
+    with numpy's RuntimeWarnings shown (default) or raised (error)."""
+    with warnings.catch_warnings(record=mode == "default") as shown:
+        warnings.simplefilter(mode, RuntimeWarning)
+        code = main([*command, cfg, "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert (code, shown or []) == (3, []), (command, err)
+    assert err.count("\n") == 1 and err.startswith("numeric failure: "), (command, err)
+    assert not (tmp_path / "out").exists()
+    return err
+
+
+@_WARNING_MODES
+@pytest.mark.parametrize("vol", ["constant", "bh"])
+def test_overflowing_randers_data_is_one_numeric_failure_naming_it(tmp_path, capsys, mode, vol):
+    cfg = write_cfg(tmp_path, "huge_randers.json", {**_OVERFLOWING_RANDERS, "volume": vol})
+    for command in _SEVEN_COMMANDS:
+        err = _one_numeric_failure(tmp_path, capsys, mode, cfg, command)
+        assert re.fullmatch(r"numeric failure: (Randers profile sqrt\(f \+ g\*s\^2\) \+ h\*s "
+                            r"is not finite at r=\S+, s=\S+|Randers data f, g, h give a "
+                            r"coefficient .* that is not finite at r = 0\.6)\n", err), err
+
+
+@_WARNING_MODES
+def test_grid_columns_that_overflow_are_one_numeric_failure_naming_the_column(tmp_path, capsys,
+                                                                               mode):
+    # phi of the Funk metric times 1e4 in dimension 100: det g = phi^101 ... overflows
+    cfg = json.loads((HERE.parent / "configs" / "funk_n2.json").read_text())
+    cfg.update(n=100, volume="constant")
+    cfg["metric"]["phi"] = f"1e4*({cfg['metric']['phi']})"
+    cfg = write_cfg(tmp_path, "huge_funk.json", cfg)
+    for command in (("sample",), ("analyze",)):
+        err = _one_numeric_failure(tmp_path, capsys, mode, cfg, command)
+        assert err == "numeric failure: grid column detg is not finite at r=0.2, s=-0.1999998\n"
 
 
 _HUGE_G_PRIME_LINE = ("regularity failure: regularity condition 3 (phi - s*phi_s + (r^2-s^2)*phi_ss "
